@@ -72,9 +72,11 @@ class SoftwareSwitch:
         per-packet *cycle-accounting* pass decides routing (normal path
         vs fast path vs block) exactly as the scalar loop does, and a
         *batch-apply* pass then feeds all normal-path packets to the
-        sketch's vectorized ``update_batch`` in one call.  Counter
-        state never influences routing and is order-insensitive within
-        an epoch, so reports and counters are bit-identical to the
+        sketch in one ``Sketch.update_trace`` call — a NumPy kernel for
+        every sketch except UnivMon, whose order-dependent trackers
+        keep the per-packet loop.  Counter state never influences
+        routing, and each kernel reproduces the in-order result
+        exactly, so reports and sketch state are bit-identical to the
         scalar path.
     """
 
@@ -231,7 +233,7 @@ class SoftwareSwitch:
         floating-point operations* as the scalar loop (closed-form
         reassociation would change rounding), but without any sketch
         hashing — the expensive per-packet work moves into one
-        vectorized ``update_batch`` call at the end.
+        ``Sketch.update_trace`` call at the end.
         """
         report = SwitchReport()
         sketch_cycles = self.cost_model.sketch_cycles(self.sketch)
@@ -374,25 +376,13 @@ class SoftwareSwitch:
     def _apply_normal_batch(self, trace, indices) -> None:
         """Apply deferred normal-path updates (``indices=None`` = all).
 
-        Sketches whose updates are key64-pure take the vectorized
-        column path; the rest (RevSketch, Deltoid, FlowRadar, UnivMon)
-        fall back to the scalar per-packet loop, which is trivially
-        identical to the scalar engine.
+        One call into :meth:`Sketch.update_trace`, which picks the
+        sketch's own kernel (``update_batch`` on the key64 column, or a
+        header-reading kernel for FlowRadar/Deltoid) and otherwise runs
+        the per-packet loop (UnivMon); all are bit-identical to the
+        scalar engine.
         """
-        sketch = self.sketch
-        if sketch.key64_updates:
-            if indices is None:
-                sketch.update_batch(trace.key64, trace.sizes)
-            else:
-                sketch.update_batch(
-                    trace.key64[indices], trace.sizes[indices]
-                )
-            return
-        packets = trace.packets
-        selected = range(len(packets)) if indices is None else indices.tolist()
-        for index in selected:
-            packet = packets[index]
-            sketch.update(packet.flow, packet.size)
+        self.sketch.update_trace(trace, indices)
 
     # ------------------------------------------------------------------
     def _arrival_cycles_array(self, trace, offered_gbps: float | None):

@@ -62,6 +62,36 @@ class CostProfile:
         )
 
 
+def trace_columns(trace, indices=None):
+    """``(key64, sizes)`` columns of ``trace`` at ``indices`` (None = all)."""
+    if indices is None:
+        return trace.key64, trace.sizes
+    return trace.key64[indices], trace.sizes[indices]
+
+
+def flow_groups(trace, indices=None):
+    """Group the selected packets of ``trace`` by flow (``key64``).
+
+    Returns ``(keys, first, group, sizes)``: the distinct keys in order
+    of first occurrence, the position in ``trace.packets`` of each
+    key's first selected packet, every selected packet's index into
+    ``keys``, and the selected ``sizes`` column.  This is what lets the
+    header-reading kernels (FlowRadar, Deltoid) hash, and touch packet
+    objects, once per distinct flow instead of once per packet.
+    """
+    keys64, sizes = trace_columns(trace, indices)
+    distinct, first, inverse = np.unique(
+        keys64, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    first = first[order]
+    if indices is not None:
+        first = indices[first]
+    return distinct[order], first, rank[inverse], sizes
+
+
 class Sketch(ABC):
     """Base class for every sketch-based measurement solution.
 
@@ -80,12 +110,15 @@ class Sketch(ABC):
     low_rank: bool = True
 
     #: True when :meth:`update` depends on the flow only through its
-    #: 64-bit fold (``flow.key64``).  That is the contract that makes
-    #: :meth:`update_batch` over a trace's ``key64`` column exactly
-    #: equivalent to per-packet ``update`` calls; sketches that consume
-    #: the full header (RevSketch, Deltoid, FlowRadar) or keep
-    #: order-dependent side state (UnivMon's trackers) leave it False
-    #: and the batched switch falls back to the scalar path for them.
+    #: 64-bit fold (``flow.key64``), i.e. when the two-argument
+    #: :meth:`update_batch` over a trace's ``key64`` column is exactly
+    #: equivalent to per-packet ``update`` calls.  Callers that hold
+    #: only columns (no packet objects) test this flag before calling
+    #: ``update_batch``.  Sketches that also read the 104-bit header
+    #: (Deltoid, FlowRadar) leave it False and vectorize by overriding
+    #: :meth:`update_trace` instead, which sees the packets; sketches
+    #: with order-dependent side state (UnivMon's trackers) leave it
+    #: False and inherit the per-packet loop.
     key64_updates: bool = False
 
     def __init__(self, seed: int = 1):
@@ -129,7 +162,8 @@ class Sketch(ABC):
         if not self.key64_updates:
             raise NotImplementedError(
                 f"{type(self).__name__} updates depend on more than "
-                "key64; use per-packet update()"
+                "key64; use update_trace(trace, indices), which falls "
+                "back to per-packet update() where no kernel exists"
             )
         update = self.update_key64  # type: ignore[attr-defined]
         for key, value in zip(
@@ -137,6 +171,26 @@ class Sketch(ABC):
             np.asarray(values).tolist(),
         ):
             update(key, value)
+
+    def update_trace(self, trace, indices=None) -> None:
+        """Record the packets of ``trace`` at ``indices`` (None = all).
+
+        The one entry point the batched switch applies its deferred
+        normal-path packets through.  ``indices`` is an integer array
+        of packet positions in arrival order.  The result is always
+        bit-identical to calling :meth:`update` per selected packet, in
+        order: key64-pure sketches take :meth:`update_batch` on the
+        trace's columns, header-reading sketches with a kernel override
+        this method, and everything else runs the loop below.
+        """
+        if self.key64_updates:
+            self.update_batch(*trace_columns(trace, indices))
+            return
+        packets = trace.packets
+        if indices is not None:
+            packets = map(packets.__getitem__, indices.tolist())
+        for packet in packets:
+            self.update(packet.flow, packet.size)
 
     def inject(self, flow: FlowKey, value: int) -> None:
         """Re-inject a recovered flow (control-plane recovery, §5).

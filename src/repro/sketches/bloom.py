@@ -53,6 +53,32 @@ class BloomFilter:
         positions = self._hashes.buckets_array(keys64, self.num_bits)
         self.bits[positions.reshape(-1)] = True
 
+    def add_ordered(self, keys64) -> np.ndarray:
+        """Insert a key column in array order; returns what each
+        per-key :meth:`add` would have returned (bool array).
+
+        The answers depend on the order: a false positive needs its
+        positions covered by *earlier* inserts.  But after any key is
+        processed all of its positions are set — it set them, or it was
+        present because they already were — so key ``j`` is present
+        exactly when each of its positions was set before the call or
+        belongs to some key before ``j`` in the column.
+        """
+        positions = self._hashes.buckets_array(keys64, self.num_bits).T
+        num_keys, num_hashes = positions.shape
+        # Key-major flattening: a position's first occurrence belongs
+        # to the earliest key that touches it.
+        _, first_touch, inverse = np.unique(
+            positions.reshape(-1), return_index=True, return_inverse=True
+        )
+        earliest_key = (first_touch // num_hashes)[inverse].reshape(
+            positions.shape
+        )
+        covered = earliest_key < np.arange(num_keys)[:, None]
+        present = (self.bits[positions] | covered).all(axis=1)
+        self.bits[positions.reshape(-1)] = True
+        return present
+
     def __contains__(self, key64: int) -> bool:
         return all(
             self.bits[pos]

@@ -19,9 +19,10 @@ import numpy as np
 from repro.common.errors import ConfigError, MergeError
 from repro.common.flow import FlowKey
 from repro.common.hashing import HashFamily
-from repro.sketches.base import CostProfile, Sketch
+from repro.sketches.base import CostProfile, Sketch, flow_groups
 
 HEADER_BITS = 104
+_HEADER_BYTES = HEADER_BITS // 8
 _COUNTER_BYTES = 8
 
 
@@ -59,6 +60,68 @@ class Deltoid(Sketch):
             self.totals[row, col] += value
             for bit in set_bits:
                 self.bits[row, bit, col] += value
+
+    def update_trace(self, trace, indices=None) -> None:
+        """Batch kernel: the selected packets in one pass per flow.
+
+        Bit-identical to the per-packet loop: every counter receives a
+        sum of integer byte counts, exact in float64 whatever the
+        order, so bytes are summed per distinct flow and each flow's
+        total is added once per row to its bucket's total counter and
+        to the bit counters its header sets.  The ``flows x 104`` bit
+        matrix is built from each flow's first packet.
+
+        Flows are grouped by ``key64``, which folds 104 header bits
+        into 64, so two different headers can share a group.  Packets
+        whose header differs from their group's first one are taken out
+        of the sums and recorded with :meth:`update` instead.
+        """
+        keys, first, group, sizes = flow_groups(trace, indices)
+        if keys.size == 0:
+            return
+        packets = trace.packets
+        heads = [packets[i].flow for i in first.tolist()]
+        selected = packets if indices is None else map(
+            packets.__getitem__, indices.tolist()
+        )
+        flows = [packet.flow for packet in selected]
+        expected = [heads[g] for g in group.tolist()]
+        # List equality tests identity first, so shared FlowKey objects
+        # cost no header comparison.
+        if flows != expected:
+            strays = [
+                i
+                for i, (flow, head) in enumerate(zip(flows, expected))
+                if flow != head
+            ]
+            for i, size in zip(strays, sizes[strays].tolist()):
+                self.update(flows[i], size)
+            sizes = sizes.copy()
+            sizes[strays] = 0
+
+        volumes = np.bincount(group, weights=sizes, minlength=keys.size)
+        cols = self._hashes.buckets_array(keys, self.width)
+        header_bytes = np.frombuffer(
+            b"".join(
+                flow.key104.to_bytes(_HEADER_BYTES, "little")
+                for flow in heads
+            ),
+            dtype=np.uint8,
+        ).reshape(-1, _HEADER_BYTES)
+        flow_index, bit_index = np.nonzero(
+            np.unpackbits(header_bytes, axis=1, bitorder="little")
+        )
+        bit_volumes = volumes[flow_index]
+        bit_offsets = bit_index * self.width
+        for row in range(self.depth):
+            np.add.at(self.totals[row], cols[row], volumes)
+            # bits[row] is a C-contiguous (104, width) plane: index its
+            # flat view with one 1-D index array.
+            np.add.at(
+                self.bits[row].reshape(-1),
+                bit_offsets + cols[row, flow_index],
+                bit_volumes,
+            )
 
     def estimate(self, flow: FlowKey) -> float:
         """Count-Min-style upper-bound estimate from the total counters."""

@@ -21,7 +21,7 @@ import numpy as np
 from repro.common.errors import ConfigError, MergeError
 from repro.common.flow import FlowKey
 from repro.common.hashing import HashFamily
-from repro.sketches.base import CostProfile, Sketch
+from repro.sketches.base import CostProfile, Sketch, flow_groups
 from repro.sketches.bloom import BloomFilter
 
 
@@ -80,6 +80,44 @@ class FlowRadar(Sketch):
         for cell in cells:
             self.byte_count[cell] += increment
 
+    def update_trace(self, trace, indices=None) -> None:
+        """Batch kernel: the selected packets in one pass per flow.
+
+        Bit-identical to the per-packet loop on every field.  Byte (or
+        packet) counters are sums of integers, exact in float64, so
+        they are accumulated per distinct flow and added per hash row.
+        The XOR/count fields change only when the Bloom filter reports
+        a new flow, and only a flow's *first* packet can do that (its
+        own insert covers every later one), so new-flow detection runs
+        over the distinct keys in first-occurrence order — the order
+        matters because a Bloom false positive depends on what was
+        inserted before (:meth:`BloomFilter.add_ordered`).  Headers are
+        read from packet objects for new flows only.
+        """
+        keys, first, group, sizes = flow_groups(trace, indices)
+        if keys.size == 0:
+            return
+        cells = self._hashes.buckets_array(keys, self.num_cells)
+        new = np.flatnonzero(~self.bloom.add_ordered(keys))
+        if new.size:
+            packets = trace.packets
+            flow_xor = self.flow_xor
+            new_cells = cells[:, new]
+            for position, flow_cells in zip(
+                first[new].tolist(), new_cells.T.tolist()
+            ):
+                header = packets[position].flow.key104
+                for cell in flow_cells:
+                    flow_xor[cell] ^= header
+            np.add.at(self.flow_count, new_cells.reshape(-1), 1)
+        increments = np.bincount(
+            group,
+            weights=None if self.count_packets else sizes,
+            minlength=keys.size,
+        )
+        for row_cells in cells:
+            np.add.at(self.byte_count, row_cells, increments)
+
     def inject(self, flow: FlowKey, value: int) -> None:
         """Recovery injection; converts bytes to packets in packet mode."""
         if not self.count_packets:
@@ -104,22 +142,21 @@ class FlowRadar(Sketch):
         decoded completely (no undecodable residue).  Decoding mutates a
         working copy, never the sketch itself.
         """
+        # Plain lists: the peel touches single elements, and NumPy
+        # scalar access/arithmetic is several times slower than int and
+        # float (same IEEE doubles, so sizes come out identical).
         flow_xor = list(self.flow_xor)
-        flow_count = self.flow_count.copy()
-        byte_count = self.byte_count.copy()
+        flow_count = self.flow_count.tolist()
+        byte_count = self.byte_count.tolist()
         decoded: dict[FlowKey, float] = {}
 
-        pure = deque(
-            cell
-            for cell in range(self.num_cells)
-            if flow_count[cell] == 1
-        )
+        pure = deque(np.flatnonzero(self.flow_count == 1).tolist())
         while pure:
             cell = pure.popleft()
             if flow_count[cell] != 1:
                 continue
             header = flow_xor[cell]
-            size = float(byte_count[cell])
+            size = byte_count[cell]
             try:
                 flow = FlowKey.from_key104(header)
             except ValueError:
@@ -140,7 +177,7 @@ class FlowRadar(Sketch):
                 byte_count[other] -= size
                 if flow_count[other] == 1:
                     pure.append(other)
-        complete = bool((flow_count <= 0).all())
+        complete = max(flow_count) <= 0
         return decoded, complete
 
     def estimate(self, flow: FlowKey) -> float:
@@ -166,8 +203,10 @@ class FlowRadar(Sketch):
         ):
             raise MergeError("FlowRadar configurations differ")
         self.bloom.merge(other.bloom)
-        for cell in range(self.num_cells):
-            self.flow_xor[cell] ^= other.flow_xor[cell]
+        flow_xor = self.flow_xor
+        for cell, incoming in enumerate(other.flow_xor):
+            if incoming:  # XOR with 0 is the identity: skip empty cells
+                flow_xor[cell] ^= incoming
         self.flow_count += other.flow_count
         self.byte_count += other.byte_count
 

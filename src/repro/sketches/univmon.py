@@ -50,6 +50,11 @@ class UnivMon(Sketch):
         CountSketch rows per level.
     heap_size:
         Top-k tracker capacity per level (paper: 500).
+
+    UnivMon has no batch kernel: which flows a level's tracker holds,
+    and the estimate stored with each, depend on the order packets
+    arrive in (admission, pruning), so the batched switch applies it
+    through the default per-packet :meth:`Sketch.update_trace` loop.
     """
 
     name = "univmon"

@@ -9,8 +9,10 @@ switch reports.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.common.flow import FlowKey
+from repro.common.flow import FlowKey, Packet
 from repro.dataplane.cost_model import CostModel
 from repro.dataplane.switch import SoftwareSwitch
 from repro.fastpath.topk import FastPath
@@ -25,11 +27,15 @@ from repro.sketches.cardinality import (
 )
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.countsketch import CountSketch
+from repro.sketches.deltoid import Deltoid
+from repro.sketches.flowradar import FlowRadar
 from repro.sketches.mrac import MRAC
+from repro.sketches.revsketch import ReversibleSketch
 from repro.sketches.univmon import UnivMon
 from repro.tasks.heavy_hitter import HeavyHitterTask
 from repro.traffic.generator import TraceConfig, generate_trace
 from repro.traffic.groundtruth import GroundTruth
+from repro.traffic.trace import Trace
 
 SKETCH_FACTORIES = {
     "countmin": lambda: CountMinSketch(width=512, depth=4, seed=5),
@@ -96,10 +102,174 @@ def test_counting_bloom_batch(trace):
 
 
 def test_update_batch_rejects_header_dependent_sketches():
-    with pytest.raises(NotImplementedError):
-        UnivMon(seed=1).update_batch(
-            np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.int64)
-        )
+    for sketch in (UnivMon(seed=1), FlowRadar(seed=1), Deltoid(seed=1)):
+        with pytest.raises(NotImplementedError, match="update_trace"):
+            sketch.update_batch(
+                np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.int64)
+            )
+
+
+# ----------------------------------------------------------------------
+# Reversible heavy-hitter sketches: the update_trace kernels must leave
+# the *whole* internal state (XOR fields, Bloom bits, bit counters — not
+# just to_matrix()) exactly as the per-packet loop does.
+# ----------------------------------------------------------------------
+def _small_flowradar(**overrides):
+    config = dict(bloom_bits=20_000, num_cells=4_000, seed=5)
+    return FlowRadar(**{**config, **overrides})
+
+
+REVERSIBLE_FACTORIES = {
+    "flowradar": _small_flowradar,
+    "flowradar_packets": lambda: _small_flowradar(count_packets=True),
+    # 700 flows x 4 hashes into 512 bits: the filter saturates, so most
+    # new-flow decisions are false positives that depend on the order.
+    "flowradar_tiny_bloom": lambda: _small_flowradar(bloom_bits=512),
+    "deltoid": lambda: Deltoid(width=256, depth=3, seed=5),
+    "revsketch": lambda: ReversibleSketch(seed=5),
+}
+REVERSIBLE_NAMES = sorted(REVERSIBLE_FACTORIES)
+
+
+def _full_state(sketch) -> dict:
+    if isinstance(sketch, FlowRadar):
+        return {
+            "flow_xor": np.array(sketch.flow_xor, dtype=object),
+            "flow_count": sketch.flow_count,
+            "byte_count": sketch.byte_count,
+            "bloom_bits": sketch.bloom.bits,
+        }
+    if isinstance(sketch, Deltoid):
+        return {"totals": sketch.totals, "bits": sketch.bits}
+    return {"counters": sketch.counters}
+
+
+def _assert_same_state(reference, candidate):
+    expected, actual = _full_state(reference), _full_state(candidate)
+    for field, value in expected.items():
+        assert value.dtype == actual[field].dtype, field
+        assert np.array_equal(value, actual[field]), field
+
+
+def _scalar_reference(factory, trace, indices=None):
+    sketch = factory()
+    packets = trace.packets
+    for index in range(len(packets)) if indices is None else indices:
+        sketch.update(packets[index].flow, packets[index].size)
+    return sketch
+
+
+@pytest.mark.parametrize("name", REVERSIBLE_NAMES)
+def test_update_trace_whole_trace(trace, name):
+    factory = REVERSIBLE_FACTORIES[name]
+    kernel = factory()
+    kernel.update_trace(trace)
+    _assert_same_state(_scalar_reference(factory, trace), kernel)
+
+
+@pytest.mark.parametrize("name", REVERSIBLE_NAMES)
+def test_update_trace_chunked(trace, name):
+    """State carried across calls: later chunks see earlier Bloom bits."""
+    factory = REVERSIBLE_FACTORIES[name]
+    n = len(trace)
+    cuts = [0, 1, 18, n // 3, n // 3, n // 2 + 7, n - 2, n]
+    kernel = factory()
+    for low, high in zip(cuts, cuts[1:]):
+        kernel.update_trace(trace, np.arange(low, high, dtype=np.intp))
+    _assert_same_state(_scalar_reference(factory, trace), kernel)
+
+
+@pytest.mark.parametrize("name", REVERSIBLE_NAMES)
+def test_update_trace_sparse_indices(trace, name):
+    """The overload case: only some packets reach the normal path."""
+    factory = REVERSIBLE_FACTORIES[name]
+    rng = np.random.default_rng(3)
+    indices = np.flatnonzero(rng.random(len(trace)) < 0.4)
+    kernel = factory()
+    kernel.update_trace(trace, indices)
+    _assert_same_state(
+        _scalar_reference(factory, trace, indices.tolist()), kernel
+    )
+
+
+@pytest.mark.parametrize("name", REVERSIBLE_NAMES)
+def test_update_trace_empty_batch(trace, name):
+    factory = REVERSIBLE_FACTORIES[name]
+    kernel = factory()
+    kernel.update_trace(trace, np.empty(0, dtype=np.intp))
+    kernel.update_trace(Trace([]))
+    _assert_same_state(factory(), kernel)
+
+
+def test_tiny_bloom_forces_false_positives(trace):
+    """Guard: the tiny-Bloom case above must exercise insertion order."""
+    sketch = _scalar_reference(
+        REVERSIBLE_FACTORIES["flowradar_tiny_bloom"], trace
+    )
+    recorded = int(sketch.flow_count.sum()) // sketch.num_hashes
+    assert 0 < recorded < len(trace.flows()) // 2
+
+
+def test_deltoid_kernel_separates_key64_collisions():
+    """Two headers with one 64-bit fold keep their own bit counters."""
+    first = FlowKey(1, 9, 3000, 0)
+    second = FlowKey(0, 9, 3000, 1)
+    assert first.key64 == second.key64 and first != second
+    trace = Trace(
+        [
+            Packet(flow, size, index * 1e-4)
+            for index, (flow, size) in enumerate(
+                [(first, 100), (second, 70), (first, 40), (second, 900)]
+            )
+        ]
+    )
+    factory = REVERSIBLE_FACTORIES["deltoid"]
+    kernel = factory()
+    kernel.update_trace(trace)
+    _assert_same_state(_scalar_reference(factory, trace), kernel)
+
+
+PROPERTY_FACTORIES = {
+    # 26 flows x 2 hashes into 48 bits: false positives in most draws.
+    "flowradar": lambda: FlowRadar(
+        bloom_bits=48, num_cells=64, num_hashes=2, seed=2
+    ),
+    "deltoid": lambda: Deltoid(width=8, depth=2, seed=2),
+    "revsketch": lambda: ReversibleSketch(depth=2, seed=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_FACTORIES))
+@settings(max_examples=40, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(0, 25), st.integers(64, 1500)),
+        max_size=150,
+    ),
+    split=st.integers(0, 150),
+)
+def test_update_trace_property(name, pairs, split):
+    """Any packet sequence, any split point: kernel == per-packet loop.
+
+    Every packet carries its own FlowKey object, as traces read from
+    files do, so grouping cannot lean on object identity.
+    """
+    trace = Trace(
+        [
+            Packet(
+                FlowKey(1000 + flow, 2000 + flow % 7, 3000, 80),
+                size,
+                index * 1e-4,
+            )
+            for index, (flow, size) in enumerate(pairs)
+        ]
+    )
+    factory = PROPERTY_FACTORIES[name]
+    split = min(split, len(trace))
+    kernel = factory()
+    kernel.update_trace(trace, np.arange(split, dtype=np.intp))
+    kernel.update_trace(trace, np.arange(split, len(trace), dtype=np.intp))
+    _assert_same_state(_scalar_reference(factory, trace), kernel)
 
 
 # ----------------------------------------------------------------------
@@ -176,6 +346,33 @@ def test_switch_batch_reproduces_scalar_report(
     )
 
 
+@pytest.mark.parametrize(
+    "ideal,fastpath_bytes,offered",
+    [
+        # Ideal mode applies the whole trace (``indices=None``): the
+        # accuracy-yardstick arms get the kernels too.
+        (True, None, None),
+        (False, 2048, None),  # overload: fast path engaged
+        (False, 2048, 40.0),
+    ],
+)
+@pytest.mark.parametrize("name", REVERSIBLE_NAMES)
+def test_switch_batch_reversible_full_state(
+    trace, name, ideal, fastpath_bytes, offered
+):
+    arm = dict(
+        ideal=ideal,
+        fastpath_bytes=fastpath_bytes,
+        offered=offered,
+        factory=REVERSIBLE_FACTORIES[name],
+    )
+    scalar_report, scalar_sketch = _run_switch(trace, batch=False, **arm)
+    batch_report, batch_sketch = _run_switch(trace, batch=True, **arm)
+    _assert_reports_equal(scalar_report, batch_report)
+    assert ideal or 0 < batch_report.fastpath_packets < len(trace)
+    _assert_same_state(scalar_sketch, batch_sketch)
+
+
 def test_switch_batch_fastpath_actually_engaged(trace):
     """Guard: the SketchVisor arm above must exercise overflow routing."""
     report, _ = _run_switch(
@@ -190,7 +387,7 @@ def test_switch_batch_fastpath_actually_engaged(trace):
 
 
 def test_switch_batch_scalar_fallback_sketch(trace):
-    """Non-key64 sketches run the per-packet fallback, still identical."""
+    """UnivMon has no kernel: the default update_trace loop, identical."""
     scalar_report, scalar_sketch = _run_switch(
         trace,
         ideal=False,
@@ -214,8 +411,6 @@ def test_switch_batch_scalar_fallback_sketch(trace):
 
 
 def test_switch_batch_empty_trace():
-    from repro.traffic.trace import Trace
-
     scalar_report, _ = _run_switch(
         Trace([]),
         ideal=True,
