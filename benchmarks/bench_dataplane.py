@@ -1,15 +1,19 @@
 #!/usr/bin/env python
-"""Data-plane throughput harness: scalar vs batch vs parallel engines.
+"""Data-plane throughput harness: reference loop vs engine vs parallel.
 
-Times packets/sec of the simulated data plane across three execution
-modes and appends the results to a JSON trajectory file so future PRs
-can track speedups (and catch regressions) over time:
+Times packets/sec of the simulated data plane and appends the results
+to a JSON trajectory file so future PRs can track speedups (and catch
+regressions) over time:
 
-* ``scalar``  — the per-packet reference engine (pre-batch behaviour);
-* ``batch``   — the two-phase engine (cycle accounting + one vectorized
-  ``update_batch`` per epoch);
-* ``parallel``— the batched engine with per-host epochs fanned out to a
-  process pool via :class:`~repro.framework.pipeline.SketchVisorPipeline`.
+* ``scalar``  — the per-packet reference loop, which is no longer a
+  mode of the switch: ``tests/reference_engine.py``, the oracle the
+  engine is tested against;
+* ``batch``   — the engine (``SoftwareSwitch.process``: chunked routing
+  pass + one vectorized ``update_trace`` per chunk);
+* ``parallel``— the engine with per-host epochs fanned out to a process
+  pool via :class:`~repro.framework.pipeline.SketchVisorPipeline`.
+
+The arm names are the trajectory file's keys and stay as they were.
 
 Usage::
 
@@ -17,8 +21,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_dataplane.py --smoke    # CI quick pass
 
 The scalar-vs-batch comparison runs the ideal-mode CountMin arm the
-acceptance gate tracks, plus a SketchVisor (fast-path) arm to show the
-two-phase engine also pays off when routing decisions stay per-packet.
+acceptance gate tracks, plus a SketchVisor (fast-path) arm, where the
+routing pass stays per-packet.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for entry in (REPO_ROOT / "src", REPO_ROOT):  # repro, and tests.*
+    if str(entry) not in sys.path:
+        sys.path.insert(0, str(entry))
 
 from repro.dataplane.cost_model import CostModel  # noqa: E402
 from repro.dataplane.switch import SoftwareSwitch  # noqa: E402
@@ -51,6 +56,7 @@ from repro.sketches.mrac import MRAC  # noqa: E402
 from repro.tasks.heavy_hitter import HeavyHitterTask  # noqa: E402
 from repro.traffic.generator import TraceConfig, generate_trace  # noqa: E402
 from repro.traffic.groundtruth import GroundTruth  # noqa: E402
+from tests.reference_engine import reference_run  # noqa: E402
 
 SKETCHES = {
     "countmin": lambda seed: CountMinSketch(seed=seed),
@@ -59,44 +65,39 @@ SKETCHES = {
 }
 
 
-def _time_switch(make_switch, trace, repeats: int) -> float:
-    """Best-of-N wall time for one switch.process() epoch."""
+def _best_of(run, repeats: int) -> float:
+    """Best-of-N wall time of ``run()`` (one epoch)."""
     best = float("inf")
     for _ in range(repeats):
-        switch = make_switch()
         start = time.perf_counter()
-        switch.process(trace)
+        run()
         best = min(best, time.perf_counter() - start)
     return best
 
 
 def bench_switch_modes(trace, sketch_name: str, seed: int, repeats: int):
-    """Scalar vs batch packets/sec, ideal and SketchVisor arms."""
+    """Reference loop ("scalar") vs engine ("batch") packets/sec, ideal
+    and SketchVisor arms."""
     make_sketch = SKETCHES[sketch_name]
     cost_model = CostModel.in_memory()
+
+    def run(mode: str, ideal: bool):
+        fastpath = None if ideal else FastPath(8192)
+        config = dict(
+            cost_model=cost_model, buffer_packets=1024, ideal=ideal
+        )
+        if mode == "scalar":
+            reference_run(trace, make_sketch(seed), fastpath, **config)
+        else:
+            SoftwareSwitch(
+                make_sketch(seed), fastpath=fastpath, **config
+            ).process(trace)
+
     results = {}
-    arms = {
-        "ideal": dict(fastpath=None, ideal=True),
-        "sketchvisor": dict(ideal=False),
-    }
-    for arm, kwargs in arms.items():
+    for arm, ideal in (("ideal", True), ("sketchvisor", False)):
         timings = {}
         for mode in ("scalar", "batch"):
-            def make_switch(mode=mode, kwargs=kwargs):
-                fastpath = (
-                    None if kwargs.get("fastpath", ...) is None
-                    else FastPath(8192)
-                )
-                return SoftwareSwitch(
-                    make_sketch(seed),
-                    fastpath=fastpath,
-                    cost_model=cost_model,
-                    buffer_packets=1024,
-                    ideal=kwargs["ideal"],
-                    batch=(mode == "batch"),
-                )
-
-            elapsed = _time_switch(make_switch, trace, repeats)
+            elapsed = _best_of(lambda: run(mode, ideal), repeats)
             timings[mode] = {
                 "seconds": elapsed,
                 "packets_per_sec": len(trace) / elapsed,
@@ -109,7 +110,7 @@ def bench_switch_modes(trace, sketch_name: str, seed: int, repeats: int):
 
 
 def bench_parallel(trace, seed: int, num_hosts: int, workers: int):
-    """Serial vs process-pool multi-host epochs (batched engine)."""
+    """Serial vs process-pool multi-host epochs."""
     truth = GroundTruth.from_trace(trace)
     timings = {}
     for label, pool_workers in (("serial", 1), ("parallel", workers)):
@@ -119,7 +120,6 @@ def bench_parallel(trace, seed: int, num_hosts: int, workers: int):
             config=PipelineConfig(
                 num_hosts=num_hosts,
                 seed=seed,
-                batch=True,
                 workers=pool_workers,
             ),
         )
@@ -169,7 +169,6 @@ def bench_accuracy_overhead(trace, seed: int, num_hosts: int):
             config=PipelineConfig(
                 num_hosts=num_hosts,
                 seed=seed,
-                batch=True,
                 workers=1,
                 telemetry=telemetry,
                 slo=policy if telemetry else None,
@@ -216,7 +215,7 @@ def git_sha() -> str:
 def bench_profiling(trace, seed: int, num_hosts: int):
     """End-to-end epoch time with and without cycle-level profiling.
 
-    Runs the full pipeline (batched SketchVisor data plane + merge +
+    Runs the full pipeline (SketchVisor data plane + merge +
     recovery + query) twice — bare, then with the full profiler on
     (stage timers, 97 Hz stack sampler, hash instrumentation, RSS
     tracking).  The acceptance gate requires the profiled run to stay
@@ -245,7 +244,6 @@ def bench_profiling(trace, seed: int, num_hosts: int):
                 config=PipelineConfig(
                     num_hosts=num_hosts,
                     seed=seed,
-                    batch=True,
                     workers=1,
                     telemetry=telemetry,
                 ),
@@ -275,7 +273,7 @@ def bench_profiling(trace, seed: int, num_hosts: int):
 
 
 def instrumented_snapshot(trace, sketch_name: str, seed: int) -> dict:
-    """Metric snapshot of one (untimed) instrumented batch epoch.
+    """Metric snapshot of one (untimed) instrumented epoch.
 
     Rides along in the trajectory entry so counter totals — packets
     per path, cycles, fast-path kick-outs — stay comparable across
@@ -289,7 +287,6 @@ def instrumented_snapshot(trace, sketch_name: str, seed: int) -> dict:
         fastpath=FastPath(8192),
         cost_model=CostModel.in_memory(),
         buffer_packets=1024,
-        batch=True,
         telemetry=telemetry,
     )
     switch.process(trace)

@@ -543,7 +543,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         recovery=RecoveryMode(args.recovery),
         config=PipelineConfig(
             num_hosts=args.hosts,
-            batch=args.batch,
             telemetry=telemetry,
             **config_kwargs,
         ),
@@ -1071,7 +1070,9 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument("--seed", type=int, default=1)
     telemetry.add_argument("--hosts", type=int, default=2)
     telemetry.add_argument(
-        "--batch", action="store_true", help="use the batched engine"
+        "--batch",
+        action="store_true",
+        help="accepted and ignored (there is one data-plane engine)",
     )
     telemetry.add_argument(
         "--dataplane",

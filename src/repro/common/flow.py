@@ -36,6 +36,10 @@ class FlowKey:
     # Cached 64-bit fold, excluded from equality/hash/repr; computed
     # once in __post_init__ so hot loops never re-fold the header.
     _key64: int = field(init=False, repr=False, compare=False, default=0)
+    # Cached hash — the value the dataclass-generated ``__hash__`` would
+    # return (the tuple of compared fields), so set and dict iteration
+    # orders are what they were; flows key every hot dict in the repo.
+    _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
         if not 0 <= self.src_ip < 2**32 or not 0 <= self.dst_ip < 2**32:
@@ -50,6 +54,22 @@ class FlowKey:
             "_key64",
             mix64((packed >> 64) ^ (packed & ((1 << 64) - 1))),
         )
+        object.__setattr__(
+            self,
+            "_hash",
+            hash(
+                (
+                    self.src_ip,
+                    self.dst_ip,
+                    self.src_port,
+                    self.dst_port,
+                    self.proto,
+                )
+            ),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def key104(self) -> int:

@@ -162,7 +162,7 @@ class HashFamily:
     # Vectorized (NumPy) variants — exact array counterparts of the
     # scalar methods above: ``buckets_array(keys, w)[i, j]`` equals
     # ``bucket(i, int(keys[j]), w)`` for every row and key.  They are
-    # what lets the batched data plane hash a whole epoch at once.
+    # what lets the data plane hash a whole chunk of an epoch at once.
     # ------------------------------------------------------------------
     @staticmethod
     def _as_keys(keys64) -> "np.ndarray":

@@ -325,11 +325,17 @@ def _inject_synthetic_small_flows(
         inv_low - rng.random(count) * (inv_low - inv_high)
     )
     draws *= volume / draws.sum()
-    for size in draws:
-        flow = FlowKey(
+    # One generator call per field per flow: the stream (and so every
+    # synthetic 5-tuple) stays what it always was.
+    flows = [
+        FlowKey(
             src_ip=int(rng.integers(1, 2**32)),
             dst_ip=int(rng.integers(1, 2**32)),
             src_port=int(rng.integers(1024, 65536)),
             dst_port=int(rng.integers(1, 1024)),
         )
-        sketch.inject(flow, max(1, int(round(size))))
+        for _ in range(count)
+    ]
+    sketch.inject_batch(
+        flows, [max(1, int(round(size))) for size in draws.tolist()]
+    )

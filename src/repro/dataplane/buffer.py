@@ -1,9 +1,11 @@
 """The bounded FIFO between the kernel module and the normal path.
 
 The prototype implements this as a lock-free circular buffer in shared
-memory (§6, [27]).  For the simulation we track, per queued packet, the
+memory (§6, [27]).  The simulation only needs, per queued packet, the
 cycle timestamp at which it was enqueued — the consumer cannot start
-serving a packet before that.
+serving a packet before that — so the queue holds those cycles and
+nothing else (the packet itself is recorded into the sketch when its
+chunk is applied; see :mod:`repro.dataplane.engine`).
 """
 
 from __future__ import annotations
@@ -11,11 +13,10 @@ from __future__ import annotations
 from collections import deque
 
 from repro.common.errors import ConfigError
-from repro.common.flow import Packet
 
 
 class BoundedFIFO:
-    """A bounded single-producer / single-consumer packet queue.
+    """A bounded single-producer / single-consumer queue of enqueue cycles.
 
     Parameters
     ----------
@@ -32,44 +33,42 @@ class BoundedFIFO:
         #: Peak occupancy since the last :meth:`clear` — the buffer
         #: pressure signal the telemetry layer reports per epoch.
         self.high_water = 0
-        self._queue: deque[tuple[Packet, float]] = deque()
+        #: Enqueue cycles, oldest first.  The engine's routing pass
+        #: works on this deque directly and maintains ``high_water``.
+        self.queue: deque[float] = deque()
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return len(self.queue)
 
     @property
     def full(self) -> bool:
-        return len(self._queue) >= self.capacity
+        return len(self.queue) >= self.capacity
 
     @property
     def empty(self) -> bool:
-        return not self._queue
+        return not self.queue
 
-    def push(self, packet: Packet, enqueue_cycle: float) -> None:
+    def push(self, enqueue_cycle: float) -> None:
         """Enqueue; caller must check :attr:`full` first."""
         if self.full:
             raise OverflowError("FIFO is full")
-        self._queue.append((packet, enqueue_cycle))
-        if len(self._queue) > self.high_water:
-            self.high_water = len(self._queue)
+        self.queue.append(enqueue_cycle)
+        if len(self.queue) > self.high_water:
+            self.high_water = len(self.queue)
 
-    def pop(self) -> tuple[Packet, float]:
-        """Dequeue the oldest packet and its enqueue cycle."""
-        return self._queue.popleft()
+    def pop(self) -> float:
+        """Dequeue the oldest packet's enqueue cycle."""
+        return self.queue.popleft()
 
     def peek_enqueue_cycle(self) -> float:
         """Enqueue cycle of the head packet (queue must be non-empty)."""
-        return self._queue[0][1]
+        return self.queue[0]
 
     def clear(self) -> None:
-        self._queue.clear()
+        self.queue.clear()
         self.high_water = 0
 
-    def restore(
-        self,
-        items: list[tuple[Packet, float]],
-        high_water: int,
-    ) -> None:
+    def restore(self, cycles: list[float], high_water: int) -> None:
         """Reload queue contents from a durability checkpoint.
 
         Replaces the current backlog wholesale; ``high_water`` is the
@@ -77,10 +76,11 @@ class BoundedFIFO:
         epoch reports the same buffer pressure an uninterrupted one
         would.
         """
-        if len(items) > self.capacity:
+        if len(cycles) > self.capacity:
             raise ConfigError(
-                f"checkpoint holds {len(items)} queued packets but the "
+                f"checkpoint holds {len(cycles)} queued packets but the "
                 f"FIFO capacity is {self.capacity}"
             )
-        self._queue = deque(items)
-        self.high_water = max(high_water, len(self._queue))
+        self.queue.clear()
+        self.queue.extend(cycles)
+        self.high_water = max(high_water, len(self.queue))

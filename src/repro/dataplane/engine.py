@@ -1,36 +1,54 @@
-"""The resumable per-host measurement engine.
+"""The per-host measurement engine: one chunked pass over trace columns.
 
-This module factors the software switch's scalar per-packet loop into a
-:class:`HostEngine` whose *entire* execution state — sketch, fast path,
-FIFO backlog, producer/consumer clocks, partially-filled report, and
-the trace offset — lives on the instance between calls.  That makes one
-epoch **interruptible and resumable**: ``run(..., stop_at=k)`` processes
-packets up to offset ``k`` and returns; calling ``run`` again continues
-exactly where the previous call stopped, producing a bit-identical
-:class:`SwitchReport` to an uninterrupted run.
+:class:`HostEngine` is the only data-plane loop.  It walks a trace in
+*chunks*; a chunk ends at the next of ``stop_at``, a
+``checkpoint_every`` multiple, a ``heartbeat_every`` multiple, or the
+end of the trace.  Inside a chunk a lean routing pass — plain lists and
+locals, the FIFO as a deque of enqueue cycles, no packet-object reads —
+replays the producer/consumer cycle recurrences and decides, per
+packet, normal path or fast path (or block).  Counter state never
+influences routing, so the chunk's normal-path packets go to the sketch
+afterwards in one :meth:`~repro.sketches.base.Sketch.update_trace`
+call, and the report's packet/byte counts and flow sets are derived
+from the chunk's index arrays (integer sums: exact in any order).  The
+fast path is order-dependent (kick-outs), so it stays inline: a hit is
+a dict probe and an add on :class:`FastPath`'s columns, a miss calls
+:meth:`FastPath.miss`.
 
-Resumability is what the durability subsystem (``repro.durability``)
-builds on: a :class:`~repro.durability.Checkpointer` snapshots the
-engine at periodic packet boundaries via the ``on_checkpoint`` hook, a
-crashed host's engine is reconstructed from the last snapshot, and only
-the journaled tail of the trace is replayed.
+The engine's *entire* execution state — sketch, fast path, FIFO
+backlog, producer/consumer clocks, partially filled report, and the
+trace offset — lives on the instance between chunks, and the
+``on_checkpoint`` / ``on_heartbeat`` hooks fire only after it has been
+written back.  That makes an epoch **interruptible and resumable**:
+``run(trace, stop_at=k)`` stops at offset ``k``; calling ``run`` again
+(on this engine, or on one rebuilt from a
+:class:`~repro.durability.StateCodec` snapshot) continues exactly there
+and ends bit-identical to an uninterrupted run.  The cycle recurrences
+use the same sequential float operations whatever the chunking, which
+is what the per-packet oracle in ``tests/reference_engine.py`` pins.
 
-:class:`~repro.dataplane.switch.SoftwareSwitch` delegates its scalar
-path here, so the interactive switch, the supervised pipeline, and the
-checkpoint/replay tests all execute the *same* reference loop.
+:class:`~repro.dataplane.switch.SoftwareSwitch` and the durability
+:class:`~repro.durability.Supervisor` both drive this engine.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
+
+import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.common.flow import FlowKey
 from repro.dataplane.buffer import BoundedFIFO
 from repro.dataplane.cost_model import CostModel
 from repro.fastpath.misra_gries import MisraGriesTopK
-from repro.fastpath.topk import FastPath
+from repro.fastpath.topk import FastPath, UpdateKind
+
+#: ``probe`` for fast paths driven through ``update(flow, size)``: an
+#: empty index, so every packet is a "miss" handed to ``update``.
+_NO_SLOTS = {}.get
 
 
 @dataclass
@@ -77,7 +95,7 @@ def arrival_cycles_array(trace, offered_gbps, cost_model: CostModel):
     Returns ``None`` for back-to-back replay (``offered_gbps=None`` or a
     zero-duration trace): every arrival is cycle 0.  The element-wise
     float64 operations match scalar Python-float arithmetic bit for bit,
-    so scalar, batch, and resumed runs see identical arrival clocks.
+    so chunked, resumed, and per-packet runs see identical clocks.
     """
     if offered_gbps is None:
         return None
@@ -100,7 +118,7 @@ class HostEngine:
     Parameters
     ----------
     sketch:
-        The normal-path sketch (mutated in place as packets arrive).
+        The normal-path sketch (mutated in place, chunk by chunk).
     fastpath:
         :class:`FastPath` / :class:`MisraGriesTopK`, or ``None`` for the
         NoFastPath (blocking) arm.
@@ -119,9 +137,11 @@ class HostEngine:
         Optional :class:`~repro.telemetry.profiling.Profiler`.  When
         set, each ``run`` call attributes its wall time to the
         ``switch.sketch_update`` / ``fastpath.topk`` /
-        ``switch.dispatch`` stages (accumulated locally, credited once
-        per call — never a span per packet).  Profiling only observes;
-        results are bit-identical either way.
+        ``switch.dispatch`` stages (credited once per call — never a
+        span per packet), and fast-path packets go through
+        ``fastpath.update`` under a per-packet clock instead of the
+        inlined probe.  Profiling only observes; results are
+        bit-identical either way.
     """
 
     def __init__(
@@ -150,165 +170,244 @@ class HostEngine:
         self.report = SwitchReport()
         self.profiler = profiler
         self._sketch_cycles = self.cost_model.sketch_cycles(sketch)
-        self._dispatch = self.cost_model.dispatch_cycles
+        self._fastpath_cycles = (
+            None
+            if fastpath is None
+            else {
+                kind: self.cost_model.fastpath_cycles(
+                    kind, fastpath.capacity
+                )
+                for kind in UpdateKind
+            }
+        )
 
     # ------------------------------------------------------------------
     def run(
         self,
-        packets,
-        arrivals=None,
+        trace,
+        offered_gbps: float | None = None,
         stop_at: int | None = None,
         checkpoint_every: int = 0,
         on_checkpoint=None,
         heartbeat_every: int = 0,
         on_heartbeat=None,
     ) -> "HostEngine":
-        """Process ``packets[self.offset : stop_at]`` and return self.
+        """Process ``trace[self.offset : stop_at]`` and return self.
 
-        ``packets`` must be random-access (``trace.packets``);
-        ``arrivals`` is a matching list of arrival cycles or ``None``
-        for back-to-back replay.  ``stop_at`` bounds the *offset*
+        ``offered_gbps`` scales the trace's timestamps to an arrival
+        rate (``None`` replays back-to-back); pass the same value on
+        every call of one epoch.  ``stop_at`` bounds the *offset*
         reached, so a supervisor can stop exactly where a scheduled
         fault fires; ``None`` runs to the end of the trace.
 
         ``on_checkpoint(engine)`` fires when the absolute offset is a
         multiple of ``checkpoint_every`` (alignment is to the trace, not
-        to the restart point, so boundaries are stable across crashes);
-        ``on_heartbeat(engine)`` likewise every ``heartbeat_every``
-        packets — the supervisor's liveness signal.
+        to the restart point, so boundaries are stable across crashes)
+        and packets remain; ``on_heartbeat(engine)`` likewise every
+        ``heartbeat_every`` packets — the supervisor's liveness signal.
+        Both see the engine with the chunk fully applied.
         """
-        n = len(packets)
+        n = len(trace)
         end = n if stop_at is None else min(stop_at, n)
         if end <= self.offset:
             return self
+        if on_checkpoint is None:
+            checkpoint_every = 0
+        if on_heartbeat is None:
+            heartbeat_every = 0
 
-        sketch = self.sketch
-        fastpath = self.fastpath
-        fifo = self.fifo
+        arrivals = arrival_cycles_array(
+            trace, offered_gbps, self.cost_model
+        )
+        if arrivals is not None:
+            arrivals = arrivals.tolist()
+        sizes = trace.sizes
+        flows = [packet.flow for packet in trace.packets]
+        flow_at = flows.__getitem__
         report = self.report
-        sketch_cycles = self._sketch_cycles
-        dispatch = self._dispatch
-        fastpath_cycles = self.cost_model.fastpath_cycles
-        ideal = self.ideal
-        producer = self.producer
-        consumer = self.consumer
-        index = self.offset
 
-        # Profiling hooks hoist to locals: the unprofiled loop pays one
-        # `is None` branch per packet; the profiled loop accumulates
-        # nanoseconds locally and credits stages once at the end.
+        # Fast-path protocol: FastPath's columns are probed inline and
+        # the hits credited per chunk; Misra-Gries — and any fast path
+        # under a profiler, which wants a clock around each update —
+        # takes every packet through ``update``.
+        fastpath = self.fastpath
         profiler = self.profiler
         clock = time.perf_counter_ns if profiler is not None else None
-        loop_start = clock() if clock is not None else 0
-        first_index = index
+        inline = clock is None and isinstance(fastpath, FastPath)
+        topk = [0, 0]  # profiled fast-path [ns, packets]
+        probe = residuals = miss = None
+        if inline:
+            probe, residuals = fastpath.slots.get, fastpath.r
+            miss = fastpath.miss
+        elif fastpath is not None:
+            probe, miss = _NO_SLOTS, fastpath.update
+            if clock is not None:
+                miss = _clocked(miss, clock, topk)
+        # Only fast-path packets have their size read inside the loop.
+        size_list = sizes.tolist() if probe is not None else None
+        began = clock() if clock is not None else 0
+        first = self.offset
         sketch_ns = 0
-        sketch_count = 0
-        fp_ns = 0
-        fp_count = 0
 
-        while index < end:
-            packet = packets[index]
-            arrival = 0.0 if arrivals is None else arrivals[index]
-            now = max(producer, arrival)
-            # Let the consumer catch up to `now` in parallel.
-            while not fifo.empty:
-                start = max(consumer, fifo.peek_enqueue_cycle())
-                if start + sketch_cycles > now:
-                    break
-                fifo.pop()
-                consumer = start + sketch_cycles
-
-            producer = now + dispatch
-            report.total_packets += 1
-            report.total_bytes += packet.size
-
-            if ideal:
-                if clock is None:
-                    sketch.update(packet.flow, packet.size)
-                else:
-                    t0 = clock()
-                    sketch.update(packet.flow, packet.size)
-                    sketch_ns += clock() - t0
-                    sketch_count += 1
-                consumer = max(consumer, producer) + sketch_cycles
-                report.normal_packets += 1
-                report.normal_bytes += packet.size
-                report.normal_flows.add(packet.flow)
+        while self.offset < end:
+            lo = self.offset
+            hi = end
+            for every in (checkpoint_every, heartbeat_every):
+                if every:
+                    hi = min(hi, (lo // every + 1) * every)
+            due = repeat(0.0, hi - lo) if arrivals is None else arrivals[lo:hi]
+            if self.ideal:
+                self._pace(due)
+                normal = np.arange(lo, hi, dtype=np.intp)
+                fast = normal[:0]
+                misses = 0
             else:
-                if fifo.full and fastpath is None:
-                    # NoFastPath: block until the daemon frees a slot.
-                    start = max(consumer, fifo.peek_enqueue_cycle())
-                    fifo.pop()
-                    consumer = start + sketch_cycles
-                    producer = max(producer, consumer)
+                normal, fast, misses = self._route(
+                    lo, hi, due, flows, size_list, probe, residuals, miss
+                )
 
-                if not fifo.full:
-                    fifo.push(packet, producer)
-                    # Counter state is order-insensitive within an
-                    # epoch, so apply the sketch update now; the
-                    # *cycles* are charged to the consumer when the
-                    # packet is drained.
-                    if clock is None:
-                        sketch.update(packet.flow, packet.size)
-                    else:
-                        t0 = clock()
-                        sketch.update(packet.flow, packet.size)
-                        sketch_ns += clock() - t0
-                        sketch_count += 1
-                    report.normal_packets += 1
-                    report.normal_bytes += packet.size
-                    report.normal_flows.add(packet.flow)
-                else:
-                    if clock is None:
-                        kind = fastpath.update(packet.flow, packet.size)
-                    else:
-                        t0 = clock()
-                        kind = fastpath.update(packet.flow, packet.size)
-                        fp_ns += clock() - t0
-                        fp_count += 1
-                    producer += fastpath_cycles(kind, fastpath.capacity)
-                    report.fastpath_packets += 1
-                    report.fastpath_bytes += packet.size
-                    report.fastpath_flows.add(packet.flow)
+            normal_bytes = fast_bytes = 0
+            if normal.size:
+                whole = normal.size == n
+                t0 = clock() if clock is not None else 0
+                self.sketch.update_trace(trace, None if whole else normal)
+                if clock is not None:
+                    sketch_ns += clock() - t0
+                normal_bytes = int(
+                    (sizes if whole else sizes[normal]).sum()
+                )
+                report.normal_packets += normal.size
+                report.normal_bytes += normal_bytes
+                report.normal_flows.update(map(flow_at, normal.tolist()))
+            if fast.size:
+                fast_bytes = int(sizes[fast].sum())
+                if inline:
+                    fastpath.account(
+                        fast.size, fast.size - misses, fast_bytes
+                    )
+                report.fastpath_packets += fast.size
+                report.fastpath_bytes += fast_bytes
+                report.fastpath_flows.update(map(flow_at, fast.tolist()))
+            report.total_packets += hi - lo
+            report.total_bytes += normal_bytes + fast_bytes
 
-            index += 1
-            if (
-                checkpoint_every
-                and on_checkpoint is not None
-                and index % checkpoint_every == 0
-                and index < n
-            ):
-                self.producer = producer
-                self.consumer = consumer
-                self.offset = index
+            self.offset = hi
+            if checkpoint_every and hi % checkpoint_every == 0 and hi < n:
                 on_checkpoint(self)
-            if (
-                heartbeat_every
-                and on_heartbeat is not None
-                and index % heartbeat_every == 0
-            ):
-                self.producer = producer
-                self.consumer = consumer
-                self.offset = index
+            if heartbeat_every and hi % heartbeat_every == 0:
                 on_heartbeat(self)
+
+        if profiler is not None:
+            total_ns = clock() - began
+            packets = self.offset - first
+            normal_packets = packets - topk[1]
+            if normal_packets:
+                profiler.add(
+                    "switch.sketch_update", sketch_ns, normal_packets
+                )
+            if topk[1]:
+                profiler.add("fastpath.topk", topk[0], topk[1])
+            profiler.add(
+                "switch.dispatch",
+                max(total_ns - sketch_ns - topk[0], 0),
+                packets,
+            )
+        return self
+
+    # ------------------------------------------------------------------
+    def _pace(self, due) -> None:
+        """Ideal mode: every packet is recorded; only the clocks move."""
+        producer = self.producer
+        consumer = self.consumer
+        dispatch = self.cost_model.dispatch_cycles
+        sketch_cycles = self._sketch_cycles
+        for arrival in due:
+            producer = (
+                producer if producer > arrival else arrival
+            ) + dispatch
+            consumer = (
+                consumer if consumer > producer else producer
+            ) + sketch_cycles
+        self.producer = producer
+        self.consumer = consumer
+
+    def _route(self, lo, hi, due, flows, sizes, probe, residuals, miss):
+        """Cycle accounting for packets ``lo..hi``: who goes where.
+
+        Returns ``(normal, fast, misses)`` — index arrays of the packets
+        enqueued for the normal path and of those diverted to the fast
+        path, and how many of the latter ``probe`` did not find (those
+        went to ``miss``; the rest were added to ``residuals``).  The
+        recurrences are the paper's dispatch rule (§3.1) in sequential
+        floating point; ``x if x > y else y`` is ``max(x, y)`` without
+        the call.
+        """
+        producer = self.producer
+        consumer = self.consumer
+        dispatch = self.cost_model.dispatch_cycles
+        sketch_cycles = self._sketch_cycles
+        fifo = self.fifo
+        queue = fifo.queue
+        capacity = fifo.capacity
+        high_water = fifo.high_water
+        push = queue.append
+        pop = queue.popleft
+        normal: list[int] = []
+        fast: list[int] = []
+        to_normal = normal.append
+        to_fast = fast.append
+        misses = 0
+        cycles = self._fastpath_cycles
+        hit_cycles = cycles[UpdateKind.HIT] if cycles else 0.0
+
+        for index, arrival in zip(range(lo, hi), due):
+            now = producer if producer > arrival else arrival
+            # Let the consumer catch up to `now` in parallel.
+            while queue:
+                head = queue[0]
+                done = (
+                    consumer if consumer > head else head
+                ) + sketch_cycles
+                if done > now:
+                    break
+                pop()
+                consumer = done
+            producer = now + dispatch
+
+            backlog = len(queue)
+            if backlog < capacity:
+                push(producer)
+                to_normal(index)
+                if backlog >= high_water:
+                    high_water = backlog + 1
+            elif probe is None:
+                # NoFastPath: block until the daemon frees a slot.
+                head = pop()
+                consumer = (
+                    consumer if consumer > head else head
+                ) + sketch_cycles
+                if consumer > producer:
+                    producer = consumer
+                push(producer)
+                to_normal(index)
+            else:
+                slot = probe(flows[index])
+                if slot is not None:
+                    residuals[slot] += sizes[index]
+                    producer += hit_cycles
+                else:
+                    misses += 1
+                    producer += cycles[miss(flows[index], sizes[index])]
+                to_fast(index)
 
         self.producer = producer
         self.consumer = consumer
-        self.offset = index
-        if profiler is not None and index > first_index:
-            total_ns = clock() - loop_start
-            if sketch_count:
-                profiler.add(
-                    "switch.sketch_update", sketch_ns, sketch_count
-                )
-            if fp_count:
-                profiler.add("fastpath.topk", fp_ns, fp_count)
-            profiler.add(
-                "switch.dispatch",
-                max(total_ns - sketch_ns - fp_ns, 0),
-                index - first_index,
-            )
-        return self
+        fifo.high_water = high_water
+        return (
+            np.asarray(normal, dtype=np.intp),
+            np.asarray(fast, dtype=np.intp),
+            misses,
+        )
 
     # ------------------------------------------------------------------
     def finish(self) -> SwitchReport:
@@ -317,7 +416,7 @@ class HostEngine:
         consumer = self.consumer
         sketch_cycles = self._sketch_cycles
         while not fifo.empty:
-            _packet, enqueued = fifo.pop()
+            enqueued = fifo.pop()
             consumer = max(consumer, enqueued) + sketch_cycles
         self.consumer = consumer
 
@@ -330,3 +429,16 @@ class HostEngine:
             report.total_bytes, report.makespan_cycles
         )
         return report
+
+
+def _clocked(update, clock, spent):
+    """``update`` under a per-packet clock; ``spent`` is ``[ns, calls]``."""
+
+    def clocked(flow, size):
+        start = clock()
+        kind = update(flow, size)
+        spent[0] += clock() - start
+        spent[1] += 1
+        return kind
+
+    return clocked

@@ -48,8 +48,7 @@ class Host:
     ideal:
         Run the accuracy yardstick (all packets through the normal path).
     batch:
-        Use the two-phase batched switch engine (identical results,
-        vectorized sketch updates).
+        Accepted and ignored (there is one data-plane engine).
     """
 
     def __init__(
@@ -78,7 +77,6 @@ class Host:
             cost_model=cost_model,
             buffer_packets=buffer_packets,
             ideal=ideal,
-            batch=batch,
             telemetry=telemetry,
             host_label=str(host_id),
         )
@@ -132,7 +130,6 @@ class MultiCoreHost:
         fastpath_bytes: int | None = 8192,
         cost_model: CostModel | None = None,
         buffer_packets: int = 1024,
-        batch: bool = False,
     ):
         if num_cores < 1:
             raise ValueError("num_cores must be >= 1")
@@ -145,7 +142,6 @@ class MultiCoreHost:
                 fastpath_bytes=fastpath_bytes,
                 cost_model=cost_model,
                 buffer_packets=buffer_packets,
-                batch=batch,
             )
             for core in range(num_cores)
         ]

@@ -25,19 +25,10 @@ Three operating modes cover the paper's evaluation arms:
 
 from __future__ import annotations
 
-import time
-from itertools import repeat
-
-import numpy as np
-
 from repro.common.errors import ConfigError
 from repro.dataplane.buffer import BoundedFIFO
 from repro.dataplane.cost_model import CostModel
-from repro.dataplane.engine import (
-    HostEngine,
-    SwitchReport,
-    arrival_cycles_array,
-)
+from repro.dataplane.engine import HostEngine, SwitchReport
 from repro.fastpath.misra_gries import MisraGriesTopK
 from repro.fastpath.topk import FastPath
 from repro.sketches.base import Sketch
@@ -68,16 +59,9 @@ class SoftwareSwitch:
     ideal:
         When True, bypass all capacity limits (accuracy yardstick).
     batch:
-        When True, run the two-phase batched simulation: a cheap
-        per-packet *cycle-accounting* pass decides routing (normal path
-        vs fast path vs block) exactly as the scalar loop does, and a
-        *batch-apply* pass then feeds all normal-path packets to the
-        sketch in one ``Sketch.update_trace`` call — a NumPy kernel for
-        every sketch except UnivMon, whose order-dependent trackers
-        keep the per-packet loop.  Counter state never influences
-        routing, and each kernel reproduces the in-order result
-        exactly, so reports and sketch state are bit-identical to the
-        scalar path.
+        Accepted and ignored.  It used to pick between a per-packet and
+        a two-phase loop; there is one engine now
+        (:class:`~repro.dataplane.engine.HostEngine`).
     """
 
     def __init__(
@@ -98,12 +82,11 @@ class SoftwareSwitch:
         self.cost_model = cost_model or CostModel.in_memory()
         self.buffer = BoundedFIFO(buffer_packets)
         self.ideal = ideal
-        self.batch = batch
         self.telemetry = telemetry
         self.host_label = host_label
         #: Optional :class:`~repro.telemetry.profiling.Profiler`; the
-        #: pipeline attaches one (serially, or per worker) so both
-        #: engines attribute their epoch wall time to named stages.
+        #: pipeline attaches one (serially, or per worker) so the
+        #: engine attributes its epoch wall time to named stages.
         #: Independent of ``telemetry`` — per-host metrics publish
         #: centrally from reports, but stage timers must run where the
         #: cycles are spent.
@@ -128,7 +111,6 @@ class SoftwareSwitch:
         """One-line configuration summary for logs and error messages."""
         parts = [
             f"mode={self.mode}",
-            f"engine={'batch' if self.batch else 'scalar'}",
             f"sketch={self.sketch.describe()}",
             f"buffer={self.buffer.capacity}p",
         ]
@@ -146,6 +128,21 @@ class SoftwareSwitch:
         return self.describe()
 
     # ------------------------------------------------------------------
+    def engine(self) -> HostEngine:
+        """A fresh engine over this switch's sketch, fast path and FIFO.
+
+        :meth:`process` runs one to the end of the trace; the durability
+        supervisor drives one in ``stop_at`` steps under checkpointing.
+        """
+        return HostEngine(
+            sketch=self.sketch,
+            fastpath=self.fastpath,
+            cost_model=self.cost_model,
+            ideal=self.ideal,
+            fifo=self.buffer,
+            profiler=self.profiler,
+        )
+
     def process(self, trace, offered_gbps: float | None = None) -> SwitchReport:
         """Run one epoch of traffic through the measurement module.
 
@@ -153,26 +150,16 @@ class SoftwareSwitch:
         arrival rate; ``None`` replays back-to-back ("each host sends
         out traffic as fast as possible", §7.1), which measures the
         switch's maximum sustainable throughput.
-
-        Dispatches to the scalar or the two-phase batched engine
-        depending on ``batch``; both produce identical reports.
         """
-        engine = "batch" if self.batch else "scalar"
         with trace_span(
-            self.telemetry,
-            "switch.process",
-            host=self.host_label,
-            engine=engine,
+            self.telemetry, "switch.process", host=self.host_label
         ):
-            if self.batch:
-                report = self._process_batch(trace, offered_gbps)
-            else:
-                report = self._process_scalar(trace, offered_gbps)
+            report = self.engine().run(trace, offered_gbps).finish()
         if self.telemetry is not None:
-            self._publish(report, engine)
+            self._publish(report)
         return report
 
-    def _publish(self, report: SwitchReport, engine: str) -> None:
+    def _publish(self, report: SwitchReport) -> None:
         """Publish this epoch's counters (fast-path stats by delta)."""
         registry = self.telemetry.registry
         publish_switch_epoch(
@@ -180,7 +167,6 @@ class SoftwareSwitch:
             report,
             host=self.host_label,
             sketch=self.sketch.name,
-            engine=engine,
         )
         if self.fastpath is None:
             return
@@ -196,198 +182,3 @@ class SoftwareSwitch:
             deltas = stats
         self._published_fastpath = stats
         publish_fastpath_epoch(registry, deltas, host=self.host_label)
-
-    def _process_scalar(
-        self, trace, offered_gbps: float | None = None
-    ) -> SwitchReport:
-        """The per-packet reference implementation (see ``engine.py``).
-
-        Delegates to a fresh :class:`HostEngine` over the switch's own
-        FIFO, so the interactive switch and the resumable/supervised
-        paths execute one shared loop.
-        """
-        engine = HostEngine(
-            sketch=self.sketch,
-            fastpath=self.fastpath,
-            cost_model=self.cost_model,
-            ideal=self.ideal,
-            fifo=self.buffer,
-            profiler=self.profiler,
-        )
-        arrivals = self._arrival_cycles_array(trace, offered_gbps)
-        engine.run(
-            trace.packets,
-            None if arrivals is None else arrivals.tolist(),
-        )
-        return engine.finish()
-
-    # ------------------------------------------------------------------
-    # Two-phase batched engine
-    # ------------------------------------------------------------------
-    def _process_batch(
-        self, trace, offered_gbps: float | None = None
-    ) -> SwitchReport:
-        """Phase 1: cycle accounting + routing; phase 2: batch apply.
-
-        The cycle recurrences are evaluated with the *same sequential
-        floating-point operations* as the scalar loop (closed-form
-        reassociation would change rounding), but without any sketch
-        hashing — the expensive per-packet work moves into one
-        ``Sketch.update_trace`` call at the end.
-        """
-        report = SwitchReport()
-        sketch_cycles = self.cost_model.sketch_cycles(self.sketch)
-        dispatch = self.cost_model.dispatch_cycles
-        arrivals = self._arrival_cycles_array(trace, offered_gbps)
-        n = len(trace)
-        profiler = self.profiler
-        clock = time.perf_counter_ns if profiler is not None else None
-
-        if self.ideal:
-            loop_start = clock() if clock is not None else 0
-            producer = 0.0
-            consumer = 0.0
-            if arrivals is None:
-                for _ in range(n):
-                    producer = producer + dispatch
-                    consumer = max(consumer, producer) + sketch_cycles
-            else:
-                for arrival in arrivals.tolist():
-                    producer = max(producer, arrival) + dispatch
-                    consumer = max(consumer, producer) + sketch_cycles
-            if profiler is not None:
-                profiler.add(
-                    "switch.dispatch", clock() - loop_start, n
-                )
-                with profiler.stage(
-                    "switch.sketch_update", packets=n
-                ):
-                    self._apply_normal_batch(trace, None)
-            else:
-                self._apply_normal_batch(trace, None)
-            report.total_packets = n
-            report.total_bytes = float(trace.sizes.sum())
-            report.normal_packets = n
-            report.normal_bytes = report.total_bytes
-            report.normal_flows = trace.flows()
-            report.producer_cycles = producer
-            report.consumer_cycles = consumer
-            report.makespan_cycles = max(producer, consumer)
-            report.throughput_gbps = self.cost_model.gbps(
-                report.total_bytes, report.makespan_cycles
-            )
-            return report
-
-        producer = 0.0
-        consumer = 0.0
-        fifo = self.buffer
-        fifo.clear()
-        normal_indices: list[int] = []
-        arrival_iter = repeat(0.0, n) if arrivals is None else iter(
-            arrivals.tolist()
-        )
-        loop_start = clock() if clock is not None else 0
-        fp_ns = 0
-        fp_count = 0
-
-        for index, (packet, arrival) in enumerate(
-            zip(trace.packets, arrival_iter)
-        ):
-            now = max(producer, arrival)
-            while not fifo.empty:
-                start = max(consumer, fifo.peek_enqueue_cycle())
-                if start + sketch_cycles > now:
-                    break
-                fifo.pop()
-                consumer = start + sketch_cycles
-
-            producer = now + dispatch
-            report.total_packets += 1
-            report.total_bytes += packet.size
-
-            if fifo.full and self.fastpath is None:
-                # NoFastPath: block until the daemon frees a slot.
-                start = max(consumer, fifo.peek_enqueue_cycle())
-                fifo.pop()
-                consumer = start + sketch_cycles
-                producer = max(producer, consumer)
-
-            if not fifo.full:
-                fifo.push(packet, producer)
-                normal_indices.append(index)
-                report.normal_packets += 1
-                report.normal_bytes += packet.size
-                report.normal_flows.add(packet.flow)
-            else:
-                # The fast path is order-dependent (top-k kick-outs), so
-                # it stays inline in the accounting pass.
-                if clock is None:
-                    kind = self.fastpath.update(packet.flow, packet.size)
-                else:
-                    t0 = clock()
-                    kind = self.fastpath.update(packet.flow, packet.size)
-                    fp_ns += clock() - t0
-                    fp_count += 1
-                producer += self.cost_model.fastpath_cycles(
-                    kind, self.fastpath.capacity
-                )
-                report.fastpath_packets += 1
-                report.fastpath_bytes += packet.size
-                report.fastpath_flows.add(packet.flow)
-
-        while not fifo.empty:
-            _packet, enqueued = fifo.pop()
-            consumer = max(consumer, enqueued) + sketch_cycles
-
-        if profiler is not None:
-            loop_ns = clock() - loop_start
-            if fp_count:
-                profiler.add("fastpath.topk", fp_ns, fp_count)
-            profiler.add(
-                "switch.dispatch", max(loop_ns - fp_ns, 0), n
-            )
-
-        if normal_indices:
-            if profiler is not None:
-                with profiler.stage(
-                    "switch.sketch_update",
-                    packets=len(normal_indices),
-                ):
-                    self._apply_normal_batch(
-                        trace,
-                        np.asarray(normal_indices, dtype=np.intp),
-                    )
-            else:
-                self._apply_normal_batch(
-                    trace, np.asarray(normal_indices, dtype=np.intp)
-                )
-
-        report.buffer_high_water = fifo.high_water
-        report.producer_cycles = float(producer)
-        report.consumer_cycles = float(consumer)
-        report.makespan_cycles = max(
-            report.producer_cycles, report.consumer_cycles
-        )
-        report.throughput_gbps = self.cost_model.gbps(
-            report.total_bytes, report.makespan_cycles
-        )
-        return report
-
-    def _apply_normal_batch(self, trace, indices) -> None:
-        """Apply deferred normal-path updates (``indices=None`` = all).
-
-        One call into :meth:`Sketch.update_trace`, which picks the
-        sketch's own kernel (``update_batch`` on the key64 column, or a
-        header-reading kernel for FlowRadar/Deltoid) and otherwise runs
-        the per-packet loop (UnivMon); all are bit-identical to the
-        scalar engine.
-        """
-        self.sketch.update_trace(trace, indices)
-
-    # ------------------------------------------------------------------
-    def _arrival_cycles_array(self, trace, offered_gbps: float | None):
-        """Per-packet arrival cycles (``None`` = back-to-back replay).
-
-        See :func:`repro.dataplane.engine.arrival_cycles_array`.
-        """
-        return arrival_cycles_array(trace, offered_gbps, self.cost_model)

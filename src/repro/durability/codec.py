@@ -10,8 +10,9 @@ crashed (the bit-identity contract of ``tests/test_durability.py``):
   ``V``/``E`` globals, and the operation counters, in insertion order
   (Misra-Gries eviction picks the *first* entry at the minimum, so
   table order is semantically load-bearing);
-* the **FIFO backlog** — queued ``(packet, enqueue_cycle)`` pairs the
-  consumer has not drained yet;
+* the **FIFO backlog** — the enqueue cycles of the packets the
+  consumer has not drained yet (the packets themselves are already in
+  the sketch: a chunk is applied before its checkpoint fires);
 * the **cursor**: trace offset, producer/consumer clocks, and the
   partially filled :class:`SwitchReport`.
 
@@ -31,18 +32,18 @@ import struct
 import zlib
 
 from repro.common.errors import CorruptSnapshotError, ReproError
-from repro.common.flow import FlowKey, Packet
+from repro.common.flow import FlowKey
 from repro.controlplane.transport import restricted_loads
 from repro.dataplane.engine import HostEngine, SwitchReport
 from repro.fastpath.misra_gries import MGEntry, MisraGriesTopK
-from repro.fastpath.topk import FastPath, FlowEntry
+from repro.fastpath.topk import FastPath
 
 _MAGIC = b"SKVS"
 _VERSION = 1
 _HEADER = struct.Struct(">4sBII")
 
 #: ``state["format"]`` tag of an engine snapshot payload.
-_ENGINE_FORMAT = "host-engine/v1"
+_ENGINE_FORMAT = "host-engine/v2"
 
 
 class StateCodec:
@@ -116,11 +117,11 @@ class StateCodec:
         """Serialize a :class:`HostEngine` mid-epoch.
 
         Snapshots sit on the epoch's hot path (every K packets), so the
-        expensive pieces — the report's flow sets and the FIFO backlog
-        — are packed structurally (104-bit flow headers, plain tuples)
-        instead of pickling tens of thousands of :class:`FlowKey`
-        objects; packing is ~6x cheaper and :meth:`restore_engine`
-        rebuilds the exact same objects on the (rare) recovery path.
+        expensive piece — the report's flow sets — is packed
+        structurally (104-bit flow headers) instead of pickling tens of
+        thousands of :class:`FlowKey` objects; packing is ~6x cheaper
+        and :meth:`restore_engine` rebuilds the exact same objects on
+        the (rare) recovery path.
         """
         fifo = engine.fifo
         state = {
@@ -134,15 +135,7 @@ class StateCodec:
             "fifo": {
                 "capacity": fifo.capacity,
                 "high_water": fifo.high_water,
-                "queue": [
-                    (
-                        packet.flow.key104,
-                        packet.size,
-                        packet.timestamp,
-                        enqueued,
-                    )
-                    for packet, enqueued in fifo._queue
-                ],
+                "queue": list(fifo.queue),
             },
             "report": _pack_report(engine.report),
         }
@@ -176,19 +169,7 @@ class StateCodec:
             engine.consumer = state["consumer"]
             engine.report = _unpack_report(state["report"])
             engine.fifo.restore(
-                [
-                    (
-                        Packet(
-                            flow=FlowKey.from_key104(key),
-                            size=size,
-                            timestamp=timestamp,
-                        ),
-                        enqueued,
-                    )
-                    for key, size, timestamp, enqueued in fifo_state[
-                        "queue"
-                    ]
-                ],
+                [float(cycle) for cycle in fifo_state["queue"]],
                 fifo_state["high_water"],
             )
         except ReproError:
@@ -246,9 +227,10 @@ def _unpack_report(state) -> SwitchReport:
 def _freeze_fastpath(fastpath):
     """Flatten a live fast path into a structural dict (or ``None``).
 
-    Entries are emitted in table-insertion order: both trackers iterate
-    their dict during kick-out passes, so order must survive the
-    round-trip for the resumed run to stay bit-identical.
+    Entries are emitted in table-insertion order: Misra-Gries evicts
+    the *first* entry at the minimum and recovery sums over the
+    snapshot in order, so order must survive the round-trip for the
+    resumed run to stay bit-identical.
     """
     if fastpath is None:
         return None
@@ -258,8 +240,8 @@ def _freeze_fastpath(fastpath):
             "memory_bytes": fastpath.memory_bytes,
             "delta": fastpath.delta,
             "entries": [
-                (flow.key104, entry.e, entry.r, entry.d)
-                for flow, entry in fastpath.table.items()
+                (flow.key104, e, r, d)
+                for flow, e, r, d in fastpath.rows()
             ],
             "total_bytes": fastpath.total_bytes,
             "total_decremented": fastpath.total_decremented,
@@ -300,10 +282,10 @@ def _thaw_fastpath(state):
         fastpath = FastPath(
             memory_bytes=state["memory_bytes"], delta=state["delta"]
         )
-        for key, e, r, d in state["entries"]:
-            fastpath.table[FlowKey.from_key104(key)] = FlowEntry(
-                e=e, r=r, d=d
-            )
+        fastpath.load_rows(
+            (FlowKey.from_key104(key), e, r, d)
+            for key, e, r, d in state["entries"]
+        )
         fastpath.total_bytes = state["total_bytes"]
         fastpath.total_decremented = state["total_decremented"]
         fastpath.num_updates = state["num_updates"]

@@ -30,7 +30,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.dataplane.engine import HostEngine, arrival_cycles_array
 from repro.dataplane.host import LocalReport
 from repro.durability.checkpoint import (
     DEFAULT_CHECKPOINT_EVERY,
@@ -224,25 +223,13 @@ class Supervisor:
         corrupt0 = ckpt.stats.corrupt_snapshots
 
         switch = host.switch
-        engine = HostEngine(
-            sketch=host.sketch,
-            fastpath=host.fastpath,
-            cost_model=switch.cost_model,
-            ideal=switch.ideal,
-            fifo=switch.buffer,
-        )
-        packets = shard.packets
-        arrivals = arrival_cycles_array(
-            shard, offered_gbps, switch.cost_model
-        )
-        if arrivals is not None:
-            arrivals = arrivals.tolist()
+        engine = switch.engine()
 
         faults = []
         if self.plan is not None:
             faults = list(
                 self.plan.dataplane_schedule_for(
-                    epoch, host.host_id, len(packets)
+                    epoch, host.host_id, len(shard)
                 )
             )
 
@@ -258,8 +245,8 @@ class Supervisor:
         while True:
             stop_at = faults[0].offset if faults else None
             engine.run(
-                packets,
-                arrivals,
+                shard,
+                offered_gbps,
                 stop_at=stop_at,
                 checkpoint_every=self.checkpoint_every,
                 on_checkpoint=on_checkpoint,

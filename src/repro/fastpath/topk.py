@@ -1,6 +1,6 @@
 """Algorithm 1: the fast path's top-k tracker.
 
-The hash table ``H`` holds at most ``k`` flows, each with three counters:
+The table ``H`` holds at most ``k`` flows, each with three counters:
 
 * ``e`` — the maximum byte count possibly missed before insertion,
 * ``r`` — the residual byte count,
@@ -19,6 +19,15 @@ Lemma 4.1 invariants (property-tested in ``tests/test_fastpath.py``):
 1. any flow with true size ``> E`` is tracked;
 2. for tracked flows, ``r + d <= v_true <= r + d + e``;
 3. every flow's error is at most ``(1 - delta)^(1/theta) * V / (k+1)``.
+
+``H`` is stored as flat columns — ``keys`` plus float64 ``e``/``r``/``d``
+arrays, rows in insertion order — with a ``slots`` dict from flow to
+row.  A hit is one dict probe and one add; a kick-out pass is a handful
+of vector operations over ``k`` doubles instead of a Python loop over
+entry objects.  Rows stay packed (evictions compact the columns), so the
+representation is a function of the logical table alone: two fast paths
+that saw the same stream compare equal field by field, and iteration
+order is insertion order, as it was with the dict of entries.
 """
 
 from __future__ import annotations
@@ -26,6 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+
+import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.common.flow import FlowKey
@@ -89,9 +101,15 @@ def compute_thresh(values: list[float], delta: float = _DEFAULT_DELTA) -> float:
     if not values:
         raise ConfigError("compute_thresh needs at least one value")
     ordered = sorted(values, reverse=True)
-    a1 = ordered[0]
-    a2 = ordered[1] if len(ordered) > 1 else a1
-    a_min = ordered[-1]
+    a2 = ordered[1] if len(ordered) > 1 else ordered[0]
+    return _power_law_thresh(ordered[0], a2, ordered[-1], delta)
+
+
+def _power_law_thresh(
+    a1: float, a2: float, a_min: float, delta: float
+) -> float:
+    """:func:`compute_thresh` given the only three values it reads: the
+    largest, the second largest and the smallest."""
     if a1 <= 1.0 or a2 <= 1.0 or a1 == a2:
         return max(a_min, 1.0)
     b = (a1 - 1.0) / (a2 - 1.0)
@@ -126,7 +144,16 @@ class FastPath:
         self.capacity = capacity
         self.memory_bytes = memory_bytes
         self.delta = delta
-        self.table: dict[FlowKey, FlowEntry] = {}
+        #: Tracked flows in insertion order; row ``i`` of the counter
+        #: columns belongs to ``keys[i]`` and ``slots[keys[i]] == i``.
+        self.keys: list[FlowKey] = []
+        self.slots: dict[FlowKey, int] = {}
+        #: Counter columns, preallocated to ``capacity`` rows and zero
+        #: past ``len(keys)``.  They are only ever changed in place, so
+        #: a caller may hold ``slots``/``r`` across :meth:`miss` calls.
+        self.e = np.zeros(capacity)
+        self.r = np.zeros(capacity)
+        self.d = np.zeros(capacity)
         self.total_bytes = 0.0  # V
         self.total_decremented = 0.0  # E
         # Operation statistics (Figures 15 and 16a).
@@ -142,38 +169,42 @@ class FastPath:
         """Record one packet ``(flow, value)``; returns the work done."""
         self.num_updates += 1
         self.total_bytes += value
-
-        entry = self.table.get(flow)
-        if entry is not None:
-            entry.r += value
+        slot = self.slots.get(flow)
+        if slot is not None:
+            self.r[slot] += value
             self.num_hits += 1
             return UpdateKind.HIT
+        return self.miss(flow, value)
 
-        if len(self.table) < self.capacity:
-            self.table[flow] = FlowEntry(
-                e=self.total_decremented, r=float(value), d=0.0
-            )
+    def miss(self, flow: FlowKey, value: int) -> UpdateKind:
+        """Lines 7-19 for a flow that is *not* tracked: insert it, or
+        run the amortized kick-out pass when the table is full.
+
+        The half of :meth:`update` a caller that probes ``slots``
+        itself still needs; such a caller owes :meth:`account` for the
+        packets it did not send through :meth:`update`.
+        """
+        if len(self.keys) < self.capacity:
+            self._append(flow, self.total_decremented, float(value), 0.0)
             self.num_inserts += 1
             return UpdateKind.INSERT
 
-        # Table full: amortized kick-out pass (lines 11-19).
         self.num_kickouts += 1
-        residuals = [entry.r for entry in self.table.values()]
-        threshold = compute_thresh(residuals + [float(value)], self.delta)
-        evicted = []
-        for key, entry in self.table.items():
-            entry.r -= threshold
-            entry.d += threshold
-            if entry.r <= 0:
-                evicted.append(key)
-        for key in evicted:
-            del self.table[key]
-        self.num_evicted += len(evicted)
-        if value > threshold and len(self.table) < self.capacity:
-            self.table[flow] = FlowEntry(
-                e=self.total_decremented,
-                r=float(value) - threshold,
-                d=threshold,
+        r = self.r
+        threshold = self._threshold(float(value))
+        r -= threshold
+        self.d += threshold
+        dead = r <= 0.0
+        evicted = int(np.count_nonzero(dead))
+        if evicted:
+            self._evict(dead)
+            self.num_evicted += evicted
+        if value > threshold and evicted:
+            self._append(
+                flow,
+                self.total_decremented,
+                float(value) - threshold,
+                threshold,
             )
             self.num_inserts += 1
         else:
@@ -181,9 +212,99 @@ class FastPath:
         self.total_decremented += threshold
         return UpdateKind.KICKOUT
 
+    def account(self, updates: int, hits: int, nbytes: int) -> None:
+        """Credit ``updates`` packets (``hits`` of them applied straight
+        to ``r``, ``nbytes`` in all) that bypassed :meth:`update`.
+
+        ``V`` is a sum of integers, exact in float64 in any order.
+        """
+        self.num_updates += updates
+        self.num_hits += hits
+        self.total_bytes += nbytes
+
+    # ------------------------------------------------------------------
+    def _append(self, flow: FlowKey, e: float, r: float, d: float) -> None:
+        slot = len(self.keys)
+        self.keys.append(flow)
+        self.slots[flow] = slot
+        self.e[slot] = e
+        self.r[slot] = r
+        self.d[slot] = d
+
+    def _threshold(self, value: float) -> float:
+        """``compute_thresh`` over the (full) table's residuals plus
+        the arriving packet; only max, second max and min are read."""
+        r = self.r
+        if r.size > 1:
+            top = r.copy()
+            top.partition(r.size - 2)
+            m1, m2 = float(top[-1]), float(top[-2])
+        else:
+            m1, m2 = float(r[0]), -math.inf
+        if value >= m1:
+            a1, a2 = value, m1
+        elif value > m2:
+            a1, a2 = m1, value
+        else:
+            a1, a2 = m1, m2
+        return _power_law_thresh(
+            a1, a2, min(float(r.min()), value), self.delta
+        )
+
+    def _evict(self, dead: np.ndarray) -> None:
+        """Drop the rows flagged in ``dead`` and close the gaps.
+
+        Rows ahead of the first evicted one keep their slots; only the
+        tail is moved and re-indexed.
+        """
+        keys, slots = self.keys, self.slots
+        first = int(dead.argmax())
+        keep = ~dead[first:]
+        for flow in compress(keys[first:], dead[first:].tolist()):
+            del slots[flow]
+        for column in (self.e, self.r, self.d):
+            tail = column[first:]
+            kept = tail[keep]
+            tail[: kept.size] = kept
+            tail[kept.size :] = 0.0
+        survivors = list(compress(keys[first:], keep.tolist()))
+        keys[first:] = survivors
+        slots.update(zip(survivors, range(first, len(keys))))
+
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+    def rows(self) -> list[tuple[FlowKey, float, float, float]]:
+        """``(flow, e, r, d)`` per tracked flow, in insertion order."""
+        n = len(self.keys)
+        return list(
+            zip(
+                self.keys,
+                self.e[:n].tolist(),
+                self.r[:n].tolist(),
+                self.d[:n].tolist(),
+            )
+        )
+
+    def load_rows(self, rows) -> None:
+        """Replace the table with ``rows`` (as :meth:`rows` emits them)."""
+        rows = list(rows)
+        if len(rows) > self.capacity:
+            raise ConfigError(
+                f"{len(rows)} rows do not fit a {self.capacity}-entry table"
+            )
+        self._clear_table()
+        for flow, e, r, d in rows:
+            self._append(flow, e, r, d)
+
+    @property
+    def table(self) -> dict[FlowKey, FlowEntry]:
+        """The table as ``{flow: FlowEntry}`` in insertion order — a
+        copy built from the columns; writes to it do not reach ``H``."""
+        return {
+            flow: FlowEntry(e, r, d) for flow, e, r, d in self.rows()
+        }
+
     def bounds(self) -> dict[FlowKey, tuple[float, float]]:
         """Per-flow (lower, upper) byte-count bounds (Lemma 4.1)."""
         return {
@@ -205,10 +326,7 @@ class FastPath:
         updating it (§6).
         """
         return FastPathSnapshot(
-            entries={
-                flow: FlowEntry(entry.e, entry.r, entry.d)
-                for flow, entry in self.table.items()
-            },
+            entries=self.table,
             total_bytes=self.total_bytes,
             total_decremented=self.total_decremented,
             insert_count=self.num_inserts,
@@ -219,9 +337,15 @@ class FastPath:
             reject_count=self.num_rejected,
         )
 
+    def _clear_table(self) -> None:
+        self.keys.clear()
+        self.slots.clear()
+        for column in (self.e, self.r, self.d):
+            column[:] = 0.0
+
     def reset(self) -> None:
         """Clear all state for the next epoch."""
-        self.table.clear()
+        self._clear_table()
         self.total_bytes = 0.0
         self.total_decremented = 0.0
 

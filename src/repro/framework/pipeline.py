@@ -80,8 +80,8 @@ class PipelineConfig:
     seed: int = 1
     cost_model: CostModel = field(default_factory=CostModel.in_memory)
     lens: LensConfig | None = None
-    #: Use the two-phase batched switch engine on every host
-    #: (bit-identical reports, vectorized sketch updates).
+    #: Accepted and ignored: it used to choose between two data-plane
+    #: loops; every host now runs the one chunked ``HostEngine``.
     batch: bool = False
     #: Per-host epochs are independent; ``workers > 1`` runs them in a
     #: process pool.  ``workers=1`` preserves today's serial behavior.
@@ -357,7 +357,6 @@ class SketchVisorPipeline:
             f"dataplane={self.dataplane.value}, "
             f"recovery={self.recovery.value}, "
             f"hosts={cfg.num_hosts}, workers={cfg.workers}, "
-            f"engine={'batch' if cfg.batch else 'scalar'}, "
             f"buffer={cfg.buffer_packets}p, "
             f"fastpath={cfg.fastpath_bytes}B, "
             f"telemetry={'on' if cfg.telemetry is not None else 'off'}, "
@@ -396,7 +395,6 @@ class SketchVisorPipeline:
                     ideal=self.dataplane is DataPlaneMode.IDEAL,
                     cost_model=cfg.cost_model,
                     buffer_packets=cfg.buffer_packets,
-                    batch=cfg.batch,
                 )
             )
         return hosts
@@ -447,9 +445,8 @@ class SketchVisorPipeline:
         # reports — fault schedules must be keyed by the same number.
         epoch = self._epoch_counter
         if self._supervisor is not None and workers <= 1:
-            # Supervised path: the scalar reference engine under
-            # checkpointing (batch and scalar are bit-identical by
-            # contract, so forcing scalar here changes no counters).
+            # Supervised path: the same engine ``Host.run_epoch``
+            # drives, stepped under checkpointing and fault injection.
             with trace_span(
                 cfg.telemetry, "dataplane.supervised", epoch=epoch
             ):
@@ -682,14 +679,12 @@ class SketchVisorPipeline:
     def _publish_reports(self, reports: list[LocalReport]) -> None:
         """Publish per-host data-plane counters from epoch reports."""
         registry = self.config.telemetry.registry
-        engine = "batch" if self.config.batch else "scalar"
         for report in reports:
             publish_switch_epoch(
                 registry,
                 report.switch,
                 host=str(report.host_id),
                 sketch=report.sketch.name,
-                engine=engine,
             )
             if report.fastpath is not None:
                 publish_fastpath_epoch(

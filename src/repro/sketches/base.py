@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import MergeError
-from repro.common.flow import FlowKey
+from repro.common.flow import FlowKey, Packet
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,25 @@ def flow_groups(trace, indices=None):
     if indices is not None:
         first = indices[first]
     return distinct[order], first, rank[inverse], sizes
+
+
+def key64_column(flows) -> np.ndarray:
+    """The ``key64`` folds of ``flows`` (a sequence) as a uint64 array."""
+    return np.fromiter(
+        (flow.key64 for flow in flows), np.uint64, len(flows)
+    )
+
+
+class FlowUpdates:
+    """``(flow, value)`` pairs in the shape :meth:`Sketch.update_trace`
+    reads a trace: ``packets`` plus the ``key64`` / ``sizes`` columns."""
+
+    def __init__(self, flows, values):
+        self.packets = [
+            Packet(flow, value) for flow, value in zip(flows, values)
+        ]
+        self.key64 = key64_column(flows)
+        self.sizes = np.asarray(values, dtype=np.int64)
 
 
 class Sketch(ABC):
@@ -175,7 +194,7 @@ class Sketch(ABC):
     def update_trace(self, trace, indices=None) -> None:
         """Record the packets of ``trace`` at ``indices`` (None = all).
 
-        The one entry point the batched switch applies its deferred
+        The one entry point the data-plane engine applies each chunk's
         normal-path packets through.  ``indices`` is an integer array
         of packet positions in arrival order.  The result is always
         bit-identical to calling :meth:`update` per selected packet, in
@@ -201,6 +220,22 @@ class Sketch(ABC):
         this to convert the recovered byte volume appropriately.
         """
         self.update(flow, value)
+
+    def inject_batch(self, flows, values) -> None:
+        """Re-inject many recovered flows: :meth:`inject` per
+        ``(flow, value)`` pair, in order, with bit-identical state.
+
+        Where :meth:`inject` is plain :meth:`update`, the pairs go
+        through :meth:`update_trace` as a synthetic trace, so every
+        sketch with a batch kernel recovers with it.  A sketch that
+        overrides :meth:`inject` (a byte→packet conversion) keeps the
+        loop unless it overrides this method too.
+        """
+        if type(self).inject is Sketch.inject:
+            self.update_trace(FlowUpdates(flows, values))
+            return
+        for flow, value in zip(flows, values):
+            self.inject(flow, value)
 
     # ------------------------------------------------------------------
     # Aggregation / recovery interface

@@ -21,7 +21,12 @@ import numpy as np
 from repro.common.errors import ConfigError, MergeError
 from repro.common.flow import FlowKey
 from repro.common.hashing import HashFamily
-from repro.sketches.base import CostProfile, Sketch, flow_groups
+from repro.sketches.base import (
+    CostProfile,
+    FlowUpdates,
+    Sketch,
+    flow_groups,
+)
 from repro.sketches.bloom import BloomFilter
 
 
@@ -133,6 +138,14 @@ class FlowRadar(Sketch):
         packets = max(1, round(value / 769.0))
         for cell in cells:
             self.byte_count[cell] += packets
+
+    def inject_batch(self, flows, values) -> None:
+        """Bytes mode injects plain updates, so the kernel takes them;
+        packet mode converts per flow and keeps the loop."""
+        if self.count_packets:
+            super().inject_batch(flows, values)
+        else:
+            self.update_trace(FlowUpdates(flows, values))
 
     # ------------------------------------------------------------------
     def decode(self) -> tuple[dict[FlowKey, float], bool]:

@@ -22,7 +22,7 @@ import numpy as np
 from repro.common.errors import ConfigError, MergeError
 from repro.common.flow import FlowKey
 from repro.common.hashing import HashFamily
-from repro.sketches.base import CostProfile, Sketch
+from repro.sketches.base import CostProfile, Sketch, key64_column
 
 _COUNTER_BYTES = 8
 
@@ -102,6 +102,19 @@ class MRAC(Sketch):
         self.counters[
             self._hashes.bucket(0, flow.key64, self.width)
         ] += packets
+
+    def inject_batch(self, flows, values) -> None:
+        """:meth:`inject` over many flows: integer packet counts summed
+        per bucket (``np.rint`` rounds half to even, as ``round`` does)."""
+        packets = np.maximum(
+            1.0, np.rint(np.asarray(values, dtype=np.float64) / 769.0)
+        )
+        cols = self._hashes.buckets_array(
+            key64_column(flows), self.width
+        )[0]
+        self.counters += np.bincount(
+            cols, weights=packets, minlength=self.width
+        )
 
     # ------------------------------------------------------------------
     def counter_histogram(self) -> np.ndarray:

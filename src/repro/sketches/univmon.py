@@ -53,7 +53,7 @@ class UnivMon(Sketch):
 
     UnivMon has no batch kernel: which flows a level's tracker holds,
     and the estimate stored with each, depend on the order packets
-    arrive in (admission, pruning), so the batched switch applies it
+    arrive in (admission, pruning), so the engine applies it
     through the default per-packet :meth:`Sketch.update_trace` loop.
     """
 

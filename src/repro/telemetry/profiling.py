@@ -72,7 +72,7 @@ _HASH_ORIGINALS: dict[str, object] = {}
 
 #: HashFamily methods instrumented while a profiler is active.  The
 #: scalar per-key entry points and the vectorized array entry points
-#: both appear, so scalar and batch engines attribute hashing alike.
+#: both appear, so per-packet and kernel paths attribute hashing alike.
 _HASH_METHODS = (
     "hash_value",
     "bucket",

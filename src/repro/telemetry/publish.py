@@ -1,10 +1,11 @@
 """The metric catalogue: how pipeline objects map into the registry.
 
 Every component publishes through these helpers so the counter
-*semantics* are engine-independent: the scalar switch, the batched
-switch, and the process-pool pipeline all publish the same families
-from the same per-epoch report fields, which is what makes
-batch-vs-scalar counter totals comparable (and testable) bit for bit.
+*semantics* do not depend on who ran the epoch: a standalone switch,
+the serial pipeline, the process-pool pipeline and the supervised
+(checkpointed) pipeline all publish the same families from the same
+per-epoch report fields, which is what makes their counter totals
+comparable (and testable) bit for bit.
 
 All helpers are duck-typed over the report/snapshot objects (no
 dataplane imports) so this module sits below every instrumented layer.
@@ -32,7 +33,6 @@ def publish_switch_epoch(
     *,
     host: str = "0",
     sketch: str = "sketch",
-    engine: str = "scalar",
 ) -> None:
     """Publish one epoch's :class:`SwitchReport` into the registry."""
     packets = registry.counter(
@@ -70,8 +70,8 @@ def publish_switch_epoch(
     ).set(report.throughput_gbps, host=host)
     registry.counter(
         "sketchvisor_switch_epochs_total",
-        "Epochs processed, labelled by engine",
-    ).inc(1, host=host, engine=engine)
+        "Epochs processed",
+    ).inc(1, host=host)
 
 
 def fastpath_stats(fastpath) -> dict[str, float]:

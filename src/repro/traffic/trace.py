@@ -9,8 +9,8 @@ plane.
 
 Besides the packet tuple, every trace carries cached *columnar* views —
 ``key64`` (pre-folded flow keys, uint64), ``sizes`` (int64) and
-``timestamps`` (float64) — computed once per trace.  The batched data
-plane (:mod:`repro.dataplane.switch`) and the vectorized sketch updates
+``timestamps`` (float64) — computed once per trace.  The data-plane
+engine (:mod:`repro.dataplane.engine`) and the vectorized sketch updates
 consume these columns instead of walking packet objects.
 """
 

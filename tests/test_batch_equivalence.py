@@ -1,10 +1,11 @@
-"""Batch-engine equivalence: vectorized paths must be bit-identical.
+"""Engine equivalence: vectorized paths must be bit-identical.
 
-The batched data plane's whole correctness story is that counter state
+The chunked data plane's whole correctness story is that counter state
 is order-insensitive within an epoch, so deferring sketch updates into
-one vectorized call changes *nothing observable*.  These tests pin that
-down at three levels: sketch counters, merge/round-trip, and full
-switch reports.
+one vectorized call per chunk changes *nothing observable*.  These
+tests pin that down at three levels: sketch counters, merge/round-trip,
+and full switch reports against the per-packet oracle
+(``tests/reference_engine.py``).
 """
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.tasks.heavy_hitter import HeavyHitterTask
 from repro.traffic.generator import TraceConfig, generate_trace
 from repro.traffic.groundtruth import GroundTruth
 from repro.traffic.trace import Trace
+from tests.reference_engine import reference_reports, reference_run
 
 SKETCH_FACTORIES = {
     "countmin": lambda: CountMinSketch(width=512, depth=4, seed=5),
@@ -273,9 +275,10 @@ def test_update_trace_property(name, pairs, split):
 
 
 # ----------------------------------------------------------------------
-# Switch level: batch mode must reproduce scalar SwitchReport exactly.
+# Switch level: the chunked engine must reproduce the per-packet
+# oracle (tests/reference_engine.py) exactly — report and sketch.
 # ----------------------------------------------------------------------
-def _run_switch(trace, *, ideal, fastpath_bytes, offered, batch, factory):
+def _run_switch(trace, *, ideal, fastpath_bytes, offered, factory):
     sketch = factory()
     fastpath = FastPath(fastpath_bytes) if fastpath_bytes else None
     switch = SoftwareSwitch(
@@ -284,12 +287,25 @@ def _run_switch(trace, *, ideal, fastpath_bytes, offered, batch, factory):
         cost_model=CostModel.in_memory(),
         buffer_packets=64,
         ideal=ideal,
-        batch=batch,
     )
     return switch.process(trace, offered), sketch
 
 
-def _assert_reports_equal(scalar_report, batch_report):
+def _run_oracle(trace, *, ideal, fastpath_bytes, offered, factory):
+    sketch = factory()
+    report = reference_run(
+        trace,
+        sketch,
+        FastPath(fastpath_bytes) if fastpath_bytes else None,
+        cost_model=CostModel.in_memory(),
+        buffer_packets=64,
+        ideal=ideal,
+        offered_gbps=offered,
+    )
+    return report, sketch
+
+
+def _assert_reports_equal(oracle_report, engine_report):
     for name in (
         "total_packets",
         "total_bytes",
@@ -301,12 +317,13 @@ def _assert_reports_equal(scalar_report, batch_report):
         "consumer_cycles",
         "makespan_cycles",
         "throughput_gbps",
+        "buffer_high_water",
     ):
-        assert getattr(scalar_report, name) == getattr(
-            batch_report, name
+        assert getattr(oracle_report, name) == getattr(
+            engine_report, name
         ), name
-    assert scalar_report.normal_flows == batch_report.normal_flows
-    assert scalar_report.fastpath_flows == batch_report.fastpath_flows
+    assert oracle_report.normal_flows == engine_report.normal_flows
+    assert oracle_report.fastpath_flows == engine_report.fastpath_flows
 
 
 @pytest.mark.parametrize(
@@ -323,26 +340,17 @@ def _assert_reports_equal(scalar_report, batch_report):
 def test_switch_batch_reproduces_scalar_report(
     trace, name, ideal, fastpath_bytes, offered
 ):
-    factory = SKETCH_FACTORIES[name]
-    scalar_report, scalar_sketch = _run_switch(
-        trace,
+    arm = dict(
         ideal=ideal,
         fastpath_bytes=fastpath_bytes,
         offered=offered,
-        batch=False,
-        factory=factory,
+        factory=SKETCH_FACTORIES[name],
     )
-    batch_report, batch_sketch = _run_switch(
-        trace,
-        ideal=ideal,
-        fastpath_bytes=fastpath_bytes,
-        offered=offered,
-        batch=True,
-        factory=factory,
-    )
-    _assert_reports_equal(scalar_report, batch_report)
+    oracle_report, oracle_sketch = _run_oracle(trace, **arm)
+    engine_report, engine_sketch = _run_switch(trace, **arm)
+    _assert_reports_equal(oracle_report, engine_report)
     assert np.array_equal(
-        scalar_sketch.to_matrix(), batch_sketch.to_matrix()
+        oracle_sketch.to_matrix(), engine_sketch.to_matrix()
     )
 
 
@@ -366,11 +374,11 @@ def test_switch_batch_reversible_full_state(
         offered=offered,
         factory=REVERSIBLE_FACTORIES[name],
     )
-    scalar_report, scalar_sketch = _run_switch(trace, batch=False, **arm)
-    batch_report, batch_sketch = _run_switch(trace, batch=True, **arm)
-    _assert_reports_equal(scalar_report, batch_report)
-    assert ideal or 0 < batch_report.fastpath_packets < len(trace)
-    _assert_same_state(scalar_sketch, batch_sketch)
+    oracle_report, oracle_sketch = _run_oracle(trace, **arm)
+    engine_report, engine_sketch = _run_switch(trace, **arm)
+    _assert_reports_equal(oracle_report, engine_report)
+    assert ideal or 0 < engine_report.fastpath_packets < len(trace)
+    _assert_same_state(oracle_sketch, engine_sketch)
 
 
 def test_switch_batch_fastpath_actually_engaged(trace):
@@ -380,7 +388,6 @@ def test_switch_batch_fastpath_actually_engaged(trace):
         ideal=False,
         fastpath_bytes=2048,
         offered=None,
-        batch=True,
         factory=SKETCH_FACTORIES["countmin"],
     )
     assert report.fastpath_packets > 0
@@ -388,78 +395,64 @@ def test_switch_batch_fastpath_actually_engaged(trace):
 
 def test_switch_batch_scalar_fallback_sketch(trace):
     """UnivMon has no kernel: the default update_trace loop, identical."""
-    scalar_report, scalar_sketch = _run_switch(
-        trace,
+    arm = dict(
         ideal=False,
         fastpath_bytes=2048,
         offered=None,
-        batch=False,
         factory=lambda: UnivMon(seed=3),
     )
-    batch_report, batch_sketch = _run_switch(
-        trace,
-        ideal=False,
-        fastpath_bytes=2048,
-        offered=None,
-        batch=True,
-        factory=lambda: UnivMon(seed=3),
-    )
-    _assert_reports_equal(scalar_report, batch_report)
+    oracle_report, oracle_sketch = _run_oracle(trace, **arm)
+    engine_report, engine_sketch = _run_switch(trace, **arm)
+    _assert_reports_equal(oracle_report, engine_report)
     assert np.array_equal(
-        scalar_sketch.to_matrix(), batch_sketch.to_matrix()
+        oracle_sketch.to_matrix(), engine_sketch.to_matrix()
     )
 
 
 def test_switch_batch_empty_trace():
-    scalar_report, _ = _run_switch(
-        Trace([]),
+    arm = dict(
         ideal=True,
         fastpath_bytes=None,
         offered=None,
-        batch=False,
         factory=SKETCH_FACTORIES["countmin"],
     )
-    batch_report, _ = _run_switch(
-        Trace([]),
-        ideal=True,
-        fastpath_bytes=None,
-        offered=None,
-        batch=True,
-        factory=SKETCH_FACTORIES["countmin"],
-    )
-    _assert_reports_equal(scalar_report, batch_report)
+    oracle_report, _ = _run_oracle(Trace([]), **arm)
+    engine_report, _ = _run_switch(Trace([]), **arm)
+    _assert_reports_equal(oracle_report, engine_report)
 
 
 # ----------------------------------------------------------------------
-# Pipeline level: batch + parallel workers leave results unchanged.
+# Pipeline level: process-pool workers leave results unchanged, and
+# every host's report is the oracle's over that host's shard.
 # ----------------------------------------------------------------------
-def _run_pipeline(trace, truth, *, batch, workers):
+def _run_pipeline(trace, truth, *, workers):
     pipeline = SketchVisorPipeline(
         HeavyHitterTask("univmon", threshold=0.001),
         dataplane=DataPlaneMode.SKETCHVISOR,
-        config=PipelineConfig(
-            num_hosts=2, batch=batch, workers=workers
-        ),
+        config=PipelineConfig(num_hosts=2, workers=workers),
     )
     return pipeline.run_epoch(trace, truth)
 
 
 def test_pipeline_batch_and_parallel_identical(trace):
     truth = GroundTruth.from_trace(trace)
-    serial = _run_pipeline(trace, truth, batch=False, workers=1)
-    batched = _run_pipeline(trace, truth, batch=True, workers=1)
-    parallel = _run_pipeline(trace, truth, batch=True, workers=2)
-    reference = serial.network.sketch.to_matrix()
-    for result in (batched, parallel):
-        assert np.array_equal(
-            reference, result.network.sketch.to_matrix()
-        )
-        assert [
-            r.switch.throughput_gbps for r in serial.reports
-        ] == [r.switch.throughput_gbps for r in result.reports]
-        assert [
-            r.switch.normal_flows for r in serial.reports
-        ] == [r.switch.normal_flows for r in result.reports]
+    serial = _run_pipeline(trace, truth, workers=1)
+    parallel = _run_pipeline(trace, truth, workers=2)
+    assert np.array_equal(
+        serial.network.sketch.to_matrix(),
+        parallel.network.sketch.to_matrix(),
+    )
+    oracle = reference_reports(
+        HeavyHitterTask("univmon", threshold=0.001),
+        trace,
+        PipelineConfig(num_hosts=2),
+    )
+    for result in (serial, parallel):
+        for expected, actual in zip(oracle, result.reports):
+            _assert_reports_equal(expected.switch, actual.switch)
+            assert np.array_equal(
+                expected.sketch.to_matrix(), actual.sketch.to_matrix()
+            )
 
 
 # ----------------------------------------------------------------------

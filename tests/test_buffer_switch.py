@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.common.flow import Packet
 from repro.dataplane.buffer import BoundedFIFO
 from repro.dataplane.cost_model import CostModel
 from repro.dataplane.switch import SoftwareSwitch
@@ -17,26 +16,28 @@ from tests.conftest import make_flow
 
 
 class TestBoundedFIFO:
+    """The queue holds enqueue cycles only (the consumer needs nothing
+    else of a queued packet)."""
+
     def test_push_pop_fifo_order(self):
         fifo = BoundedFIFO(4)
-        flow = make_flow(1)
         for i in range(3):
-            fifo.push(Packet(flow, 10 + i), float(i))
-        packet, cycle = fifo.pop()
-        assert packet.size == 10 and cycle == 0.0
+            fifo.push(float(i))
+        assert fifo.pop() == 0.0
+        assert fifo.pop() == 1.0
+        assert len(fifo) == 1 and fifo.high_water == 3
 
     def test_full_and_overflow(self):
         fifo = BoundedFIFO(2)
-        flow = make_flow(1)
-        fifo.push(Packet(flow, 1), 0.0)
-        fifo.push(Packet(flow, 2), 0.0)
+        fifo.push(0.0)
+        fifo.push(0.0)
         assert fifo.full
         with pytest.raises(OverflowError):
-            fifo.push(Packet(flow, 3), 0.0)
+            fifo.push(0.0)
 
     def test_peek(self):
         fifo = BoundedFIFO(2)
-        fifo.push(Packet(make_flow(1), 1), 7.5)
+        fifo.push(7.5)
         assert fifo.peek_enqueue_cycle() == 7.5
         assert len(fifo) == 1
 

@@ -78,7 +78,7 @@ class TestCheckpointer:
         engine = make_engine()
         ckpt.begin_epoch(0, engine)
         engine.run(
-            small_trace.packets,
+            small_trace,
             stop_at=200,
             checkpoint_every=64,
             on_checkpoint=lambda e: ckpt.write(0, e),
@@ -93,7 +93,7 @@ class TestCheckpointer:
         engine = make_engine()
         ckpt.begin_epoch(0, engine)
         engine.run(
-            small_trace.packets,
+            small_trace,
             stop_at=200,
             checkpoint_every=64,
             on_checkpoint=lambda e: ckpt.write(0, e),
@@ -128,7 +128,7 @@ class TestCheckpointer:
         engine = make_engine()
         ckpt.begin_epoch(0, engine)
         engine.run(
-            small_trace.packets,
+            small_trace,
             stop_at=100,
             checkpoint_every=32,
             on_checkpoint=lambda e: ckpt.write(0, e),
@@ -141,7 +141,7 @@ class TestCheckpointer:
         engine = make_engine()
         ckpt.begin_epoch(0, engine)
         engine.run(
-            small_trace.packets,
+            small_trace,
             stop_at=100,
             checkpoint_every=32,
             on_checkpoint=lambda e: ckpt.write(0, e),
@@ -174,7 +174,7 @@ class TestCheckpointer:
         )
         engine = make_engine()
         ckpt.begin_epoch(0, engine)
-        engine.run(small_trace.packets, stop_at=100)
+        engine.run(small_trace, stop_at=100)
         assert ckpt.maybe_cycle_write(0, engine) is True
         assert ckpt.stats.writes == 2
         # Immediately after a write the budget is spent again.
@@ -208,7 +208,7 @@ class TestWalRecordShape:
         engine = make_engine()
         ckpt.begin_epoch(0, engine)
         engine.run(
-            small_trace.packets,
+            small_trace,
             stop_at=70,
             checkpoint_every=64,
             on_checkpoint=lambda e: ckpt.write(0, e),

@@ -24,7 +24,9 @@ from repro import (
 from repro.dataplane.host import Host
 from repro.durability import Supervisor
 from repro.sketches import CountMinSketch
+from repro.fastpath.topk import FastPath
 from repro.telemetry import Telemetry
+from tests.reference_engine import reference_reports, reference_run
 from tests.test_state_codec import state_equal
 
 CHECKPOINT_EVERY = 512
@@ -104,7 +106,15 @@ class TestCrashRecoveryBitIdentity:
         assert outcomes[2].hangs == 1 and outcomes[2].recovered
         assert outcomes[1].replayed_packets > 0
 
-        for expected, actual in zip(baseline.reports, result.reports):
+        # Both the unsupervised and the crash-recovered epoch equal the
+        # per-packet oracle, host by host.
+        oracle = reference_reports(
+            task, medium_trace, PipelineConfig(num_hosts=4)
+        )
+        for expected, plain, actual in zip(
+            oracle, baseline.reports, result.reports
+        ):
+            assert_reports_identical(expected, plain)
             assert_reports_identical(expected, actual)
         # Downstream: merged sketch matrix identical.
         assert np.array_equal(
@@ -167,6 +177,14 @@ class TestBoundarySweep:
             )
 
         expected = fresh_host().run_epoch(small_trace)
+        oracle_sketch = CountMinSketch(width=64, depth=3, seed=3)
+        oracle_fastpath = FastPath(1024)
+        oracle = reference_run(
+            small_trace, oracle_sketch, oracle_fastpath, buffer_packets=32
+        )
+        assert state_equal(oracle, expected.switch)
+        assert state_equal(oracle_sketch, expected.sketch)
+        assert state_equal(oracle_fastpath.snapshot(), expected.fastpath)
 
         offsets = set()
         for boundary in range(0, packets + every, every):

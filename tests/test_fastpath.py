@@ -14,13 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
+from repro.common.flow import FlowKey
+from repro.dataplane.switch import SoftwareSwitch
 from repro.fastpath.topk import (
     ENTRY_BYTES,
     FastPath,
     UpdateKind,
     compute_thresh,
 )
-from tests.conftest import make_flow
+from repro.sketches.deltoid import Deltoid
+from tests.conftest import make_flow, make_trace
 
 streams = st.lists(
     st.tuples(st.integers(0, 40), st.integers(1, 5000)),
@@ -195,3 +198,160 @@ class TestMechanics:
         assert fastpath.error_bound() == pytest.approx(
             fastpath.total_bytes / (fastpath.capacity + 1)
         )
+
+
+class _DictTopK:
+    """Algorithm 1 over a dict of ``[e, r, d]`` lists — the pointer
+    structure the columns replaced, kept as their oracle: a Python loop
+    per kick-out, a full sort per threshold."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.table: dict = {}
+        self.total_decremented = 0.0
+        self.kinds: list[UpdateKind] = []
+
+    def update(self, flow, value):
+        self.kinds.append(self._update(flow, value))
+
+    def _update(self, flow, value):
+        entry = self.table.get(flow)
+        if entry is not None:
+            entry[1] += value
+            return UpdateKind.HIT
+        if len(self.table) < self.capacity:
+            self.table[flow] = [self.total_decremented, float(value), 0.0]
+            return UpdateKind.INSERT
+        threshold = compute_thresh(
+            [entry[1] for entry in self.table.values()] + [float(value)]
+        )
+        for key, entry in list(self.table.items()):
+            entry[1] -= threshold
+            entry[2] += threshold
+            if entry[1] <= 0:
+                del self.table[key]
+        if value > threshold and len(self.table) < self.capacity:
+            self.table[flow] = [
+                self.total_decremented,
+                float(value) - threshold,
+                threshold,
+            ]
+        self.total_decremented += threshold
+        return UpdateKind.KICKOUT
+
+    def rows(self):
+        return [(flow, *entry) for flow, entry in self.table.items()]
+
+
+def _assert_index_consistent(fastpath):
+    """``slots`` is exactly the inverse of ``keys``, rows are packed
+    and the columns are zero past the last row."""
+    assert fastpath.slots == {
+        flow: slot for slot, flow in enumerate(fastpath.keys)
+    }
+    assert list(fastpath.slots) == fastpath.keys  # same order, too
+    live = len(fastpath.keys)
+    assert live <= fastpath.capacity
+    for column in (fastpath.e, fastpath.r, fastpath.d):
+        assert column.shape == (fastpath.capacity,)
+        assert not column[live:].any()
+    assert (fastpath.r[:live] > 0).all()
+
+
+class TestColumns:
+    """The flat ``(key, e, r, d)`` layout and its key→slot index."""
+
+    @given(streams, st.integers(1, 12))
+    @settings(max_examples=120, deadline=None)
+    def test_columns_equal_dict_of_entries(self, stream, capacity):
+        """Ordered rows, ``E`` and every update's kind are bit-equal to
+        the dict-of-entries formulation, and the index stays exact."""
+        fastpath = FastPath(memory_bytes=capacity * ENTRY_BYTES)
+        oracle = _DictTopK(capacity)
+        kinds = []
+        for index, size in stream:
+            kinds.append(fastpath.update(make_flow(index), size))
+            oracle.update(make_flow(index), size)
+        assert kinds == oracle.kinds
+        assert fastpath.rows() == oracle.rows()
+        assert fastpath.total_decremented == oracle.total_decremented
+        assert list(fastpath.table) == list(oracle.table)
+        _assert_index_consistent(fastpath)
+
+    def test_eviction_at_first_middle_and_last_slot(self):
+        """One pass evicts slots 0, 2 and 4 of a full 5-row table:
+        survivors close ranks in order, the index follows them, the
+        admitted flow takes the first free row."""
+        fastpath = FastPath(memory_bytes=5 * ENTRY_BYTES)
+        sizes = [10, 10_000, 10, 9_000, 10]
+        for index, size in enumerate(sizes):
+            fastpath.update(make_flow(index), size)
+        assert fastpath.keys == [make_flow(i) for i in range(5)]
+
+        kind = fastpath.update(make_flow(5), 5_000)
+        assert kind is UpdateKind.KICKOUT
+        assert fastpath.num_evicted == 3
+        threshold = fastpath.total_decremented
+        assert 10 < threshold < 11
+        assert fastpath.keys == [make_flow(1), make_flow(3), make_flow(5)]
+        assert fastpath.slots == {
+            make_flow(1): 0,
+            make_flow(3): 1,
+            make_flow(5): 2,
+        }
+        assert fastpath.rows() == [
+            (make_flow(1), 0.0, 10_000 - threshold, threshold),
+            (make_flow(3), 0.0, 9_000 - threshold, threshold),
+            (make_flow(5), 0.0, 5_000 - threshold, threshold),
+        ]
+        _assert_index_consistent(fastpath)
+        # Hits after compaction land on the moved rows.
+        fastpath.update(make_flow(3), 7)
+        assert fastpath.table[make_flow(3)].r == 9_000 - threshold + 7
+        assert fastpath.table[make_flow(1)].r == 10_000 - threshold
+        for flow in (make_flow(0), make_flow(2), make_flow(4)):
+            assert flow not in fastpath.slots
+
+    def test_key64_colliding_flows_get_their_own_rows(self):
+        """``key64`` folds 104 bits into 64, so it is not an identity:
+        two headers with one fold, sent down the fast path by the
+        engine, must occupy two rows with separate ``(e, r, d)``."""
+        first = FlowKey(1, 9, 3000, 0)
+        second = FlowKey(0, 9, 3000, 1)
+        assert first.key64 == second.key64 and first != second
+        sizes = {first: [100, 40, 7, 900], second: [70, 900, 33]}
+        trace = make_trace(list(sizes.items()))
+        fastpath = FastPath()
+        # Deltoid costs the consumer ~10K cycles a packet, so the
+        # one-slot FIFO takes the first packet and the rest overflow.
+        switch = SoftwareSwitch(
+            Deltoid(width=64, depth=2, seed=1),
+            fastpath=fastpath,
+            buffer_packets=1,
+        )
+        report = switch.process(trace)
+        assert report.fastpath_packets == len(trace) - 1
+        assert report.fastpath_flows == {first, second}
+        assert fastpath.slots == {second: 0, first: 1}
+        assert fastpath.rows() == [
+            (second, 0.0, float(sum(sizes[second])), 0.0),
+            (first, 0.0, float(sum(sizes[first][1:])), 0.0),
+        ]
+        assert fastpath.num_hits == len(trace) - 3
+        _assert_index_consistent(fastpath)
+
+    def test_table_is_a_copy(self):
+        fastpath = FastPath()
+        fastpath.update(make_flow(1), 100)
+        fastpath.table[make_flow(1)].r = 0.0
+        fastpath.table.clear()
+        assert fastpath.table[make_flow(1)].r == 100.0
+
+    def test_load_rows_round_trips_and_checks_capacity(self):
+        fastpath, _ = _run([(i % 30, 50 + 13 * i) for i in range(300)])
+        clone = FastPath(memory_bytes=fastpath.memory_bytes)
+        clone.load_rows(fastpath.rows())
+        assert clone.rows() == fastpath.rows()
+        _assert_index_consistent(clone)
+        with pytest.raises(ConfigError):
+            FastPath(memory_bytes=ENTRY_BYTES).load_rows(fastpath.rows())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from repro.common.flow import (
     flow_pair_key,
     source_key,
 )
+from repro.durability.codec import StateCodec
 
 flow_keys = st.builds(
     FlowKey,
@@ -69,6 +72,38 @@ class TestFlowKey:
         assert flow in {flow}
         with pytest.raises(AttributeError):
             flow.src_ip = 9
+
+    @given(flow_keys)
+    def test_cached_hash_is_the_dataclass_hash(self, flow):
+        """``__hash__`` is served from a slot, with the value the
+        generated dataclass hash had — the tuple of compared fields —
+        so every set/dict of flows iterates in the order it always did."""
+        assert hash(flow) == hash(
+            (
+                flow.src_ip,
+                flow.dst_ip,
+                flow.src_port,
+                flow.dst_port,
+                flow.proto,
+            )
+        )
+        assert hash(flow) == flow._hash
+
+    @given(flow_keys)
+    def test_slots_frozen_pickle_and_codec_round_trips(self, flow):
+        assert not hasattr(flow, "__dict__")
+        with pytest.raises(AttributeError):
+            flow._hash = 0
+        codec = StateCodec()
+        for copy in (
+            pickle.loads(pickle.dumps(flow)),
+            codec.decode(codec.encode(flow)),
+            FlowKey.from_key104(flow.key104),
+        ):
+            assert copy == flow
+            assert hash(copy) == hash(flow)
+            assert copy.key64 == flow.key64
+            assert copy in {flow}
 
     def test_host_projections(self):
         flow = FlowKey(111, 222, 3, 4)

@@ -11,9 +11,15 @@ from repro.controlplane.recovery import (
     _missing_flow_count,
     _tracking_boundary,
 )
+from repro.common.flow import FlowKey
+from repro.durability.codec import StateCodec
 from repro.fastpath.topk import FastPath, FastPathSnapshot, FlowEntry
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.deltoid import Deltoid
+from repro.sketches.flowradar import FlowRadar
+from repro.sketches.mrac import MRAC
+from repro.sketches.revsketch import ReversibleSketch
+from repro.sketches.univmon import UnivMon
 from tests.conftest import make_flow
 
 
@@ -92,6 +98,75 @@ class TestSyntheticInjection:
         _inject_synthetic_small_flows(a, 50_000.0, 1500.0)
         _inject_synthetic_small_flows(b, 50_000.0, 1500.0)
         assert np.array_equal(a.counters, b.counters)
+
+
+def _inject_one_by_one(sketch, volume, boundary, count):
+    """``_inject_synthetic_small_flows`` as it was before the batch
+    entry point: the same draws, scalar ``inject`` per flow."""
+    rng = np.random.default_rng(sketch.seed ^ 0x5EED_CAFE)
+    inv_low, inv_high = 1.0 / 64.0, 1.0 / boundary
+    draws = 1.0 / (inv_low - rng.random(count) * (inv_low - inv_high))
+    draws *= volume / draws.sum()
+    for size in draws:
+        flow = FlowKey(
+            src_ip=int(rng.integers(1, 2**32)),
+            dst_ip=int(rng.integers(1, 2**32)),
+            src_port=int(rng.integers(1024, 65536)),
+            dst_port=int(rng.integers(1, 1024)),
+        )
+        sketch.inject(flow, max(1, int(round(size))))
+
+
+#: Every ``inject`` flavour: plain update with a kernel (key64 batch,
+#: FlowRadar, Deltoid), plain update without one (UnivMon), and the
+#: byte→packet conversions (MRAC's batch override, FlowRadar's loop).
+INJECT_FACTORIES = {
+    "countmin": lambda: CountMinSketch(width=256, depth=3, seed=11),
+    "revsketch": lambda: ReversibleSketch(seed=11),
+    "deltoid": lambda: Deltoid(width=64, depth=2, seed=11),
+    # 600 flows x 4 hashes into 1024 bits: order-dependent false
+    # positives in the new-flow decisions.
+    "flowradar": lambda: FlowRadar(
+        bloom_bits=1024, num_cells=512, seed=11
+    ),
+    "flowradar_packets": lambda: FlowRadar(
+        bloom_bits=1024, num_cells=512, seed=11, count_packets=True
+    ),
+    "univmon": lambda: UnivMon(
+        level_widths=(64, 32, 16), depth=3, heap_size=20, seed=11
+    ),
+    "mrac": lambda: MRAC(width=128, seed=11),
+}
+
+
+class TestBatchInjection:
+    @pytest.mark.parametrize("name", sorted(INJECT_FACTORIES))
+    def test_synthetic_flows_byte_equal_to_scalar_inject(self, name):
+        """The batch entry point leaves the recovered sketch byte-equal
+        to per-flow ``inject`` calls over the same RNG stream."""
+        codec = StateCodec()
+        factory = INJECT_FACTORIES[name]
+        scalar, batch = factory(), factory()
+        # Pre-existing state, so injection lands on live counters.
+        for index in range(40):
+            for sketch in (scalar, batch):
+                sketch.update(make_flow(index), 100 + index)
+        _inject_one_by_one(scalar, 250_000.0, 1800.0, 600)
+        _inject_synthetic_small_flows(batch, 250_000.0, 1800.0, 600)
+        assert codec.encode(batch) == codec.encode(scalar)
+
+    @pytest.mark.parametrize("name", sorted(INJECT_FACTORIES))
+    def test_inject_batch_handles_repeats_and_empty(self, name):
+        codec = StateCodec()
+        factory = INJECT_FACTORIES[name]
+        scalar, batch = factory(), factory()
+        flows = [make_flow(i % 7) for i in range(50)]
+        values = [1 + 389 * i for i in range(50)]  # spans the 769 B mean
+        for flow, value in zip(flows, values):
+            scalar.inject(flow, value)
+        batch.inject_batch(flows, values)
+        batch.inject_batch([], [])
+        assert codec.encode(batch) == codec.encode(scalar)
 
 
 class TestFastPathCounters:

@@ -40,6 +40,7 @@ from repro.sketches import (
     UnivMon,
 )
 from tests.conftest import make_flow
+from tests.reference_engine import reference_run
 
 #: Small instances of every registered sketch type (§ Table 1), sized
 #: for test speed — the codec is structure-generic, so small is enough.
@@ -204,7 +205,7 @@ class TestEngineSnapshot:
             fastpath=FastPath(memory_bytes=1024),
             buffer_packets=32,
         )
-        engine.run(small_trace.packets, stop_at=len(small_trace) // 2)
+        engine.run(small_trace, stop_at=len(small_trace) // 2)
         restored = codec.restore_engine(
             codec.snapshot_engine(engine), engine.cost_model
         )
@@ -214,37 +215,35 @@ class TestEngineSnapshot:
         assert state_equal(engine.report, restored.report)
         assert state_equal(engine.sketch, restored.sketch)
         assert state_equal(engine.fastpath, restored.fastpath)
-        assert list(restored.fifo._queue) == list(engine.fifo._queue)
+        assert engine.fifo.queue  # a backlog is in flight
+        assert list(restored.fifo.queue) == list(engine.fifo.queue)
         assert restored.fifo.high_water == engine.fifo.high_water
 
     def test_resumed_engine_matches_uninterrupted(
         self, codec, small_trace
     ):
-        """Snapshot mid-epoch, restore, run both to the end: identical
-        reports — the keystone the checkpoint layer stands on."""
-        packets = small_trace.packets
+        """Snapshot mid-epoch, restore, run to the end: identical to
+        the uninterrupted per-packet oracle — the keystone the
+        checkpoint layer stands on."""
+        oracle_sketch = CountMinSketch(width=64, depth=3, seed=3)
+        oracle_fastpath = FastPath(memory_bytes=1024)
+        expected = reference_run(
+            small_trace, oracle_sketch, oracle_fastpath, buffer_packets=32
+        )
 
-        def fresh():
-            return HostEngine(
-                sketch=CountMinSketch(width=64, depth=3, seed=3),
-                fastpath=FastPath(memory_bytes=1024),
-                buffer_packets=32,
-            )
-
-        straight = fresh()
-        straight.run(packets)
-        expected = straight.finish()
-
-        interrupted = fresh()
-        interrupted.run(packets, stop_at=len(packets) // 3)
+        interrupted = HostEngine(
+            sketch=CountMinSketch(width=64, depth=3, seed=3),
+            fastpath=FastPath(memory_bytes=1024),
+            buffer_packets=32,
+        )
+        interrupted.run(small_trace, stop_at=len(small_trace) // 3)
         resumed = codec.restore_engine(
             codec.snapshot_engine(interrupted), interrupted.cost_model
         )
-        resumed.run(packets)
-        actual = resumed.finish()
+        actual = resumed.run(small_trace).finish()
         assert state_equal(expected, actual)
-        assert state_equal(straight.sketch, resumed.sketch)
-        assert state_equal(straight.fastpath, resumed.fastpath)
+        assert state_equal(oracle_sketch, resumed.sketch)
+        assert state_equal(oracle_fastpath, resumed.fastpath)
 
 
 class TestFrameCorruption:

@@ -27,6 +27,7 @@ from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracer import Tracer
 from repro.traffic.generator import TraceConfig, generate_trace
 from repro.traffic.groundtruth import GroundTruth
+from tests.reference_engine import reference_reports
 
 
 @pytest.fixture(scope="module")
@@ -39,12 +40,12 @@ def truth(trace):
     return GroundTruth.from_trace(trace)
 
 
-def _pipeline(trace, truth, telemetry, *, batch=False, hosts=2):
+def _pipeline(trace, truth, telemetry, *, hosts=2, **config):
     task = HeavyHitterTask("univmon", threshold=0.01 * truth.total_bytes)
     return SketchVisorPipeline(
         task,
         config=PipelineConfig(
-            num_hosts=hosts, batch=batch, telemetry=telemetry
+            num_hosts=hosts, telemetry=telemetry, **config
         ),
     )
 
@@ -344,12 +345,11 @@ class TestExporters:
 
 # ----------------------------------------------------------------------
 class TestSwitchIntegration:
-    def _switch(self, telemetry, *, batch=False):
+    def _switch(self, telemetry):
         return SoftwareSwitch(
             CountMinSketch(seed=3),
             fastpath=FastPath(4096),
             buffer_packets=256,
-            batch=batch,
             telemetry=telemetry,
             host_label="7",
         )
@@ -387,7 +387,7 @@ class TestSwitchIntegration:
         switch.process(trace)
         registry = telemetry.registry
         assert registry.value(
-            "sketchvisor_switch_epochs_total", host="7", engine="scalar"
+            "sketchvisor_switch_epochs_total", host="7"
         ) == 2
         assert registry.value(
             "sketchvisor_fastpath_updates_total", host="7", kind="hit"
@@ -405,18 +405,18 @@ class TestSwitchIntegration:
 
     def test_process_records_span(self, trace):
         telemetry = Telemetry()
-        switch = self._switch(telemetry, batch=True)
+        switch = self._switch(telemetry)
         switch.process(trace)
         (span,) = telemetry.tracer.spans
         assert span.name == "switch.process"
-        assert span.attrs == {"host": "7", "engine": "batch"}
+        assert span.attrs == {"host": "7"}
 
     def test_describe_and_repr(self, trace):
         switch = self._switch(None)
         text = switch.describe()
         assert repr(switch) == text
         assert "mode=sketchvisor" in text
-        assert "engine=scalar" in text
+        assert "engine=" not in text  # one engine: nothing to name
         assert "telemetry=off" in text
         assert "CountMinSketch" in text
 
@@ -476,50 +476,70 @@ class TestPipelineIntegration:
         assert covered <= root.duration * 1.001
         assert covered >= root.duration * 0.9
 
-    def test_engine_counter_totals_match(self, trace, truth):
-        # Batch vs scalar engines publish identical counter totals —
-        # the smoke assertion CI runs with `-k engine`.
-        scalar, batch = Telemetry(), Telemetry()
-        _pipeline(trace, truth, scalar, batch=False).run_epoch(
-            trace, truth
-        )
-        _pipeline(trace, truth, batch, batch=True).run_epoch(trace, truth)
-        scalar_families = {
-            family.name: family.kind
-            for family in scalar.registry.families()
-        }
-        batch_families = {
-            family.name: family.kind
-            for family in batch.registry.families()
-        }
-        assert scalar_families == batch_families
-        for name, kind in scalar_families.items():
-            if kind != "counter":
-                continue
-            assert scalar.registry.total(name) == pytest.approx(
-                batch.registry.total(name)
-            ), name
-        for host in ("0", "1"):
-            for path in ("normal", "fastpath"):
-                assert scalar.registry.value(
-                    "sketchvisor_switch_packets_total", host=host, path=path
-                ) == batch.registry.value(
-                    "sketchvisor_switch_packets_total", host=host, path=path
-                )
-        # Only the engine label tells the runs apart.
-        assert scalar.registry.value(
-            "sketchvisor_switch_epochs_total", host="0", engine="scalar"
-        ) == 1
-        assert batch.registry.value(
-            "sketchvisor_switch_epochs_total", host="0", engine="batch"
-        ) == 1
+    def test_engine_counter_totals_match(self, trace, truth, tmp_path):
+        # Whoever drives the engine — Host.run_epoch or the durability
+        # supervisor — the published data-plane counters are the
+        # per-packet oracle's, host by host (CI runs this `-k engine`).
+        plain, supervised = Telemetry(), Telemetry()
+        pipeline = _pipeline(trace, truth, plain)
+        pipeline.run_epoch(trace, truth)
+        _pipeline(
+            trace,
+            truth,
+            supervised,
+            checkpoint_dir=str(tmp_path),
+            checkpoint_every=256,
+        ).run_epoch(trace, truth)
+        oracle = reference_reports(pipeline.task, trace, pipeline.config)
+        assert sum(r.switch.fastpath_packets for r in oracle) > 0
+        for registry in (plain.registry, supervised.registry):
+            for report in oracle:
+                host = str(report.host_id)
+                switch, fastpath = report.switch, report.fastpath
+
+                def value(name, **labels):
+                    return registry.value(name, host=host, **labels)
+
+                for path, packets, volume in (
+                    ("normal", switch.normal_packets, switch.normal_bytes),
+                    (
+                        "fastpath",
+                        switch.fastpath_packets,
+                        switch.fastpath_bytes,
+                    ),
+                ):
+                    assert value(
+                        "sketchvisor_switch_packets_total", path=path
+                    ) == packets
+                    assert value(
+                        "sketchvisor_switch_bytes_total", path=path
+                    ) == volume
+                assert value("sketchvisor_switch_epochs_total") == 1
+                for kind, count in (
+                    ("hit", fastpath.hit_count),
+                    ("insert", fastpath.insert_count),
+                    ("kickout", fastpath.kickout_count),
+                ):
+                    assert value(
+                        "sketchvisor_fastpath_updates_total", kind=kind
+                    ) == count
+                assert value(
+                    "sketchvisor_fastpath_evictions_total"
+                ) == fastpath.evict_count
+                assert value(
+                    "sketchvisor_fastpath_bytes_total"
+                ) == fastpath.total_bytes
+                assert value(
+                    "sketchvisor_fastpath_tracked_flows"
+                ) == len(fastpath.entries)
 
     def test_pipeline_describe(self, trace, truth):
+        # ``batch=`` is still accepted (and selects nothing).
         pipeline = _pipeline(trace, truth, None, batch=True)
         text = pipeline.describe()
         assert repr(pipeline) == text
         assert "task='heavy_hitter'" in text
-        assert "engine=batch" in text
+        assert "engine=" not in text
 
 
 # ----------------------------------------------------------------------
