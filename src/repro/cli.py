@@ -475,44 +475,16 @@ def _run_soak(
         f"{totals['unrecovered']} unrecovered, "
         f"{quorum_failures} quorum failure(s)"
     )
+    if args.recorder_out:
+        # A clean soak trips no dump trigger; leave the fail-over
+        # timeline behind anyway.
+        recorder = pipeline.config.telemetry.recorder
+        recorder.dump(args.recorder_out, reason="soak")
+        print(
+            f"flight recorder : dumped {len(recorder.events())} "
+            f"event(s) to {args.recorder_out}"
+        )
     return 1 if quorum_failures else 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    """Render the committed bench trajectories (``repro perf``)."""
-    from repro.perf import (
-        SERIES_BY_FILE,
-        discover_trajectories,
-        perf_text_summary,
-        series_points,
-        write_perf_dashboard,
-    )
-
-    trajectories = discover_trajectories(args.root)
-    print(perf_text_summary(trajectories))
-    if args.html:
-        write_perf_dashboard(args.html, trajectories)
-        print(f"wrote perf dashboard to {args.html}")
-    if args.strict:
-        problems = [
-            problem
-            for trajectory in trajectories
-            for problem in trajectory.problems
-        ]
-        violations = [
-            point
-            for trajectory in trajectories
-            for spec in SERIES_BY_FILE.get(trajectory.name, ())
-            for point in series_points(trajectory.runs, spec)
-            if point.violation
-        ]
-        if problems or violations:
-            print(
-                f"STRICT: {len(problems)} schema problem(s), "
-                f"{len(violations)} gate violation(s)"
-            )
-            return 1
-    return 0
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
@@ -1030,28 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
         "anything else for a standalone HTML page); implies --profile",
     )
     run.set_defaults(func=_cmd_run)
-
-    perf = commands.add_parser(
-        "perf",
-        help="render the committed bench trajectories "
-        "(BENCH_*.json) as a regression dashboard",
-    )
-    perf.add_argument(
-        "--root",
-        default=".",
-        help="directory holding BENCH_*.json files (default: cwd)",
-    )
-    perf.add_argument(
-        "--html",
-        metavar="FILE.html",
-        help="write the self-contained HTML perf dashboard",
-    )
-    perf.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 1 on schema problems or gate violations",
-    )
-    perf.set_defaults(func=_cmd_perf)
 
     telemetry = commands.add_parser(
         "telemetry",

@@ -8,8 +8,8 @@ stats — and inserts a hierarchical aggregator tier that merges the
 complete an epoch in bounded controller memory with a single LENS
 recovery at the root.
 
-Opt in per run with ``repro run --cluster`` or per process with
-``REPRO_CLUSTER=1``; see ``docs/robustness.md`` ("Cluster transport").
+Opt in with ``PipelineConfig(cluster=ClusterConfig(...))`` or
+``repro run --cluster``; see ``docs/robustness.md`` ("Cluster transport").
 """
 
 from repro.cluster.aggregator import (
@@ -19,7 +19,7 @@ from repro.cluster.aggregator import (
     rendezvous_aggregator,
     rendezvous_weight,
 )
-from repro.cluster.config import ClusterConfig, cluster_from_env
+from repro.cluster.config import ClusterConfig
 from repro.cluster.framing import DEFAULT_MAX_FRAME_BYTES, FrameAssembler
 from repro.cluster.runner import ClusterCollector, FailoverRecord
 from repro.cluster.transport import (
@@ -46,7 +46,6 @@ __all__ = [
     "HostChannel",
     "PartialAggregate",
     "assign_aggregator",
-    "cluster_from_env",
     "rendezvous_aggregator",
     "rendezvous_weight",
 ]

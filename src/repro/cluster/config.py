@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
@@ -141,23 +140,3 @@ class ClusterConfig:
         if self.aggregators:
             return min(self.aggregators, max(1, num_hosts))
         return max(1, math.ceil(math.sqrt(max(1, num_hosts))))
-
-
-def cluster_from_env() -> ClusterConfig | None:
-    """A default :class:`ClusterConfig` when ``REPRO_CLUSTER`` is set.
-
-    ``REPRO_CLUSTER=1`` (or any non-empty value except ``0``) routes
-    every pipeline epoch's reports over real localhost sockets with
-    the auto-sized hierarchical aggregator tier; a numeric value other
-    than ``1`` fixes the aggregator count instead.  Returns ``None``
-    otherwise — cluster transport stays strictly opt-in (mirrors
-    ``REPRO_CHAOS``).
-    """
-    flag = os.environ.get("REPRO_CLUSTER", "")
-    if not flag or flag == "0":
-        return None
-    try:
-        value = int(flag)
-    except ValueError:
-        value = 1
-    return ClusterConfig(aggregators=0 if value == 1 else value)

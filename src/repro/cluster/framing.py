@@ -1,13 +1,14 @@
 """Incremental frame extraction from a TCP byte stream.
 
-The v2 wire format (``repro.controlplane.transport``) is already
+The wire format (``repro.controlplane.transport``) is already
 length-prefixed — ``MAGIC | version | host | epoch | length | crc |
 payload`` — so a socket receiver only needs to reassemble frames from
 an arbitrarily chunked byte stream.  :class:`FrameAssembler` is the
 sans-IO core of that: feed it whatever ``recv`` returned, get back
 every *complete* frame, keep the partial tail buffered.  It validates
-only what a stream parser must (magic, version, declared length) and
-leaves payload validation (CRC, restricted unpickling, host
+only what a stream parser must (magic and version, via the shared
+:func:`~repro.controlplane.transport.parse_header`, and the declared
+length) and leaves payload validation (CRC, restricted unpickling, host
 cross-check) to :func:`~repro.controlplane.transport.decode_report`,
 so a corrupted length field can never make the receiver buffer
 gigabytes or mis-split every subsequent frame: the connection is
@@ -19,14 +20,8 @@ directly by the socket-corruption property tests.
 
 from __future__ import annotations
 
-import struct
-
 from repro.common.errors import CorruptFrameError
-
-_MAGIC = b"SKVR"
-_PROBE = struct.Struct(">4sB")
-_HEADER_V1 = struct.Struct(">4sBI")
-_HEADER_V2 = struct.Struct(">4sBIIII")
+from repro.controlplane.transport import parse_header
 
 #: Hard ceiling on a single frame's declared payload size.  A bit-flip
 #: in the length field must not convince the receiver to wait for (or
@@ -35,7 +30,7 @@ DEFAULT_MAX_FRAME_BYTES = 64 << 20
 
 
 class FrameAssembler:
-    """Reassemble v2 wire frames from a chunked byte stream.
+    """Reassemble wire frames from a chunked byte stream.
 
     ``feed`` returns complete frames in arrival order and buffers any
     trailing partial frame for the next call.  Malformed stream state
@@ -70,34 +65,16 @@ class FrameAssembler:
 
     def _pop_frame(self) -> bytes | None:
         buffer = self._buffer
-        if len(buffer) < _PROBE.size:
+        header = parse_header(buffer)
+        if header is None:
             return None
-        magic, version = _PROBE.unpack_from(buffer, 0)
-        if magic != _MAGIC:
+        if header.length > self.max_frame_bytes:
             raise CorruptFrameError(
-                f"stream desynchronized: bad frame magic {magic!r}"
-            )
-        if version == 1:
-            header_size = _HEADER_V1.size
-            if len(buffer) < header_size:
-                return None
-            _, _, length = _HEADER_V1.unpack_from(buffer, 0)
-        elif version == 2:
-            header_size = _HEADER_V2.size
-            if len(buffer) < header_size:
-                return None
-            _, _, _, _, length, _ = _HEADER_V2.unpack_from(buffer, 0)
-        else:
-            raise CorruptFrameError(
-                f"stream carries unsupported frame version {version}"
-            )
-        if length > self.max_frame_bytes:
-            raise CorruptFrameError(
-                f"frame declares {length} payload bytes, above the "
-                f"{self.max_frame_bytes}-byte stream ceiling "
+                f"frame declares {header.length} payload bytes, above "
+                f"the {self.max_frame_bytes}-byte stream ceiling "
                 "(corrupt length field?)"
             )
-        total = header_size + length
+        total = header.size + header.length
         if len(buffer) < total:
             return None
         frame = bytes(buffer[:total])

@@ -238,9 +238,7 @@ class AggregatorListener:
             return self._strike(writer)
         try:
             header = peek_header(frame)
-            if header.epoch is not None and header.epoch != (
-                self.epoch & 0xFFFF_FFFF
-            ):
+            if header.epoch != self.epoch & 0xFFFF_FFFF:
                 raise StaleEpochError(
                     f"frame for epoch {header.epoch} during epoch "
                     f"{self.epoch}"

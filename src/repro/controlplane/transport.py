@@ -7,20 +7,15 @@ unpickler that only resolves classes from this package, numpy, and
 Python builtins, so a controller cannot be made to execute arbitrary
 constructors from a hostile host.
 
-Two frame versions are understood:
-
-* **v2** (written) — ``MAGIC (4B) | version (1B) | host_id (4B, BE) |
-  epoch (4B, BE) | length (4B, BE) | crc32 (4B, BE) | payload``.  The
-  CRC covers the payload, so any truncation or bit-flip — in flight or
-  at rest — is detected before the unpickler ever runs; host id and
-  epoch ride in the clear so the collector can dedup and reject stale
-  replays without deserializing.
-* **v1** (rejected by default) — ``MAGIC | version | length |
-  payload``, the pre-CRC format.  v1 carries no integrity check, so
-  decoding it is refused with :class:`CorruptFrameError` unless the
-  ``REPRO_ALLOW_V1_FRAMES=1`` escape hatch is set, in which case the
-  historical ``DeprecationWarning`` behavior applies (see
-  ``docs/robustness.md`` for the removal schedule).
+One frame layout (version 2) is written and understood: ``MAGIC (4B) |
+version (1B) | host_id (4B, BE) | epoch (4B, BE) | length (4B, BE) |
+crc32 (4B, BE) | payload``.  The CRC covers the payload, so any
+truncation or bit-flip — in flight or at rest — is detected before the
+unpickler ever runs; host id and epoch ride in the clear so the
+collector can dedup and reject stale replays without deserializing.
+Any other version (including the pre-CRC v1 layout) is a
+:class:`CorruptFrameError`; :func:`parse_header` is the one place the
+layout is parsed.
 
 On top of the codec sits :class:`ReportCollector`: per-host delivery
 with timeout, exponential-backoff retry, duplicate suppression by
@@ -31,11 +26,9 @@ of the fault model in ``docs/robustness.md``.
 from __future__ import annotations
 
 import io
-import os
 import pickle
 import random
 import struct
-import warnings
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
@@ -50,10 +43,9 @@ from repro.dataplane.host import LocalReport
 from repro.faults.plan import FaultKind
 
 _MAGIC = b"SKVR"
-_VERSION_V1 = 1
 _VERSION = 2
-_HEADER_V1 = struct.Struct(">4sBI")
-_HEADER_V2 = struct.Struct(">4sBIIII")
+_PROBE = struct.Struct(">4sB")
+_HEADER = struct.Struct(">4sBIIII")
 
 #: Module prefixes the unpickler will resolve classes from.
 _ALLOWED_PREFIXES = (
@@ -93,31 +85,6 @@ def restricted_loads(payload: bytes):
     boundary (wire frames, snapshot files at rest).
     """
     return _RestrictedUnpickler(io.BytesIO(payload)).load()
-
-
-#: Lifetime count of v1 (un-CRC'd) frames this process decoded; see
-#: :func:`v1_frames_decoded`.
-_v1_frames_decoded = 0
-
-
-def v1_frames_decoded() -> int:
-    """How many deprecated v1 frames this process has decoded so far.
-
-    The per-epoch increment is also tracked in
-    :class:`CollectionStats.v1_frames` and published as the
-    ``sketchvisor_transport_v1_frames_total`` counter.
-    """
-    return _v1_frames_decoded
-
-
-def allow_v1_frames() -> bool:
-    """Whether the ``REPRO_ALLOW_V1_FRAMES=1`` escape hatch is set.
-
-    Checked at decode time (not import time) so tests and operators
-    can flip it without re-importing the module.
-    """
-    flag = os.environ.get("REPRO_ALLOW_V1_FRAMES", "")
-    return bool(flag) and flag != "0"
 
 
 #: Ceiling on the backoff exponent: ``factor**_MAX_BACKOFF_EXPONENT``
@@ -171,31 +138,22 @@ def jittered_backoff(
 
 @dataclass(frozen=True)
 class FrameHeader:
-    """The in-the-clear part of one frame.
+    """The in-the-clear part of one frame."""
 
-    ``host_id`` / ``epoch`` are ``None`` for v1 frames, which did not
-    carry them.
-    """
-
-    version: int
+    host_id: int
+    epoch: int
     length: int
-    host_id: int | None = None
-    epoch: int | None = None
-    crc32: int | None = None
+    crc32: int
 
-    @property
-    def size(self) -> int:
-        return (
-            _HEADER_V1.size if self.version == _VERSION_V1
-            else _HEADER_V2.size
-        )
+    #: Header bytes preceding the payload.
+    size = _HEADER.size
 
 
 def encode_report(report: LocalReport, epoch: int = 0) -> bytes:
-    """Serialize one host's epoch report into a framed v2 message."""
+    """Serialize one host's epoch report into a framed message."""
     payload = pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
     return (
-        _HEADER_V2.pack(
+        _HEADER.pack(
             _MAGIC,
             _VERSION,
             report.host_id & 0xFFFF_FFFF,
@@ -207,6 +165,41 @@ def encode_report(report: LocalReport, epoch: int = 0) -> bytes:
     )
 
 
+def parse_header(buffer, offset: int = 0) -> FrameHeader | None:
+    """Parse the frame header starting at ``buffer[offset]``.
+
+    The single parser of the frame layout, shared by
+    :func:`peek_header`, :func:`decode_stream` and the socket tier's
+    :class:`~repro.cluster.framing.FrameAssembler`.  Returns ``None``
+    when the header is not fully there yet (a stream receiver waits
+    for more bytes; a whole-message caller treats it as truncation).
+    Magic and version are checked as soon as their five bytes are in,
+    so a desynchronized stream is rejected without waiting for a
+    header it will never complete; both raise
+    :class:`CorruptFrameError`.
+    """
+    available = len(buffer) - offset
+    if available < _PROBE.size:
+        return None
+    magic, version = _PROBE.unpack_from(buffer, offset)
+    if magic != _MAGIC:
+        raise CorruptFrameError(
+            f"bad frame magic {magic!r} at offset {offset}"
+        )
+    if version != _VERSION:
+        raise CorruptFrameError(
+            f"unsupported frame version {version} at offset {offset}"
+        )
+    if available < _HEADER.size:
+        return None
+    _, _, host_id, epoch, length, crc = _HEADER.unpack_from(
+        buffer, offset
+    )
+    return FrameHeader(
+        host_id=host_id, epoch=epoch, length=length, crc32=crc
+    )
+
+
 def peek_header(message: bytes) -> FrameHeader:
     """Parse and validate a frame's header without touching the payload.
 
@@ -214,31 +207,9 @@ def peek_header(message: bytes) -> FrameHeader:
     buffer, bad magic, unknown version, or a declared payload length
     that disagrees with the actual buffer (truncated *or* oversized).
     """
-    if len(message) < _HEADER_V1.size:
+    header = parse_header(message)
+    if header is None:
         raise CorruptFrameError("message too short for a report frame")
-    magic, version = struct.unpack_from(">4sB", message, 0)
-    if magic != _MAGIC:
-        raise CorruptFrameError(f"bad frame magic {magic!r}")
-    if version == _VERSION_V1:
-        _, _, length = _HEADER_V1.unpack_from(message, 0)
-        header = FrameHeader(version=version, length=length)
-    elif version == _VERSION:
-        if len(message) < _HEADER_V2.size:
-            raise CorruptFrameError(
-                "message too short for a v2 report frame"
-            )
-        _, _, host_id, epoch, length, crc = _HEADER_V2.unpack_from(
-            message, 0
-        )
-        header = FrameHeader(
-            version=version,
-            length=length,
-            host_id=host_id,
-            epoch=epoch,
-            crc32=crc,
-        )
-    else:
-        raise CorruptFrameError(f"unsupported frame version {version}")
     actual = len(message) - header.size
     if actual != header.length:
         raise CorruptFrameError(
@@ -251,7 +222,7 @@ def peek_header(message: bytes) -> FrameHeader:
 
 
 def decode_report(message: bytes) -> LocalReport:
-    """Parse a framed message (v1 or v2) back into a :class:`LocalReport`.
+    """Parse a framed message back into a :class:`LocalReport`.
 
     Raises :class:`CorruptFrameError` (a :class:`ConfigError`) on bad
     magic, version, length mismatch, CRC mismatch, or an undecodable
@@ -259,26 +230,8 @@ def decode_report(message: bytes) -> LocalReport:
     non-allowlisted class.
     """
     header = peek_header(message)
-    if header.version == _VERSION_V1:
-        if not allow_v1_frames():
-            raise CorruptFrameError(
-                "v1 report frames are no longer accepted: v1 carries "
-                "no CRC32, so payload corruption is undetectable. "
-                "Re-encode with encode_report (v2), or set "
-                "REPRO_ALLOW_V1_FRAMES=1 to decode legacy frames "
-                "during migration."
-            )
-        global _v1_frames_decoded
-        _v1_frames_decoded += 1
-        warnings.warn(
-            "decoding a v1 report frame: v1 carries no CRC32, so "
-            "payload corruption is undetectable; re-encode with "
-            "encode_report (v2)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     payload = message[header.size :]
-    if header.crc32 is not None and zlib.crc32(payload) != header.crc32:
+    if zlib.crc32(payload) != header.crc32:
         raise CorruptFrameError(
             "frame CRC32 mismatch (payload corrupted in flight)"
         )
@@ -295,9 +248,7 @@ def decode_report(message: bytes) -> LocalReport:
             f"frame did not contain a LocalReport "
             f"(got {type(report).__name__})"
         )
-    if header.host_id is not None and header.host_id != (
-        report.host_id & 0xFFFF_FFFF
-    ):
+    if header.host_id != (report.host_id & 0xFFFF_FFFF):
         raise CorruptFrameError(
             f"frame header host {header.host_id} does not match "
             f"payload host {report.host_id}"
@@ -317,35 +268,18 @@ def decode_stream(data: bytes) -> list[LocalReport]:
     reports: list[LocalReport] = []
     offset = 0
     while offset < len(data):
-        if offset + _HEADER_V1.size > len(data):
+        header = parse_header(data, offset)
+        if header is None:
             raise CorruptFrameError(
                 "trailing bytes are not a full frame"
             )
-        magic, version = struct.unpack_from(">4sB", data, offset)
-        if magic != _MAGIC:
-            raise CorruptFrameError(
-                f"bad frame magic {magic!r} at offset {offset}"
-            )
-        if version == _VERSION_V1:
-            header_size = _HEADER_V1.size
-            _, _, length = _HEADER_V1.unpack_from(data, offset)
-        elif version == _VERSION:
-            if offset + _HEADER_V2.size > len(data):
-                raise CorruptFrameError(
-                    "trailing bytes are not a full v2 frame"
-                )
-            header_size = _HEADER_V2.size
-            _, _, _, _, length, _ = _HEADER_V2.unpack_from(data, offset)
-        else:
-            raise CorruptFrameError(
-                f"unsupported frame version {version} at offset {offset}"
-            )
-        end = offset + header_size + length
+        end = offset + header.size + header.length
         if end > len(data):
             raise CorruptFrameError(
-                f"frame at offset {offset} declares {length} payload "
-                f"bytes but only {len(data) - offset - header_size} "
-                "remain (truncated stream)"
+                f"frame at offset {offset} declares {header.length} "
+                f"payload bytes but only "
+                f"{len(data) - offset - header.size} remain "
+                "(truncated stream)"
             )
         reports.append(decode_report(data[offset:end]))
         offset = end
@@ -368,10 +302,6 @@ class CollectionStats:
     duplicates: int = 0
     stale_frames: int = 0
     crashes: int = 0
-    #: Deprecated v1 (un-CRC'd) frames the collector decoded; not a
-    #: fault (the frame was usable) but worth surfacing — v1 carries no
-    #: integrity check.
-    v1_frames: int = 0
     #: Total *simulated* backoff the retry loop would have slept.
     backoff_seconds: float = 0.0
     # ------------------------------------------------------------------
@@ -621,16 +551,12 @@ class ReportCollector:
                     frame, fault, epoch, host, attempt
                 )
                 header = peek_header(delivered)
-                if header.epoch is not None and header.epoch != (
-                    epoch & 0xFFFF_FFFF
-                ):
+                if header.epoch != epoch & 0xFFFF_FFFF:
                     raise StaleEpochError(
                         f"host {host} delivered a frame for epoch "
                         f"{header.epoch} during epoch {epoch}"
                     )
                 report = decode_report(delivered)
-                if header.version == _VERSION_V1:
-                    stats.v1_frames += 1
             except ReportTimeout:
                 if fault is FaultKind.DELAY:
                     stats.timeouts += 1

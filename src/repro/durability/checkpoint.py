@@ -32,8 +32,9 @@ from repro.common.errors import ReproError
 from repro.durability.codec import StateCodec
 
 #: Default snapshot interval in packets — small enough that replay
-#: after a crash is cheap, large enough that snapshot cost stays well
-#: under the bench's 10% throughput budget (see BENCH_checkpoint.json).
+#: after a crash is cheap, large enough that snapshot cost stays small
+#: (the end-to-end benchmark's ``durability.overhead_ratio`` row on the
+#: ``dp_durable`` workload measures it).
 DEFAULT_CHECKPOINT_EVERY = 16384
 
 

@@ -10,17 +10,12 @@ against exact ground truth.
 from __future__ import annotations
 
 import logging
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.cluster import (
-    ClusterCollector,
-    ClusterConfig,
-    cluster_from_env,
-)
+from repro.cluster import ClusterCollector, ClusterConfig
 from repro.common.errors import ConfigError
 from repro.controlplane.controller import Controller, NetworkResult
 from repro.controlplane.lens import LensConfig
@@ -128,25 +123,21 @@ class PipelineConfig:
     #: Seconds without a heartbeat before the watchdog flags a host.
     watchdog_timeout: float = 1.0
     #: Accuracy SLO policy: an :class:`SLOPolicy`, a path to a policy
-    #: JSON, or ``None`` (no SLO evaluation).  Needs telemetry;
-    #: ``REPRO_SLO=<path>`` in the environment injects a path here.
+    #: JSON, or ``None`` (no SLO evaluation).  Needs telemetry.
     slo: SLOPolicy | str | None = None
     #: Shadow ground-truth sample size per epoch (0 disables the
-    #: empirical error gauges); ``REPRO_SHADOW_SAMPLES=<n>`` injects.
+    #: empirical error gauges).
     shadow_samples: int = 0
     #: Where the flight recorder dumps on crash, quarantine, or SLO
     #: breach; ``None`` records into the ring without auto-dumping.
-    #: ``REPRO_RECORDER_PATH=<file>`` injects a path here.
     recorder_path: str | None = None
     #: Real-socket control plane: a
     #: :class:`~repro.cluster.ClusterConfig` routes every epoch's
     #: reports over actual TCP connections through the hierarchical
     #: aggregator tier instead of the in-process handoff.  ``None``
-    #: (the default) keeps the historical paths bit for bit; setting
-    #: ``REPRO_CLUSTER=1`` in the environment injects a default
-    #: config here instead.  Composes with ``faults``: the plan's
-    #: report-path *and* connection-level schedules are injected at
-    #: the socket layer.
+    #: (the default) keeps the historical paths bit for bit.
+    #: Composes with ``faults``: the plan's report-path *and*
+    #: connection-level schedules are injected at the socket layer.
     cluster: "ClusterConfig | None" = None
     #: Cycle-level profiling: a :class:`ProfileConfig`, ``True`` for
     #: the defaults, or ``None``/``False`` (off).  Implies telemetry.
@@ -173,26 +164,12 @@ class PipelineConfig:
             self.telemetry.enable_profiling(self.profile)
         if self.faults is None:
             self.faults = faults_from_env()
-        if self.cluster is None:
-            self.cluster = cluster_from_env()
         if self.checkpoint_dir is None:
             env_dir, env_every = checkpoint_from_env()
             if env_dir is not None:
                 self.checkpoint_dir = env_dir
                 if env_every is not None:
                     self.checkpoint_every = env_every
-        if self.slo is None:
-            env_slo = os.environ.get("REPRO_SLO")
-            if env_slo:
-                self.slo = env_slo
-        if self.shadow_samples == 0:
-            env_samples = os.environ.get("REPRO_SHADOW_SAMPLES", "")
-            if env_samples.isdigit():
-                self.shadow_samples = int(env_samples)
-        if self.recorder_path is None:
-            self.recorder_path = (
-                os.environ.get("REPRO_RECORDER_PATH") or None
-            )
 
 
 def _run_host_epoch(host, shard, offered_gbps, profile=None):

@@ -168,8 +168,7 @@ def telemetry_from_env() -> Telemetry | None:
 
     Recognizes any non-empty value except ``0``; returns ``None``
     otherwise, keeping telemetry strictly opt-in.  ``REPRO_PROFILE=1``
-    implies telemetry and attaches a profiler built from the
-    ``REPRO_PROFILE_*`` knobs.
+    implies telemetry and attaches a default-configured profiler.
     """
     profile = profile_from_env()
     flag = os.environ.get("REPRO_TELEMETRY", "")

@@ -105,24 +105,15 @@ class ProfileConfig:
 
 
 def profile_from_env() -> ProfileConfig | None:
-    """A :class:`ProfileConfig` when ``REPRO_PROFILE`` is set.
+    """The default :class:`ProfileConfig` when ``REPRO_PROFILE`` is set.
 
-    Recognizes any non-empty value except ``0``; ``REPRO_PROFILE_HZ``
-    overrides the sampler rate (0 disables sampling) and
-    ``REPRO_PROFILE_MEMORY=1`` opts into tracemalloc.
+    Recognizes any non-empty value except ``0``.  The sampler rate and
+    tracemalloc are :class:`ProfileConfig` fields, not env knobs.
     """
     flag = os.environ.get("REPRO_PROFILE", "")
     if not flag or flag == "0":
         return None
-    config = ProfileConfig()
-    hz = os.environ.get("REPRO_PROFILE_HZ", "")
-    try:
-        config.sample_hz = float(hz) if hz else config.sample_hz
-    except ValueError:
-        pass
-    memory = os.environ.get("REPRO_PROFILE_MEMORY", "")
-    config.memory = bool(memory) and memory != "0"
-    return config
+    return ProfileConfig()
 
 
 class _StageFrame:

@@ -183,10 +183,6 @@ def publish_collection_epoch(
         "sketchvisor_transport_missing_reports_total",
         "Host reports still missing when collection gave up",
     ).inc(len(collection.missing_hosts))
-    registry.counter(
-        "sketchvisor_transport_v1_frames_total",
-        "Deprecated v1 (un-CRC'd) report frames decoded",
-    ).inc(getattr(stats, "v1_frames", 0))
 
 
 def publish_cluster_epoch(

@@ -92,6 +92,34 @@ class TestRun:
         assert "cores           : 2" in out
         assert "recall" in out
 
+    def test_repro_run_profile_artifacts(self, tmp_path, capsys):
+        flame = tmp_path / "flame.html"
+        folded = tmp_path / "stacks.folded"
+        code = main(
+            [
+                "run",
+                "--task",
+                "heavy_hitter",
+                "--solution",
+                "univmon",
+                "--flows",
+                "400",
+                "--profile",
+                "--profile-hz",
+                "200",
+                "--flame-out",
+                str(flame),
+                "--folded-out",
+                str(folded),
+            ]
+        )
+        captured = capsys.readouterr().out
+        assert code == 0
+        assert "stage profile" in captured
+        assert "epoch attribution" in captured
+        assert flame.read_text().startswith("<!DOCTYPE html>")
+        assert folded.exists()
+
     def test_convert_roundtrip(self, tmp_path, capsys):
         npz = tmp_path / "t.npz"
         pcap = tmp_path / "t.pcap"
@@ -306,7 +334,8 @@ class TestClusterCli:
         assert "QUORUM FAILED" in captured.err
         assert "quorum requires 2" in captured.err
 
-    def test_soak_runs_multiple_epochs(self, capsys):
+    def test_soak_runs_multiple_epochs(self, tmp_path, capsys):
+        dump = tmp_path / "soak_recorder.json"
         code = main(
             [
                 "run",
@@ -314,6 +343,7 @@ class TestClusterCli:
                 "--aggregators", "3",
                 "--flows", "300",
                 "--soak", "2",
+                "--recorder-out", str(dump),
             ]
         )
         assert code == 0
@@ -322,6 +352,7 @@ class TestClusterCli:
         assert "epoch   1:" in out
         assert "soak" in out
         assert "0 quorum failure(s)" in out
+        assert json.loads(dump.read_text())["reason"] == "soak"
 
     def test_soak_quorum_failures_exit_nonzero(
         self, tmp_path, capsys

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,6 @@ from repro.cluster import (
     ClusterConfig,
     PartialAggregate,
     assign_aggregator,
-    cluster_from_env,
     rendezvous_aggregator,
 )
 from repro.common.errors import ConfigError
@@ -220,7 +222,7 @@ class TestSocketChaos:
             sum(
                 v
                 for k, v in stats.items()
-                if k not in ("retries", "backoff_seconds", "v1_frames")
+                if k not in ("retries", "backoff_seconds")
             )
             for stats, _, _ in outcomes
         )
@@ -403,6 +405,30 @@ class TestAggregatorTier:
         assert partial.num_hosts == NUM_HOSTS
         assert partial.host_ids == tuple(range(NUM_HOSTS))
 
+    @pytest.mark.parametrize("num_hosts", [16, 64])
+    def test_resident_reports_flat_n_hierarchical_two(
+        self, reports, num_hosts
+    ):
+        """Memory scaling, machine-independently: over real sockets a
+        flat collection holds all N reports at once, the hierarchical
+        tier never more than two per aggregator, with sqrt(N)
+        aggregators."""
+        fleet = [
+            dataclasses.replace(
+                reports[host_id % NUM_HOSTS], host_id=host_id
+            )
+            for host_id in range(num_hosts)
+        ]
+        flat = ClusterCollector(
+            ClusterConfig(hierarchical=False, **FAST)
+        )
+        assert flat.collect(fleet, 0).hosts_reported == num_hosts
+        assert flat.last_peak_resident == num_hosts
+        hier = ClusterCollector(ClusterConfig(hierarchical=True, **FAST))
+        assert hier.collect(fleet, 0).hosts_reported == num_hosts
+        assert hier.last_peak_resident == 2
+        assert hier.last_aggregators == math.ceil(math.sqrt(num_hosts))
+
     def test_pairwise_merge_equals_flat_merge(self, reports):
         aggregator = Aggregator(3)
         for report in reports:
@@ -464,17 +490,6 @@ class TestClusterConfig:
             ClusterConfig(backoff_jitter=1.5)
         with pytest.raises(ConfigError):
             ClusterConfig(idle_timeout=0)
-
-    def test_env_gate(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CLUSTER", raising=False)
-        assert cluster_from_env() is None
-        monkeypatch.setenv("REPRO_CLUSTER", "0")
-        assert cluster_from_env() is None
-        monkeypatch.setenv("REPRO_CLUSTER", "1")
-        cfg = cluster_from_env()
-        assert cfg is not None and cfg.aggregators == 0
-        monkeypatch.setenv("REPRO_CLUSTER", "6")
-        assert cluster_from_env().aggregators == 6
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +802,11 @@ class TestAggregatorFailover:
             ClusterConfig(**FAST), injector=injector
         )
         total_failovers = 0
-        for epoch in range(5):
+        redeliveries = 0
+        epochs = 5
+        for epoch in range(epochs):
             collection = collector.collect(reports, epoch)
+            redeliveries += collection.stats.redeliveries
             assert (
                 collection.hosts_reported
                 + len(collection.missing_hosts)
@@ -802,6 +820,10 @@ class TestAggregatorFailover:
                 assert set(record.unrecovered_hosts) <= set(
                     collection.missing_hosts
                 )
+                assert (
+                    record.recovery_seconds is None
+                    or record.recovery_seconds <= 10.0
+                )
             if not collection.missing_hosts:
                 network = self._merge(collection, epoch)
                 assert np.array_equal(
@@ -810,3 +832,4 @@ class TestAggregatorFailover:
                 )
         assert total_failovers >= 1
         assert injector.injected.get("agg_crash", 0) >= 1
+        assert redeliveries <= 0.5 * epochs * NUM_HOSTS

@@ -370,26 +370,15 @@ class TestEnvGates:
         monkeypatch.setenv("REPRO_PROFILE", "0")
         assert profile_from_env() is None
 
-    def test_profile_from_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        monkeypatch.setenv("REPRO_PROFILE_HZ", "13.5")
-        monkeypatch.setenv("REPRO_PROFILE_MEMORY", "1")
-        config = profile_from_env()
-        assert config is not None
-        assert config.sample_hz == 13.5
-        assert config.memory is True
-
     def test_telemetry_from_env_enables_profiler(self, monkeypatch):
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         monkeypatch.setenv("REPRO_PROFILE", "1")
-        monkeypatch.setenv("REPRO_PROFILE_HZ", "0")
         telemetry = telemetry_from_env()
         assert telemetry is not None
         assert telemetry.profiler is not None
 
     def test_pipeline_config_env_gate(self, monkeypatch, trace, truth):
         monkeypatch.setenv("REPRO_PROFILE", "1")
-        monkeypatch.setenv("REPRO_PROFILE_HZ", "0")
         config = PipelineConfig(num_hosts=1, seed=3, batch=True)
         assert isinstance(config.profile, ProfileConfig)
         assert config.telemetry is not None

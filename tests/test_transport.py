@@ -9,10 +9,12 @@ import struct
 import numpy as np
 import pytest
 
+from repro.cluster.framing import FrameAssembler
 from repro.common.errors import ConfigError, CorruptFrameError
 from repro.controlplane.controller import Controller
 from repro.controlplane.recovery import RecoveryMode
 from repro.controlplane.transport import (
+    ReportCollector,
     decode_report,
     decode_stream,
     encode_report,
@@ -150,50 +152,33 @@ class TestFrameValidation:
 
 
 class TestFrameV2:
-    """The CRC-checked v2 format and v1 backward compatibility."""
+    """The CRC-checked v2 format; v1 is an unsupported version."""
 
     def test_header_carries_host_and_epoch(self, report):
         frame = encode_report(report, epoch=17)
         header = peek_header(frame)
-        assert header.version == 2
         assert header.host_id == report.host_id
         assert header.epoch == 17
         assert header.length == len(frame) - header.size
 
-    def test_v1_frames_rejected_by_default(self, report, monkeypatch):
-        monkeypatch.delenv("REPRO_ALLOW_V1_FRAMES", raising=False)
+    def test_v1_frame_rejected_everywhere(self, report):
+        """The pre-CRC v1 layout is an unsupported version: alone,
+        mid-stream, at the collector and at the socket assembler."""
         payload = pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
         v1 = struct.pack(">4sBI", b"SKVR", 1, len(payload)) + payload
-        with pytest.raises(CorruptFrameError, match="no longer"):
+        with pytest.raises(CorruptFrameError, match="version 1"):
             decode_report(v1)
-
-    def test_v1_escape_hatch_still_decodes(self, report, monkeypatch):
-        monkeypatch.setenv("REPRO_ALLOW_V1_FRAMES", "1")
-        payload = pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
-        v1 = struct.pack(">4sBI", b"SKVR", 1, len(payload)) + payload
-        with pytest.deprecated_call():
-            restored = decode_report(v1)
-        assert restored.host_id == report.host_id
-        assert np.array_equal(
-            restored.sketch.to_matrix(), report.sketch.to_matrix()
+        with pytest.raises(CorruptFrameError, match="version 1"):
+            decode_stream(encode_report(report, epoch=3) + v1)
+        result = ReportCollector(max_retries=1).collect(
+            {report.host_id: v1}, epoch=0
         )
-
-    def test_v1_escape_hatch_zero_means_off(self, report, monkeypatch):
-        monkeypatch.setenv("REPRO_ALLOW_V1_FRAMES", "0")
-        payload = pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
-        v1 = struct.pack(">4sBI", b"SKVR", 1, len(payload)) + payload
-        with pytest.raises(CorruptFrameError, match="no longer"):
-            decode_report(v1)
-
-    def test_v1_and_v2_mix_in_stream_under_escape_hatch(
-        self, report, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_ALLOW_V1_FRAMES", "1")
-        payload = pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
-        v1 = struct.pack(">4sBI", b"SKVR", 1, len(payload)) + payload
-        stream = encode_report(report, epoch=3) + v1
-        with pytest.deprecated_call():
-            assert len(decode_stream(stream)) == 2
+        assert result.missing_hosts == [report.host_id]
+        assert result.stats.corrupt_frames == 2
+        assembler = FrameAssembler()
+        assert len(assembler.feed(encode_report(report))) == 1
+        with pytest.raises(CorruptFrameError, match="version 1"):
+            assembler.feed(v1)
 
     def test_oversized_payload_rejected(self, report):
         frame = encode_report(report)
