@@ -2,7 +2,7 @@
 
 The in-process pipeline hands each epoch's reports straight to the
 controller; this package ships them over actual TCP connections
-instead — same v2 wire frames, same defensive decode, same collection
+instead — same wire frames, same defensive decode, same collection
 stats — and inserts a hierarchical aggregator tier that merges the
 (linear) sketches pairwise on arrival, so 500–1000 simulated hosts
 complete an epoch in bounded controller memory with a single LENS

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
-from repro.cluster.framing import DEFAULT_MAX_FRAME_BYTES
+from repro.controlplane.transport import DEFAULT_MAX_FRAME_BYTES
 
 
 @dataclass

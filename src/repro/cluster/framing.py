@@ -8,8 +8,8 @@ sans-IO core of that: feed it whatever ``recv`` returned, get back
 every *complete* frame, keep the partial tail buffered.  It validates
 only what a stream parser must (magic and version, via the shared
 :func:`~repro.controlplane.transport.parse_header`, and the declared
-length) and leaves payload validation (CRC, restricted unpickling, host
-cross-check) to :func:`~repro.controlplane.transport.decode_report`,
+length) and leaves payload validation (CRC, array section, restricted
+unpickling, host cross-check) to :func:`~repro.controlplane.transport.decode_report`,
 so a corrupted length field can never make the receiver buffer
 gigabytes or mis-split every subsequent frame: the connection is
 declared poisoned and dropped.
@@ -21,12 +21,10 @@ directly by the socket-corruption property tests.
 from __future__ import annotations
 
 from repro.common.errors import CorruptFrameError
-from repro.controlplane.transport import parse_header
-
-#: Hard ceiling on a single frame's declared payload size.  A bit-flip
-#: in the length field must not convince the receiver to wait for (or
-#: allocate) an absurd buffer.
-DEFAULT_MAX_FRAME_BYTES = 64 << 20
+from repro.controlplane.transport import (
+    DEFAULT_MAX_FRAME_BYTES,
+    parse_header,
+)
 
 
 class FrameAssembler:

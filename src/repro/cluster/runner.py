@@ -3,7 +3,7 @@
 :class:`ClusterCollector` is the socket-transport drop-in for the
 in-process :class:`~repro.controlplane.transport.ReportCollector`: it
 takes the epoch's per-host :class:`LocalReport` objects, ships each as
-a v2 wire frame over a real TCP connection to its aggregator, and
+a wire frame over a real TCP connection to its aggregator, and
 returns the same :class:`CollectionResult` shape the pipeline already
 feeds to quorum-gated aggregation, telemetry, and the flight recorder.
 

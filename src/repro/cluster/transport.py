@@ -1,6 +1,6 @@
 """Asyncio host → aggregator socket transport.
 
-The client half (:class:`HostChannel`) delivers one host's encoded v2
+The client half (:class:`HostChannel`) delivers one host's encoded
 frame to its aggregator over a real TCP connection: connect with a
 deadline, write under kernel backpressure (bounded write buffer +
 ``drain()``), wait for the aggregator's one-byte ack, and retry failed

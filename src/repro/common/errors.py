@@ -44,7 +44,7 @@ class TransportError(ConfigError):
 class CorruptFrameError(TransportError):
     """A frame failed validation: bad magic/version, a length field
     that disagrees with the actual buffer, a CRC32 mismatch, or a
-    payload the restricted unpickler cannot parse."""
+    payload whose array section or pickled envelope does not parse."""
 
 
 class StaleEpochError(TransportError):
@@ -69,6 +69,6 @@ class SnapshotError(ReproError):
 class CorruptSnapshotError(SnapshotError):
     """A checkpoint file failed validation: bad magic/version, a length
     field that disagrees with the buffer, a CRC32 mismatch, or a
-    payload the restricted unpickler cannot parse.  The restore path
-    treats this as "walk back to the previous checkpoint", never as a
-    fatal error."""
+    payload whose array section or pickled envelope does not parse.
+    The restore path treats this as "walk back to the previous
+    checkpoint", never as a fatal error."""

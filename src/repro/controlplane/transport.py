@@ -1,21 +1,36 @@
 """Report serialization: the host → controller wire format.
 
 The prototype ships per-epoch results over ZeroMQ (§6).  This module
-provides the equivalent encoding for :class:`LocalReport` objects —
-framed messages carrying a pickled payload — with a *restricted*
-unpickler that only resolves classes from this package, numpy, and
-Python builtins, so a controller cannot be made to execute arbitrary
-constructors from a hostile host.
+provides the equivalent encoding for :class:`LocalReport` objects and
+the one *payload codec* every checked frame in the package carries —
+report frames here, engine snapshots in ``repro.durability.codec``::
 
-One frame layout (version 2) is written and understood: ``MAGIC (4B) |
+    payload = array section | envelope
+
+The **envelope** is the protocol-5 pickle of the object with every
+contiguous ndarray buffer taken out of band, loaded through a
+*restricted* unpickler that only resolves classes from this package,
+numpy, and Python builtins, so a controller cannot be made to execute
+arbitrary constructors from a hostile host.  The **array section**
+carries those buffers: a count, then per buffer ``kind (1B) |
+dense_nbytes (8B) | nnz (4B)`` followed by either the raw bytes
+(dense) or ``nnz`` strictly increasing ``uint32`` word indices and the
+``nnz`` 8-byte words themselves (sparse) — the section is little-endian
+throughout, like the array memory it carries.  A sketch is sized for
+the network and one host fills a sliver of it, so a frame carries the
+non-zero counters only; viewing a buffer as 8-byte words makes the
+encoding dtype-agnostic and bit-exact (``-0.0``, NaN payloads, int64
+and float64 alike) with no per-sketch schema.
+
+One frame layout (version 3) is written and understood: ``MAGIC (4B) |
 version (1B) | host_id (4B, BE) | epoch (4B, BE) | length (4B, BE) |
 crc32 (4B, BE) | payload``.  The CRC covers the payload, so any
 truncation or bit-flip — in flight or at rest — is detected before the
-unpickler ever runs; host id and epoch ride in the clear so the
-collector can dedup and reject stale replays without deserializing.
-Any other version (including the pre-CRC v1 layout) is a
-:class:`CorruptFrameError`; :func:`parse_header` is the one place the
-layout is parsed.
+section parser or the unpickler ever runs; host id and epoch ride in
+the clear so the collector can dedup and reject stale replays without
+deserializing.  Any other version (the pre-CRC v1 and the
+dense-pickle v2 layouts included) is a :class:`CorruptFrameError`;
+:func:`parse_header` is the one place the layout is parsed.
 
 On top of the codec sits :class:`ReportCollector`: per-host delivery
 with timeout, exponential-backoff retry, duplicate suppression by
@@ -33,19 +48,40 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.common.errors import (
     ConfigError,
     CorruptFrameError,
     ReportTimeout,
+    ReproError,
     StaleEpochError,
 )
 from repro.dataplane.host import LocalReport
 from repro.faults.plan import FaultKind
 
 _MAGIC = b"SKVR"
-_VERSION = 2
+_VERSION = 3
 _PROBE = struct.Struct(">4sB")
 _HEADER = struct.Struct(">4sBIIII")
+
+#: Hard ceiling on one frame, in both of its sizes: the payload bytes a
+#: header may declare on the wire, and the array bytes a payload may
+#: declare once decoded.  A bit-flip in a length field must not
+#: convince a receiver to wait for (or allocate) an absurd buffer.
+DEFAULT_MAX_FRAME_BYTES = 64 << 20
+
+# The array section: a count, then per buffer a descriptor and its data.
+_COUNT = struct.Struct("<I")
+_ARRAY = struct.Struct("<BQI")
+_DENSE, _SPARSE = 0, 1
+_WORD = np.dtype("<u8")
+_INDEX = np.dtype("<u4")
+#: Wire bytes one sparse entry costs (index + word).
+_ENTRY_BYTES = _INDEX.itemsize + _WORD.itemsize
+#: Buffers below this many bytes are always written dense: the most a
+#: sparse form could save there is less than scanning for it is worth.
+_SPARSE_MIN_BYTES = 1024
 
 #: Module prefixes the unpickler will resolve classes from.
 _ALLOWED_PREFIXES = (
@@ -76,15 +112,148 @@ class _RestrictedUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
-def restricted_loads(payload: bytes):
-    """Deserialize ``payload`` through the restricted unpickler.
+def encode_frame(layout: struct.Struct, *fields, obj) -> bytes:
+    """``layout.pack(*fields, length, crc32) | payload`` for ``obj``.
 
-    The single safe-deserialization chokepoint of the package: report
-    decoding and durability-checkpoint decoding both route through it,
-    so the allowlist above governs everything that crosses a trust
-    boundary (wire frames, snapshot files at rest).
+    The one encoder of the payload codec (see the module docstring).
+    Each out-of-band buffer is written sparse when it is at least
+    :data:`_SPARSE_MIN_BYTES` long, a whole number of 8-byte words, and
+    its sparse form takes under half its dense bytes; otherwise dense.
+    The choice depends on the buffer alone, so equal states encode to
+    equal bytes.
     """
-    return _RestrictedUnpickler(io.BytesIO(payload)).load()
+    buffers: list[pickle.PickleBuffer] = []
+    envelope = pickle.dumps(
+        obj, protocol=5, buffer_callback=buffers.append
+    )
+    parts = [_COUNT.pack(len(buffers))]
+    declared = 0
+    for buffer in buffers:
+        raw = buffer.raw()
+        nbytes = raw.nbytes
+        declared += nbytes
+        if nbytes >= _SPARSE_MIN_BYTES and nbytes % _WORD.itemsize == 0:
+            words = np.frombuffer(raw, dtype=_WORD)
+            index = np.flatnonzero(words != 0)
+            if index.size * _ENTRY_BYTES < nbytes // 2:
+                parts += [
+                    _ARRAY.pack(_SPARSE, nbytes, index.size),
+                    index.astype(_INDEX).tobytes(),
+                    words[index].tobytes(),
+                ]
+                continue
+        parts += [_ARRAY.pack(_DENSE, nbytes, 0), raw]
+    if declared > DEFAULT_MAX_FRAME_BYTES:
+        raise ConfigError(
+            f"{type(obj).__name__} holds {declared} array bytes, above "
+            f"the {DEFAULT_MAX_FRAME_BYTES}-byte ceiling every decoder "
+            "enforces"
+        )
+    parts.append(envelope)
+    length = crc = 0
+    for part in parts:
+        length += len(part)
+        crc = zlib.crc32(part, crc)
+    return b"".join([layout.pack(*fields, length, crc), *parts])
+
+
+def decode_payload(payload, corrupt: type[ReproError] = CorruptFrameError):
+    """Rebuild the object behind one CRC-checked payload.
+
+    The one decoder of the payload codec, and the single
+    safe-deserialization chokepoint of the package: report frames and
+    durability snapshots both route through it, so the allowlist above
+    governs everything that crosses a trust boundary (wire frames,
+    snapshot files at rest).  Every array comes back writable and
+    backed by memory of its own — nothing aliases ``payload``.
+
+    Callers check the CRC first; what is refused here is therefore a
+    payload somebody *built* wrong, raised as ``corrupt``: a section
+    that runs past the payload, declared array bytes above
+    :data:`DEFAULT_MAX_FRAME_BYTES` (refused before anything is
+    allocated), an unknown buffer kind, sparse indices out of range or
+    not strictly increasing, an envelope that is not a pickle or uses
+    a different number of buffers than the section holds, and trailing
+    bytes.  A non-allowlisted class is a :class:`ConfigError`.
+    """
+    payload = memoryview(payload)
+    size = len(payload)
+    if size < _COUNT.size:
+        raise corrupt("payload too short for an array section")
+    (count,) = _COUNT.unpack_from(payload)
+    offset = _COUNT.size
+    declared = 0
+    buffers: list[np.ndarray] = []
+    for position in range(count):
+        if size - offset < _ARRAY.size:
+            raise corrupt(
+                f"array section declares {count} buffers but the "
+                f"payload ends inside descriptor {position}"
+            )
+        kind, nbytes, nnz = _ARRAY.unpack_from(payload, offset)
+        offset += _ARRAY.size
+        declared += nbytes
+        if declared > DEFAULT_MAX_FRAME_BYTES:
+            raise corrupt(
+                f"array section declares at least {declared} decoded "
+                f"bytes, above the {DEFAULT_MAX_FRAME_BYTES}-byte "
+                "ceiling"
+            )
+        if kind not in (_DENSE, _SPARSE):
+            raise corrupt(f"buffer {position} has unknown kind {kind}")
+        ragged = nnz if kind == _DENSE else nbytes % _WORD.itemsize
+        if ragged:
+            raise corrupt(
+                f"buffer {position} descriptor is inconsistent: kind "
+                f"{kind}, dense_nbytes {nbytes}, nnz {nnz}"
+            )
+        stored = nbytes if kind == _DENSE else nnz * _ENTRY_BYTES
+        if size - offset < stored:
+            raise corrupt(
+                f"buffer {position} declares {stored} stored bytes "
+                f"but only {size - offset} remain in the payload"
+            )
+        if kind == _DENSE:
+            buffers.append(
+                np.frombuffer(payload, np.uint8, nbytes, offset).copy()
+            )
+        else:
+            num_words = nbytes // _WORD.itemsize
+            index = np.frombuffer(payload, _INDEX, nnz, offset)
+            if nnz and not (
+                index[-1] < num_words and (index[1:] > index[:-1]).all()
+            ):
+                raise corrupt(
+                    f"buffer {position}: sparse indices must be "
+                    f"strictly increasing and below {num_words}"
+                )
+            words = np.zeros(num_words, dtype=_WORD)
+            words[index] = np.frombuffer(
+                payload, _WORD, nnz, offset + nnz * _INDEX.itemsize
+            )
+            buffers.append(words)
+        offset += stored
+    envelope = io.BytesIO(payload[offset:])
+    unused = iter(buffers)
+    try:
+        obj = _RestrictedUnpickler(envelope, buffers=unused).load()
+    except ReproError:
+        raise
+    except Exception as exc:  # pickle raises a zoo of types on garbage
+        raise corrupt(
+            f"payload envelope is not a valid pickle: {exc}"
+        ) from exc
+    if next(unused, None) is not None:
+        raise corrupt(
+            f"array section holds {count} buffers, more than the "
+            "envelope uses"
+        )
+    if envelope.tell() != size - offset:
+        raise corrupt(
+            f"{size - offset - envelope.tell()} trailing bytes after "
+            "the envelope"
+        )
+    return obj
 
 
 #: Ceiling on the backoff exponent: ``factor**_MAX_BACKOFF_EXPONENT``
@@ -151,17 +320,13 @@ class FrameHeader:
 
 def encode_report(report: LocalReport, epoch: int = 0) -> bytes:
     """Serialize one host's epoch report into a framed message."""
-    payload = pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
-    return (
-        _HEADER.pack(
-            _MAGIC,
-            _VERSION,
-            report.host_id & 0xFFFF_FFFF,
-            epoch & 0xFFFF_FFFF,
-            len(payload),
-            zlib.crc32(payload),
-        )
-        + payload
+    return encode_frame(
+        _HEADER,
+        _MAGIC,
+        _VERSION,
+        report.host_id & 0xFFFF_FFFF,
+        epoch & 0xFFFF_FFFF,
+        obj=report,
     )
 
 
@@ -225,24 +390,17 @@ def decode_report(message: bytes) -> LocalReport:
     """Parse a framed message back into a :class:`LocalReport`.
 
     Raises :class:`CorruptFrameError` (a :class:`ConfigError`) on bad
-    magic, version, length mismatch, CRC mismatch, or an undecodable
-    payload, and :class:`ConfigError` on any attempt to resolve a
-    non-allowlisted class.
+    magic, version, length mismatch, CRC mismatch, or anything
+    :func:`decode_payload` refuses, and :class:`ConfigError` on any
+    attempt to resolve a non-allowlisted class.
     """
     header = peek_header(message)
-    payload = message[header.size :]
+    payload = memoryview(message)[header.size :]
     if zlib.crc32(payload) != header.crc32:
         raise CorruptFrameError(
             "frame CRC32 mismatch (payload corrupted in flight)"
         )
-    try:
-        report = restricted_loads(payload)
-    except ConfigError:
-        raise
-    except Exception as exc:  # pickle raises a zoo of types on garbage
-        raise CorruptFrameError(
-            f"frame payload is not a valid pickle: {exc}"
-        ) from exc
+    report = decode_payload(payload)
     if not isinstance(report, LocalReport):
         raise CorruptFrameError(
             f"frame did not contain a LocalReport "
@@ -266,6 +424,7 @@ def encode_stream(
 def decode_stream(data: bytes) -> list[LocalReport]:
     """Split a concatenation of frames back into reports."""
     reports: list[LocalReport] = []
+    view = memoryview(data)
     offset = 0
     while offset < len(data):
         header = parse_header(data, offset)
@@ -281,7 +440,7 @@ def decode_stream(data: bytes) -> list[LocalReport]:
                 f"{len(data) - offset - header.size} remain "
                 "(truncated stream)"
             )
-        reports.append(decode_report(data[offset:end]))
+        reports.append(decode_report(view[offset:end]))
         offset = end
     return reports
 
@@ -495,7 +654,7 @@ class ReportCollector:
     ) -> CollectionResult:
         """Deliver one epoch's frames through the fault model.
 
-        ``frames_by_host`` maps host id to that host's encoded v2
+        ``frames_by_host`` maps host id to that host's encoded
         frame.  Hosts are processed in id order so fault schedules and
         results are independent of dict insertion order.
         """

@@ -20,26 +20,28 @@ The frame mirrors the report transport's defensive shape::
 
     MAGIC "SKVS" | version (1B) | length (4B, BE) | crc32 (4B, BE) | payload
 
-and the payload is deserialized through the transport's *restricted*
-unpickler, so a checkpoint file at rest is held to the same trust
-standard as a frame on the wire.
+(version 2; any other version is a :class:`CorruptSnapshotError`), and
+the payload is the transport's one payload codec — ``array section |
+envelope``, sketch counters written as their non-zero 8-byte words,
+everything else through the *restricted* unpickler — so a checkpoint
+file at rest is as small as a frame on the wire and is held to the same
+trust standard, decoded-size ceiling included.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 import zlib
 
 from repro.common.errors import CorruptSnapshotError, ReproError
 from repro.common.flow import FlowKey
-from repro.controlplane.transport import restricted_loads
+from repro.controlplane.transport import decode_payload, encode_frame
 from repro.dataplane.engine import HostEngine, SwitchReport
 from repro.fastpath.misra_gries import MGEntry, MisraGriesTopK
 from repro.fastpath.topk import FastPath
 
 _MAGIC = b"SKVS"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct(">4sBII")
 
 #: ``state["format"]`` tag of an engine snapshot payload.
@@ -64,13 +66,7 @@ class StateCodec:
     # ------------------------------------------------------------------
     def encode(self, obj) -> bytes:
         """Frame ``obj`` as ``MAGIC | version | length | crc | payload``."""
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        return (
-            _HEADER.pack(
-                _MAGIC, _VERSION, len(payload), zlib.crc32(payload)
-            )
-            + payload
-        )
+        return encode_frame(_HEADER, _MAGIC, _VERSION, obj=obj)
 
     def decode(self, blob: bytes):
         """Validate the frame and return the deserialized payload.
@@ -93,7 +89,7 @@ class StateCodec:
             raise CorruptSnapshotError(
                 f"unsupported snapshot version {version}"
             )
-        payload = blob[_HEADER.size :]
+        payload = memoryview(blob)[_HEADER.size :]
         if len(payload) != length:
             raise CorruptSnapshotError(
                 f"snapshot length mismatch: header says {length}, got "
@@ -103,14 +99,7 @@ class StateCodec:
             raise CorruptSnapshotError(
                 "snapshot CRC32 mismatch (file corrupted at rest)"
             )
-        try:
-            return restricted_loads(payload)
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise CorruptSnapshotError(
-                f"snapshot payload is not a valid pickle: {exc}"
-            ) from exc
+        return decode_payload(payload, CorruptSnapshotError)
 
     # ------------------------------------------------------------------
     def snapshot_engine(self, engine: HostEngine) -> bytes:

@@ -559,7 +559,7 @@ class SketchVisorPipeline:
         """Hand one epoch's reports to the controller.
 
         Without a :class:`FaultPlan` this is the historical direct
-        call.  With one, reports round-trip the v2 wire format through
+        call.  With one, reports round-trip the wire format through
         the :class:`ReportCollector` (faults injected, retries, dedup)
         and the controller merges whatever survived, degraded-mode if
         necessary.  ``extra_missing`` names hosts whose report never

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.common.flow import FlowKey, Packet
@@ -58,3 +59,101 @@ def make_trace(sized_flows: list[tuple[FlowKey, list[int]]]) -> Trace:
                 next_round.append((flow, sizes))
         remaining = next_round
     return Trace(packets)
+
+
+# ----------------------------------------------------------------------
+# Payload-codec round-trip helpers (test_transport / test_state_codec)
+# ----------------------------------------------------------------------
+
+
+def arrays_in(obj, _seen=None) -> list[np.ndarray]:
+    """Every ndarray reachable from a state object, in a fixed order."""
+    seen = set() if _seen is None else _seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif hasattr(obj, "__dict__"):
+        children = list(vars(obj).values())
+    else:
+        children = [
+            getattr(obj, slot) for slot in getattr(obj, "__slots__", ())
+        ]
+    return [a for child in children for a in arrays_in(child, seen)]
+
+
+def array_bits(obj) -> list[tuple]:
+    """``(dtype, shape, bytes)`` of every array: equality of these is
+    bit-exactness (``-0.0`` and NaN payloads included)."""
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays_in(obj)]
+
+
+def saturate(obj, seed: int) -> None:
+    """Make every counter non-zero: the codec's dense arm."""
+    rng = np.random.default_rng(seed)
+    for array in arrays_in(obj):
+        if array.flags.writeable:
+            array[...] = rng.integers(1, 100, size=array.shape)
+
+
+def fill_sketch(sketch, fill: str, seed: int):
+    """``sketch`` left fresh (all zero: the sparse arm at its best),
+    given a few hundred updates, or saturated (the dense arm)."""
+    if fill == "updated":
+        for index in range(300):
+            sketch.update(make_flow(seed + index % 90), 40 + index)
+    elif fill == "saturated":
+        saturate(sketch, seed)
+    return sketch
+
+
+FILLS = ("fresh", "updated", "saturated")
+
+
+def assert_exact_unaliased_round_trip(obj, encode, decode) -> None:
+    """``decode(encode(obj))`` has bit-identical, writable arrays, and
+    scribbling on them leaves the encoded bytes — which the fault
+    injector keeps for replay — decoding to the original."""
+    expected = array_bits(obj)
+    blob = encode(obj)
+    restored = decode(blob)
+    assert array_bits(restored) == expected
+    for array in arrays_in(restored):
+        assert array.flags.writeable is True
+        array[...] = array == 0  # every element changes
+    assert array_bits(decode(blob)) == expected
+
+
+def adversarial_arrays(seed: int, density: float) -> dict:
+    """Arrays chosen to break a word-sparse codec, not a sketch."""
+    rng = np.random.default_rng(seed)
+
+    def thin(values: np.ndarray) -> np.ndarray:
+        values[rng.random(values.shape) >= density] = 0
+        return values
+
+    nan_payloads = np.array(
+        [0x7FF8_0000_0000_0001, 0xFFF0_DEAD_BEEF_0001, 0x7FF0_0000_0000_0001],
+        dtype=np.uint64,
+    ).view(np.float64)
+    floats = thin(rng.random(4096))
+    floats[rng.integers(0, 4096, 8)] = -0.0
+    floats[rng.integers(0, 4096, 3)] = nan_payloads
+    return {
+        "floats": floats,
+        "all_negative_zero": np.full(512, -0.0),
+        "int64": thin(rng.integers(-(2**62), 2**62, 1024)),
+        "int8_odd_length": thin(
+            rng.integers(-128, 128, 1027).astype(np.int8)
+        ),
+        "bool": rng.random(3000) < density,
+        "zero_size": np.zeros((0, 5)),
+        "fortran": np.asfortranarray(thin(rng.random((64, 48)))),
+        "non_contiguous": thin(rng.random(6000))[::3],
+        "under_the_sparse_floor": np.array([0.0, -0.0, 7.0]),
+    }

@@ -140,7 +140,7 @@ class TestHostileStreams:
 
     def test_oversized_declared_length_rejected(self, frame):
         header = struct.pack(
-            ">4sBIIII", b"SKVR", 2, 1, 7, 1 << 30, 0
+            ">4sBIIII", b"SKVR", 3, 1, 7, 1 << 30, 0
         )
         with pytest.raises(CorruptFrameError, match="ceiling"):
             FrameAssembler(max_frame_bytes=1 << 20).feed(header)

@@ -11,6 +11,9 @@ there to catch.
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,7 +42,15 @@ from repro.sketches import (
     TwoLevelSketch,
     UnivMon,
 )
-from tests.conftest import make_flow
+from repro.tasks.heavy_hitter import HeavyHitterTask
+from repro.traffic.generator import TraceConfig, generate_trace
+from tests.conftest import (
+    FILLS,
+    adversarial_arrays,
+    assert_exact_unaliased_round_trip,
+    fill_sketch,
+    make_flow,
+)
 from tests.reference_engine import reference_run
 
 #: Small instances of every registered sketch type (§ Table 1), sized
@@ -165,6 +176,32 @@ class TestSketchRoundTrip:
         assert state_equal(sketch, restored), name
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(SKETCH_FACTORIES)),
+        fill=st.sampled_from(FILLS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_round_trip_is_exact_and_unaliased(
+        self, codec, name, fill, seed
+    ):
+        assert_exact_unaliased_round_trip(
+            fill_sketch(SKETCH_FACTORIES[name](), fill, seed),
+            codec.encode,
+            codec.decode,
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        density=st.sampled_from([0.0, 0.01, 0.04, 0.05, 0.5, 1.0]),
+    )
+    def test_adversarial_arrays_round_trip(self, codec, seed, density):
+        assert_exact_unaliased_round_trip(
+            adversarial_arrays(seed, density), codec.encode, codec.decode
+        )
+
+
 class TestFastPathRoundTrip:
     @settings(max_examples=25, deadline=None)
     @given(updates=updates_strategy())
@@ -219,6 +256,22 @@ class TestEngineSnapshot:
         assert list(restored.fifo.queue) == list(engine.fifo.queue)
         assert restored.fifo.high_water == engine.fifo.high_water
 
+    def test_snapshot_carries_the_non_zero_counters_only(self, codec):
+        """A checkpoint is as small as a frame: a `cp_fanin`-shaped
+        host (one of 32 on a 3 000-flow trace, so one chunk is its
+        whole epoch) snapshots its 3.4 MB Deltoid in under 256 KB, bare
+        or inside an engine."""
+        trace = generate_trace(TraceConfig(num_flows=3000, seed=2017))
+        task = HeavyHitterTask("deltoid", threshold=1000)
+        engine = HostEngine(
+            sketch=task.create_sketch(seed=1),
+            fastpath=FastPath(memory_bytes=8192),
+        )
+        engine.run(trace.partition(32)[0])
+        assert engine.sketch.to_matrix().any()
+        assert len(codec.encode(engine.sketch)) < 256 << 10
+        assert len(codec.snapshot_engine(engine)) < 256 << 10
+
     def test_resumed_engine_matches_uninterrupted(
         self, codec, small_trace
     ):
@@ -267,10 +320,28 @@ class TestFrameCorruption:
             codec.decode(bytes(blob))
 
     def test_unknown_version(self, codec):
-        blob = bytearray(self._blob(codec))
-        blob[4] = 99
-        with pytest.raises(CorruptSnapshotError):
-            codec.decode(bytes(blob))
+        """Version 1 (the dense-pickle snapshot) is as unknown as 99."""
+        for version in (1, 99):
+            blob = bytearray(self._blob(codec))
+            blob[4] = version
+            with pytest.raises(
+                CorruptSnapshotError, match=f"version {version}"
+            ):
+                codec.decode(bytes(blob))
+
+    def test_malformed_payload_is_a_corrupt_snapshot(self, codec):
+        """What the shared payload decoder refuses — here a section
+        declaring a terabyte, CRC intact — surfaces as this layer's
+        error, so restore walks back to the previous checkpoint."""
+        payload = struct.pack("<IBQI", 1, 1, 1 << 40, 0)
+        blob = (
+            struct.pack(
+                ">4sBII", b"SKVS", 2, len(payload), zlib.crc32(payload)
+            )
+            + payload
+        )
+        with pytest.raises(CorruptSnapshotError, match="ceiling"):
+            codec.decode(blob)
 
     @pytest.mark.parametrize("position", [0.1, 0.5, 0.9])
     def test_payload_bitflip_caught_by_crc(self, codec, position):

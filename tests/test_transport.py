@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import random
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.framing import FrameAssembler
 from repro.common.errors import ConfigError, CorruptFrameError
@@ -21,15 +25,77 @@ from repro.controlplane.transport import (
     encode_stream,
     peek_header,
 )
-from repro.dataplane.host import Host
+from repro.dataplane.host import Host, LocalReport
+from repro.sketches.countmin import CountMinSketch
 from repro.sketches.deltoid import Deltoid
 from repro.sketches.flowradar import FlowRadar
+from repro.tasks.heavy_hitter import HeavyHitterTask
+from repro.traffic.generator import TraceConfig, generate_trace
+from repro.traffic.trace import Trace
+from tests.conftest import (
+    FILLS,
+    adversarial_arrays,
+    arrays_in,
+    assert_exact_unaliased_round_trip,
+    fill_sketch,
+    saturate,
+)
+
+DENSE, SPARSE = 0, 1
 
 
 @pytest.fixture(scope="module")
 def report(small_trace):
     host = Host(0, Deltoid(width=128, depth=2, seed=5), fastpath_bytes=8192)
     return host.run_epoch(small_trace)
+
+
+def registry_solutions() -> dict:
+    """Solution name -> ``build(seed=...)`` of its deployed sketch, for
+    every solution of Table 1."""
+    from repro.framework.registry import TASK_REGISTRY, create_task
+
+    builders = {}
+    for task_name, (_cls, solutions) in TASK_REGISTRY.items():
+        kwargs = {}
+        if task_name in ("heavy_hitter", "heavy_changer"):
+            kwargs["threshold"] = 1000
+        if task_name in ("ddos", "superspreader"):
+            kwargs["threshold"] = 10
+        for solution in solutions:
+            builders.setdefault(
+                solution,
+                create_task(task_name, solution, **kwargs).create_sketch,
+            )
+    return builders
+
+
+def frame_of(payload: bytes, version: int = 3, host: int = 0) -> bytes:
+    """A frame around ``payload`` whose header (CRC included) is right,
+    so only what parses the payload can refuse it."""
+    return (
+        struct.pack(
+            ">4sBIIII", b"SKVR", version, host, 0, len(payload),
+            zlib.crc32(payload),
+        )
+        + payload
+    )
+
+
+def array_section(*buffers: tuple[int, int, int, bytes]) -> bytes:
+    """``count | (kind, dense_nbytes, nnz) data ...`` as the codec
+    lays it out."""
+    return struct.pack("<I", len(buffers)) + b"".join(
+        struct.pack("<BQI", kind, nbytes, nnz) + data
+        for kind, nbytes, nnz, data in buffers
+    )
+
+
+def sparse_data(indices: list[int], words: list[int]) -> bytes:
+    return (
+        np.array(indices, "<u4").tobytes()
+        + np.array(words, "<u8").tobytes()
+    )
 
 
 class TestRoundTrip:
@@ -101,27 +167,70 @@ class TestAllSolutionsSerialize:
         )
 
     def test_every_registry_solution(self, small_trace):
-        from repro.framework.registry import TASK_REGISTRY, create_task
+        solutions = registry_solutions()
+        for build in solutions.values():
+            host = Host(0, build(seed=2), fastpath_bytes=8192)
+            report = host.run_epoch(small_trace)
+            restored = decode_report(encode_report(report))
+            assert type(restored.sketch) is type(report.sketch)
+        assert len(solutions) == 9
 
-        seen: set[str] = set()
-        for task_name, (_cls, solutions) in TASK_REGISTRY.items():
-            for solution in solutions:
-                if solution in seen:
-                    continue
-                seen.add(solution)
-                kwargs = {}
-                if task_name in ("heavy_hitter", "heavy_changer"):
-                    kwargs["threshold"] = 1000
-                if task_name in ("ddos", "superspreader"):
-                    kwargs["threshold"] = 10
-                task = create_task(task_name, solution, **kwargs)
-                host = Host(
-                    0, task.create_sketch(seed=2), fastpath_bytes=8192
-                )
-                report = host.run_epoch(small_trace)
-                restored = decode_report(encode_report(report))
-                assert type(restored.sketch) is type(report.sketch)
-        assert len(seen) == 9
+    @settings(max_examples=40, deadline=None)
+    @given(
+        solution=st.sampled_from(sorted(registry_solutions())),
+        fill=st.sampled_from(FILLS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_round_trip_is_exact_and_unaliased(
+        self, report, solution, fill, seed
+    ):
+        """Every solution at its deployed size, from all-zero (the
+        sparse arm at its best) to no zero at all (the dense arm)."""
+        sketch = registry_solutions()[solution](seed=seed)
+        assert_exact_unaliased_round_trip(
+            dataclasses.replace(
+                report, sketch=fill_sketch(sketch, fill, seed)
+            ),
+            encode_report,
+            decode_report,
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        density=st.sampled_from([0.0, 0.01, 0.04, 0.05, 0.5, 1.0]),
+    )
+    def test_adversarial_arrays_round_trip(self, report, seed, density):
+        """The codec sees buffers, not sketches: whatever arrays sit in
+        a report come back bit for bit (0.04/0.05 straddle the
+        sparse/dense choice of one-in-24 words)."""
+        assert_exact_unaliased_round_trip(
+            dataclasses.replace(
+                report, sketch=adversarial_arrays(seed, density)
+            ),
+            encode_report,
+            decode_report,
+        )
+
+    def test_frames_carry_the_non_zero_counters_only(self):
+        """The size the wire format exists for: every `cp_fanin`-shaped
+        host (a 3 000-flow trace split 32 ways, ~900 packets each into
+        a 3.4 MB Deltoid) ships under a tenth of its sketch, and a
+        full sketch pays nothing for the option."""
+        trace = generate_trace(TraceConfig(num_flows=3000, seed=2017))
+        task = HeavyHitterTask("deltoid", threshold=1000)
+        for shard in trace.partition(32):
+            host = Host(0, task.create_sketch(seed=1), fastpath_bytes=8192)
+            frame = encode_report(host.run_epoch(shard))
+            assert len(frame) < 256 << 10
+        fresh = Host(0, task.create_sketch(seed=1)).run_epoch(Trace([]))
+        assert len(encode_report(fresh)) < 4 << 10
+
+        full = CountMinSketch(width=4096, depth=4, seed=1)
+        saturate(full, seed=1)
+        counter_bytes = sum(a.nbytes for a in arrays_in(full))
+        frame = encode_report(LocalReport(0, full, None, fresh.switch))
+        assert counter_bytes <= len(frame) < 1.01 * counter_bytes
 
 
 class TestFrameValidation:
@@ -152,7 +261,8 @@ class TestFrameValidation:
 
 
 class TestFrameV2:
-    """The CRC-checked v2 format; v1 is an unsupported version."""
+    """What the CRC-checked header has promised since v2 (the class
+    keeps that name); v1 and v2 themselves are unsupported versions."""
 
     def test_header_carries_host_and_epoch(self, report):
         frame = encode_report(report, epoch=17)
@@ -162,23 +272,29 @@ class TestFrameV2:
         assert header.length == len(frame) - header.size
 
     def test_v1_frame_rejected_everywhere(self, report):
-        """The pre-CRC v1 layout is an unsupported version: alone,
-        mid-stream, at the collector and at the socket assembler."""
+        """The pre-CRC v1 layout and the dense-pickle v2 layout are
+        unsupported versions: alone, mid-stream, at the collector and
+        at the socket assembler."""
         payload = pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
-        v1 = struct.pack(">4sBI", b"SKVR", 1, len(payload)) + payload
-        with pytest.raises(CorruptFrameError, match="version 1"):
-            decode_report(v1)
-        with pytest.raises(CorruptFrameError, match="version 1"):
-            decode_stream(encode_report(report, epoch=3) + v1)
-        result = ReportCollector(max_retries=1).collect(
-            {report.host_id: v1}, epoch=0
-        )
-        assert result.missing_hosts == [report.host_id]
-        assert result.stats.corrupt_frames == 2
-        assembler = FrameAssembler()
-        assert len(assembler.feed(encode_report(report))) == 1
-        with pytest.raises(CorruptFrameError, match="version 1"):
-            assembler.feed(v1)
+        old_frames = {
+            1: struct.pack(">4sBI", b"SKVR", 1, len(payload)) + payload,
+            2: frame_of(payload, version=2, host=report.host_id),
+        }
+        for version, old in old_frames.items():
+            rejection = f"version {version}"
+            with pytest.raises(CorruptFrameError, match=rejection):
+                decode_report(old)
+            with pytest.raises(CorruptFrameError, match=rejection):
+                decode_stream(encode_report(report, epoch=3) + old)
+            result = ReportCollector(max_retries=1).collect(
+                {report.host_id: old}, epoch=0
+            )
+            assert result.missing_hosts == [report.host_id]
+            assert result.stats.corrupt_frames == 2
+            assembler = FrameAssembler()
+            assert len(assembler.feed(encode_report(report))) == 1
+            with pytest.raises(CorruptFrameError, match=rejection):
+                assembler.feed(old)
 
     def test_oversized_payload_rejected(self, report):
         frame = encode_report(report)
@@ -271,37 +387,115 @@ class TestCorruptionProperty:
             decode_report(bytes(frame))
 
     def test_garbage_payload_with_valid_crc_rejected(self):
-        import zlib
+        payload = b"\x99" * 64  # neither an array section nor a pickle
+        with pytest.raises(CorruptFrameError, match="array section"):
+            decode_report(frame_of(payload))
 
-        payload = b"\x99" * 64  # not a pickle
-        frame = (
-            struct.pack(
-                ">4sBIIII", b"SKVR", 2, 0, 0, len(payload),
-                zlib.crc32(payload),
-            )
-            + payload
-        )
-        with pytest.raises(CorruptFrameError, match="pickle"):
+    @pytest.mark.parametrize(
+        "build, rejection",
+        [
+            # A 60-byte frame declaring a terabyte: refused unallocated.
+            (
+                lambda env: array_section((SPARSE, 1 << 40, 0, b""))
+                + env[:22],
+                "ceiling",
+            ),
+            (
+                lambda env: array_section(
+                    (SPARSE, 40 << 20, 0, b""), (SPARSE, 40 << 20, 0, b"")
+                )
+                + env,
+                "ceiling",
+            ),
+            (lambda env: struct.pack("<I", 1), "ends inside descriptor"),
+            (
+                lambda env: array_section((DENSE, 100, 0, b"\x01" * 10)),
+                "only 10 remain",
+            ),
+            (
+                lambda env: array_section(
+                    (SPARSE, 8192, 100, b"\x00" * 50)
+                ),
+                "declares 1200 stored bytes but only 50 remain",
+            ),
+            (
+                lambda env: array_section(
+                    (SPARSE, 2048, 1, sparse_data([256], [1]))
+                )
+                + env,
+                "below 256",
+            ),
+            (
+                lambda env: array_section(
+                    (SPARSE, 2048, 2, sparse_data([5, 5], [1, 2]))
+                )
+                + env,
+                "strictly increasing",
+            ),
+            (
+                lambda env: array_section(
+                    (SPARSE, 2048, 2, sparse_data([7, 3], [1, 2]))
+                )
+                + env,
+                "strictly increasing",
+            ),
+            (
+                lambda env: array_section((7, 8, 0, b"\x00" * 8)) + env,
+                "unknown kind 7",
+            ),
+            (
+                lambda env: array_section((DENSE, 8, 1, b"\x00" * 8))
+                + env,
+                "inconsistent",
+            ),
+            (
+                lambda env: array_section((SPARSE, 2052, 0, b"")) + env,
+                "inconsistent",
+            ),
+            (
+                lambda env: array_section((DENSE, 8, 0, b"\x00" * 8))
+                + env,
+                "more than the envelope uses",
+            ),
+            (
+                lambda env: array_section()
+                + pickle.dumps(
+                    np.zeros(4), protocol=5, buffer_callback=lambda _: None
+                ),
+                "not a valid pickle",
+            ),
+            (lambda env: array_section() + env + b"\x00", "trailing"),
+        ],
+        ids=[
+            "declared-terabyte",
+            "declared-sum",
+            "descriptor-outside-payload",
+            "dense-bytes-outside-payload",
+            "sparse-entries-outside-payload",
+            "index-out-of-range",
+            "index-repeated",
+            "index-decreasing",
+            "unknown-kind",
+            "dense-with-nnz",
+            "sparse-of-ragged-length",
+            "buffer-unused",
+            "buffer-missing",
+            "trailing-bytes",
+        ],
+    )
+    def test_malformed_payload_with_valid_crc_rejected(
+        self, build, rejection
+    ):
+        """One case per decoder rule.  Every frame's CRC is right, so
+        it is the payload parser and not the checksum that refuses."""
+        frame = frame_of(build(pickle.dumps(None, protocol=5)))
+        with pytest.raises(CorruptFrameError, match=rejection):
             decode_report(frame)
 
 
 class TestRestrictedUnpickler:
-    def _frame(self, payload: bytes) -> bytes:
-        import struct
-        import zlib
-
-        return (
-            struct.pack(
-                ">4sBIIII",
-                b"SKVR",
-                2,
-                0,
-                0,
-                len(payload),
-                zlib.crc32(payload),
-            )
-            + payload
-        )
+    def _frame(self, envelope: bytes) -> bytes:
+        return frame_of(array_section() + envelope)
 
     def test_rejects_arbitrary_classes(self):
         payload = pickle.dumps(object())  # builtins.object is allowed...
