@@ -573,7 +573,7 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     truth_probe = generate_trace(
         TraceConfig(num_flows=args.flows, seed=args.seed)
     )
-    total_bytes = GroundTruth.from_trace(truth_probe).total_bytes
+    total_bytes = truth_probe.total_bytes
     kwargs: dict = {}
     if args.task in ("heavy_hitter", "heavy_changer"):
         kwargs["threshold"] = args.threshold_fraction * total_bytes
@@ -679,7 +679,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # One window per trace pass / generated segment.
             window_packets = len(probe)
 
-    truth_bytes = GroundTruth.from_trace(probe).total_bytes
+    truth_bytes = probe.total_bytes
     if window_packets is not None:
         # Scale the heavy-hitter threshold to the expected bytes per
         # *window*, not per probe trace.

@@ -122,10 +122,14 @@ def _copy_sketch(sketch: Sketch) -> Sketch:
     return clone
 
 
-def _inject(sketch: Sketch, flow: FlowKey, value: float) -> None:
-    amount = int(round(value))
-    if amount > 0:
-        sketch.inject(flow, amount)
+def _inject_tracked(sketch: Sketch, flows, values) -> None:
+    """Re-inject the tracked flows at their recovered byte counts, as
+    one batch; flows whose count rounds to zero are left out."""
+    amounts = [int(round(value)) for value in values]
+    sketch.inject_batch(
+        [flow for flow, amount in zip(flows, amounts) if amount > 0],
+        [amount for amount in amounts if amount > 0],
+    )
 
 
 def recover(
@@ -170,10 +174,10 @@ def recover(
     if mode is RecoveryMode.LOWER or mode is RecoveryMode.UPPER:
         bounds = lower if mode is RecoveryMode.LOWER else upper
         recovered = _copy_sketch(normal)
-        estimates: dict[FlowKey, float] = {}
-        for flow, value in zip(flows, bounds):
-            _inject(recovered, flow, value)
-            estimates[flow] = float(value)
+        _inject_tracked(recovered, flows, bounds)
+        estimates: dict[FlowKey, float] = {
+            flow: float(value) for flow, value in zip(flows, bounds)
+        }
         return RecoveredState(
             sketch=recovered,
             flow_estimates=estimates,
@@ -188,11 +192,11 @@ def recover(
         # midpoint injection, which still honours the Eq. 3 box, and
         # realize the small-flow mass the same way as the solver path.
         recovered = _copy_sketch(normal)
-        estimates = {}
-        for flow, lo, hi in zip(flows, lower, upper):
-            midpoint = (lo + hi) / 2.0
-            _inject(recovered, flow, midpoint)
-            estimates[flow] = midpoint
+        estimates = {
+            flow: (lo + hi) / 2.0
+            for flow, lo, hi in zip(flows, lower, upper)
+        }
+        _inject_tracked(recovered, flows, estimates.values())
         remaining = max(
             0.0, snapshot.total_bytes - sum(estimates.values())
         )
@@ -227,11 +231,11 @@ def recover(
         )
 
     recovered = _copy_sketch(normal)
-    estimates = {}
+    estimates = {
+        flow: float(value) for flow, value in zip(flows, result.x)
+    }
     with trace_span(telemetry, "recovery.inject", flows=len(flows)):
-        for flow, value in zip(flows, result.x):
-            _inject(recovered, flow, value)
-            estimates[flow] = float(value)
+        _inject_tracked(recovered, flows, estimates.values())
         # Realize the small-flow component y as synthetic flows rather
         # than the solver's dense noise matrix: sk(y) is *sparse* (each
         # missed small flow touches a handful of counters), and

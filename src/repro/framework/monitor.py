@@ -25,6 +25,7 @@ from repro.tasks.base import MeasurementTask
 from repro.tasks.heavy_changer import HeavyChangerTask
 from repro.telemetry import trace_span
 from repro.telemetry.publish import publish_monitor_epoch
+from repro.traffic.groundtruth import GroundTruth
 from repro.traffic.trace import Trace
 
 
@@ -105,6 +106,7 @@ class ContinuousMonitor:
         }
         self._epoch_index = 0
         self._previous_trace: Trace | None = None
+        self._previous_truth: GroundTruth | None = None
         self.history: list[EpochSummary] = []
 
     # ------------------------------------------------------------------
@@ -116,16 +118,24 @@ class ContinuousMonitor:
         with trace_span(
             telemetry, "monitor.epoch", epoch=self._epoch_index
         ):
+            # What depends only on the window is computed once and
+            # shared by every task's pipeline: the exact ground truth
+            # here, the host shards on the trace (Trace.partition).
+            with trace_span(telemetry, "groundtruth"):
+                truth = GroundTruth.from_trace(trace)
             for task in self.tasks:
                 pipeline = self._pipelines[task.name]
                 if isinstance(task, HeavyChangerTask):
                     if self._previous_trace is None:
                         continue
                     result = pipeline.run_epoch_pair(
-                        self._previous_trace, trace
+                        self._previous_trace,
+                        trace,
+                        self._previous_truth,
+                        truth,
                     )
                 else:
-                    result = pipeline.run_epoch(trace)
+                    result = pipeline.run_epoch(trace, truth)
                 summary.results[task.name] = result
                 summary.alerts.extend(
                     self._alerts_from(task, result)
@@ -156,6 +166,7 @@ class ContinuousMonitor:
                 time.perf_counter() - start,
             )
         self._previous_trace = trace
+        self._previous_truth = truth
         self._epoch_index += 1
         self.history.append(summary)
         return summary

@@ -748,8 +748,9 @@ class SketchVisorPipeline:
             network, collection = self._aggregate(reports, dp_missing)
             with trace_span(telemetry, "task.answer"):
                 answer = self.task.answer(network.sketch)
-            with trace_span(telemetry, "groundtruth"):
-                truth = truth or GroundTruth.from_trace(trace)
+            if truth is None:
+                with trace_span(telemetry, "groundtruth"):
+                    truth = GroundTruth.from_trace(trace)
             with trace_span(telemetry, "task.score"):
                 score = self.task.score(answer, truth)
             result = EpochResult(
@@ -795,9 +796,10 @@ class SketchVisorPipeline:
                 answer = self.task.answer_pair(
                     network_a.sketch, network_b.sketch
                 )
-            with trace_span(telemetry, "groundtruth"):
-                truth_a = truth_a or GroundTruth.from_trace(epoch_a)
-                truth_b = truth_b or GroundTruth.from_trace(epoch_b)
+            if truth_a is None or truth_b is None:
+                with trace_span(telemetry, "groundtruth"):
+                    truth_a = truth_a or GroundTruth.from_trace(epoch_a)
+                    truth_b = truth_b or GroundTruth.from_trace(epoch_b)
             with trace_span(telemetry, "task.score"):
                 score = self.task.score_pair(answer, truth_a, truth_b)
             result = EpochResult(

@@ -217,9 +217,11 @@ class FlowRadar(Sketch):
             raise MergeError("FlowRadar configurations differ")
         self.bloom.merge(other.bloom)
         flow_xor = self.flow_xor
-        for cell, incoming in enumerate(other.flow_xor):
-            if incoming:  # XOR with 0 is the identity: skip empty cells
-                flow_xor[cell] ^= incoming
+        incoming = other.flow_xor
+        # A cell holds a header only once a flow was counted into it;
+        # XOR with the 0 of every other cell is the identity.
+        for cell in np.flatnonzero(other.flow_count).tolist():
+            flow_xor[cell] ^= incoming[cell]
         self.flow_count += other.flow_count
         self.byte_count += other.byte_count
 

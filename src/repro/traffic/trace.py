@@ -38,7 +38,13 @@ class Trace:
         the data-plane simulation derives inter-arrival gaps from them.
     """
 
-    __slots__ = ("_packets", "_timestamps", "_key64", "_sizes")
+    __slots__ = (
+        "_packets",
+        "_timestamps",
+        "_key64",
+        "_sizes",
+        "_partition",
+    )
 
     def __init__(self, packets: Iterable[Packet]):
         self._packets: tuple[Packet, ...] = tuple(packets)
@@ -53,6 +59,7 @@ class Trace:
         self._timestamps = timestamps
         self._key64: np.ndarray | None = None
         self._sizes: np.ndarray | None = None
+        self._partition: tuple[Trace, ...] | None = None
 
     @classmethod
     def _from_columns(
@@ -76,6 +83,7 @@ class Trace:
         trace._timestamps = timestamps
         trace._key64 = key64
         trace._sizes = sizes
+        trace._partition = None
         return trace
 
     def __len__(self) -> int:
@@ -192,19 +200,31 @@ class Trace:
         flow is observed (and counted) by two hosts — the paper's
         disjoint-monitoring assumption (§3.1).  The assignment hash runs
         vectorized over the ``key64`` column.
+
+        The last result is remembered on the (immutable) trace, like
+        the columns: every pipeline of a monitoring window partitions
+        the same trace the same way, and gets the same shard objects —
+        so the shards' own columns are built once too.  ``sizes`` is
+        materialised first so that the shards inherit slices of it.
         """
         if num_hosts < 1:
             raise ValueError("num_hosts must be >= 1")
         if num_hosts == 1:
             return [self]
+        cached = self._partition
+        if cached is not None and len(cached) == num_hosts:
+            return list(cached)
+        # Both columns exist before slicing, so the shards inherit them.
+        key64, _sizes = self.key64, self.sizes
         shards = (
-            mix64_array(self.key64, seed=_PARTITION_SEED)
+            mix64_array(key64, seed=_PARTITION_SEED)
             % np.uint64(num_hosts)
         ).astype(np.int64)
-        return [
+        self._partition = tuple(
             self._take(np.nonzero(shards == host)[0])
             for host in range(num_hosts)
-        ]
+        )
+        return list(self._partition)
 
     def concat(self, other: "Trace") -> "Trace":
         """Concatenate two traces; ``other`` is shifted to start after self.

@@ -61,6 +61,26 @@ def make_trace(sized_flows: list[tuple[FlowKey, list[int]]]) -> Trace:
     return Trace(packets)
 
 
+def registry_solutions() -> dict:
+    """Solution name -> ``build(seed=...)`` of its deployed sketch, for
+    every solution of Table 1."""
+    from repro.framework.registry import TASK_REGISTRY, create_task
+
+    builders = {}
+    for task_name, (_cls, solutions) in TASK_REGISTRY.items():
+        kwargs = {}
+        if task_name in ("heavy_hitter", "heavy_changer"):
+            kwargs["threshold"] = 1000
+        if task_name in ("ddos", "superspreader"):
+            kwargs["threshold"] = 10
+        for solution in solutions:
+            builders.setdefault(
+                solution,
+                create_task(task_name, solution, **kwargs).create_sketch,
+            )
+    return builders
+
+
 # ----------------------------------------------------------------------
 # Payload-codec round-trip helpers (test_transport / test_state_codec)
 # ----------------------------------------------------------------------

@@ -107,6 +107,17 @@ class TestMerge:
         assert complete
         assert decoded.keys() == small_trace.flow_sizes().keys()
 
+    def test_merge_xors_every_occupied_cell(self, small_trace):
+        """``merge`` visits the cells ``other`` counted a flow into;
+        the result is the XOR over all cells."""
+        mine, other = _small_radar(seed=11), _small_radar(seed=11)
+        for part, shard in zip((mine, other), small_trace.partition(2)):
+            part.update_trace(shard)
+        expected = [a ^ b for a, b in zip(mine.flow_xor, other.flow_xor)]
+        assert any(other.flow_xor) and not all(other.flow_xor)
+        mine.merge(other)
+        assert mine.flow_xor == expected
+
     def test_merge_rejects_mismatch(self):
         with pytest.raises(MergeError):
             _small_radar(num_cells=4000).merge(_small_radar(num_cells=2000))

@@ -21,6 +21,50 @@ def tiny_truth():
     return a, b, c, GroundTruth.from_trace(trace)
 
 
+def _per_packet_truth(trace: Trace) -> GroundTruth:
+    """``from_trace`` as one pass over the packets, everything updated
+    where the packet is seen."""
+    truth = GroundTruth()
+    for packet in trace:
+        flow = packet.flow
+        truth.flow_bytes[flow] = truth.flow_bytes.get(flow, 0) + packet.size
+        truth.flow_packets[flow] = truth.flow_packets.get(flow, 0) + 1
+        truth.fanin.setdefault(flow.dst_ip, set()).add(flow.src_ip)
+        truth.fanout.setdefault(flow.src_ip, set()).add(flow.dst_ip)
+    return truth
+
+
+class TestColumnarSums:
+    def test_same_values_types_and_orders(self, small_trace):
+        """Dict *and set* iteration orders are load-bearing downstream
+        (answers are compared with their key order)."""
+        # Two flows that fold to one key64 stay two flows.
+        twins = [FlowKey(1, 7, 9, 0), FlowKey(0, 7, 9, 1)]
+        assert twins[0].key64 == twins[1].key64
+        packets = list(small_trace.packets[:3000])
+        stamp = packets[-1].timestamp
+        packets += [Packet(flow, 77, stamp) for flow in twins * 2]
+        trace = Trace(packets)
+        truth, expected = (
+            GroundTruth.from_trace(trace),
+            _per_packet_truth(trace),
+        )
+        for name in ("flow_bytes", "flow_packets", "fanin", "fanout"):
+            ours, theirs = getattr(truth, name), getattr(expected, name)
+            assert list(ours.items()) == list(theirs.items()), name
+        for name in ("fanin", "fanout"):
+            for key, members in getattr(truth, name).items():
+                assert list(members) == list(getattr(expected, name)[key])
+        assert {type(v) for v in truth.flow_bytes.values()} == {int}
+        assert {type(v) for v in truth.flow_packets.values()} == {int}
+        assert truth.flow_bytes[twins[0]] == truth.flow_bytes[twins[1]] == 154
+
+    def test_empty_trace(self):
+        truth = GroundTruth.from_trace(Trace([]))
+        assert truth == GroundTruth()
+        assert truth.total_bytes == 0 and truth.entropy == 0.0
+
+
 class TestBasics:
     def test_flow_bytes(self, tiny_truth):
         a, b, c, truth = tiny_truth

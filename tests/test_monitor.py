@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -10,11 +12,14 @@ from repro.framework.monitor import (
     AlertKind,
     ContinuousMonitor,
 )
+from repro.framework.pipeline import PipelineConfig, SketchVisorPipeline
 from repro.tasks.cardinality import CardinalityTask
+from repro.tasks.distribution import FlowSizeDistributionTask
 from repro.tasks.heavy_changer import HeavyChangerTask
 from repro.tasks.heavy_hitter import HeavyHitterTask
 from repro.traffic.generator import TraceConfig, generate_epochs
 from repro.traffic.groundtruth import GroundTruth
+from repro.traffic.trace import Trace
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +104,138 @@ class TestContinuousMonitor:
         assert monitor.alerts() == monitor.alerts(
             AlertKind.HEAVY_HITTER
         )
+
+
+# ----------------------------------------------------------------------
+# A window's work is done once, and changes nothing
+# ----------------------------------------------------------------------
+NUM_HOSTS = 2
+
+
+def serve_tasks(epochs):
+    threshold = 0.01 * epochs[0].total_bytes
+    return [
+        HeavyHitterTask("flowradar", threshold=threshold),
+        CardinalityTask("lc"),
+        FlowSizeDistributionTask("mrac"),
+        HeavyChangerTask("flowradar", threshold=threshold),
+    ]
+
+
+def fresh(trace: Trace) -> Trace:
+    """The same packets with cold columns and no partition memo."""
+    return Trace(trace.packets)
+
+
+def comparable(result) -> tuple:
+    answer = result.answer
+    return (
+        list(answer.items()) if isinstance(answer, dict) else answer,
+        result.score,
+        result.network.lens_iterations,
+        result.network.sketch.to_matrix().tobytes(),
+        [(report.host_id, report.switch) for report in result.reports],
+    )
+
+
+@pytest.fixture(scope="module")
+def window_stream():
+    return generate_epochs(
+        TraceConfig(num_flows=600, seed=23), num_epochs=7
+    )
+
+
+class TestWindowWorkDoneOnce:
+    def test_one_ground_truth_per_window(
+        self, window_stream, monkeypatch
+    ):
+        monitor = ContinuousMonitor(
+            serve_tasks(window_stream),
+            config=PipelineConfig(num_hosts=NUM_HOSTS),
+        )
+        calls = []
+        from_trace = GroundTruth.from_trace
+
+        def spy(trace):
+            calls.append(trace)
+            return from_trace(trace)
+
+        monkeypatch.setattr(GroundTruth, "from_trace", spy)
+        windows = [fresh(trace) for trace in window_stream[:3]]
+        for window in windows:
+            summary = monitor.process_epoch(window)
+        # The third window ran all four tasks, the heavy changer over
+        # (second, third) — and still only its own truth was computed.
+        assert len(summary.results) == 4
+        assert [id(trace) for trace in calls] == [
+            id(window) for window in windows
+        ]
+
+    def test_pipelines_route_the_same_shards(self, window_stream):
+        window = fresh(window_stream[0])
+        first = window.partition(NUM_HOSTS)
+        second = window.partition(NUM_HOSTS)
+        assert len(first) == NUM_HOSTS
+        assert all(a is b for a, b in zip(first, second))
+        # The shards' columns were sliced off the window's, not rebuilt.
+        assert all(shard._sizes is not None for shard in first)
+
+    def test_memo_is_keyed_by_host_count(self, window_stream):
+        window = fresh(window_stream[0])
+        two = window.partition(2)
+        three = window.partition(3)
+        assert len(three) == 3
+        assert sum(len(shard) for shard in three) == len(window)
+        cold = fresh(window).partition(3)
+        assert [shard.packets for shard in three] == [
+            shard.packets for shard in cold
+        ]
+        again = window.partition(2)
+        assert [shard.packets for shard in again] == [
+            shard.packets for shard in two
+        ]
+        assert window.partition(1) == [window]
+
+    def test_partitioned_trace_pickles(self, window_stream):
+        """``workers > 1`` ships shards to a process pool."""
+        window = fresh(window_stream[0])
+        shards = window.partition(NUM_HOSTS)
+        for trace in (window, *shards):
+            clone = pickle.loads(pickle.dumps(trace))
+            assert clone.packets == trace.packets
+            assert clone.sizes.tobytes() == trace.sizes.tobytes()
+            assert [
+                shard.packets for shard in clone.partition(NUM_HOSTS)
+            ] == [shard.packets for shard in trace.partition(NUM_HOSTS)]
+
+    def test_equals_standalone_pipelines(self, window_stream):
+        """Sharing the truth and the shards changes no result: every
+        window equals each task's own pipeline run on a cold trace."""
+        monitor = ContinuousMonitor(
+            serve_tasks(window_stream),
+            config=PipelineConfig(num_hosts=NUM_HOSTS),
+        )
+        standalone = {
+            task.name: SketchVisorPipeline(
+                task, config=PipelineConfig(num_hosts=NUM_HOSTS)
+            )
+            for task in serve_tasks(window_stream)
+        }
+        previous = None
+        for trace in window_stream:
+            summary = monitor.process_epoch(fresh(trace))
+            for name, pipeline in standalone.items():
+                if name != "heavy_changer":
+                    expected = pipeline.run_epoch(fresh(trace))
+                elif previous is not None:
+                    expected = pipeline.run_epoch_pair(
+                        fresh(previous), fresh(trace)
+                    )
+                else:
+                    assert name not in summary.results
+                    continue
+                assert comparable(summary.results[name]) == comparable(
+                    expected
+                ), name
+            previous = trace
+        assert len(monitor.history) == len(window_stream) >= 6

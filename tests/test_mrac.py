@@ -2,12 +2,57 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError, MergeError
+from repro.sketches import mrac
 from repro.sketches.mrac import MRAC, power_series_log
 from tests.conftest import make_flow
+from tests.reference_mrac import reference_power_series_log
+
+
+def loaded_mrac(flows: int, seed: int = 1) -> MRAC:
+    """A 4000-counter MRAC holding ``flows`` Zipf-sized flows."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(1, 2**63, size=flows, dtype=np.uint64)
+    packets = np.minimum(rng.zipf(1.8, size=flows), 400)
+    sketch = MRAC(width=4000, seed=3)
+    column = np.repeat(keys, packets)
+    sketch.update_batch(column, np.ones(column.size, dtype=np.int64))
+    return sketch
+
+
+def reference_log(coefficients: np.ndarray) -> np.ndarray:
+    """The oracle, with NumPy's overflow warnings silenced (driving it
+    to inf/nan is the point of half the cases below)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return reference_power_series_log(coefficients)
+
+
+@st.composite
+def coefficient_vectors(draw) -> np.ndarray:
+    """Anything from one non-zero coefficient to all of them, signed
+    zeros among them; a tiny ``c[0]`` makes the recurrence overflow."""
+    length = draw(st.integers(2, 64))
+    coefficients = np.zeros(length, dtype=np.float64)
+    coefficients[0] = draw(
+        st.one_of(
+            st.floats(1e-3, 1.0),
+            st.sampled_from([5e-324, 1e-300, 1e-150, 1e-30]),
+        )
+    )
+    entry = st.one_of(
+        st.just(-0.0), st.floats(1e-12, 1.0), st.floats(-1.0, -1e-12)
+    )
+    for position in draw(st.sets(st.integers(1, length - 1))):
+        coefficients[position] = draw(entry)
+    return coefficients
 
 
 class TestPowerSeriesLog:
@@ -52,6 +97,53 @@ class TestPowerSeriesLog:
     def test_requires_positive_constant(self):
         with pytest.raises(ValueError):
             power_series_log(np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            power_series_log(np.array([-0.25, 1.0]))
+
+
+class TestSparseKernelMatchesQuadraticLoop:
+    """``power_series_log`` skips zero coefficients; the bytes it
+    returns are those of the full double loop."""
+
+    # 30K flows leave c[0] ~ 1e-3 and |l| far beyond 1e87.
+    LOADS = (1_500, 6_000, 12_000, 30_000)
+
+    @pytest.mark.parametrize("flows", LOADS)
+    def test_real_counter_histograms(self, flows):
+        histogram = loaded_mrac(flows).counter_histogram()
+        assert histogram[0] > 0
+        pmf = histogram / histogram.sum()
+        assert np.count_nonzero(pmf) < len(pmf)
+        assert (
+            power_series_log(pmf).tobytes()
+            == reference_log(pmf).tobytes()
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(coefficients=coefficient_vectors())
+    def test_any_coefficients(self, coefficients):
+        assert (
+            power_series_log(coefficients).tobytes()
+            == reference_log(coefficients).tobytes()
+        )
+
+    def test_overflowed_terms_poison_later_zeros(self):
+        """Once ``j * l_j`` is inf, a zero coefficient gives inf * 0 =
+        nan in the full loop; the kernel must not skip it."""
+        coefficients = np.zeros(40)
+        coefficients[0] = 1e-300
+        coefficients[1] = 1.0
+        expected = reference_log(coefficients)
+        assert np.isnan(expected).any()
+        assert power_series_log(coefficients).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("flows", LOADS)
+    def test_decode_unchanged(self, flows, monkeypatch):
+        sketch = loaded_mrac(flows)
+        decoded = sketch.decode()
+        monkeypatch.setattr(mrac, "power_series_log", reference_log)
+        expected = sketch.decode()
+        assert list(decoded.items()) == list(expected.items())
 
 
 class TestMRAC:

@@ -7,9 +7,12 @@ import pytest
 
 from repro.controlplane.lens import LensConfig, lens_interpolate
 from repro.controlplane.recovery import (
+    RecoveryMode,
+    _copy_sketch,
     _inject_synthetic_small_flows,
     _missing_flow_count,
     _tracking_boundary,
+    recover,
 )
 from repro.common.flow import FlowKey
 from repro.durability.codec import StateCodec
@@ -20,7 +23,7 @@ from repro.sketches.flowradar import FlowRadar
 from repro.sketches.mrac import MRAC
 from repro.sketches.revsketch import ReversibleSketch
 from repro.sketches.univmon import UnivMon
-from tests.conftest import make_flow
+from tests.conftest import make_flow, registry_solutions
 
 
 def _snapshot(entries=None, V=0.0, E=0.0, inserts=0, evicted=0):
@@ -167,6 +170,60 @@ class TestBatchInjection:
         batch.inject_batch(flows, values)
         batch.inject_batch([], [])
         assert codec.encode(batch) == codec.encode(scalar)
+
+
+def _tracked_snapshot():
+    """60 tracked flows; every fifth has bounds that round to zero."""
+    entries = {
+        make_flow(index): (
+            FlowEntry(e=0.3, r=0.1, d=0.0)
+            if index % 5 == 0
+            else FlowEntry(e=400.0 + index, r=900.0 * index, d=250.0)
+        )
+        for index in range(60)
+    }
+    volume = sum(entry.upper_bound for entry in entries.values())
+    return _snapshot(
+        entries, V=volume + 80_000.0, E=5_000.0, inserts=260, evicted=120
+    )
+
+
+class TestTrackedFlowReinjection:
+    """``recover`` re-injects the tracked flows as one batch; the state
+    is that of the per-flow loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "mode",
+        [RecoveryMode.LOWER, RecoveryMode.UPPER, RecoveryMode.SKETCHVISOR],
+        ids=lambda mode: mode.value,
+    )
+    @pytest.mark.parametrize("solution", sorted(registry_solutions()))
+    def test_batch_equals_per_flow_loop(self, solution, mode):
+        normal = registry_solutions()[solution](seed=5)
+        for index in range(30, 120):
+            normal.update(make_flow(index), 300 + index)
+        snapshot = _tracked_snapshot()
+        state = recover(normal, snapshot, mode)
+
+        expected = _copy_sketch(normal)
+        injected = 0
+        for flow, value in state.flow_estimates.items():
+            amount = int(round(value))
+            if amount > 0:
+                expected.inject(flow, amount)
+                injected += 1
+        assert list(state.flow_estimates) == list(snapshot.entries)
+        assert injected == 48  # the twelve near-zero flows are left out
+        if mode is RecoveryMode.SKETCHVISOR:
+            assert state.small_flow_bytes > 0
+            _inject_synthetic_small_flows(
+                expected,
+                state.small_flow_bytes,
+                _tracking_boundary(snapshot),
+                count=_missing_flow_count(snapshot),
+            )
+        codec = StateCodec()
+        assert codec.encode(state.sketch) == codec.encode(expected)
 
 
 class TestFastPathCounters:

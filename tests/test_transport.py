@@ -38,6 +38,7 @@ from tests.conftest import (
     arrays_in,
     assert_exact_unaliased_round_trip,
     fill_sketch,
+    registry_solutions,
     saturate,
 )
 
@@ -48,26 +49,6 @@ DENSE, SPARSE = 0, 1
 def report(small_trace):
     host = Host(0, Deltoid(width=128, depth=2, seed=5), fastpath_bytes=8192)
     return host.run_epoch(small_trace)
-
-
-def registry_solutions() -> dict:
-    """Solution name -> ``build(seed=...)`` of its deployed sketch, for
-    every solution of Table 1."""
-    from repro.framework.registry import TASK_REGISTRY, create_task
-
-    builders = {}
-    for task_name, (_cls, solutions) in TASK_REGISTRY.items():
-        kwargs = {}
-        if task_name in ("heavy_hitter", "heavy_changer"):
-            kwargs["threshold"] = 1000
-        if task_name in ("ddos", "superspreader"):
-            kwargs["threshold"] = 10
-        for solution in solutions:
-            builders.setdefault(
-                solution,
-                create_task(task_name, solution, **kwargs).create_sketch,
-            )
-    return builders
 
 
 def frame_of(payload: bytes, version: int = 3, host: int = 0) -> bytes:
