@@ -78,29 +78,51 @@ class LensResult:
     iterations: int
     converged: bool
     residuals: list[float] = field(default_factory=list)
+    #: SVDs the divide-and-conquer driver (gesdd) gave up on and the
+    #: slower QR driver (gesvd) answered.
+    gesvd_retries: int = 0
+    #: Neither driver converged: ``x`` is the Eq. 3 box midpoint and
+    #: ``converged`` is False.
+    svd_failed: bool = False
+
+
+def _shrink(
+    matrix: np.ndarray, threshold: float
+) -> tuple[np.ndarray, bool]:
+    """:func:`singular_value_threshold` plus whether gesvd answered.
+
+    ``np.linalg.svd`` (LAPACK gesdd) can fail to converge on ordinary
+    finite inputs; gesvd is slower but converges on them.  Raises
+    ``LinAlgError`` only when both give up.
+    """
+    retried = False
+    try:
+        u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # Imported where it is needed: scipy.linalg costs every process
+        # ~6 MB of resident memory, and almost none ever gets here.
+        from scipy import linalg
+
+        retried = True
+        u, s, vt = linalg.svd(
+            matrix, full_matrices=False, lapack_driver="gesvd"
+        )
+    s = np.maximum(s - threshold, 0.0)
+    keep = s > 0
+    if not keep.any():
+        return np.zeros_like(matrix), retried
+    return (u[:, keep] * s[keep]) @ vt[keep], retried
 
 
 def singular_value_threshold(
     matrix: np.ndarray, threshold: float
 ) -> np.ndarray:
     """Prox of the nuclear norm: shrink singular values by threshold."""
-    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    s = np.maximum(s - threshold, 0.0)
-    keep = s > 0
-    if not keep.any():
-        return np.zeros_like(matrix)
-    return (u[:, keep] * s[keep]) @ vt[keep]
+    return _shrink(matrix, threshold)[0]
 
 
 def _soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
     return np.sign(values) * np.maximum(np.abs(values) - threshold, 0.0)
-
-
-def apply_a_dense(
-    operator: sparse.csr_matrix, x: np.ndarray, shape: tuple[int, int]
-) -> np.ndarray:
-    """Apply the sketch operator to x, reshaped to the sketch matrix."""
-    return (operator @ x).reshape(shape)
 
 
 def _build_operator(
@@ -120,6 +142,38 @@ def _build_operator(
         (data, (rows, cols)),
         shape=(shape[0] * shape[1], len(positions)),
     )
+
+
+def _scaled_box(n_matrix, num_flows: int, lower, upper, volume: float):
+    """Validate the Eq. 2/3 inputs; return ``(N, scale, lo, hi)`` with
+    the bounds normalized by ``scale = max(N.max(), upper.max(), 1)``."""
+    lower = np.asarray(lower, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    if lower.shape != (num_flows,) or upper.shape != (num_flows,):
+        raise ConfigError("bounds must match the number of tracked flows")
+    if np.any(lower > upper):
+        raise ConfigError("lower bounds must not exceed upper bounds")
+    if volume < 0:
+        raise ConfigError("volume must be non-negative")
+    n = np.asarray(n_matrix, dtype=np.float64)
+    scale = float(max(n.max(initial=0.0), upper.max(initial=0.0), 1.0))
+    return n, scale, lower / scale, upper / scale
+
+
+def box_midpoint(
+    n_matrix: np.ndarray, lower, upper, volume: float
+) -> np.ndarray:
+    """The Eq. 3 box midpoint per tracked flow, through the solver's
+    normalization.
+
+    This is the ``x`` :func:`lens_interpolate` answers when the nuclear
+    term is dropped (§5.3, sketches with no low-rank structure), bit
+    for bit, without the sketch operator or the recovered matrix.
+    """
+    _n, scale, lo, hi = _scaled_box(
+        n_matrix, len(lower), lower, upper, volume
+    )
+    return ((lo + hi) / 2.0) * scale
 
 
 def lens_interpolate(
@@ -149,21 +203,11 @@ def lens_interpolate(
     """
     config = config or LensConfig()
     num_flows = len(positions)
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
-    if lower.shape != (num_flows,) or upper.shape != (num_flows,):
-        raise ConfigError("bounds must match the number of tracked flows")
-    if np.any(lower > upper):
-        raise ConfigError("lower bounds must not exceed upper bounds")
-    if volume < 0:
-        raise ConfigError("volume must be non-negative")
-
-    n = np.asarray(n_matrix, dtype=np.float64)
+    n, scale, lo, hi = _scaled_box(
+        n_matrix, num_flows, lower, upper, volume
+    )
     m_rows, n_cols = n.shape
-    scale = float(max(n.max(initial=0.0), upper.max(initial=0.0), 1.0))
     n_scaled = n / scale
-    lo = lower / scale
-    hi = upper / scale
     vol = volume / scale
 
     # Paper parameter formulas (§5.3), on the normalized matrix.
@@ -212,34 +256,36 @@ def lens_interpolate(
     lipschitz = float(col_sq.max(initial=1.0))
     step = 1.0 / (rho * lipschitz)
 
-    if alpha == 0.0:
-        # Without the nuclear term the objective separates: inside the
-        # Eq. 3 box, beta*||x||_1 is linear and the Frobenius term only
-        # couples through the total mass, so the minimax-optimal
-        # interior choice is the box midpoint for x (error <= e_f / 2
-        # per flow, Lemma 4.1) with the leftover volume realized as the
-        # Frobenius-minimal (uniform) noise.  This is also the §5.3
-        # prescription: for sketches with no low-rank structure the
-        # ||T||_* term is dropped from the optimization.
+    def apply_a(x: np.ndarray) -> np.ndarray:
+        return (operator @ x).reshape(m_rows, n_cols)
+
+    def apply_at(matrix: np.ndarray) -> np.ndarray:
+        return operator.T @ matrix.reshape(-1)
+
+    def midpoint_result(**outcome) -> LensResult:
+        """The box midpoint for x, the leftover volume as the
+        Frobenius-minimal (uniform) noise."""
         x = (lo + hi) / 2.0
         remaining = max(vol - float(x.sum()), 0.0)
         noise = np.full_like(
             n_scaled, remaining * mean_mass / (m_rows * n_cols)
         )
         return LensResult(
-            matrix=(n_scaled + apply_a_dense(operator, x, n.shape)
-                    + noise) * scale,
+            matrix=(n_scaled + apply_a(x) + noise) * scale,
             x=x * scale,
             noise=noise * scale,
-            iterations=0,
-            converged=True,
+            **outcome,
         )
 
-    def apply_a(x: np.ndarray) -> np.ndarray:
-        return (operator @ x).reshape(m_rows, n_cols)
-
-    def apply_at(matrix: np.ndarray) -> np.ndarray:
-        return operator.T @ matrix.reshape(-1)
+    if alpha == 0.0:
+        # Without the nuclear term the objective separates: inside the
+        # Eq. 3 box, beta*||x||_1 is linear and the Frobenius term only
+        # couples through the total mass, so the minimax-optimal
+        # interior choice is the box midpoint for x (error <= e_f / 2
+        # per flow, Lemma 4.1).  This is also the §5.3 prescription:
+        # for sketches with no low-rank structure the ||T||_* term is
+        # dropped from the optimization.
+        return midpoint_result(iterations=0, converged=True)
 
     # ------------------------------------------------------------------
     # x block.  Within the Eq. 3 box the per-flow estimate is decided
@@ -260,6 +306,7 @@ def lens_interpolate(
     residuals: list[float] = []
     converged = False
     iteration = 0
+    gesvd_retries = 0
 
     # ------------------------------------------------------------------
     # T/Y refinement (nuclear path): with x pinned to the box interior,
@@ -275,7 +322,20 @@ def lens_interpolate(
         t_matrix = base + noise
         # Nuclear-norm subgradient at T: alpha * U V^T on the leading
         # components (SVT of T minus T is the proximal direction).
-        shrunk = singular_value_threshold(t_matrix, alpha / rho)
+        try:
+            shrunk, retried = _shrink(t_matrix, alpha / rho)
+        except np.linalg.LinAlgError:
+            # No LAPACK driver factorized T: the refinement cannot
+            # run, but Lemma 4.1 still answers — hand back the point
+            # the sweep started from and let the caller see the flag.
+            return midpoint_result(
+                iterations=iteration - 1,
+                converged=False,
+                residuals=residuals,
+                gesvd_retries=gesvd_retries,
+                svd_failed=True,
+            )
+        gesvd_retries += retried
         nuclear_pull = t_matrix - shrunk  # points away from low rank
         noise = noise - eta * (nuclear_pull / rho + noise / gamma)
         # Small refinement of wide-box x toward the denoised matrix.
@@ -326,4 +386,5 @@ def lens_interpolate(
         iterations=iteration,
         converged=converged,
         residuals=residuals,
+        gesvd_retries=gesvd_retries,
     )

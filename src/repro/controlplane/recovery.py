@@ -27,11 +27,18 @@ from enum import Enum
 import numpy as np
 
 from repro.common.flow import FlowKey
-from repro.controlplane.lens import LensConfig, lens_interpolate
+from repro.controlplane.lens import (
+    LensConfig,
+    box_midpoint,
+    lens_interpolate,
+)
 from repro.fastpath.topk import FastPathSnapshot
 from repro.sketches.base import Sketch
 from repro.telemetry import trace_span
-from repro.telemetry.publish import publish_recovery_residual
+from repro.telemetry.publish import (
+    publish_lens_svd_fallbacks,
+    publish_recovery_residual,
+)
 
 #: Synthetic small-flow prior: untracked flows are smaller than the
 #: fast path's tracking boundary and follow the same power law the
@@ -185,9 +192,7 @@ def recover(
         )
 
     # SketchVisor: full compressive-sensing interpolation.
-    try:
-        positions = [normal.matrix_positions(flow) for flow in flows]
-    except NotImplementedError:
+    if type(normal).matrix_positions is Sketch.matrix_positions:
         # Sketch without a linear operator (e.g. kMin): fall back to
         # midpoint injection, which still honours the Eq. 3 box, and
         # realize the small-flow mass the same way as the solver path.
@@ -216,24 +221,33 @@ def recover(
     with trace_span(
         telemetry, "recovery.lens", flows=len(flows), mode=mode.value
     ):
-        result = lens_interpolate(
-            n_matrix=normal.to_matrix(),
-            positions=positions,
-            lower=lower,
-            upper=upper,
-            volume=snapshot.total_bytes,
-            low_rank=normal.low_rank,
-            config=lens_config,
-        )
-    if telemetry is not None and result.residuals:
-        publish_recovery_residual(
-            telemetry.registry, float(result.residuals[-1])
-        )
+        if normal.low_rank:
+            result = lens_interpolate(
+                n_matrix=normal.to_matrix(),
+                positions=[
+                    normal.matrix_positions(flow) for flow in flows
+                ],
+                lower=lower,
+                upper=upper,
+                volume=snapshot.total_bytes,
+                config=lens_config,
+            )
+            x = result.x
+            iterations, converged = result.iterations, result.converged
+            if telemetry is not None:
+                _publish_solve(telemetry, result)
+        else:
+            # §5.3 drops the nuclear term for these sketches and the
+            # solver answers the box midpoint at iteration 0; only x is
+            # read here, so no position is hashed and neither the
+            # operator nor T is built.
+            x = box_midpoint(
+                normal.to_matrix(), lower, upper, snapshot.total_bytes
+            )
+            iterations, converged = 0, True
 
     recovered = _copy_sketch(normal)
-    estimates = {
-        flow: float(value) for flow, value in zip(flows, result.x)
-    }
+    estimates = {flow: float(value) for flow, value in zip(flows, x)}
     with trace_span(telemetry, "recovery.inject", flows=len(flows)):
         _inject_tracked(recovered, flows, estimates.values())
         # Realize the small-flow component y as synthetic flows rather
@@ -242,9 +256,7 @@ def recover(
         # zero-counting estimators (Linear Counting, FM, TwoLevel's
         # inner arrays) are destroyed by dense noise but restored by a
         # sparse realization with the right total volume.  See DESIGN.md.
-        remaining = max(
-            0.0, snapshot.total_bytes - float(result.x.sum())
-        )
+        remaining = max(0.0, snapshot.total_bytes - float(x.sum()))
         _inject_synthetic_small_flows(
             recovered,
             remaining,
@@ -254,11 +266,28 @@ def recover(
     return RecoveredState(
         sketch=recovered,
         flow_estimates=estimates,
-        lens_iterations=result.iterations,
-        lens_converged=result.converged,
-        tracked_bytes=float(result.x.sum()),
+        lens_iterations=iterations,
+        lens_converged=converged,
+        tracked_bytes=float(x.sum()),
         small_flow_bytes=remaining,
     )
+
+
+def _publish_solve(telemetry, result) -> None:
+    """The solver's final residual, and any SVD fallback it took."""
+    if result.residuals:
+        publish_recovery_residual(
+            telemetry.registry, float(result.residuals[-1])
+        )
+    if result.gesvd_retries or result.svd_failed:
+        publish_lens_svd_fallbacks(
+            telemetry.registry, result.gesvd_retries, result.svd_failed
+        )
+        telemetry.recorder.record(
+            "lens_svd_fallback",
+            gesvd_retries=result.gesvd_retries,
+            midpoint=result.svd_failed,
+        )
 
 
 def _missing_flow_count(snapshot: FastPathSnapshot) -> int | None:

@@ -1,12 +1,17 @@
 """FlowRadar [28]: Bloom filter + XOR-encoded counting table.
 
-Every cell of the counting table holds three fields: ``flow_xor`` (XOR of
-the 104-bit headers of all flows hashed there), ``flow_count`` (number of
+Every cell of the counting table holds three fields: the XOR of the
+104-bit headers of all flows hashed there, ``flow_count`` (number of
 distinct flows), and ``byte_count`` (total bytes).  A Bloom filter in
 front detects new flows.  Decoding peels *pure* cells (``flow_count ==
 1``): the cell's XOR field *is* the flow header and its byte count is the
 flow's size; removing the flow from its other cells exposes new pure
 cells, exactly like erasure decoding of an LT code.
+
+The XOR field is stored as two ``uint64`` word columns — ``xor_hi``
+(header bits 64-103) and ``xor_lo`` (bits 0-63) — so update, merge and
+decode are array programs and the payload codec ships the columns as
+ordinary sparse buffers.
 
 The paper measures FlowRadar at 2,584 cycles/packet with >67% in hash
 computations (Bloom filter + cell hashes).
@@ -14,13 +19,11 @@ computations (Bloom filter + cell hashes).
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from repro.common.errors import ConfigError, MergeError
 from repro.common.flow import FlowKey
-from repro.common.hashing import HashFamily
+from repro.common.hashing import HashFamily, mix64_array
 from repro.sketches.base import (
     CostProfile,
     FlowUpdates,
@@ -28,6 +31,46 @@ from repro.sketches.base import (
     flow_groups,
 )
 from repro.sketches.bloom import BloomFilter
+
+_MASK64 = (1 << 64) - 1
+#: Header bits 64-103 sit in the low 40 bits of an ``xor_hi`` word.
+_HI_BITS = np.uint64((1 << 40) - 1)
+
+
+def _header_words(headers) -> tuple[np.ndarray, np.ndarray]:
+    """Split 104-bit headers into ``(hi, lo)`` uint64 columns."""
+    return (
+        np.array([header >> 64 for header in headers], dtype=np.uint64),
+        np.array([header & _MASK64 for header in headers], dtype=np.uint64),
+    )
+
+
+def _run_starts(lead: np.ndarray) -> np.ndarray:
+    """Per element, the index where its run began (``lead`` marks the
+    first element of each run)."""
+    return np.maximum.accumulate(np.where(lead, np.arange(lead.size), 0))
+
+
+def _header_groups(hi: np.ndarray, lo: np.ndarray):
+    """Group rows by distinct header ``(hi, lo)``.
+
+    Returns ``(first, group)``: the row of each distinct header's first
+    occurrence, ascending, and every row's index into ``first``.
+    """
+    order = np.lexsort((lo, hi))
+    sorted_hi, sorted_lo = hi[order], lo[order]
+    lead = np.ones(order.size, dtype=bool)
+    lead[1:] = (sorted_hi[1:] != sorted_hi[:-1]) | (
+        sorted_lo[1:] != sorted_lo[:-1]
+    )
+    # The sort is stable, so each run is led by its earliest row.
+    first = order[lead]
+    by_row = np.argsort(first)
+    rank = np.empty_like(by_row)
+    rank[by_row] = np.arange(by_row.size)
+    group = np.empty_like(order)
+    group[order] = rank[np.cumsum(lead) - 1]
+    return first[by_row], group
 
 
 class FlowRadar(Sketch):
@@ -65,22 +108,47 @@ class FlowRadar(Sketch):
         self.num_cells = num_cells
         self.num_hashes = num_hashes
         self._hashes = HashFamily(num_hashes, seed)
-        self.flow_xor = [0] * num_cells
+        self.xor_hi = np.zeros(num_cells, dtype=np.uint64)
+        self.xor_lo = np.zeros(num_cells, dtype=np.uint64)
         self.flow_count = np.zeros(num_cells, dtype=np.int64)
         self.byte_count = np.zeros(num_cells, dtype=np.float64)
+
+    def __setstate__(self, state: dict) -> None:
+        # The payload codec turns any exception raised while loading an
+        # envelope into its CorruptFrameError / CorruptSnapshotError.
+        if "xor_hi" not in state or "xor_lo" not in state:
+            raise ValueError(
+                "FlowRadar state has no xor_hi/xor_lo word columns "
+                "(written before the XOR field became two columns)"
+            )
+        self.__dict__.update(state)
+
+    @property
+    def flow_xor(self) -> list[int]:
+        """The XOR field as 104-bit ints, one per cell (derived)."""
+        return [
+            (hi << 64) | lo
+            for hi, lo in zip(self.xor_hi.tolist(), self.xor_lo.tolist())
+        ]
 
     # ------------------------------------------------------------------
     def _cells(self, key64: int) -> list[int]:
         return self._hashes.buckets(key64, self.num_cells)
 
+    def _count_flow(self, flow: FlowKey, cells: list[int]) -> None:
+        """XOR a new flow's header into ``cells`` and count it there."""
+        header = flow.key104
+        hi, lo = np.uint64(header >> 64), np.uint64(header & _MASK64)
+        for cell in cells:
+            self.xor_hi[cell] ^= hi
+            self.xor_lo[cell] ^= lo
+            self.flow_count[cell] += 1
+
     def update(self, flow: FlowKey, value: int) -> None:
         key64 = flow.key64
         cells = self._cells(key64)
         if not self.bloom.add(key64):
-            header = flow.key104
-            for cell in cells:
-                self.flow_xor[cell] ^= header
-                self.flow_count[cell] += 1
+            self._count_flow(flow, cells)
         increment = 1 if self.count_packets else value
         for cell in cells:
             self.byte_count[cell] += increment
@@ -106,14 +174,13 @@ class FlowRadar(Sketch):
         new = np.flatnonzero(~self.bloom.add_ordered(keys))
         if new.size:
             packets = trace.packets
-            flow_xor = self.flow_xor
+            hi, lo = _header_words(
+                [packets[at].flow.key104 for at in first[new].tolist()]
+            )
             new_cells = cells[:, new]
-            for position, flow_cells in zip(
-                first[new].tolist(), new_cells.T.tolist()
-            ):
-                header = packets[position].flow.key104
-                for cell in flow_cells:
-                    flow_xor[cell] ^= header
+            for row_cells in new_cells:
+                np.bitwise_xor.at(self.xor_hi, row_cells, hi)
+                np.bitwise_xor.at(self.xor_lo, row_cells, lo)
             np.add.at(self.flow_count, new_cells.reshape(-1), 1)
         increments = np.bincount(
             group,
@@ -131,10 +198,7 @@ class FlowRadar(Sketch):
         key64 = flow.key64
         cells = self._cells(key64)
         if not self.bloom.add(key64):
-            header = flow.key104
-            for cell in cells:
-                self.flow_xor[cell] ^= header
-                self.flow_count[cell] += 1
+            self._count_flow(flow, cells)
         packets = max(1, round(value / 769.0))
         for cell in cells:
             self.byte_count[cell] += packets
@@ -148,50 +212,113 @@ class FlowRadar(Sketch):
             self.update_trace(FlowUpdates(flows, values))
 
     # ------------------------------------------------------------------
-    def decode(self) -> tuple[dict[FlowKey, float], bool]:
+    def decode(
+        self, threshold: float | None = None
+    ) -> tuple[dict[FlowKey, float], bool]:
         """Peel pure cells to recover ``{flow: bytes}``.
 
-        Returns the decoded flows and a flag that is True when the table
-        decoded completely (no undecodable residue).  Decoding mutates a
+        Returns the decoded flows — only those above ``threshold`` when
+        one is given — and a flag that is True when the table decoded
+        completely (no undecodable residue).  Decoding mutates a
         working copy, never the sketch itself.
-        """
-        # Plain lists: the peel touches single elements, and NumPy
-        # scalar access/arithmetic is several times slower than int and
-        # float (same IEEE doubles, so sizes come out identical).
-        flow_xor = list(self.flow_xor)
-        flow_count = self.flow_count.tolist()
-        byte_count = self.byte_count.tolist()
-        decoded: dict[FlowKey, float] = {}
 
-        pure = deque(np.flatnonzero(self.flow_count == 1).tolist())
-        while pure:
-            cell = pure.popleft()
-            if flow_count[cell] != 1:
-                continue
-            header = flow_xor[cell]
-            size = byte_count[cell]
-            try:
-                flow = FlowKey.from_key104(header)
-            except ValueError:
-                # Corrupted cell (should not happen without bit errors).
-                flow_count[cell] = -1
-                continue
-            key64 = flow.key64
-            cells = self._cells(key64)
-            if cell not in cells:
-                # XOR residue that is not a real flow: decoding is stuck
-                # on this cell (a collision signature), mark and move on.
-                flow_count[cell] = -1
-                continue
-            decoded[flow] = decoded.get(flow, 0.0) + size
-            for other in cells:
-                flow_xor[other] ^= header
-                flow_count[other] -= 1
-                byte_count[other] -= size
-                if flow_count[other] == 1:
-                    pure.append(other)
-        complete = max(flow_count) <= 0
-        return decoded, complete
+        The peel is a FIFO queue of pure cells.  Each pass takes the
+        whole queue as one batch and is bit-identical to serving it one
+        cell at a time (``tests/reference_flowradar.py``): a queued
+        cell is served from the state the batch started in unless an
+        earlier peel of the batch touched it.  If that peel removed the
+        cell's own flow, the cell is spent either way; if it removed a
+        different flow (only on overlapping merges or corrupted cells)
+        the batch ends before that cell and the rest of the queue is
+        carried over, so queue order — which fixes the decoded order
+        and, for non-integer counters, the subtraction order — is kept.
+        """
+        num_cells, num_hashes = self.num_cells, self.num_hashes
+        count = self.flow_count.copy()
+        size = self.byte_count.copy()
+        xor_hi = self.xor_hi.copy()
+        xor_lo = self.xor_lo.copy()
+        peeled: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+        queue = np.flatnonzero(count == 1)
+        while queue.size:
+            # Counts only fall, so a cell queued at 1 and no longer
+            # there is spent for good.
+            queue = queue[count[queue] == 1]
+            head_hi, head_lo = xor_hi[queue], xor_lo[queue]
+            # from_key104 reads 104 bits; whatever a corrupted word
+            # holds above them is XORed on but names no other flow.
+            flow_hi = head_hi & _HI_BITS
+            cells = self._hashes.buckets_array(
+                mix64_array(flow_hi ^ head_lo), num_cells
+            )
+            # A cell that is not one of its header's own cells holds
+            # XOR residue, not a flow: decoding is stuck on it.
+            own = (cells == queue).any(axis=0)
+            candidates = np.flatnonzero(own)
+            # Peeling a flow spends every pure cell it has, so only the
+            # first queued cell of each distinct header peels.
+            first, _group = _header_groups(
+                flow_hi[candidates], head_lo[candidates]
+            )
+            peel = candidates[first]
+
+            position = np.full(num_cells, -1, dtype=np.intp)
+            position[queue] = np.arange(queue.size)
+            touched = position[cells[:, peel]]
+            clash = (touched > peel) & (
+                (flow_hi[touched] != flow_hi[peel])
+                | (head_lo[touched] != head_lo[peel])
+            )
+            stop = queue.size
+            if clash.any():
+                stop = touched[clash].min()
+                peel = peel[peel < stop]
+            count[queue[:stop][~own[:stop]]] = -1
+
+            # Every peel's events in queue order: flow-major, hash row
+            # minor, a cell hit in two rows counted twice.  ufunc.at
+            # applies them one by one in that order.
+            events = cells[:, peel].T.reshape(-1)
+            sizes = size[queue[peel]]
+            np.bitwise_xor.at(
+                xor_hi, events, np.repeat(head_hi[peel], num_hashes)
+            )
+            np.bitwise_xor.at(
+                xor_lo, events, np.repeat(head_lo[peel], num_hashes)
+            )
+            np.subtract.at(size, events, np.repeat(sizes, num_hashes))
+            # A cell joins the queue at the event that leaves its count
+            # at 1: the one whose rank among the cell's events is
+            # count - 2.
+            order = np.argsort(events, kind="stable")
+            ranked = events[order]
+            lead = np.ones(ranked.size, dtype=bool)
+            lead[1:] = ranked[1:] != ranked[:-1]
+            rank = np.arange(ranked.size) - _run_starts(lead)
+            pure = np.empty(ranked.size, dtype=bool)
+            pure[order] = count[ranked] - rank == 2
+            np.subtract.at(count, events, 1)
+
+            peeled.append((flow_hi[peel], head_lo[peel], sizes))
+            queue = np.concatenate([queue[stop:], events[pure]])
+
+        complete = bool(count.max() <= 0)
+        if not peeled:
+            return {}, complete
+        hi, lo, sizes = (np.concatenate(column) for column in zip(*peeled))
+        # A header decoded twice sums in decode order, from 0.0.
+        first, group = _header_groups(hi, lo)
+        totals = np.zeros(first.size, dtype=np.float64)
+        np.add.at(totals, group, sizes)
+        if threshold is not None:
+            keep = totals > threshold
+            first, totals = first[keep], totals[keep]
+        flows = [
+            FlowKey.from_key104((high << 64) | low)
+            for high, low in zip(hi[first].tolist(), lo[first].tolist())
+        ]
+        return dict(zip(flows, totals.tolist())), complete
 
     def estimate(self, flow: FlowKey) -> float:
         """Count-Min-style upper bound from the byte counters."""
@@ -216,12 +343,8 @@ class FlowRadar(Sketch):
         ):
             raise MergeError("FlowRadar configurations differ")
         self.bloom.merge(other.bloom)
-        flow_xor = self.flow_xor
-        incoming = other.flow_xor
-        # A cell holds a header only once a flow was counted into it;
-        # XOR with the 0 of every other cell is the identity.
-        for cell in np.flatnonzero(other.flow_count).tolist():
-            flow_xor[cell] ^= incoming[cell]
+        self.xor_hi ^= other.xor_hi
+        self.xor_lo ^= other.xor_lo
         self.flow_count += other.flow_count
         self.byte_count += other.byte_count
 
@@ -265,6 +388,7 @@ class FlowRadar(Sketch):
 
     def reset(self) -> None:
         self.bloom.reset()
-        self.flow_xor = [0] * self.num_cells
+        self.xor_hi[:] = 0
+        self.xor_lo[:] = 0
         self.flow_count[:] = 0
         self.byte_count[:] = 0.0

@@ -123,12 +123,8 @@ class HeavyHitterTask(MeasurementTask):
         if isinstance(sketch, ReversibleSketch):
             return dict(sketch.decode(threshold))
         if isinstance(sketch, FlowRadar):
-            decoded, _complete = sketch.decode()
-            return {
-                flow: size
-                for flow, size in decoded.items()
-                if size > threshold
-            }
+            decoded, _complete = sketch.decode(threshold)
+            return decoded
         if isinstance(sketch, UnivMon):
             return dict(sketch.heavy_hitters(threshold))
         raise ConfigError(f"unsupported sketch {type(sketch).__name__}")

@@ -374,6 +374,20 @@ def publish_recovery_residual(
     ).set(residual)
 
 
+def publish_lens_svd_fallbacks(
+    registry: MetricsRegistry, gesvd_retries: int, midpoint: bool
+) -> None:
+    """Count the rungs one LENS solve took below the first SVD driver:
+    ``gesvd`` per factorization the retry driver answered, ``midpoint``
+    when neither driver did and the box midpoint stood in."""
+    fallbacks = registry.counter(
+        "sketchvisor_lens_svd_fallbacks_total",
+        "LENS SVDs answered below the first LAPACK driver, by rung",
+    )
+    fallbacks.inc(gesvd_retries, rung="gesvd")
+    fallbacks.inc(1 if midpoint else 0, rung="midpoint")
+
+
 def publish_profile_epoch(
     registry: MetricsRegistry,
     stage_deltas: dict[str, tuple[float, float]],

@@ -149,6 +149,20 @@ def assert_exact_unaliased_round_trip(obj, encode, decode) -> None:
     assert array_bits(decode(blob)) == expected
 
 
+def pre_column_flowradar():
+    """A FlowRadar whose pickled state is the one written before the
+    XOR field became two word columns: a ``flow_xor`` list, no
+    ``xor_hi`` / ``xor_lo``."""
+    from repro.sketches.flowradar import FlowRadar
+
+    sketch = FlowRadar(bloom_bits=2048, num_cells=512, seed=3)
+    sketch.update(make_flow(1), 100)
+    state = vars(sketch)
+    state["flow_xor"] = sketch.flow_xor
+    del state["xor_hi"], state["xor_lo"]
+    return sketch
+
+
 def adversarial_arrays(seed: int, density: float) -> dict:
     """Arrays chosen to break a word-sparse codec, not a sketch."""
     rng = np.random.default_rng(seed)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.common.errors import ConfigError
+from repro.controlplane import lens
 from repro.controlplane.lens import LensConfig, lens_interpolate
 from repro.controlplane.recovery import (
     RecoveryMode,
@@ -224,6 +226,118 @@ class TestTrackedFlowReinjection:
             )
         codec = StateCodec()
         assert codec.encode(state.sketch) == codec.encode(expected)
+
+
+def _recover_through_the_solver(normal, snapshot):
+    """``recover(..., SKETCHVISOR)`` with nothing skipped: every
+    tracked flow's positions hashed, the operator built and
+    ``lens_interpolate`` run, whatever ``low_rank`` says."""
+    flows = list(snapshot.entries)
+    result = lens_interpolate(
+        normal.to_matrix(),
+        positions=[normal.matrix_positions(flow) for flow in flows],
+        lower=[snapshot.entries[f].lower_bound for f in flows],
+        upper=[snapshot.entries[f].upper_bound for f in flows],
+        volume=snapshot.total_bytes,
+        low_rank=normal.low_rank,
+    )
+    recovered = _copy_sketch(normal)
+    for flow, value in zip(flows, result.x):
+        if int(round(value)) > 0:
+            recovered.inject(flow, int(round(value)))
+    small = max(0.0, snapshot.total_bytes - float(result.x.sum()))
+    _inject_synthetic_small_flows(
+        recovered,
+        small,
+        _tracking_boundary(snapshot),
+        count=_missing_flow_count(snapshot),
+    )
+    return recovered, result, small
+
+
+def _loaded(solution):
+    normal = registry_solutions()[solution](seed=5)
+    for index in range(30, 120):
+        normal.update(make_flow(index), 300 + index)
+    return normal
+
+
+#: kMin has no linear operator; every other solution has one.
+WITH_OPERATOR = sorted(set(registry_solutions()) - {"kmin"})
+NO_NUCLEAR_TERM = sorted(
+    set(WITH_OPERATOR) - {"deltoid", "revsketch", "twolevel"}
+)
+
+
+class TestRecoverySkipsWhatItNeverReads:
+    """Sketches with no low-rank structure take the box midpoint
+    without an operator; the recovered state is the solver route's."""
+
+    @pytest.mark.parametrize("solution", WITH_OPERATOR)
+    def test_state_equals_the_solver_route(self, solution):
+        normal, snapshot = _loaded(solution), _tracked_snapshot()
+        state = recover(normal, snapshot, RecoveryMode.SKETCHVISOR)
+        expected, result, small = _recover_through_the_solver(
+            normal, snapshot
+        )
+        codec = StateCodec()
+        assert codec.encode(state.sketch) == codec.encode(expected)
+        assert [
+            (flow, value.hex())
+            for flow, value in state.flow_estimates.items()
+        ] == [
+            (flow, float(value).hex())
+            for flow, value in zip(snapshot.entries, result.x)
+        ]
+        assert state.tracked_bytes == float(result.x.sum())
+        assert state.small_flow_bytes == small
+        assert state.lens_iterations == result.iterations
+        assert state.lens_converged is result.converged
+        assert (state.lens_iterations > 0) is normal.low_rank
+
+    @pytest.mark.parametrize("solution", NO_NUCLEAR_TERM)
+    def test_no_position_is_hashed_and_no_operator_built(
+        self, solution, monkeypatch
+    ):
+        normal = _loaded(solution)
+        assert not normal.low_rank
+        calls = []
+        monkeypatch.setattr(
+            type(normal),
+            "matrix_positions",
+            lambda self, flow: calls.append("positions"),
+        )
+        monkeypatch.setattr(
+            lens, "_build_operator", lambda *a: calls.append("operator")
+        )
+        state = recover(
+            normal, _tracked_snapshot(), RecoveryMode.SKETCHVISOR
+        )
+        assert calls == []
+        assert len(state.flow_estimates) == 60
+
+    def test_kmin_keeps_its_unscaled_midpoint(self):
+        normal, snapshot = _loaded("kmin"), _tracked_snapshot()
+        state = recover(normal, snapshot, RecoveryMode.SKETCHVISOR)
+        assert state.flow_estimates == {
+            flow: (entry.lower_bound + entry.upper_bound) / 2.0
+            for flow, entry in snapshot.entries.items()
+        }
+        assert state.lens_iterations == 0 and state.lens_converged
+        assert state.small_flow_bytes == max(
+            0.0,
+            snapshot.total_bytes - sum(state.flow_estimates.values()),
+        )
+
+    @pytest.mark.parametrize("solution", ["flowradar", "deltoid"])
+    def test_invalid_bounds_still_raise(self, solution):
+        normal = _loaded(solution)
+        inverted = {make_flow(1): FlowEntry(e=-50.0, r=900.0, d=0.0)}
+        with pytest.raises(ConfigError, match="lower bounds"):
+            recover(normal, _snapshot(inverted, V=5000.0))
+        tracked = {make_flow(1): FlowEntry(e=50.0, r=900.0, d=0.0)}
+        with pytest.raises(ConfigError, match="volume"):
+            recover(normal, _snapshot(tracked, V=-1.0))
 
 
 class TestFastPathCounters:

@@ -50,6 +50,7 @@ from tests.conftest import (
     assert_exact_unaliased_round_trip,
     fill_sketch,
     make_flow,
+    pre_column_flowradar,
 )
 from tests.reference_engine import reference_run
 
@@ -352,6 +353,14 @@ class TestFrameCorruption:
         blob[index] ^= 0x10
         with pytest.raises(CorruptSnapshotError):
             codec.decode(bytes(blob))
+
+    def test_pre_column_flowradar_is_refused_not_half_loaded(self, codec):
+        """A checkpoint holding a FlowRadar with a ``flow_xor`` list is
+        a corrupt snapshot at decode time — restore walks back — not an
+        ``AttributeError`` at the first update."""
+        blob = codec.encode({"sketch": pre_column_flowradar()})
+        with pytest.raises(CorruptSnapshotError, match="word columns"):
+            codec.decode(blob)
 
     def test_not_an_engine_snapshot(self, codec):
         blob = codec.encode({"format": "something-else"})

@@ -38,6 +38,7 @@ from tests.conftest import (
     arrays_in,
     assert_exact_unaliased_round_trip,
     fill_sketch,
+    pre_column_flowradar,
     registry_solutions,
     saturate,
 )
@@ -366,6 +367,16 @@ class TestCorruptionProperty:
         frame[4] = 9
         with pytest.raises(CorruptFrameError, match="version"):
             decode_report(bytes(frame))
+
+    def test_pre_column_flowradar_is_refused_not_half_loaded(self, report):
+        """A host still sending FlowRadar's ``flow_xor`` list gets a
+        corrupt-frame verdict (so a NAK), not a controller that dies
+        with ``AttributeError`` in the merge."""
+        frame = encode_report(
+            dataclasses.replace(report, sketch=pre_column_flowradar())
+        )
+        with pytest.raises(CorruptFrameError, match="word columns"):
+            decode_report(frame)
 
     def test_garbage_payload_with_valid_crc_rejected(self):
         payload = b"\x99" * 64  # neither an array section nor a pickle
