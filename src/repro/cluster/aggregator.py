@@ -93,10 +93,19 @@ class Aggregator:
         self._host_ids.append(report.host_id)
 
     def finish(self) -> PartialAggregate | None:
-        """The group's partial, or ``None`` when no report arrived."""
+        """Hand over the group's partial, or ``None`` when no report
+        arrived (or it was already handed over).
+
+        The aggregator lets go of the merged state: it sits in a
+        reference cycle with its listener (``sink`` is :meth:`add`), so
+        anything it kept would outlive the epoch until a full
+        collection happened to run.
+        """
         if self._sketch is None:
             return None
+        sketch = self._sketch
         fastpath = self._fastpath if self._any_fastpath else None
+        self._sketch = self._fastpath = None
         if fastpath is not None and fastpath.entries:
             # Canonical entry order: socket arrival order must not
             # leak into downstream float-summation order.
@@ -119,7 +128,7 @@ class Aggregator:
             )
         return PartialAggregate(
             aggregator_id=self.aggregator_id,
-            sketch=self._sketch,
+            sketch=sketch,
             fastpath=fastpath,
             host_ids=tuple(sorted(self._host_ids)),
         )

@@ -21,6 +21,7 @@ their headers are known from the merged hash table ``H``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,6 +50,10 @@ from repro.telemetry.publish import (
 #: estimators (LC/FM/kMin, TwoLevel inner arrays) ultimately see.
 _MIN_FLOW_BYTES = 64.0
 _MAX_SYNTHETIC_FLOWS = 500_000
+#: Half-open ranges of a synthetic flow's (src_ip, dst_ip, src_port,
+#: dst_port), in the order they are drawn.
+_FIELD_LOW = (1, 1, 1024, 1)
+_FIELD_HIGH = (2**32, 2**32, 65536, 1024)
 
 
 class RecoveryMode(Enum):
@@ -347,8 +352,6 @@ def _inject_synthetic_small_flows(
 
     if count is None:
         # Mass-anchored: Pareto mean ~ low * ln(high/low).
-        import math
-
         mean = low * math.log(high / low) / (1.0 - low / high)
         count = int(round(volume / max(mean, low)))
     count = max(0, min(count, _MAX_SYNTHETIC_FLOWS))
@@ -358,17 +361,14 @@ def _inject_synthetic_small_flows(
         inv_low - rng.random(count) * (inv_low - inv_high)
     )
     draws *= volume / draws.sum()
-    # One generator call per field per flow: the stream (and so every
-    # synthetic 5-tuple) stays what it always was.
-    flows = [
-        FlowKey(
-            src_ip=int(rng.integers(1, 2**32)),
-            dst_ip=int(rng.integers(1, 2**32)),
-            src_port=int(rng.integers(1024, 65536)),
-            dst_port=int(rng.integers(1, 1024)),
-        )
-        for _ in range(count)
-    ]
+    # One broadcast draw, flow-major: NumPy's per-element bounded path
+    # reads the stream exactly as four scalar calls per flow did, so
+    # every synthetic 5-tuple stays what it always was (pinned by
+    # tests/test_recovery_internals.py::TestBroadcastDraw).
+    fields = rng.integers(
+        np.tile(_FIELD_LOW, count), np.tile(_FIELD_HIGH, count)
+    ).reshape(count, 4)
+    flows = [FlowKey(*row) for row in fields.tolist()]
     sketch.inject_batch(
         flows, [max(1, int(round(size))) for size in draws.tolist()]
     )

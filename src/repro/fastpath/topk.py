@@ -21,13 +21,19 @@ Lemma 4.1 invariants (property-tested in ``tests/test_fastpath.py``):
 3. every flow's error is at most ``(1 - delta)^(1/theta) * V / (k+1)``.
 
 ``H`` is stored as flat columns — ``keys`` plus float64 ``e``/``r``/``d``
-arrays, rows in insertion order — with a ``slots`` dict from flow to
-row.  A hit is one dict probe and one add; a kick-out pass is a handful
-of vector operations over ``k`` doubles instead of a Python loop over
-entry objects.  Rows stay packed (evictions compact the columns), so the
-representation is a function of the logical table alone: two fast paths
-that saw the same stream compare equal field by field, and iteration
-order is insertion order, as it was with the dict of entries.
+arrays of ``k`` slots — with a ``slots`` dict from flow to slot.  A flow
+keeps the slot it was inserted into until it is evicted; an evicted
+slot goes on the ``free`` list the next insertion pops from.  A hit is
+one dict probe and one add; a kick-out pass is one partition and two
+vector updates over ``k`` doubles plus one ``del`` per evicted flow —
+it costs what it evicts, which is the paper's amortization argument.
+Slot position is an input to none of the arithmetic, so nothing keeps
+the columns in order: ``slots`` is the insertion stamp (a dict iterates
+in insertion order and a re-admitted flow goes to its end), and
+:meth:`FastPath.rows` reads the columns through it.  Two fast paths
+that saw the same stream therefore agree on ``rows()``, ``V``, ``E``
+and the counters, while one restored by :meth:`FastPath.load_rows` may
+lay the same logical table out in different slots.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 
 import numpy as np
 
@@ -144,13 +149,16 @@ class FastPath:
         self.capacity = capacity
         self.memory_bytes = memory_bytes
         self.delta = delta
-        #: Tracked flows in insertion order; row ``i`` of the counter
-        #: columns belongs to ``keys[i]`` and ``slots[keys[i]] == i``.
-        self.keys: list[FlowKey] = []
+        #: Slot ``i`` of the counter columns belongs to ``keys[i]``
+        #: (``None`` when free) and ``slots[keys[i]] == i``; ``slots``
+        #: iterates in insertion order.  ``free`` holds the rest.
+        self.keys: list[FlowKey | None] = [None] * capacity
         self.slots: dict[FlowKey, int] = {}
-        #: Counter columns, preallocated to ``capacity`` rows and zero
-        #: past ``len(keys)``.  They are only ever changed in place, so
-        #: a caller may hold ``slots``/``r`` across :meth:`miss` calls.
+        self.free: list[int] = list(range(capacity - 1, -1, -1))
+        #: Counter columns, three separately owned arrays; a free
+        #: slot's values are stale and never read.  They are only ever
+        #: changed in place, so a caller may hold ``slots``/``r``
+        #: across :meth:`miss` calls.
         self.e = np.zeros(capacity)
         self.r = np.zeros(capacity)
         self.d = np.zeros(capacity)
@@ -184,7 +192,7 @@ class FastPath:
         itself still needs; such a caller owes :meth:`account` for the
         packets it did not send through :meth:`update`.
         """
-        if len(self.keys) < self.capacity:
+        if self.free:
             self._append(flow, self.total_decremented, float(value), 0.0)
             self.num_inserts += 1
             return UpdateKind.INSERT
@@ -194,12 +202,15 @@ class FastPath:
         threshold = self._threshold(float(value))
         r -= threshold
         self.d += threshold
-        dead = r <= 0.0
-        evicted = int(np.count_nonzero(dead))
-        if evicted:
-            self._evict(dead)
-            self.num_evicted += evicted
-        if value > threshold and evicted:
+        dead = (r <= 0.0).nonzero()[0].tolist()
+        if dead:
+            keys, slots = self.keys, self.slots
+            for slot in dead:
+                del slots[keys[slot]]
+                keys[slot] = None
+            self.free.extend(dead)
+            self.num_evicted += len(dead)
+        if value > threshold and dead:
             self._append(
                 flow,
                 self.total_decremented,
@@ -224,8 +235,8 @@ class FastPath:
 
     # ------------------------------------------------------------------
     def _append(self, flow: FlowKey, e: float, r: float, d: float) -> None:
-        slot = len(self.keys)
-        self.keys.append(flow)
+        slot = self.free.pop()
+        self.keys[slot] = flow
         self.slots[flow] = slot
         self.e[slot] = e
         self.r[slot] = r
@@ -233,14 +244,14 @@ class FastPath:
 
     def _threshold(self, value: float) -> float:
         """``compute_thresh`` over the (full) table's residuals plus
-        the arriving packet; only max, second max and min are read."""
-        r = self.r
-        if r.size > 1:
-            top = r.copy()
-            top.partition(r.size - 2)
+        the arriving packet; only max, second max and min are read, and
+        one two-pivot partition puts all three in place."""
+        top = self.r.copy()
+        if top.size > 1:
+            top.partition((0, top.size - 2))
             m1, m2 = float(top[-1]), float(top[-2])
         else:
-            m1, m2 = float(r[0]), -math.inf
+            m1, m2 = float(top[0]), -math.inf
         if value >= m1:
             a1, a2 = value, m1
         elif value > m2:
@@ -248,41 +259,21 @@ class FastPath:
         else:
             a1, a2 = m1, m2
         return _power_law_thresh(
-            a1, a2, min(float(r.min()), value), self.delta
+            a1, a2, min(float(top[0]), value), self.delta
         )
-
-    def _evict(self, dead: np.ndarray) -> None:
-        """Drop the rows flagged in ``dead`` and close the gaps.
-
-        Rows ahead of the first evicted one keep their slots; only the
-        tail is moved and re-indexed.
-        """
-        keys, slots = self.keys, self.slots
-        first = int(dead.argmax())
-        keep = ~dead[first:]
-        for flow in compress(keys[first:], dead[first:].tolist()):
-            del slots[flow]
-        for column in (self.e, self.r, self.d):
-            tail = column[first:]
-            kept = tail[keep]
-            tail[: kept.size] = kept
-            tail[kept.size :] = 0.0
-        survivors = list(compress(keys[first:], keep.tolist()))
-        keys[first:] = survivors
-        slots.update(zip(survivors, range(first, len(keys))))
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def rows(self) -> list[tuple[FlowKey, float, float, float]]:
         """``(flow, e, r, d)`` per tracked flow, in insertion order."""
-        n = len(self.keys)
+        order = list(self.slots.values())
         return list(
             zip(
-                self.keys,
-                self.e[:n].tolist(),
-                self.r[:n].tolist(),
-                self.d[:n].tolist(),
+                self.slots,
+                self.e[order].tolist(),
+                self.r[order].tolist(),
+                self.d[order].tolist(),
             )
         )
 
@@ -338,10 +329,9 @@ class FastPath:
         )
 
     def _clear_table(self) -> None:
-        self.keys.clear()
+        self.keys[:] = [None] * self.capacity
         self.slots.clear()
-        for column in (self.e, self.r, self.d):
-            column[:] = 0.0
+        self.free[:] = range(self.capacity - 1, -1, -1)
 
     def reset(self) -> None:
         """Clear all state for the next epoch."""

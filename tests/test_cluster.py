@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -456,6 +458,27 @@ class TestAggregatorTier:
 
     def test_empty_aggregator_finishes_none(self):
         assert Aggregator(0).finish() is None
+
+    def test_partial_is_handed_over_not_shared(self, reports):
+        """The aggregator sits in a cycle with its listener; a partial
+        it kept would wait for a generation-2 collection.  Dropping
+        the collection must free the merged sketches by refcount."""
+        collector = ClusterCollector(
+            ClusterConfig(hierarchical=True, **FAST)
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            collection = collector.collect(reports, 0)
+            sketches = [
+                weakref.ref(partial.sketch)
+                for partial in collection.reports
+            ]
+            assert len(sketches) > 1
+            del collection
+            assert [ref() for ref in sketches] == [None] * len(sketches)
+        finally:
+            gc.enable()
 
     def test_assignment_is_total_and_stable(self):
         for num_aggregators in (1, 3, 8):

@@ -8,7 +8,9 @@ The three Lemma 4.1 properties are property-tested over random streams:
 
 from __future__ import annotations
 
-import numpy as np
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from repro.common.errors import ConfigError
 from repro.common.flow import FlowKey
 from repro.dataplane.switch import SoftwareSwitch
+from repro.durability.codec import _freeze_fastpath, _thaw_fastpath
 from repro.fastpath.topk import (
     ENTRY_BYTES,
     FastPath,
@@ -208,10 +211,14 @@ class _DictTopK:
     def __init__(self, capacity):
         self.capacity = capacity
         self.table: dict = {}
+        self.total_bytes = 0.0
         self.total_decremented = 0.0
         self.kinds: list[UpdateKind] = []
+        self.num_evicted = 0
+        self.num_rejected = 0
 
     def update(self, flow, value):
+        self.total_bytes += value
         self.kinds.append(self._update(flow, value))
 
     def _update(self, flow, value):
@@ -230,12 +237,15 @@ class _DictTopK:
             entry[2] += threshold
             if entry[1] <= 0:
                 del self.table[key]
+                self.num_evicted += 1
         if value > threshold and len(self.table) < self.capacity:
             self.table[flow] = [
                 self.total_decremented,
                 float(value) - threshold,
                 threshold,
             ]
+        else:
+            self.num_rejected += 1
         self.total_decremented += threshold
         return UpdateKind.KICKOUT
 
@@ -243,79 +253,263 @@ class _DictTopK:
         return [(flow, *entry) for flow, entry in self.table.items()]
 
 
+def _hex_rows(rows):
+    return [(flow, e.hex(), r.hex(), d.hex()) for flow, e, r, d in rows]
+
+
+def _assert_equals_oracle(fastpath, oracle, kinds):
+    """Rows with order as exact floats, ``V``, ``E``, the six counters
+    and every update's kind."""
+    assert kinds == oracle.kinds
+    assert _hex_rows(fastpath.rows()) == _hex_rows(oracle.rows())
+    assert fastpath.total_bytes == oracle.total_bytes
+    assert fastpath.total_decremented == oracle.total_decremented
+    counts = {kind: oracle.kinds.count(kind) for kind in UpdateKind}
+    inserts = counts[UpdateKind.INSERT] + (
+        counts[UpdateKind.KICKOUT] - oracle.num_rejected
+    )
+    assert (
+        fastpath.num_updates,
+        fastpath.num_hits,
+        fastpath.num_inserts,
+        fastpath.num_kickouts,
+        fastpath.num_evicted,
+        fastpath.num_rejected,
+    ) == (
+        len(oracle.kinds),
+        counts[UpdateKind.HIT],
+        inserts,
+        counts[UpdateKind.KICKOUT],
+        oracle.num_evicted,
+        oracle.num_rejected,
+    )
+    _assert_index_consistent(fastpath)
+
+
 def _assert_index_consistent(fastpath):
-    """``slots`` is exactly the inverse of ``keys``, rows are packed
-    and the columns are zero past the last row."""
+    """``slots`` is exactly the inverse of ``keys`` over the live
+    slots, ``free`` is exactly the rest, every live residual is
+    positive and ``rows()`` walks ``slots`` (insertion) order."""
+    capacity = fastpath.capacity
+    assert len(fastpath.keys) == capacity
     assert fastpath.slots == {
-        flow: slot for slot, flow in enumerate(fastpath.keys)
+        flow: slot
+        for slot, flow in enumerate(fastpath.keys)
+        if flow is not None
     }
-    assert list(fastpath.slots) == fastpath.keys  # same order, too
-    live = len(fastpath.keys)
-    assert live <= fastpath.capacity
+    assert sorted(fastpath.free) == sorted(
+        set(range(capacity)) - set(fastpath.slots.values())
+    )
     for column in (fastpath.e, fastpath.r, fastpath.d):
-        assert column.shape == (fastpath.capacity,)
-        assert not column[live:].any()
-    assert (fastpath.r[:live] > 0).all()
+        assert column.shape == (capacity,)
+        assert column.base is None  # separately owned, never views
+    assert all(fastpath.r[slot] > 0 for slot in fastpath.slots.values())
+    order = [flow for flow, _e, _r, _d in fastpath.rows()]
+    assert order == list(fastpath.slots) == list(fastpath.table)
+
+
+def _churn(seed, capacity, length):
+    """A skewed stream over a pool several tables wide: a few flows
+    that stay, many that come back after they were evicted."""
+    rng = random.Random(seed)
+    pool = 4 * capacity + 8
+    return [
+        (
+            int(pool * rng.random() ** 3),
+            rng.choice((40, 64, 576, 1500)) + rng.randrange(64),
+        )
+        for _ in range(length)
+    ]
+
+
+churn = st.tuples(st.integers(0, 2**32), st.integers(1, 64))
+
+
+def _drive(capacity, stream, swaps=()):
+    """Feed ``stream`` to a :class:`FastPath` and to the oracle;
+    ``swaps`` is ``(position, rebuild)`` pairs, each replacing the fast
+    path by ``rebuild(fastpath)`` before that position's update."""
+    fastpath = FastPath(memory_bytes=capacity * ENTRY_BYTES)
+    oracle = _DictTopK(capacity)
+    kinds = []
+    for at, (index, size) in enumerate(stream):
+        for position, rebuild in swaps:
+            if position == at:
+                fastpath = rebuild(fastpath)
+                _assert_index_consistent(fastpath)
+        kinds.append(fastpath.update(make_flow(index), size))
+        oracle.update(make_flow(index), size)
+    return fastpath, oracle, kinds
 
 
 class TestColumns:
-    """The flat ``(key, e, r, d)`` layout and its key→slot index."""
+    """The slot-indexed ``(key, e, r, d)`` layout and its key→slot
+    index: stable slots, a free list, order read off ``slots``."""
 
     @given(streams, st.integers(1, 12))
     @settings(max_examples=120, deadline=None)
     def test_columns_equal_dict_of_entries(self, stream, capacity):
-        """Ordered rows, ``E`` and every update's kind are bit-equal to
-        the dict-of-entries formulation, and the index stays exact."""
+        """Ordered rows, ``V``, ``E``, the counters and every update's
+        kind are bit-equal to the dict-of-entries formulation, and the
+        index stays exact."""
+        _assert_equals_oracle(*_drive(capacity, stream))
+
+    @given(churn)
+    @settings(max_examples=40, deadline=None)
+    def test_long_churn_equals_dict_of_entries(self, case):
+        """Capacities 1-64, hundreds of kick-outs per stream."""
+        seed, capacity = case
+        fastpath, oracle, kinds = _drive(
+            capacity, _churn(seed, capacity, 3000)
+        )
+        assert fastpath.num_kickouts >= 200
+        _assert_equals_oracle(fastpath, oracle, kinds)
+
+    @given(churn, st.integers(0, 2999), st.integers(0, 2999))
+    @settings(max_examples=40, deadline=None)
+    def test_thawed_and_pickled_tables_carry_on(
+        self, case, thaw_at, pickle_at
+    ):
+        """A checkpoint restore (other slots, same table) and the
+        process pool's pickle (same slots, copied columns) mid-stream
+        are both invisible to everything after them."""
+        seed, capacity = case
+        swaps = [
+            (thaw_at, lambda fp: _thaw_fastpath(_freeze_fastpath(fp))),
+            (pickle_at, lambda fp: pickle.loads(pickle.dumps(fp))),
+        ]
+        _assert_equals_oracle(
+            *_drive(capacity, _churn(seed, capacity, 3000), swaps)
+        )
+
+    @given(churn)
+    @settings(max_examples=20, deadline=None)
+    def test_reset_then_reuse_equals_a_fresh_table(self, case):
+        seed, capacity = case
+        used = FastPath(memory_bytes=capacity * ENTRY_BYTES)
+        for index, size in _churn(seed, capacity, 1000):
+            used.update(make_flow(index), size)
+        used.reset()
+        assert used.rows() == []
+        _assert_index_consistent(used)
+        fresh = FastPath(memory_bytes=capacity * ENTRY_BYTES)
+        for index, size in _churn(seed + 1, capacity, 1000):
+            used.update(make_flow(index), size)
+            fresh.update(make_flow(index), size)
+        assert _hex_rows(used.rows()) == _hex_rows(fresh.rows())
+        assert used.total_bytes == fresh.total_bytes
+        assert used.total_decremented == fresh.total_decremented
+        _assert_index_consistent(used)
+
+    def test_held_probe_and_residuals_see_every_hit(self):
+        """``HostEngine._route`` binds ``slots.get`` and ``r`` once per
+        run and calls ``miss`` thousands of times in between: neither
+        object may ever be rebound."""
+        capacity = 16
         fastpath = FastPath(memory_bytes=capacity * ENTRY_BYTES)
         oracle = _DictTopK(capacity)
-        kinds = []
+        probe, residuals, miss = fastpath.slots.get, fastpath.r, fastpath.miss
+        stream = _churn(11, capacity, 6000)
+        hits = 0
         for index, size in stream:
-            kinds.append(fastpath.update(make_flow(index), size))
-            oracle.update(make_flow(index), size)
-        assert kinds == oracle.kinds
-        assert fastpath.rows() == oracle.rows()
-        assert fastpath.total_decremented == oracle.total_decremented
-        assert list(fastpath.table) == list(oracle.table)
-        _assert_index_consistent(fastpath)
+            flow = make_flow(index)
+            slot = probe(flow)
+            if slot is not None:
+                residuals[slot] += size
+                hits += 1
+            else:
+                miss(flow, size)
+            oracle.update(flow, size)
+        fastpath.account(
+            len(stream), hits, sum(size for _index, size in stream)
+        )
+        assert len(stream) - hits > 2000 and fastpath.num_kickouts > 1000
+        assert probe.__self__ is fastpath.slots
+        assert residuals is fastpath.r
+        _assert_equals_oracle(fastpath, oracle, oracle.kinds)
+
+    def test_kickout_touches_slots_once_per_evicted_flow(self, monkeypatch):
+        """A pass that evicts ``m`` flows hashes ``m`` keys (one ``del``
+        each) plus the admitted flow's — never a survivor's."""
+        capacity = 32
+        fastpath = FastPath(memory_bytes=capacity * ENTRY_BYTES)
+        stream = _churn(5, capacity, 2000)
+        flows = {index: make_flow(index) for index, _size in stream}
+        hashed = []
+        monkeypatch.setattr(
+            FlowKey,
+            "__hash__",
+            lambda flow: hashed.append(flow) or flow._hash,
+        )
+        passes = 0
+        for index, size in stream:
+            flow = flows[index]
+            if flow in fastpath.slots or fastpath.free:
+                fastpath.update(flow, size)
+                continue
+            before = dict(fastpath.slots)
+            evicted, inserts = fastpath.num_evicted, fastpath.num_inserts
+            del hashed[:]
+            assert fastpath.miss(flow, size) is UpdateKind.KICKOUT
+            touched = len(hashed)
+            evicted = fastpath.num_evicted - evicted
+            admitted = fastpath.num_inserts - inserts
+            assert touched == evicted + admitted
+            # Survivors sit where they sat.
+            for survivor, slot in fastpath.slots.items():
+                if survivor != flow:
+                    assert before[survivor] == slot
+            passes += evicted > 1
+        assert passes > 20  # passes that evicted several flows at once
 
     def test_eviction_at_first_middle_and_last_slot(self):
-        """One pass evicts slots 0, 2 and 4 of a full 5-row table:
-        survivors close ranks in order, the index follows them, the
-        admitted flow takes the first free row."""
+        """One pass evicts slots 0, 2 and 4 of a full 5-slot table:
+        survivors stay in slots 1 and 3, the admitted flow takes a
+        freed slot and the rows still read in insertion order."""
         fastpath = FastPath(memory_bytes=5 * ENTRY_BYTES)
         sizes = [10, 10_000, 10, 9_000, 10]
         for index, size in enumerate(sizes):
             fastpath.update(make_flow(index), size)
         assert fastpath.keys == [make_flow(i) for i in range(5)]
+        assert fastpath.free == []
 
         kind = fastpath.update(make_flow(5), 5_000)
         assert kind is UpdateKind.KICKOUT
         assert fastpath.num_evicted == 3
         threshold = fastpath.total_decremented
         assert 10 < threshold < 11
-        assert fastpath.keys == [make_flow(1), make_flow(3), make_flow(5)]
-        assert fastpath.slots == {
-            make_flow(1): 0,
-            make_flow(3): 1,
-            make_flow(5): 2,
-        }
+        assert fastpath.slots[make_flow(1)] == 1
+        assert fastpath.slots[make_flow(3)] == 3
+        admitted = fastpath.slots[make_flow(5)]
+        assert admitted in (0, 2, 4)
+        assert sorted(fastpath.free + [admitted]) == [0, 2, 4]
+        assert [fastpath.keys[slot] for slot in fastpath.free] == [None, None]
         assert fastpath.rows() == [
             (make_flow(1), 0.0, 10_000 - threshold, threshold),
             (make_flow(3), 0.0, 9_000 - threshold, threshold),
             (make_flow(5), 0.0, 5_000 - threshold, threshold),
         ]
         _assert_index_consistent(fastpath)
-        # Hits after compaction land on the moved rows.
+        # Hits after the pass land on the rows that never moved.
         fastpath.update(make_flow(3), 7)
         assert fastpath.table[make_flow(3)].r == 9_000 - threshold + 7
         assert fastpath.table[make_flow(1)].r == 10_000 - threshold
         for flow in (make_flow(0), make_flow(2), make_flow(4)):
             assert flow not in fastpath.slots
+        # The next two misses are plain inserts into the freed slots,
+        # and they read last.
+        assert fastpath.update(make_flow(6), 70) is UpdateKind.INSERT
+        assert fastpath.update(make_flow(7), 80) is UpdateKind.INSERT
+        assert fastpath.free == []
+        assert [flow for flow, *_ in fastpath.rows()] == [
+            make_flow(i) for i in (1, 3, 5, 6, 7)
+        ]
+        _assert_index_consistent(fastpath)
 
     def test_key64_colliding_flows_get_their_own_rows(self):
         """``key64`` folds 104 bits into 64, so it is not an identity:
         two headers with one fold, sent down the fast path by the
-        engine, must occupy two rows with separate ``(e, r, d)``."""
+        engine, must occupy two slots with separate ``(e, r, d)``."""
         first = FlowKey(1, 9, 3000, 0)
         second = FlowKey(0, 9, 3000, 1)
         assert first.key64 == second.key64 and first != second
@@ -333,6 +527,8 @@ class TestColumns:
         assert report.fastpath_packets == len(trace) - 1
         assert report.fastpath_flows == {first, second}
         assert fastpath.slots == {second: 0, first: 1}
+        assert fastpath.keys[:2] == [second, first]
+        assert len(fastpath.free) == fastpath.capacity - 2
         assert fastpath.rows() == [
             (second, 0.0, float(sum(sizes[second])), 0.0),
             (first, 0.0, float(sum(sizes[first][1:])), 0.0),

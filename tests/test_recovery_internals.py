@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.controlplane import lens
+from repro.controlplane import lens, recovery
 from repro.controlplane.lens import LensConfig, lens_interpolate
 from repro.controlplane.recovery import (
     RecoveryMode,
@@ -19,6 +21,7 @@ from repro.controlplane.recovery import (
 from repro.common.flow import FlowKey
 from repro.durability.codec import StateCodec
 from repro.fastpath.topk import FastPath, FastPathSnapshot, FlowEntry
+from repro.sketches.cardinality import LinearCounting
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.deltoid import Deltoid
 from repro.sketches.flowradar import FlowRadar
@@ -105,21 +108,115 @@ class TestSyntheticInjection:
         assert np.array_equal(a.counters, b.counters)
 
 
-def _inject_one_by_one(sketch, volume, boundary, count):
+def _scalar_fields(rng, count):
+    """Four scalar generator calls per flow — how the synthetic
+    5-tuples were drawn before the one broadcast call."""
+    return [
+        [
+            int(rng.integers(1, 2**32)),
+            int(rng.integers(1, 2**32)),
+            int(rng.integers(1024, 65536)),
+            int(rng.integers(1, 1024)),
+        ]
+        for _ in range(count)
+    ]
+
+
+def _inject_one_by_one(sketch, volume, boundary, count=None):
     """``_inject_synthetic_small_flows`` as it was before the batch
-    entry point: the same draws, scalar ``inject`` per flow."""
+    entry point and the broadcast draw: scalar draws, scalar
+    ``inject`` per flow."""
+    if volume <= 0:
+        return
+    low = 64.0
+    high = max(boundary, low * 1.01)
     rng = np.random.default_rng(sketch.seed ^ 0x5EED_CAFE)
-    inv_low, inv_high = 1.0 / 64.0, 1.0 / boundary
+    inv_low, inv_high = 1.0 / low, 1.0 / high
+    if count is None:
+        mean = low * math.log(high / low) / (1.0 - low / high)
+        count = int(round(volume / max(mean, low)))
+    count = max(0, min(count, recovery._MAX_SYNTHETIC_FLOWS))
+    if count == 0:
+        return
     draws = 1.0 / (inv_low - rng.random(count) * (inv_low - inv_high))
     draws *= volume / draws.sum()
-    for size in draws:
-        flow = FlowKey(
-            src_ip=int(rng.integers(1, 2**32)),
-            dst_ip=int(rng.integers(1, 2**32)),
-            src_port=int(rng.integers(1024, 65536)),
-            dst_port=int(rng.integers(1, 1024)),
+    for fields, size in zip(_scalar_fields(rng, count), draws):
+        sketch.inject(FlowKey(*fields), max(1, int(round(size))))
+
+
+class TestBroadcastDraw:
+    """The fact the one-call draw rests on, by name: a NumPy whose
+    broadcast ``integers`` reads the PCG64 stream in another order
+    would move every pinned answer — it must fail here first."""
+
+    COUNTS = (1, 2, 3, 5, 17, 100, 1000, 5000)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_broadcast_equals_four_scalar_calls_per_flow(self, count):
+        # 200 seeds in all, 25 per count.
+        first = self.COUNTS.index(count)
+        for seed in range(first, 200, len(self.COUNTS)):
+            scalar = np.random.default_rng(seed)
+            broadcast = np.random.default_rng(seed)
+            # The size draws that precede the 5-tuples in recovery.
+            assert np.array_equal(
+                scalar.random(count), broadcast.random(count)
+            )
+            fields = broadcast.integers(
+                np.tile(recovery._FIELD_LOW, count),
+                np.tile(recovery._FIELD_HIGH, count),
+            ).reshape(count, 4)
+            assert fields.tolist() == _scalar_fields(scalar, count)
+            assert (
+                broadcast.bit_generator.state
+                == scalar.bit_generator.state
+            )
+
+    def test_one_generator_call_per_injection(self, monkeypatch):
+        calls = []
+        real = np.random.default_rng
+
+        class Spy:
+            def __init__(self, seed):
+                self._rng = real(seed)
+
+            def random(self, *args):
+                return self._rng.random(*args)
+
+            def integers(self, *args):
+                calls.append(args)
+                return self._rng.integers(*args)
+
+        monkeypatch.setattr(recovery.np.random, "default_rng", Spy)
+        _inject_synthetic_small_flows(
+            CountMinSketch(width=64, depth=1, seed=3), 90_000.0, 1500.0
         )
-        sketch.inject(flow, max(1, int(round(size))))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "name", ["deltoid", "flowradar", "linear", "mrac"]
+    )
+    @pytest.mark.parametrize(
+        "volume,count",
+        [
+            (50_000.0, None),  # mass-anchored, ~226 flows
+            (250_000.0, 5_000),  # count clamped (to 300, below)
+            (9_000_000.0, None),  # mass-anchored into the clamp
+            (0.0, 600),
+            (-5.0, None),
+        ],
+    )
+    def test_sketches_byte_equal_to_scalar_reference(
+        self, monkeypatch, name, volume, count
+    ):
+        """Beside ``count`` given and unclamped, which is
+        ``TestBatchInjection.test_synthetic_flows_byte_equal_to_scalar_inject``."""
+        monkeypatch.setattr(recovery, "_MAX_SYNTHETIC_FLOWS", 300)
+        scalar, batch = _live_pair(name)
+        _inject_one_by_one(scalar, volume, 1800.0, count)
+        _inject_synthetic_small_flows(batch, volume, 1800.0, count)
+        codec = StateCodec()
+        assert codec.encode(batch) == codec.encode(scalar)
 
 
 #: Every ``inject`` flavour: plain update with a kernel (key64 batch,
@@ -141,7 +238,18 @@ INJECT_FACTORIES = {
         level_widths=(64, 32, 16), depth=3, heap_size=20, seed=11
     ),
     "mrac": lambda: MRAC(width=128, seed=11),
+    "linear": lambda: LinearCounting(width=2048, depth=2, seed=11),
 }
+
+
+def _live_pair(name):
+    """Two equal sketches with pre-existing state, so injection lands
+    on live counters."""
+    pair = INJECT_FACTORIES[name](), INJECT_FACTORIES[name]()
+    for index in range(40):
+        for sketch in pair:
+            sketch.update(make_flow(index), 100 + index)
+    return pair
 
 
 class TestBatchInjection:
@@ -150,12 +258,7 @@ class TestBatchInjection:
         """The batch entry point leaves the recovered sketch byte-equal
         to per-flow ``inject`` calls over the same RNG stream."""
         codec = StateCodec()
-        factory = INJECT_FACTORIES[name]
-        scalar, batch = factory(), factory()
-        # Pre-existing state, so injection lands on live counters.
-        for index in range(40):
-            for sketch in (scalar, batch):
-                sketch.update(make_flow(index), 100 + index)
+        scalar, batch = _live_pair(name)
         _inject_one_by_one(scalar, 250_000.0, 1800.0, 600)
         _inject_synthetic_small_flows(batch, 250_000.0, 1800.0, 600)
         assert codec.encode(batch) == codec.encode(scalar)

@@ -80,6 +80,10 @@ def state_equal(a, b, path="") -> bool:
     """Recursive exact equality over arbitrary repro state objects."""
     if type(a) is not type(b):
         return False
+    if isinstance(a, FastPath):
+        # The logical table (rows with order as exact floats, ``V``,
+        # ``E``, the counters): a restored table may sit in other slots.
+        return _freeze_fastpath(a) == _freeze_fastpath(b)
     if isinstance(a, np.ndarray):
         return (
             a.dtype == b.dtype
