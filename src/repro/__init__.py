@@ -36,9 +36,7 @@ from repro.common.errors import (
     DecodeError,
     MergeError,
     QuorumError,
-    ReportTimeout,
     ReproError,
-    StaleEpochError,
     TransportError,
 )
 from repro.common.flow import FlowKey, Packet
@@ -92,8 +90,6 @@ __all__ = [
     "Packet",
     "PipelineConfig",
     "QuorumError",
-    "ReportTimeout",
-    "StaleEpochError",
     "Telemetry",
     "Tracer",
     "TransportError",

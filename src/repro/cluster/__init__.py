@@ -22,13 +22,12 @@ from repro.cluster.aggregator import (
 from repro.cluster.config import ClusterConfig
 from repro.cluster.framing import DEFAULT_MAX_FRAME_BYTES, FrameAssembler
 from repro.cluster.runner import ClusterCollector, FailoverRecord
-from repro.cluster.transport import (
+from repro.cluster.transport import AggregatorListener, HostChannel
+from repro.controlplane.transport import (
     ACK,
     ACK_DUP,
     NAK_CORRUPT,
     NAK_STALE,
-    AggregatorListener,
-    HostChannel,
 )
 
 __all__ = [

@@ -32,10 +32,11 @@ class ClusterConfig:
     max_retries:
         Delivery attempts beyond each host's first.
     backoff_base, backoff_factor, backoff_jitter, jitter_seed:
-        Exponential-backoff schedule between attempts, with the same
-        seeded decorrelating jitter as the in-process collector
+        Exponential-backoff schedule between attempts: this config is
+        the :class:`~repro.controlplane.transport.Delivery` policy, so
+        the seeded decorrelating jitter is the in-process collector's
         (thundering-herd protection; see
-        :meth:`~repro.controlplane.transport.ReportCollector.backoff_for`).
+        :meth:`~repro.controlplane.transport.Delivery.backoff`).
     connect_timeout, ack_timeout:
         Client-side deadlines: TCP establishment, and waiting for the
         aggregator's ack after a frame is written.

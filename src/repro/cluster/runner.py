@@ -68,13 +68,9 @@ from repro.cluster.aggregator import (
     rendezvous_aggregator,
 )
 from repro.cluster.config import ClusterConfig
-from repro.cluster.transport import (
-    ACK_DUP,
-    AggregatorListener,
-    HostChannel,
-    _EPOCH_FATAL,
-)
+from repro.cluster.transport import AggregatorListener, HostChannel
 from repro.controlplane.transport import (
+    ACK_DUP,
     CollectionResult,
     encode_report,
 )
@@ -276,18 +272,43 @@ class ClusterCollector:
         struck_times: dict[int, float] = {}
         failover_records: list[FailoverRecord] = []
 
+        inflight = asyncio.Semaphore(cfg.max_inflight)
+
+        def channel_for(host_id: int, faults) -> HostChannel:
+            report = by_host[host_id]
+            return HostChannel(
+                host_id,
+                epoch,
+                # Late-bound encode: the frame exists only while this
+                # host holds an in-flight slot.
+                lambda: encode_report(report, epoch),
+                # Late-bound route: each attempt re-resolves over the
+                # live aggregator set.
+                lambda: router.resolve(host_id),
+                cfg,
+                stats,
+                injector=injector,
+                faults=faults,
+                inflight=inflight,
+            )
+
+        channels = [
+            channel_for(
+                host_id,
+                injector.schedule(epoch, host_id)
+                + injector.socket_schedule(epoch, host_id)
+                if injector is not None
+                else (),
+            )
+            for host_id in active
+        ]
         # Hosts down for the whole epoch (crash/partition faults burn
         # their budget before any socket): redelivery cannot help them.
-        fatal_hosts: set[int] = set()
-        host_faults: dict[int, list] = {}
-        for host_id in active:
-            faults: list = []
-            if injector is not None:
-                faults = list(injector.schedule(epoch, host_id))
-                faults += list(injector.socket_schedule(epoch, host_id))
-            host_faults[host_id] = faults
-            if any(fault in _EPOCH_FATAL for fault in faults):
-                fatal_hosts.add(host_id)
+        fatal_hosts = {
+            channel.host_id
+            for channel in channels
+            if channel.delivery.fatal is not None
+        }
 
         async def fail_over(agg_id: int) -> None:
             listener = listeners[agg_id]
@@ -349,31 +370,16 @@ class ClusterCollector:
         if agg_faults:
             watchdog = asyncio.ensure_future(watchdog_loop())
 
-        inflight = asyncio.Semaphore(cfg.max_inflight)
-
-        async def redeliver(host_id: int):
-            report = by_host[host_id]
-            channel = HostChannel(
-                host_id,
-                epoch,
-                lambda r=report: encode_report(r, epoch),
-                lambda h=host_id: router.resolve(h),
-                cfg,
-                stats,
-                injector=injector,
-                # A fresh retry budget, no injected faults: redelivery
-                # models the host's fail-over logic, not new chaos —
-                # though the surviving *aggregators'* own scheduled
-                # strikes still apply on arrival.
-                faults=[],
-                inflight=inflight,
-            )
-            frame = await channel.deliver()
-            if frame is not None:
+        async def redeliver(host_id: int) -> None:
+            # A fresh retry budget, no injected faults: redelivery
+            # models the host's fail-over logic, not new chaos — though
+            # the surviving *aggregators'* own scheduled strikes still
+            # apply on arrival.
+            channel = channel_for(host_id, ())
+            if await channel.deliver() is not None:
                 stats.redeliveries += 1
                 if channel.last_ack == ACK_DUP:
                     stats.redelivery_dups += 1
-            return frame
 
         def remaining() -> float:
             return deadline - loop.time()
@@ -415,45 +421,15 @@ class ClusterCollector:
                 if not undelivered:
                     break
                 swept_generation = len(failover_records)
-                sweep = [
-                    asyncio.ensure_future(redeliver(host_id))
-                    for host_id in undelivered
-                ]
-                frames = await self._gather_with_deadline(
-                    sweep, timeout=max(0.0, remaining())
+                await self._gather_with_deadline(
+                    [redeliver(host_id) for host_id in undelivered],
+                    timeout=max(0.0, remaining()),
                 )
-                if injector is not None:
-                    for host_id, frame in zip(undelivered, frames):
-                        if frame is not None:
-                            injector.remember(host_id, frame)
 
         try:
-            tasks = []
-            for host_id in active:
-                report = by_host[host_id]
-                channel = HostChannel(
-                    host_id,
-                    epoch,
-                    # Late-bound encode: the frame exists only while
-                    # this host holds an in-flight slot.
-                    lambda r=report: encode_report(r, epoch),
-                    # Late-bound route: each attempt re-resolves over
-                    # the live aggregator set.
-                    lambda h=host_id: router.resolve(h),
-                    cfg,
-                    stats,
-                    injector=injector,
-                    faults=host_faults[host_id],
-                    inflight=inflight,
-                )
-                tasks.append(
-                    asyncio.ensure_future(channel.deliver())
-                )
-            frames = await self._gather_with_deadline(tasks)
-            if injector is not None:
-                for host_id, frame in zip(active, frames):
-                    if frame is not None:
-                        injector.remember(host_id, frame)
+            await self._gather_with_deadline(
+                [channel.deliver() for channel in channels]
+            )
             if watchdog is not None:
                 await settle()
         finally:
@@ -534,12 +510,13 @@ class ClusterCollector:
         return result
 
     # ------------------------------------------------------------------
-    async def _gather_with_deadline(self, tasks, timeout=None):
-        """Gather channel tasks under the epoch deadline; stragglers
+    async def _gather_with_deadline(self, deliveries, timeout=None):
+        """Run channel deliveries under the epoch deadline; stragglers
         are cancelled and land in the missing set."""
+        tasks = [asyncio.ensure_future(delivery) for delivery in deliveries]
         if not tasks:
-            return []
-        done, pending = await asyncio.wait(
+            return
+        _, pending = await asyncio.wait(
             tasks,
             timeout=(
                 self.config.epoch_deadline if timeout is None else timeout
@@ -549,13 +526,9 @@ class ClusterCollector:
             task.cancel()
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
-        frames = []
         for task in tasks:
-            if task.cancelled():
-                frames.append(None)
-            else:
-                # Network failure modes are handled inside the
-                # channel; anything escaping it is a real bug and
-                # must surface, not masquerade as a missing host.
-                frames.append(task.result())
-        return frames
+            # Network failure modes are handled inside the channel;
+            # anything escaping it is a real bug and must surface, not
+            # masquerade as a missing host.
+            if not task.cancelled():
+                task.result()

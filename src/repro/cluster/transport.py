@@ -1,59 +1,47 @@
 """Asyncio host → aggregator socket transport.
 
-The client half (:class:`HostChannel`) delivers one host's encoded
-frame to its aggregator over a real TCP connection: connect with a
-deadline, write under kernel backpressure (bounded write buffer +
-``drain()``), wait for the aggregator's one-byte ack, and retry failed
-attempts on the same seeded, jittered exponential-backoff schedule the
-in-process :class:`~repro.controlplane.transport.ReportCollector`
-uses.  A process-wide in-flight semaphore bounds how many hosts hold
-open sockets and encoded frames at once, so a 1000-host epoch runs in
-bounded transport memory.
+The client half (:class:`HostChannel`) drives one host's
+:class:`~repro.controlplane.transport.Delivery` — the same retry and
+fault policy the in-process collector runs — over a real TCP
+connection per attempt: connect with a deadline, write under kernel
+backpressure (bounded write buffer + ``drain()``), wait for the
+aggregator's one-byte ack, sleep the machine's backoff between
+attempts.  A process-wide in-flight semaphore bounds how many hosts
+hold open sockets and encoded frames at once, so a 1000-host epoch
+runs in bounded transport memory.
 
 The server half (:class:`AggregatorListener`) accepts connections for
 one aggregator, reassembles frames with the sans-IO
 :class:`~repro.cluster.framing.FrameAssembler` under an idle deadline,
-and routes every frame through the same defensive checks as the
-in-process collector — stale-epoch rejection from the in-the-clear
-header, CRC + restricted-unpickle decode, dedup by ``(host, epoch)``
-— acking ``ACK``/``ACK_DUP`` or nacking ``NAK_STALE``/``NAK_CORRUPT``
-so the client knows whether to retry.
+and answers each frame with the verdict of
+:func:`~repro.controlplane.transport.accept_frame` — the in-process
+collector's receiver check — so the client knows whether to retry.
 
-Fault injection happens where each fault lives in a real deployment:
-connection-level kinds (refused, reset, partial write, slow peer,
-partition) at the socket operations, frame-level kinds (truncation,
-bit-flips, stale replays, duplicates) on the bytes written — all drawn
-from the same seeded :class:`~repro.faults.FaultPlan` schedules, so a
-chaos run is reproducible byte for byte.
+Connection-level faults (refused, reset, partial write, slow peer,
+partition) act on the socket operations; frame-level faults act on
+the bytes the machine hands over — all drawn from the same seeded
+:class:`~repro.faults.FaultPlan` schedules, so a chaos run is
+reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
+from contextlib import nullcontext, suppress
 
 from repro.cluster.framing import FrameAssembler
-from repro.common.errors import CorruptFrameError, StaleEpochError
+from repro.common.errors import CorruptFrameError
 from repro.controlplane.transport import (
+    NAK_CORRUPT,
+    SUCCESS_ACKS,
     CollectionStats,
-    decode_report,
-    jittered_backoff,
-    peek_header,
+    Delivery,
+    accept_frame,
 )
 from repro.faults.plan import AggregatorFault, FaultKind
 
-#: One-byte control responses from aggregator to host.
-ACK = b"\x06"
-ACK_DUP = b"\x07"
-NAK_STALE = b"\x15"
-NAK_CORRUPT = b"\x16"
-
-#: Acks that mean "your report is accounted for; stop retrying".
-_SUCCESS_ACKS = (ACK, ACK_DUP)
-
-#: Fault kinds that abort the whole epoch for a host before any
-#: connection is attempted.
-_EPOCH_FATAL = {FaultKind.CRASH, FaultKind.PARTITION}
+#: What a socket operation raises when the peer is gone or too slow.
+_CONN_ERRORS = (ConnectionError, OSError, asyncio.TimeoutError)
 
 
 class AggregatorListener:
@@ -236,31 +224,16 @@ class AggregatorListener:
             and len(self.accepted) >= self.fault.offset
         ):
             return self._strike(writer)
-        try:
-            header = peek_header(frame)
-            if header.epoch != self.epoch & 0xFFFF_FFFF:
-                raise StaleEpochError(
-                    f"frame for epoch {header.epoch} during epoch "
-                    f"{self.epoch}"
-                )
-            report = decode_report(frame)
-        except StaleEpochError:
-            self.stats.stale_frames += 1
-            return await self._respond(writer, NAK_STALE)
-        except CorruptFrameError:
-            self.stats.corrupt_frames += 1
-            return await self._respond(writer, NAK_CORRUPT)
-        key = (report.host_id, self.epoch)
-        if key in self.seen:
-            self.stats.duplicates += 1
-            return await self._respond(writer, ACK_DUP)
-        self.seen.add(key)
-        self.delivered.add(report.host_id)
-        self.accepted.append(report.host_id)
-        self.sink(report)
-        if self.on_accept is not None:
-            self.on_accept(report.host_id, frame)
-        return await self._respond(writer, ACK)
+        verdict, report = accept_frame(
+            frame, self.epoch, self.seen, self.stats
+        )
+        if report is not None:
+            self.delivered.add(report.host_id)
+            self.accepted.append(report.host_id)
+            self.sink(report)
+            if self.on_accept is not None:
+                self.on_accept(report.host_id, frame)
+        return await self._respond(writer, verdict)
 
     def _strike(self, writer) -> bool:
         """Fire the scheduled aggregator fault.  The frame in hand is
@@ -277,7 +250,7 @@ class AggregatorListener:
             # that tripped the fault dies with an RST.
             if self.server is not None:
                 self.server.close()
-            with _suppress_conn_errors():
+            with suppress(*_CONN_ERRORS):
                 writer.transport.abort()
             return False
         self.stats.agg_hangs += 1
@@ -294,7 +267,14 @@ class AggregatorListener:
 
 
 class HostChannel:
-    """One host's delivery loop for one epoch.
+    """One host's :class:`Delivery` for one epoch, driven over TCP.
+
+    The machine decides what each attempt sends and books every
+    retry; the channel does the socket work — sleeping the backoff,
+    holding an in-flight slot, connecting, writing, reading the acks —
+    and counts the faults only a socket can see (resets, short
+    writes, slow peers, and truncation, whose cut the receiver cannot
+    tell from a killed sender).
 
     The encoded frame is materialized lazily, per attempt, *inside*
     the in-flight semaphore window (``frame_factory``), so an epoch
@@ -327,9 +307,10 @@ class HostChannel:
         self.address = address
         self.config = config
         self.stats = stats
-        self.injector = injector
-        self.faults = deque(faults or ())
         self.inflight = inflight
+        self.delivery = Delivery(
+            host_id, epoch, faults or (), config, stats, injector
+        )
         #: The final ack byte received (``ACK``/``ACK_DUP``), ``None``
         #: until an attempt succeeds — lets redelivery distinguish "my
         #: copy landed" from "someone already delivered it".
@@ -340,118 +321,36 @@ class HostChannel:
 
     # ------------------------------------------------------------------
     async def deliver(self) -> bytes | None:
-        """Run the attempt/retry loop.
+        """Run the delivery machine over TCP.
 
-        Returns the acked frame bytes on success (replay fuel for the
-        injector), ``None`` when every attempt failed.
+        Returns the acked frame bytes on success, ``None`` when every
+        attempt failed.
         """
-        cfg = self.config
-        fatal = next(
-            (f for f in self.faults if f in _EPOCH_FATAL), None
-        )
-        if fatal is not None:
-            # The host is down (crash) or unreachable (partition) for
-            # the whole epoch: burn the retry budget without a socket.
-            self._record(fatal)
-            if fatal is FaultKind.CRASH:
-                self.stats.crashes += 1
-            else:
-                self.stats.partitions += 1
-            self.stats.retries += cfg.max_retries
-            self.stats.backoff_seconds += sum(
-                self._backoff(a) for a in range(1, cfg.max_retries + 1)
-            )
-            return None
-        for attempt in range(cfg.max_retries + 1):
-            if attempt > 0:
-                self.stats.retries += 1
-                backoff = self._backoff(attempt)
-                self.stats.backoff_seconds += backoff
-                await asyncio.sleep(backoff)
-            fault = self.faults.popleft() if self.faults else None
-            frame = await self._attempt(fault, attempt)
-            if frame is not None:
-                return frame
-        return None
+        delivery = self.delivery
+        for attempt, fault in delivery.attempts():
+            if attempt:
+                await asyncio.sleep(delivery.backoff(attempt))
+            if self.inflight is not None and self.inflight.locked():
+                # The bounded in-flight pool is full: this send waits
+                # for a slot — the transport's backpressure signal.
+                self.stats.backpressure_waits += 1
+            async with self.inflight or nullcontext():
+                frame = self.frame_factory()
+                payloads = delivery.payloads(fault, frame, attempt)
+                if payloads is not None and await self._exchange(
+                    fault, frame, payloads
+                ):
+                    delivery.acked(frame)
+        return delivery.delivered
 
-    def _backoff(self, attempt: int) -> float:
-        """Seeded jittered backoff (same construction as the
-        in-process collector's, keyed by (epoch, host, attempt))."""
-        cfg = self.config
-        return jittered_backoff(
-            cfg.backoff_base,
-            cfg.backoff_factor,
-            cfg.backoff_jitter,
-            cfg.jitter_seed,
-            self.epoch,
-            self.host_id,
-            attempt,
-        )
-
-    def _record(self, fault: FaultKind | None) -> None:
-        if fault is not None and self.injector is not None:
-            self.injector.record(fault)
-
-    # ------------------------------------------------------------------
-    async def _attempt(
-        self, fault: FaultKind | None, attempt: int
-    ) -> bytes | None:
-        """One delivery attempt under an optional injected fault.
-
-        Returns the frame bytes when the aggregator acked them,
-        ``None`` on any failure.
-        """
-        self._record(fault)
-        # Faults that never touch the wire.
-        if fault is FaultKind.DROP:
-            self.stats.drops += 1
-            return None
-        if fault is FaultKind.DELAY:
-            self.stats.timeouts += 1
-            return None
-        if fault is FaultKind.CONN_REFUSED:
-            self.stats.conn_refused += 1
-            return None
-        if self.inflight is not None and self.inflight.locked():
-            # The bounded in-flight pool is full: this send waits for
-            # a slot — the transport's backpressure signal.
-            self.stats.backpressure_waits += 1
-        async with self.inflight or _null_context():
-            frame = self.frame_factory()
-            # What goes on the wire this attempt.
-            payloads = [frame]
-            if fault is FaultKind.TRUNCATE:
-                payloads = [
-                    self.injector.truncate(
-                        frame, self.epoch, self.host_id, attempt
-                    )
-                ]
-            elif fault is FaultKind.BITFLIP:
-                payloads = [
-                    self.injector.bitflip(
-                        frame, self.epoch, self.host_id, attempt
-                    )
-                ]
-            elif fault is FaultKind.DUPLICATE:
-                payloads = [frame, frame]
-            elif fault is FaultKind.REPLAY:
-                stale = self.injector.stale_frame(self.host_id)
-                if stale is None:
-                    # Nothing to replay: degrades to a drop.
-                    self.stats.drops += 1
-                    return None
-                payloads = [stale]
-            elif fault is FaultKind.PARTIAL_WRITE:
-                payloads = [frame[: max(1, len(frame) // 2)]]
-            ok = await self._attempt_connected(fault, frame, payloads)
-            return frame if ok else None
-
-    async def _attempt_connected(
+    async def _exchange(
         self,
         fault: FaultKind | None,
         frame: bytes,
-        payloads: list[bytes],
+        payloads: tuple[bytes, ...],
     ) -> bool:
+        """One connection: write ``payloads``, read one ack each;
+        ``True`` when every ack says the report is accounted for."""
         cfg = self.config
         address = self._resolve_address()
         if address is None:
@@ -464,7 +363,7 @@ class HostChannel:
                 asyncio.open_connection(*address),
                 timeout=cfg.connect_timeout,
             )
-        except (ConnectionError, OSError, asyncio.TimeoutError):
+        except _CONN_ERRORS:
             self.stats.conn_refused += 1
             return False
         transport = writer.transport
@@ -476,7 +375,7 @@ class HostChannel:
                 # Write a prefix, then abort (RST): the receiver's
                 # stream dies mid-frame with no clean EOF.
                 writer.write(frame[: max(1, len(frame) // 3)])
-                with _suppress_conn_errors():
+                with suppress(*_CONN_ERRORS):
                     await writer.drain()
                 transport.abort()
                 self.stats.conn_resets += 1
@@ -485,9 +384,9 @@ class HostChannel:
                 # Send a sliver, then stall past the aggregator's
                 # idle deadline; it hangs up on us.
                 writer.write(frame[:8])
-                with _suppress_conn_errors():
+                with suppress(*_CONN_ERRORS):
                     await writer.drain()
-                with _suppress_conn_errors():
+                with suppress(*_CONN_ERRORS):
                     await asyncio.wait_for(
                         reader.read(1),
                         timeout=max(
@@ -523,37 +422,13 @@ class HostChannel:
                 ack = await asyncio.wait_for(
                     reader.readexactly(1), timeout=cfg.ack_timeout
                 )
-                ok = ok and ack in _SUCCESS_ACKS
-                if ack in _SUCCESS_ACKS:
+                ok = ok and ack in SUCCESS_ACKS
+                if ack in SUCCESS_ACKS:
                     self.last_ack = ack
             return ok
-        except (
-            ConnectionError,
-            OSError,
-            asyncio.TimeoutError,
-            asyncio.IncompleteReadError,
-        ):
+        except (*_CONN_ERRORS, asyncio.IncompleteReadError):
             self.stats.conn_resets += 1
             return False
         finally:
-            with _suppress_conn_errors():
+            with suppress(*_CONN_ERRORS):
                 writer.close()
-
-
-class _null_context:
-    async def __aenter__(self):
-        return self
-
-    async def __aexit__(self, *exc):
-        return False
-
-
-class _suppress_conn_errors:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return exc_type is not None and issubclass(
-            exc_type,
-            (ConnectionError, OSError, asyncio.TimeoutError),
-        )

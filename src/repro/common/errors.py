@@ -36,8 +36,8 @@ class TransportError(ConfigError):
 
     Subclasses :class:`ConfigError` so existing callers that treat any
     malformed frame as a configuration problem keep working, while the
-    report collector can distinguish *retriable* delivery failures
-    (corruption, staleness, timeouts) from hard misconfiguration.
+    report receiver can tell a *retriable* corrupt frame from hard
+    misconfiguration.
     """
 
 
@@ -45,16 +45,6 @@ class CorruptFrameError(TransportError):
     """A frame failed validation: bad magic/version, a length field
     that disagrees with the actual buffer, a CRC32 mismatch, or a
     payload whose array section or pickled envelope does not parse."""
-
-
-class StaleEpochError(TransportError):
-    """A frame carried an epoch number other than the one being
-    collected — a delayed or replayed report from an earlier epoch."""
-
-
-class ReportTimeout(TransportError):
-    """A host's report did not arrive within the collection deadline
-    (simulated delivery latency exceeded the per-host timeout)."""
 
 
 class QuorumError(MergeError):

@@ -32,10 +32,15 @@ deserializing.  Any other version (the pre-CRC v1 and the
 dense-pickle v2 layouts included) is a :class:`CorruptFrameError`;
 :func:`parse_header` is the one place the layout is parsed.
 
-On top of the codec sits :class:`ReportCollector`: per-host delivery
-with timeout, exponential-backoff retry, duplicate suppression by
-``(host_id, epoch)``, and stale-epoch rejection — the defensive half
-of the fault model in ``docs/robustness.md``.
+On top of the codec sits report delivery — the defensive half of the
+fault model in ``docs/robustness.md``.  :class:`Delivery` is one
+host's retry loop for one epoch without any I/O: fatal faults, retries
+on the jittered exponential-backoff schedule, what each fault does to
+the bytes, replay fuel.  :func:`accept_frame` is the receiver check:
+stale-epoch rejection, CRC and decode, duplicate suppression by
+``(host_id, epoch)``.  :class:`ReportCollector` drives both on an
+in-process loopback with simulated time; the socket tier
+(``repro.cluster``) drives the same two over TCP.
 """
 
 from __future__ import annotations
@@ -53,9 +58,7 @@ import numpy as np
 from repro.common.errors import (
     ConfigError,
     CorruptFrameError,
-    ReportTimeout,
     ReproError,
-    StaleEpochError,
 )
 from repro.dataplane.host import LocalReport
 from repro.faults.plan import FaultKind
@@ -282,10 +285,9 @@ def jittered_backoff(
     ``(seed, epoch, host, attempt)`` — a pure function, so the same
     cell always backs off identically across runs, while distinct
     hosts failing in the same epoch retry on *different* schedules
-    (no thundering herd).  Shared by the in-process
-    :class:`ReportCollector` and the socket transport's
-    :class:`~repro.cluster.transport.HostChannel` so both paths
-    account identical backoff for identical fault schedules.
+    (no thundering herd).  :meth:`Delivery.backoff` is its one caller,
+    so the in-process and socket paths account identical backoff for
+    identical fault schedules.
 
     The exponent saturates at :data:`_MAX_BACKOFF_EXPONENT`, so the
     sleep plateaus on long retry chains rather than growing without
@@ -563,39 +565,201 @@ class CollectionResult:
         return not self.missing_hosts
 
 
+#: One-byte receiver verdicts.  The socket tier writes them on the
+#: wire; the in-process loopback reads them straight off
+#: :func:`accept_frame`.
+ACK = b"\x06"
+ACK_DUP = b"\x07"
+NAK_STALE = b"\x15"
+NAK_CORRUPT = b"\x16"
+
+#: Verdicts that mean "your report is accounted for; stop retrying".
+SUCCESS_ACKS = (ACK, ACK_DUP)
+
+#: Fault kinds that take a host out for the whole epoch.
+_FATAL = (FaultKind.CRASH, FaultKind.PARTITION)
+
+
+def accept_frame(
+    frame: bytes,
+    epoch: int,
+    seen: set[tuple[int, int]],
+    stats: CollectionStats,
+) -> tuple[bytes, LocalReport | None]:
+    """The receiver check for one frame: ``(verdict, report)``.
+
+    The in-the-clear epoch is checked first, so a stale replay is
+    refused without being decoded; then CRC and decode; then dedup by
+    ``(host_id, epoch)`` against ``seen``.  Every refusal is counted in
+    ``stats``.  ``report`` is the decoded report on ``ACK`` and
+    ``None`` on every other verdict.
+    """
+    try:
+        if peek_header(frame).epoch != epoch & 0xFFFF_FFFF:
+            stats.stale_frames += 1
+            return NAK_STALE, None
+        report = decode_report(frame)
+    except CorruptFrameError:
+        stats.corrupt_frames += 1
+        return NAK_CORRUPT, None
+    key = (report.host_id, epoch)
+    if key in seen:
+        stats.duplicates += 1
+        return ACK_DUP, None
+    seen.add(key)
+    return ACK, report
+
+
+class Delivery:
+    """One host's report delivery for one epoch, without I/O.
+
+    A driver iterates :meth:`attempts`, puts :meth:`payloads` on its
+    wire to a receiver running :func:`accept_frame`, and calls
+    :meth:`acked` once the receiver accounts for the report.
+    ``faults`` is the host's schedule, one per attempt; ``policy`` is
+    anything with ``max_retries``, ``backoff_base``,
+    ``backoff_factor``, ``backoff_jitter`` and ``jitter_seed`` (a
+    :class:`ReportCollector` or a ``ClusterConfig``).
+    """
+
+    def __init__(
+        self,
+        host: int,
+        epoch: int,
+        faults,
+        policy,
+        stats: CollectionStats,
+        injector=None,
+    ):
+        self.host = host
+        self.epoch = epoch
+        self.policy = policy
+        self.stats = stats
+        self.injector = injector
+        self.faults: deque[FaultKind] = deque(faults)
+        #: The crash or partition that takes the host out for the
+        #: whole epoch, or ``None``.
+        self.fatal = next(
+            (fault for fault in self.faults if fault in _FATAL), None
+        )
+        #: The frame the receiver accounted for, once it has.
+        self.delivered: bytes | None = None
+
+    def backoff(self, attempt: int) -> float:
+        """The sleep before retry ``attempt`` (1-based)."""
+        policy = self.policy
+        return jittered_backoff(
+            policy.backoff_base,
+            policy.backoff_factor,
+            policy.backoff_jitter,
+            policy.jitter_seed,
+            self.epoch,
+            self.host,
+            attempt,
+        )
+
+    def _record(self, fault: FaultKind) -> None:
+        if self.injector is not None:
+            self.injector.record(fault)
+
+    def attempts(self):
+        """Yield ``(attempt, fault)`` until the report is acked or the
+        retry budget is spent, booking each retry and its backoff.
+
+        A fatal fault yields nothing: the host is down (crash) or
+        unreachable (partition), so the whole budget burns at once.
+        """
+        stats = self.stats
+        retries = self.policy.max_retries
+        if self.fatal is not None:
+            self._record(self.fatal)
+            if self.fatal is FaultKind.CRASH:
+                stats.crashes += 1
+            else:
+                stats.partitions += 1
+            stats.retries += retries
+            stats.backoff_seconds += sum(
+                self.backoff(attempt) for attempt in range(1, retries + 1)
+            )
+            return
+        for attempt in range(retries + 1):
+            if attempt:
+                stats.retries += 1
+                stats.backoff_seconds += self.backoff(attempt)
+            yield attempt, (self.faults.popleft() if self.faults else None)
+            if self.delivered is not None:
+                return
+
+    def payloads(
+        self, fault: FaultKind | None, frame: bytes, attempt: int
+    ) -> tuple[bytes, ...] | None:
+        """The frames to put on the wire this attempt, or ``None`` when
+        ``fault`` loses the report before anything is sent (drop,
+        delay, refused connection, replay with nothing to replay) —
+        counted here.  Every other fault is counted where it shows:
+        by the receiver, or by the driver that carries the bytes.
+        """
+        if fault is None:
+            return (frame,)
+        self._record(fault)
+        stats = self.stats
+        if fault is FaultKind.DROP:
+            stats.drops += 1
+            return None
+        if fault is FaultKind.DELAY:
+            stats.timeouts += 1
+            return None
+        if fault is FaultKind.CONN_REFUSED:
+            stats.conn_refused += 1
+            return None
+        injector = self.injector
+        if fault is FaultKind.REPLAY:
+            stale = injector.stale_frame(self.host)
+            if stale is None:
+                stats.drops += 1
+                return None
+            return (stale,)
+        if fault is FaultKind.TRUNCATE:
+            return (injector.truncate(frame, self.epoch, self.host, attempt),)
+        if fault is FaultKind.BITFLIP:
+            return (injector.bitflip(frame, self.epoch, self.host, attempt),)
+        if fault is FaultKind.DUPLICATE:
+            return (frame, frame)
+        if fault is FaultKind.PARTIAL_WRITE:
+            return (frame[: max(1, len(frame) // 2)],)
+        return (frame,)
+
+    def acked(self, frame: bytes) -> None:
+        """The receiver accounted for ``frame``: stop retrying, and keep
+        it as the host's replay fuel for later epochs."""
+        self.delivered = frame
+        if self.injector is not None:
+            self.injector.remember(self.host, frame)
+
+
 class ReportCollector:
-    """Per-host report delivery with timeout, retry, and dedup.
+    """Per-host report delivery with retry and dedup, in process.
 
-    The collector models the controller side of the report channel: it
-    attempts delivery of each host's frame, treats drops / delays /
-    corruption / staleness as *retriable* (up to ``max_retries``, with
-    exponential backoff), deduplicates by ``(host_id, epoch)``, and
-    reports hosts whose every attempt failed as missing — the input to
-    the controller's degraded-mode merge.
-
-    Time is simulated, not slept: injected delays compare against
-    ``timeout`` and backoff accumulates into
+    The collector models the controller side of the report channel:
+    it runs each host's :class:`Delivery` on a loopback that hands
+    every payload straight to :func:`accept_frame`, and reports hosts
+    whose every attempt failed as missing — the input to the
+    controller's degraded-mode merge.  Time is simulated, not slept:
+    a delay is a missed deadline, and backoff accumulates into
     :attr:`CollectionStats.backoff_seconds`, so chaos suites run at
-    full speed while still exercising the deadline logic.
+    full speed.
 
     Parameters
     ----------
-    timeout:
-        Per-attempt delivery deadline in (simulated) seconds.
     max_retries:
         Retries after the first failed attempt, per host.
     backoff_base, backoff_factor:
-        Retry ``i`` (simulated-)sleeps ``backoff_base * factor**i``.
+        Retry ``i`` (simulated-)sleeps ``backoff_base * factor**(i-1)``.
     backoff_jitter:
-        Fractional jitter applied to every backoff sleep: retry ``i``
-        sleeps ``backoff_base * factor**i * (1 + jitter * u)`` with
-        ``u`` drawn uniformly from ``[-1, 1)`` by a *seeded* RNG keyed
-        on ``(jitter_seed, epoch, host, attempt)``.  Without it, every
-        host that fails in the same epoch retries on the exact same
-        schedule — a thundering herd against the controller.  Jitter
-        is fully deterministic: the same cell always draws the same
-        perturbation.  Set to ``0.0`` for the historical fixed
-        schedule.
+        Fractional jitter on every backoff sleep, drawn by a seeded RNG
+        keyed on ``(jitter_seed, epoch, host, attempt)`` so hosts that
+        fail together do not retry in lockstep (see
+        :func:`jittered_backoff`).  ``0.0`` gives the fixed schedule.
     jitter_seed:
         Root seed of the jitter draw stream.
     injector:
@@ -606,7 +770,6 @@ class ReportCollector:
 
     def __init__(
         self,
-        timeout: float = 0.25,
         max_retries: int = 3,
         backoff_base: float = 0.05,
         backoff_factor: float = 2.0,
@@ -616,13 +779,10 @@ class ReportCollector:
     ):
         if max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
-        if timeout <= 0:
-            raise ConfigError("timeout must be positive")
         if not 0.0 <= backoff_jitter < 1.0:
             raise ConfigError(
                 f"backoff_jitter must be in [0, 1), got {backoff_jitter}"
             )
-        self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor
@@ -632,21 +792,10 @@ class ReportCollector:
 
     # ------------------------------------------------------------------
     def backoff_for(self, epoch: int, host: int, attempt: int) -> float:
-        """The (simulated) sleep before retry ``attempt`` (1-based).
-
-        A pure function of ``(jitter_seed, epoch, host, attempt)`` —
-        deterministic across runs, but *decorrelated* across hosts so
-        simultaneous failures do not retry in lockstep.
-        """
-        return jittered_backoff(
-            self.backoff_base,
-            self.backoff_factor,
-            self.backoff_jitter,
-            self.jitter_seed,
-            epoch,
-            host,
-            attempt,
-        )
+        """The (simulated) sleep before retry ``attempt`` (1-based):
+        :meth:`Delivery.backoff` under this collector's policy."""
+        delivery = Delivery(host, epoch, (), self, CollectionStats())
+        return delivery.backoff(attempt)
 
     # ------------------------------------------------------------------
     def collect(
@@ -659,130 +808,25 @@ class ReportCollector:
         results are independent of dict insertion order.
         """
         result = CollectionResult(epoch=epoch)
+        stats = result.stats
         seen: set[tuple[int, int]] = set()
+        injector = self.injector
         for host in sorted(frames_by_host):
             frame = frames_by_host[host]
-            status, report = self._collect_host(
-                host, frame, epoch, seen, result.stats
-            )
-            if status == "missing":
+            faults = injector.schedule(epoch, host) if injector else ()
+            delivery = Delivery(host, epoch, faults, self, stats, injector)
+            for attempt, fault in delivery.attempts():
+                sent = delivery.payloads(fault, frame, attempt)
+                if sent is None:
+                    continue
+                ok = True
+                for payload in sent:
+                    verdict, report = accept_frame(payload, epoch, seen, stats)
+                    if report is not None:
+                        result.reports.append(report)
+                    ok = ok and verdict in SUCCESS_ACKS
+                if ok:
+                    delivery.acked(frame)
+            if delivery.delivered is None:
                 result.missing_hosts.append(host)
-            elif status == "ok":
-                result.reports.append(report)
-                if self.injector is not None:
-                    self.injector.remember(host, frame)
-            # "duplicate": the report was already collected under
-            # another delivery — nothing to add, nothing missing.
         return result
-
-    # ------------------------------------------------------------------
-    def _collect_host(
-        self,
-        host: int,
-        frame: bytes,
-        epoch: int,
-        seen: set[tuple[int, int]],
-        stats: CollectionStats,
-    ) -> tuple[str, LocalReport | None]:
-        """Deliver one host's frame: ``("ok", report)``,
-        ``("missing", None)``, or ``("duplicate", None)``."""
-        injector = self.injector
-        faults: deque[FaultKind] = deque(
-            injector.schedule(epoch, host) if injector else ()
-        )
-        if FaultKind.CRASH in faults:
-            # A crashed host never answers; burn the whole retry
-            # budget waiting on it.
-            injector.record(FaultKind.CRASH)
-            stats.crashes += 1
-            stats.retries += self.max_retries
-            stats.backoff_seconds += self._total_backoff(epoch, host)
-            return "missing", None
-        for attempt in range(self.max_retries + 1):
-            if attempt > 0:
-                stats.retries += 1
-                stats.backoff_seconds += self.backoff_for(
-                    epoch, host, attempt
-                )
-            fault = faults.popleft() if faults else None
-            try:
-                delivered, copies = self._deliver(
-                    frame, fault, epoch, host, attempt
-                )
-                header = peek_header(delivered)
-                if header.epoch != epoch & 0xFFFF_FFFF:
-                    raise StaleEpochError(
-                        f"host {host} delivered a frame for epoch "
-                        f"{header.epoch} during epoch {epoch}"
-                    )
-                report = decode_report(delivered)
-            except ReportTimeout:
-                if fault is FaultKind.DELAY:
-                    stats.timeouts += 1
-                else:
-                    stats.drops += 1
-                continue
-            except StaleEpochError:
-                stats.stale_frames += 1
-                continue
-            except CorruptFrameError:
-                stats.corrupt_frames += 1
-                continue
-            key = (report.host_id, epoch)
-            if key in seen:
-                stats.duplicates += 1
-                return "duplicate", None
-            seen.add(key)
-            if copies > 1:
-                stats.duplicates += copies - 1
-            return "ok", report
-        return "missing", None
-
-    def _deliver(
-        self,
-        frame: bytes,
-        fault: FaultKind | None,
-        epoch: int,
-        host: int,
-        attempt: int,
-    ) -> tuple[bytes, int]:
-        """One delivery attempt: ``(frame bytes, copies delivered)``.
-
-        Raises :class:`ReportTimeout` when nothing usable arrives by
-        the deadline (drop or delay).
-        """
-        if fault is None:
-            return frame, 1
-        injector = self.injector
-        injector.record(fault)
-        if fault is FaultKind.DROP:
-            raise ReportTimeout(
-                f"host {host} report dropped (epoch {epoch}, "
-                f"attempt {attempt})"
-            )
-        if fault is FaultKind.DELAY:
-            raise ReportTimeout(
-                f"host {host} report exceeded the {self.timeout}s "
-                f"deadline (epoch {epoch}, attempt {attempt})"
-            )
-        if fault is FaultKind.TRUNCATE:
-            return injector.truncate(frame, epoch, host, attempt), 1
-        if fault is FaultKind.BITFLIP:
-            return injector.bitflip(frame, epoch, host, attempt), 1
-        if fault is FaultKind.DUPLICATE:
-            return frame, 2
-        if fault is FaultKind.REPLAY:
-            stale = injector.stale_frame(host)
-            if stale is None:
-                raise ReportTimeout(
-                    f"host {host} replayed nothing (no earlier frame); "
-                    "treating as a drop"
-                )
-            return stale, 1
-        raise ConfigError(f"unhandled fault kind {fault}")
-
-    def _total_backoff(self, epoch: int, host: int) -> float:
-        return sum(
-            self.backoff_for(epoch, host, attempt)
-            for attempt in range(1, self.max_retries + 1)
-        )

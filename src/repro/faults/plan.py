@@ -30,7 +30,7 @@ class FaultKind(Enum):
 
     #: The frame is silently lost; a retry succeeds.
     DROP = "drop"
-    #: The frame arrives after the per-host deadline (ReportTimeout).
+    #: The frame arrives after the per-host deadline (a timeout).
     DELAY = "delay"
     #: The frame is cut short mid-payload (CRC / length mismatch).
     TRUNCATE = "truncate"

@@ -97,10 +97,6 @@ class PipelineConfig:
     #: Minimum fraction of hosts that must report before an epoch is
     #: merged (only consulted on the fault-injected collection path).
     quorum: float = 0.5
-    #: Per-attempt report delivery deadline (simulated seconds).
-    report_timeout: float = 0.25
-    #: Delivery retries per host after the first failed attempt.
-    report_retries: int = 3
     #: Root directory for durable host state.  ``None`` (the default)
     #: disables checkpointing entirely — no supervisor, no snapshots,
     #: bit-identical to a build without ``repro.durability``; setting
@@ -273,11 +269,7 @@ class SketchVisorPipeline:
         # run is bit-identical to a build without fault injection.
         if self.config.faults is not None:
             self._injector = FaultInjector(self.config.faults)
-            self._collector = ReportCollector(
-                timeout=self.config.report_timeout,
-                max_retries=self.config.report_retries,
-                injector=self._injector,
-            )
+            self._collector = ReportCollector(injector=self._injector)
         else:
             self._injector = None
             self._collector = None

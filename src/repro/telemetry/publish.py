@@ -160,17 +160,14 @@ def publish_collection_epoch(
     events.inc(stats.duplicates, kind="duplicate")
     events.inc(stats.stale_frames, kind="stale_frame")
     events.inc(stats.crashes, kind="host_crash")
-    # Connection-level kinds exist only on the socket transport; the
-    # getattr default keeps older CollectionStats shapes publishable.
-    events.inc(getattr(stats, "conn_refused", 0), kind="conn_refused")
-    events.inc(getattr(stats, "conn_resets", 0), kind="conn_reset")
-    events.inc(
-        getattr(stats, "partial_writes", 0), kind="partial_write"
-    )
-    events.inc(getattr(stats, "slow_peers", 0), kind="slow_peer")
-    events.inc(getattr(stats, "partitions", 0), kind="partition")
-    events.inc(getattr(stats, "agg_crashes", 0), kind="agg_crash")
-    events.inc(getattr(stats, "agg_hangs", 0), kind="agg_hang")
+    # Connection-level and aggregator kinds stay 0 in process.
+    events.inc(stats.conn_refused, kind="conn_refused")
+    events.inc(stats.conn_resets, kind="conn_reset")
+    events.inc(stats.partial_writes, kind="partial_write")
+    events.inc(stats.slow_peers, kind="slow_peer")
+    events.inc(stats.partitions, kind="partition")
+    events.inc(stats.agg_crashes, kind="agg_crash")
+    events.inc(stats.agg_hangs, kind="agg_hang")
     registry.counter(
         "sketchvisor_transport_retries_total",
         "Report delivery retries (attempts beyond each host's first)",
@@ -200,11 +197,11 @@ def publish_cluster_epoch(
         "sketchvisor_cluster_backpressure_waits_total",
         "Sends that waited on the bounded in-flight pool or a full "
         "socket write buffer",
-    ).inc(getattr(stats, "backpressure_waits", 0))
+    ).inc(stats.backpressure_waits)
     registry.counter(
         "sketchvisor_cluster_quarantined_host_epochs_total",
         "Host-epochs skipped by the transport circuit breaker",
-    ).inc(getattr(stats, "quarantined_hosts", 0))
+    ).inc(stats.quarantined_hosts)
     registry.gauge(
         "sketchvisor_cluster_aggregators",
         "Aggregator-tier size used by the latest cluster epoch",
@@ -219,27 +216,24 @@ def publish_cluster_epoch(
         "Aggregators declared dead by the heartbeat watchdog and "
         "re-sharded onto survivors, by failure kind",
     )
-    for record in getattr(collection, "failovers", ()):
+    for record in collection.failovers:
         failovers.inc(1, kind=record.kind)
     registry.counter(
         "sketchvisor_aggregator_redeliveries_total",
         "Host reports re-shipped to a surviving aggregator after "
         "their shard died",
-    ).inc(getattr(stats, "redeliveries", 0))
+    ).inc(stats.redeliveries)
     registry.counter(
         "sketchvisor_aggregator_redelivery_dups_total",
         "Redeliveries collapsed by (host, epoch) dedup because the "
         "report had already landed elsewhere",
-    ).inc(getattr(stats, "redelivery_dups", 0))
+    ).inc(stats.redelivery_dups)
     registry.counter(
         "sketchvisor_aggregator_unrecovered_host_epochs_total",
         "Shard hosts still missing after fail-over settled (degraded-"
         "merge input)",
     ).inc(
-        sum(
-            len(record.unrecovered_hosts)
-            for record in getattr(collection, "failovers", ())
-        )
+        sum(len(record.unrecovered_hosts) for record in collection.failovers)
     )
 
 

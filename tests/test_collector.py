@@ -187,7 +187,9 @@ class TestBackoffCap:
         """The in-process collector and the real-socket HostChannel
         must draw the *same* jittered sleep for the same
         (epoch, host, attempt) — including deep in the capped region —
-        so chaos runs stay reproducible across transports."""
+        so chaos runs stay reproducible across transports.  Both run
+        one :class:`Delivery`; a ``ReportCollector`` and a
+        ``ClusterConfig`` with equal knobs must be equal policies."""
         from repro.cluster import ClusterConfig, HostChannel
         from repro.controlplane.transport import (
             _MAX_BACKOFF_EXPONENT,
@@ -221,7 +223,7 @@ class TestBackoffCap:
                 for attempt in attempts:
                     assert collector.backoff_for(
                         epoch, host, attempt
-                    ) == channel._backoff(attempt)
+                    ) == channel.delivery.backoff(attempt)
 
 
 class TestCrash:
