@@ -48,7 +48,7 @@ def test_ablation_box_constraints(result_table, deltoid_report):
     truth = trace.flow_sizes()
     snapshot = report.fastpath
     flows = list(snapshot.entries)
-    positions = [report.sketch.matrix_positions(f) for f in flows]
+    positions = report.sketch.matrix_positions(flows)
     tight_lower = np.array(
         [snapshot.entries[f].lower_bound for f in flows]
     )

@@ -17,6 +17,7 @@ from repro.common.hashing import fold_key, mix64
 
 PROTO_TCP = 6
 PROTO_UDP = 17
+_HEADER_FIELDS = ("src_ip", "dst_ip", "src_port", "dst_port", "proto")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,6 +71,38 @@ class FlowKey:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        """Pickle as the five header fields: unpickling goes through
+        the constructor, which validates them and re-derives the
+        cached fold and hash."""
+        return (
+            FlowKey,
+            (
+                self.src_ip,
+                self.dst_ip,
+                self.src_port,
+                self.dst_port,
+                self.proto,
+            ),
+        )
+
+    def __setstate__(self, state) -> None:
+        """Load the state form older pickles carry (all seven fields,
+        cached ones included) through the constructor's checks.
+
+        Cached values that disagree with the header are refused: such
+        a key would hash apart from its honest twin and split its dict
+        entries at a merge.
+        """
+        state = tuple(state)
+        if len(state) != 7:
+            raise ValueError(f"flow key state has {len(state)} fields, not 7")
+        for name, value in zip(_HEADER_FIELDS, state):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+        if state[5:] != (self._key64, self._hash):
+            raise ValueError("flow key state disagrees with its header")
 
     @property
     def key104(self) -> int:

@@ -35,6 +35,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.common.errors import ConfigError
+from repro.sketches.base import Positions
 
 #: beta = sqrt(2 * log2(flow key space)) = sqrt(2 * 104) per §5.3.
 PAPER_BETA = math.sqrt(2 * 104)
@@ -126,21 +127,16 @@ def _soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def _build_operator(
-    positions: list[list[tuple[int, int, float]]], shape: tuple[int, int]
+    positions: Positions, shape: tuple[int, int], num_flows: int
 ) -> sparse.csr_matrix:
-    """Sparse (m*n) x num_flows matrix applying sk() to the x vector."""
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    num_cols = shape[1]
-    for flow_index, flow_positions in enumerate(positions):
-        for row, col, coef in flow_positions:
-            rows.append(row * num_cols + col)
-            cols.append(flow_index)
-            data.append(coef)
+    """Sparse (m*n) x num_flows matrix applying sk() to the x vector,
+    from :meth:`~repro.sketches.base.Sketch.matrix_positions` arrays."""
+    flow_index, rows, cols, coefs = positions
+    if flow_index.size and flow_index.max() >= num_flows:
+        raise ConfigError("bounds must match the number of tracked flows")
     return sparse.csr_matrix(
-        (data, (rows, cols)),
-        shape=(shape[0] * shape[1], len(positions)),
+        (coefs, (rows * shape[1] + cols, flow_index)),
+        shape=(shape[0] * shape[1], num_flows),
     )
 
 
@@ -178,7 +174,7 @@ def box_midpoint(
 
 def lens_interpolate(
     n_matrix: np.ndarray,
-    positions: list[list[tuple[int, int, float]]],
+    positions: Positions,
     lower: np.ndarray,
     upper: np.ndarray,
     volume: float,
@@ -192,7 +188,9 @@ def lens_interpolate(
     n_matrix:
         Merged normal-path sketch matrix ``N``.
     positions:
-        Per tracked flow, its sketch positions ``(row, col, coef)``.
+        The tracked flows' sketch positions, as
+        :meth:`~repro.sketches.base.Sketch.matrix_positions` returns
+        them: ``(flow_index, rows, cols, coefs)``.
     lower, upper:
         Lemma 4.1 per-flow bounds (Eq. 3).
     volume:
@@ -202,7 +200,7 @@ def lens_interpolate(
         sketches with no low-rank structure).
     """
     config = config or LensConfig()
-    num_flows = len(positions)
+    num_flows = len(lower)
     n, scale, lo, hi = _scaled_box(
         n_matrix, num_flows, lower, upper, volume
     )
@@ -245,7 +243,7 @@ def lens_interpolate(
             converged=True,
         )
 
-    operator = _build_operator(positions, n.shape)
+    operator = _build_operator(positions, n.shape, num_flows)
     # Per-unit mass each flow deposits (for the volume projection) and
     # the Lipschitz bound of the x block.
     abs_mass = np.asarray(

@@ -229,9 +229,7 @@ def recover(
         if normal.low_rank:
             result = lens_interpolate(
                 n_matrix=normal.to_matrix(),
-                positions=[
-                    normal.matrix_positions(flow) for flow in flows
-                ],
+                positions=normal.matrix_positions(flows),
                 lower=lower,
                 upper=upper,
                 volume=snapshot.total_bytes,

@@ -99,6 +99,33 @@ def key64_column(flows) -> np.ndarray:
     )
 
 
+#: ``(flow_index, rows, cols, coefs)``, see :meth:`Sketch.matrix_positions`.
+Positions = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def flow_major(rows, cols, coefs=1.0, mask=None) -> Positions:
+    """Flatten per-slot position arrays into :meth:`Sketch.matrix_positions`
+    form.
+
+    ``rows``, ``cols`` and ``coefs`` broadcast to ``(slots, flows)``:
+    element ``[j, i]`` is flow ``i``'s ``j``-th position.  ``mask``
+    (same shape) drops the slots a flow does not touch.  Entries come
+    out flow-major and in slot order within a flow, so every row of the
+    operator built from them lists its flows in ascending order.
+    """
+    rows, cols, coefs = np.broadcast_arrays(
+        np.asarray(rows, dtype=np.int64),
+        np.asarray(cols, dtype=np.int64),
+        np.asarray(coefs, dtype=np.float64),
+    )
+    flow_index = np.broadcast_to(np.arange(cols.shape[1]), cols.shape)
+    columns = (flow_index, rows, cols, coefs)
+    if mask is None:
+        return tuple(column.T.reshape(-1) for column in columns)
+    keep = np.broadcast_to(np.asarray(mask, dtype=bool), cols.shape).T
+    return tuple(column.T[keep] for column in columns)
+
+
 class FlowUpdates:
     """``(flow, value)`` pairs in the shape :meth:`Sketch.update_trace`
     reads a trace: ``packets`` plus the ``key64`` / ``sizes`` columns."""
@@ -256,13 +283,16 @@ class Sketch(ABC):
     def load_matrix(self, matrix: np.ndarray) -> None:
         """Replace volume counters from a matrix produced by to_matrix."""
 
-    def matrix_positions(
-        self, flow: FlowKey
-    ) -> list[tuple[int, int, float]]:
-        """Positions ``(row, col, coefficient)`` a unit of ``flow`` adds.
+    def matrix_positions(self, flows) -> Positions:
+        """Where a unit of each of ``flows`` lands in :meth:`to_matrix`.
 
-        This is the sketch's linear operator restricted to one flow: the
-        compressive-sensing recovery (§5) uses it to express
+        Returns ``(flow_index, rows, cols, coefs)``: entry ``k`` says a
+        unit of ``flows[flow_index[k]]`` adds ``coefs[k]`` to matrix
+        cell ``(rows[k], cols[k])``.  Entries are flow-major (all of
+        flow 0's, then flow 1's, ...; see :func:`flow_major`).
+
+        This is the sketch's linear operator restricted to the given
+        flows: the compressive-sensing recovery (§5) uses it to express
         ``sk(x)`` for the flows tracked in the fast path's hash table.
         Sketches with non-linear parts (FlowRadar's XOR fields) expose
         only their *volume* counters here and additionally support exact

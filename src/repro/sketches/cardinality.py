@@ -16,7 +16,13 @@ import numpy as np
 from repro.common.errors import ConfigError, MergeError
 from repro.common.flow import FlowKey
 from repro.common.hashing import HashFamily, mix64, trailing_zeros_array
-from repro.sketches.base import CostProfile, Sketch
+from repro.sketches.base import (
+    CostProfile,
+    Positions,
+    Sketch,
+    flow_major,
+    key64_column,
+)
 
 _COUNTER_BYTES = 8
 _FM_PHI = 0.77351  # Flajolet-Martin correction constant
@@ -27,6 +33,23 @@ def _trailing_zeros(value: int) -> int:
     if value == 0:
         return 64
     return (value & -value).bit_length() - 1
+
+
+def _register_cells(
+    register_hashes: HashFamily,
+    draw_hashes: HashFamily,
+    num_registers: int,
+    keys64,
+) -> np.ndarray:
+    """``(depth, n)`` flat ``register * 32 + bit`` cells of a key64
+    column: per row, a register by one hash and a bit by the capped
+    trailing zeros of another (FM's position, HLL's rank)."""
+    registers = register_hashes.buckets_array(keys64, num_registers)
+    bits = np.minimum(
+        trailing_zeros_array(draw_hashes.hash_values_array(keys64)),
+        _FM_REGISTER_BITS - 1,
+    )
+    return registers * _FM_REGISTER_BITS + bits
 
 
 class FMSketch(Sketch):
@@ -74,21 +97,16 @@ class FMSketch(Sketch):
 
     def update_batch(self, keys64, values) -> None:
         """Vectorized register update over a key64 column (bit-identical)."""
-        registers = self._register_hashes.buckets_array(
-            keys64, self.num_registers
+        cells = _register_cells(
+            self._register_hashes,
+            self._position_hashes,
+            self.num_registers,
+            keys64,
         )
-        draws = self._position_hashes.hash_values_array(keys64)
         values = np.asarray(values, dtype=np.float64)
         flat = self.counters.reshape(self.depth, -1)
         for row in range(self.depth):
-            positions = np.minimum(
-                trailing_zeros_array(draws[row]), _FM_REGISTER_BITS - 1
-            )
-            np.add.at(
-                flat[row],
-                registers[row] * _FM_REGISTER_BITS + positions,
-                values,
-            )
+            np.add.at(flat[row], cells[row], values)
 
     def estimate(self) -> float:
         """Estimated distinct-key count, averaged across rows.
@@ -146,25 +164,16 @@ class FMSketch(Sketch):
             .copy()
         )
 
-    def matrix_positions(
-        self, flow: FlowKey
-    ) -> list[tuple[int, int, float]]:
-        key64 = flow.key64
-        positions = []
-        for row in range(self.depth):
-            register = self._register_hashes.bucket(
-                row, key64, self.num_registers
-            )
-            position = min(
-                _trailing_zeros(
-                    self._position_hashes.hash_value(row, key64)
-                ),
-                _FM_REGISTER_BITS - 1,
-            )
-            positions.append(
-                (row, register * _FM_REGISTER_BITS + position, 1.0)
-            )
-        return positions
+    def matrix_positions(self, flows) -> Positions:
+        return flow_major(
+            np.arange(self.depth)[:, None],
+            _register_cells(
+                self._register_hashes,
+                self._position_hashes,
+                self.num_registers,
+                key64_column(flows),
+            ),
+        )
 
     def memory_bytes(self) -> int:
         return (
@@ -342,21 +351,16 @@ class HyperLogLog(Sketch):
 
     def update_batch(self, keys64, values) -> None:
         """Vectorized register update over a key64 column (bit-identical)."""
-        registers = self._register_hashes.buckets_array(
-            keys64, self.num_registers
+        cells = _register_cells(
+            self._register_hashes,
+            self._rank_hashes,
+            self.num_registers,
+            keys64,
         )
-        draws = self._rank_hashes.hash_values_array(keys64)
         values = np.asarray(values, dtype=np.float64)
         flat = self.counters.reshape(self.depth, -1)
         for row in range(self.depth):
-            ranks = np.minimum(
-                trailing_zeros_array(draws[row]), _FM_REGISTER_BITS - 1
-            )
-            np.add.at(
-                flat[row],
-                registers[row] * _FM_REGISTER_BITS + ranks,
-                values,
-            )
+            np.add.at(flat[row], cells[row], values)
 
     def estimate(self) -> float:
         estimates = []
@@ -413,23 +417,16 @@ class HyperLogLog(Sketch):
             .copy()
         )
 
-    def matrix_positions(
-        self, flow: FlowKey
-    ) -> list[tuple[int, int, float]]:
-        key64 = flow.key64
-        positions = []
-        for row in range(self.depth):
-            register = self._register_hashes.bucket(
-                row, key64, self.num_registers
-            )
-            rank = min(
-                _trailing_zeros(self._rank_hashes.hash_value(row, key64)),
-                _FM_REGISTER_BITS - 1,
-            )
-            positions.append(
-                (row, register * _FM_REGISTER_BITS + rank, 1.0)
-            )
-        return positions
+    def matrix_positions(self, flows) -> Positions:
+        return flow_major(
+            np.arange(self.depth)[:, None],
+            _register_cells(
+                self._register_hashes,
+                self._rank_hashes,
+                self.num_registers,
+                key64_column(flows),
+            ),
+        )
 
     def memory_bytes(self) -> int:
         return (
@@ -510,16 +507,11 @@ class LinearCounting(Sketch):
             )
         self.counters = matrix.astype(np.float64).copy()
 
-    def matrix_positions(
-        self, flow: FlowKey
-    ) -> list[tuple[int, int, float]]:
-        key64 = flow.key64
-        return [
-            (row, col, 1.0)
-            for row, col in enumerate(
-                self._hashes.buckets(key64, self.width)
-            )
-        ]
+    def matrix_positions(self, flows) -> Positions:
+        return flow_major(
+            np.arange(self.depth)[:, None],
+            self._hashes.buckets_array(key64_column(flows), self.width),
+        )
 
     def memory_bytes(self) -> int:
         return self.depth * self.width * _COUNTER_BYTES

@@ -13,7 +13,13 @@ import numpy as np
 from repro.common.errors import ConfigError, MergeError
 from repro.common.flow import FlowKey
 from repro.common.hashing import HashFamily
-from repro.sketches.base import CostProfile, Sketch
+from repro.sketches.base import (
+    CostProfile,
+    Positions,
+    Sketch,
+    flow_major,
+    key64_column,
+)
 
 _COUNTER_BYTES = 8
 
@@ -97,16 +103,11 @@ class CountMinSketch(Sketch):
             )
         self.counters = matrix.astype(np.float64).copy()
 
-    def matrix_positions(
-        self, flow: FlowKey
-    ) -> list[tuple[int, int, float]]:
-        key64 = flow.key64
-        return [
-            (row, col, 1.0)
-            for row, col in enumerate(
-                self._hashes.buckets(key64, self.width)
-            )
-        ]
+    def matrix_positions(self, flows) -> Positions:
+        return flow_major(
+            np.arange(self.depth)[:, None],
+            self._hashes.buckets_array(key64_column(flows), self.width),
+        )
 
     def memory_bytes(self) -> int:
         return self.depth * self.width * _COUNTER_BYTES

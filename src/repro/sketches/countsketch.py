@@ -12,7 +12,13 @@ import numpy as np
 from repro.common.errors import ConfigError, MergeError
 from repro.common.flow import FlowKey
 from repro.common.hashing import HashFamily
-from repro.sketches.base import CostProfile, Sketch
+from repro.sketches.base import (
+    CostProfile,
+    Positions,
+    Sketch,
+    flow_major,
+    key64_column,
+)
 
 _COUNTER_BYTES = 8
 
@@ -91,15 +97,13 @@ class CountSketch(Sketch):
             )
         self.counters = matrix.astype(np.float64).copy()
 
-    def matrix_positions(
-        self, flow: FlowKey
-    ) -> list[tuple[int, int, float]]:
-        key64 = flow.key64
-        cols = self._hashes.buckets(key64, self.width)
-        signs = self._hashes.signs(key64)
-        return [
-            (row, cols[row], float(signs[row])) for row in range(self.depth)
-        ]
+    def matrix_positions(self, flows) -> Positions:
+        keys = key64_column(flows)
+        return flow_major(
+            np.arange(self.depth)[:, None],
+            self._hashes.buckets_array(keys, self.width),
+            self._hashes.signs_array(keys),
+        )
 
     def memory_bytes(self) -> int:
         return self.depth * self.width * _COUNTER_BYTES

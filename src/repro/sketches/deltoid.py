@@ -19,7 +19,14 @@ import numpy as np
 from repro.common.errors import ConfigError, MergeError
 from repro.common.flow import FlowKey
 from repro.common.hashing import HashFamily
-from repro.sketches.base import CostProfile, Sketch, flow_groups
+from repro.sketches.base import (
+    CostProfile,
+    Positions,
+    Sketch,
+    flow_groups,
+    flow_major,
+    key64_column,
+)
 
 HEADER_BITS = 104
 _HEADER_BYTES = HEADER_BITS // 8
@@ -100,17 +107,8 @@ class Deltoid(Sketch):
             sizes[strays] = 0
 
         volumes = np.bincount(group, weights=sizes, minlength=keys.size)
-        cols = self._hashes.buckets_array(keys, self.width)
-        header_bytes = np.frombuffer(
-            b"".join(
-                flow.key104.to_bytes(_HEADER_BYTES, "little")
-                for flow in heads
-            ),
-            dtype=np.uint8,
-        ).reshape(-1, _HEADER_BYTES)
-        flow_index, bit_index = np.nonzero(
-            np.unpackbits(header_bytes, axis=1, bitorder="little")
-        )
+        cols, header_bits = self._flow_cells(keys, heads)
+        flow_index, bit_index = np.nonzero(header_bits)
         bit_volumes = volumes[flow_index]
         bit_offsets = bit_index * self.width
         for row in range(self.depth):
@@ -122,6 +120,25 @@ class Deltoid(Sketch):
                 bit_offsets + cols[row, flow_index],
                 bit_volumes,
             )
+
+    def _flow_cells(self, keys64, flows) -> tuple[np.ndarray, np.ndarray]:
+        """The cells a unit of each of ``flows`` adds to.
+
+        Returns the ``(depth, n)`` bucket columns of their ``key64``
+        folds ``keys64`` and their ``(n, 104)`` header bit matrix: in
+        row ``r``, flow ``i`` adds to ``totals[r, cols[r, i]]`` and to
+        ``bits[r, b, cols[r, i]]`` for every ``b`` with
+        ``header_bits[i, b]`` set.
+        """
+        cols = self._hashes.buckets_array(keys64, self.width)
+        header_bytes = np.frombuffer(
+            b"".join(
+                flow.key104.to_bytes(_HEADER_BYTES, "little")
+                for flow in flows
+            ),
+            dtype=np.uint8,
+        ).reshape(-1, _HEADER_BYTES)
+        return cols, np.unpackbits(header_bytes, axis=1, bitorder="little")
 
     def estimate(self, flow: FlowKey) -> float:
         """Count-Min-style upper-bound estimate from the total counters."""
@@ -136,42 +153,36 @@ class Deltoid(Sketch):
     def decode(self, threshold: float) -> dict[FlowKey, float]:
         """Recover flows whose byte count exceeds ``threshold``.
 
-        For every bucket with total above the threshold, attempt the
-        bit-by-bit reversal.  Candidates are verified by re-hashing
-        (they must map back to the bucket they were decoded from) and
-        estimated with the row-minimum of their bucket totals.
+        Every bucket with total above the threshold is reversed bit by
+        bit: bit ``b`` of its flow's header is 1 iff the 1-side count
+        exceeds the threshold while the 0-side count does not.  A
+        bucket where the two sides agree on any bit (two heavy flows
+        collided, or nothing heavy) yields nothing.  Each row's heavy
+        buckets are reversed at once, as one ``(104, heavy)`` slab.
+        Candidates are verified by re-hashing (they must map back to
+        the bucket they were decoded from) and estimated with the
+        row-minimum of their bucket totals, in (row, bucket) order.
         """
         candidates: dict[FlowKey, float] = {}
         for row in range(self.depth):
-            heavy_cols = np.nonzero(self.totals[row] > threshold)[0]
-            for col in heavy_cols:
-                flow = self._reverse_bucket(row, int(col), threshold)
-                if flow is None:
-                    continue
+            heavy = np.flatnonzero(self.totals[row] > threshold)
+            one_side = self.bits[row][:, heavy]
+            one_heavy = one_side > threshold
+            zero_heavy = (self.totals[row, heavy] - one_side) > threshold
+            clear = (one_heavy != zero_heavy).all(axis=0)
+            headers = np.packbits(
+                one_heavy[:, clear].T, axis=1, bitorder="little"
+            )
+            for col, header in zip(heavy[clear].tolist(), headers):
+                flow = FlowKey.from_key104(
+                    int.from_bytes(header.tobytes(), "little")
+                )
+                if self._hashes.bucket(row, flow.key64, self.width) != col:
+                    continue  # failed verification: decoded garbage
                 estimate = self.estimate(flow)
                 if estimate > threshold:
                     candidates[flow] = estimate
         return candidates
-
-    def _reverse_bucket(
-        self, row: int, col: int, threshold: float
-    ) -> FlowKey | None:
-        total = self.totals[row, col]
-        header = 0
-        for bit in range(HEADER_BITS):
-            one_side = self.bits[row, bit, col]
-            zero_side = total - one_side
-            one_heavy = one_side > threshold
-            zero_heavy = zero_side > threshold
-            if one_heavy == zero_heavy:
-                # Ambiguous (two heavy flows collided) or nothing heavy.
-                return None
-            if one_heavy:
-                header |= 1 << bit
-        flow = FlowKey.from_key104(header)
-        if self._hashes.bucket(row, flow.key64, self.width) != col:
-            return None  # failed verification: decoded garbage
-        return flow
 
     # ------------------------------------------------------------------
     def merge(self, other: Sketch) -> None:
@@ -201,19 +212,20 @@ class Deltoid(Sketch):
             self.totals[row] = block[0]
             self.bits[row] = block[1:]
 
-    def matrix_positions(
-        self, flow: FlowKey
-    ) -> list[tuple[int, int, float]]:
-        header = flow.key104
-        key64 = flow.key64
+    def matrix_positions(self, flows) -> Positions:
+        """Per flow and row, its bucket's total, then the bit counters
+        its header sets: slot ``row * 105 + j`` is matrix row
+        ``row * 105 + j`` (the total for ``j = 0``, header bit ``j - 1``
+        otherwise) at the flow's bucket."""
+        cols, header_bits = self._flow_cells(key64_column(flows), flows)
         stride = 1 + HEADER_BITS
-        positions: list[tuple[int, int, float]] = []
-        for row, col in enumerate(self._hashes.buckets(key64, self.width)):
-            positions.append((row * stride, col, 1.0))
-            for bit in range(HEADER_BITS):
-                if (header >> bit) & 1:
-                    positions.append((row * stride + 1 + bit, col, 1.0))
-        return positions
+        touched = np.ones((len(flows), stride), dtype=bool)
+        touched[:, 1:] = header_bits
+        return flow_major(
+            np.arange(self.depth * stride)[:, None],
+            np.repeat(cols, stride, axis=0),
+            mask=np.tile(touched, self.depth).T,
+        )
 
     def memory_bytes(self) -> int:
         return self.depth * self.width * (1 + HEADER_BITS) * _COUNTER_BYTES

@@ -27,8 +27,11 @@ from repro.common.hashing import HashFamily, mix64_array
 from repro.sketches.base import (
     CostProfile,
     FlowUpdates,
+    Positions,
     Sketch,
     flow_groups,
+    flow_major,
+    key64_column,
 )
 from repro.sketches.bloom import BloomFilter
 
@@ -358,10 +361,11 @@ class FlowRadar(Sketch):
             )
         self.byte_count = matrix.reshape(-1).astype(np.float64).copy()
 
-    def matrix_positions(
-        self, flow: FlowKey
-    ) -> list[tuple[int, int, float]]:
-        return [(0, cell, 1.0) for cell in self._cells(flow.key64)]
+    def matrix_positions(self, flows) -> Positions:
+        return flow_major(
+            0,
+            self._hashes.buckets_array(key64_column(flows), self.num_cells),
+        )
 
     def memory_bytes(self) -> int:
         # 13-byte XOR field + 4-byte flow count + 8-byte byte count.

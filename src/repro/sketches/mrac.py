@@ -24,7 +24,13 @@ import numpy as np
 from repro.common.errors import ConfigError, MergeError
 from repro.common.flow import FlowKey
 from repro.common.hashing import HashFamily
-from repro.sketches.base import CostProfile, Sketch, key64_column
+from repro.sketches.base import (
+    CostProfile,
+    Positions,
+    Sketch,
+    flow_major,
+    key64_column,
+)
 
 _COUNTER_BYTES = 8
 
@@ -205,10 +211,10 @@ class MRAC(Sketch):
             )
         self.counters = matrix.reshape(-1).astype(np.float64).copy()
 
-    def matrix_positions(
-        self, flow: FlowKey
-    ) -> list[tuple[int, int, float]]:
-        return [(0, self._hashes.bucket(0, flow.key64, self.width), 1.0)]
+    def matrix_positions(self, flows) -> Positions:
+        return flow_major(
+            0, self._hashes.buckets_array(key64_column(flows), self.width)
+        )
 
     def memory_bytes(self) -> int:
         return self.width * _COUNTER_BYTES

@@ -30,7 +30,13 @@ import numpy as np
 from repro.common.errors import ConfigError, MergeError
 from repro.common.flow import FlowKey
 from repro.common.hashing import mix64, mix64_array
-from repro.sketches.base import CostProfile, Sketch
+from repro.sketches.base import (
+    CostProfile,
+    Positions,
+    Sketch,
+    flow_major,
+    key64_column,
+)
 
 _COUNTER_BYTES = 8
 _FINGERPRINT_MASK = 0xFFFFFFFF
@@ -137,15 +143,24 @@ class ReversibleSketch(Sketch):
     def update_batch(self, keys64, values) -> None:
         """Vectorized update over a key64 column.
 
-        One ``mix64_array`` per (row, word) builds the bucket indices
-        exactly as :meth:`_bucket` concatenates its sub-indices;
-        ``np.add.at`` then accumulates in array order, so the counters
-        come out bit-identical to the scalar loop.
+        ``np.add.at`` accumulates in array order at the indices of
+        :meth:`_buckets_array`, so the counters come out bit-identical
+        to the scalar loop.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        for row, index in enumerate(self._buckets_array(keys64)):
+            np.add.at(self.counters[row], index, values)
+
+    def _buckets_array(self, keys64) -> np.ndarray:
+        """``(depth, n)`` bucket indices of a key64 column.
+
+        One ``mix64_array`` per (row, word) builds the indices of the
+        keys' fingerprints exactly as :meth:`_bucket` concatenates its
+        sub-indices.
         """
         keys = np.ascontiguousarray(keys64, dtype=np.uint64) & np.uint64(
             _FINGERPRINT_MASK
         )
-        values = np.asarray(values, dtype=np.float64)
         word_mask = np.uint64((1 << self.word_bits) - 1)
         sub_mask = np.uint64((1 << self.subindex_bits) - 1)
         shift = np.uint64(self.subindex_bits)
@@ -155,6 +170,7 @@ class ReversibleSketch(Sketch):
             (keys >> np.uint64(min(self.word_bits * word, 63))) & word_mask
             for word in range(self.num_words)
         ]
+        out = np.empty((self.depth, keys.shape[0]), dtype=np.int64)
         for row in range(self.depth):
             index = np.zeros(keys.shape, dtype=np.uint64)
             for word, word_values in enumerate(words):
@@ -162,7 +178,8 @@ class ReversibleSketch(Sketch):
                     mix64_array(word_values, self._word_seeds[row][word])
                     & sub_mask
                 )
-            np.add.at(self.counters[row], index.astype(np.int64), values)
+            out[row] = index
+        return out
 
     def update_key(self, key: int, value: int) -> None:
         """Record ``value`` for an integer key of ``key_bits`` width."""
@@ -314,14 +331,11 @@ class ReversibleSketch(Sketch):
             )
         self.counters = matrix.astype(np.float64).copy()
 
-    def matrix_positions(
-        self, flow: FlowKey
-    ) -> list[tuple[int, int, float]]:
-        words = self._split_words(flow_fingerprint(flow))
-        return [
-            (row, self._bucket(row, words), 1.0)
-            for row in range(self.depth)
-        ]
+    def matrix_positions(self, flows) -> Positions:
+        return flow_major(
+            np.arange(self.depth)[:, None],
+            self._buckets_array(key64_column(flows)),
+        )
 
     def memory_bytes(self) -> int:
         return self.depth * self.width * _COUNTER_BYTES

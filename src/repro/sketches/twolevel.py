@@ -23,8 +23,8 @@ import numpy as np
 
 from repro.common.errors import ConfigError, MergeError
 from repro.common.flow import FlowKey
-from repro.common.hashing import HashFamily, mix64
-from repro.sketches.base import CostProfile, Sketch
+from repro.common.hashing import HashFamily, mix64, mix64_array
+from repro.sketches.base import CostProfile, Positions, Sketch, flow_major
 from repro.sketches.revsketch import ReversibleSketch
 
 _COUNTER_BYTES = 8
@@ -233,26 +233,28 @@ class TwoLevelSketch(Sketch):
             .copy()
         )
 
-    def matrix_positions(
-        self, flow: FlowKey
-    ) -> list[tuple[int, int, float]]:
-        aggregate, spread = self._keys(flow)
-        agg64 = mix64(aggregate)
-        spread64 = mix64(spread)
-        inner_cols = self._inner_hashes.buckets(spread64, self.inner_width)
-        positions: list[tuple[int, int, float]] = []
-        for row, col in enumerate(
-            self._outer_hashes.buckets(agg64, self.outer_width)
-        ):
-            for inner_row, inner_col in enumerate(inner_cols):
-                positions.append(
-                    (
-                        row * self.outer_width + col,
-                        inner_row * self.inner_width + inner_col,
-                        1.0,
-                    )
-                )
-        return positions
+    def matrix_positions(self, flows) -> Positions:
+        """Per flow, outer row by outer row, its inner counters: slot
+        ``row * inner_depth + inner_row`` is matrix row
+        ``row * outer_width + col``, column
+        ``inner_row * inner_width + inner_col``."""
+        pairs = np.fromiter(
+            (key for flow in flows for key in self._keys(flow)),
+            np.uint64,
+            2 * len(flows),
+        ).reshape(-1, 2)
+        outer = self._outer_hashes.buckets_array(
+            mix64_array(pairs[:, 0]), self.outer_width
+        )
+        inner = self._inner_hashes.buckets_array(
+            mix64_array(pairs[:, 1]), self.inner_width
+        )
+        outer += (np.arange(self.outer_depth) * self.outer_width)[:, None]
+        inner += (np.arange(self.inner_depth) * self.inner_width)[:, None]
+        return flow_major(
+            np.repeat(outer, self.inner_depth, axis=0),
+            np.tile(inner, (self.outer_depth, 1)),
+        )
 
     def memory_bytes(self) -> int:
         inner = (

@@ -26,8 +26,14 @@ import numpy as np
 
 from repro.common.errors import ConfigError, MergeError
 from repro.common.flow import FlowKey
-from repro.common.hashing import mix64
-from repro.sketches.base import CostProfile, Sketch
+from repro.common.hashing import mix64, mix64_array, trailing_zeros_array
+from repro.sketches.base import (
+    CostProfile,
+    Positions,
+    Sketch,
+    flow_major,
+    key64_column,
+)
 from repro.sketches.countsketch import CountSketch
 
 PAPER_LEVEL_WIDTHS = (4000, 2000, 1000, 500, 500, 500, 500, 500)
@@ -228,19 +234,31 @@ class UnivMon(Sketch):
             )
             offset += sketch.width
 
-    def matrix_positions(
-        self, flow: FlowKey
-    ) -> list[tuple[int, int, float]]:
-        key64 = flow.key64
-        deepest = self.flow_level(key64)
-        positions: list[tuple[int, int, float]] = []
-        offset = 0
-        for level, sketch in enumerate(self.sketches):
-            if level <= deepest:
-                for row, col, coef in sketch.matrix_positions(flow):
-                    positions.append((row, offset + col, coef))
-            offset += sketch.width
-        return positions
+    def matrix_positions(self, flows) -> Positions:
+        """Per flow, the CountSketch rows of levels ``0..flow_level``:
+        slot ``level * depth + row`` is matrix cell
+        ``(row, level offset + col)`` with the row's sign."""
+        keys = key64_column(flows)
+        deepest = np.minimum(
+            trailing_zeros_array(mix64_array(keys, self._sample_seed)),
+            self.num_levels - 1,
+        )
+        offsets = np.cumsum((0,) + self.level_widths[:-1])
+        levels = self.sketches
+        slot_level = np.repeat(np.arange(self.num_levels), self.depth)
+        return flow_major(
+            np.tile(np.arange(self.depth), self.num_levels)[:, None],
+            np.concatenate(
+                [
+                    level._hashes.buckets_array(keys, level.width) + offset
+                    for level, offset in zip(levels, offsets)
+                ]
+            ),
+            np.concatenate(
+                [level._hashes.signs_array(keys) for level in levels]
+            ),
+            mask=slot_level[:, None] <= deepest,
+        )
 
     def memory_bytes(self) -> int:
         sketch_bytes = sum(s.memory_bytes() for s in self.sketches)

@@ -49,7 +49,7 @@ class TestFM:
         flow = make_flow(1)
         sketch.update(flow, 55)
         replayed = np.zeros_like(sketch.to_matrix())
-        for row, col, coef in sketch.matrix_positions(flow):
+        for row, col, coef in zip(*sketch.matrix_positions([flow])[1:]):
             replayed[row, col] += 55 * coef
         assert np.array_equal(replayed, sketch.to_matrix())
 
@@ -146,6 +146,6 @@ class TestLinearCounting:
         flow = make_flow(1)
         sketch.update(flow, 70)
         replayed = np.zeros_like(sketch.to_matrix())
-        for row, col, coef in sketch.matrix_positions(flow):
+        for row, col, coef in zip(*sketch.matrix_positions([flow])[1:]):
             replayed[row, col] += 70 * coef
         assert np.array_equal(replayed, sketch.counters)

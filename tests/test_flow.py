@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copyreg
+import io
 import pickle
+import struct
 
 import pytest
 from hypothesis import given
@@ -15,6 +18,8 @@ from repro.common.flow import (
     flow_pair_key,
     source_key,
 )
+from repro.common.errors import CorruptFrameError
+from repro.controlplane.transport import decode_payload
 from repro.durability.codec import StateCodec
 
 flow_keys = st.builds(
@@ -111,6 +116,101 @@ class TestFlowKey:
         assert destination_key(flow) == 222
         assert flow_pair_key(flow) == flow_pair_key(FlowKey(111, 222, 9, 9))
         assert flow_pair_key(flow) != flow_pair_key(flow.reversed())
+
+
+def _fields(flow: FlowKey) -> list:
+    return [flow.src_ip, flow.dst_ip, flow.src_port, flow.dst_port, flow.proto]
+
+
+def _legacy_state(flow: FlowKey) -> list:
+    return _fields(flow) + [flow.key64, hash(flow)]
+
+
+def _pickle_as(obj, reduce) -> bytes:
+    """``obj`` pickled with every FlowKey reduced by ``reduce(flow)``."""
+
+    class Forger(pickle.Pickler):
+        def reducer_override(self, value):
+            if type(value) is FlowKey:
+                return reduce(value)
+            return NotImplemented
+
+    out = io.BytesIO()
+    Forger(out, protocol=5).dump(obj)
+    return out.getvalue()
+
+
+def _legacy_pickle(obj, state=_legacy_state) -> bytes:
+    """``obj`` pickled the way FlowKey pickled before it had a
+    ``__reduce__``: ``__newobj__`` plus the dataclass state, all seven
+    fields (forged by ``state(flow)``)."""
+    return _pickle_as(
+        obj, lambda flow: (copyreg.__newobj__, (FlowKey,), state(flow))
+    )
+
+
+def _payload(envelope: bytes) -> bytes:
+    """A payload with an empty array section around ``envelope``."""
+    return struct.pack("<I", 0) + envelope
+
+
+class TestPickling:
+    """``FlowKey`` pickles as its five header fields, through the
+    constructor; the older state form still loads, through the same
+    checks."""
+
+    @given(st.lists(flow_keys, max_size=40))
+    def test_round_trip_keeps_hash_fold_and_set_order(self, flows):
+        for data in (pickle.dumps(flows, protocol=5), _legacy_pickle(flows)):
+            copy = decode_payload(_payload(data))
+            assert copy == flows
+            # A set built the same way iterates the same way.
+            assert list(set(copy)) == list(set(flows))
+            assert [hash(flow) for flow in copy] == [
+                hash(flow) for flow in flows
+            ]
+            assert [flow.key64 for flow in copy] == [
+                flow.key64 for flow in flows
+            ]
+
+    def test_pickles_as_the_constructor_call(self):
+        flow = FlowKey(1, 2, 3, 4, 17)
+        assert flow.__reduce__() == (FlowKey, (1, 2, 3, 4, 17))
+        assert len(pickle.dumps(flow, protocol=5)) < len(
+            _legacy_pickle(flow)
+        )
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda flow: _fields(flow) + [flow.key64 ^ 1, hash(flow)],
+            lambda flow: _fields(flow) + [flow.key64, hash(flow) ^ 1],
+            lambda flow: [2**32] + _fields(flow)[1:] + [0, 0],
+            lambda flow: _fields(flow)[:4] + [256, flow.key64, hash(flow)],
+            lambda flow: _fields(flow)[:2] + [-1, 80, 6, 0, 0],
+            lambda flow: _fields(flow),
+        ],
+        ids=[
+            "key64",
+            "hash",
+            "src_ip",
+            "proto",
+            "src_port",
+            "short-state",
+        ],
+    )
+    def test_forged_legacy_state_is_a_corrupt_frame(self, forge):
+        envelope = _legacy_pickle([FlowKey(10, 20, 30, 40)], forge)
+        with pytest.raises(CorruptFrameError, match="not a valid pickle"):
+            decode_payload(_payload(envelope))
+
+    def test_out_of_range_constructor_call_is_a_corrupt_frame(self):
+        envelope = _pickle_as(
+            [FlowKey(10, 20, 30, 40)],
+            lambda flow: (FlowKey, (10, 20, 2**16, 40, 6)),
+        )
+        with pytest.raises(CorruptFrameError, match="not a valid pickle"):
+            decode_payload(_payload(envelope))
 
 
 class TestPacket:

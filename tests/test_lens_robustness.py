@@ -168,7 +168,7 @@ class TestSvdLadder:
         flows = list(snapshot.entries)
         arguments = dict(
             n_matrix=normal.to_matrix(),
-            positions=[normal.matrix_positions(f) for f in flows],
+            positions=normal.matrix_positions(flows),
             lower=[snapshot.entries[f].lower_bound for f in flows],
             upper=[snapshot.entries[f].upper_bound for f in flows],
             volume=snapshot.total_bytes,

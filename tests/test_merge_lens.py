@@ -103,7 +103,7 @@ class TestLensInterpolate:
             sketch.update(make_flow(1000 + i), int(rng.integers(64, 1500)))
         flows = [make_flow(i) for i in range(num_flows)]
         true_x = rng.integers(5_000, 50_000, size=num_flows).astype(float)
-        positions = [sketch.matrix_positions(f) for f in flows]
+        positions = sketch.matrix_positions(flows)
         slack = rng.integers(50, 500, size=num_flows).astype(float)
         lower = true_x - slack
         upper = true_x + slack
@@ -136,7 +136,7 @@ class TestLensInterpolate:
             low_rank=False,
         )
         # sum(x) + noise mass / positions-per-flow ~= V
-        mean_mass = np.mean([len(p) for p in positions])
+        mean_mass = len(positions[0]) / len(lower)
         recovered_volume = result.x.sum() + result.noise.sum() / mean_mass
         assert recovered_volume == pytest.approx(volume, rel=0.05)
 
@@ -153,7 +153,7 @@ class TestLensInterpolate:
         for i in range(100):
             sketch.update(make_flow(i), 500)
         flows = [make_flow(1000)]
-        positions = [sketch.matrix_positions(flows[0])]
+        positions = sketch.matrix_positions(flows)
         result = lens_interpolate(
             sketch.to_matrix(),
             positions,
@@ -169,7 +169,11 @@ class TestLensInterpolate:
     def test_no_tracked_flows_spreads_volume(self):
         sketch = CountMinSketch(width=64, depth=2)
         result = lens_interpolate(
-            sketch.to_matrix(), [], np.zeros(0), np.zeros(0), 1000.0
+            sketch.to_matrix(),
+            sketch.matrix_positions([]),
+            np.zeros(0),
+            np.zeros(0),
+            1000.0,
         )
         assert result.matrix.sum() == pytest.approx(
             1000.0 / (2 * 64) * 2 * 64
@@ -181,7 +185,7 @@ class TestLensInterpolate:
         with pytest.raises(ConfigError):
             lens_interpolate(
                 sketch.to_matrix(),
-                [sketch.matrix_positions(flow)],
+                sketch.matrix_positions([flow]),
                 np.array([10.0]),
                 np.array([5.0]),  # upper < lower
                 100.0,
@@ -189,8 +193,16 @@ class TestLensInterpolate:
         with pytest.raises(ConfigError):
             lens_interpolate(
                 sketch.to_matrix(),
-                [sketch.matrix_positions(flow)],
+                sketch.matrix_positions([flow]),
                 np.array([1.0]),
                 np.array([2.0]),
                 -5.0,
+            )
+        with pytest.raises(ConfigError, match="number of tracked flows"):
+            lens_interpolate(
+                sketch.to_matrix(),
+                sketch.matrix_positions([flow, make_flow(2)]),
+                np.array([1.0]),  # bounds for one flow, positions for two
+                np.array([2.0]),
+                100.0,
             )

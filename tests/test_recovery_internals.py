@@ -338,7 +338,7 @@ def _recover_through_the_solver(normal, snapshot):
     flows = list(snapshot.entries)
     result = lens_interpolate(
         normal.to_matrix(),
-        positions=[normal.matrix_positions(flow) for flow in flows],
+        positions=normal.matrix_positions(flows),
         lower=[snapshot.entries[f].lower_bound for f in flows],
         upper=[snapshot.entries[f].upper_bound for f in flows],
         volume=snapshot.total_bytes,
@@ -408,7 +408,7 @@ class TestRecoverySkipsWhatItNeverReads:
         monkeypatch.setattr(
             type(normal),
             "matrix_positions",
-            lambda self, flow: calls.append("positions"),
+            lambda self, flows: calls.append("positions"),
         )
         monkeypatch.setattr(
             lens, "_build_operator", lambda *a: calls.append("operator")
@@ -418,6 +418,22 @@ class TestRecoverySkipsWhatItNeverReads:
         )
         assert calls == []
         assert len(state.flow_estimates) == 60
+
+    @pytest.mark.parametrize("solution", ["deltoid", "revsketch", "twolevel"])
+    def test_low_rank_positions_are_one_call_over_every_flow(
+        self, solution, monkeypatch
+    ):
+        normal, snapshot = _loaded(solution), _tracked_snapshot()
+        calls = []
+        real_positions = type(normal).matrix_positions
+
+        def positions(self, flows):
+            calls.append(list(flows))
+            return real_positions(self, flows)
+
+        monkeypatch.setattr(type(normal), "matrix_positions", positions)
+        recover(normal, snapshot, RecoveryMode.SKETCHVISOR)
+        assert calls == [list(snapshot.entries)]
 
     def test_kmin_keeps_its_unscaled_midpoint(self):
         normal, snapshot = _loaded("kmin"), _tracked_snapshot()
@@ -477,7 +493,7 @@ class TestLensShortcutAndEarlyStop:
         for i in range(100, 300):
             sketch.update(make_flow(i), 500)
         flows = [make_flow(i) for i in range(10)]
-        positions = [sketch.matrix_positions(f) for f in flows]
+        positions = sketch.matrix_positions(flows)
         lower = np.full(10, 900.0)
         upper = np.full(10, 1100.0)
         return sketch, positions, lower, upper

@@ -109,7 +109,7 @@ class TestAlgebra:
         flow = FlowKey(11, 22, 33, 44)
         sketch.update(flow, 100)
         replayed = np.zeros_like(sketch.to_matrix())
-        for row, col, coef in sketch.matrix_positions(flow):
+        for row, col, coef in zip(*sketch.matrix_positions([flow])[1:]):
             replayed[row, col] += 100 * coef
         # The candidate RevSketch is outside the matrix; only the inner
         # counter planes must match.
