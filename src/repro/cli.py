@@ -1218,7 +1218,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         metavar="K",
-        help="recent windows retained for the query endpoints",
+        help=(
+            "recent windows retained for the query endpoints and /dash "
+            "(without --windows, also the window summaries kept)"
+        ),
     )
     serve.add_argument(
         "--stale-after",

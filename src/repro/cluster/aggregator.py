@@ -45,9 +45,14 @@ class PartialAggregate:
     """
 
     aggregator_id: int
-    sketch: Sketch
+    #: ``None`` once the epoch is retired (:meth:`retire`).
+    sketch: Sketch | None
     fastpath: FastPathSnapshot | None
     host_ids: tuple[int, ...]
+
+    def retire(self) -> None:
+        """Drop the merged sketch, as :meth:`LocalReport.retire` does."""
+        self.sketch = None
 
     @property
     def host_id(self) -> int:

@@ -45,7 +45,8 @@ from repro.telemetry.publish import publish_controller_epoch
 class NetworkResult:
     """Network-wide measurement state for one epoch."""
 
-    sketch: Sketch
+    #: ``None`` once the epoch is retired (:meth:`retire`).
+    sketch: Sketch | None
     flow_estimates: dict[FlowKey, float] = field(default_factory=dict)
     snapshot: FastPathSnapshot | None = None
     num_hosts: int = 0
@@ -59,6 +60,16 @@ class NetworkResult:
     #: Present when the epoch was merged from fewer hosts than
     #: expected; ``None`` for clean full-quorum epochs.
     degraded: DegradedEpoch | None = None
+
+    def retire(self) -> None:
+        """Drop the merged state once the epoch has been answered: the
+        merged sketch (``None`` afterwards), the recovered per-flow
+        estimates and the merged fast-path snapshot.  The scalar
+        outcome — host count, LENS iterations, the Eq. 2 volumes and
+        the degraded record — stays."""
+        self.sketch = None
+        self.flow_estimates = {}
+        self.snapshot = None
 
 
 class Controller:

@@ -415,9 +415,12 @@ class HostEngine:
         fifo = self.fifo
         consumer = self.consumer
         sketch_cycles = self._sketch_cycles
-        while not fifo.empty:
-            enqueued = fifo.pop()
-            consumer = max(consumer, enqueued) + sketch_cycles
+        # ``max(consumer, enqueued)`` inline: no call per queued packet.
+        for enqueued in fifo.queue:
+            consumer = (
+                enqueued if enqueued > consumer else consumer
+            ) + sketch_cycles
+        fifo.queue.clear()
         self.consumer = consumer
 
         report = self.report

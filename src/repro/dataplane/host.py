@@ -24,9 +24,15 @@ class LocalReport:
     """One host's per-epoch report to the controller."""
 
     host_id: int
-    sketch: Sketch
+    #: ``None`` once the epoch is retired (:meth:`retire`).
+    sketch: Sketch | None
     fastpath: FastPathSnapshot | None
     switch: SwitchReport
+
+    def retire(self) -> None:
+        """Drop the sketch once its epoch has been merged and answered;
+        the switch statistics and fast-path snapshot stay."""
+        self.sketch = None
 
 
 class Host:

@@ -4,7 +4,9 @@ The paper's deployment story (§3) is a long-running service: every
 epoch, hosts report, the controller recovers, tasks answer, and
 heavy-changer detection compares consecutive epochs.  This module wires
 that loop around the per-epoch pipeline, tracks history, and raises
-typed alerts when detections cross their thresholds.
+typed alerts when detections cross their thresholds.  An epoch's
+sketches live only until the next epoch runs; history keeps what each
+epoch answered.
 """
 
 from __future__ import annotations
@@ -62,6 +64,12 @@ class EpochSummary:
     results: dict[str, EpochResult] = field(default_factory=dict)
     alerts: list[Alert] = field(default_factory=list)
 
+    def retire(self) -> None:
+        """Drop every sketch the epoch's results hold
+        (:meth:`EpochResult.retire`); answers and alerts stay."""
+        for result in self.results.values():
+            result.retire()
+
 
 _ALERT_KINDS = {
     "heavy_hitter": AlertKind.HEAVY_HITTER,
@@ -111,7 +119,14 @@ class ContinuousMonitor:
 
     # ------------------------------------------------------------------
     def process_epoch(self, trace: Trace) -> EpochSummary:
-        """Feed one epoch of traffic; returns its summary with alerts."""
+        """Feed one epoch of traffic; returns its summary with alerts.
+
+        The summary is whole until the next call, which retires it in
+        place (:meth:`EpochSummary.retire`): a long-running loop keeps
+        each past epoch's answers, not its sketches.
+        """
+        if self.history:
+            self.history[-1].retire()
         telemetry = self.config.telemetry
         summary = EpochSummary(epoch=self._epoch_index)
         start = time.perf_counter()

@@ -213,6 +213,22 @@ class EpochResult:
         """The epoch's :class:`DegradedEpoch` record, if any."""
         return self.network.degraded
 
+    def retire(self) -> None:
+        """Keep what the epoch answered and drop every sketch it holds.
+
+        The answer, score, SLO breaches, durability counters, the
+        network result's scalars, and each report's switch statistics
+        and fast-path snapshot stay; the host sketches, the sketches
+        the collector decoded, and the merged state go.  Durability
+        outcomes hold the same report objects as :attr:`reports`.
+        """
+        self.network.retire()
+        for report in self.reports:
+            report.retire()
+        if self.collection is not None:
+            for report in self.collection.reports:
+                report.retire()
+
     @property
     def throughput_gbps(self) -> float:
         """Mean per-host throughput for the epoch."""

@@ -8,7 +8,7 @@ Routes (all ``GET``):
     advance — the registry locks its family/children dicts.
 ``/dash``
     The self-contained HTML dashboard re-rendered from the window
-    history on every request.
+    ring on every request.
 ``/healthz`` / ``/readyz``
     Liveness (ingest loop running, windows advancing) and readiness
     (first window recovered, quorum holding) as JSON.
@@ -19,7 +19,10 @@ Routes (all ``GET``):
 
 Served by :class:`http.server.ThreadingHTTPServer` with daemon
 threads; request handling never blocks ingest beyond the window-ring
-mutex.
+mutex.  A client can neither grow the plane nor pin it: requests are
+counted under their route's name (every unknown path is ``other``),
+and a connection that sends nothing for :data:`REQUEST_TIMEOUT_S` is
+dropped.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import logging
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
+from repro.serve.service import QUERY_ENDPOINTS
 from repro.telemetry.publish import publish_http_request
 
 logger = logging.getLogger(__name__)
@@ -36,10 +40,32 @@ logger = logging.getLogger(__name__)
 #: The content type Prometheus expects from a text-format scrape.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: Seconds a connection may sit idle mid-request or between keep-alive
+#: requests before its handler thread drops it (slow-loris clients).
+REQUEST_TIMEOUT_S = 10.0
+
+#: Every path the plane answers; requests to anything else are counted
+#: as ``other``, so no client can add a metric series.
+ROUTES = frozenset(
+    {"/", "/metrics", "/dash", "/healthz", "/readyz"}
+    | {f"/query/{endpoint}" for endpoint in QUERY_ENDPOINTS}
+)
+
+
+def _request_path(target: str) -> str:
+    """A request target's path without query string or trailing slash;
+    ``""`` for a target that does not parse as a URL."""
+    try:
+        path = urlsplit(target).path
+    except ValueError:
+        return ""
+    return path.rstrip("/") or "/"
+
 
 class ObservabilityHandler(BaseHTTPRequestHandler):
     server_version = "sketchvisor-serve/1"
     protocol_version = "HTTP/1.1"
+    timeout = REQUEST_TIMEOUT_S
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, format: str, *args) -> None:
@@ -54,11 +80,8 @@ class ObservabilityHandler(BaseHTTPRequestHandler):
         self.end_headers()
         if self.command != "HEAD":
             self.wfile.write(body)
-        service = self.server.service
         publish_http_request(
-            service.telemetry.registry,
-            urlsplit(self.path).path,
-            code,
+            self.server.service.telemetry.registry, self.route, code
         )
 
     def _respond_json(self, code: int, document: dict) -> None:
@@ -72,7 +95,8 @@ class ObservabilityHandler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler name)
         service = self.server.service
-        path = urlsplit(self.path).path.rstrip("/") or "/"
+        path = _request_path(self.path)
+        self.route = path if path in ROUTES else "other"
         try:
             if path == "/metrics":
                 self._respond(

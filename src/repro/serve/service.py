@@ -71,7 +71,9 @@ class ServeConfig:
     #: Stop after this many windows (bounded soak); ``None`` runs
     #: until SIGTERM.
     max_windows: int | None = None
-    #: Recent windows retained for the query endpoints.
+    #: Recent windows retained for the query endpoints and ``/dash``.
+    #: An endless run (``max_windows is None``) also keeps only this
+    #: many monitor summaries.
     ring_windows: int = 8
     #: Run the in-flight partial window through the pipeline on
     #: shutdown instead of discarding it.
@@ -137,6 +139,9 @@ class WindowRecord:
     queries: dict[str, dict] = field(default_factory=dict)
     degraded: bool = False
     slo_breaches: int = 0
+    #: The primary task's dashboard row (:func:`repro.dash.epoch_row`);
+    #: ``None`` when the primary task had no answer this window.
+    epoch_row: dict | None = None
 
     def provenance(self) -> dict:
         return {
@@ -212,7 +217,6 @@ class MeasurementService:
         self._ring: deque[WindowRecord] = deque(
             maxlen=config.ring_windows
         )
-        self._rows: list[dict] = []
         self._shutdown = threading.Event()
         self._done = threading.Event()
         self._ingest_thread: threading.Thread | None = None
@@ -345,6 +349,9 @@ class MeasurementService:
     def _advance(self, window: Window, draining: bool = False) -> None:
         """Run one closed window through the pipeline and publish it."""
         registry = self.telemetry.registry
+        # Spans are kept for the window being run, not for every window
+        # the daemon has run.
+        self.telemetry.tracer.reset()
         start = time.perf_counter()
         try:
             summary = self.monitor.process_epoch(window.trace)
@@ -363,6 +370,10 @@ class MeasurementService:
             if self._bounded_run_complete() and not draining:
                 self._shutdown.set()
             return
+        if self.config.max_windows is None:
+            # An endless run keeps the ring's worth of summaries; a
+            # bounded run is bounded already and keeps them all.
+            del self.monitor.history[: -self.config.ring_windows]
         queries: dict[str, dict] = {}
         degraded = False
         breaches = 0
@@ -375,6 +386,7 @@ class MeasurementService:
             )
             degraded = degraded or result.degraded is not None
             breaches += len(result.slo_breaches)
+        primary = summary.results.get(self.tasks[0].name)
         record = WindowRecord(
             window_id=window.index,
             opened_at=window.opened_at,
@@ -384,12 +396,12 @@ class MeasurementService:
             queries=queries,
             degraded=degraded,
             slo_breaches=breaches,
+            epoch_row=(
+                None if primary is None else epoch_row(primary)
+            ),
         )
-        primary = summary.results.get(self.tasks[0].name)
         with self._lock:
             self._ring.append(record)
-            if primary is not None:
-                self._rows.append(epoch_row(primary))
         self.windows_processed += 1
         self._last_quorum_failed = False
         self._last_advance = time.monotonic()
@@ -406,7 +418,11 @@ class MeasurementService:
     def dash_html(self) -> str:
         primary = self.tasks[0]
         with self._lock:
-            rows = list(self._rows)
+            rows = [
+                record.epoch_row
+                for record in self._ring
+                if record.epoch_row is not None
+            ]
         return html_report(
             rows,
             self.telemetry.registry,

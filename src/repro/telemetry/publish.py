@@ -483,8 +483,9 @@ def publish_serve_quorum_failure(registry: MetricsRegistry) -> None:
 def publish_http_request(
     registry: MetricsRegistry, path: str, code: int
 ) -> None:
-    """Count one observability-plane HTTP request."""
+    """Count one observability-plane HTTP request; ``path`` is a route
+    name from a fixed set, never a raw client path."""
     registry.counter(
         "sketchvisor_serve_http_requests_total",
-        "Observability-plane HTTP requests, by path and status",
+        "Observability-plane HTTP requests, by route and status",
     ).inc(1, path=path, code=code)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -239,3 +241,85 @@ class TestWindowWorkDoneOnce:
                 ), name
             previous = trace
         assert len(monitor.history) == len(window_stream) >= 6
+
+
+# ----------------------------------------------------------------------
+# An answered window keeps what it answered, not its sketches
+# ----------------------------------------------------------------------
+def held_sketches(summary) -> list:
+    """Every sketch an epoch summary can reach."""
+    sketches = []
+    for result in summary.results.values():
+        reports = list(result.reports)
+        if result.collection is not None:
+            reports += result.collection.reports
+        reports += [
+            outcome.report
+            for outcome in result.durability or ()
+            if outcome.report is not None
+        ]
+        sketches.append(result.network.sketch)
+        sketches += [report.sketch for report in reports]
+    return [sketch for sketch in sketches if sketch is not None]
+
+
+def answered(result) -> tuple:
+    """What a retired result must still carry (the serve harness reads
+    these per window)."""
+    answer = result.answer
+    return (
+        list(answer.items()) if isinstance(answer, dict) else answer,
+        result.score,
+        result.network.lens_iterations,
+        result.degraded,
+        result.slo_breaches,
+        [(report.host_id, report.switch) for report in result.reports],
+        [report.fastpath for report in result.reports],
+        result.durability,
+    )
+
+
+class TestRetiredWindows:
+    @pytest.mark.parametrize(
+        "deployment", ["plain", "chaos", "durable", "cluster"]
+    )
+    def test_sketches_are_released_by_the_next_window(
+        self, window_stream, deployment, tmp_path
+    ):
+        from repro.cluster import ClusterConfig
+        from repro.faults import moderate_plan
+
+        extra = {
+            "plain": {},
+            "chaos": {"faults": moderate_plan(seed=3)},
+            "durable": {"checkpoint_dir": str(tmp_path)},
+            "cluster": {"cluster": ClusterConfig()},
+        }[deployment]
+        threshold = 0.01 * window_stream[0].total_bytes
+        monitor = ContinuousMonitor(
+            [
+                HeavyHitterTask("flowradar", threshold=threshold),
+                CardinalityTask("lc"),
+            ],
+            config=PipelineConfig(num_hosts=NUM_HOSTS, **extra),
+        )
+        summary = monitor.process_epoch(window_stream[0])
+        held = held_sketches(summary)
+        assert len(held) >= 2 * (NUM_HOSTS + 1)
+        refs = [weakref.ref(sketch) for sketch in held]
+        del held
+        before = {
+            name: answered(result)
+            for name, result in summary.results.items()
+        }
+        monitor.process_epoch(window_stream[1])
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []
+        assert monitor.history[0] is summary
+        assert held_sketches(summary) == []
+        for name, result in summary.results.items():
+            assert answered(result) == before[name], name
+            assert result.network.flow_estimates == {}
+            assert result.network.snapshot is None
+        # The newest window is still whole for its caller.
+        assert held_sketches(monitor.history[-1])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import urllib.request
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from repro.common.errors import ConfigError
 from repro.framework.pipeline import (
     PipelineConfig,
     SketchVisorPipeline,
+    Window,
     WindowScheduler,
 )
 from repro.serve import (
@@ -195,7 +198,9 @@ def _get(port: int, path: str):
         return error.code, dict(error.headers), error.read()
 
 
-def _service(trace, *, window_packets, max_windows, tasks=None):
+def _service(
+    trace, *, window_packets, max_windows, tasks=None, **config
+):
     truth = GroundTruth.from_trace(trace)
     tasks = tasks or [
         HeavyHitterTask(
@@ -205,10 +210,13 @@ def _service(trace, *, window_packets, max_windows, tasks=None):
     ]
     return MeasurementService(
         tasks,
-        ReplaySource(trace, chunk_packets=173),
+        ReplaySource(
+            trace, chunk_packets=173, loop=max_windows is None
+        ),
         ServeConfig(
             window_packets=window_packets,
             max_windows=max_windows,
+            **config,
         ),
         pipeline_config=PipelineConfig(num_hosts=2),
     )
@@ -332,6 +340,115 @@ class TestMeasurementService:
             service.stop()
 
 
+def _light_tasks(trace):
+    return [
+        HeavyHitterTask(
+            "flowradar", threshold=0.02 * trace.total_bytes
+        ),
+        CardinalityTask("lc"),
+    ]
+
+
+class TestBoundedState:
+    """A daemon's memory is the ring, not its uptime."""
+
+    def test_endless_run_keeps_a_ring_of_summaries(self, trace):
+        service = _service(
+            trace,
+            window_packets=300,
+            max_windows=None,
+            tasks=_light_tasks(trace),
+            ring_windows=2,
+        )
+        service.start()
+        deadline = time.monotonic() + 60
+        while service.windows_processed < 6:
+            assert time.monotonic() < deadline, "windows stopped"
+            time.sleep(0.01)
+        assert service.stop() == 0
+        history = service.monitor.history
+        assert 1 <= len(history) <= 2
+        assert history[-1].epoch == service.windows_processed - 1
+        assert len(service._ring) == 2
+        # /dash renders the ring's rows, one per retained window.
+        dash = service.dash_html()
+        assert "<tr><td>1</td>" in dash
+        assert "<tr><td>2</td>" not in dash
+
+    def test_bounded_run_keeps_every_summary(self, trace):
+        service = _service(
+            trace,
+            window_packets=300,
+            max_windows=4,
+            tasks=_light_tasks(trace),
+            ring_windows=2,
+        )
+        service.start()
+        assert service.wait(120)
+        assert service.stop() == 0
+        history = service.monitor.history
+        assert [summary.epoch for summary in history] == [0, 1, 2, 3]
+        assert len(service._ring) == 2
+        for summary in history[:-1]:
+            for result in summary.results.values():
+                assert result.network.sketch is None
+                assert result.reports and all(
+                    report.sketch is None and report.switch.total_packets
+                    for report in result.reports
+                )
+        assert history[-1].results["heavy_hitter"].network.sketch
+
+    def test_tracer_keeps_only_the_current_window(self, trace):
+        service = _service(
+            trace,
+            window_packets=300,
+            max_windows=3,
+            tasks=_light_tasks(trace),
+        )
+        service.start()
+        assert service.wait(120)
+        assert service.stop() == 0
+        roots = [
+            span.attrs.get("epoch")
+            for span in service.telemetry.tracer.roots()
+            if span.name == "monitor.epoch"
+        ]
+        assert roots == [2]
+
+    def test_per_window_growth_is_bounded(self, trace):
+        """Thirty in-process windows: after the ring fills, traced
+        allocations stop growing with the window count."""
+        service = _service(
+            trace,
+            window_packets=300,
+            max_windows=None,
+            tasks=_light_tasks(trace),
+            ring_windows=4,
+        )
+        packets = trace.packets
+
+        def advance(index):
+            low = (300 * index) % (len(packets) - 300)
+            service._advance(
+                Window(index, Trace(packets[low:low + 300]), 0.0, 0.0)
+            )
+
+        tracemalloc.start()
+        try:
+            for index in range(10):
+                advance(index)
+            gc.collect()
+            settled = tracemalloc.get_traced_memory()[0]
+            for index in range(10, 30):
+                advance(index)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - settled
+        finally:
+            tracemalloc.stop()
+        assert len(service.monitor.history) == 4
+        assert grown / 20 < 4 * 1024, grown
+
+
 class TestBatchEquivalence:
     def test_serve_windows_match_batch_epochs(self, trace):
         """`repro serve --windows 3` over a replayed trace recovers
@@ -445,3 +562,24 @@ class TestServeCLI:
         out, _ = process.communicate(timeout=120)
         assert process.returncode == 0, out
         assert "served 2 window(s)" in out
+
+    def test_soak_leg(self, tmp_path):
+        """A short leg of the soak script CI runs for minutes: an
+        endless run under chaos holds RSS, fds and threads flat and
+        drains cleanly on SIGTERM."""
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [
+                sys.executable, str(root / "tests" / "soak_serve.py"),
+                "--seconds", "15", "--window-packets", "500",
+                "--out", str(tmp_path / "soak.json"),
+            ],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )  # fmt: skip
+        assert done.returncode == 0, done.stdout + done.stderr[-2000:]
+        run = json.loads((tmp_path / "soak.json").read_text())
+        assert all(run["checks"].values())
+        assert len(run["windows"]) >= 9
