@@ -90,7 +90,7 @@ def test_fig02b_throughput_vs_threads(result_table):
 def test_fig02_python_update_timing(benchmark, name, bench_trace):
     """Real wall-clock cost of this implementation's update path."""
     sketch = HH_SOLUTIONS[name]()
-    packets = bench_trace.packets[:400]
+    packets = list(bench_trace.packets[:400])
 
     def record():
         for packet in packets:

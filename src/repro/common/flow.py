@@ -12,6 +12,9 @@ integer instead of re-folding the tuple per sketch row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
+
+import numpy as np
 
 from repro.common.hashing import fold_key, mix64
 
@@ -144,6 +147,13 @@ class FlowKey:
             dst_port=self.src_port,
             proto=self.proto,
         )
+
+
+def key64_column(flows) -> np.ndarray:
+    """The ``key64`` folds of ``flows`` (a sequence) as a uint64 array."""
+    return np.fromiter(
+        map(attrgetter("_key64"), flows), np.uint64, len(flows)
+    )
 
 
 def source_key(flow: FlowKey) -> int:

@@ -10,7 +10,8 @@ packet, normal path or fast path (or block).  Counter state never
 influences routing, so the chunk's normal-path packets go to the sketch
 afterwards in one :meth:`~repro.sketches.base.Sketch.update_trace`
 call, and the report's packet/byte counts and flow sets are derived
-from the chunk's index arrays (integer sums: exact in any order).  The
+from the chunk's index arrays (integer sums: exact in any order; the
+flow sets from the distinct entries of the trace's flow column).  The
 fast path is order-dependent (kick-outs), so it stays inline: a hit is
 a dict probe and an add on :class:`FastPath`'s columns, a miss calls
 :meth:`FastPath.miss`.
@@ -45,6 +46,7 @@ from repro.dataplane.buffer import BoundedFIFO
 from repro.dataplane.cost_model import CostModel
 from repro.fastpath.misra_gries import MisraGriesTopK
 from repro.fastpath.topk import FastPath, UpdateKind
+from repro.traffic.trace import used_flows
 
 #: ``probe`` for fast paths driven through ``update(flow, size)``: an
 #: empty index, so every packet is a "miss" handed to ``update``.
@@ -104,7 +106,7 @@ def arrival_cycles_array(trace, offered_gbps, cost_model: CostModel):
     total_bytes = trace.total_bytes
     target_duration = total_bytes * 8.0 / (offered_gbps * 1e9)
     span = trace.duration
-    start = trace[0].timestamp if len(trace) else 0.0
+    start = trace.timestamps[0] if len(trace) else 0.0
     hz = cost_model.cpu_hz
     if span <= 0:
         return None
@@ -221,9 +223,7 @@ class HostEngine:
         )
         if arrivals is not None:
             arrivals = arrivals.tolist()
-        sizes = trace.sizes
-        flows = [packet.flow for packet in trace.packets]
-        flow_at = flows.__getitem__
+        sizes, flow, table = trace.sizes, trace.flow, trace.table
         report = self.report
 
         # Fast-path protocol: FastPath's columns are probed inline and
@@ -243,8 +243,11 @@ class HostEngine:
             probe, miss = _NO_SLOTS, fastpath.update
             if clock is not None:
                 miss = _clocked(miss, clock, topk)
-        # Only fast-path packets have their size read inside the loop.
-        size_list = sizes.tolist() if probe is not None else None
+        # Only fast-path packets have their size and flow read inside
+        # the loop; the flow goes through the table for those alone.
+        size_list = flow_list = None
+        if probe is not None:
+            size_list, flow_list = sizes.tolist(), flow.tolist()
         began = clock() if clock is not None else 0
         first = self.offset
         sketch_ns = 0
@@ -263,7 +266,8 @@ class HostEngine:
                 misses = 0
             else:
                 normal, fast, misses = self._route(
-                    lo, hi, due, flows, size_list, probe, residuals, miss
+                    lo, hi, due, table, flow_list, size_list,
+                    probe, residuals, miss,
                 )
 
             normal_bytes = fast_bytes = 0
@@ -278,7 +282,9 @@ class HostEngine:
                 )
                 report.normal_packets += normal.size
                 report.normal_bytes += normal_bytes
-                report.normal_flows.update(map(flow_at, normal.tolist()))
+                report.normal_flows.update(
+                    _distinct(table, flow if whole else flow[normal])
+                )
             if fast.size:
                 fast_bytes = int(sizes[fast].sum())
                 if inline:
@@ -287,7 +293,9 @@ class HostEngine:
                     )
                 report.fastpath_packets += fast.size
                 report.fastpath_bytes += fast_bytes
-                report.fastpath_flows.update(map(flow_at, fast.tolist()))
+                report.fastpath_flows.update(
+                    _distinct(table, flow[fast])
+                )
             report.total_packets += hi - lo
             report.total_bytes += normal_bytes + fast_bytes
 
@@ -331,7 +339,9 @@ class HostEngine:
         self.producer = producer
         self.consumer = consumer
 
-    def _route(self, lo, hi, due, flows, sizes, probe, residuals, miss):
+    def _route(
+        self, lo, hi, due, table, flows, sizes, probe, residuals, miss
+    ):
         """Cycle accounting for packets ``lo..hi``: who goes where.
 
         Returns ``(normal, fast, misses)`` — index arrays of the packets
@@ -391,13 +401,14 @@ class HostEngine:
                 push(producer)
                 to_normal(index)
             else:
-                slot = probe(flows[index])
+                key = table[flows[index]]
+                slot = probe(key)
                 if slot is not None:
                     residuals[slot] += sizes[index]
                     producer += hit_cycles
                 else:
                     misses += 1
-                    producer += cycles[miss(flows[index], sizes[index])]
+                    producer += cycles[miss(key, sizes[index])]
                 to_fast(index)
 
         self.producer = producer
@@ -432,6 +443,11 @@ class HostEngine:
             report.total_bytes, report.makespan_cycles
         )
         return report
+
+
+def _distinct(table, flow):
+    """The distinct flows of a flow-index column, from the table."""
+    return map(table.__getitem__, used_flows(flow, len(table)).tolist())
 
 
 def _clocked(update, clock, spent):

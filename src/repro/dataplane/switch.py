@@ -58,10 +58,6 @@ class SoftwareSwitch:
         FIFO capacity in packets.
     ideal:
         When True, bypass all capacity limits (accuracy yardstick).
-    batch:
-        Accepted and ignored.  It used to pick between a per-packet and
-        a two-phase loop; there is one engine now
-        (:class:`~repro.dataplane.engine.HostEngine`).
     """
 
     def __init__(
@@ -71,7 +67,6 @@ class SoftwareSwitch:
         cost_model: CostModel | None = None,
         buffer_packets: int = 1024,
         ideal: bool = False,
-        batch: bool = False,
         telemetry: Telemetry | None = None,
         host_label: str = "0",
     ):

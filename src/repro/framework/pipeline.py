@@ -395,7 +395,7 @@ class SketchVisorPipeline:
         doomed = set()
         for host, shard in zip(hosts, shards):
             events = cfg.faults.dataplane_schedule_for(
-                epoch, host.host_id, len(shard.packets)
+                epoch, host.host_id, len(shard)
             )
             if events:
                 doomed.add(host.host_id)
@@ -878,7 +878,9 @@ class WindowScheduler:
         self.window_packets = window_packets
         self.window_seconds = window_seconds
         self._clock = clock
-        self._buffer: list = []
+        #: The in-flight window's packets, as the trace slices offered.
+        self._buffer: list[Trace] = []
+        self._pending = 0
         self._opened_wall: float | None = None
         self._opened_clock: float | None = None
         #: Windows closed so far (the next window's ``index``).
@@ -887,7 +889,7 @@ class WindowScheduler:
     @property
     def pending_packets(self) -> int:
         """Packets buffered in the in-flight (unclosed) window."""
-        return len(self._buffer)
+        return self._pending
 
     def _deadline_expired(self) -> bool:
         return (
@@ -900,12 +902,13 @@ class WindowScheduler:
     def _close(self) -> Window:
         window = Window(
             index=self.windows_closed,
-            trace=Trace(self._buffer),
+            trace=Trace.join(self._buffer),
             opened_at=self._opened_wall or time.time(),
             closed_at=time.time(),
         )
         self.windows_closed += 1
         self._buffer = []
+        self._pending = 0
         self._opened_wall = None
         self._opened_clock = None
         return window
@@ -916,26 +919,25 @@ class WindowScheduler:
         ``chunk`` may be a :class:`Trace` or any sequence of packets.
         One large chunk can close several packet-count windows.
         """
-        packets = (
-            chunk.packets if isinstance(chunk, Trace) else tuple(chunk)
-        )
+        if not isinstance(chunk, Trace):
+            chunk = Trace(chunk)
         closed: list[Window] = []
         position = 0
-        total = len(packets)
+        total = len(chunk)
         while position < total:
             if self._opened_clock is None:
                 self._opened_wall = time.time()
                 self._opened_clock = self._clock()
+            end = total
             if self.window_packets is not None:
-                need = self.window_packets - len(self._buffer)
-                take = packets[position:position + need]
-            else:
-                take = packets[position:]
-            self._buffer.extend(take)
-            position += len(take)
+                end = min(end, position + self.window_packets - self._pending)
+            take = chunk if end - position == total else chunk[position:end]
+            self._buffer.append(take)
+            self._pending += len(take)
+            position = end
             if (
                 self.window_packets is not None
-                and len(self._buffer) >= self.window_packets
+                and self._pending >= self.window_packets
             ):
                 closed.append(self._close())
                 continue

@@ -66,6 +66,10 @@ class ObservabilityHandler(BaseHTTPRequestHandler):
     server_version = "sketchvisor-serve/1"
     protocol_version = "HTTP/1.1"
     timeout = REQUEST_TIMEOUT_S
+    # A response goes out as a header write and a body write; with
+    # Nagle on, the body waits for the client's delayed ACK of the
+    # header on every keep-alive request.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, format: str, *args) -> None:

@@ -1,7 +1,7 @@
 """Packet sources for the streaming service.
 
-A source is just an iterable of packet chunks (tuples of
-:class:`~repro.traffic.trace.Packet`); the service feeds each chunk to
+A source is just an iterable of packet chunks (:class:`Trace` slices
+that share their segment's columns); the service feeds each chunk to
 the :class:`~repro.framework.pipeline.WindowScheduler` and runs
 whatever windows close.  Two concrete sources cover the daemon's two
 deployment stories:
@@ -24,7 +24,6 @@ import time
 from collections.abc import Iterator
 
 from repro.common.errors import ConfigError
-from repro.common.flow import Packet
 from repro.traffic.generator import TraceConfig, generate_trace
 from repro.traffic.trace import Trace
 
@@ -73,35 +72,28 @@ class PacketSource:
                 return
             time.sleep(min(remaining, _SLEEP_SLICE))
 
-    def _rebased(self, trace: Trace) -> tuple[Packet, ...]:
-        """The trace's packets on the continuous stream clock.
+    def _rebased(self, trace: Trace) -> Trace:
+        """The trace on the continuous stream clock.
 
         The very first segment passes through untouched (so a single
         replay pass stays bit-identical to the trace on disk); later
         segments are shifted so they start where the stream left off.
         """
-        packets = trace.packets
-        if not packets or self._last_ts is None:
-            return packets
-        shift = self._last_ts - packets[0].timestamp
-        if shift <= 0:
-            return packets
-        return tuple(
-            Packet(packet.flow, packet.size, packet.timestamp + shift)
-            for packet in packets
-        )
+        if self._last_ts is None:
+            return trace
+        return trace.starting_at(self._last_ts)
 
-    def _chunks_of(self, trace: Trace) -> Iterator[tuple]:
-        packets = self._rebased(trace)
-        for start in range(0, len(packets), self.chunk_packets):
+    def _chunks_of(self, trace: Trace) -> Iterator[Trace]:
+        trace = self._rebased(trace)
+        for start in range(0, len(trace), self.chunk_packets):
             if self._stopped():
                 return
-            chunk = packets[start:start + self.chunk_packets]
+            chunk = trace[start:start + self.chunk_packets]
             yield chunk
-            self._last_ts = chunk[-1].timestamp
+            self._last_ts = float(chunk.timestamps[-1])
             self._pace(len(chunk))
 
-    def __iter__(self) -> Iterator[tuple]:  # pragma: no cover
+    def __iter__(self) -> Iterator[Trace]:  # pragma: no cover
         raise NotImplementedError
 
 
@@ -135,7 +127,7 @@ class ReplaySource(PacketSource):
         self.trace = trace
         self.loop = loop
 
-    def __iter__(self) -> Iterator[tuple]:
+    def __iter__(self) -> Iterator[Trace]:
         while True:
             yield from self._chunks_of(self.trace)
             if not self.loop or self._stopped():
@@ -164,7 +156,7 @@ class SyntheticSource(PacketSource):
         self.config = config
         self.max_segments = max_segments
 
-    def __iter__(self) -> Iterator[tuple]:
+    def __iter__(self) -> Iterator[Trace]:
         segment = 0
         while self.max_segments is None or segment < self.max_segments:
             if self._stopped():

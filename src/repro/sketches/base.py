@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import MergeError
-from repro.common.flow import FlowKey, Packet
+from repro.common.flow import FlowKey
+from repro.common.flow import key64_column  # noqa: F401  (re-exported)
+from repro.traffic.trace import Trace, first_seen, number_flows
 
 
 @dataclass(frozen=True)
@@ -70,33 +72,24 @@ def trace_columns(trace, indices=None):
 
 
 def flow_groups(trace, indices=None):
-    """Group the selected packets of ``trace`` by flow (``key64``).
+    """Group the selected packets of ``trace`` by flow.
 
-    Returns ``(keys, first, group, sizes)``: the distinct keys in order
-    of first occurrence, the position in ``trace.packets`` of each
-    key's first selected packet, every selected packet's index into
-    ``keys``, and the selected ``sizes`` column.  This is what lets the
-    header-reading kernels (FlowRadar, Deltoid) hash, and touch packet
-    objects, once per distinct flow instead of once per packet.
+    Returns ``(flows, keys, group, sizes)``: the distinct flows as
+    indices into ``trace.table`` in order of first occurrence, their
+    ``key64`` folds, every selected packet's index into ``flows``, and
+    the selected ``sizes`` column.  This is what lets the
+    header-reading kernels (FlowRadar, Deltoid) hash, and read flow
+    headers, once per distinct flow instead of once per packet.  Flows
+    are told apart by table entry, so two headers that share a 64-bit
+    fold are two groups with equal keys.
     """
-    keys64, sizes = trace_columns(trace, indices)
-    distinct, first, inverse = np.unique(
-        keys64, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    first = first[order]
+    flow, sizes = trace.flow, trace.sizes
+    if indices is not None:
+        flow, sizes = flow[indices], sizes[indices]
+    flows, first, group = first_seen(flow, len(trace.table))
     if indices is not None:
         first = indices[first]
-    return distinct[order], first, rank[inverse], sizes
-
-
-def key64_column(flows) -> np.ndarray:
-    """The ``key64`` folds of ``flows`` (a sequence) as a uint64 array."""
-    return np.fromiter(
-        (flow.key64 for flow in flows), np.uint64, len(flows)
-    )
+    return flows, trace.key64[first], group, sizes
 
 
 #: ``(flow_index, rows, cols, coefs)``, see :meth:`Sketch.matrix_positions`.
@@ -126,16 +119,13 @@ def flow_major(rows, cols, coefs=1.0, mask=None) -> Positions:
     return tuple(column.T[keep] for column in columns)
 
 
-class FlowUpdates:
-    """``(flow, value)`` pairs in the shape :meth:`Sketch.update_trace`
-    reads a trace: ``packets`` plus the ``key64`` / ``sizes`` columns."""
+def flow_updates(flows, values) -> Trace:
+    """``(flow, value)`` pairs as a trace, for :meth:`Sketch.update_trace`.
 
-    def __init__(self, flows, values):
-        self.packets = [
-            Packet(flow, value) for flow, value in zip(flows, values)
-        ]
-        self.key64 = key64_column(flows)
-        self.sizes = np.asarray(values, dtype=np.int64)
+    Flows may repeat; values must be positive byte counts.
+    """
+    flow, table = number_flows(flows)
+    return Trace.from_columns(np.zeros(len(flow)), values, flow, table)
 
 
 class Sketch(ABC):
@@ -159,10 +149,10 @@ class Sketch(ABC):
     #: 64-bit fold (``flow.key64``), i.e. when the two-argument
     #: :meth:`update_batch` over a trace's ``key64`` column is exactly
     #: equivalent to per-packet ``update`` calls.  Callers that hold
-    #: only columns (no packet objects) test this flag before calling
+    #: only ``key64`` and sizes test this flag before calling
     #: ``update_batch``.  Sketches that also read the 104-bit header
     #: (Deltoid, FlowRadar) leave it False and vectorize by overriding
-    #: :meth:`update_trace` instead, which sees the packets; sketches
+    #: :meth:`update_trace` instead, which sees the flow table; sketches
     #: with order-dependent side state (UnivMon's trackers) leave it
     #: False and inherit the per-packet loop.
     key64_updates: bool = False
@@ -232,11 +222,12 @@ class Sketch(ABC):
         if self.key64_updates:
             self.update_batch(*trace_columns(trace, indices))
             return
-        packets = trace.packets
+        table, update = trace.table, self.update
+        flow, sizes = trace.flow, trace.sizes
         if indices is not None:
-            packets = map(packets.__getitem__, indices.tolist())
-        for packet in packets:
-            self.update(packet.flow, packet.size)
+            flow, sizes = flow[indices], sizes[indices]
+        for index, size in zip(flow.tolist(), sizes.tolist()):
+            update(table[index], size)
 
     def inject(self, flow: FlowKey, value: int) -> None:
         """Re-inject a recovered flow (control-plane recovery, §5).
@@ -259,7 +250,7 @@ class Sketch(ABC):
         loop unless it overrides this method too.
         """
         if type(self).inject is Sketch.inject:
-            self.update_trace(FlowUpdates(flows, values))
+            self.update_trace(flow_updates(flows, values))
             return
         for flow, value in zip(flows, values):
             self.inject(flow, value)

@@ -76,36 +76,16 @@ class Deltoid(Sketch):
         order, so bytes are summed per distinct flow and each flow's
         total is added once per row to its bucket's total counter and
         to the bit counters its header sets.  The ``flows x 104`` bit
-        matrix is built from each flow's first packet.
+        matrix is built from the flow table.
 
-        Flows are grouped by ``key64``, which folds 104 header bits
-        into 64, so two different headers can share a group.  Packets
-        whose header differs from their group's first one are taken out
-        of the sums and recorded with :meth:`update` instead.
+        Flows are grouped by their entry in the trace's flow table, so
+        two headers that share a ``key64`` fold keep their own bit
+        counters while adding to the same buckets.
         """
-        keys, first, group, sizes = flow_groups(trace, indices)
+        flows, keys, group, sizes = flow_groups(trace, indices)
         if keys.size == 0:
             return
-        packets = trace.packets
-        heads = [packets[i].flow for i in first.tolist()]
-        selected = packets if indices is None else map(
-            packets.__getitem__, indices.tolist()
-        )
-        flows = [packet.flow for packet in selected]
-        expected = [heads[g] for g in group.tolist()]
-        # List equality tests identity first, so shared FlowKey objects
-        # cost no header comparison.
-        if flows != expected:
-            strays = [
-                i
-                for i, (flow, head) in enumerate(zip(flows, expected))
-                if flow != head
-            ]
-            for i, size in zip(strays, sizes[strays].tolist()):
-                self.update(flows[i], size)
-            sizes = sizes.copy()
-            sizes[strays] = 0
-
+        heads = list(map(trace.table.__getitem__, flows.tolist()))
         volumes = np.bincount(group, weights=sizes, minlength=keys.size)
         cols, header_bits = self._flow_cells(keys, heads)
         flow_index, bit_index = np.nonzero(header_bits)

@@ -26,11 +26,11 @@ from repro.common.flow import FlowKey
 from repro.common.hashing import HashFamily, mix64_array
 from repro.sketches.base import (
     CostProfile,
-    FlowUpdates,
     Positions,
     Sketch,
     flow_groups,
     flow_major,
+    flow_updates,
     key64_column,
 )
 from repro.sketches.bloom import BloomFilter
@@ -165,20 +165,21 @@ class FlowRadar(Sketch):
         The XOR/count fields change only when the Bloom filter reports
         a new flow, and only a flow's *first* packet can do that (its
         own insert covers every later one), so new-flow detection runs
-        over the distinct keys in first-occurrence order — the order
-        matters because a Bloom false positive depends on what was
-        inserted before (:meth:`BloomFilter.add_ordered`).  Headers are
-        read from packet objects for new flows only.
+        over the distinct flows' keys in first-occurrence order — the
+        order matters because a Bloom false positive depends on what
+        was inserted before (:meth:`BloomFilter.add_ordered`), and a
+        second header with an earlier flow's ``key64`` is "present".
+        Headers are read from the flow table for new flows only.
         """
-        keys, first, group, sizes = flow_groups(trace, indices)
+        flows, keys, group, sizes = flow_groups(trace, indices)
         if keys.size == 0:
             return
         cells = self._hashes.buckets_array(keys, self.num_cells)
         new = np.flatnonzero(~self.bloom.add_ordered(keys))
         if new.size:
-            packets = trace.packets
+            table = trace.table
             hi, lo = _header_words(
-                [packets[at].flow.key104 for at in first[new].tolist()]
+                [table[at].key104 for at in flows[new].tolist()]
             )
             new_cells = cells[:, new]
             for row_cells in new_cells:
@@ -212,7 +213,7 @@ class FlowRadar(Sketch):
         if self.count_packets:
             super().inject_batch(flows, values)
         else:
-            self.update_trace(FlowUpdates(flows, values))
+            self.update_trace(flow_updates(flows, values))
 
     # ------------------------------------------------------------------
     def decode(

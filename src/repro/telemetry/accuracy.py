@@ -216,9 +216,9 @@ class ShadowSampler:
             chosen = rng.choice(
                 len(uniques), size=self.sample_size, replace=False
             )
-        packets = trace.packets
+        table, flow = trace.table, trace.flow
         self.sample = {
-            packets[int(first_index[i])].flow: float(per_flow[i])
+            table[flow[first_index[i]]]: float(per_flow[i])
             for i in chosen
         }
 

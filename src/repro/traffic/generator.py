@@ -7,6 +7,8 @@ version of the paper's CAIDA workload (§7.1: 30-70K flows, 370-480K
 packets, 260-330MB per host-epoch; mean packet size 769 bytes).
 
 Generation is fully deterministic for a given :class:`TraceConfig` seed.
+Traces are built as columns (:meth:`Trace.from_columns`): the drawn
+flows are the flow table, and no packet objects are made.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.common.flow import PROTO_TCP, PROTO_UDP, FlowKey, Packet
+from repro.common.flow import PROTO_TCP, PROTO_UDP, FlowKey
 from repro.traffic.trace import Trace
 
 MEAN_PACKET_SIZE = 769  # bytes; the paper's dataset mean (§7.1)
@@ -181,10 +183,7 @@ _SYN_PROBABILITY = 0.85
 
 
 def _syn_first_packets(
-    sizes: np.ndarray,
-    flow_index: np.ndarray,
-    num_flows: int,
-    rng: np.random.Generator,
+    sizes: np.ndarray, flow_index: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Force most flows to open with a minimum-size packet (TCP SYN).
 
@@ -194,11 +193,8 @@ def _syn_first_packets(
     amortization, Figure 16a).
     """
     sizes = sizes.copy()
-    first_seen = np.full(num_flows, -1, dtype=np.int64)
-    for position, flow in enumerate(flow_index):
-        if first_seen[flow] < 0:
-            first_seen[flow] = position
-    firsts = first_seen[first_seen >= 0]
+    # Each flow's first position, in ascending flow order.
+    _, firsts = np.unique(flow_index, return_index=True)
     is_syn = rng.random(len(firsts)) < _SYN_PROBABILITY
     sizes[firsts[is_syn]] = MIN_PACKET_SIZE
     return sizes
@@ -226,17 +222,8 @@ def generate_trace(config: TraceConfig) -> Trace:
     flow_index = flow_index[order]
     timestamps = timestamps[order]
     sizes = _packet_sizes(total_packets, config.mean_packet_size, rng)
-    sizes = _syn_first_packets(sizes, flow_index, config.num_flows, rng)
-
-    packets = [
-        Packet(
-            flow=flow_keys[int(flow_index[i])],
-            size=int(sizes[i]),
-            timestamp=float(timestamps[i]),
-        )
-        for i in range(total_packets)
-    ]
-    return Trace(packets)
+    sizes = _syn_first_packets(sizes, flow_index, rng)
+    return Trace.from_columns(timestamps, sizes, flow_index, flow_keys)
 
 
 def generate_epochs(
@@ -255,8 +242,8 @@ def generate_epochs(
     if not 0.0 <= churn <= 1.0:
         raise ValueError("churn must be in [0, 1]")
     rng = np.random.default_rng(config.seed)
-    flow_keys = _random_flow_keys(
-        config.num_flows, config.num_hosts_space, rng
+    table = tuple(
+        _random_flow_keys(config.num_flows, config.num_hosts_space, rng)
     )
     assignment = rng.permutation(config.num_flows)
     epochs: list[Trace] = []
@@ -289,16 +276,8 @@ def generate_epochs(
         sizes = _packet_sizes(
             total_packets, config.mean_packet_size, epoch_rng
         )
-        sizes = _syn_first_packets(
-            sizes, flow_index, config.num_flows, epoch_rng
+        sizes = _syn_first_packets(sizes, flow_index, epoch_rng)
+        epochs.append(
+            Trace.from_columns(timestamps, sizes, flow_index, table)
         )
-        packets = [
-            Packet(
-                flow=flow_keys[int(flow_index[i])],
-                size=int(sizes[i]),
-                timestamp=float(timestamps[i]),
-            )
-            for i in range(total_packets)
-        ]
-        epochs.append(Trace(packets))
     return epochs

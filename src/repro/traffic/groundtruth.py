@@ -11,8 +11,6 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.common.flow import FlowKey
 from repro.traffic.trace import Trace
 
@@ -40,29 +38,19 @@ class GroundTruth:
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "GroundTruth":
-        # One dict probe per packet numbers the flows in first-seen
-        # order; the sums then run over that numbering in integers.
-        # Identity is the FlowKey itself (``key64`` folds 104 bits).
-        index: dict[FlowKey, int] = {}
-        number = index.setdefault
-        ids = np.fromiter(
-            (number(packet.flow, len(index)) for packet in trace.packets),
-            dtype=np.intp,
-            count=len(trace),
-        )
-        totals = np.zeros(len(index), dtype=np.int64)
-        np.add.at(totals, ids, trace.sizes)
-        counts = np.bincount(ids, minlength=len(index))
+        # Identity is the FlowKey itself (``key64`` folds 104 bits):
+        # the trace sums per flow-table entry, in first-seen order.
+        flows, volumes, counts = trace.flow_totals()
         # A (dst, src) pair first appears with its first flow, so
         # walking distinct flows fills every set in packet order.
         fanin: dict[int, set[int]] = defaultdict(set)
         fanout: dict[int, set[int]] = defaultdict(set)
-        for flow in index:
+        for flow in flows:
             fanin[flow.dst_ip].add(flow.src_ip)
             fanout[flow.src_ip].add(flow.dst_ip)
         return cls(
-            flow_bytes=dict(zip(index, totals.tolist())),
-            flow_packets=dict(zip(index, counts.tolist())),
+            flow_bytes=dict(zip(flows, volumes.tolist())),
+            flow_packets=dict(zip(flows, counts.tolist())),
             fanin=dict(fanin),
             fanout=dict(fanout),
         )

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.common.errors import MergeError
 from repro.common.flow import FlowKey
 from repro.controlplane.merge import rescale_sketch
-from repro.sketches.base import FlowUpdates
+from repro.sketches.base import flow_updates
 from repro.sketches.flowradar import FlowRadar
 from tests.conftest import make_flow
 from tests.reference_flowradar import reference_decode
@@ -326,7 +326,7 @@ class TestWordColumns:
         for flow, value in zip(flows, values):
             scalar.update(flow, value)
             reinjected.inject(flow, value)
-        batch.update_trace(FlowUpdates(flows, values))
+        batch.update_trace(flow_updates(flows, values))
         injected.inject_batch(flows, values)
         assert _fields(batch) == _fields(scalar)
         assert _fields(injected) == _fields(reinjected)
@@ -339,7 +339,7 @@ class TestWordColumns:
         parts = []
         for seed in (2, 3):
             part = _small_radar()
-            part.update_trace(FlowUpdates(*self._workload(seed)))
+            part.update_trace(flow_updates(*self._workload(seed)))
             parts.append(part)
         mine, other = parts
         expected = [a ^ b for a, b in zip(mine.flow_xor, other.flow_xor)]

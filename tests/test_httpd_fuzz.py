@@ -207,3 +207,26 @@ class TestSlowClients:
             assert time.monotonic() - started < 10
         finally:
             connection.close()
+
+
+class TestKeepAlive:
+    def test_keep_alive_requests_do_not_wait_for_delayed_acks(self, service):
+        """A response is a header write then a body write.  With Nagle
+        on, each body waits out the client's delayed ACK (~40 ms on
+        Linux loopback), so 40 keep-alive requests took ~1.7 s."""
+        assert ObservabilityHandler.disable_nagle_algorithm
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", service.port, timeout=30
+        )
+        try:
+            start = time.perf_counter()
+            for _ in range(40):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.status in (200, 503)
+                assert not response.will_close
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 0.6, elapsed

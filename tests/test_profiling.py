@@ -194,7 +194,6 @@ class TestAcceptance:
             fastpath=FastPath(8192),
             cost_model=CostModel.in_memory(),
             buffer_packets=1024,
-            batch=True,
         )
         switch.profiler = profiler
         with profiler.stage("dataplane.host"):
