@@ -208,7 +208,7 @@ def publish_cluster_epoch(
     ).set(collector.last_aggregators)
     registry.gauge(
         "sketchvisor_cluster_peak_resident_reports",
-        "Peak sketch-carrying objects resident in one aggregator "
+        "Peak dense sketches resident in one aggregator "
         "(hierarchical) or the controller (flat) in the latest epoch",
     ).set(collector.last_peak_resident)
     failovers = registry.counter(

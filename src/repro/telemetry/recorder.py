@@ -29,9 +29,10 @@ DEFAULT_CAPACITY = 512
 DUMP_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecorderEvent:
-    """One structured event in the ring."""
+    """One structured event in the ring (slotted: a full ring is
+    ``capacity`` of them)."""
 
     seq: int
     time: float  # wall-clock seconds (time.time)

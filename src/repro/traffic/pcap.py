@@ -15,9 +15,11 @@ import pathlib
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.common.errors import ConfigError
-from repro.common.flow import PROTO_TCP, PROTO_UDP, FlowKey, Packet
-from repro.traffic.trace import Trace
+from repro.common.flow import PROTO_TCP, PROTO_UDP, Packet
+from repro.traffic.trace import Trace, number_headers
 
 _PCAP_MAGIC_LE = 0xA1B2C3D4
 _PCAP_MAGIC_BE = 0xD4C3B2A1
@@ -67,7 +69,9 @@ def read_pcap(
 
     record = struct.Struct(endian + "IIII")
     stats = PcapStats()
-    packets: list[Packet] = []
+    timestamps: list[float] = []
+    sizes: list[int] = []
+    headers: list[tuple[int, int, int, int, int]] = []
     offset = _GLOBAL_HEADER.size
     first_ts: float | None = None
     while offset + record.size <= len(data):
@@ -91,20 +95,24 @@ def read_pcap(
         timestamp = ts_sec + ts_usec / 1e6
         if first_ts is None:
             first_ts = timestamp
-        packets.append(
-            Packet(
-                flow=parsed,
-                size=max(int(orig_len), 1),
-                timestamp=timestamp - first_ts,
-            )
-        )
+        timestamps.append(timestamp - first_ts)
+        sizes.append(max(int(orig_len), 1))
+        headers.append(parsed)
         stats.decoded += 1
-    packets.sort(key=lambda packet: packet.timestamp)
-    return Trace(packets), stats
+    timestamps = np.array(timestamps, dtype=np.float64)
+    order = np.argsort(timestamps, kind="stable")
+    flow, table = number_headers(
+        *np.array(headers, dtype=np.int64).reshape(-1, 5)[order].T
+    )
+    trace = Trace.from_columns(
+        timestamps[order], np.array(sizes, dtype=np.int64)[order], flow, table
+    )
+    return trace, stats
 
 
-def _parse_ethernet_ipv4(payload: bytes) -> FlowKey | str | None:
-    """Returns a FlowKey, the string "non-tcp-udp", or None."""
+def _parse_ethernet_ipv4(payload: bytes) -> tuple | str | None:
+    """Returns the 5-tuple ``(src_ip, dst_ip, src_port, dst_port,
+    proto)``, the string "non-tcp-udp", or None."""
     if len(payload) < 14 + 20:
         return None
     ethertype = struct.unpack_from("!H", payload, 12)[0]
@@ -125,13 +133,7 @@ def _parse_ethernet_ipv4(payload: bytes) -> FlowKey | str | None:
         return "non-tcp-udp"
     l4_offset = ip_offset + ihl
     src_port, dst_port = struct.unpack_from("!HH", payload, l4_offset)
-    return FlowKey(
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        src_port=src_port,
-        dst_port=dst_port,
-        proto=proto,
-    )
+    return src_ip, dst_ip, src_port, dst_port, proto
 
 
 def write_pcap(trace: Trace, path: str | pathlib.Path) -> None:

@@ -47,6 +47,42 @@ def number_flows(flows: Iterable[FlowKey]) -> tuple[np.ndarray, tuple]:
     return column, tuple(index)
 
 
+#: Header columns as :class:`FlowKey` takes them, with their widths
+#: and what the constructor says when a value does not fit.
+_HEADER_COLUMNS = (
+    (32, "IP addresses must fit in 32 bits"),
+    (32, "IP addresses must fit in 32 bits"),
+    (16, "ports must fit in 16 bits"),
+    (16, "ports must fit in 16 bits"),
+    (8, "protocol must fit in 8 bits"),
+)
+
+
+def number_headers(src, dst, sport, dport, proto) -> tuple[np.ndarray, tuple]:
+    """:func:`number_flows` for packets given as five header columns:
+    the same ``(index, table)``, with one :class:`FlowKey` built per
+    distinct flow rather than per packet."""
+    columns = []
+    for column, (bits, message) in zip(
+        (src, dst, sport, dport, proto), _HEADER_COLUMNS
+    ):
+        column = np.asarray(column, dtype=np.int64)
+        if column.size and (column.min() < 0 or column.max() >> bits):
+            raise ValueError(message)
+        columns.append(column.astype(np.uint64))
+    src, dst, sport, dport, proto = columns
+    keys = np.stack(
+        [src << 32 | dst, sport << 24 | dport << 8 | proto], axis=1
+    )
+    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+    _order, first, flow = first_seen(inverse.reshape(-1), len(distinct))
+    table = tuple(
+        FlowKey(*header)
+        for header in zip(*(column[first].tolist() for column in columns))
+    )
+    return flow, table
+
+
 def used_flows(flow: np.ndarray, table_size: int) -> np.ndarray:
     """The distinct indices of a flow-index column, ascending."""
     return np.flatnonzero(np.bincount(flow, minlength=table_size))

@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.common.flow import PROTO_TCP, PROTO_UDP
-from repro.traffic.pcap import PcapStats, read_pcap, write_pcap
+from repro.common.flow import PROTO_TCP, PROTO_UDP, FlowKey, Packet
+from repro.traffic.pcap import (
+    PcapStats,
+    _parse_ethernet_ipv4,
+    read_pcap,
+    write_pcap,
+)
+from repro.traffic.trace import Trace
 
 
 class TestRoundTrip:
@@ -95,3 +102,38 @@ class TestRobustness:
     def test_stats_dataclass_defaults(self):
         stats = PcapStats()
         assert stats.records == 0 and stats.truncated == 0
+
+
+def _pcap_the_packet_way(path) -> Trace:
+    """The reader as it was: a Packet per decoded record, sorted by
+    timestamp, fed to Trace."""
+    data = path.read_bytes()
+    offset, first, packets = 24, None, []
+    while offset + 16 <= len(data):
+        ts_sec, ts_usec, incl_len, orig_len = struct.unpack_from(
+            "<IIII", data, offset
+        )
+        payload = data[offset + 16 : offset + 16 + incl_len]
+        offset += 16 + incl_len
+        header = _parse_ethernet_ipv4(payload)
+        if not isinstance(header, tuple):
+            continue
+        stamp = ts_sec + ts_usec / 1e6
+        first = stamp if first is None else first
+        packets.append(
+            Packet(FlowKey(*header), max(orig_len, 1), stamp - first)
+        )
+    packets.sort(key=lambda packet: packet.timestamp)
+    return Trace(packets)
+
+
+def test_read_pcap_equals_the_packet_built_trace(small_trace, tmp_path):
+    path = tmp_path / "trace.pcap"
+    write_pcap(small_trace, path)
+    columnar, _stats = read_pcap(path)
+    packet_built = _pcap_the_packet_way(path)
+    assert columnar.table == packet_built.table
+    for name in ("timestamps", "sizes", "flow"):
+        mine, theirs = getattr(columnar, name), getattr(packet_built, name)
+        assert mine.dtype == theirs.dtype
+        assert np.array_equal(mine, theirs), name
