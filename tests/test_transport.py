@@ -450,6 +450,10 @@ class TestCorruptionProperty:
                 "more than the envelope uses",
             ),
             (
+                lambda env: array_section((SPARSE, 0, 0, b"")) + env,
+                "more than the envelope uses",
+            ),
+            (
                 lambda env: array_section()
                 + pickle.dumps(
                     np.zeros(4), protocol=5, buffer_callback=lambda _: None
@@ -471,6 +475,7 @@ class TestCorruptionProperty:
             "dense-with-nnz",
             "sparse-of-ragged-length",
             "buffer-unused",
+            "sparse-empty-unused",
             "buffer-missing",
             "trailing-bytes",
         ],
