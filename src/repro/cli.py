@@ -317,7 +317,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{stats.connection_faults} connection fault(s), "
             f"{stats.backpressure_waits} backpressure wait(s), "
             f"{stats.quarantined_hosts} quarantined, "
-            f"{getattr(stats, 'failovers', 0)} failover(s)"
+            f"{stats.failovers} failover(s)"
         )
     if score.recall is not None:
         print(f"recall          : {score.recall:.1%}")
@@ -439,24 +439,20 @@ def _run_soak(
         collection = result.collection
         if collection is not None:
             stats = collection.stats
-            failovers = list(getattr(collection, "failovers", ()))
+            failovers = collection.failovers
             unrecovered = sum(
                 len(record.unrecovered_hosts) for record in failovers
             )
             totals["faults"] += stats.faults_seen
             totals["failovers"] += len(failovers)
-            totals["redeliveries"] += getattr(
-                stats, "redeliveries", 0
-            )
-            totals["redelivery_dups"] += getattr(
-                stats, "redelivery_dups", 0
-            )
+            totals["redeliveries"] += stats.redeliveries
+            totals["redelivery_dups"] += stats.redelivery_dups
             totals["missing"] += len(collection.missing_hosts)
             totals["unrecovered"] += unrecovered
             line += (
                 f" {stats.faults_seen} fault(s),"
                 f" {len(failovers)} failover(s),"
-                f" {getattr(stats, 'redeliveries', 0)} redelivered,"
+                f" {stats.redeliveries} redelivered,"
                 f" {len(collection.missing_hosts)} missing"
             )
         else:

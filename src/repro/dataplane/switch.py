@@ -80,7 +80,7 @@ class SoftwareSwitch:
         self.telemetry = telemetry
         self.host_label = host_label
         #: Optional :class:`~repro.telemetry.profiling.Profiler`; the
-        #: pipeline attaches one (serially, or per worker) so the
+        #: pipeline attaches one to each host it runs so the
         #: engine attributes its epoch wall time to named stages.
         #: Independent of ``telemetry`` — per-host metrics publish
         #: centrally from reports, but stage timers must run where the

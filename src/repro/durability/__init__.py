@@ -9,10 +9,10 @@ longer forfeits the epoch.  Three layers compose the guarantee:
   ``V``/``E`` globals), and the FIFO backlog into a versioned,
   CRC32-checked binary snapshot with exact round-trip;
 * :class:`~repro.durability.checkpoint.Checkpointer` — snapshots a
-  :class:`~repro.dataplane.engine.HostEngine` every K packets (or on a
-  cycle budget) and journals the trace offset in a tiny write-ahead
-  log, so a restarted host resumes from the last checkpoint and
-  replays only the journaled tail — bit-identical to an uncrashed run;
+  :class:`~repro.dataplane.engine.HostEngine` every K packets and
+  journals the trace offset in a tiny write-ahead log, so a restarted
+  host resumes from the last checkpoint and replays only the journaled
+  tail — bit-identical to an uncrashed run;
 * :class:`~repro.durability.supervisor.Supervisor` — per-host
   heartbeats, a watchdog for hung workers, bounded restart-with-replay
   (escalating to PR 3's degraded merge after R failed restarts), and a

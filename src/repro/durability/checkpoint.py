@@ -125,11 +125,6 @@ class Checkpointer:
         The host this checkpointer serves.
     every_packets:
         Snapshot interval (absolute-offset aligned).
-    cycle_budget:
-        Optional: also snapshot whenever the producer clock has
-        advanced this many simulated cycles since the last snapshot
-        (checked at heartbeat boundaries, which are cheaper than
-        per-packet checks).
     """
 
     def __init__(
@@ -137,19 +132,16 @@ class Checkpointer:
         root: str,
         host_id: int,
         every_packets: int = DEFAULT_CHECKPOINT_EVERY,
-        cycle_budget: float | None = None,
         codec: StateCodec | None = None,
     ):
         self.host_id = host_id
         self.every_packets = max(1, int(every_packets))
-        self.cycle_budget = cycle_budget
         self.directory = os.path.join(root, f"host_{host_id:04d}")
         os.makedirs(self.directory, exist_ok=True)
         self.codec = codec or StateCodec()
         self.stats = CheckpointStats()
         self._epoch: int | None = None
         self._wal: WriteAheadLog | None = None
-        self._last_snapshot_cycles = 0.0
 
     # ------------------------------------------------------------------
     def _wal_path(self, epoch: int) -> str:
@@ -174,7 +166,6 @@ class Checkpointer:
         self._epoch = epoch
         self._wal = WriteAheadLog(self._wal_path(epoch))
         self._wal.reset()
-        self._last_snapshot_cycles = engine.producer
         self.write(epoch, engine)
 
     def write(self, epoch: int, engine) -> None:
@@ -200,19 +191,6 @@ class Checkpointer:
         )
         self.stats.writes += 1
         self.stats.bytes_written += len(blob)
-        self._last_snapshot_cycles = engine.producer
-
-    def maybe_cycle_write(self, epoch: int, engine) -> bool:
-        """Cycle-budget trigger (called from heartbeat boundaries)."""
-        if self.cycle_budget is None:
-            return False
-        if (
-            engine.producer - self._last_snapshot_cycles
-            < self.cycle_budget
-        ):
-            return False
-        self.write(epoch, engine)
-        return True
 
     # ------------------------------------------------------------------
     def restore(self, epoch: int, cost_model):

@@ -21,8 +21,7 @@ only enables.  Per host, per epoch it:
 
 Heartbeats (``heartbeat_every`` packets) update a per-host liveness
 table that :meth:`Supervisor.stalled_hosts` checks against the watchdog
-timeout; the same boundary drives the optional cycle-budget checkpoint
-trigger.
+timeout.
 """
 
 from __future__ import annotations
@@ -105,10 +104,6 @@ class CircuitBreaker:
         self.streak = 0
 
 
-#: Backward-compatible alias (pre-cluster internal name).
-_Breaker = CircuitBreaker
-
-
 class Supervisor:
     """Run hosts' epochs under checkpointing with crash recovery.
 
@@ -126,9 +121,6 @@ class Supervisor:
         record each fired data-plane fault.
     checkpoint_every:
         Snapshot interval in packets (absolute-offset aligned).
-    cycle_budget:
-        Optional additional snapshot trigger in simulated producer
-        cycles, checked at heartbeat boundaries.
     heartbeat_every:
         Heartbeat interval in packets.
     watchdog_timeout:
@@ -149,7 +141,6 @@ class Supervisor:
         plan=None,
         injector=None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-        cycle_budget: float | None = None,
         heartbeat_every: int = 2048,
         watchdog_timeout: float = 1.0,
         max_restarts: int = 2,
@@ -160,7 +151,6 @@ class Supervisor:
         self.plan = plan
         self.injector = injector
         self.checkpoint_every = max(1, int(checkpoint_every))
-        self.cycle_budget = cycle_budget
         self.heartbeat_every = max(1, int(heartbeat_every))
         self.watchdog_timeout = watchdog_timeout
         self.max_restarts = max(0, int(max_restarts))
@@ -181,7 +171,6 @@ class Supervisor:
                 self.checkpoint_dir,
                 host_id,
                 every_packets=self.checkpoint_every,
-                cycle_budget=self.cycle_budget,
             )
             self._checkpointers[host_id] = ckpt
         return ckpt
@@ -203,11 +192,12 @@ class Supervisor:
     ) -> list[HostOutcome]:
         """Run every host's shard for one epoch under supervision."""
         return [
-            self._run_host(host, shard, offered_gbps, epoch)
+            self.run_host(host, shard, offered_gbps, epoch)
             for host, shard in zip(hosts, shards)
         ]
 
-    def _run_host(self, host, shard, offered_gbps, epoch) -> HostOutcome:
+    def run_host(self, host, shard, offered_gbps, epoch) -> HostOutcome:
+        """Run one host's shard for one epoch under supervision."""
         outcome = HostOutcome(host_id=host.host_id)
         breaker = self._breakers.setdefault(
             host.host_id, CircuitBreaker()
@@ -234,11 +224,11 @@ class Supervisor:
             )
 
         ckpt.begin_epoch(epoch, engine)
-        self._heartbeat(epoch, engine, host.host_id, ckpt)
+        self._heartbeat(epoch, engine, host.host_id)
 
         on_checkpoint = lambda e: ckpt.write(epoch, e)  # noqa: E731
         on_heartbeat = lambda e: self._heartbeat(  # noqa: E731
-            epoch, e, host.host_id, ckpt
+            epoch, e, host.host_id
         )
 
         report = None
@@ -283,6 +273,7 @@ class Supervisor:
                 outcome.gave_up = True
                 break
             outcome.replayed_packets += lost_offset - restored.offset
+            restored.profiler = switch.profiler
             engine = restored
 
         outcome.checkpoint_writes = ckpt.stats.writes - writes0
@@ -315,8 +306,7 @@ class Supervisor:
         return outcome
 
     # ------------------------------------------------------------------
-    def _heartbeat(self, epoch, engine, host_id, ckpt) -> None:
+    def _heartbeat(self, epoch, engine, host_id) -> None:
         self.heartbeats[host_id] = (
             epoch, engine.offset, time.perf_counter()
         )
-        ckpt.maybe_cycle_write(epoch, engine)

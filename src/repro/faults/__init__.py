@@ -17,9 +17,9 @@ The defence side lives where the attacks land:
 :class:`~repro.controlplane.transport.Delivery` and
 :func:`~repro.controlplane.transport.accept_frame` (retry / backoff /
 dedup, behind both report collectors), the controller's degraded-mode
-merge, and the pipeline's worker-crash fallback.  With no plan configured the whole
-subsystem is inert — zero-fault runs are bit-identical to a build
-without it.  See ``docs/robustness.md``.
+merge, and the durability supervisor's restart-with-replay.  With no
+plan configured the whole subsystem is inert — zero-fault runs are
+bit-identical to a build without it.  See ``docs/robustness.md``.
 """
 
 from repro.faults.injector import FaultInjector

@@ -11,7 +11,7 @@ Determinism is the whole point: the schedule for ``(epoch, host)`` is
 a pure function of ``(plan.seed, epoch, host)``, independent of call
 order, process layout, or how many other hosts exist — so identical
 seeds reproduce identical fault schedules (and therefore identical
-degraded results) across runs, machines, and worker counts.
+degraded results) across runs and machines.
 """
 
 from __future__ import annotations

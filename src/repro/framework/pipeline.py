@@ -9,10 +9,7 @@ against exact ground truth.
 
 from __future__ import annotations
 
-import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.cluster import ClusterCollector, ClusterConfig
@@ -56,12 +53,9 @@ from repro.telemetry.publish import (
     publish_durability_epoch,
     publish_fastpath_epoch,
     publish_switch_epoch,
-    publish_worker_crashes,
 )
 from repro.traffic.groundtruth import GroundTruth
 from repro.traffic.trace import Trace
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -78,9 +72,6 @@ class PipelineConfig:
     #: Accepted and ignored: it used to choose between two data-plane
     #: loops; every host now runs the one chunked ``HostEngine``.
     batch: bool = False
-    #: Per-host epochs are independent; ``workers > 1`` runs them in a
-    #: process pool.  ``workers=1`` preserves today's serial behavior.
-    workers: int = 1
     #: Optional :class:`~repro.telemetry.Telemetry` receiving metrics
     #: and spans from every stage.  ``None`` (the default) disables all
     #: instrumentation; setting ``REPRO_TELEMETRY=1`` in the
@@ -105,8 +96,6 @@ class PipelineConfig:
     checkpoint_dir: str | None = None
     #: Snapshot interval in packets (absolute-offset aligned).
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
-    #: Optional extra snapshot trigger in simulated producer cycles.
-    checkpoint_cycle_budget: float | None = None
     #: Restarts allowed per host per epoch before the supervisor gives
     #: up and hands the host to the degraded merge.
     max_restarts: int = 2
@@ -138,9 +127,8 @@ class PipelineConfig:
     #: Cycle-level profiling: a :class:`ProfileConfig`, ``True`` for
     #: the defaults, or ``None``/``False`` (off).  Implies telemetry.
     #: Every trace_span site becomes a wall+CPU stage timer, the stack
-    #: sampler aggregates collapsed stacks per stage, and per-process
-    #: RSS high-water gauges publish each epoch — with per-worker
-    #: profiles merged centrally on the process-pool path.  Setting
+    #: sampler aggregates collapsed stacks per stage, and the RSS
+    #: high-water gauge publishes each epoch.  Setting
     #: ``REPRO_PROFILE=1`` in the environment injects a config here.
     #: Profiling only observes: results stay bit-identical.
     profile: ProfileConfig | bool | None = None
@@ -166,29 +154,6 @@ class PipelineConfig:
                 self.checkpoint_dir = env_dir
                 if env_every is not None:
                     self.checkpoint_every = env_every
-
-
-def _run_host_epoch(host, shard, offered_gbps, profile=None):
-    """Top-level worker so (host, shard) round-trip through pickle.
-
-    With a :class:`ProfileConfig`, the worker builds its own profiler
-    (profilers hold threads and locks, so they never pickle), runs the
-    shard under a ``dataplane.host`` stage, and ships the profile back
-    as ``(report, payload)`` for the parent to merge — per-pid stage
-    totals, folded stacks, RSS, and spans stamped with the worker's
-    pid/tid.
-    """
-    if profile is None:
-        return host.run_epoch(shard, offered_gbps)
-    telemetry = Telemetry()
-    profiler = telemetry.enable_profiling(profile)
-    host.switch.profiler = profiler
-    try:
-        with profiler.stage("dataplane.host", host=host.host_id):
-            report = host.run_epoch(shard, offered_gbps)
-    finally:
-        host.switch.profiler = None
-    return report, profiler.to_payload()
 
 
 @dataclass
@@ -311,7 +276,6 @@ class SketchVisorPipeline:
                 plan=self.config.faults,
                 injector=self._injector,
                 checkpoint_every=self.config.checkpoint_every,
-                cycle_budget=self.config.checkpoint_cycle_budget,
                 heartbeat_every=self.config.heartbeat_every,
                 watchdog_timeout=self.config.watchdog_timeout,
                 max_restarts=self.config.max_restarts,
@@ -337,8 +301,8 @@ class SketchVisorPipeline:
         else:
             self._accuracy = None
         self._epoch_counter = 0
-        #: The one sketch the serial hosts of an epoch take turns on
-        #: when their reports leave as frames (built on first use).
+        #: The one sketch the unsupervised hosts of an epoch take turns
+        #: on when their reports leave as frames (built on first use).
         self._warm_sketch = None
 
     def describe(self) -> str:
@@ -348,7 +312,7 @@ class SketchVisorPipeline:
             f"SketchVisorPipeline(task={self.task.name!r}, "
             f"dataplane={self.dataplane.value}, "
             f"recovery={self.recovery.value}, "
-            f"hosts={cfg.num_hosts}, workers={cfg.workers}, "
+            f"hosts={cfg.num_hosts}, "
             f"buffer={cfg.buffer_packets}p, "
             f"fastpath={cfg.fastpath_bytes}B, "
             f"telemetry={'on' if cfg.telemetry is not None else 'off'}, "
@@ -365,16 +329,12 @@ class SketchVisorPipeline:
     # ------------------------------------------------------------------
     def _build_hosts(self) -> list[Host]:
         """One host per shard, each with a fresh sketch — except that
-        serial, unsupervised hosts whose reports leave as frames take
-        turns on one warm sketch: a host is done with it once its
-        report is encoded, and the next resets it before running."""
+        unsupervised hosts whose reports leave as frames take turns on
+        one warm sketch: a host is done with it once its report is
+        encoded, and the next resets it before running."""
         cfg = self.config
         shared = None
-        if (
-            min(cfg.workers, cfg.num_hosts) <= 1
-            and self._supervisor is None
-            and self._streams_frames()
-        ):
+        if self._supervisor is None and self._streams_frames():
             if self._warm_sketch is None:
                 self._warm_sketch = self.task.create_sketch(seed=cfg.seed)
             shared = self._warm_sketch
@@ -442,7 +402,7 @@ class SketchVisorPipeline:
     def _run_dataplane(
         self, trace: Trace
     ) -> tuple[list[LocalReport], list[int], list[HostOutcome] | None]:
-        """Run one epoch's data plane.
+        """Run one epoch's data plane, one host at a time.
 
         Returns ``(reports, missing_hosts, outcomes)``: reports that
         survived, hosts whose epoch was lost to an unrecovered
@@ -450,151 +410,62 @@ class SketchVisorPipeline:
         (``None`` when checkpointing is disabled).
         """
         cfg = self.config
-        if cfg.workers < 1:
-            raise ConfigError("workers must be >= 1")
         with trace_span(
             cfg.telemetry, "trace.partition", hosts=cfg.num_hosts
         ):
             shards = trace.partition(cfg.num_hosts)
         # Hosts are built *without* telemetry: per-host metrics are
-        # published centrally from the returned reports, so serial and
-        # process-pool runs (where host-side mutations would be lost in
-        # the worker) emit identical counters.
+        # published centrally from the returned reports.
         hosts = self._build_hosts()
         sketch_name = hosts[0].sketch.name if hosts else ""
-        workers = min(cfg.workers, len(hosts))
         # The epoch the *next* _aggregate call will stamp on these
         # reports — fault schedules must be keyed by the same number.
         epoch = self._epoch_counter
-        if self._supervisor is not None and workers <= 1:
-            # Supervised path: the same engine ``Host.run_epoch``
-            # drives, stepped under checkpointing and fault injection.
-            with trace_span(
-                cfg.telemetry, "dataplane.supervised", epoch=epoch
-            ):
-                outcomes = self._supervisor.run_epoch(
-                    hosts, shards, cfg.offered_gbps, epoch
-                )
-            reports = [
-                self._hand_off(o.report, epoch)
-                for o in outcomes
-                if o.report is not None
-            ]
-            missing = [
-                o.host_id for o in outcomes if o.report is None
-            ]
-            if cfg.telemetry is not None:
-                publish_durability_epoch(
-                    cfg.telemetry.registry, outcomes
-                )
-                self._publish_reports(reports, sketch_name)
-            return reports, missing, outcomes
-        # Unsupervised (or process-pool) path: a scheduled mid-epoch
-        # fault is unrecoverable — the host's epoch is simply lost.
-        doomed = self._doomed_hosts(hosts, shards, epoch)
-        live = [
-            (host, shard)
-            for host, shard in zip(hosts, shards)
-            if host.host_id not in doomed
-        ]
-        hosts = [host for host, _shard in live]
-        shards = [shard for _host, shard in live]
-        workers = min(cfg.workers, len(hosts)) if hosts else 0
+        supervisor = self._supervisor
+        # Without a supervisor a scheduled mid-epoch fault is
+        # unrecoverable: the host's epoch is simply lost.
+        doomed = (
+            self._doomed_hosts(hosts, shards, epoch)
+            if supervisor is None
+            else set()
+        )
         profiler = (
             cfg.telemetry.profiler if cfg.telemetry is not None else None
         )
-        if workers <= 1:
-            reports = []
-            for host, shard in zip(hosts, shards):
-                # Stage timers run where the cycles are spent: the
-                # serial path shares the parent's profiler (metrics
-                # still publish centrally from the reports).
-                if profiler is not None:
-                    host.switch.profiler = profiler
-                if host.sketch is self._warm_sketch:
-                    host.sketch.reset()
-                with trace_span(
-                    cfg.telemetry, "dataplane.host", host=host.host_id
-                ):
+        outcomes = None if supervisor is None else []
+        reports: list[LocalReport] = []
+        missing: list[int] = []
+        for host, shard in zip(hosts, shards):
+            if host.host_id in doomed:
+                missing.append(host.host_id)
+                continue
+            # Stage timers run where the cycles are spent; metrics
+            # still publish centrally from the reports.
+            host.switch.profiler = profiler
+            if host.sketch is self._warm_sketch:
+                host.sketch.reset()
+            with trace_span(
+                cfg.telemetry, "dataplane.host", host=host.host_id
+            ):
+                if supervisor is None:
                     report = host.run_epoch(shard, cfg.offered_gbps)
+                else:
+                    outcome = supervisor.run_host(
+                        host, shard, cfg.offered_gbps, epoch
+                    )
+                    outcomes.append(outcome)
+                    report = outcome.report
+            if report is None:
+                missing.append(host.host_id)
+            else:
                 reports.append(self._hand_off(report, epoch))
-        else:
-            # Hosts are independent within an epoch (disjoint shards,
-            # merge at the controller), so they parallelize with no
-            # coordination; hosts, shards and reports pickle cleanly.
-            # A worker crash (OOM-killed, segfaulted C extension, ...)
-            # surfaces as BrokenProcessPool on result(); the parent's
-            # host copies were never mutated, so the failed shards
-            # simply rerun serially here.
-            profile = cfg.profile if profiler is not None else None
-            results: dict[int, LocalReport] = {}
-            payloads: dict[int, dict] = {}
-            crashed: list[int] = []
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _run_host_epoch,
-                        host,
-                        shard,
-                        cfg.offered_gbps,
-                        profile,
-                    )
-                    for host, shard in zip(hosts, shards)
-                ]
-                for index, future in enumerate(futures):
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool:
-                        crashed.append(index)
-                        continue
-                    if profile is not None:
-                        results[index], payloads[index] = outcome
-                    else:
-                        results[index] = outcome
-            if profiler is not None and payloads:
-                # Merge worker profiles centrally (same parity bar as
-                # the counters): stage totals sum, folded stacks sum,
-                # RSS stays per pid, and worker spans land under the
-                # open ``dataplane`` span with their own pid/tid lanes.
-                parent_span = cfg.telemetry.tracer.current
-                for index in sorted(payloads):
-                    profiler.merge_payload(
-                        payloads[index], parent_span=parent_span
-                    )
-            if crashed:
-                logger.warning(
-                    "process pool broke; rerunning %d host shard(s) "
-                    "serially: %s",
-                    len(crashed),
-                    [hosts[i].host_id for i in crashed],
-                )
-                if cfg.telemetry is not None:
-                    publish_worker_crashes(
-                        cfg.telemetry.registry, len(crashed)
-                    )
-                    cfg.telemetry.recorder.record(
-                        "worker_crash",
-                        epoch=epoch,
-                        hosts=[hosts[i].host_id for i in crashed],
-                    )
-                for index in crashed:
-                    if profiler is not None:
-                        hosts[index].switch.profiler = profiler
-                    with trace_span(
-                        cfg.telemetry,
-                        "dataplane.host.serial_retry",
-                        host=hosts[index].host_id,
-                    ):
-                        results[index] = hosts[index].run_epoch(
-                            shards[index], cfg.offered_gbps
-                        )
-            reports = [
-                self._hand_off(results[i], epoch)
-                for i in range(len(futures))
-            ]
         if cfg.telemetry is not None:
+            if outcomes is not None:
+                publish_durability_epoch(
+                    cfg.telemetry.registry, outcomes
+                )
             self._publish_reports(reports, sketch_name)
-        return reports, sorted(doomed), None
+        return reports, missing, outcomes
 
     # ------------------------------------------------------------------
     def _next_epoch(self) -> int:
@@ -755,15 +626,15 @@ class SketchVisorPipeline:
             )
         outcomes = result.durability or []
         collection = result.collection
-        transport_quarantined = collection is not None and getattr(
-            collection.stats, "quarantined_hosts", 0
+        transport_quarantined = (
+            collection is not None and collection.stats.quarantined_hosts
         )
         transport_missing = (
             collection is not None and collection.missing_hosts
         )
         unrecovered_shard = collection is not None and any(
             failover.unrecovered_hosts
-            for failover in getattr(collection, "failovers", ())
+            for failover in collection.failovers
         )
         if any(o.quarantined for o in outcomes):
             observer.maybe_dump("quarantine")

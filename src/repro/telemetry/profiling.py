@@ -17,19 +17,17 @@ when off:
   sub-stages materialize as synthetic children in the Chrome trace;
 * a **sampling profiler** — a daemon thread walks the profiled
   thread's Python stack at a configurable rate
-  (``sys._current_frames``; no signals, so it is safe under pytest and
-  inside pool workers) and aggregates collapsed stacks per stage,
-  ready for ``.folded`` dumps and the flamegraph renderer in
-  :mod:`repro.dash`;
-* **memory high-water tracking** — per-process RSS gauges from
+  (``sys._current_frames``; no signals, so it is safe under pytest)
+  and aggregates collapsed stacks per stage, ready for ``.folded``
+  dumps and the flamegraph renderer in :mod:`repro.dash`;
+* **memory high-water tracking** — an RSS gauge from
   ``/proc/self/statm`` (``getrusage`` fallback) plus opt-in
   ``tracemalloc`` top-N allocation sites.
 
-Profilers are per-process: a process-pool worker builds its own,
-serializes it with :meth:`Profiler.to_payload`, and the parent merges
-the payload (stages summed, folded stacks summed, RSS kept per pid,
-spans absorbed onto the parent timeline with the worker's pid/tid) —
-the same central-aggregation contract the metric counters follow.
+One profiler serves the whole run: the pipeline runs its hosts one at
+a time in-process, supervised or not, attaching the profiler to each
+host's switch and running that host's epoch as one ``dataplane.host``
+stage.
 
 Determinism contract: profiling only *observes*.  Wrapped hash methods
 call the originals unchanged, stage timers never reorder work, and the
@@ -430,54 +428,6 @@ class Profiler:
                 self.stages.items(), key=lambda kv: -kv[1][0]
             )
         }
-
-    # -- worker aggregation --------------------------------------------
-    def to_payload(self) -> dict:
-        """JSON-able state for the worker→parent merge."""
-        return {
-            "pid": os.getpid(),
-            "stages": {
-                name: list(stat) for name, stat in self.stages.items()
-            },
-            "folded": dict(self.folded),
-            "sample_counts": dict(self.sample_counts),
-            "rss": dict(self.rss),
-            "memory_top": list(self.memory_top),
-            "spans": self.telemetry.tracer.span_rows(),
-            "origin": self.telemetry.tracer.origin,
-        }
-
-    def merge_payload(
-        self, payload: dict, parent_span: Span | None = None
-    ) -> None:
-        """Fold one worker profiler's payload into this one.
-
-        Stage totals and folded stacks sum; RSS stays keyed by the
-        worker's pid; worker spans land under ``parent_span`` on the
-        parent timeline with the worker's pid/tid preserved.
-        """
-        for name, stat in payload.get("stages", {}).items():
-            mine = self.stages.setdefault(name, [0, 0, 0])
-            mine[0] += stat[0]
-            mine[1] += stat[1]
-            mine[2] += stat[2]
-        for key, count in payload.get("folded", {}).items():
-            self.folded[key] = self.folded.get(key, 0) + count
-        for stage, count in payload.get("sample_counts", {}).items():
-            self.sample_counts[stage] = (
-                self.sample_counts.get(stage, 0) + count
-            )
-        for pid, rss in payload.get("rss", {}).items():
-            self.rss[pid] = max(self.rss.get(pid, 0), rss)
-        if payload.get("memory_top"):
-            self.memory_top.extend(
-                tuple(item) for item in payload["memory_top"]
-            )
-        self.telemetry.tracer.absorb(
-            payload.get("spans", []),
-            origin=payload.get("origin"),
-            parent=parent_span,
-        )
 
 
 def epoch_attribution(tracer: Tracer, root: str = "epoch") -> float:

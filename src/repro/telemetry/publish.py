@@ -2,10 +2,9 @@
 
 Every component publishes through these helpers so the counter
 *semantics* do not depend on who ran the epoch: a standalone switch,
-the serial pipeline, the process-pool pipeline and the supervised
-(checkpointed) pipeline all publish the same families from the same
-per-epoch report fields, which is what makes their counter totals
-comparable (and testable) bit for bit.
+the pipeline and the supervised (checkpointed) pipeline all publish
+the same families from the same per-epoch report fields, which is what
+makes their counter totals comparable (and testable) bit for bit.
 
 All helpers are duck-typed over the report/snapshot objects (no
 dataplane imports) so this module sits below every instrumented layer.
@@ -235,17 +234,6 @@ def publish_cluster_epoch(
     ).inc(
         sum(len(record.unrecovered_hosts) for record in collection.failovers)
     )
-
-
-def publish_worker_crashes(
-    registry: MetricsRegistry, count: int
-) -> None:
-    """Count data-plane worker crashes recovered by serial fallback."""
-    registry.counter(
-        "sketchvisor_pipeline_worker_crashes_total",
-        "Process-pool workers that died mid-epoch (shards rerun "
-        "serially)",
-    ).inc(count)
 
 
 def publish_durability_epoch(

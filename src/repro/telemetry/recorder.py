@@ -168,16 +168,14 @@ class FlightRecorder:
                     capacity=buffer_capacity,
                 )
             fastpath = report.fastpath
-            if fastpath is not None:
-                kickouts = getattr(fastpath, "kickout_count", 0)
-                if kickouts:
-                    self.record(
-                        "fastpath_kickout",
-                        epoch=epoch,
-                        host=report.host_id,
-                        kickouts=kickouts,
-                        evictions=getattr(fastpath, "evict_count", 0),
-                    )
+            if fastpath is not None and fastpath.kickout_count:
+                self.record(
+                    "fastpath_kickout",
+                    epoch=epoch,
+                    host=report.host_id,
+                    kickouts=fastpath.kickout_count,
+                    evictions=fastpath.evict_count,
+                )
         for host_id in dp_missing:
             self.record("dp_fault", epoch=epoch, host=host_id)
         if collection is not None:
@@ -191,36 +189,23 @@ class FlightRecorder:
                     ("duplicates", stats.duplicates),
                     ("stale_frames", stats.stale_frames),
                     ("crashes", stats.crashes),
-                    (
-                        "conn_refused",
-                        getattr(stats, "conn_refused", 0),
-                    ),
-                    (
-                        "conn_resets",
-                        getattr(stats, "conn_resets", 0),
-                    ),
-                    (
-                        "partial_writes",
-                        getattr(stats, "partial_writes", 0),
-                    ),
-                    ("slow_peers", getattr(stats, "slow_peers", 0)),
-                    ("partitions", getattr(stats, "partitions", 0)),
-                    (
-                        "agg_crashes",
-                        getattr(stats, "agg_crashes", 0),
-                    ),
-                    ("agg_hangs", getattr(stats, "agg_hangs", 0)),
+                    ("conn_refused", stats.conn_refused),
+                    ("conn_resets", stats.conn_resets),
+                    ("partial_writes", stats.partial_writes),
+                    ("slow_peers", stats.slow_peers),
+                    ("partitions", stats.partitions),
+                    ("agg_crashes", stats.agg_crashes),
+                    ("agg_hangs", stats.agg_hangs),
                 )
                 if value
             }
             if faults:
                 self.record("transport_fault", epoch=epoch, **faults)
-            quarantined = getattr(stats, "quarantined_hosts", 0)
-            if quarantined:
+            if stats.quarantined_hosts:
                 self.record(
                     "transport_quarantine",
                     epoch=epoch,
-                    hosts=quarantined,
+                    hosts=stats.quarantined_hosts,
                 )
             if stats.retries:
                 self.record(
@@ -231,7 +216,7 @@ class FlightRecorder:
                 )
             for host_id in collection.missing_hosts:
                 self.record("missing_report", epoch=epoch, host=host_id)
-            for failover in getattr(collection, "failovers", ()):
+            for failover in collection.failovers:
                 self.record(
                     "aggregator_failover",
                     epoch=epoch,
@@ -243,15 +228,20 @@ class FlightRecorder:
                     detect_seconds=failover.detect_seconds,
                     recovery_seconds=failover.recovery_seconds,
                 )
-        for outcome in outcomes or ():
-            if outcome.checkpoint_writes:
-                self.record(
-                    "checkpoint",
-                    epoch=epoch,
-                    host=outcome.host_id,
-                    writes=outcome.checkpoint_writes,
-                    bytes=outcome.checkpoint_bytes,
-                )
+        outcomes = outcomes or ()
+        # Every supervised host checkpoints every epoch: one summary
+        # event per epoch, not one per host, keeps the ring for the
+        # incidents around it.
+        writers = [o for o in outcomes if o.checkpoint_writes]
+        if writers:
+            self.record(
+                "checkpoint",
+                epoch=epoch,
+                hosts=len(writers),
+                writes=sum(o.checkpoint_writes for o in writers),
+                bytes=sum(o.checkpoint_bytes for o in writers),
+            )
+        for outcome in outcomes:
             if outcome.restores:
                 self.record(
                     "restore",

@@ -28,9 +28,7 @@ class Span:
     depth: int
     parent: int | None  # index of the enclosing span, None for roots
     attrs: dict = field(default_factory=dict)
-    #: Process/thread that recorded the span.  Spans absorbed from
-    #: process-pool workers keep the worker's ids, so Chrome-trace
-    #: viewers render each host on its own lane.
+    #: Process/thread that recorded the span (its Chrome-trace lane).
     pid: int = 0
     tid: int = 0
 
@@ -51,16 +49,6 @@ class Tracer:
         self._stack: list[int] = []
         self._origin = time.perf_counter()
         self.pid = os.getpid()
-
-    @property
-    def origin(self) -> float:
-        """Absolute ``perf_counter`` value of span-time zero.
-
-        On Linux ``perf_counter`` is CLOCK_MONOTONIC, shared across
-        processes, so worker spans rebase onto the parent's timeline by
-        shifting with the difference of origins (:meth:`absorb`).
-        """
-        return self._origin
 
     @contextmanager
     def span(self, name: str, **attrs):
@@ -107,69 +95,13 @@ class Tracer:
             span for span in self.spans if span.parent == parent_index
         ]
 
-    def span_rows(self) -> list[dict]:
-        """JSON-able span dicts (the worker→parent wire format)."""
-        return [
-            {
-                "name": span.name,
-                "start": span.start,
-                "duration": span.duration,
-                "depth": span.depth,
-                "parent": span.parent,
-                "attrs": {k: str(v) for k, v in span.attrs.items()},
-                "pid": span.pid,
-                "tid": span.tid,
-            }
-            for span in self.spans
-        ]
-
-    def absorb(
-        self,
-        rows: list[dict],
-        origin: float | None = None,
-        parent: Span | None = None,
-    ) -> None:
-        """Append spans recorded by another tracer (e.g. a pool worker).
-
-        ``rows`` is the other tracer's :meth:`span_rows`; ``origin`` its
-        absolute :attr:`origin`, used to rebase starts onto this
-        tracer's timeline (falls back to no shift when clocks are not
-        comparable); ``parent`` roots the absorbed tree under one of
-        this tracer's existing spans.  Absorbed spans keep their
-        recording pid/tid, which is what separates worker lanes in the
-        Chrome-trace export.
-        """
-        shift = 0.0 if origin is None else origin - self._origin
-        base = len(self.spans)
-        parent_index = (
-            self.spans.index(parent) if parent is not None else None
-        )
-        base_depth = parent.depth + 1 if parent is not None else 0
-        for row in rows:
-            self.spans.append(
-                Span(
-                    name=row["name"],
-                    start=row["start"] + shift,
-                    duration=row["duration"],
-                    depth=row["depth"] + base_depth,
-                    parent=(
-                        base + row["parent"]
-                        if row.get("parent") is not None
-                        else parent_index
-                    ),
-                    attrs=dict(row.get("attrs", {})),
-                    pid=row.get("pid", 0),
-                    tid=row.get("tid", 0),
-                )
-            )
-
     def chrome_trace(self) -> dict:
         """Chrome trace-event JSON (``chrome://tracing`` "complete" events).
 
         Timestamps and durations are microseconds relative to the
         tracer's origin.  Spans carry the pid/tid that recorded them,
-        so multi-process epochs render as parallel lanes while the
-        nesting within each lane still reads as a flamegraph.
+        so each thread renders as its own lane while the nesting within
+        a lane still reads as a flamegraph.
         """
         events = []
         for span in self.spans:

@@ -204,13 +204,6 @@ class Trace:
         _check_order(timestamps)
         return cls._wrap(timestamps, sizes, flow, table)
 
-    def __reduce__(self):
-        """Pickle the columns over the flows this trace uses: a shard
-        does not carry its parent's whole table."""
-        used, flow = _compact(self._flow, len(self._table))
-        table = tuple(map(self._table.__getitem__, used.tolist()))
-        return (Trace._wrap, (self._timestamps, self._sizes, flow, table))
-
     def __len__(self) -> int:
         return len(self._flow)
 

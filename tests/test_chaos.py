@@ -1,14 +1,11 @@
-"""End-to-end chaos: soak runs, determinism, inertness, crash fallback."""
+"""End-to-end chaos: soak runs, determinism, inertness, telemetry."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
 
 from repro.controlplane.recovery import RecoveryMode
-from repro.dataplane.host import Host
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.framework.modes import DataPlaneMode
 from repro.framework.monitor import AlertKind, ContinuousMonitor
@@ -216,95 +213,3 @@ class TestDegradedTelemetryAndAlerts:
         assert registry.value(
             "sketchvisor_controller_epochs_total", quality="full"
         ) == 1
-
-
-class CrashingHost(Host):
-    """A host whose epoch run kills the worker process it lands in.
-
-    Only processes other than ``parent_pid`` die, so the pool path
-    breaks (``BrokenProcessPool``) while the serial retry in the
-    parent completes normally.
-    """
-
-    def __init__(self, *args, parent_pid: int, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.parent_pid = parent_pid
-
-    def run_epoch(self, *args, **kwargs):
-        if os.getpid() != self.parent_pid:
-            os._exit(1)
-        return super().run_epoch(*args, **kwargs)
-
-
-class TestWorkerCrashFallback:
-    def test_broken_pool_falls_back_to_serial(
-        self, monkeypatch, soak_trace, soak_truth
-    ):
-        telemetry = Telemetry()
-        pipeline = make_pipeline(
-            None,
-            trace_bytes=soak_truth.total_bytes,
-            workers=2,
-            telemetry=telemetry,
-        )
-        parent_pid = os.getpid()
-
-        def crashing_hosts():
-            return [
-                CrashingHost(
-                    host_id=host_id,
-                    sketch=pipeline.task.create_sketch(seed=3),
-                    fastpath_bytes=8192,
-                    parent_pid=parent_pid,
-                )
-                for host_id in range(NUM_HOSTS)
-            ]
-
-        monkeypatch.setattr(
-            pipeline, "_build_hosts", crashing_hosts
-        )
-        result = pipeline.run_epoch(soak_trace, truth=soak_truth)
-        assert len(result.reports) == NUM_HOSTS
-        assert [r.host_id for r in result.reports] == list(
-            range(NUM_HOSTS)
-        )
-        assert (
-            telemetry.registry.total(
-                "sketchvisor_pipeline_worker_crashes_total"
-            )
-            >= 1
-        )
-
-    def test_serial_fallback_matches_serial_run(
-        self, monkeypatch, soak_trace, soak_truth
-    ):
-        """Reports recovered through the fallback are the same reports
-        a workers=1 run produces."""
-        serial = make_pipeline(
-            None, trace_bytes=soak_truth.total_bytes, workers=1
-        )
-        expected = serial.run_epoch(soak_trace, truth=soak_truth)
-
-        pipeline = make_pipeline(
-            None, trace_bytes=soak_truth.total_bytes, workers=2
-        )
-        parent_pid = os.getpid()
-        monkeypatch.setattr(
-            pipeline,
-            "_build_hosts",
-            lambda: [
-                CrashingHost(
-                    host_id=host_id,
-                    sketch=pipeline.task.create_sketch(seed=3),
-                    fastpath_bytes=8192,
-                    parent_pid=parent_pid,
-                )
-                for host_id in range(NUM_HOSTS)
-            ],
-        )
-        recovered = pipeline.run_epoch(soak_trace, truth=soak_truth)
-        assert np.array_equal(
-            recovered.network.sketch.to_matrix(),
-            expected.network.sketch.to_matrix(),
-        )
-        assert recovered.score == expected.score

@@ -165,21 +165,6 @@ class TestCheckpointer:
         assert restored is not None  # fell back to the baseline
         assert restored.offset == 0
 
-    def test_cycle_budget_trigger(self, tmp_path, small_trace):
-        ckpt = Checkpointer(
-            str(tmp_path),
-            host_id=0,
-            every_packets=10**9,  # never by packet count
-            cycle_budget=1.0,  # always by cycle budget
-        )
-        engine = make_engine()
-        ckpt.begin_epoch(0, engine)
-        engine.run(small_trace, stop_at=100)
-        assert ckpt.maybe_cycle_write(0, engine) is True
-        assert ckpt.stats.writes == 2
-        # Immediately after a write the budget is spent again.
-        assert ckpt.maybe_cycle_write(0, engine) is False
-
 
 class TestEnvGate:
     def test_disabled_by_default(self, monkeypatch):

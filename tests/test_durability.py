@@ -25,7 +25,7 @@ from repro.dataplane.host import Host
 from repro.durability import Supervisor
 from repro.sketches import CountMinSketch
 from repro.fastpath.topk import FastPath
-from repro.telemetry import Telemetry
+from repro.telemetry import ProfileConfig, Telemetry
 from tests.reference_engine import reference_reports, reference_run
 from tests.test_state_codec import state_equal
 
@@ -308,17 +308,6 @@ class TestEscalation:
         assert 1 in result.collection.missing_hosts
         assert result.degraded is not None
 
-    def test_unsupervised_pool_dataplane_fault_loses_epoch(
-        self, medium_trace, medium_truth, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
-        task = make_task(medium_truth)
-        result = make_pipeline(
-            task, None, faults=crash_plan(700), workers=2
-        ).run_epoch(medium_trace, medium_truth)
-        assert {r.host_id for r in result.reports} == {0, 2, 3}
-        assert result.degraded is not None
-
 
 class TestWatchdog:
     def test_hang_charges_watchdog_wait(
@@ -418,3 +407,24 @@ class TestDurabilityTelemetry:
         assert "sketchvisor_replay_packets_total" in prom
         assert 'sketchvisor_host_faults_total' in prom
         assert "sketchvisor_recovery_seconds" in prom
+
+    def test_replayed_tail_is_profiled(self, small_trace, tmp_path):
+        """The engine restored after a crash runs under the host's
+        profiler too: every packet dispatched, replay included, is
+        attributed."""
+        telemetry = Telemetry(profile=ProfileConfig(sample_hz=0.0))
+        host = Host(
+            host_id=0,
+            sketch=CountMinSketch(width=64, depth=3, seed=3),
+            fastpath_bytes=1024,
+        )
+        host.switch.profiler = telemetry.profiler
+        supervisor = Supervisor(
+            str(tmp_path), plan=crash_plan(300, host=0), checkpoint_every=256
+        )
+        with telemetry.profiler.stage("dataplane.host"):
+            outcome = supervisor.run_host(host, small_trace, None, 0)
+        assert outcome.restores == 1 and outcome.replayed_packets > 0
+        assert telemetry.profiler.stages["switch.dispatch"][2] == (
+            len(small_trace) + outcome.replayed_packets
+        )

@@ -370,9 +370,9 @@ class TestColumns:
     def test_thawed_and_pickled_tables_carry_on(
         self, case, thaw_at, pickle_at
     ):
-        """A checkpoint restore (other slots, same table) and the
-        process pool's pickle (same slots, copied columns) mid-stream
-        are both invisible to everything after them."""
+        """A checkpoint restore (other slots, same table) and a plain
+        pickle (same slots, copied columns) mid-stream are both
+        invisible to everything after them."""
         seed, capacity = case
         swaps = [
             (thaw_at, lambda fp: _thaw_fastpath(_freeze_fastpath(fp))),

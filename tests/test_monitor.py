@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import pickle
 import weakref
 
 import pytest
@@ -197,18 +196,6 @@ class TestWindowWorkDoneOnce:
             shard.packets for shard in two
         ]
         assert window.partition(1) == [window]
-
-    def test_partitioned_trace_pickles(self, window_stream):
-        """``workers > 1`` ships shards to a process pool."""
-        window = fresh(window_stream[0])
-        shards = window.partition(NUM_HOSTS)
-        for trace in (window, *shards):
-            clone = pickle.loads(pickle.dumps(trace))
-            assert clone.packets == trace.packets
-            assert clone.sizes.tobytes() == trace.sizes.tobytes()
-            assert [
-                shard.packets for shard in clone.partition(NUM_HOSTS)
-            ] == [shard.packets for shard in trace.partition(NUM_HOSTS)]
 
     def test_equals_standalone_pipelines(self, window_stream):
         """Sharing the truth and the shards changes no result: every

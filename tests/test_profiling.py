@@ -1,8 +1,7 @@
-"""Cycle-level profiling: stage timers, sampler, merge, determinism."""
+"""Cycle-level profiling: stage timers, sampler, determinism."""
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -21,9 +20,7 @@ from repro.telemetry import (
     profile_from_env,
     telemetry_from_env,
 )
-from repro.telemetry.exporters import write_chrome_trace
 from repro.telemetry.profiling import epoch_attribution, write_folded
-from repro.telemetry.tracer import Tracer
 from repro.traffic.generator import TraceConfig, generate_trace
 from repro.traffic.groundtruth import GroundTruth
 
@@ -55,6 +52,17 @@ def _run_pipeline(trace, truth, telemetry=None, **config_kwargs):
         ),
     )
     return pipeline.run_epoch(trace, truth)
+
+
+#: Both ways a host runs: ``host.run_epoch``, or under the durability
+#: supervisor with a checkpoint directory.
+host_runs = pytest.mark.parametrize(
+    "supervised", [False, True], ids=["unsupervised", "supervised"]
+)
+
+
+def _checkpoint_dir(supervised, tmp_path):
+    return str(tmp_path) if supervised else None
 
 
 # ----------------------------------------------------------------------
@@ -109,9 +117,19 @@ class TestStageTimers:
         profiler.add("orphan", 1000)
         assert "orphan" not in profiler.stages
 
-    def test_trace_span_routes_through_profiler(self, trace, truth):
+    @host_runs
+    def test_trace_span_routes_through_profiler(
+        self, trace, truth, supervised, tmp_path
+    ):
         telemetry = _profiled_telemetry()
-        _run_pipeline(trace, truth, telemetry=telemetry)
+        result = _run_pipeline(
+            trace,
+            truth,
+            telemetry=telemetry,
+            checkpoint_dir=_checkpoint_dir(supervised, tmp_path),
+        )
+        if supervised:
+            assert result.durability is not None
         stages = telemetry.profiler.stages
         for expected in (
             "epoch",
@@ -140,9 +158,17 @@ class TestStageTimers:
         assert "controlplane.collect" in stages
         assert "serialize.report" in stages
 
-    def test_stage_histograms_published(self, trace, truth):
+    @host_runs
+    def test_stage_histograms_published(
+        self, trace, truth, supervised, tmp_path
+    ):
         telemetry = _profiled_telemetry()
-        _run_pipeline(trace, truth, telemetry=telemetry)
+        _run_pipeline(
+            trace,
+            truth,
+            telemetry=telemetry,
+            checkpoint_dir=_checkpoint_dir(supervised, tmp_path),
+        )
         snapshot = telemetry.registry.snapshot()
         assert "sketchvisor_stage_wall_seconds" in snapshot
         assert "sketchvisor_stage_cpu_seconds" in snapshot
@@ -152,7 +178,7 @@ class TestStageTimers:
                 "samples"
             ]
         }
-        assert "dataplane" in stages
+        assert {"dataplane", "dataplane.host"} <= stages
         rss = snapshot["sketchvisor_process_rss_bytes"]["samples"]
         assert any(s["value"] > 0 for s in rss)
 
@@ -272,91 +298,6 @@ class TestHashInstrumentation:
                 family.bucket(i, 987654321, 128) for i in range(3)
             ]
         assert wrapped == bare
-
-
-# ----------------------------------------------------------------------
-# Worker aggregation + Chrome-trace lanes
-# ----------------------------------------------------------------------
-class TestWorkerAggregation:
-    def test_merge_payload_sums_and_absorbs(self):
-        parent = _profiled_telemetry()
-        worker = _profiled_telemetry()
-        with worker.profiler.stage("dataplane.host", host=1):
-            worker.profiler.add("fastpath.topk", 1_000_000, 5)
-        payload = worker.profiler.to_payload()
-        payload_json = json.loads(json.dumps(payload))
-
-        with parent.profiler.stage("dataplane"):
-            anchor = parent.tracer.current
-            parent.profiler.merge_payload(
-                payload_json, parent_span=anchor
-            )
-        stages = parent.profiler.stages
-        assert stages["fastpath.topk"][2] == 5
-        assert stages["dataplane.host"][2] == 1
-        absorbed = [
-            s
-            for s in parent.tracer.spans
-            if s.name == "dataplane.host"
-        ]
-        assert len(absorbed) == 1
-        # Worker identity preserved; rooted under the parent span.
-        assert absorbed[0].pid == payload["pid"]
-        root = parent.tracer.spans[absorbed[0].parent]
-        assert root.name == "dataplane"
-
-    def test_pool_workers_get_separate_chrome_lanes(
-        self, trace, truth, tmp_path
-    ):
-        telemetry = _profiled_telemetry()
-        _run_pipeline(
-            trace,
-            truth,
-            telemetry=telemetry,
-            workers=2,
-            profile=ProfileConfig(sample_hz=0.0),
-        )
-        destination = tmp_path / "trace.json"
-        write_chrome_trace(telemetry.tracer, destination)
-        events = json.loads(destination.read_text())["traceEvents"]
-        assert events and all(
-            e["pid"] > 0 and e["tid"] > 0 for e in events
-        )
-        host_pids = {
-            e["pid"]
-            for e in events
-            if e["name"] == "dataplane.host"
-        }
-        parent_pid = os.getpid()
-        # Host epochs ran in pool workers: their spans keep the worker
-        # pid, giving each host its own lane next to the parent's.
-        assert host_pids and parent_pid not in host_pids
-        assert any(e["pid"] == parent_pid for e in events)
-        # Worker stage totals merged into the parent profiler.
-        assert "dataplane.host" in telemetry.profiler.stages
-        assert telemetry.profiler.stages["switch.sketch_update"][2] > 0
-        assert len(telemetry.profiler.rss) >= 2
-
-    def test_absorb_rebases_and_remaps_parents(self):
-        parent = Tracer()
-        worker = Tracer()
-        with worker.span("outer"):
-            with worker.span("inner"):
-                pass
-        with parent.span("root"):
-            anchor = parent.current
-            parent.absorb(
-                worker.span_rows(),
-                origin=worker.origin,
-                parent=anchor,
-            )
-        names = [s.name for s in parent.spans]
-        assert names == ["root", "outer", "inner"]
-        outer = parent.spans[1]
-        inner = parent.spans[2]
-        assert parent.spans[outer.parent].name == "root"
-        assert parent.spans[inner.parent].name == "outer"
-        assert outer.depth == 1 and inner.depth == 2
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import PipelineConfig, Telemetry
+from repro import PipelineConfig, SketchVisorPipeline, Telemetry
+from repro.controlplane.transport import CollectionResult, CollectionStats
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.framework.monitor import AlertKind, ContinuousMonitor
 from repro.tasks.heavy_hitter import HeavyHitterTask
@@ -177,11 +178,12 @@ class TestEpochDistillation:
 
     def test_transport_and_missing_report_events(self):
         recorder = FlightRecorder()
-        stats = SimpleNamespace(
-            drops=2, timeouts=0, corrupt_frames=1, duplicates=0,
-            stale_frames=0, crashes=0, retries=3, backoff_seconds=0.5,
+        stats = CollectionStats(
+            drops=2, corrupt_frames=1, retries=3, backoff_seconds=0.5,
         )
-        collection = SimpleNamespace(stats=stats, missing_hosts=(4,))
+        collection = CollectionResult(
+            epoch=1, missing_hosts=[4], stats=stats
+        )
         recorder.record_epoch_events(epoch=1, collection=collection)
         kinds = [e.kind for e in recorder.events()]
         assert kinds == [
@@ -212,7 +214,33 @@ class TestEpochDistillation:
             "dp_fault", "checkpoint", "restore", "quarantine",
             "degraded_epoch",
         ]
+        assert recorder.events("checkpoint")[0].fields == {
+            "hosts": 1, "writes": 5, "bytes": 4096,
+        }
         assert recorder.events()[-1].fields["scale"] == 1.5
+
+    def test_supervised_epoch_records_one_checkpoint_event(
+        self, tmp_path
+    ):
+        """Every supervised host checkpoints every epoch; the ring
+        gets one summary for the epoch, not one event per host."""
+        trace = generate_trace(TraceConfig(num_flows=300, seed=5))
+        telemetry = Telemetry()
+        pipeline = SketchVisorPipeline(
+            HeavyHitterTask("deltoid", threshold=1e9),
+            config=PipelineConfig(
+                num_hosts=3,
+                telemetry=telemetry,
+                checkpoint_dir=str(tmp_path),
+            ),
+        )
+        result = pipeline.run_epoch(trace)
+        (event,) = telemetry.recorder.events("checkpoint")
+        assert event.fields == {
+            "hosts": 3,
+            "writes": sum(o.checkpoint_writes for o in result.durability),
+            "bytes": sum(o.checkpoint_bytes for o in result.durability),
+        }
 
 
 # ----------------------------------------------------------------------
@@ -274,16 +302,15 @@ class TestChaosEndToEnd:
         assert "degraded_epoch" in trailing
         assert trailing[-1] == "slo_breach"
 
-    def test_alert_counter_parity_with_process_pool(self, soak):
-        """Process-pool epochs must not drop accuracy alerts: the
-        monitor's alert list and the telemetry counters stay 1:1
-        even when hosts run in workers and an epoch degrades."""
+    def test_alert_counter_parity(self, soak):
+        """The monitor's alert list and the telemetry counters stay
+        1:1 across epochs, one of them degraded."""
         trace, truth = soak
         telemetry = Telemetry()
         plan = FaultPlan(
             specs=[FaultSpec(FaultKind.CRASH, epoch=1, host=0)]
         )
-        monitor = self._monitor(truth, telemetry, plan, workers=2)
+        monitor = self._monitor(truth, telemetry, plan)
         for _ in range(3):
             monitor.process_epoch(trace)
         registry = telemetry.registry

@@ -2,14 +2,13 @@
 
 Every operation on :class:`Trace` — the two constructors, the packet
 view and its slices, partitioning, epoch splitting, concatenation,
-merging, joining and pickling — is checked against the same operation
+merging and joining — is checked against the same operation
 done packet by packet on a plain list.  The flow pool includes two
 headers that share a ``key64`` fold, which must stay two flows.
 """
 
 from __future__ import annotations
 
-import pickle
 from collections import Counter
 
 import numpy as np
@@ -247,15 +246,6 @@ class TestOperations:
         earlier = Trace([Packet(POOL[1], 10, 0.5)])
         with pytest.raises(ValueError):
             Trace.join([later, earlier])
-
-    @given(packet_lists, st.integers(1, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_pickle_keeps_packets_and_trims_the_table(self, packets, hosts):
-        for trace in Trace(packets).partition(hosts):
-            clone = pickle.loads(pickle.dumps(trace))
-            assert clone.packets == trace.packets
-            assert np.array_equal(clone.key64, trace.key64)
-            assert len(clone.table) == len(trace.flows())
 
 
 class TestFromColumnsValidation:
