@@ -16,6 +16,8 @@ dash
     Stream a multi-epoch run as a live terminal dashboard (sparkline
     trends, accuracy gauges, SLO breaches) and optionally write a
     self-contained HTML report.
+serve
+    Run the streaming measurement daemon with its live HTTP plane.
 inspect
     Print ground-truth statistics of a trace.
 convert
@@ -27,15 +29,21 @@ bench-summary
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from repro.common.errors import QuorumError
 from repro.controlplane.recovery import RecoveryMode
 from repro.faults import FaultPlan
 from repro.framework.modes import DataPlaneMode
-from repro.framework.pipeline import PipelineConfig, SketchVisorPipeline
+from repro.framework.pipeline import (
+    EpochResult,
+    PipelineConfig,
+    SketchVisorPipeline,
+)
 from repro.framework.registry import TASK_REGISTRY, create_task
 from repro.reporting import span_tree
+from repro.tasks.heavy_changer import HeavyChangerTask
 from repro.telemetry import (
     Telemetry,
     write_chrome_trace,
@@ -107,7 +115,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _dump_telemetry(args: argparse.Namespace, telemetry: Telemetry) -> None:
-    """Shared tail of ``run --trace`` and ``telemetry``: print + dump."""
+    """Telemetry tail of ``run --trace``: print + dump."""
     print()
     print(span_tree(telemetry.tracer.tree_rows()))
     if getattr(args, "trace_out", None):
@@ -160,13 +168,149 @@ def _dump_profile(args: argparse.Namespace, telemetry: Telemetry) -> None:
         print(f"wrote flamegraph to {args.flame_out}")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    if args.trace_file:
-        trace = _load_any(args.trace_file)
-    else:
-        trace = generate_trace(
-            TraceConfig(num_flows=args.flows, seed=args.seed)
+def _trace(args: argparse.Namespace, seed_offset: int = 0) -> Trace:
+    """The trace a pipeline command runs: ``--trace-file``, or one
+    generated from ``--flows`` and ``--seed`` (plus ``seed_offset``)."""
+    if getattr(args, "trace_file", None):
+        return _load_any(args.trace_file)
+    return generate_trace(
+        TraceConfig(num_flows=args.flows, seed=args.seed + seed_offset)
+    )
+
+
+def _task(args: argparse.Namespace, total_bytes: float):
+    """The task and solution the flags choose.  Heavy hitters and
+    changers take ``--threshold-fraction`` of ``total_bytes``; DDoS
+    and superspreader detection take ``--spread-threshold``."""
+    kwargs: dict = {}
+    if args.task in ("heavy_hitter", "heavy_changer"):
+        kwargs["threshold"] = args.threshold_fraction * total_bytes
+    elif args.task in ("ddos", "superspreader"):
+        kwargs["threshold"] = args.spread_threshold
+    return create_task(args.task, args.solution, **kwargs)
+
+
+#: ``PipelineConfig`` fields set from flags, by flag dest.  A flag the
+#: command does not have, or leaves unset, keeps the field's default.
+_CONFIG_FLAGS = {
+    "fastpath_bytes": "fastpath_bytes",
+    "checkpoint_dir": "checkpoint_dir",
+    "checkpoint_every": "checkpoint_every",
+    "slo": "slo",
+    "shadow_samples": "shadow_samples",
+    "recorder_out": "recorder_path",
+}
+
+
+def _pipeline_config(
+    args: argparse.Namespace, telemetry: Telemetry | None
+) -> PipelineConfig:
+    """The :class:`PipelineConfig` the flags describe."""
+    kwargs = {
+        field: getattr(args, dest)
+        for dest, field in _CONFIG_FLAGS.items()
+        if getattr(args, dest, None) is not None
+    }
+    num_hosts = args.hosts
+    if getattr(args, "cluster", 0):
+        from repro.cluster import ClusterConfig
+
+        num_hosts = args.cluster
+        listen_host, _, listen_port = args.listen.partition(":")
+        kwargs["cluster"] = ClusterConfig(
+            aggregators=args.aggregators,
+            hierarchical=not args.flat_cluster,
+            listen_host=listen_host or "127.0.0.1",
+            listen_port=int(listen_port or 0),
         )
+    return PipelineConfig(
+        num_hosts=num_hosts,
+        telemetry=telemetry,
+        faults=FaultPlan.load(args.chaos) if args.chaos else None,
+        **kwargs,
+    )
+
+
+def _pipeline(
+    args: argparse.Namespace, task, telemetry: Telemetry | None
+) -> SketchVisorPipeline:
+    return SketchVisorPipeline(
+        task,
+        dataplane=DataPlaneMode(args.dataplane),
+        recovery=RecoveryMode(args.recovery),
+        config=_pipeline_config(args, telemetry),
+    )
+
+
+def _run_epoch(
+    pipeline: SketchVisorPipeline, trace: Trace, truth: GroundTruth
+) -> EpochResult:
+    """One scored epoch; heavy changer runs the trace's two halves as
+    an epoch pair."""
+    if isinstance(pipeline.task, HeavyChangerTask):
+        half = len(trace) // 2
+        return pipeline.run_epoch_pair(trace[:half], trace[half:])
+    return pipeline.run_epoch(trace, truth)
+
+
+def _run_multicore(
+    args: argparse.Namespace,
+    task,
+    trace: Trace,
+    truth: GroundTruth,
+    telemetry: Telemetry | None,
+) -> EpochResult:
+    """One epoch on one multi-core host (§7.2): per-core switches run
+    directly and merge through the controller, with no pipeline."""
+    from repro.controlplane.controller import Controller
+    from repro.dataplane.host import MultiCoreHost
+    from repro.telemetry import trace_span
+    from repro.telemetry.publish import publish_host_reports
+
+    host = MultiCoreHost(
+        0,
+        lambda: task.create_sketch(seed=1),
+        num_cores=args.cores,
+        fastpath_bytes=args.fastpath_bytes,
+    )
+    with trace_span(telemetry, "epoch", task=task.name):
+        with trace_span(telemetry, "dataplane", cores=args.cores):
+            report = host.run_epoch(trace)
+        network = Controller(
+            RecoveryMode(args.recovery), telemetry=telemetry
+        ).aggregate([report])
+        with trace_span(telemetry, "task.answer"):
+            answer = task.answer(network.sketch)
+        with trace_span(telemetry, "task.score"):
+            score = task.score(answer, truth)
+    if telemetry is not None:
+        publish_host_reports(
+            telemetry.registry, [report], report.sketch.name
+        )
+    return EpochResult(
+        answer=answer, score=score, network=network, reports=[report]
+    )
+
+
+#: Flag dests ``run --cores`` rejects: the multi-core host runs alone,
+#: with no pipeline to carry hosts, faults, durability or accuracy.
+_NOT_WITH_CORES = (
+    "hosts", "dataplane", "chaos", "cluster", "soak",
+    "checkpoint_dir", "slo", "shadow_samples", "recorder_out",
+)
+
+
+def _cmd_run(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> int:
+    if args.cores > 1:
+        for dest in _NOT_WITH_CORES:
+            if getattr(args, dest) != parser.get_default(dest):
+                parser.error(
+                    f"--{dest.replace('_', '-')} cannot be combined "
+                    "with --cores"
+                )
+    trace = _trace(args)
     truth = GroundTruth.from_trace(trace)
     # Accuracy observability (SLOs, shadow sampling, flight-recorder
     # dumps) rides on telemetry, so any of those flags turns it on —
@@ -188,125 +332,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
         telemetry.enable_profiling(
             ProfileConfig(sample_hz=args.profile_hz)
         )
-
-    kwargs: dict = {}
-    if args.task in ("heavy_hitter", "heavy_changer"):
-        kwargs["threshold"] = args.threshold_fraction * truth.total_bytes
-    elif args.task in ("ddos", "superspreader"):
-        kwargs["threshold"] = args.spread_threshold
-    task = create_task(args.task, args.solution, **kwargs)
-
+    task = _task(args, truth.total_bytes)
+    num_hosts = args.cluster or args.hosts
     if args.cores > 1:
-        # Multi-core data plane (§7.2): run per-core switches directly
-        # and aggregate through the controller.
-        from repro.controlplane.controller import Controller
-        from repro.dataplane.host import MultiCoreHost
-        from repro.telemetry import trace_span
-        from repro.telemetry.publish import (
-            fastpath_stats,
-            publish_fastpath_epoch,
-            publish_switch_epoch,
-        )
-
-        host = MultiCoreHost(
-            0,
-            lambda: task.create_sketch(seed=1),
-            num_cores=args.cores,
-            fastpath_bytes=args.fastpath_bytes,
-        )
-        with trace_span(telemetry, "epoch", task=task.name):
-            with trace_span(telemetry, "dataplane", cores=args.cores):
-                report = host.run_epoch(trace)
-            network = Controller(
-                RecoveryMode(args.recovery), telemetry=telemetry
-            ).aggregate([report])
-            with trace_span(telemetry, "task.answer"):
-                answer = task.answer(network.sketch)
-            with trace_span(telemetry, "task.score"):
-                score = task.score(answer, truth)
-        if telemetry is not None:
-            publish_switch_epoch(
-                telemetry.registry,
-                report.switch,
-                host=str(report.host_id),
-                sketch=report.sketch.name,
-            )
-            if report.fastpath is not None:
-                publish_fastpath_epoch(
-                    telemetry.registry,
-                    fastpath_stats(report.fastpath),
-                    host=str(report.host_id),
-                )
-        print(f"task            : {args.task} / {args.solution}")
-        print(f"cores           : {args.cores}")
-        if score.recall is not None:
-            print(f"recall          : {score.recall:.1%}")
-            print(f"precision       : {score.precision:.1%}")
-        if score.relative_error is not None:
-            print(f"relative error  : {score.relative_error:.2%}")
-        print(
-            f"throughput      : "
-            f"{report.switch.throughput_gbps:.1f} Gbps"
-        )
-        if telemetry is not None:
-            _dump_telemetry(args, telemetry)
-            _dump_profile(args, telemetry)
-        return 0
-
-    faults = FaultPlan.load(args.chaos) if args.chaos else None
-    config_kwargs: dict = {}
-    num_hosts = args.hosts
-    if args.cluster:
-        from repro.cluster import ClusterConfig
-
-        num_hosts = args.cluster
-        listen_host, _, listen_port = args.listen.partition(":")
-        config_kwargs["cluster"] = ClusterConfig(
-            aggregators=args.aggregators,
-            hierarchical=not args.flat_cluster,
-            listen_host=listen_host or "127.0.0.1",
-            listen_port=int(listen_port or 0),
-        )
-    if args.checkpoint_dir:
-        config_kwargs["checkpoint_dir"] = args.checkpoint_dir
-    if args.checkpoint_every is not None:
-        config_kwargs["checkpoint_every"] = args.checkpoint_every
-    if args.slo:
-        config_kwargs["slo"] = args.slo
-    if args.shadow_samples:
-        config_kwargs["shadow_samples"] = args.shadow_samples
-    if args.recorder_out:
-        config_kwargs["recorder_path"] = args.recorder_out
-    pipeline = SketchVisorPipeline(
-        task,
-        dataplane=DataPlaneMode(args.dataplane),
-        recovery=RecoveryMode(args.recovery),
-        config=PipelineConfig(
-            num_hosts=num_hosts,
-            fastpath_bytes=args.fastpath_bytes,
-            telemetry=telemetry,
-            faults=faults,
-            **config_kwargs,
-        ),
-    )
-    if args.soak:
-        return _run_soak(args, pipeline, trace, truth)
-    try:
-        if args.task == "heavy_changer":
-            half = len(trace) // 2
-            epoch_a = Trace(trace.packets[:half])
-            epoch_b = Trace(trace.packets[half:])
-            result = pipeline.run_epoch_pair(epoch_a, epoch_b)
-        else:
-            result = pipeline.run_epoch(trace, truth)
-    except QuorumError as exc:
-        print(f"QUORUM FAILED: {exc}", file=sys.stderr)
-        return 1
+        result = _run_multicore(args, task, trace, truth, telemetry)
+    else:
+        pipeline = _pipeline(args, task, telemetry)
+        if args.soak:
+            return _run_soak(args, pipeline, trace, truth)
+        try:
+            result = _run_epoch(pipeline, trace, truth)
+        except QuorumError as exc:
+            print(f"QUORUM FAILED: {exc}", file=sys.stderr)
+            return 1
 
     score = result.score
     print(f"task            : {args.task} / {args.solution}")
     print(f"dataplane       : {args.dataplane}   recovery: {args.recovery}")
     print(f"hosts           : {num_hosts}")
+    if args.cores > 1:
+        print(f"cores           : {args.cores}")
     if args.cluster:
         collector = pipeline._cluster
         stats = result.collection.stats
@@ -413,24 +458,12 @@ def _run_soak(
         "unrecovered": 0,
     }
     for epoch in range(args.soak):
-        if args.trace_file:
-            epoch_trace, epoch_truth = trace, truth
-        else:
-            epoch_trace = generate_trace(
-                TraceConfig(
-                    num_flows=args.flows, seed=args.seed + epoch
-                )
-            )
-            epoch_truth = GroundTruth.from_trace(epoch_trace)
+        # Epoch 0 runs the trace ``run`` already built (seed + 0).
+        if epoch and not args.trace_file:
+            trace = _trace(args, seed_offset=epoch)
+            truth = GroundTruth.from_trace(trace)
         try:
-            if args.task == "heavy_changer":
-                half = len(epoch_trace) // 2
-                result = pipeline.run_epoch_pair(
-                    Trace(epoch_trace.packets[:half]),
-                    Trace(epoch_trace.packets[half:]),
-                )
-            else:
-                result = pipeline.run_epoch(epoch_trace, epoch_truth)
+            result = _run_epoch(pipeline, trace, truth)
         except QuorumError as exc:
             quorum_failures += 1
             print(f"epoch {epoch:3d}: QUORUM FAILED -- {exc}")
@@ -485,44 +518,12 @@ def _run_soak(
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
     """Run one fully instrumented epoch and export the telemetry."""
-    if args.trace_file:
-        trace = _load_any(args.trace_file)
-    else:
-        trace = generate_trace(
-            TraceConfig(num_flows=args.flows, seed=args.seed)
-        )
+    trace = _trace(args)
     truth = GroundTruth.from_trace(trace)
-    kwargs: dict = {}
-    if args.task in ("heavy_hitter", "heavy_changer"):
-        kwargs["threshold"] = args.threshold_fraction * truth.total_bytes
-    elif args.task in ("ddos", "superspreader"):
-        kwargs["threshold"] = 100
-    task = create_task(args.task, args.solution, **kwargs)
-
     telemetry = Telemetry()
-    config_kwargs: dict = {}
-    if args.checkpoint_dir:
-        config_kwargs["checkpoint_dir"] = args.checkpoint_dir
-    if args.chaos:
-        config_kwargs["faults"] = FaultPlan.load(args.chaos)
-    pipeline = SketchVisorPipeline(
-        task,
-        dataplane=DataPlaneMode(args.dataplane),
-        recovery=RecoveryMode(args.recovery),
-        config=PipelineConfig(
-            num_hosts=args.hosts,
-            telemetry=telemetry,
-            **config_kwargs,
-        ),
-    )
+    pipeline = _pipeline(args, _task(args, truth.total_bytes), telemetry)
     print(pipeline.describe(), file=sys.stderr)
-    if args.task == "heavy_changer":
-        half = len(trace) // 2
-        pipeline.run_epoch_pair(
-            Trace(trace.packets[:half]), Trace(trace.packets[half:])
-        )
-    else:
-        pipeline.run_epoch(trace, truth)
+    _run_epoch(pipeline, trace, truth)
 
     if args.tree:
         print(span_tree(telemetry.tracer.tree_rows()))
@@ -566,43 +567,19 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     from repro.framework.monitor import AlertKind, ContinuousMonitor
     from repro.traffic.generator import generate_epochs
 
-    truth_probe = generate_trace(
-        TraceConfig(num_flows=args.flows, seed=args.seed)
-    )
-    total_bytes = truth_probe.total_bytes
-    kwargs: dict = {}
-    if args.task in ("heavy_hitter", "heavy_changer"):
-        kwargs["threshold"] = args.threshold_fraction * total_bytes
-    elif args.task in ("ddos", "superspreader"):
-        kwargs["threshold"] = args.spread_threshold
-    task = create_task(args.task, args.solution, **kwargs)
-
+    task = _task(args, _trace(args).total_bytes)
     telemetry = Telemetry()
-    config_kwargs: dict = {}
-    if args.chaos:
-        config_kwargs["faults"] = FaultPlan.load(args.chaos)
-    if args.slo:
-        config_kwargs["slo"] = args.slo
-    if args.recorder_out:
-        config_kwargs["recorder_path"] = args.recorder_out
     monitor = ContinuousMonitor(
         [task],
         dataplane=DataPlaneMode(args.dataplane),
         recovery=RecoveryMode(args.recovery),
-        config=PipelineConfig(
-            num_hosts=args.hosts,
-            telemetry=telemetry,
-            shadow_samples=args.shadow_samples,
-            **config_kwargs,
-        ),
+        config=_pipeline_config(args, telemetry),
     )
     rows: list[dict] = []
     repaint = None if not args.plain else False
-    for epoch_index, trace in enumerate(
-        generate_epochs(
-            TraceConfig(num_flows=args.flows, seed=args.seed),
-            num_epochs=args.epochs,
-        )
+    for trace in generate_epochs(
+        TraceConfig(num_flows=args.flows, seed=args.seed),
+        num_epochs=args.epochs,
     ):
         summary = monitor.process_epoch(trace)
         result = summary.results.get(task.name)
@@ -644,20 +621,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         SyntheticSource,
     )
 
+    probe = _trace(args)
     if args.trace_file:
-        trace = _load_any(args.trace_file)
-        probe = trace
         source = ReplaySource(
-            trace,
+            probe,
             chunk_packets=args.chunk_packets,
             rate_pps=args.rate,
             loop=args.loop,
         )
     else:
-        config = TraceConfig(num_flows=args.flows, seed=args.seed)
-        probe = generate_trace(config)
         source = SyntheticSource(
-            config,
+            TraceConfig(num_flows=args.flows, seed=args.seed),
             chunk_packets=args.chunk_packets,
             rate_pps=args.rate,
         )
@@ -669,7 +643,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # equal windows, so the run is bit-identical to running
             # the same N slices as batch epochs through `repro run`.
             window_packets = max(
-                1, math.ceil(len(trace) / args.windows)
+                1, math.ceil(len(probe) / args.windows)
             )
         else:
             # One window per trace pass / generated segment.
@@ -680,12 +654,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # Scale the heavy-hitter threshold to the expected bytes per
         # *window*, not per probe trace.
         truth_bytes *= min(1.0, window_packets / len(probe))
-    kwargs: dict = {}
-    if args.task in ("heavy_hitter", "heavy_changer"):
-        kwargs["threshold"] = args.threshold_fraction * truth_bytes
-    elif args.task in ("ddos", "superspreader"):
-        kwargs["threshold"] = args.spread_threshold
-    tasks = [create_task(args.task, args.solution, **kwargs)]
+    tasks = [_task(args, truth_bytes)]
     if not args.no_aux:
         # Fill the remaining query endpoints so /query/cardinality
         # and /query/fsd answer alongside the primary task.
@@ -697,13 +666,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if name != args.task:
                 tasks.append(create_task(name, solution))
 
-    config_kwargs: dict = {}
-    if args.chaos:
-        config_kwargs["faults"] = FaultPlan.load(args.chaos)
-    if args.slo:
-        config_kwargs["slo"] = args.slo
-    if args.recorder_out:
-        config_kwargs["recorder_path"] = args.recorder_out
     service = MeasurementService(
         tasks,
         source,
@@ -719,13 +681,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         dataplane=DataPlaneMode(args.dataplane),
         recovery=RecoveryMode(args.recovery),
-        pipeline_config=PipelineConfig(
-            num_hosts=args.hosts,
-            fastpath_bytes=args.fastpath_bytes,
-            telemetry=Telemetry(),
-            shadow_samples=args.shadow_samples,
-            **config_kwargs,
-        ),
+        pipeline_config=_pipeline_config(args, Telemetry()),
     )
     port = service.start_http()
     # Parsed by tests/CI to find the ephemeral port -- keep the shape.
@@ -789,6 +745,75 @@ def _cmd_bench_summary(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pipeline_flags() -> argparse.ArgumentParser:
+    """Parent parser: the flags every pipeline command shares.
+
+    Built fresh for each command: argparse shares a parent's actions
+    with its children, so a command's ``set_defaults`` would otherwise
+    change the others' defaults too.
+    """
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--task",
+        choices=sorted(TASK_REGISTRY),
+        default="heavy_hitter",
+    )
+    flags.add_argument("--solution", default="deltoid")
+    flags.add_argument("--flows", type=int, default=5000)
+    flags.add_argument("--seed", type=int, default=1)
+    flags.add_argument("--hosts", type=int, default=1)
+    flags.add_argument(
+        "--dataplane",
+        choices=[mode.value for mode in DataPlaneMode],
+        default=DataPlaneMode.SKETCHVISOR.value,
+    )
+    flags.add_argument(
+        "--recovery",
+        choices=[mode.value for mode in RecoveryMode],
+        default=RecoveryMode.SKETCHVISOR.value,
+    )
+    flags.add_argument("--threshold-fraction", type=float, default=0.005)
+    flags.add_argument(
+        "--chaos",
+        metavar="PLAN.json",
+        help="inject faults from a FaultPlan JSON file into the "
+        "host->controller report path of every epoch (see "
+        "docs/robustness.md)",
+    )
+    return flags
+
+
+def _accuracy_flags() -> argparse.ArgumentParser:
+    """Parent parser: the flags ``run``, ``dash`` and ``serve`` share
+    (built fresh per command, like :func:`_pipeline_flags`)."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--spread-threshold", type=int, default=100)
+    flags.add_argument(
+        "--slo",
+        metavar="POLICY.json",
+        help="evaluate an accuracy SLO policy every epoch and print "
+        "ACCURACY_SLO_BREACH lines (see docs/observability.md); "
+        "implies telemetry",
+    )
+    flags.add_argument(
+        "--shadow-samples",
+        type=int,
+        default=0,
+        metavar="N",
+        help="sample N flows per epoch as shadow ground truth for the "
+        "empirical error gauges (0 disables); implies telemetry",
+    )
+    flags.add_argument(
+        "--recorder-out",
+        metavar="FILE.json",
+        help="dump the flight recorder to FILE on crash, quarantine, "
+        "or SLO breach (serve rotates the dumps, see "
+        "--recorder-max-dumps, and flushes on shutdown); implies "
+        "telemetry",
+    )
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -834,14 +859,10 @@ def build_parser() -> argparse.ArgumentParser:
     inspect.set_defaults(func=_cmd_inspect)
 
     run = commands.add_parser(
-        "run", help="run a measurement task over a trace"
+        "run",
+        help="run a measurement task over a trace",
+        parents=[_pipeline_flags(), _accuracy_flags()],
     )
-    run.add_argument(
-        "--task",
-        choices=sorted(TASK_REGISTRY),
-        default="heavy_hitter",
-    )
-    run.add_argument("--solution", default="deltoid")
     run.add_argument(
         "--trace-file", help="trace file; omit to generate"
     )
@@ -861,35 +882,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --trace, also dump Prometheus metrics "
         "to this path ('-' for stdout)",
     )
-    run.add_argument("--flows", type=int, default=5000)
-    run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--hosts", type=int, default=1)
     run.add_argument(
         "--cores",
         type=int,
         default=1,
-        help="per-host worker cores (§7.2 parallel mode)",
+        help="per-host worker cores (§7.2 parallel mode): one host "
+        "runs alone, so --hosts, --dataplane, --chaos, --cluster, "
+        "--soak, --checkpoint-dir, --slo, --shadow-samples and "
+        "--recorder-out are rejected with it",
     )
     run.add_argument("--fastpath-bytes", type=int, default=8192)
-    run.add_argument(
-        "--dataplane",
-        choices=[mode.value for mode in DataPlaneMode],
-        default=DataPlaneMode.SKETCHVISOR.value,
-    )
-    run.add_argument(
-        "--recovery",
-        choices=[mode.value for mode in RecoveryMode],
-        default=RecoveryMode.SKETCHVISOR.value,
-    )
-    run.add_argument("--threshold-fraction", type=float, default=0.005)
-    run.add_argument("--spread-threshold", type=int, default=100)
-    run.add_argument(
-        "--chaos",
-        metavar="PLAN.json",
-        help="inject faults from a FaultPlan JSON file into the "
-        "host->controller report path (see docs/robustness.md); "
-        "ignored by --cores mode",
-    )
     run.add_argument(
         "--cluster",
         type=int,
@@ -899,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
         "TCP sockets through the hierarchical aggregator tier "
         "(overrides --hosts; composes with --chaos, whose plan then "
         "also drives connection-level faults at the socket layer; "
-        "see docs/robustness.md); ignored by --cores mode",
+        "see docs/robustness.md); rejected with --cores",
     )
     run.add_argument(
         "--aggregators",
@@ -933,14 +935,14 @@ def build_parser() -> argparse.ArgumentParser:
         "printing a per-epoch summary line and a final aggregate; "
         "exits nonzero if any epoch fails quorum; designed for "
         "sustained-chaos runs with --cluster --chaos "
-        "(see docs/robustness.md); ignored by --cores mode",
+        "(see docs/robustness.md); rejected with --cores",
     )
     run.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
         help="enable durable host state: snapshot every host engine "
         "into DIR and recover crashed/hung hosts by restore + WAL "
-        "replay (see docs/robustness.md); ignored by --cores mode",
+        "replay (see docs/robustness.md); rejected with --cores",
     )
     run.add_argument(
         "--checkpoint-every",
@@ -948,27 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="snapshot interval in packets (default 16384); only "
         "meaningful with --checkpoint-dir",
-    )
-    run.add_argument(
-        "--slo",
-        metavar="POLICY.json",
-        help="evaluate an accuracy SLO policy each epoch and print "
-        "ACCURACY_SLO_BREACH lines (see docs/observability.md); "
-        "implies telemetry",
-    )
-    run.add_argument(
-        "--shadow-samples",
-        type=int,
-        default=0,
-        metavar="N",
-        help="sample N flows per epoch as shadow ground truth for "
-        "empirical error gauges; implies telemetry",
-    )
-    run.add_argument(
-        "--recorder-out",
-        metavar="FILE.json",
-        help="dump the flight recorder to FILE on crash, quarantine, "
-        "or SLO breach; implies telemetry",
     )
     run.add_argument(
         "--profile",
@@ -997,40 +978,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a dependency-free flamegraph (.svg for bare SVG, "
         "anything else for a standalone HTML page); implies --profile",
     )
-    run.set_defaults(func=_cmd_run)
+    run.set_defaults(func=functools.partial(_cmd_run, parser=run))
 
     telemetry = commands.add_parser(
         "telemetry",
         help="run one instrumented epoch and export metrics + traces",
+        parents=[_pipeline_flags()],
     )
-    telemetry.add_argument(
-        "--task",
-        choices=sorted(TASK_REGISTRY),
-        default="heavy_hitter",
+    # No --spread-threshold flag here: DDoS / superspreader detection
+    # uses the others' default fan-out threshold.
+    telemetry.set_defaults(
+        func=_cmd_telemetry,
+        solution="univmon",
+        hosts=2,
+        spread_threshold=100,
     )
-    telemetry.add_argument("--solution", default="univmon")
     telemetry.add_argument(
         "--trace-file", help="trace file; omit to generate"
     )
-    telemetry.add_argument("--flows", type=int, default=5000)
-    telemetry.add_argument("--seed", type=int, default=1)
-    telemetry.add_argument("--hosts", type=int, default=2)
-    telemetry.add_argument(
-        "--batch",
-        action="store_true",
-        help="accepted and ignored (there is one data-plane engine)",
-    )
-    telemetry.add_argument(
-        "--dataplane",
-        choices=[mode.value for mode in DataPlaneMode],
-        default=DataPlaneMode.SKETCHVISOR.value,
-    )
-    telemetry.add_argument(
-        "--recovery",
-        choices=[mode.value for mode in RecoveryMode],
-        default=RecoveryMode.SKETCHVISOR.value,
-    )
-    telemetry.add_argument("--threshold-fraction", type=float, default=0.005)
     telemetry.add_argument(
         "--prom",
         nargs="?",
@@ -1071,62 +1036,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the epoch under the durability supervisor so "
         "checkpoint/restore counters appear in the export",
     )
-    telemetry.add_argument(
-        "--chaos",
-        metavar="PLAN.json",
-        help="inject faults from a FaultPlan JSON during the epoch",
-    )
-    telemetry.set_defaults(func=_cmd_telemetry)
 
     dash = commands.add_parser(
         "dash",
         help="stream a multi-epoch run as a live dashboard "
         "(+ optional HTML report)",
+        parents=[_pipeline_flags(), _accuracy_flags()],
     )
-    dash.add_argument(
-        "--task",
-        choices=sorted(TASK_REGISTRY),
-        default="heavy_hitter",
+    dash.set_defaults(
+        func=_cmd_dash, flows=2000, hosts=2, shadow_samples=128
     )
-    dash.add_argument("--solution", default="deltoid")
     dash.add_argument("--epochs", type=int, default=5)
-    dash.add_argument("--flows", type=int, default=2000)
-    dash.add_argument("--seed", type=int, default=1)
-    dash.add_argument("--hosts", type=int, default=2)
-    dash.add_argument(
-        "--dataplane",
-        choices=[mode.value for mode in DataPlaneMode],
-        default=DataPlaneMode.SKETCHVISOR.value,
-    )
-    dash.add_argument(
-        "--recovery",
-        choices=[mode.value for mode in RecoveryMode],
-        default=RecoveryMode.SKETCHVISOR.value,
-    )
-    dash.add_argument("--threshold-fraction", type=float, default=0.005)
-    dash.add_argument("--spread-threshold", type=int, default=100)
-    dash.add_argument(
-        "--shadow-samples",
-        type=int,
-        default=128,
-        metavar="N",
-        help="shadow ground-truth sample size per epoch (0 disables)",
-    )
-    dash.add_argument(
-        "--slo",
-        metavar="POLICY.json",
-        help="accuracy SLO policy evaluated each epoch",
-    )
-    dash.add_argument(
-        "--chaos",
-        metavar="PLAN.json",
-        help="inject faults from a FaultPlan JSON file",
-    )
-    dash.add_argument(
-        "--recorder-out",
-        metavar="FILE.json",
-        help="flight-recorder dump path for breach/crash triggers",
-    )
     dash.add_argument(
         "--html",
         metavar="FILE.html",
@@ -1137,13 +1057,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append frames instead of repainting (for logs/pipes)",
     )
-    dash.set_defaults(func=_cmd_dash)
 
     serve = commands.add_parser(
         "serve",
         help="run the streaming measurement daemon with the live "
         "HTTP observability plane (see docs/observability.md)",
+        parents=[_pipeline_flags(), _accuracy_flags()],
     )
+    serve.set_defaults(func=_cmd_serve, flows=2000, hosts=2)
     serve.add_argument(
         "--host", default="127.0.0.1", help="HTTP bind address"
     )
@@ -1155,12 +1076,6 @@ def build_parser() -> argparse.ArgumentParser:
         "printed on startup)",
     )
     serve.add_argument(
-        "--task",
-        choices=sorted(TASK_REGISTRY),
-        default="heavy_hitter",
-    )
-    serve.add_argument("--solution", default="deltoid")
-    serve.add_argument(
         "--trace-file",
         help="replay this trace instead of generating traffic",
     )
@@ -1170,9 +1085,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --trace-file, restart the trace when it ends "
         "(endless soak from one capture)",
     )
-    serve.add_argument("--flows", type=int, default=2000)
-    serve.add_argument("--seed", type=int, default=1)
-    serve.add_argument("--hosts", type=int, default=2)
     serve.add_argument("--fastpath-bytes", type=int, default=8192)
     serve.add_argument(
         "--window-packets",
@@ -1227,18 +1139,6 @@ def build_parser() -> argparse.ArgumentParser:
         "unhealthy (default: derived from --window-seconds)",
     )
     serve.add_argument(
-        "--dataplane",
-        choices=[mode.value for mode in DataPlaneMode],
-        default=DataPlaneMode.SKETCHVISOR.value,
-    )
-    serve.add_argument(
-        "--recovery",
-        choices=[mode.value for mode in RecoveryMode],
-        default=RecoveryMode.SKETCHVISOR.value,
-    )
-    serve.add_argument("--threshold-fraction", type=float, default=0.005)
-    serve.add_argument("--spread-threshold", type=int, default=100)
-    serve.add_argument(
         "--no-aux",
         action="store_true",
         help="serve only the primary task (skip the cardinality and "
@@ -1255,37 +1155,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="solution backing /query/fsd",
     )
     serve.add_argument(
-        "--shadow-samples",
-        type=int,
-        default=0,
-        metavar="N",
-        help="shadow ground-truth sample size per window (0 disables)",
-    )
-    serve.add_argument(
-        "--slo",
-        metavar="POLICY.json",
-        help="accuracy SLO policy evaluated online every window",
-    )
-    serve.add_argument(
-        "--chaos",
-        metavar="PLAN.json",
-        help="inject faults from a FaultPlan JSON into every window",
-    )
-    serve.add_argument(
-        "--recorder-out",
-        metavar="FILE.json",
-        help="flight-recorder dump base path; dumps rotate with "
-        "timestamp/window suffixes (see --recorder-max-dumps) and a "
-        "final flush happens on shutdown",
-    )
-    serve.add_argument(
         "--recorder-max-dumps",
         type=int,
         default=8,
         metavar="K",
         help="rotated recorder dumps kept on disk (default 8)",
     )
-    serve.set_defaults(func=_cmd_serve)
 
     return parser
 

@@ -35,7 +35,6 @@ from repro.framework.modes import DataPlaneMode
 from repro.tasks.base import MeasurementTask, TaskScore
 from repro.tasks.heavy_changer import HeavyChangerTask
 from repro.telemetry import (
-    ProfileConfig,
     Telemetry,
     profile_from_env,
     telemetry_from_env,
@@ -47,12 +46,10 @@ from repro.telemetry.accuracy import (
     SLOPolicy,
 )
 from repro.telemetry.publish import (
-    fastpath_stats,
     publish_cluster_epoch,
     publish_collection_epoch,
     publish_durability_epoch,
-    publish_fastpath_epoch,
-    publish_switch_epoch,
+    publish_host_reports,
 )
 from repro.traffic.groundtruth import GroundTruth
 from repro.traffic.trace import Trace
@@ -124,28 +121,16 @@ class PipelineConfig:
     #: Composes with ``faults``: the plan's report-path *and*
     #: connection-level schedules are injected at the socket layer.
     cluster: "ClusterConfig | None" = None
-    #: Cycle-level profiling: a :class:`ProfileConfig`, ``True`` for
-    #: the defaults, or ``None``/``False`` (off).  Implies telemetry.
-    #: Every trace_span site becomes a wall+CPU stage timer, the stack
-    #: sampler aggregates collapsed stacks per stage, and the RSS
-    #: high-water gauge publishes each epoch.  Setting
-    #: ``REPRO_PROFILE=1`` in the environment injects a config here.
-    #: Profiling only observes: results stay bit-identical.
-    profile: ProfileConfig | bool | None = None
 
     def __post_init__(self) -> None:
+        # REPRO_PROFILE=1 profiles the given telemetry, or the one
+        # REPRO_TELEMETRY / REPRO_PROFILE makes here.
         if self.telemetry is None:
             self.telemetry = telemetry_from_env()
-        if self.profile is None or self.profile is False:
+        else:
             env_profile = profile_from_env()
             if env_profile is not None:
-                self.profile = env_profile
-        if self.profile:
-            if not isinstance(self.profile, ProfileConfig):
-                self.profile = ProfileConfig()
-            if self.telemetry is None:
-                self.telemetry = Telemetry()
-            self.telemetry.enable_profiling(self.profile)
+                self.telemetry.enable_profiling(env_profile)
         if self.faults is None:
             self.faults = faults_from_env()
         if self.checkpoint_dir is None:
@@ -464,7 +449,9 @@ class SketchVisorPipeline:
                 publish_durability_epoch(
                     cfg.telemetry.registry, outcomes
                 )
-            self._publish_reports(reports, sketch_name)
+            publish_host_reports(
+                cfg.telemetry.registry, reports, sketch_name
+            )
         return reports, missing, outcomes
 
     # ------------------------------------------------------------------
@@ -480,121 +467,59 @@ class SketchVisorPipeline:
     ) -> tuple[NetworkResult, CollectionResult | None]:
         """Hand one epoch's reports to the controller.
 
-        Without a :class:`FaultPlan` this is the historical direct
-        call.  With one, reports round-trip the wire format through
-        the :class:`ReportCollector` (faults injected, retries, dedup)
-        and the controller merges whatever survived, degraded-mode if
-        necessary.  ``extra_missing`` names hosts whose report never
-        reached the collector at all (unrecovered data-plane faults) —
-        they join the missing set the degraded merge compensates for.
+        Without a :class:`FaultPlan` or a cluster the reports go
+        straight to the controller.  With a plan they round-trip the
+        wire format through the :class:`ReportCollector` (faults
+        injected, retries, dedup); with a cluster they cross TCP
+        connections to the aggregator tier, and the controller merges
+        whatever arrived — partial aggregates in hierarchical mode —
+        with quorum still keyed on *hosts*.  ``extra_missing`` names
+        hosts whose report never reached a collector at all
+        (unrecovered data-plane faults); they join the missing set the
+        degraded merge compensates for.
         """
         cfg = self.config
-        extra_missing = extra_missing or []
+        telemetry = cfg.telemetry
         epoch = self._next_epoch()
+        missing = sorted(extra_missing or [])
         if self._cluster is not None:
-            return self._aggregate_cluster(
-                reports, extra_missing, epoch
-            )
-        if self._collector is None:
-            if extra_missing:
-                # No report channel to blame, but hosts are still
-                # missing: go straight to the degraded merge.
-                return (
-                    self.controller.aggregate(
-                        reports,
-                        expected_hosts=cfg.num_hosts,
-                        missing_hosts=sorted(extra_missing),
-                        epoch=epoch,
-                    ),
-                    None,
-                )
-            return self.controller.aggregate(reports), None
-        with trace_span(
-            cfg.telemetry, "controlplane.collect", epoch=epoch
-        ):
-            with trace_span(
-                cfg.telemetry, "serialize.report", reports=len(reports)
-            ):
-                frames = {
-                    report.host_id: encode_report(report, epoch)
-                    for report in reports
-                }
-            collection = self._collector.collect(frames, epoch)
-        if extra_missing:
+            with trace_span(telemetry, "controlplane.cluster", epoch=epoch):
+                collection = self._cluster.collect(reports, epoch)
+        elif self._collector is not None:
+            with trace_span(telemetry, "controlplane.collect", epoch=epoch):
+                with trace_span(
+                    telemetry, "serialize.report", reports=len(reports)
+                ):
+                    frames = {
+                        report.host_id: encode_report(report, epoch)
+                        for report in reports
+                    }
+                collection = self._collector.collect(frames, epoch)
+        else:
+            collection = None
+        if collection is not None:
             collection.missing_hosts.extend(
                 host_id
-                for host_id in sorted(extra_missing)
+                for host_id in missing
                 if host_id not in collection.missing_hosts
             )
-        if cfg.telemetry is not None:
-            publish_collection_epoch(
-                cfg.telemetry.registry, collection
-            )
+            reports, missing = collection.reports, collection.missing_hosts
+            if telemetry is not None:
+                publish_collection_epoch(telemetry.registry, collection)
+                if self._cluster is not None:
+                    publish_cluster_epoch(
+                        telemetry.registry, self._cluster, collection
+                    )
         network = self.controller.aggregate(
-            collection.reports,
+            reports,
             expected_hosts=cfg.num_hosts,
-            missing_hosts=collection.missing_hosts,
+            missing_hosts=missing,
             epoch=epoch,
+            reported_hosts=(
+                None if collection is None else collection.hosts_reported
+            ),
         )
         return network, collection
-
-    def _aggregate_cluster(
-        self,
-        reports: list[LocalReport],
-        extra_missing: list[int],
-        epoch: int,
-    ) -> tuple[NetworkResult, CollectionResult]:
-        """The real-socket epoch: reports cross TCP connections to the
-        aggregator tier, and the controller merges whatever arrived —
-        partial aggregates in hierarchical mode, decoded reports in
-        flat mode — with quorum still keyed on *hosts*."""
-        cfg = self.config
-        with trace_span(
-            cfg.telemetry, "controlplane.cluster", epoch=epoch
-        ):
-            collection = self._cluster.collect(reports, epoch)
-        if extra_missing:
-            collection.missing_hosts.extend(
-                host_id
-                for host_id in sorted(extra_missing)
-                if host_id not in collection.missing_hosts
-            )
-        if cfg.telemetry is not None:
-            publish_collection_epoch(
-                cfg.telemetry.registry, collection
-            )
-            publish_cluster_epoch(
-                cfg.telemetry.registry, self._cluster, collection
-            )
-        network = self.controller.aggregate(
-            collection.reports,
-            expected_hosts=cfg.num_hosts,
-            missing_hosts=collection.missing_hosts,
-            epoch=epoch,
-            reported_hosts=collection.hosts_reported,
-        )
-        return network, collection
-
-    def _publish_reports(
-        self, reports: list[LocalReport], sketch_name: str
-    ) -> None:
-        """Publish per-host data-plane counters from epoch reports
-        (which may hold frames, not sketches: the hosts' sketch name
-        comes from the caller)."""
-        registry = self.config.telemetry.registry
-        for report in reports:
-            publish_switch_epoch(
-                registry,
-                report.switch,
-                host=str(report.host_id),
-                sketch=sketch_name,
-            )
-            if report.fastpath is not None:
-                publish_fastpath_epoch(
-                    registry,
-                    fastpath_stats(report.fastpath),
-                    host=str(report.host_id),
-                )
 
     def _finish_epoch(
         self, result: EpochResult, dp_missing: list[int]

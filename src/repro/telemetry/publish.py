@@ -139,6 +139,23 @@ def publish_fastpath_epoch(
     ).set(stats["tracked"], host=host)
 
 
+def publish_host_reports(
+    registry: MetricsRegistry, reports, sketch: str
+) -> None:
+    """Publish per-host switch and fast-path counters from one epoch's
+    :class:`~repro.dataplane.host.LocalReport` list.  ``sketch`` names
+    the hosts' sketch: a report may hold a frame, not a sketch."""
+    for report in reports:
+        host = str(report.host_id)
+        publish_switch_epoch(
+            registry, report.switch, host=host, sketch=sketch
+        )
+        if report.fastpath is not None:
+            publish_fastpath_epoch(
+                registry, fastpath_stats(report.fastpath), host=host
+            )
+
+
 def publish_collection_epoch(
     registry: MetricsRegistry, collection
 ) -> None:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestGenerateInspect:
@@ -33,22 +33,49 @@ class TestGenerateInspect:
 
 
 class TestRun:
-    def test_run_generated(self, capsys):
+    @pytest.mark.parametrize(
+        "task,solution,line",
+        [
+            ("cardinality", "lc", "relative error"),
+            # Heavy changer runs the trace's halves as an epoch pair.
+            ("heavy_changer", "deltoid", "recall"),
+        ],
+        ids=["cardinality", "heavy_changer"],
+    )
+    def test_run_generated(self, capsys, task, solution, line):
         code = main(
             [
                 "run",
                 "--task",
-                "cardinality",
+                task,
                 "--solution",
-                "lc",
+                solution,
                 "--flows",
                 "400",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "relative error" in out
+        assert line in out
         assert "throughput" in out
+
+    def test_shared_flags_keep_per_command_defaults(self):
+        """The pipeline commands share parent parsers; a command's own
+        defaults must not leak into the others."""
+        parser = build_parser()
+        args = {
+            command: parser.parse_args([command])
+            for command in ("run", "telemetry", "dash", "serve")
+        }
+        assert [a.flows for a in args.values()] == [5000, 5000, 2000, 2000]
+        assert [a.hosts for a in args.values()] == [1, 2, 2, 2]
+        assert [a.solution for a in args.values()] == [
+            "deltoid", "univmon", "deltoid", "deltoid",
+        ]
+        assert [args[c].shadow_samples for c in ("run", "dash", "serve")] == [
+            0, 128, 0,
+        ]
+        assert args["telemetry"].spread_threshold == 100
 
     def test_run_from_file(self, tmp_path, capsys):
         path = tmp_path / "trace.npz"
@@ -91,6 +118,25 @@ class TestRun:
         out = capsys.readouterr().out
         assert "cores           : 2" in out
         assert "recall" in out
+
+    def test_multicore_profile_writes_no_trace(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The span tree and Chrome trace are --trace's, not --profile's."""
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            [
+                "run",
+                "--solution", "flowradar",
+                "--flows", "400",
+                "--cores", "2",
+                "--profile",
+                "--profile-hz", "0",
+            ]
+        )
+        assert code == 0
+        assert "stage profile" in capsys.readouterr().out
+        assert not (tmp_path / "epoch_trace.json").exists()
 
     def test_repro_run_profile_artifacts(self, tmp_path, capsys):
         flame = tmp_path / "flame.html"
@@ -217,6 +263,33 @@ class TestAccuracyCLI:
         assert loaded["reason"] == "slo_breach"
         assert loaded["events"][-1]["kind"] == "slo_breach"
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--slo", None),
+            ("--shadow-samples", "64"),
+            ("--hosts", "2"),
+            ("--soak", "2"),
+        ],
+        ids=["slo", "shadow-samples", "hosts", "soak"],
+    )
+    def test_cores_rejects_flags_it_cannot_honour(
+        self, tmp_path, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "run",
+                    "--flows", "600",
+                    "--cores", "2",
+                    flag, value or str(self._slo_file(tmp_path)),
+                ]
+            )
+        assert exc.value.code != 0
+        assert f"{flag} cannot be combined with --cores" in (
+            capsys.readouterr().err
+        )
+
     def test_run_with_satisfied_slo(self, tmp_path, capsys):
         code = main(
             [
@@ -231,11 +304,14 @@ class TestAccuracyCLI:
         assert code == 0
         assert "ACCURACY_SLO_BREACH" not in capsys.readouterr().out
 
-    def test_telemetry_format_and_output(self, tmp_path, capsys):
+    # Heavy changer runs the trace's halves as an epoch pair.
+    @pytest.mark.parametrize("task", ["heavy_hitter", "heavy_changer"])
+    def test_telemetry_format_and_output(self, tmp_path, capsys, task):
         prom = tmp_path / "metrics.prom"
         code = main(
             [
                 "telemetry",
+                "--task", task,
                 "--flows", "400",
                 "--no-tree",
                 "--format", "prom",
@@ -249,6 +325,7 @@ class TestAccuracyCLI:
         code = main(
             [
                 "telemetry",
+                "--task", task,
                 "--flows", "400",
                 "--no-tree",
                 "--format", "json",

@@ -320,9 +320,12 @@ class TestEnvGates:
     def test_pipeline_config_env_gate(self, monkeypatch, trace, truth):
         monkeypatch.setenv("REPRO_PROFILE", "1")
         config = PipelineConfig(num_hosts=1, seed=3, batch=True)
-        assert isinstance(config.profile, ProfileConfig)
         assert config.telemetry is not None
         assert config.telemetry.profiler is not None
+        given = Telemetry()
+        config = PipelineConfig(num_hosts=1, telemetry=given)
+        assert config.telemetry is given
+        assert given.profiler is not None
 
     def test_reset_recreates_profiler(self):
         telemetry = _profiled_telemetry()
