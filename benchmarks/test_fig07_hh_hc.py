@@ -113,9 +113,8 @@ def hc_scores(bench_trace):
                 recovery=recovery,
                 config=_config(),
             )
-            result = pipeline.run_epoch_pair(
-                epoch_a, epoch_b, truth_a, truth_b
-            )
+            pipeline.run_epoch(epoch_a, truth_a)
+            result = pipeline.run_epoch(epoch_b, truth_b)
             scores[(solution, arm)] = result.score
     return scores
 

@@ -46,7 +46,8 @@ def matrix_results(bench_trace, bench_truth):
                     bench_trace, bench_trace, 5, 400_000
                 )
                 task.threshold = 150_000
-                result = pipeline.run_epoch_pair(epoch_a, epoch_b)
+                pipeline.run_epoch(epoch_a)
+                result = pipeline.run_epoch(epoch_b)
             elif task_name == "ddos":
                 trace, _ = inject_ddos_victims(bench_trace, 2, 300)
                 result = pipeline.run_epoch(

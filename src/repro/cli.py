@@ -246,10 +246,13 @@ def _run_epoch(
     pipeline: SketchVisorPipeline, trace: Trace, truth: GroundTruth
 ) -> EpochResult:
     """One scored epoch; heavy changer runs the trace's two halves as
-    an epoch pair."""
+    consecutive epochs and returns the second (under ``--soak`` the
+    first half answers against the previous trace's second half, and
+    that answer is dropped)."""
     if isinstance(pipeline.task, HeavyChangerTask):
         half = len(trace) // 2
-        return pipeline.run_epoch_pair(trace[:half], trace[half:])
+        pipeline.run_epoch(trace[:half])
+        return pipeline.run_epoch(trace[half:])
     return pipeline.run_epoch(trace, truth)
 
 

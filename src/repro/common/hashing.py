@@ -13,8 +13,6 @@ integers via :func:`fold_key`) and return non-negative integers.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 _MASK64 = (1 << 64) - 1
 
 # splitmix64 finalizer constants (Steele, Lea & Flood 2014).
@@ -223,8 +221,3 @@ class HashFamily:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HashFamily(depth={self.depth}, seed={self.seed})"
-
-
-def iter_key64(keys: Iterable[object]) -> Iterable[int]:
-    """Fold an iterable of keys to 64-bit integers (generator)."""
-    return (fold_key(key) for key in keys)

@@ -122,10 +122,6 @@ def singular_value_threshold(
     return _shrink(matrix, threshold)[0]
 
 
-def _soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
-    return np.sign(values) * np.maximum(np.abs(values) - threshold, 0.0)
-
-
 def _build_operator(
     positions: Positions, shape: tuple[int, int], num_flows: int
 ) -> sparse.csr_matrix:

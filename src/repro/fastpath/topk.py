@@ -369,11 +369,6 @@ class FastPathSnapshot:
     reject_count: int = 0
 
     @property
-    def tracked_bytes_lower(self) -> float:
-        """Sum of tracked flows' lower bounds."""
-        return sum(entry.lower_bound for entry in self.entries.values())
-
-    @property
     def distinct_flow_hint(self) -> float:
         """Estimated distinct flows the fast path ever inserted.
 

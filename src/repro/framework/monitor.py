@@ -24,7 +24,6 @@ from repro.framework.pipeline import (
     SketchVisorPipeline,
 )
 from repro.tasks.base import MeasurementTask
-from repro.tasks.heavy_changer import HeavyChangerTask
 from repro.telemetry import trace_span
 from repro.telemetry.publish import publish_monitor_epoch
 from repro.traffic.groundtruth import GroundTruth
@@ -86,8 +85,9 @@ class ContinuousMonitor:
     ----------
     tasks:
         The tasks to run each epoch.  A :class:`HeavyChangerTask`
-        compares each epoch against the previous one (its first epoch
-        produces no answer).
+        compares each epoch against the previous one (its pipeline
+        holds that epoch's recovered sketch; the first epoch produces
+        no answer).
     config:
         Deployment parameters shared by all tasks.
     """
@@ -113,8 +113,6 @@ class ContinuousMonitor:
             for task in tasks
         }
         self._epoch_index = 0
-        self._previous_trace: Trace | None = None
-        self._previous_truth: GroundTruth | None = None
         self.history: list[EpochSummary] = []
 
     # ------------------------------------------------------------------
@@ -139,18 +137,9 @@ class ContinuousMonitor:
             with trace_span(telemetry, "groundtruth"):
                 truth = GroundTruth.from_trace(trace)
             for task in self.tasks:
-                pipeline = self._pipelines[task.name]
-                if isinstance(task, HeavyChangerTask):
-                    if self._previous_trace is None:
-                        continue
-                    result = pipeline.run_epoch_pair(
-                        self._previous_trace,
-                        trace,
-                        self._previous_truth,
-                        truth,
-                    )
-                else:
-                    result = pipeline.run_epoch(trace, truth)
+                result = self._pipelines[task.name].run_epoch(trace, truth)
+                if result is None:
+                    continue
                 summary.results[task.name] = result
                 summary.alerts.extend(
                     self._alerts_from(task, result)
@@ -180,8 +169,6 @@ class ContinuousMonitor:
                 summary,
                 time.perf_counter() - start,
             )
-        self._previous_trace = trace
-        self._previous_truth = truth
         self._epoch_index += 1
         self.history.append(summary)
         return summary

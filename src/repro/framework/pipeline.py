@@ -9,11 +9,9 @@ against exact ground truth.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.cluster import ClusterCollector, ClusterConfig
-from repro.common.errors import ConfigError
 from repro.controlplane.controller import Controller, NetworkResult
 from repro.controlplane.lens import LensConfig
 from repro.controlplane.recovery import RecoveryMode
@@ -32,6 +30,7 @@ from repro.durability import (
 )
 from repro.faults import FaultInjector, FaultPlan, faults_from_env
 from repro.framework.modes import DataPlaneMode
+from repro.sketches.base import Sketch
 from repro.tasks.base import MeasurementTask, TaskScore
 from repro.tasks.heavy_changer import HeavyChangerTask
 from repro.telemetry import (
@@ -286,6 +285,11 @@ class SketchVisorPipeline:
         else:
             self._accuracy = None
         self._epoch_counter = 0
+        #: A heavy changer's previous epoch: its recovered sketch and
+        #: ground truth (``None`` until the first epoch has run).  The
+        #: sketch is held itself, because :meth:`EpochResult.retire`
+        #: drops ``network.sketch``.
+        self._held_epoch: tuple[Sketch, GroundTruth] | None = None
         #: The one sketch the unsupervised hosts of an epoch take turns
         #: on when their reports leave as frames (built on first use).
         self._warm_sketch = None
@@ -583,13 +587,22 @@ class SketchVisorPipeline:
     # ------------------------------------------------------------------
     def run_epoch(
         self, trace: Trace, truth: GroundTruth | None = None
-    ) -> EpochResult:
-        """Run one epoch end to end and score the answer."""
-        if isinstance(self.task, HeavyChangerTask):
-            raise ConfigError("heavy changer needs run_epoch_pair")
+    ) -> EpochResult | None:
+        """Run one epoch end to end and score the answer.
+
+        A heavy changer compares each epoch with the one before it
+        (§2.1): the pipeline holds the previous epoch's recovered
+        sketch and ground truth, so its first epoch answers nothing and
+        returns ``None``.  An epoch that fails quorum leaves the held
+        epoch in place.
+        """
+        task = self.task
         telemetry = self.config.telemetry
-        with trace_span(telemetry, "epoch", task=self.task.name):
-            if self._accuracy is not None:
+        changer = isinstance(task, HeavyChangerTask)
+        held = self._held_epoch
+        answers = not changer or held is not None
+        with trace_span(telemetry, "epoch", task=task.name):
+            if self._accuracy is not None and answers:
                 with trace_span(telemetry, "accuracy.shadow_sample"):
                     self._accuracy.observe_trace(trace)
             with trace_span(telemetry, "dataplane"):
@@ -597,13 +610,25 @@ class SketchVisorPipeline:
                     trace
                 )
             network, collection = self._aggregate(reports, dp_missing)
-            with trace_span(telemetry, "task.answer"):
-                answer = self.task.answer(network.sketch)
             if truth is None:
                 with trace_span(telemetry, "groundtruth"):
                     truth = GroundTruth.from_trace(trace)
+            if changer:
+                self._held_epoch = (network.sketch, truth)
+            if not answers:
+                return None
+            with trace_span(telemetry, "task.answer"):
+                answer = (
+                    task.answer_pair(held[0], network.sketch)
+                    if changer
+                    else task.answer(network.sketch)
+                )
             with trace_span(telemetry, "task.score"):
-                score = self.task.score(answer, truth)
+                score = (
+                    task.score_pair(answer, held[1], truth)
+                    if changer
+                    else task.score(answer, truth)
+                )
             result = EpochResult(
                 answer=answer,
                 score=score,
@@ -613,192 +638,3 @@ class SketchVisorPipeline:
                 durability=outcomes,
             )
             return self._finish_epoch(result, dp_missing)
-
-    def run_epoch_pair(
-        self,
-        epoch_a: Trace,
-        epoch_b: Trace,
-        truth_a: GroundTruth | None = None,
-        truth_b: GroundTruth | None = None,
-    ) -> EpochResult:
-        """Run two consecutive epochs (heavy changer detection)."""
-        if not isinstance(self.task, HeavyChangerTask):
-            raise ConfigError("run_epoch_pair is for heavy changer")
-        telemetry = self.config.telemetry
-        with trace_span(telemetry, "epoch", task=self.task.name):
-            with trace_span(telemetry, "dataplane", half="a"):
-                reports_a, missing_a, outcomes_a = self._run_dataplane(
-                    epoch_a
-                )
-            network_a, _ = self._aggregate(reports_a, missing_a)
-            if self._accuracy is not None:
-                # The pair's answer is scored against the second epoch;
-                # shadow-sample that one.
-                with trace_span(telemetry, "accuracy.shadow_sample"):
-                    self._accuracy.observe_trace(epoch_b)
-            with trace_span(telemetry, "dataplane", half="b"):
-                reports_b, missing_b, outcomes_b = self._run_dataplane(
-                    epoch_b
-                )
-            network_b, collection_b = self._aggregate(
-                reports_b, missing_b
-            )
-            with trace_span(telemetry, "task.answer"):
-                answer = self.task.answer_pair(
-                    network_a.sketch, network_b.sketch
-                )
-            if truth_a is None or truth_b is None:
-                with trace_span(telemetry, "groundtruth"):
-                    truth_a = truth_a or GroundTruth.from_trace(epoch_a)
-                    truth_b = truth_b or GroundTruth.from_trace(epoch_b)
-            with trace_span(telemetry, "task.score"):
-                score = self.task.score_pair(answer, truth_a, truth_b)
-            result = EpochResult(
-                answer=answer,
-                score=score,
-                network=network_b,
-                reports=reports_a + reports_b,
-                collection=collection_b,
-                durability=(
-                    None
-                    if outcomes_a is None and outcomes_b is None
-                    else (outcomes_a or []) + (outcomes_b or [])
-                ),
-            )
-            return self._finish_epoch(
-                result, sorted(set(missing_a) | set(missing_b))
-            )
-
-
-# ----------------------------------------------------------------------
-# Sliding windows: the incremental-epoch seam for streaming service mode
-# ----------------------------------------------------------------------
-@dataclass
-class Window:
-    """One closed sliding window of a continuous packet stream."""
-
-    #: Zero-based window id — the epoch number the pipeline will stamp
-    #: on this window's reports (windows feed epochs one to one).
-    index: int
-    trace: Trace
-    #: Wall-clock seconds (``time.time``) when the first packet landed.
-    opened_at: float
-    #: Wall-clock seconds when the window closed.
-    closed_at: float
-
-
-class WindowScheduler:
-    """Slice a continuous packet stream into pipeline epochs.
-
-    The streaming daemon's seam into the batch pipeline: packets are
-    offered in arbitrary chunks and come back as closed
-    :class:`Window` objects, each carrying a plain :class:`Trace` that
-    :meth:`SketchVisorPipeline.run_epoch` processes exactly as a batch
-    epoch — same code path, bit-identical results.
-
-    Windows close on a packet-count boundary (``window_packets``), a
-    wall-clock deadline (``window_seconds``), or both (whichever
-    strikes first).  Packet-count windows are deterministic: feeding
-    the same packets under any chunking yields identical window
-    contents, which is what makes ``repro serve`` over a replayed
-    trace bit-identical to the same trace run as batch epochs.
-    """
-
-    def __init__(
-        self,
-        window_packets: int | None = None,
-        window_seconds: float | None = None,
-        clock=time.monotonic,
-    ):
-        if not window_packets and not window_seconds:
-            raise ConfigError(
-                "need window_packets and/or window_seconds"
-            )
-        if window_packets is not None and window_packets < 1:
-            raise ConfigError("window_packets must be >= 1")
-        if window_seconds is not None and window_seconds <= 0:
-            raise ConfigError("window_seconds must be > 0")
-        self.window_packets = window_packets
-        self.window_seconds = window_seconds
-        self._clock = clock
-        #: The in-flight window's packets, as the trace slices offered.
-        self._buffer: list[Trace] = []
-        self._pending = 0
-        self._opened_wall: float | None = None
-        self._opened_clock: float | None = None
-        #: Windows closed so far (the next window's ``index``).
-        self.windows_closed = 0
-
-    @property
-    def pending_packets(self) -> int:
-        """Packets buffered in the in-flight (unclosed) window."""
-        return self._pending
-
-    def _deadline_expired(self) -> bool:
-        return (
-            self.window_seconds is not None
-            and self._opened_clock is not None
-            and self._clock() - self._opened_clock
-            >= self.window_seconds
-        )
-
-    def _close(self) -> Window:
-        window = Window(
-            index=self.windows_closed,
-            trace=Trace.join(self._buffer),
-            opened_at=self._opened_wall or time.time(),
-            closed_at=time.time(),
-        )
-        self.windows_closed += 1
-        self._buffer = []
-        self._pending = 0
-        self._opened_wall = None
-        self._opened_clock = None
-        return window
-
-    def offer(self, chunk) -> list[Window]:
-        """Feed a chunk of packets; returns any windows it closed.
-
-        ``chunk`` may be a :class:`Trace` or any sequence of packets.
-        One large chunk can close several packet-count windows.
-        """
-        if not isinstance(chunk, Trace):
-            chunk = Trace(chunk)
-        closed: list[Window] = []
-        position = 0
-        total = len(chunk)
-        while position < total:
-            if self._opened_clock is None:
-                self._opened_wall = time.time()
-                self._opened_clock = self._clock()
-            end = total
-            if self.window_packets is not None:
-                end = min(end, position + self.window_packets - self._pending)
-            take = chunk if end - position == total else chunk[position:end]
-            self._buffer.append(take)
-            self._pending += len(take)
-            position = end
-            if (
-                self.window_packets is not None
-                and self._pending >= self.window_packets
-            ):
-                closed.append(self._close())
-                continue
-            if self._deadline_expired():
-                closed.append(self._close())
-        if not closed and self._buffer and self._deadline_expired():
-            closed.append(self._close())
-        return closed
-
-    def poll(self) -> list[Window]:
-        """Close the in-flight window if its wall-clock deadline passed
-        with no new packets arriving (idle-stream tick)."""
-        if self._buffer and self._deadline_expired():
-            return [self._close()]
-        return []
-
-    def flush(self) -> Window | None:
-        """Drain the in-flight partial window (graceful shutdown)."""
-        if not self._buffer:
-            return None
-        return self._close()

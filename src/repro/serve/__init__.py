@@ -25,6 +25,7 @@ from repro.serve.sources import (
     ReplaySource,
     SyntheticSource,
 )
+from repro.serve.windows import Window, WindowScheduler
 
 __all__ = [
     "DEFAULT_CHUNK_PACKETS",
@@ -36,6 +37,8 @@ __all__ = [
     "ReplaySource",
     "ServeConfig",
     "SyntheticSource",
+    "Window",
     "WindowRecord",
+    "WindowScheduler",
     "serialize_answer",
 ]

@@ -2,7 +2,7 @@
 
 :class:`MeasurementService` glues the streaming pieces together: a
 packet source feeds the
-:class:`~repro.framework.pipeline.WindowScheduler`, every closed
+:class:`~repro.serve.windows.WindowScheduler`, every closed
 window runs through the unchanged batch pipeline (one
 :class:`~repro.framework.monitor.ContinuousMonitor` epoch per window,
 so SLO evaluation, shadow sampling, and the flight recorder all run
@@ -33,12 +33,9 @@ from repro.controlplane.recovery import RecoveryMode
 from repro.dash import epoch_row, html_report
 from repro.framework.modes import DataPlaneMode
 from repro.framework.monitor import ContinuousMonitor
-from repro.framework.pipeline import (
-    PipelineConfig,
-    Window,
-    WindowScheduler,
-)
+from repro.framework.pipeline import PipelineConfig
 from repro.serve.sources import PacketSource
+from repro.serve.windows import Window, WindowScheduler
 from repro.tasks.base import MeasurementTask
 from repro.telemetry import Telemetry
 from repro.telemetry.exporters import prometheus_text

@@ -2,7 +2,7 @@
 
 A source is just an iterable of packet chunks (:class:`Trace` slices
 that share their segment's columns); the service feeds each chunk to
-the :class:`~repro.framework.pipeline.WindowScheduler` and runs
+the :class:`~repro.serve.windows.WindowScheduler` and runs
 whatever windows close.  Two concrete sources cover the daemon's two
 deployment stories:
 

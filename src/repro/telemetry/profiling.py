@@ -278,10 +278,6 @@ class Profiler:
         self._tracemalloc_started = False
 
     # -- stage timers --------------------------------------------------
-    @property
-    def current_stage(self) -> str | None:
-        return self._stack[-1].name if self._stack else None
-
     @contextmanager
     def stage(self, name: str, **attrs):
         """Open one named stage (wall + CPU accounting + tracer span)."""

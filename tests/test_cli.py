@@ -37,7 +37,7 @@ class TestRun:
         "task,solution,line",
         [
             ("cardinality", "lc", "relative error"),
-            # Heavy changer runs the trace's halves as an epoch pair.
+            # Heavy changer runs the trace's halves as consecutive epochs.
             ("heavy_changer", "deltoid", "recall"),
         ],
         ids=["cardinality", "heavy_changer"],
@@ -304,7 +304,7 @@ class TestAccuracyCLI:
         assert code == 0
         assert "ACCURACY_SLO_BREACH" not in capsys.readouterr().out
 
-    # Heavy changer runs the trace's halves as an epoch pair.
+    # Heavy changer runs the trace's halves as consecutive epochs.
     @pytest.mark.parametrize("task", ["heavy_hitter", "heavy_changer"])
     def test_telemetry_format_and_output(self, tmp_path, capsys, task):
         prom = tmp_path / "metrics.prom"

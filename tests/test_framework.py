@@ -103,18 +103,16 @@ class TestPipeline:
         )
         task = HeavyChangerTask("flowradar", threshold=150_000)
         pipeline = SketchVisorPipeline(task)
-        result = pipeline.run_epoch_pair(epoch_a, epoch_b)
+        pipeline.run_epoch(epoch_a)
+        result = pipeline.run_epoch(epoch_b)
         assert result.score.recall >= 0.9
 
-    def test_pair_interface_enforced(self, small_trace):
-        hh = SketchVisorPipeline(HeavyHitterTask("deltoid", threshold=1))
-        with pytest.raises(ConfigError):
-            hh.run_epoch_pair(small_trace, small_trace)
-        hc = SketchVisorPipeline(
-            HeavyChangerTask("deltoid", threshold=1)
-        )
-        with pytest.raises(ConfigError):
-            hc.run_epoch(small_trace)
+    def test_heavy_changer_answers_from_second_epoch(self, small_trace):
+        hc = SketchVisorPipeline(HeavyChangerTask("deltoid", threshold=1))
+        assert hc.run_epoch(small_trace) is None
+        result = hc.run_epoch(small_trace)
+        assert result.answer == {}
+        assert result.score.extra == {"reported": 0, "true": 0}
 
     def test_mg_fastpath_mode_uses_misra_gries(self, small_trace):
         from repro.fastpath.misra_gries import MisraGriesTopK

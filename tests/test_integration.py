@@ -43,9 +43,9 @@ class TestMultiEpochMonitoring:
         changes = truth_a.heavy_changers(truth_b, 0)
         threshold = sorted(changes.values())[-5]
         task = HeavyChangerTask("flowradar", threshold=threshold)
-        result = SketchVisorPipeline(task).run_epoch_pair(
-            epochs[0], epochs[1], truth_a, truth_b
-        )
+        pipeline = SketchVisorPipeline(task)
+        pipeline.run_epoch(epochs[0], truth_a)
+        result = pipeline.run_epoch(epochs[1], truth_b)
         assert result.score.recall >= 0.7
 
 

@@ -8,6 +8,7 @@ import weakref
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.faults import FaultPlan
 from repro.framework.monitor import (
     Alert,
     AlertKind,
@@ -165,12 +166,55 @@ class TestWindowWorkDoneOnce:
         windows = [fresh(trace) for trace in window_stream[:3]]
         for window in windows:
             summary = monitor.process_epoch(window)
-        # The third window ran all four tasks, the heavy changer over
-        # (second, third) — and still only its own truth was computed.
+        # The third window ran all four tasks, the heavy changer against
+        # the second window's held truth — and only its own truth was
+        # computed.
         assert len(summary.results) == 4
         assert [id(trace) for trace in calls] == [
             id(window) for window in windows
         ]
+
+    def test_each_pipeline_routes_each_window_once(
+        self, window_stream, monkeypatch
+    ):
+        monitor = ContinuousMonitor(
+            serve_tasks(window_stream),
+            config=PipelineConfig(num_hosts=NUM_HOSTS),
+        )
+        calls = []
+        run_dataplane = SketchVisorPipeline._run_dataplane
+
+        def spy(pipeline, trace):
+            calls.append((pipeline.task.name, id(trace)))
+            return run_dataplane(pipeline, trace)
+
+        monkeypatch.setattr(SketchVisorPipeline, "_run_dataplane", spy)
+        windows = [fresh(trace) for trace in window_stream[:3]]
+        for window in windows:
+            monitor.process_epoch(window)
+        # The heavy changer holds the previous window's recovered
+        # sketch; it never routes that window again.
+        assert calls == [
+            (task.name, id(window))
+            for window in windows
+            for task in monitor.tasks
+        ]
+
+    def test_epoch_number_is_window_id(self, window_stream):
+        monitor = ContinuousMonitor(
+            serve_tasks(window_stream),
+            config=PipelineConfig(
+                num_hosts=NUM_HOSTS, faults=FaultPlan(seed=1)
+            ),
+        )
+        for index, trace in enumerate(window_stream[:4]):
+            summary = monitor.process_epoch(fresh(trace))
+            assert summary.epoch == index
+            assert len(summary.results) == (3 if index == 0 else 4)
+            assert {
+                name: result.collection.epoch
+                for name, result in summary.results.items()
+            } == dict.fromkeys(summary.results, index)
 
     def test_pipelines_route_the_same_shards(self, window_stream):
         window = fresh(window_stream[0])
@@ -197,36 +241,37 @@ class TestWindowWorkDoneOnce:
         ]
         assert window.partition(1) == [window]
 
-    def test_equals_standalone_pipelines(self, window_stream):
+    @pytest.mark.parametrize("path", ["direct", "frames"])
+    def test_equals_standalone_pipelines(self, window_stream, path):
         """Sharing the truth and the shards changes no result: every
-        window equals each task's own pipeline run on a cold trace."""
+        window equals each task's own pipeline fed the same windows in
+        order on cold traces.  On the frame path the hosts share one
+        warm sketch, which the heavy changer's held sketch must not
+        alias."""
+
+        def config():
+            faults = FaultPlan(seed=1) if path == "frames" else None
+            return PipelineConfig(num_hosts=NUM_HOSTS, faults=faults)
+
         monitor = ContinuousMonitor(
-            serve_tasks(window_stream),
-            config=PipelineConfig(num_hosts=NUM_HOSTS),
+            serve_tasks(window_stream), config=config()
         )
         standalone = {
-            task.name: SketchVisorPipeline(
-                task, config=PipelineConfig(num_hosts=NUM_HOSTS)
-            )
+            task.name: SketchVisorPipeline(task, config=config())
             for task in serve_tasks(window_stream)
         }
-        previous = None
-        for trace in window_stream:
+        for index, trace in enumerate(window_stream):
             summary = monitor.process_epoch(fresh(trace))
             for name, pipeline in standalone.items():
-                if name != "heavy_changer":
-                    expected = pipeline.run_epoch(fresh(trace))
-                elif previous is not None:
-                    expected = pipeline.run_epoch_pair(
-                        fresh(previous), fresh(trace)
-                    )
-                else:
+                expected = pipeline.run_epoch(fresh(trace))
+                first_changer = name == "heavy_changer" and index == 0
+                assert (expected is None) == first_changer, name
+                if first_changer:
                     assert name not in summary.results
                     continue
                 assert comparable(summary.results[name]) == comparable(
                     expected
                 ), name
-            previous = trace
         assert len(monitor.history) == len(window_stream) >= 6
 
 

@@ -17,18 +17,15 @@ from pathlib import Path
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.framework.pipeline import (
-    PipelineConfig,
-    SketchVisorPipeline,
-    Window,
-    WindowScheduler,
-)
+from repro.framework.pipeline import PipelineConfig, SketchVisorPipeline
 from repro.serve import (
     PROMETHEUS_CONTENT_TYPE,
     MeasurementService,
     ReplaySource,
     ServeConfig,
     SyntheticSource,
+    Window,
+    WindowScheduler,
     serialize_answer,
 )
 from repro.tasks.cardinality import CardinalityTask
