@@ -25,7 +25,7 @@ partial's downstream iteration order is independent of socket timing.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.controlplane.merge import merge_fastpath_snapshots
 from repro.dataplane.host import LocalReport
@@ -120,17 +120,7 @@ class Aggregator:
                     key=lambda item: item[0].key64,
                 )
             )
-            fastpath = FastPathSnapshot(
-                entries=entries,
-                total_bytes=fastpath.total_bytes,
-                total_decremented=fastpath.total_decremented,
-                insert_count=fastpath.insert_count,
-                evict_count=fastpath.evict_count,
-                update_count=fastpath.update_count,
-                hit_count=fastpath.hit_count,
-                kickout_count=fastpath.kickout_count,
-                reject_count=fastpath.reject_count,
-            )
+            fastpath = replace(fastpath, entries=entries)
         return PartialAggregate(
             aggregator_id=self.aggregator_id,
             sketch=sketch,

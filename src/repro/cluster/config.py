@@ -60,19 +60,6 @@ class ClusterConfig:
         it block in ``drain()`` (kernel backpressure, also counted).
     max_frame_bytes:
         Stream-level ceiling on a declared frame length.
-    quarantine_threshold, quarantine_epochs:
-        Transport circuit breaker: hosts whose report fails this many
-        consecutive epochs sit out the next ``quarantine_epochs``
-        epochs entirely (no connection churn, straight to the
-        degraded merge) — the same policy the durability supervisor
-        applies to crash-looping data planes.
-    failover:
-        ``True`` (default): when an aggregator's heartbeats go stale
-        the runner declares it dead, re-shards its hosts onto
-        survivors via rendezvous hashing, and redelivers the lost
-        reports.  ``False``: a dead shard's hosts go missing and the
-        epoch resolves through the quorum-gated degraded merge —
-        the pre-failover behaviour, kept for directed tests.
     heartbeat_interval:
         How often each live aggregator beats into the controller's
         liveness table.
@@ -82,6 +69,13 @@ class ClusterConfig:
         positive (a live aggregator declared dead under load) is
         safe — its shard is re-shipped to survivors and the dedup
         set makes the merge count every host exactly once.
+
+    A dead aggregator's hosts always fail over: the runner re-shards
+    them onto the survivors by rendezvous hashing and redelivers the
+    lost reports.  Hosts whose report keeps failing sit out epochs
+    behind the :class:`~repro.durability.supervisor.CircuitBreaker`,
+    the policy the durability supervisor applies to crash-looping data
+    planes.
     """
 
     aggregators: int = 0
@@ -101,9 +95,6 @@ class ClusterConfig:
     max_inflight: int = 64
     write_buffer_bytes: int = 1 << 16
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-    quarantine_threshold: int = 3
-    quarantine_epochs: int = 2
-    failover: bool = True
     heartbeat_interval: float = 0.05
     aggregator_watchdog: float = 0.4
 

@@ -406,7 +406,7 @@ class ClusterCollector:
                     # ruled yet; let it.
                     await asyncio.sleep(cfg.heartbeat_interval / 2)
                     continue
-                if not failover_records or not cfg.failover:
+                if not failover_records:
                     break
                 if len(failover_records) == swept_generation:
                     # No new failover since the last sweep: stable.
@@ -481,11 +481,7 @@ class ClusterCollector:
             if host_id in delivered:
                 breaker.record_success()
             else:
-                breaker.record_failure(
-                    epoch,
-                    cfg.quarantine_threshold,
-                    cfg.quarantine_epochs,
-                )
+                breaker.record_failure(epoch)
 
         if cfg.hierarchical:
             partials = [

@@ -85,12 +85,10 @@ class Controller:
         Minimum fraction of expected hosts that must report before an
         epoch is merged at all; below it :meth:`aggregate` raises
         :class:`QuorumError`.  Only consulted when the caller passes
-        ``expected_hosts``.
-    degraded_rescale:
-        Scale the merged sketch and fast-path volume by
-        ``expected / reported`` in degraded epochs so network-wide
-        aggregates stay unbiased (hosts carry exchangeable traffic
-        shares, §3.1).  Disable to merge the surviving reports as-is.
+        ``expected_hosts``.  A degraded epoch (quorum met, hosts
+        missing) scales the merged sketch and fast-path volume by
+        ``expected / reported`` so network-wide aggregates stay
+        unbiased (hosts carry exchangeable traffic shares, §3.1).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` to receive merge /
         recovery spans and counters.
@@ -101,7 +99,6 @@ class Controller:
         mode: RecoveryMode = RecoveryMode.SKETCHVISOR,
         lens_config: LensConfig | None = None,
         quorum: float = 0.5,
-        degraded_rescale: bool = True,
         telemetry: Telemetry | None = None,
     ):
         if not 0.0 < quorum <= 1.0:
@@ -111,7 +108,6 @@ class Controller:
         self.mode = mode
         self.lens_config = lens_config
         self.quorum = quorum
-        self.degraded_rescale = degraded_rescale
         self.telemetry = telemetry
 
     def aggregate(
@@ -168,9 +164,7 @@ class Controller:
         degraded: DegradedEpoch | None = None
         scale = 1.0
         if reported < expected:
-            scale = (
-                expected / reported if self.degraded_rescale else 1.0
-            )
+            scale = expected / reported
             degraded = DegradedEpoch(
                 expected_hosts=expected,
                 reported_hosts=reported,

@@ -9,6 +9,7 @@ a flow, its counters add (``e`` bounds add conservatively).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import replace
 
 from repro.common.errors import MergeError
 from repro.fastpath.topk import FastPathSnapshot, FlowEntry
@@ -68,16 +69,11 @@ def rescale_snapshot(
         flow: FlowEntry(entry.e, entry.r, entry.d)
         for flow, entry in snapshot.entries.items()
     }
-    return FastPathSnapshot(
+    return replace(
+        snapshot,
         entries=entries,
         total_bytes=snapshot.total_bytes * factor,
         total_decremented=snapshot.total_decremented * factor,
-        insert_count=snapshot.insert_count,
-        evict_count=snapshot.evict_count,
-        update_count=snapshot.update_count,
-        hit_count=snapshot.hit_count,
-        kickout_count=snapshot.kickout_count,
-        reject_count=snapshot.reject_count,
     )
 
 

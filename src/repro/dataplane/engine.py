@@ -2,11 +2,11 @@
 
 :class:`HostEngine` is the only data-plane loop.  It walks a trace in
 *chunks*; a chunk ends at the next of ``stop_at``, a
-``checkpoint_every`` multiple, a ``heartbeat_every`` multiple, or the
-end of the trace.  Inside a chunk a lean routing pass — plain lists and
-locals, the FIFO as a deque of enqueue cycles, no packet-object reads —
-replays the producer/consumer cycle recurrences and decides, per
-packet, normal path or fast path (or block).  Counter state never
+``checkpoint_every`` multiple, or the end of the trace.  Inside a chunk
+a lean routing pass — plain lists and locals, the FIFO as a deque of
+enqueue cycles, no packet-object reads — replays the producer/consumer
+cycle recurrences and decides, per packet, normal path or fast path (or
+block).  Counter state never
 influences routing, so the chunk's normal-path packets go to the sketch
 afterwards in one :meth:`~repro.sketches.base.Sketch.update_trace`
 call, and the report's packet/byte counts and flow sets are derived
@@ -19,8 +19,8 @@ a dict probe and an add on :class:`FastPath`'s columns, a miss calls
 The engine's *entire* execution state — sketch, fast path, FIFO
 backlog, producer/consumer clocks, partially filled report, and the
 trace offset — lives on the instance between chunks, and the
-``on_checkpoint`` / ``on_heartbeat`` hooks fire only after it has been
-written back.  That makes an epoch **interruptible and resumable**:
+``on_checkpoint`` hook fires only after it has been written back.
+That makes an epoch **interruptible and resumable**:
 ``run(trace, stop_at=k)`` stops at offset ``k``; calling ``run`` again
 (on this engine, or on one rebuilt from a
 :class:`~repro.durability.StateCodec` snapshot) continues exactly there
@@ -191,8 +191,6 @@ class HostEngine:
         stop_at: int | None = None,
         checkpoint_every: int = 0,
         on_checkpoint=None,
-        heartbeat_every: int = 0,
-        on_heartbeat=None,
     ) -> "HostEngine":
         """Process ``trace[self.offset : stop_at]`` and return self.
 
@@ -205,9 +203,8 @@ class HostEngine:
         ``on_checkpoint(engine)`` fires when the absolute offset is a
         multiple of ``checkpoint_every`` (alignment is to the trace, not
         to the restart point, so boundaries are stable across crashes)
-        and packets remain; ``on_heartbeat(engine)`` likewise every
-        ``heartbeat_every`` packets — the supervisor's liveness signal.
-        Both see the engine with the chunk fully applied.
+        and packets remain; it sees the engine with the chunk fully
+        applied.
         """
         n = len(trace)
         end = n if stop_at is None else min(stop_at, n)
@@ -215,8 +212,6 @@ class HostEngine:
             return self
         if on_checkpoint is None:
             checkpoint_every = 0
-        if on_heartbeat is None:
-            heartbeat_every = 0
 
         arrivals = arrival_cycles_array(
             trace, offered_gbps, self.cost_model
@@ -255,9 +250,10 @@ class HostEngine:
         while self.offset < end:
             lo = self.offset
             hi = end
-            for every in (checkpoint_every, heartbeat_every):
-                if every:
-                    hi = min(hi, (lo // every + 1) * every)
+            if checkpoint_every:
+                hi = min(
+                    hi, (lo // checkpoint_every + 1) * checkpoint_every
+                )
             due = repeat(0.0, hi - lo) if arrivals is None else arrivals[lo:hi]
             if self.ideal:
                 self._pace(due)
@@ -302,8 +298,6 @@ class HostEngine:
             self.offset = hi
             if checkpoint_every and hi % checkpoint_every == 0 and hi < n:
                 on_checkpoint(self)
-            if heartbeat_every and hi % heartbeat_every == 0:
-                on_heartbeat(self)
 
         if profiler is not None:
             total_ns = clock() - began

@@ -40,6 +40,27 @@ class LocalReport:
         default=None, init=False, repr=False, compare=False
     )
 
+    @classmethod
+    def build(
+        cls,
+        host_id: int,
+        sketch: Sketch,
+        fastpath: FastPath | MisraGriesTopK | None,
+        switch: SwitchReport,
+    ) -> "LocalReport":
+        """The report of a finished epoch: only a :class:`FastPath`
+        reports a snapshot (Misra-Gries and no fast path send none)."""
+        return cls(
+            host_id=host_id,
+            sketch=sketch,
+            fastpath=(
+                fastpath.snapshot()
+                if isinstance(fastpath, FastPath)
+                else None
+            ),
+            switch=switch,
+        )
+
     def _get_sketch(self) -> Sketch | None:
         if self._sketch is None and self.frame is not None:
             from repro.controlplane.transport import decode_report
@@ -113,7 +134,6 @@ class Host:
         cost_model: CostModel | None = None,
         buffer_packets: int = 1024,
         batch: bool = False,
-        telemetry=None,
     ):
         self.host_id = host_id
         self.sketch = sketch
@@ -129,25 +149,17 @@ class Host:
             cost_model=cost_model,
             buffer_packets=buffer_packets,
             ideal=ideal,
-            telemetry=telemetry,
-            host_label=str(host_id),
         )
 
     def run_epoch(
         self, trace: Trace, offered_gbps: float | None = None
     ) -> LocalReport:
         """Process one epoch and emit the control-plane report."""
-        switch_report = self.switch.process(trace, offered_gbps)
-        snapshot = (
-            self.fastpath.snapshot()
-            if isinstance(self.fastpath, FastPath)
-            else None
-        )
-        return LocalReport(
-            host_id=self.host_id,
-            sketch=self.sketch,
-            fastpath=snapshot,
-            switch=switch_report,
+        return LocalReport.build(
+            self.host_id,
+            self.sketch,
+            self.fastpath,
+            self.switch.process(trace, offered_gbps),
         )
 
     def reset(self) -> None:

@@ -32,12 +32,6 @@ from repro.dataplane.engine import HostEngine, SwitchReport
 from repro.fastpath.misra_gries import MisraGriesTopK
 from repro.fastpath.topk import FastPath
 from repro.sketches.base import Sketch
-from repro.telemetry import Telemetry, trace_span
-from repro.telemetry.publish import (
-    fastpath_stats,
-    publish_fastpath_epoch,
-    publish_switch_epoch,
-)
 
 __all__ = ["SoftwareSwitch", "SwitchReport"]
 
@@ -67,8 +61,6 @@ class SoftwareSwitch:
         cost_model: CostModel | None = None,
         buffer_packets: int = 1024,
         ideal: bool = False,
-        telemetry: Telemetry | None = None,
-        host_label: str = "0",
     ):
         if ideal and fastpath is not None:
             raise ConfigError("ideal mode does not use a fast path")
@@ -77,18 +69,12 @@ class SoftwareSwitch:
         self.cost_model = cost_model or CostModel.in_memory()
         self.buffer = BoundedFIFO(buffer_packets)
         self.ideal = ideal
-        self.telemetry = telemetry
-        self.host_label = host_label
         #: Optional :class:`~repro.telemetry.profiling.Profiler`; the
-        #: pipeline attaches one to each host it runs so the
-        #: engine attributes its epoch wall time to named stages.
-        #: Independent of ``telemetry`` — per-host metrics publish
-        #: centrally from reports, but stage timers must run where the
-        #: cycles are spent.
+        #: pipeline attaches one to each host it runs so the engine
+        #: attributes its epoch wall time to named stages.  Metrics are
+        #: not published here: the pipeline publishes them centrally
+        #: from the reports.
         self.profiler = None
-        # Fast-path operation counters are lifetime totals; remember
-        # what was already published so each epoch increments by delta.
-        self._published_fastpath: dict[str, float] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -114,9 +100,6 @@ class SoftwareSwitch:
                 f"fastpath={type(self.fastpath).__name__}"
                 f"(k={self.fastpath.capacity})"
             )
-        parts.append(
-            f"telemetry={'on' if self.telemetry is not None else 'off'}"
-        )
         return f"SoftwareSwitch({', '.join(parts)})"
 
     def __repr__(self) -> str:
@@ -146,34 +129,4 @@ class SoftwareSwitch:
         out traffic as fast as possible", §7.1), which measures the
         switch's maximum sustainable throughput.
         """
-        with trace_span(
-            self.telemetry, "switch.process", host=self.host_label
-        ):
-            report = self.engine().run(trace, offered_gbps).finish()
-        if self.telemetry is not None:
-            self._publish(report)
-        return report
-
-    def _publish(self, report: SwitchReport) -> None:
-        """Publish this epoch's counters (fast-path stats by delta)."""
-        registry = self.telemetry.registry
-        publish_switch_epoch(
-            registry,
-            report,
-            host=self.host_label,
-            sketch=self.sketch.name,
-        )
-        if self.fastpath is None:
-            return
-        stats = fastpath_stats(self.fastpath)
-        previous = self._published_fastpath
-        if previous is not None:
-            deltas = {
-                key: value - previous.get(key, 0.0)
-                for key, value in stats.items()
-            }
-            deltas["tracked"] = stats["tracked"]  # gauge: absolute
-        else:
-            deltas = stats
-        self._published_fastpath = stats
-        publish_fastpath_epoch(registry, deltas, host=self.host_label)
+        return self.engine().run(trace, offered_gbps).finish()

@@ -13,10 +13,10 @@ longer forfeits the epoch.  Three layers compose the guarantee:
   journals the trace offset in a tiny write-ahead log, so a restarted
   host resumes from the last checkpoint and replays only the journaled
   tail — bit-identical to an uncrashed run;
-* :class:`~repro.durability.supervisor.Supervisor` — per-host
-  heartbeats, a watchdog for hung workers, bounded restart-with-replay
-  (escalating to PR 3's degraded merge after R failed restarts), and a
-  circuit breaker quarantining flapping hosts.
+* :class:`~repro.durability.supervisor.Supervisor` — a simulated
+  watchdog for hung workers, bounded restart-with-replay (escalating to
+  the degraded merge after R failed restarts), and a circuit breaker
+  quarantining flapping hosts.
 
 Everything is **off by default**: a pipeline without ``checkpoint_dir``
 never constructs any of it and runs bit-identically to a build without
@@ -28,7 +28,6 @@ from repro.durability.checkpoint import (
     Checkpointer,
     CheckpointStats,
     WriteAheadLog,
-    checkpoint_from_env,
 )
 from repro.durability.codec import StateCodec
 from repro.durability.supervisor import (
@@ -46,5 +45,4 @@ __all__ = [
     "StateCodec",
     "Supervisor",
     "WriteAheadLog",
-    "checkpoint_from_env",
 ]

@@ -38,28 +38,6 @@ from repro.durability.codec import StateCodec
 DEFAULT_CHECKPOINT_EVERY = 16384
 
 
-def checkpoint_from_env() -> tuple[str | None, int | None]:
-    """The environment-gated checkpoint config (mirrors ``REPRO_CHAOS``).
-
-    ``REPRO_CHECKPOINT_DIR=<dir>`` enables durable host state for every
-    :class:`PipelineConfig` built without an explicit ``checkpoint_dir``
-    (how CI's crash-recovery leg turns the whole suite durable);
-    ``REPRO_CHECKPOINT_EVERY=<K>`` overrides the snapshot interval.
-    Returns ``(None, None)`` when unset, keeping durability opt-in.
-    """
-    directory = os.environ.get("REPRO_CHECKPOINT_DIR", "")
-    if not directory:
-        return None, None
-    every = os.environ.get("REPRO_CHECKPOINT_EVERY", "")
-    try:
-        every_packets = int(every) if every else None
-    except ValueError:
-        every_packets = None
-    if every_packets is not None and every_packets < 1:
-        every_packets = None
-    return directory, every_packets
-
-
 @dataclass
 class CheckpointStats:
     """Lifetime counters of one host's checkpointer."""

@@ -1,4 +1,4 @@
-"""Supervised data plane: heartbeats, watchdog, restart-with-replay.
+"""Supervised data plane: watchdog, restart-with-replay, quarantine.
 
 The :class:`Supervisor` owns the failure policy the checkpoint layer
 only enables.  Per host, per epoch it:
@@ -6,22 +6,23 @@ only enables.  Per host, per epoch it:
 1. asks the fault plan for the cell's **mid-epoch schedule**
    (:meth:`~repro.faults.plan.FaultPlan.dataplane_schedule_for`) and
    drives the engine ``stop_at`` each scheduled offset — a ``dp_crash``
-   discards the live engine (its state is "lost"), a ``hang`` first
-   burns the watchdog timeout before the watchdog declares it dead;
+   discards the live engine (its state is "lost"), a ``hang`` is
+   charged :data:`WATCHDOG_TIMEOUT` simulated seconds before the
+   watchdog declares it dead;
 2. **restarts** the host from its newest restorable checkpoint and
-   replays only the journaled tail, up to ``max_restarts`` times —
+   replays only the journaled tail, up to :data:`MAX_RESTARTS` times —
    replay is bit-identical, so a recovered epoch's
    :class:`~repro.dataplane.engine.SwitchReport` equals an uncrashed
    run's;
-3. past ``max_restarts`` the host **gives up** the epoch and is handed
-   to PR 3's degraded merge as a missing host;
-4. a **circuit breaker** counts consecutive gave-up epochs per host and
-   quarantines flappers for ``quarantine_epochs`` epochs (they sit out
-   entirely — no restart churn, straight to degraded merge).
+3. past :data:`MAX_RESTARTS` the host **gives up** the epoch and is
+   handed to the degraded merge as a missing host;
+4. a :class:`CircuitBreaker` counts consecutive gave-up epochs per host
+   and quarantines flappers (they sit out entirely — no restart churn,
+   straight to degraded merge).
 
-Heartbeats (``heartbeat_every`` packets) update a per-host liveness
-table that :meth:`Supervisor.stalled_hosts` checks against the watchdog
-timeout.
+A host runs synchronously in the caller's thread, so its engine is
+driven in chunks that end only at checkpoints, at the next scheduled
+fault, and at the end of the shard.
 """
 
 from __future__ import annotations
@@ -35,7 +36,14 @@ from repro.durability.checkpoint import (
     Checkpointer,
 )
 from repro.faults.plan import FaultKind
-from repro.fastpath.topk import FastPath
+
+#: Restarts allowed per host per epoch before it gives up and falls to
+#: the degraded merge.
+MAX_RESTARTS = 2
+
+#: Simulated seconds the watchdog waits out one ``hang`` fault before it
+#: declares the host dead (charged to :attr:`HostOutcome.watchdog_wait`).
+WATCHDOG_TIMEOUT = 1.0
 
 
 @dataclass
@@ -73,13 +81,16 @@ class HostOutcome:
 class CircuitBreaker:
     """Per-peer circuit-breaker state, keyed by epoch.
 
-    ``threshold`` consecutive failed epochs open the breaker for
-    ``quarantine_epochs`` epochs, during which the peer is skipped
+    :attr:`THRESHOLD` consecutive failed epochs open the breaker for
+    :attr:`QUARANTINE_EPOCHS` epochs, during which the peer is skipped
     outright.  Shared by the supervisor (hosts whose data plane keeps
     giving up) and the cluster transport (hosts whose report channel
     keeps failing) so both layers quarantine flapping peers with the
     same policy.
     """
+
+    THRESHOLD = 3
+    QUARANTINE_EPOCHS = 2
 
     streak: int = 0
     open_until: int = 0  # first epoch the peer may run again
@@ -88,14 +99,12 @@ class CircuitBreaker:
         """Whether the peer is quarantined for ``epoch``."""
         return epoch < self.open_until
 
-    def record_failure(
-        self, epoch: int, threshold: int, quarantine_epochs: int
-    ) -> bool:
+    def record_failure(self, epoch: int) -> bool:
         """Count one failed epoch; returns True when this failure
         trips the breaker (the peer enters quarantine)."""
         self.streak += 1
-        if self.streak >= threshold:
-            self.open_until = epoch + 1 + quarantine_epochs
+        if self.streak >= self.THRESHOLD:
+            self.open_until = epoch + 1 + self.QUARANTINE_EPOCHS
             self.streak = 0
             return True
         return False
@@ -121,18 +130,6 @@ class Supervisor:
         record each fired data-plane fault.
     checkpoint_every:
         Snapshot interval in packets (absolute-offset aligned).
-    heartbeat_every:
-        Heartbeat interval in packets.
-    watchdog_timeout:
-        Seconds without a heartbeat before :meth:`stalled_hosts` flags
-        a host; also the simulated wait charged per ``hang`` fault.
-    max_restarts:
-        Restarts allowed per host per epoch before it gives up and
-        falls to the degraded merge.
-    quarantine_threshold:
-        Consecutive gave-up epochs that trip the circuit breaker.
-    quarantine_epochs:
-        Epochs a tripped host sits out before being retried.
     """
 
     def __init__(
@@ -141,24 +138,11 @@ class Supervisor:
         plan=None,
         injector=None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-        heartbeat_every: int = 2048,
-        watchdog_timeout: float = 1.0,
-        max_restarts: int = 2,
-        quarantine_threshold: int = 3,
-        quarantine_epochs: int = 2,
     ):
         self.checkpoint_dir = checkpoint_dir
         self.plan = plan
         self.injector = injector
         self.checkpoint_every = max(1, int(checkpoint_every))
-        self.heartbeat_every = max(1, int(heartbeat_every))
-        self.watchdog_timeout = watchdog_timeout
-        self.max_restarts = max(0, int(max_restarts))
-        self.quarantine_threshold = max(1, int(quarantine_threshold))
-        self.quarantine_epochs = max(1, int(quarantine_epochs))
-        #: host_id → (epoch, offset, wall-clock timestamp) of the last
-        #: heartbeat; the watchdog's liveness table.
-        self.heartbeats: dict[int, tuple[int, int, float]] = {}
         self._checkpointers: dict[int, Checkpointer] = {}
         self._breakers: dict[int, CircuitBreaker] = {}
 
@@ -174,17 +158,6 @@ class Supervisor:
             )
             self._checkpointers[host_id] = ckpt
         return ckpt
-
-    def stalled_hosts(self, now: float | None = None) -> list[int]:
-        """Hosts whose last heartbeat is older than the watchdog
-        timeout (the liveness view an external monitor would poll)."""
-        if now is None:
-            now = time.perf_counter()
-        return sorted(
-            host_id
-            for host_id, (_epoch, _offset, seen) in self.heartbeats.items()
-            if now - seen > self.watchdog_timeout
-        )
 
     # ------------------------------------------------------------------
     def run_epoch(
@@ -224,12 +197,7 @@ class Supervisor:
             )
 
         ckpt.begin_epoch(epoch, engine)
-        self._heartbeat(epoch, engine, host.host_id)
-
         on_checkpoint = lambda e: ckpt.write(epoch, e)  # noqa: E731
-        on_heartbeat = lambda e: self._heartbeat(  # noqa: E731
-            epoch, e, host.host_id
-        )
 
         report = None
         while True:
@@ -240,8 +208,6 @@ class Supervisor:
                 stop_at=stop_at,
                 checkpoint_every=self.checkpoint_every,
                 on_checkpoint=on_checkpoint,
-                heartbeat_every=self.heartbeat_every,
-                on_heartbeat=on_heartbeat,
             )
             if not faults:
                 report = engine.finish()
@@ -255,11 +221,11 @@ class Supervisor:
                 self.injector.record(fault.kind)
             if fault.kind is FaultKind.HANG:
                 outcome.hangs += 1
-                outcome.watchdog_wait += self.watchdog_timeout
+                outcome.watchdog_wait += WATCHDOG_TIMEOUT
             else:
                 outcome.crashes += 1
 
-            if outcome.restarts >= self.max_restarts:
+            if outcome.restarts >= MAX_RESTARTS:
                 outcome.gave_up = True
                 break
             outcome.restarts += 1
@@ -284,29 +250,13 @@ class Supervisor:
         )
 
         if outcome.gave_up:
-            breaker.record_failure(
-                epoch,
-                self.quarantine_threshold,
-                self.quarantine_epochs,
-            )
+            breaker.record_failure(epoch)
             return outcome
 
         breaker.record_success()
-        snapshot = (
-            engine.fastpath.snapshot()
-            if isinstance(engine.fastpath, FastPath)
-            else None
-        )
-        outcome.report = LocalReport(
-            host_id=host.host_id,
-            sketch=engine.sketch,
-            fastpath=snapshot,
-            switch=report,
+        # The restored engine's sketch and fast path, not the host's:
+        # a restart replaced them.
+        outcome.report = LocalReport.build(
+            host.host_id, engine.sketch, engine.fastpath, report
         )
         return outcome
-
-    # ------------------------------------------------------------------
-    def _heartbeat(self, epoch, engine, host_id) -> None:
-        self.heartbeats[host_id] = (
-            epoch, engine.offset, time.perf_counter()
-        )

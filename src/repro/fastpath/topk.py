@@ -361,8 +361,8 @@ class FastPathSnapshot:
     total_decremented: float
     insert_count: int = 0
     evict_count: int = 0
-    # Remaining O(1) operation counters (Figures 15/16a), carried so
-    # telemetry published from a snapshot matches the live fast path.
+    # Remaining O(1) operation counters (Figures 15/16a): per-host
+    # fast-path telemetry is published from the report's snapshot.
     update_count: int = 0
     hit_count: int = 0
     kickout_count: int = 0

@@ -34,7 +34,6 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
     failover_plan,
-    faults_from_env,
     moderate_plan,
     socket_plan,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "RETRIABLE_KINDS",
     "SOCKET_KINDS",
     "failover_plan",
-    "faults_from_env",
     "moderate_plan",
     "socket_plan",
 ]

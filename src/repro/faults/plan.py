@@ -17,7 +17,6 @@ degraded results) across runs and machines.
 from __future__ import annotations
 
 import json
-import os
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -49,8 +48,8 @@ class FaultKind(Enum):
     #: enabled; forfeits the epoch (degraded merge) otherwise.
     DATAPLANE_CRASH = "dp_crash"
     #: The host's data-plane worker stops making progress mid-epoch
-    #: (hung syscall, livelock): heartbeats cease and the supervisor's
-    #: watchdog must detect it before a restart can happen.
+    #: (hung syscall, livelock): the supervisor charges the watchdog's
+    #: simulated timeout before a restart can happen.
     HANG = "hang"
     #: The controller/aggregator refuses the host's TCP connection
     #: (listener down, backlog full); the connect attempt fails fast.
@@ -596,22 +595,3 @@ def failover_plan(seed: int = 0) -> FaultPlan:
         },
     )
 
-
-def faults_from_env() -> FaultPlan | None:
-    """A moderate :class:`FaultPlan` when ``REPRO_CHAOS`` is set.
-
-    ``REPRO_CHAOS=1`` (or any non-empty value except ``0``) enables the
-    :func:`moderate_plan` mix — recoverable faults only, so the suite
-    still produces full-quorum results; a numeric value other than
-    ``1`` is used as the plan seed.  Returns ``None`` otherwise,
-    keeping fault injection strictly opt-in (mirrors
-    ``REPRO_TELEMETRY``).
-    """
-    flag = os.environ.get("REPRO_CHAOS", "")
-    if not flag or flag == "0":
-        return None
-    try:
-        seed = int(flag)
-    except ValueError:
-        seed = 0
-    return moderate_plan(seed=0 if seed == 1 else seed)

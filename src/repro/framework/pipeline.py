@@ -9,9 +9,11 @@ against exact ground truth.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from repro.cluster import ClusterCollector, ClusterConfig
+from repro.common.errors import ConfigError
 from repro.controlplane.controller import Controller, NetworkResult
 from repro.controlplane.lens import LensConfig
 from repro.controlplane.recovery import RecoveryMode
@@ -26,19 +28,13 @@ from repro.durability import (
     DEFAULT_CHECKPOINT_EVERY,
     HostOutcome,
     Supervisor,
-    checkpoint_from_env,
 )
-from repro.faults import FaultInjector, FaultPlan, faults_from_env
+from repro.faults import FaultInjector, FaultPlan, moderate_plan
 from repro.framework.modes import DataPlaneMode
 from repro.sketches.base import Sketch
 from repro.tasks.base import MeasurementTask, TaskScore
 from repro.tasks.heavy_changer import HeavyChangerTask
-from repro.telemetry import (
-    Telemetry,
-    profile_from_env,
-    telemetry_from_env,
-    trace_span,
-)
+from repro.telemetry import Telemetry, trace_span
 from repro.telemetry.accuracy import (
     AccuracyObserver,
     SLOBreach,
@@ -92,17 +88,6 @@ class PipelineConfig:
     checkpoint_dir: str | None = None
     #: Snapshot interval in packets (absolute-offset aligned).
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
-    #: Restarts allowed per host per epoch before the supervisor gives
-    #: up and hands the host to the degraded merge.
-    max_restarts: int = 2
-    #: Consecutive gave-up epochs that trip a host's circuit breaker.
-    quarantine_threshold: int = 3
-    #: Epochs a quarantined host sits out before being retried.
-    quarantine_epochs: int = 2
-    #: Supervisor heartbeat interval in packets.
-    heartbeat_every: int = 2048
-    #: Seconds without a heartbeat before the watchdog flags a host.
-    watchdog_timeout: float = 1.0
     #: Accuracy SLO policy: an :class:`SLOPolicy`, a path to a policy
     #: JSON, or ``None`` (no SLO evaluation).  Needs telemetry.
     slo: SLOPolicy | str | None = None
@@ -122,22 +107,57 @@ class PipelineConfig:
     cluster: "ClusterConfig | None" = None
 
     def __post_init__(self) -> None:
-        # REPRO_PROFILE=1 profiles the given telemetry, or the one
-        # REPRO_TELEMETRY / REPRO_PROFILE makes here.
-        if self.telemetry is None:
-            self.telemetry = telemetry_from_env()
-        else:
-            env_profile = profile_from_env()
-            if env_profile is not None:
-                self.telemetry.enable_profiling(env_profile)
-        if self.faults is None:
-            self.faults = faults_from_env()
-        if self.checkpoint_dir is None:
-            env_dir, env_every = checkpoint_from_env()
-            if env_dir is not None:
-                self.checkpoint_dir = env_dir
-                if env_every is not None:
-                    self.checkpoint_every = env_every
+        _apply_env_switches(self)
+
+
+def _apply_env_switches(config: PipelineConfig) -> None:
+    """Apply the five ``REPRO_*`` switches to ``config``: the one place
+    the package reads the environment (how CI runs the whole suite
+    instrumented, chaotic, or durable).
+
+    * ``REPRO_TELEMETRY`` gives a config without telemetry a fresh
+      :class:`Telemetry`;
+    * ``REPRO_PROFILE`` implies telemetry and profiles it, a telemetry
+      passed in included;
+    * ``REPRO_CHAOS`` gives a config without a plan
+      :func:`~repro.faults.moderate_plan`, seeded by a numeric value
+      other than ``1``;
+    * ``REPRO_CHECKPOINT_DIR`` gives a config without a checkpoint
+      directory that one, and ``REPRO_CHECKPOINT_EVERY`` then sets its
+      snapshot interval (a positive integer, else :class:`ConfigError`).
+    """
+    env = os.environ
+
+    def on(name: str) -> bool:
+        return env.get(name, "") not in ("", "0")
+
+    profile = on("REPRO_PROFILE")
+    if config.telemetry is None:
+        if profile or on("REPRO_TELEMETRY"):
+            config.telemetry = Telemetry(profile=profile)
+    elif profile:
+        config.telemetry.enable_profiling()
+    if config.faults is None and on("REPRO_CHAOS"):
+        try:
+            seed = int(env["REPRO_CHAOS"])
+        except ValueError:
+            seed = 0
+        config.faults = moderate_plan(seed=0 if seed == 1 else seed)
+    directory = env.get("REPRO_CHECKPOINT_DIR", "")
+    if config.checkpoint_dir is None and directory:
+        config.checkpoint_dir = directory
+        every = env.get("REPRO_CHECKPOINT_EVERY", "")
+        if every:
+            try:
+                packets = int(every)
+            except ValueError:
+                packets = 0
+            if packets < 1:
+                raise ConfigError(
+                    "REPRO_CHECKPOINT_EVERY must be a positive number "
+                    f"of packets, got {every!r}"
+                )
+            config.checkpoint_every = packets
 
 
 @dataclass
@@ -260,11 +280,6 @@ class SketchVisorPipeline:
                 plan=self.config.faults,
                 injector=self._injector,
                 checkpoint_every=self.config.checkpoint_every,
-                heartbeat_every=self.config.heartbeat_every,
-                watchdog_timeout=self.config.watchdog_timeout,
-                max_restarts=self.config.max_restarts,
-                quarantine_threshold=self.config.quarantine_threshold,
-                quarantine_epochs=self.config.quarantine_epochs,
             )
         else:
             self._supervisor = None

@@ -72,9 +72,6 @@ class ServeConfig:
     #: An endless run (``max_windows is None``) also keeps only this
     #: many monitor summaries.
     ring_windows: int = 8
-    #: Run the in-flight partial window through the pipeline on
-    #: shutdown instead of discarding it.
-    drain: bool = True
     #: Seconds without a window advance before ``/healthz`` flips
     #: unhealthy; ``None`` derives 5 x window_seconds (wall-clock
     #: windows) or disables staleness (packet-count windows, whose
@@ -312,7 +309,9 @@ class MeasurementService:
                     self._advance(window)
                 if self._shutdown.is_set():
                     break
-            if self.config.drain and not self._bounded_run_complete():
+            # Shutdown drains: the in-flight partial window runs
+            # through the pipeline instead of being discarded.
+            if not self._bounded_run_complete():
                 final = self.scheduler.flush()
                 if final is not None:
                     self._advance(final, draining=True)

@@ -36,7 +36,6 @@ the tier-1 suite fully instrumented).
 
 from __future__ import annotations
 
-import os
 from contextlib import nullcontext
 
 from repro.telemetry.exporters import (
@@ -55,11 +54,7 @@ from repro.telemetry.registry import (
     HistogramFamily,
     MetricsRegistry,
 )
-from repro.telemetry.profiling import (
-    ProfileConfig,
-    Profiler,
-    profile_from_env,
-)
+from repro.telemetry.profiling import ProfileConfig, Profiler
 from repro.telemetry.recorder import FlightRecorder, RecorderEvent
 from repro.telemetry.tracer import Span, Tracer
 
@@ -79,9 +74,7 @@ __all__ = [
     "Telemetry",
     "Tracer",
     "json_snapshot",
-    "profile_from_env",
     "prometheus_text",
-    "telemetry_from_env",
     "trace_span",
     "write_chrome_trace",
     "write_json_snapshot",
@@ -92,8 +85,7 @@ __all__ = [
 class Telemetry:
     """One metrics registry plus one tracer — the unit of wiring.
 
-    Pass an instance as ``PipelineConfig(telemetry=...)`` (or directly
-    to a :class:`~repro.dataplane.switch.SoftwareSwitch`); every
+    Pass an instance as ``PipelineConfig(telemetry=...)``; every
     instrumented component it reaches publishes into the same registry
     and tracer.
     """
@@ -162,16 +154,3 @@ def trace_span(telemetry: Telemetry | None, name: str, **attrs):
         return telemetry.profiler.stage(name, **attrs)
     return telemetry.tracer.span(name, **attrs)
 
-
-def telemetry_from_env() -> Telemetry | None:
-    """A fresh :class:`Telemetry` when ``REPRO_TELEMETRY`` is set.
-
-    Recognizes any non-empty value except ``0``; returns ``None``
-    otherwise, keeping telemetry strictly opt-in.  ``REPRO_PROFILE=1``
-    implies telemetry and attaches a default-configured profiler.
-    """
-    profile = profile_from_env()
-    flag = os.environ.get("REPRO_TELEMETRY", "")
-    if (flag and flag != "0") or profile is not None:
-        return Telemetry(profile=profile)
-    return None

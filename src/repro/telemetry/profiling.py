@@ -21,8 +21,7 @@ when off:
   and aggregates collapsed stacks per stage, ready for ``.folded``
   dumps and the flamegraph renderer in :mod:`repro.dash`;
 * **memory high-water tracking** — an RSS gauge from
-  ``/proc/self/statm`` (``getrusage`` fallback) plus opt-in
-  ``tracemalloc`` top-N allocation sites.
+  ``/proc/self/statm`` (``getrusage`` fallback).
 
 One profiler serves the whole run: the pipeline runs its hosts one at
 a time in-process, supervised or not, attaching the profiler to each
@@ -52,7 +51,6 @@ __all__ = [
     "Profiler",
     "StackSampler",
     "epoch_attribution",
-    "profile_from_env",
     "write_folded",
 ]
 
@@ -89,29 +87,12 @@ class ProfileConfig:
     """Knobs of the profiling subsystem (presence = enabled).
 
     Stage timers are always on while a config is attached; the stack
-    sampler and tracemalloc ride on top.
+    sampler rides on top.
     """
 
     #: Stack-sampler rate; 0 disables sampling (stage timers remain).
     #: 97 Hz — prime, so it does not phase-lock with periodic work.
     sample_hz: float = 97.0
-    #: Track allocation sites with ``tracemalloc`` (expensive: ~2x on
-    #: allocation-heavy code, so opt-in even within profiling).
-    memory: bool = False
-    #: Allocation sites kept per epoch when ``memory`` is on.
-    memory_top: int = 10
-
-
-def profile_from_env() -> ProfileConfig | None:
-    """The default :class:`ProfileConfig` when ``REPRO_PROFILE`` is set.
-
-    Recognizes any non-empty value except ``0``.  The sampler rate and
-    tracemalloc are :class:`ProfileConfig` fields, not env knobs.
-    """
-    flag = os.environ.get("REPRO_PROFILE", "")
-    if not flag or flag == "0":
-        return None
-    return ProfileConfig()
 
 
 class _StageFrame:
@@ -270,12 +251,9 @@ class Profiler:
         self.sample_counts: dict[str, int] = {}
         #: RSS high-water per contributing process: pid(str) -> bytes.
         self.rss: dict[str, int] = {}
-        #: Top allocation sites of the last epoch: [(site, bytes)].
-        self.memory_top: list[tuple[str, int]] = []
         self._stack: list[_StageFrame] = []
         self._sampler: StackSampler | None = None
         self._window_base: dict[str, list[int]] = {}
-        self._tracemalloc_started = False
 
     # -- stage timers --------------------------------------------------
     @contextmanager
@@ -359,11 +337,6 @@ class Profiler:
         if self.config.sample_hz > 0:
             self._sampler = StackSampler(self, self.config.sample_hz)
             self._sampler.start()
-        if self.config.memory and not self._tracemalloc_started:
-            import tracemalloc
-
-            tracemalloc.start()
-            self._tracemalloc_started = True
 
     def _deactivate(self) -> None:
         global _ACTIVE
@@ -376,17 +349,6 @@ class Profiler:
         self.rss[str(os.getpid())] = max(
             self.rss.get(str(os.getpid()), 0), _read_rss_bytes()
         )
-        if self._tracemalloc_started:
-            import tracemalloc
-
-            snapshot = tracemalloc.take_snapshot()
-            stats = snapshot.statistics("lineno")
-            self.memory_top = [
-                (str(stat.traceback), stat.size)
-                for stat in stats[: self.config.memory_top]
-            ]
-            tracemalloc.stop()
-            self._tracemalloc_started = False
         self._publish_window()
 
     def _publish_window(self) -> None:

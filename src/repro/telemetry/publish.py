@@ -1,10 +1,10 @@
 """The metric catalogue: how pipeline objects map into the registry.
 
 Every component publishes through these helpers so the counter
-*semantics* do not depend on who ran the epoch: a standalone switch,
-the pipeline and the supervised (checkpointed) pipeline all publish
-the same families from the same per-epoch report fields, which is what
-makes their counter totals comparable (and testable) bit for bit.
+*semantics* do not depend on who ran the epoch: the pipeline publishes
+per-host families from each epoch's reports, supervised (checkpointed)
+or not, which is what makes their counter totals comparable (and
+testable) bit for bit.
 
 All helpers are duck-typed over the report/snapshot objects (no
 dataplane imports) so this module sits below every instrumented layer.
@@ -74,23 +74,9 @@ def publish_switch_epoch(
 
 
 def fastpath_stats(fastpath) -> dict[str, float]:
-    """Uniform per-epoch operation stats for a live fast path *or* a
-    snapshot (:class:`FastPathSnapshot` carries the same counters so
-    publishing from control-plane reports matches publishing in situ).
-    """
-    if hasattr(fastpath, "num_updates"):  # live FastPath / MisraGries
-        return {
-            "updates": fastpath.num_updates,
-            "hits": fastpath.num_hits,
-            "inserts": fastpath.num_inserts,
-            "kickouts": fastpath.num_kickouts,
-            "evictions": fastpath.num_evicted,
-            "rejected": getattr(fastpath, "num_rejected", 0),
-            "bytes": fastpath.total_bytes,
-            "decremented": fastpath.total_decremented,
-            "tracked": len(fastpath.table),
-        }
-    return {  # FastPathSnapshot
+    """One epoch's operation stats from a host's
+    :class:`~repro.fastpath.topk.FastPathSnapshot`."""
+    return {
         "updates": fastpath.update_count,
         "hits": fastpath.hit_count,
         "inserts": fastpath.insert_count,

@@ -2,7 +2,8 @@
 
 Covers the failure envelope of the files themselves: torn WAL tails,
 snapshots corrupted at rest (walk-back to an older good one), atomic
-write-then-rename, per-epoch pruning, and the environment gate.
+write-then-rename, and per-epoch pruning.  The ``REPRO_CHECKPOINT_*``
+switches are in ``tests/test_framework.py``'s environment table.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from repro.durability import (
     DEFAULT_CHECKPOINT_EVERY,
     Checkpointer,
     WriteAheadLog,
-    checkpoint_from_env,
 )
 from repro.fastpath.topk import FastPath
 from repro.sketches import CountMinSketch
@@ -166,25 +166,8 @@ class TestCheckpointer:
         assert restored.offset == 0
 
 
-class TestEnvGate:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
-        assert checkpoint_from_env() == (None, None)
-
-    def test_dir_and_interval(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "123")
-        assert checkpoint_from_env() == (str(tmp_path), 123)
-
-    def test_bad_interval_falls_back(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "zero")
-        directory, every = checkpoint_from_env()
-        assert directory == str(tmp_path)
-        assert every is None
-
-    def test_default_interval_is_sane(self):
-        assert DEFAULT_CHECKPOINT_EVERY == 16384
+def test_default_interval_is_sane():
+    assert DEFAULT_CHECKPOINT_EVERY == 16384
 
 
 class TestWalRecordShape:

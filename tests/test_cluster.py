@@ -18,7 +18,7 @@ from repro.cluster import (
     assign_aggregator,
     rendezvous_aggregator,
 )
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, QuorumError
 from repro.controlplane.controller import Controller
 from repro.controlplane.recovery import RecoveryMode
 from repro.controlplane.transport import (
@@ -307,9 +307,7 @@ class TestSocketChaos:
         ]
         injector = FaultInjector(FaultPlan(seed=1, specs=specs))
         collector = ClusterCollector(
-            ClusterConfig(
-                quarantine_threshold=3, quarantine_epochs=2, **FAST
-            ),
+            ClusterConfig(**FAST),
             injector=injector,
         )
         # Epochs 0-2: partition fires, host missing, breaker charging.
@@ -770,15 +768,15 @@ class TestAggregatorFailover:
             self._clean_matrix(reports, 0),
         )
 
-    def test_suppressed_failover_degrades_instead_of_losing(
+    def test_strike_without_survivor_loses_no_host_silently(
         self, reports
     ):
-        """``failover=False``: the watchdog still detects the death
-        (and forgets the dead shard's attendance), but no redelivery
-        sweep runs — the un-recovered hosts flow into the quorum-gated
-        degraded merge, never silently vanish."""
+        """A one-aggregator tier struck mid-epoch: the watchdog detects
+        the death (and forgets the dead shard's attendance), but no
+        survivor is left to redeliver to — every un-recovered host is
+        booked missing for the quorum gate, none silently vanishes."""
         collection = self._strike_collect(
-            reports, FaultKind.AGG_CRASH, failover=False
+            reports, FaultKind.AGG_CRASH, aggregators=1
         )
         assert collection.missing_hosts  # the lost shard stays lost
         [record] = collection.failovers
@@ -790,11 +788,8 @@ class TestAggregatorFailover:
             + len(collection.missing_hosts)
             == NUM_HOSTS
         )
-        network = self._merge(collection, 0, quorum=0.25)
-        assert network.degraded is not None
-        assert sorted(network.degraded.missing_hosts) == sorted(
-            collection.missing_hosts
-        )
+        with pytest.raises(QuorumError, match="missing"):
+            self._merge(collection, 0)
 
     def test_flat_mode_discards_and_recovers_the_dead_bucket(
         self, reports

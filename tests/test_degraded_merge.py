@@ -94,15 +94,6 @@ class TestDegradedAnnotation:
         assert degraded.missing_share == pytest.approx(0.25)
         assert degraded.error_inflation == pytest.approx(1 / 3)
 
-    def test_rescale_can_be_disabled(self, reports):
-        network = Controller(
-            quorum=0.5, degraded_rescale=False
-        ).aggregate(
-            reports[:3], expected_hosts=NUM_HOSTS, missing_hosts=[3]
-        )
-        assert network.degraded is not None
-        assert network.degraded.scale == 1.0
-
 
 class TestRescaleHelpers:
     def test_rescale_sketch_scales_counters(self, reports):

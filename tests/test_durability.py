@@ -3,7 +3,7 @@
 The headline contract (ISSUE acceptance): a host that crashes mid-epoch
 under checkpointing recovers to a **bit-identical** ``SwitchReport`` —
 and identical downstream merged sketch — versus a fault-free run.  Past
-``max_restarts`` the pipeline must fall back to PR 3's degraded merge
+``MAX_RESTARTS`` the pipeline must fall back to the degraded merge
 unchanged; flapping hosts get quarantined; without checkpointing a
 mid-epoch fault simply loses the epoch (the pre-durability behavior).
 """
@@ -23,9 +23,15 @@ from repro import (
 )
 from repro.dataplane.host import Host
 from repro.durability import Supervisor
+from repro.durability.supervisor import (
+    MAX_RESTARTS,
+    WATCHDOG_TIMEOUT,
+    CircuitBreaker,
+)
 from repro.sketches import CountMinSketch
 from repro.fastpath.topk import FastPath
 from repro.telemetry import ProfileConfig, Telemetry
+from repro.traffic.generator import TraceConfig, generate_trace
 from tests.reference_engine import reference_reports, reference_run
 from tests.test_state_codec import state_equal
 
@@ -231,18 +237,17 @@ class TestEscalation:
     def test_restart_exhaustion_falls_to_degraded_merge(
         self, medium_trace, medium_truth, tmp_path
     ):
-        """Four crashes against max_restarts=2: host 1 gives up and
-        the epoch lands in PR 3's degraded merge."""
+        """Four crashes against MAX_RESTARTS (2): host 1 gives up and
+        the epoch lands in the degraded merge."""
         task = make_task(medium_truth)
         result = make_pipeline(
             task,
             tmp_path,
             faults=crash_plan(100, 200, 300, 400),
-            max_restarts=2,
         ).run_epoch(medium_trace, medium_truth)
         outcomes = {o.host_id: o for o in result.durability}
         assert outcomes[1].gave_up
-        assert outcomes[1].restarts == 2
+        assert outcomes[1].restarts == MAX_RESTARTS == 2
         assert outcomes[1].report is None
         assert 1 in result.collection.missing_hosts
         assert result.degraded is not None
@@ -253,8 +258,12 @@ class TestEscalation:
     def test_flapping_host_gets_quarantined(
         self, medium_trace, medium_truth, tmp_path
     ):
-        """Circuit breaker: a host that gives up epoch after epoch is
-        quarantined (no restart churn) and later retried."""
+        """Circuit breaker at the defaults: three crashes an epoch
+        exhaust MAX_RESTARTS, three such epochs trip the breaker, the
+        host sits out two epochs (no restart churn) and is then
+        retried."""
+        assert CircuitBreaker.THRESHOLD == 3
+        assert CircuitBreaker.QUARANTINE_EPOCHS == 2
         task = make_task(medium_truth)
         plan = FaultPlan(
             seed=9,
@@ -265,32 +274,24 @@ class TestEscalation:
                     kind=FaultKind.DATAPLANE_CRASH,
                     packet_offset=offset,
                 )
-                for epoch in range(2)
-                for offset in (100, 200, 300, 400)
+                for epoch in range(3)
+                for offset in (100, 200, 300)
             ],
         )
-        pipeline = make_pipeline(
-            task,
-            tmp_path,
-            faults=plan,
-            max_restarts=1,
-            quarantine_threshold=2,
-            quarantine_epochs=1,
-        )
-        first = pipeline.run_epoch(medium_trace, medium_truth)
-        second = pipeline.run_epoch(medium_trace, medium_truth)
-        third = pipeline.run_epoch(medium_trace, medium_truth)
-
+        pipeline = make_pipeline(task, tmp_path, faults=plan)
         by_host = lambda r: {o.host_id: o for o in r.durability}
-        assert by_host(first)[1].gave_up
-        assert by_host(second)[1].gave_up  # trips the breaker
-        tripped = by_host(third)[1]
-        assert tripped.quarantined
-        assert tripped.restarts == 0 and tripped.crashes == 0
-        assert 1 in third.collection.missing_hosts
-        # Epoch 3: quarantine expired, no faults scheduled → recovers.
-        fourth = pipeline.run_epoch(medium_trace, medium_truth)
-        assert by_host(fourth)[1].report is not None
+        for epoch in range(3):  # the third trips the breaker
+            result = pipeline.run_epoch(medium_trace, medium_truth)
+            assert by_host(result)[1].gave_up, epoch
+        for epoch in (3, 4):
+            result = pipeline.run_epoch(medium_trace, medium_truth)
+            tripped = by_host(result)[1]
+            assert tripped.quarantined
+            assert tripped.restarts == 0 and tripped.crashes == 0
+            assert 1 in result.collection.missing_hosts
+        # Epoch 5: quarantine expired, no faults scheduled → recovers.
+        recovered = pipeline.run_epoch(medium_trace, medium_truth)
+        assert by_host(recovered)[1].report is not None
 
     def test_unsupervised_dataplane_fault_loses_epoch(
         self, medium_trace, medium_truth, monkeypatch
@@ -318,27 +319,45 @@ class TestWatchdog:
             task,
             tmp_path,
             faults=crash_plan(300, kind=FaultKind.HANG),
-            watchdog_timeout=0.5,
         ).run_epoch(medium_trace, medium_truth)
         outcomes = {o.host_id: o for o in result.durability}
         assert outcomes[1].hangs == 1
-        assert outcomes[1].watchdog_wait == pytest.approx(0.5)
+        assert outcomes[1].watchdog_wait == pytest.approx(
+            WATCHDOG_TIMEOUT
+        )
+        assert WATCHDOG_TIMEOUT == 1.0
         assert outcomes[1].recovered
 
-    def test_stalled_hosts_query(self, small_trace, tmp_path):
-        supervisor = Supervisor(
-            str(tmp_path), watchdog_timeout=10.0, heartbeat_every=64
-        )
+
+class TestChunkSchedule:
+    def test_supervised_engine_chunks_at_checkpoints_only(
+        self, tmp_path, monkeypatch
+    ):
+        """A supervised host's engine cuts the shard at checkpoint
+        boundaries and the end of the trace, nowhere else: one sketch
+        update per chunk on a host whose every packet takes the
+        normal path."""
+        trace = generate_trace(TraceConfig(num_flows=1000, seed=1))
+        every = 4096
         host = Host(
-            host_id=7,
+            host_id=0,
             sketch=CountMinSketch(width=64, depth=3, seed=3),
-            fastpath_bytes=1024,
+            fastpath_bytes=None,
         )
-        supervisor.run_epoch([host], [small_trace], None, 0)
-        assert 7 in supervisor.heartbeats
-        assert supervisor.stalled_hosts() == []
-        epoch, offset, seen = supervisor.heartbeats[7]
-        assert supervisor.stalled_hosts(now=seen + 11.0) == [7]
+        chunks = []
+        update_trace = CountMinSketch.update_trace
+
+        def spy(sketch, trace, indices=None):
+            chunks.append(len(trace) if indices is None else len(indices))
+            return update_trace(sketch, trace, indices)
+
+        # On the class: checkpoints pickle the sketch instance.
+        monkeypatch.setattr(CountMinSketch, "update_trace", spy)
+        supervisor = Supervisor(str(tmp_path), checkpoint_every=every)
+        (outcome,) = supervisor.run_epoch([host], [trace], None, 0)
+        assert outcome.report is not None
+        assert len(chunks) == -(-len(trace) // every) == 3
+        assert sum(chunks) == len(trace)
 
 
 class TestInertness:

@@ -76,7 +76,6 @@ def test_any_chunking_equals_the_oracle(arm, offered, trace, data):
         data.draw(st.lists(st.integers(0, n + 3), max_size=6), "cuts")
     )
     checkpoint_every = data.draw(_interval(n), "checkpoint_every")
-    heartbeat_every = data.draw(_interval(n), "heartbeat_every")
     restore_at = data.draw(st.integers(0, len(cuts)), "restore_at")
     codec = StateCodec()
 
@@ -100,12 +99,10 @@ def test_any_chunking_equals_the_oracle(arm, offered, trace, data):
 
     straight = engine().run(trace, offered)
 
-    checkpoints, heartbeats = [], []
+    checkpoints = []
     hooks = dict(
         checkpoint_every=checkpoint_every,
         on_checkpoint=lambda e: checkpoints.append(e.offset),
-        heartbeat_every=heartbeat_every,
-        on_heartbeat=lambda e: heartbeats.append(e.offset),
     )
     chunked = engine()
     for step, cut in enumerate([*cuts, None]):
@@ -127,12 +124,9 @@ def test_any_chunking_equals_the_oracle(arm, offered, trace, data):
         assert list(chunked.fastpath.snapshot().entries) == list(
             oracle_fastpath.snapshot().entries
         )
-    # Hooks fire once per absolute boundary, resumed or not.
+    # The hook fires once per absolute boundary, resumed or not.
     assert checkpoints == list(
         range(checkpoint_every, n, checkpoint_every)
-    )
-    assert heartbeats == list(
-        range(heartbeat_every, n + 1, heartbeat_every)
     )
 
 

@@ -11,7 +11,6 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     FaultSpec,
-    faults_from_env,
     moderate_plan,
 )
 
@@ -161,14 +160,3 @@ class TestModeratePlanAndEnv:
         assert FaultKind.CRASH not in plan.rates
         for kind in plan.rates:
             assert kind in RETRIABLE_KINDS or kind is FaultKind.DUPLICATE
-
-    def test_env_gate(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHAOS", raising=False)
-        assert faults_from_env() is None
-        monkeypatch.setenv("REPRO_CHAOS", "0")
-        assert faults_from_env() is None
-        monkeypatch.setenv("REPRO_CHAOS", "1")
-        plan = faults_from_env()
-        assert plan is not None and plan.active
-        monkeypatch.setenv("REPRO_CHAOS", "99")
-        assert faults_from_env().seed == 99

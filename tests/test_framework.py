@@ -6,11 +6,14 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.controlplane.recovery import RecoveryMode
+from repro.durability import DEFAULT_CHECKPOINT_EVERY
+from repro.faults import FaultPlan
 from repro.framework.modes import DataPlaneMode
 from repro.framework.pipeline import PipelineConfig, SketchVisorPipeline
 from repro.framework.registry import TASK_REGISTRY, create_task
 from repro.tasks.heavy_changer import HeavyChangerTask
 from repro.tasks.heavy_hitter import HeavyHitterTask
+from repro.telemetry import Telemetry
 from repro.traffic.anomalies import inject_heavy_changes
 
 
@@ -129,3 +132,148 @@ class TestPipeline:
         pipeline = SketchVisorPipeline(task)
         result = pipeline.run_epoch(small_trace, small_truth)
         assert result.throughput_gbps > 0
+
+
+ENV_SWITCHES = (
+    "REPRO_TELEMETRY",
+    "REPRO_PROFILE",
+    "REPRO_CHAOS",
+    "REPRO_CHECKPOINT_DIR",
+    "REPRO_CHECKPOINT_EVERY",
+)
+
+
+#: The checkpoint fields of a config the checkpoint switches left alone.
+NO_CHECKPOINT = (None, DEFAULT_CHECKPOINT_EVERY)
+
+
+def _given(name):
+    """A value passed to ``PipelineConfig`` explicitly."""
+    return {
+        "telemetry": Telemetry,
+        "faults": lambda: FaultPlan(seed=5),
+        "checkpoint_dir": lambda: "given-dir",
+    }[name]()
+
+
+class TestEnvSwitches:
+    """What ``PipelineConfig()`` resolves the five ``REPRO_*`` switches
+    to: one table, read in one place."""
+
+    # env set, fields given, expected telemetry ("plain" / "profiled" /
+    # None), chaos plan seed (None: no plan), (checkpoint dir, every).
+    TABLE = [
+        pytest.param({}, (), None, None, NO_CHECKPOINT, id="unset"),
+        pytest.param(
+            {"REPRO_TELEMETRY": "1"}, (), "plain", None, NO_CHECKPOINT,
+            id="telemetry-on",
+        ),
+        pytest.param(
+            {"REPRO_TELEMETRY": "0"}, (), None, None, NO_CHECKPOINT,
+            id="telemetry-zero",
+        ),
+        pytest.param(
+            {"REPRO_PROFILE": "1"}, (), "profiled", None, NO_CHECKPOINT,
+            id="profile-on",
+        ),
+        pytest.param(
+            {"REPRO_PROFILE": "0"}, (), None, None, NO_CHECKPOINT,
+            id="profile-zero",
+        ),
+        pytest.param(
+            {"REPRO_PROFILE": "1"}, ("telemetry",), "profiled", None,
+            NO_CHECKPOINT, id="profile-given-telemetry",
+        ),
+        pytest.param(
+            {"REPRO_TELEMETRY": "1"}, ("telemetry",), "plain", None,
+            NO_CHECKPOINT, id="telemetry-given",
+        ),
+        pytest.param(
+            {"REPRO_CHAOS": "1"}, (), None, 0, NO_CHECKPOINT,
+            id="chaos-on",
+        ),
+        pytest.param(
+            {"REPRO_CHAOS": "0"}, (), None, None, NO_CHECKPOINT,
+            id="chaos-zero",
+        ),
+        pytest.param(
+            {"REPRO_CHAOS": "99"}, (), None, 99, NO_CHECKPOINT,
+            id="chaos-seeded",
+        ),
+        pytest.param(
+            {"REPRO_CHAOS": "yes"}, (), None, 0, NO_CHECKPOINT,
+            id="chaos-word",
+        ),
+        pytest.param(
+            {"REPRO_CHAOS": "99"}, ("faults",), None, 5, NO_CHECKPOINT,
+            id="chaos-given",
+        ),
+        pytest.param(
+            {"REPRO_CHECKPOINT_DIR": "env-dir"}, (), None, None,
+            ("env-dir", DEFAULT_CHECKPOINT_EVERY), id="checkpoint-dir",
+        ),
+        pytest.param(
+            {
+                "REPRO_CHECKPOINT_DIR": "env-dir",
+                "REPRO_CHECKPOINT_EVERY": "123",
+            },
+            (), None, None, ("env-dir", 123),
+            id="checkpoint-dir-and-every",
+        ),
+        pytest.param(
+            {"REPRO_CHECKPOINT_EVERY": "123"}, (), None, None,
+            NO_CHECKPOINT, id="checkpoint-every-alone",
+        ),
+        pytest.param(
+            {
+                "REPRO_CHECKPOINT_DIR": "env-dir",
+                "REPRO_CHECKPOINT_EVERY": "123",
+            },
+            ("checkpoint_dir",), None, None,
+            ("given-dir", DEFAULT_CHECKPOINT_EVERY), id="checkpoint-given",
+        ),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def _clean_env(self, monkeypatch):
+        for name in ENV_SWITCHES:
+            monkeypatch.delenv(name, raising=False)
+
+    @pytest.mark.parametrize(
+        "env, given, telemetry, chaos_seed, checkpoint", TABLE
+    )
+    def test_resolves(
+        self, monkeypatch, env, given, telemetry, chaos_seed, checkpoint
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        fields = {name: _given(name) for name in given}
+        config = PipelineConfig(**fields)
+        if "telemetry" in fields:
+            assert config.telemetry is fields["telemetry"]
+        if telemetry is None:
+            assert config.telemetry is None
+        else:
+            assert isinstance(config.telemetry, Telemetry)
+            assert (config.telemetry.profiler is not None) == (
+                telemetry == "profiled"
+            )
+        if chaos_seed is None:
+            assert config.faults is None
+        else:
+            assert config.faults.seed == chaos_seed
+            if "faults" not in fields:
+                assert config.faults.active  # moderate_plan
+        assert (
+            config.checkpoint_dir,
+            config.checkpoint_every,
+        ) == checkpoint
+
+    @pytest.mark.parametrize("every", ["zero", "abc", "-3", "0"])
+    def test_malformed_checkpoint_interval_raises(
+        self, monkeypatch, every
+    ):
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", "env-dir")
+        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", every)
+        with pytest.raises(ConfigError, match="REPRO_CHECKPOINT_EVERY"):
+            PipelineConfig()

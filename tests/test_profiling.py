@@ -14,12 +14,7 @@ from repro.fastpath.topk import FastPath
 from repro.framework.modes import DataPlaneMode
 from repro.sketches.countmin import CountMinSketch
 from repro.tasks.heavy_hitter import HeavyHitterTask
-from repro.telemetry import (
-    ProfileConfig,
-    Profiler,
-    profile_from_env,
-    telemetry_from_env,
-)
+from repro.telemetry import ProfileConfig
 from repro.telemetry.profiling import epoch_attribution, write_folded
 from repro.traffic.generator import TraceConfig, generate_trace
 from repro.traffic.groundtruth import GroundTruth
@@ -301,32 +296,9 @@ class TestHashInstrumentation:
 
 
 # ----------------------------------------------------------------------
-# Environment gates
+# Lifecycle (the REPRO_PROFILE switch is in test_framework.py's table)
 # ----------------------------------------------------------------------
-class TestEnvGates:
-    def test_profile_from_env_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        assert profile_from_env() is None
-        monkeypatch.setenv("REPRO_PROFILE", "0")
-        assert profile_from_env() is None
-
-    def test_telemetry_from_env_enables_profiler(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        telemetry = telemetry_from_env()
-        assert telemetry is not None
-        assert telemetry.profiler is not None
-
-    def test_pipeline_config_env_gate(self, monkeypatch, trace, truth):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        config = PipelineConfig(num_hosts=1, seed=3, batch=True)
-        assert config.telemetry is not None
-        assert config.telemetry.profiler is not None
-        given = Telemetry()
-        config = PipelineConfig(num_hosts=1, telemetry=given)
-        assert config.telemetry is given
-        assert given.profiler is not None
-
+class TestLifecycle:
     def test_reset_recreates_profiler(self):
         telemetry = _profiled_telemetry()
         first = telemetry.profiler
@@ -348,18 +320,3 @@ class TestMemory:
             data = [0] * 100_000
         assert profiler.rss.get(str(os.getpid()), 0) > 0
         del data
-
-    def test_tracemalloc_top_sites(self):
-        telemetry = Telemetry(
-            profile=ProfileConfig(
-                sample_hz=0.0, memory=True, memory_top=5
-            )
-        )
-        profiler = telemetry.profiler
-        with profiler.stage("epoch"):
-            hoard = [bytes(1024) for _ in range(200)]
-        assert profiler.memory_top
-        assert len(profiler.memory_top) <= 5
-        site, size = profiler.memory_top[0]
-        assert isinstance(site, str) and size > 0
-        del hoard

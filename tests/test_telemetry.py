@@ -15,13 +15,18 @@ from repro.framework.monitor import ContinuousMonitor
 from repro.reporting import ascii_bar_chart, span_tree
 from repro.sketches.countmin import CountMinSketch
 from repro.tasks.heavy_hitter import HeavyHitterTask
-from repro.telemetry import telemetry_from_env, trace_span
+from repro.telemetry import trace_span
 from repro.telemetry.exporters import (
     json_snapshot,
     prometheus_text,
     write_chrome_trace,
     write_json_snapshot,
     write_prometheus,
+)
+from repro.telemetry.publish import (
+    fastpath_stats,
+    publish_fastpath_epoch,
+    publish_switch_epoch,
 )
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracer import Tracer
@@ -345,20 +350,22 @@ class TestExporters:
 
 # ----------------------------------------------------------------------
 class TestSwitchIntegration:
-    def _switch(self, telemetry):
+    def _switch(self):
         return SoftwareSwitch(
             CountMinSketch(seed=3),
             fastpath=FastPath(4096),
             buffer_packets=256,
-            telemetry=telemetry,
-            host_label="7",
         )
 
     def test_counters_match_report(self, trace):
-        telemetry = Telemetry()
-        switch = self._switch(telemetry)
+        # The switch publishes nothing itself; the central publishers
+        # map its report and fast-path snapshot into the registry.
+        switch = self._switch()
         report = switch.process(trace)
-        registry = telemetry.registry
+        snapshot = switch.fastpath.snapshot()
+        registry = MetricsRegistry()
+        publish_switch_epoch(registry, report, host="7")
+        publish_fastpath_epoch(registry, fastpath_stats(snapshot), host="7")
         assert registry.value(
             "sketchvisor_switch_packets_total", host="7", path="normal"
         ) == report.normal_packets
@@ -378,46 +385,13 @@ class TestSwitchIntegration:
             "sketchvisor_fastpath_bytes_total", host="7"
         ) == switch.fastpath.total_bytes
 
-    def test_fastpath_counters_publish_deltas(self, trace):
-        # FastPath op counts are lifetime totals; over two epochs the
-        # registry (fed per-epoch deltas) must still equal the lifetime.
-        telemetry = Telemetry()
-        switch = self._switch(telemetry)
-        switch.process(trace)
-        switch.process(trace)
-        registry = telemetry.registry
-        assert registry.value(
-            "sketchvisor_switch_epochs_total", host="7"
-        ) == 2
-        assert registry.value(
-            "sketchvisor_fastpath_updates_total", host="7", kind="hit"
-        ) == switch.fastpath.num_hits
-        assert registry.value(
-            "sketchvisor_fastpath_updates_total", host="7", kind="kickout"
-        ) == switch.fastpath.num_kickouts
-        assert registry.value(
-            "sketchvisor_fastpath_bytes_total", host="7"
-        ) == switch.fastpath.total_bytes
-        # The tracked-flows gauge stays absolute, not summed.
-        assert registry.value(
-            "sketchvisor_fastpath_tracked_flows", host="7"
-        ) == len(switch.fastpath.table)
-
-    def test_process_records_span(self, trace):
-        telemetry = Telemetry()
-        switch = self._switch(telemetry)
-        switch.process(trace)
-        (span,) = telemetry.tracer.spans
-        assert span.name == "switch.process"
-        assert span.attrs == {"host": "7"}
-
     def test_describe_and_repr(self, trace):
-        switch = self._switch(None)
+        switch = self._switch()
         text = switch.describe()
         assert repr(switch) == text
         assert "mode=sketchvisor" in text
         assert "engine=" not in text  # one engine: nothing to name
-        assert "telemetry=off" in text
+        assert "telemetry=" not in text  # metrics publish centrally
         assert "CountMinSketch" in text
 
 
@@ -428,14 +402,6 @@ class TestPipelineIntegration:
         # REPRO_PROFILE implies telemetry, so it must be cleared too.
         monkeypatch.delenv("REPRO_PROFILE", raising=False)
         assert PipelineConfig().telemetry is None
-
-    def test_env_var_injects_telemetry(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        assert isinstance(PipelineConfig().telemetry, Telemetry)
-        assert isinstance(telemetry_from_env(), Telemetry)
-        monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        assert telemetry_from_env() is None
 
     def test_per_host_counters_published(self, trace, truth):
         telemetry = Telemetry()
@@ -450,6 +416,18 @@ class TestPipelineIntegration:
             assert registry.value(
                 "sketchvisor_switch_packets_total", host=host, path="fastpath"
             ) == report.switch.fastpath_packets
+            assert registry.value(
+                "sketchvisor_switch_bytes_total", host=host, path="fastpath"
+            ) == report.switch.fastpath_bytes
+            assert registry.value(
+                "sketchvisor_switch_buffer_high_water", host=host
+            ) == report.switch.buffer_high_water
+            assert registry.value(
+                "sketchvisor_switch_throughput_gbps", host=host
+            ) == pytest.approx(report.switch.throughput_gbps)
+            assert registry.value(
+                "sketchvisor_fastpath_bytes_total", host=host
+            ) == report.fastpath.total_bytes
         assert registry.total(
             "sketchvisor_switch_packets_total"
         ) == len(trace)
