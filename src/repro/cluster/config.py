@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
-from repro.controlplane.transport import DEFAULT_MAX_FRAME_BYTES
 
 
 @dataclass
@@ -47,35 +46,15 @@ class ClusterConfig:
     epoch_deadline:
         Whole-epoch collection budget; hosts still undelivered when it
         expires are marked missing (degraded merge input).
-    drain_timeout:
-        Grace period for in-flight connections when shutting the
-        listeners down.
-    max_inflight:
-        Bound on concurrently connected hosts — the transport's send
-        queue.  Hosts beyond it wait for a slot (counted as
-        backpressure) so a 1000-host epoch never holds 1000 open
-        sockets or encoded frames at once.
-    write_buffer_bytes:
-        Per-connection socket write-buffer high-watermark; writes past
-        it block in ``drain()`` (kernel backpressure, also counted).
-    max_frame_bytes:
-        Stream-level ceiling on a declared frame length.
-    heartbeat_interval:
-        How often each live aggregator beats into the controller's
-        liveness table.
-    aggregator_watchdog:
-        Heartbeat staleness at which an aggregator is declared dead.
-        Must be at least twice the heartbeat interval; a false
-        positive (a live aggregator declared dead under load) is
-        safe — its shard is re-shipped to survivors and the dedup
-        set makes the merge count every host exactly once.
 
     A dead aggregator's hosts always fail over: the runner re-shards
-    them onto the survivors by rendezvous hashing and redelivers the
+    them onto the survivors by rendezvous hashing and re-homes the
     lost reports.  Hosts whose report keeps failing sit out epochs
     behind the :class:`~repro.durability.supervisor.CircuitBreaker`,
     the policy the durability supervisor applies to crash-looping data
-    planes.
+    planes.  The transport's fixed limits (watchdog latency, in-flight
+    hosts, drain grace, write buffer, frame ceiling) are module
+    constants, not fields.
     """
 
     aggregators: int = 0
@@ -91,20 +70,12 @@ class ClusterConfig:
     ack_timeout: float = 5.0
     idle_timeout: float = 0.25
     epoch_deadline: float = 30.0
-    drain_timeout: float = 2.0
-    max_inflight: int = 64
-    write_buffer_bytes: int = 1 << 16
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-    heartbeat_interval: float = 0.05
-    aggregator_watchdog: float = 0.4
 
     def __post_init__(self) -> None:
         if self.aggregators < 0:
             raise ConfigError("aggregators must be >= 0")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
-        if self.max_inflight < 1:
-            raise ConfigError("max_inflight must be >= 1")
         if not 0.0 <= self.backoff_jitter < 1.0:
             raise ConfigError(
                 f"backoff_jitter must be in [0, 1), "
@@ -115,17 +86,9 @@ class ClusterConfig:
             "ack_timeout",
             "idle_timeout",
             "epoch_deadline",
-            "drain_timeout",
-            "heartbeat_interval",
-            "aggregator_watchdog",
         ):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.aggregator_watchdog < 2 * self.heartbeat_interval:
-            raise ConfigError(
-                "aggregator_watchdog must be >= 2x heartbeat_interval "
-                "(one missed beat is jitter, not death)"
-            )
 
     def resolve_aggregators(self, num_hosts: int) -> int:
         """The actual tier size for ``num_hosts`` hosts."""

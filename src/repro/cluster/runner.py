@@ -16,7 +16,7 @@ Per epoch it:
 2. starts one :class:`AggregatorListener` per aggregator-tier member
    (``ceil(sqrt(hosts))`` by default) on an ephemeral localhost port;
 3. runs every live host's :class:`HostChannel` delivery loop
-   concurrently — bounded by the in-flight semaphore, retried on the
+   concurrently — bounded by :data:`MAX_INFLIGHT`, retried on the
    seeded jittered backoff schedule, cut off by ``epoch_deadline``;
 4. drains and closes the listeners, folds each aggregator's partial
    (hierarchical mode) or collects the decoded reports (flat mode),
@@ -30,11 +30,11 @@ is reused, not reimplemented: the result's ``hosts_reported`` lets
 Aggregator fail-over
 --------------------
 The aggregator tier itself can fail mid-epoch (``agg_crash`` /
-``agg_hang`` faults, or a genuinely wedged listener).  Liveness is
-heartbeat-based: every listener beats into a shared table, and a
-watchdog declares an aggregator dead once its beats go stale —
-crashes and hangs are detected identically, because a dead process
-cannot send an error report.  Fail-over then proceeds in three steps:
+``agg_hang`` faults).  A dead process sends no error report, so the
+controller's detection is modelled as a fixed latency: a strike arms
+one watchdog verdict, due :data:`AGGREGATOR_WATCHDOG` seconds later,
+and crashes and hangs are judged alike.  The verdict is the whole
+fail-over:
 
 * **re-shard** — the dead aggregator leaves the rendezvous candidate
   set, so only *its* hosts re-home (modulo placement would reshuffle
@@ -42,19 +42,20 @@ cannot send an error report.  Fail-over then proceeds in three steps:
   every attempt and land on the survivor automatically;
 * **forget** — the dead shard's partial aggregate died with it, so
   the hosts it had ACKed are erased from the ``(host, epoch)`` dedup
-  set and the delivered set: their redelivered copies must merge as
+  set and the delivered set: their re-homed copies must merge as
   first arrivals, not be dropped as duplicates;
-* **redeliver** — after the main wave, a sweep re-ships every
-  still-undelivered live host's report to the surviving tier (the
-  sweep loops, because a redelivery wave can strike *another*
-  scheduled aggregator fault).
+* **re-home** — each shard host (ACKed by the dead aggregator, or
+  still routed to it) that is neither delivered nor down for the
+  epoch gets one fresh delivery to the survivors.  A re-home can
+  strike a survivor's own scheduled fault, whose verdict re-homes
+  *that* shard in turn.
 
-Because partials are canonicalized and sketches are linear, an epoch
-where a crashed aggregator's hosts all redelivered merges
-bit-identically to the no-crash epoch.  Hosts that stay unrecovered
-(no survivors, suppressed fail-over, epoch deadline) flow into the
-existing quorum-gated degraded merge — a lost shard degrades the
-epoch, it never silently loses it.
+Hosts outside a dead shard are never sent again.  Because partials
+are canonicalized and sketches are linear, an epoch where a crashed
+aggregator's hosts all re-homed merges bit-identically to the
+no-crash epoch.  Hosts that stay unrecovered (no survivors, epoch
+deadline) flow into the existing quorum-gated degraded merge — a lost
+shard degrades the epoch, it never silently loses it.
 """
 
 from __future__ import annotations
@@ -77,25 +78,33 @@ from repro.controlplane.transport import (
 from repro.durability.supervisor import CircuitBreaker
 
 
+#: Seconds from an aggregator strike to the watchdog verdict that
+#: fails it over (the controller's detection latency).
+AGGREGATOR_WATCHDOG = 0.4
+#: Bound on concurrently connected hosts — the transport's send queue.
+#: Hosts beyond it wait for a slot (counted as backpressure), so a
+#: 1000-host epoch never holds 1000 open sockets or frames at once.
+MAX_INFLIGHT = 64
+#: Grace for in-flight connections when the listeners shut down.
+DRAIN_TIMEOUT = 2.0
+
+
 @dataclass
 class FailoverRecord:
-    """One aggregator the heartbeat watchdog declared dead.
+    """One aggregator a watchdog verdict declared dead.
 
-    ``shard_hosts`` is the shard at detection time: hosts the dead
+    ``shard_hosts`` is the shard at the verdict: hosts the dead
     aggregator had ACKed (their merged state died with it) plus live
-    hosts still routed to it.  After the redelivery sweep settles,
-    ``redelivered_hosts`` / ``unrecovered_hosts`` split that shard by
-    outcome — unrecovered hosts are exactly the ones handed to the
-    degraded merge.
+    hosts still routed to it.  Each one is re-homed, and lands in
+    ``redelivered_hosts`` or ``unrecovered_hosts`` as its re-home ends
+    — unrecovered hosts are handed to the degraded merge.
     """
 
     aggregator_id: int
-    #: ``"agg_crash"`` / ``"agg_hang"``, or ``"unresponsive"`` when
-    #: the watchdog fired without a scheduled fault (a false positive
-    #: — safe by design, the shard is simply re-shipped).
+    #: ``"agg_crash"`` or ``"agg_hang"``.
     kind: str
     shard_hosts: tuple[int, ...]
-    #: Strike → watchdog declaration latency (seconds).
+    #: Strike → verdict latency (seconds).
     detect_seconds: float
     redelivered_hosts: tuple[int, ...] = ()
     unrecovered_hosts: tuple[int, ...] = ()
@@ -111,8 +120,8 @@ class FailoverRecord:
 class _Router:
     """Rendezvous routing over the live aggregator set.
 
-    One instance per epoch; the watchdog shrinks :attr:`live` as
-    aggregators die, and every :meth:`resolve` call sees the current
+    One instance per epoch; each verdict shrinks :attr:`live` as an
+    aggregator dies, and every :meth:`resolve` call sees the current
     set — which is the whole fail-over re-route mechanism.
     """
 
@@ -145,8 +154,8 @@ class ClusterCollector:
         in-process collector under the same plan, the socket kinds
         (conn_refused, conn_reset, partial_write, slow_peer,
         partition) only exist here — and its aggregator schedule
-        arms the heartbeat watchdog with per-``(epoch, aggregator)``
-        crash/hang strikes.
+        strikes listeners with per-``(epoch, aggregator)`` crashes and
+        hangs, each of which arms a watchdog verdict.
     """
 
     def __init__(self, config: ClusterConfig, injector=None):
@@ -225,10 +234,15 @@ class ClusterCollector:
 
         seen: set[tuple[int, int]] = set()
         delivered: set[int] = set()
-        accept_times: dict[int, float] = {}
+        # Everything the epoch waits on — first deliveries, re-homes
+        # and armed verdicts — in one list that grows as it runs.
+        tasks: list[asyncio.Task] = []
 
-        def on_accept(host_id: int, frame: bytes) -> None:
-            accept_times[host_id] = loop.time()
+        def spawn(coroutine) -> None:
+            tasks.append(asyncio.ensure_future(coroutine))
+
+        def arm(listener: AggregatorListener) -> None:
+            spawn(verdict(listener, loop.time()))
 
         listeners = [
             AggregatorListener(
@@ -239,8 +253,7 @@ class ClusterCollector:
                 seen,
                 delivered,
                 idle_timeout=cfg.idle_timeout,
-                max_frame_bytes=cfg.max_frame_bytes,
-                on_accept=on_accept,
+                on_strike=arm,
                 fault=agg_faults.get(agg_id),
                 injector=injector,
             )
@@ -256,23 +269,7 @@ class ClusterCollector:
             )
         router = _Router(addresses)
 
-        # Liveness: every listener beats into this table; the watchdog
-        # (armed only when the plan can actually strike an aggregator,
-        # so chaos-free runs cannot flake on a loaded event loop)
-        # declares death on staleness.
-        last_beat: dict[int, float] = {}
-
-        def beat(agg_id: int) -> None:
-            last_beat[agg_id] = loop.time()
-
-        for listener in listeners:
-            listener.start_heartbeat(beat, cfg.heartbeat_interval)
-
-        failed: set[int] = set()
-        struck_times: dict[int, float] = {}
-        failover_records: list[FailoverRecord] = []
-
-        inflight = asyncio.Semaphore(cfg.max_inflight)
+        inflight = asyncio.Semaphore(MAX_INFLIGHT)
 
         def channel_for(host_id: int, faults) -> HostChannel:
             report = by_host[host_id]
@@ -304,170 +301,79 @@ class ClusterCollector:
             for host_id in active
         ]
         # Hosts down for the whole epoch (crash/partition faults burn
-        # their budget before any socket): redelivery cannot help them.
+        # their budget before any socket): re-homing cannot help them.
         fatal_hosts = {
             channel.host_id
             for channel in channels
             if channel.delivery.fatal is not None
         }
 
-        async def fail_over(agg_id: int) -> None:
-            listener = listeners[agg_id]
-            now = loop.time()
-            # The shard at detection: lost (ACKed state died with the
-            # aggregator) plus live hosts still routed to it.
-            lost = list(listener.accepted)
-            stranded = [
+        async def verdict(
+            listener: AggregatorListener, struck_at: float
+        ) -> None:
+            await asyncio.sleep(AGGREGATOR_WATCHDOG)
+            agg_id = listener.aggregator_id
+            # The shard: lost (ACKed state died with the aggregator)
+            # plus live hosts still routed to it.
+            lost = set(listener.accepted)
+            stranded = {
                 host_id
                 for host_id in active
                 if host_id not in delivered
                 and host_id not in fatal_hosts
                 and router.target(host_id) == agg_id
-            ]
+            }
             router.remove(agg_id)
-            failed.add(agg_id)
             # Forget the dead shard's attendance: its merged partial
-            # is gone, so redelivered copies must count as first
+            # is gone, so re-homed copies must count as first
             # arrivals, not duplicates.
             for host_id in lost:
                 seen.discard((host_id, epoch))
                 delivered.discard(host_id)
-                accept_times.pop(host_id, None)
             if not cfg.hierarchical:
                 buckets[agg_id].clear()
-            await listener.close(0)
-            struck_at = (
-                listener.struck_at
-                if listener.struck_at is not None
-                else now
-            )
-            struck_times[agg_id] = struck_at
             stats.failovers += 1
-            failover_records.append(
-                FailoverRecord(
-                    aggregator_id=agg_id,
-                    kind=(
-                        listener.struck.value
-                        if listener.struck is not None
-                        else "unresponsive"
-                    ),
-                    shard_hosts=tuple(sorted(set(lost) | set(stranded))),
-                    detect_seconds=max(0.0, now - struck_at),
-                )
+            record = FailoverRecord(
+                aggregator_id=agg_id,
+                kind=listener.struck.value,
+                shard_hosts=tuple(sorted(lost | stranded)),
+                detect_seconds=loop.time() - struck_at,
             )
+            result.failovers.append(record)
+            for host_id in record.shard_hosts:
+                spawn(rehome(record, host_id, struck_at))
+            # Hung connections are cut, so their clients retry on the
+            # survivors now rather than at their ack timeout.
+            await listener.close(0)
 
-        async def watchdog_loop() -> None:
-            while True:
-                await asyncio.sleep(cfg.heartbeat_interval)
-                now = loop.time()
-                for agg_id in sorted(router.live):
-                    if (
-                        now - last_beat[agg_id]
-                        >= cfg.aggregator_watchdog
-                    ):
-                        await fail_over(agg_id)
-
-        watchdog: asyncio.Task | None = None
-        if agg_faults:
-            watchdog = asyncio.ensure_future(watchdog_loop())
-
-        async def redeliver(host_id: int) -> None:
-            # A fresh retry budget, no injected faults: redelivery
+        async def rehome(
+            record: FailoverRecord, host_id: int, struck_at: float
+        ) -> None:
+            # A fresh retry budget, no injected faults: re-homing
             # models the host's fail-over logic, not new chaos — though
             # the surviving *aggregators'* own scheduled strikes still
             # apply on arrival.
             channel = channel_for(host_id, ())
-            if await channel.deliver() is not None:
-                stats.redeliveries += 1
-                if channel.last_ack == ACK_DUP:
-                    stats.redelivery_dups += 1
+            landed = None
+            try:
+                landed = await channel.deliver()
+            finally:
+                if landed is None:
+                    record.unrecovered_hosts += (host_id,)
+                else:
+                    stats.redeliveries += 1
+                    if channel.last_ack == ACK_DUP:
+                        stats.redelivery_dups += 1
+                    record.redelivered_hosts += (host_id,)
+                    record.recovery_seconds = loop.time() - struck_at
 
-        def remaining() -> float:
-            return deadline - loop.time()
-
-        async def settle() -> None:
-            """Converge after the main wave: wait out watchdog
-            detection of any silent aggregator, then sweep
-            still-undelivered hosts onto the survivors — looping,
-            because a redelivery wave can strike the next scheduled
-            aggregator fault."""
-            # Grace so a strike on the wave's very last frame has
-            # stale heartbeats by the first staleness check.
-            await asyncio.sleep(2 * cfg.heartbeat_interval)
-            swept_generation = 0
-            while remaining() > 0:
-                now = loop.time()
-                if any(
-                    now - last_beat[agg_id]
-                    >= 2 * cfg.heartbeat_interval
-                    for agg_id in router.live
-                ):
-                    # Beats have gone quiet but the watchdog has not
-                    # ruled yet; let it.
-                    await asyncio.sleep(cfg.heartbeat_interval / 2)
-                    continue
-                if not failover_records:
-                    break
-                if len(failover_records) == swept_generation:
-                    # No new failover since the last sweep: stable.
-                    break
-                if not router.live:
-                    break
-                undelivered = [
-                    host_id
-                    for host_id in active
-                    if host_id not in delivered
-                    and host_id not in fatal_hosts
-                ]
-                if not undelivered:
-                    break
-                swept_generation = len(failover_records)
-                await self._gather_with_deadline(
-                    [redeliver(host_id) for host_id in undelivered],
-                    timeout=max(0.0, remaining()),
-                )
-
+        for channel in channels:
+            spawn(channel.deliver())
         try:
-            await self._gather_with_deadline(
-                [channel.deliver() for channel in channels]
-            )
-            if watchdog is not None:
-                await settle()
+            await _run_until(tasks, deadline)
         finally:
-            if watchdog is not None:
-                watchdog.cancel()
-                try:
-                    await watchdog
-                except asyncio.CancelledError:
-                    pass
             for listener in listeners:
-                await listener.close(cfg.drain_timeout)
-
-        # Outcome bookkeeping per failover: which of the dead shard's
-        # hosts a survivor re-accepted, and how long recovery took.
-        for record in failover_records:
-            struck_at = struck_times[record.aggregator_id]
-            recovered = tuple(
-                host_id
-                for host_id in record.shard_hosts
-                if host_id in delivered
-            )
-            record.redelivered_hosts = recovered
-            record.unrecovered_hosts = tuple(
-                host_id
-                for host_id in record.shard_hosts
-                if host_id not in delivered
-            )
-            if recovered:
-                record.recovery_seconds = max(
-                    0.0,
-                    max(
-                        accept_times.get(host_id, struck_at)
-                        for host_id in recovered
-                    )
-                    - struck_at,
-                )
-        result.failovers = failover_records
+                await listener.close(DRAIN_TIMEOUT)
 
         # Every host not acked-and-decoded is missing: quarantined
         # hosts, exhausted retriers, and deadline stragglers alike.
@@ -487,7 +393,7 @@ class ClusterCollector:
             partials = [
                 partial
                 for agg_id, aggregator in enumerate(aggregators)
-                if agg_id not in failed
+                if agg_id in router.live
                 for partial in (aggregator.finish(),)
                 if partial is not None
             ]
@@ -506,26 +412,23 @@ class ClusterCollector:
             self.last_peak_resident = len(collected)
         return result
 
-    # ------------------------------------------------------------------
-    async def _gather_with_deadline(self, deliveries, timeout=None):
-        """Run channel deliveries under the epoch deadline; stragglers
-        are cancelled and land in the missing set."""
-        tasks = [asyncio.ensure_future(delivery) for delivery in deliveries]
-        if not tasks:
-            return
-        _, pending = await asyncio.wait(
-            tasks,
-            timeout=(
-                self.config.epoch_deadline if timeout is None else timeout
-            ),
-        )
+
+async def _run_until(tasks: list[asyncio.Task], deadline: float) -> None:
+    """Wait on ``tasks`` — a list that grows while they run — until
+    every one is done; past the loop-clock ``deadline`` the stragglers
+    are cancelled and their hosts land in the missing set."""
+    loop = asyncio.get_running_loop()
+    while pending := [task for task in tasks if not task.done()]:
+        timeout = deadline - loop.time()
+        if timeout > 0:
+            await asyncio.wait(pending, timeout=timeout)
+            continue
         for task in pending:
             task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        for task in tasks:
-            # Network failure modes are handled inside the channel;
-            # anything escaping it is a real bug and must surface, not
-            # masquerade as a missing host.
-            if not task.cancelled():
-                task.result()
+        await asyncio.gather(*pending, return_exceptions=True)
+    for task in tasks:
+        # Network failure modes are handled inside the channel;
+        # anything escaping it is a real bug and must surface, not
+        # masquerade as a missing host.
+        if not task.cancelled():
+            task.result()

@@ -43,6 +43,10 @@ from repro.faults.plan import AggregatorFault, FaultKind
 #: What a socket operation raises when the peer is gone or too slow.
 _CONN_ERRORS = (ConnectionError, OSError, asyncio.TimeoutError)
 
+#: Per-connection socket write-buffer high-watermark; writes past it
+#: block in ``drain()`` (kernel backpressure, also counted).
+WRITE_BUFFER_BYTES = 1 << 16
+
 
 class AggregatorListener:
     """One aggregator's listening socket.
@@ -58,8 +62,8 @@ class AggregatorListener:
     ``fault.offset`` reports it strikes — a crash closes the server
     and RSTs the triggering connection; a hang leaves the socket open
     but swallows every subsequent byte without answering.  Either way
-    its heartbeats cease, which is the only failure signal the
-    controller's watchdog consumes.
+    it calls ``on_strike(listener)``, which arms the controller's
+    watchdog verdict.
     """
 
     def __init__(
@@ -72,8 +76,7 @@ class AggregatorListener:
         delivered: set[int],
         *,
         idle_timeout: float,
-        max_frame_bytes: int,
-        on_accept=None,
+        on_strike=None,
         fault: AggregatorFault | None = None,
         injector=None,
     ):
@@ -84,8 +87,7 @@ class AggregatorListener:
         self.seen = seen
         self.delivered = delivered
         self.idle_timeout = idle_timeout
-        self.max_frame_bytes = max_frame_bytes
-        self.on_accept = on_accept
+        self.on_strike = on_strike
         self.fault = fault
         self.injector = injector
         self.server: asyncio.AbstractServer | None = None
@@ -96,27 +98,7 @@ class AggregatorListener:
         self.accepted: list[int] = []
         #: The fault kind that struck, or ``None`` while healthy.
         self.struck: FaultKind | None = None
-        self.struck_at: float | None = None
         self._hung = False
-        self._heartbeat: asyncio.Task | None = None
-
-    @property
-    def alive(self) -> bool:
-        return self.struck is None
-
-    def start_heartbeat(self, beat, interval: float) -> None:
-        """Beat ``beat(aggregator_id)`` every ``interval`` seconds
-        until a fault strikes; the resulting silence is how the
-        controller detects the failure (no in-band error report — a
-        dead process cannot send one)."""
-
-        async def _loop() -> None:
-            while self.struck is None:
-                beat(self.aggregator_id)
-                await asyncio.sleep(interval)
-
-        beat(self.aggregator_id)
-        self._heartbeat = asyncio.ensure_future(_loop())
 
     async def start(self, host: str, port: int) -> tuple[str, int]:
         self.server = await asyncio.start_server(
@@ -128,13 +110,6 @@ class AggregatorListener:
 
     async def close(self, drain_timeout: float) -> None:
         """Stop accepting, give in-flight handlers a drain window."""
-        if self._heartbeat is not None:
-            self._heartbeat.cancel()
-            try:
-                await self._heartbeat
-            except asyncio.CancelledError:
-                pass
-            self._heartbeat = None
         if self.server is not None:
             self.server.close()
             await self.server.wait_closed()
@@ -146,6 +121,10 @@ class AggregatorListener:
                 task.cancel()
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
+        # A closed listener strikes no more.  Dropping the callback
+        # also lets go of the epoch state it reaches: the listener
+        # itself sits in a reference cycle with its asyncio server.
+        self.on_strike = None
 
     async def _handle(self, reader, writer) -> None:
         task = asyncio.current_task()
@@ -168,7 +147,7 @@ class AggregatorListener:
                 pass
 
     async def _serve_connection(self, reader, writer) -> None:
-        assembler = FrameAssembler(self.max_frame_bytes)
+        assembler = FrameAssembler()
         while True:
             if self._hung:
                 # A hung aggregator sits on the connection forever:
@@ -231,8 +210,6 @@ class AggregatorListener:
             self.delivered.add(report.host_id)
             self.accepted.append(report.host_id)
             self.sink(report)
-            if self.on_accept is not None:
-                self.on_accept(report.host_id, frame)
             # Merged: hold no decoded sketch while the ack is awaited.
             report = None
         return await self._respond(writer, verdict)
@@ -243,9 +220,10 @@ class AggregatorListener:
         the aggregator "died"."""
         kind = self.fault.kind
         self.struck = kind
-        self.struck_at = asyncio.get_running_loop().time()
         if self.injector is not None:
             self.injector.record(kind)
+        if self.on_strike is not None:
+            self.on_strike(self)
         if kind is FaultKind.AGG_CRASH:
             self.stats.agg_crashes += 1
             # The process is gone: no new connections, and the one
@@ -280,8 +258,8 @@ class HostChannel:
 
     The encoded frame is materialized lazily, per attempt, *inside*
     the in-flight semaphore window (``frame_factory``), so an epoch
-    never holds more than ``max_inflight`` encoded frames at once no
-    matter how many hosts it spans.
+    never holds more encoded frames at once than the semaphore has
+    slots, no matter how many hosts it spans.
 
     ``address`` may be a ``(host, port)`` pair or a zero-arg callable
     resolving to one (or ``None`` when no aggregator is reachable).
@@ -369,9 +347,7 @@ class HostChannel:
             self.stats.conn_refused += 1
             return False
         transport = writer.transport
-        transport.set_write_buffer_limits(
-            high=cfg.write_buffer_bytes
-        )
+        transport.set_write_buffer_limits(high=WRITE_BUFFER_BYTES)
         try:
             if fault is FaultKind.CONN_RESET:
                 # Write a prefix, then abort (RST): the receiver's
@@ -399,10 +375,7 @@ class HostChannel:
                 return False
 
             for payload in payloads:
-                if (
-                    transport.get_write_buffer_size()
-                    >= cfg.write_buffer_bytes
-                ):
+                if transport.get_write_buffer_size() >= WRITE_BUFFER_BYTES:
                     self.stats.backpressure_waits += 1
                 writer.write(payload)
                 await asyncio.wait_for(

@@ -499,11 +499,11 @@ class CollectionStats:
     agg_crashes: int = 0
     #: Aggregators that hung mid-epoch (connectable but silent).
     agg_hangs: int = 0
-    #: Aggregators declared dead by the heartbeat watchdog and
+    #: Aggregators declared dead by a watchdog verdict and
     #: re-sharded onto survivors.
     failovers: int = 0
-    #: Host reports re-shipped to a surviving aggregator after their
-    #: shard died.
+    #: Shard hosts re-homed onto a surviving aggregator after their
+    #: aggregator died.
     redeliveries: int = 0
     #: Redeliveries answered ``ACK_DUP`` — the report had already
     #: landed elsewhere (e.g. a mid-flight retry re-routed first), so
@@ -553,7 +553,7 @@ class CollectionResult:
     #: actually represents (``None`` on the flat path where one entry
     #: is one host).
     aggregated_from: int | None = None
-    #: One record per aggregator the heartbeat watchdog declared dead
+    #: One record per aggregator a watchdog verdict declared dead
     #: this epoch (:class:`~repro.cluster.runner.FailoverRecord`);
     #: empty everywhere but the cluster runner.
     failovers: list = field(default_factory=list)
@@ -796,13 +796,6 @@ class ReportCollector:
         self.backoff_jitter = backoff_jitter
         self.jitter_seed = jitter_seed
         self.injector = injector
-
-    # ------------------------------------------------------------------
-    def backoff_for(self, epoch: int, host: int, attempt: int) -> float:
-        """The (simulated) sleep before retry ``attempt`` (1-based):
-        :meth:`Delivery.backoff` under this collector's policy."""
-        delivery = Delivery(host, epoch, (), self, CollectionStats())
-        return delivery.backoff(attempt)
 
     # ------------------------------------------------------------------
     def collect(

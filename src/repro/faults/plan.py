@@ -67,14 +67,13 @@ class FaultKind(Enum):
     #: whole epoch: every connection attempt fails (socket CRASH).
     PARTITION = "partition"
     #: An *aggregator* process dies mid-epoch: its listener closes, its
-    #: partial aggregate (every report it had merged) is lost, and its
-    #: heartbeats cease.  Hosts re-shard to survivors via rendezvous
-    #: hashing and redeliver.
+    #: partial aggregate (every report it had merged) is lost, and the
+    #: controller's watchdog verdict follows.  Hosts re-shard to
+    #: survivors via rendezvous hashing and re-home.
     AGG_CRASH = "agg_crash"
     #: An aggregator stops making progress mid-epoch: the listener
-    #: stays connectable but swallows frames without ACKing, and its
-    #: heartbeats cease.  Detected identically to a crash by the
-    #: controller's heartbeat watchdog.
+    #: stays connectable but swallows frames without ACKing.  Judged
+    #: identically to a crash by the controller's watchdog verdict.
     AGG_HANG = "agg_hang"
 
 

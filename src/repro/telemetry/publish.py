@@ -215,15 +215,15 @@ def publish_cluster_epoch(
     ).set(collector.last_peak_resident)
     failovers = registry.counter(
         "sketchvisor_aggregator_failovers_total",
-        "Aggregators declared dead by the heartbeat watchdog and "
+        "Aggregators declared dead by a watchdog verdict and "
         "re-sharded onto survivors, by failure kind",
     )
     for record in collection.failovers:
         failovers.inc(1, kind=record.kind)
     registry.counter(
         "sketchvisor_aggregator_redeliveries_total",
-        "Host reports re-shipped to a surviving aggregator after "
-        "their shard died",
+        "Shard host reports re-homed onto a surviving aggregator "
+        "after their aggregator died",
     ).inc(stats.redeliveries)
     registry.counter(
         "sketchvisor_aggregator_redelivery_dups_total",
@@ -232,8 +232,7 @@ def publish_cluster_epoch(
     ).inc(stats.redelivery_dups)
     registry.counter(
         "sketchvisor_aggregator_unrecovered_host_epochs_total",
-        "Shard hosts still missing after fail-over settled (degraded-"
-        "merge input)",
+        "Shard hosts whose re-home failed (degraded-merge input)",
     ).inc(
         sum(len(record.unrecovered_hosts) for record in collection.failovers)
     )

@@ -506,8 +506,6 @@ class TestClusterConfig:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            ClusterConfig(max_inflight=0)
-        with pytest.raises(ConfigError):
             ClusterConfig(backoff_jitter=1.5)
         with pytest.raises(ConfigError):
             ClusterConfig(idle_timeout=0)
@@ -809,6 +807,37 @@ class TestAggregatorFailover:
             assert np.array_equal(
                 a.sketch.to_matrix(), b.sketch.to_matrix()
             )
+
+    def test_only_the_dead_shard_is_redelivered(self, reports):
+        """A host outside the struck aggregator's group that spends
+        its whole retry budget stays missing: fail-over re-homes the
+        dead shard, not every host that happens to be undelivered."""
+        tier = range(ClusterConfig().resolve_aggregators(NUM_HOSTS))
+        outsider = next(
+            host_id
+            for host_id in range(NUM_HOSTS)
+            if rendezvous_aggregator(host_id, tier) != 0
+        )
+        drops = [
+            FaultSpec(FaultKind.DROP, epoch=0, host=outsider)
+        ] * (ClusterConfig().max_retries + 1)
+        crash = FaultSpec(
+            FaultKind.AGG_CRASH, epoch=0, host=0, packet_offset=1
+        )
+        injector = FaultInjector(
+            FaultPlan(seed=2, specs=[*drops, crash])
+        )
+        collection = ClusterCollector(
+            ClusterConfig(**FAST), injector=injector
+        ).collect(reports, 0)
+        assert outsider in collection.missing_hosts
+        [record] = collection.failovers
+        assert outsider not in record.shard_hosts
+        assert set(record.redelivered_hosts) <= set(record.shard_hosts)
+        stats = collection.stats
+        assert stats.redeliveries - stats.redelivery_dups <= len(
+            record.shard_hosts
+        )
 
     def test_sustained_chaos_soak_conserves_every_host(self, reports):
         """failover_plan chaos over several epochs: every host is

@@ -21,7 +21,6 @@ import pytest
 
 from repro.cluster import (
     ACK,
-    DEFAULT_MAX_FRAME_BYTES,
     AggregatorListener,
     ClusterConfig,
     FrameAssembler,
@@ -255,7 +254,6 @@ class TestListenerExchange:
             seen=set(),
             delivered=set(),
             idle_timeout=idle_timeout,
-            max_frame_bytes=DEFAULT_MAX_FRAME_BYTES,
         )
 
     def test_multi_chunk_frame_interleaved_with_slow_peers(self):

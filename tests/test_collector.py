@@ -7,6 +7,7 @@ import pytest
 from repro.controlplane.transport import (
     ReportCollector,
     encode_report,
+    jittered_backoff,
 )
 from repro.dataplane.host import Host
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
@@ -14,6 +15,19 @@ from repro.sketches.countmin import CountMinSketch
 from repro.traffic.generator import TraceConfig, generate_trace
 
 NUM_HOSTS = 4
+
+
+def backoff(policy, epoch, host, attempt):
+    """The sleep before retry ``attempt`` under ``policy``'s schedule."""
+    return jittered_backoff(
+        policy.backoff_base,
+        policy.backoff_factor,
+        policy.backoff_jitter,
+        policy.jitter_seed,
+        epoch,
+        host,
+        attempt,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -109,13 +123,13 @@ class TestRetriableFaults:
         a = ReportCollector(backoff_jitter=0.2, jitter_seed=9)
         b = ReportCollector(backoff_jitter=0.2, jitter_seed=9)
         draws_a = [
-            a.backoff_for(epoch, host, attempt)
+            backoff(a, epoch, host, attempt)
             for epoch in range(3)
             for host in range(5)
             for attempt in (1, 2, 3)
         ]
         draws_b = [
-            b.backoff_for(epoch, host, attempt)
+            backoff(b, epoch, host, attempt)
             for epoch in range(3)
             for host in range(5)
             for attempt in (1, 2, 3)
@@ -127,7 +141,7 @@ class TestRetriableFaults:
         # is that simultaneous failures do NOT retry in lockstep.
         collector = ReportCollector(backoff_jitter=0.2, jitter_seed=0)
         sleeps = {
-            collector.backoff_for(0, host, 1) for host in range(16)
+            backoff(collector, 0, host, 1) for host in range(16)
         }
         assert len(sleeps) > 1
         base = collector.backoff_base
@@ -144,7 +158,7 @@ class TestRetriableFaults:
         for attempt in (1, 2, 3):
             nominal = 2.0 ** (attempt - 1)
             for host in range(8):
-                sleep = collector.backoff_for(1, host, attempt)
+                sleep = backoff(collector, 1, host, attempt)
                 assert nominal * 0.5 <= sleep <= nominal * 1.5
 
     def test_invalid_jitter_rejected(self):
@@ -160,10 +174,7 @@ class TestBackoffCap:
     """The exponent saturates: sleeps stop growing past the cap."""
 
     def test_exponent_saturates(self):
-        from repro.controlplane.transport import (
-            _MAX_BACKOFF_EXPONENT,
-            jittered_backoff,
-        )
+        from repro.controlplane.transport import _MAX_BACKOFF_EXPONENT
 
         base, factor = 0.01, 2.0
         # Below (and at) the cap the schedule is the plain exponential.
@@ -221,8 +232,8 @@ class TestBackoffCap:
                     stats=CollectionStats(),
                 )
                 for attempt in attempts:
-                    assert collector.backoff_for(
-                        epoch, host, attempt
+                    assert backoff(
+                        collector, epoch, host, attempt
                     ) == channel.delivery.backoff(attempt)
 
 

@@ -22,6 +22,7 @@ from repro.controlplane.transport import (
     ReportCollector,
     accept_frame,
     encode_report,
+    jittered_backoff,
 )
 from repro.dataplane.host import Host
 from repro.faults import (
@@ -243,8 +244,14 @@ class TestDeliveryMachine:
     def test_backoff_is_the_policy_schedule(self):
         delivery, _, _ = machine([])
         for attempt in (1, 2, 3, 20):
-            assert delivery.backoff(attempt) == POLICY.backoff_for(
-                EPOCH, HOST, attempt
+            assert delivery.backoff(attempt) == jittered_backoff(
+                POLICY.backoff_base,
+                POLICY.backoff_factor,
+                POLICY.backoff_jitter,
+                POLICY.jitter_seed,
+                EPOCH,
+                HOST,
+                attempt,
             )
 
 
