@@ -105,26 +105,32 @@ def test_fig06_two_core_scaling(result_table, bench_trace):
     """§7.2: parallelizing normal + fast paths across cores and merging
     in the control plane roughly doubles throughput ('two CPU cores are
     sufficient to achieve above 40 Gbps for all sketches')."""
-    from repro.dataplane.host import Host, MultiCoreHost
+    from repro.framework.pipeline import PipelineConfig, SketchVisorPipeline
+    from repro.tasks.distribution import FlowSizeDistributionTask
+    from repro.tasks.heavy_hitter import HeavyHitterTask
+
+    threshold = 0.005 * bench_trace.total_bytes
+    tasks = {
+        "deltoid": HeavyHitterTask("deltoid", threshold),
+        "flowradar": HeavyHitterTask("flowradar", threshold),
+        "mrac": FlowSizeDistributionTask("mrac"),
+    }
+
+    def gbps(task, cores: int) -> float:
+        pipeline = SketchVisorPipeline(
+            task, config=PipelineConfig(cores=cores)
+        )
+        return pipeline.run_epoch(bench_trace).throughput_gbps
 
     table = result_table(
         "fig06_two_cores",
         "§7.2 extension: 1-core vs 2-core throughput (Gbps)",
     )
     table.row(f"{'solution':<10} {'1 core':>8} {'2 cores':>8}")
-    for name in ("deltoid", "flowradar", "mrac"):
-        single = Host(0, SOLUTIONS[name]()).run_epoch(bench_trace)
-        dual = MultiCoreHost(
-            0, SOLUTIONS[name], num_cores=2
-        ).run_epoch(bench_trace)
-        table.row(
-            f"{name:<10} {single.switch.throughput_gbps:>8.1f} "
-            f"{dual.switch.throughput_gbps:>8.1f}"
-        )
-        assert (
-            dual.switch.throughput_gbps
-            > 1.5 * single.switch.throughput_gbps
-        )
+    for name, task in tasks.items():
+        single, dual = gbps(task, 1), gbps(task, 2)
+        table.row(f"{name:<10} {single:>8.1f} {dual:>8.1f}")
+        assert dual > 1.5 * single
 
 
 def test_fig06_switch_timing(benchmark, bench_trace):

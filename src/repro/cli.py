@@ -29,7 +29,6 @@ bench-summary
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from repro.common.errors import QuorumError
@@ -193,6 +192,7 @@ def _task(args: argparse.Namespace, total_bytes: float):
 #: ``PipelineConfig`` fields set from flags, by flag dest.  A flag the
 #: command does not have, or leaves unset, keeps the field's default.
 _CONFIG_FLAGS = {
+    "cores": "cores",
     "fastpath_bytes": "fastpath_bytes",
     "checkpoint_dir": "checkpoint_dir",
     "checkpoint_every": "checkpoint_every",
@@ -256,63 +256,7 @@ def _run_epoch(
     return pipeline.run_epoch(trace, truth)
 
 
-def _run_multicore(
-    args: argparse.Namespace,
-    task,
-    trace: Trace,
-    truth: GroundTruth,
-    telemetry: Telemetry | None,
-) -> EpochResult:
-    """One epoch on one multi-core host (§7.2): per-core switches run
-    directly and merge through the controller, with no pipeline."""
-    from repro.controlplane.controller import Controller
-    from repro.dataplane.host import MultiCoreHost
-    from repro.telemetry import trace_span
-    from repro.telemetry.publish import publish_host_reports
-
-    host = MultiCoreHost(
-        0,
-        lambda: task.create_sketch(seed=1),
-        num_cores=args.cores,
-        fastpath_bytes=args.fastpath_bytes,
-    )
-    with trace_span(telemetry, "epoch", task=task.name):
-        with trace_span(telemetry, "dataplane", cores=args.cores):
-            report = host.run_epoch(trace)
-        network = Controller(
-            RecoveryMode(args.recovery), telemetry=telemetry
-        ).aggregate([report])
-        with trace_span(telemetry, "task.answer"):
-            answer = task.answer(network.sketch)
-        with trace_span(telemetry, "task.score"):
-            score = task.score(answer, truth)
-    if telemetry is not None:
-        publish_host_reports(
-            telemetry.registry, [report], report.sketch.name
-        )
-    return EpochResult(
-        answer=answer, score=score, network=network, reports=[report]
-    )
-
-
-#: Flag dests ``run --cores`` rejects: the multi-core host runs alone,
-#: with no pipeline to carry hosts, faults, durability or accuracy.
-_NOT_WITH_CORES = (
-    "hosts", "dataplane", "chaos", "cluster", "soak",
-    "checkpoint_dir", "slo", "shadow_samples", "recorder_out",
-)
-
-
-def _cmd_run(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> int:
-    if args.cores > 1:
-        for dest in _NOT_WITH_CORES:
-            if getattr(args, dest) != parser.get_default(dest):
-                parser.error(
-                    f"--{dest.replace('_', '-')} cannot be combined "
-                    "with --cores"
-                )
+def _cmd_run(args: argparse.Namespace) -> int:
     trace = _trace(args)
     truth = GroundTruth.from_trace(trace)
     # Accuracy observability (SLOs, shadow sampling, flight-recorder
@@ -337,17 +281,14 @@ def _cmd_run(
         )
     task = _task(args, truth.total_bytes)
     num_hosts = args.cluster or args.hosts
-    if args.cores > 1:
-        result = _run_multicore(args, task, trace, truth, telemetry)
-    else:
-        pipeline = _pipeline(args, task, telemetry)
-        if args.soak:
-            return _run_soak(args, pipeline, trace, truth)
-        try:
-            result = _run_epoch(pipeline, trace, truth)
-        except QuorumError as exc:
-            print(f"QUORUM FAILED: {exc}", file=sys.stderr)
-            return 1
+    pipeline = _pipeline(args, task, telemetry)
+    if args.soak:
+        return _run_soak(args, pipeline, trace, truth)
+    try:
+        result = _run_epoch(pipeline, trace, truth)
+    except QuorumError as exc:
+        print(f"QUORUM FAILED: {exc}", file=sys.stderr)
+        return 1
 
     score = result.score
     print(f"task            : {args.task} / {args.solution}")
@@ -889,10 +830,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cores",
         type=int,
         default=1,
-        help="per-host worker cores (§7.2 parallel mode): one host "
-        "runs alone, so --hosts, --dataplane, --chaos, --cluster, "
-        "--soak, --checkpoint-dir, --slo, --shadow-samples and "
-        "--recorder-out are rejected with it",
+        help="worker cores per host (§7.2 parallel mode): each core "
+        "runs its own switch over a flow-consistent share of the "
+        "host's traffic, and the host folds its cores' results into "
+        "its one report",
     )
     run.add_argument("--fastpath-bytes", type=int, default=8192)
     run.add_argument(
@@ -904,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
         "TCP sockets through the hierarchical aggregator tier "
         "(overrides --hosts; composes with --chaos, whose plan then "
         "also drives connection-level faults at the socket layer; "
-        "see docs/robustness.md); rejected with --cores",
+        "see docs/robustness.md)",
     )
     run.add_argument(
         "--aggregators",
@@ -938,14 +879,14 @@ def build_parser() -> argparse.ArgumentParser:
         "printing a per-epoch summary line and a final aggregate; "
         "exits nonzero if any epoch fails quorum; designed for "
         "sustained-chaos runs with --cluster --chaos "
-        "(see docs/robustness.md); rejected with --cores",
+        "(see docs/robustness.md)",
     )
     run.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
         help="enable durable host state: snapshot every host engine "
         "into DIR and recover crashed/hung hosts by restore + WAL "
-        "replay (see docs/robustness.md); rejected with --cores",
+        "replay (see docs/robustness.md)",
     )
     run.add_argument(
         "--checkpoint-every",
@@ -981,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a dependency-free flamegraph (.svg for bare SVG, "
         "anything else for a standalone HTML page); implies --profile",
     )
-    run.set_defaults(func=functools.partial(_cmd_run, parser=run))
+    run.set_defaults(func=_cmd_run)
 
     telemetry = commands.add_parser(
         "telemetry",

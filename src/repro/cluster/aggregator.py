@@ -101,10 +101,8 @@ class Aggregator:
         """Hand over the group's partial, or ``None`` when no report
         arrived (or it was already handed over).
 
-        The aggregator lets go of the merged state: it sits in a
-        reference cycle with its listener (``sink`` is :meth:`add`), so
-        anything it kept would outlive the epoch until a full
-        collection happened to run.
+        The aggregator lets go of the merged state: the partial it
+        hands over is then the only holder of it.
         """
         if self._sketch is None:
             return None

@@ -46,9 +46,12 @@ fail-over:
   first arrivals, not be dropped as duplicates;
 * **re-home** — each shard host (ACKed by the dead aggregator, or
   still routed to it) that is neither delivered nor down for the
-  epoch gets one fresh delivery to the survivors.  A re-home can
-  strike a survivor's own scheduled fault, whose verdict re-homes
-  *that* shard in turn.
+  epoch gets one fresh delivery to the survivors: at once if the dead
+  aggregator had ACKed it or its first delivery has already ended
+  without an ACK, else only once that first delivery — re-routing
+  onto a survivor by itself — ends without one.  So each report is
+  sent once more at most.  A re-home can strike a survivor's own
+  scheduled fault, whose verdict re-homes *that* shard in turn.
 
 Hosts outside a dead shard are never sent again.  Because partials
 are canonicalized and sketches are linear, an epoch where a crashed
@@ -341,22 +344,39 @@ class ClusterCollector:
             )
             result.failovers.append(record)
             for host_id in record.shard_hosts:
-                spawn(rehome(record, host_id, struck_at))
+                # A stranded host still on its first delivery re-routes
+                # onto a survivor by itself: follow that delivery, and
+                # re-home only if it ends without an ACK.
+                follow = (
+                    host_id not in lost
+                    and not first_deliveries[host_id][1].done()
+                )
+                spawn(rehome(record, host_id, struck_at, follow))
             # Hung connections are cut, so their clients retry on the
             # survivors now rather than at their ack timeout.
             await listener.close(0)
 
         async def rehome(
-            record: FailoverRecord, host_id: int, struck_at: float
+            record: FailoverRecord,
+            host_id: int,
+            struck_at: float,
+            follow: bool,
         ) -> None:
-            # A fresh retry budget, no injected faults: re-homing
-            # models the host's fail-over logic, not new chaos — though
-            # the surviving *aggregators'* own scheduled strikes still
-            # apply on arrival.
-            channel = channel_for(host_id, ())
+            channel, first = first_deliveries[host_id]
             landed = None
             try:
-                landed = await channel.deliver()
+                if follow:
+                    # Wait without owning: a cancelled re-home must not
+                    # cancel the first delivery.
+                    await asyncio.wait([first])
+                    landed = first.result()
+                if landed is None:
+                    # A fresh retry budget, no injected faults:
+                    # re-homing models the host's fail-over logic, not
+                    # new chaos — though the surviving *aggregators'*
+                    # own scheduled strikes still apply on arrival.
+                    channel = channel_for(host_id, ())
+                    landed = await channel.deliver()
             finally:
                 if landed is None:
                     record.unrecovered_hosts += (host_id,)
@@ -367,8 +387,11 @@ class ClusterCollector:
                     record.redelivered_hosts += (host_id,)
                     record.recovery_seconds = loop.time() - struck_at
 
+        # host id -> (channel, task) of its first delivery.
+        first_deliveries: dict[int, tuple[HostChannel, asyncio.Task]] = {}
         for channel in channels:
             spawn(channel.deliver())
+            first_deliveries[channel.host_id] = (channel, tasks[-1])
         try:
             await _run_until(tasks, deadline)
         finally:

@@ -121,10 +121,12 @@ class AggregatorListener:
                 task.cancel()
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
-        # A closed listener strikes no more.  Dropping the callback
-        # also lets go of the epoch state it reaches: the listener
-        # itself sits in a reference cycle with its asyncio server.
-        self.on_strike = None
+        # A closed listener strikes no more and sinks nothing.  The
+        # server keeps the bound ``_handle`` it was started with, so
+        # dropping it breaks the listener's cycle with its server, and
+        # the epoch's aggregators, buckets and the state the callback
+        # reaches go when the epoch does, not at the next collection.
+        self.server = self.sink = self.on_strike = None
 
     async def _handle(self, reader, writer) -> None:
         task = asyncio.current_task()

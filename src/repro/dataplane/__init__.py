@@ -20,7 +20,7 @@ from repro.dataplane.cost_model import (
     CostModel,
     PAPER_CYCLES_PER_PACKET,
 )
-from repro.dataplane.host import Host, LocalReport, MultiCoreHost
+from repro.dataplane.host import Host, LocalReport
 from repro.dataplane.switch import SoftwareSwitch, SwitchReport
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "CostModel",
     "Host",
     "LocalReport",
-    "MultiCoreHost",
     "PAPER_CYCLES_PER_PACKET",
     "SoftwareSwitch",
     "SwitchReport",

@@ -71,6 +71,35 @@ class SwitchReport:
     normal_flows: set[FlowKey] = field(default_factory=set)
     fastpath_flows: set[FlowKey] = field(default_factory=set)
 
+    @classmethod
+    def combine(
+        cls, reports: list["SwitchReport"], cost_model: CostModel
+    ) -> "SwitchReport":
+        """One host's report from its cores' (§7.2).  Counts add and
+        flow sets unite; cores run concurrently, so the cycle counts
+        and the buffer high-water mark are the slowest (fullest)
+        core's, and throughput is total bytes over the longest
+        makespan."""
+        total_bytes = sum(r.total_bytes for r in reports)
+        makespan = max(r.makespan_cycles for r in reports)
+        return cls(
+            total_packets=sum(r.total_packets for r in reports),
+            total_bytes=total_bytes,
+            normal_packets=sum(r.normal_packets for r in reports),
+            normal_bytes=sum(r.normal_bytes for r in reports),
+            fastpath_packets=sum(r.fastpath_packets for r in reports),
+            fastpath_bytes=sum(r.fastpath_bytes for r in reports),
+            producer_cycles=max(r.producer_cycles for r in reports),
+            consumer_cycles=max(r.consumer_cycles for r in reports),
+            makespan_cycles=makespan,
+            throughput_gbps=cost_model.gbps(total_bytes, makespan),
+            buffer_high_water=max(r.buffer_high_water for r in reports),
+            normal_flows=set().union(*(r.normal_flows for r in reports)),
+            fastpath_flows=set().union(
+                *(r.fastpath_flows for r in reports)
+            ),
+        )
+
     @property
     def fastpath_packet_fraction(self) -> float:
         if self.total_packets == 0:

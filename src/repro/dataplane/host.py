@@ -167,105 +167,3 @@ class Host:
         self.sketch.reset()
         if self.fastpath is not None:
             self.fastpath.reset()
-
-
-class MultiCoreHost:
-    """A host that parallelizes measurement across CPU cores (§7.2).
-
-    The paper: "We can further boost the throughput by parallelizing
-    the normal path and fast path with multiple CPU cores and merging
-    their results later in the control plane.  Our results show that
-    two CPU cores are sufficient to achieve above 40 Gbps for all
-    sketches."  Each core runs an independent switch (same sketch seed)
-    over a flow-consistent share of the host's traffic; the per-core
-    results merge exactly like per-host results do.
-
-    Parameters
-    ----------
-    num_cores:
-        Worker cores; traffic splits flow-consistently across them.
-    """
-
-    def __init__(
-        self,
-        host_id: int,
-        sketch_factory,
-        num_cores: int = 2,
-        fastpath_bytes: int | None = 8192,
-        cost_model: CostModel | None = None,
-        buffer_packets: int = 1024,
-    ):
-        if num_cores < 1:
-            raise ValueError("num_cores must be >= 1")
-        self.host_id = host_id
-        self.num_cores = num_cores
-        self.cores = [
-            Host(
-                host_id=host_id * 1000 + core,
-                sketch=sketch_factory(),
-                fastpath_bytes=fastpath_bytes,
-                cost_model=cost_model,
-                buffer_packets=buffer_packets,
-            )
-            for core in range(num_cores)
-        ]
-
-    def run_epoch(
-        self, trace: Trace, offered_gbps: float | None = None
-    ) -> LocalReport:
-        """Process one epoch across all cores and merge the results."""
-        from repro.controlplane.merge import (
-            merge_fastpath_snapshots,
-            merge_sketches,
-        )
-        from repro.dataplane.switch import SwitchReport
-
-        shards = trace.partition(self.num_cores)
-        per_core_rate = (
-            None if offered_gbps is None else offered_gbps / self.num_cores
-        )
-        reports = [
-            core.run_epoch(shard, per_core_rate)
-            for core, shard in zip(self.cores, shards)
-        ]
-        merged_sketch = merge_sketches([r.sketch for r in reports])
-        merged_snapshot = merge_fastpath_snapshots(
-            [r.fastpath for r in reports]
-        )
-        combined = SwitchReport()
-        for report in reports:
-            switch = report.switch
-            combined.total_packets += switch.total_packets
-            combined.total_bytes += switch.total_bytes
-            combined.normal_packets += switch.normal_packets
-            combined.normal_bytes += switch.normal_bytes
-            combined.fastpath_packets += switch.fastpath_packets
-            combined.fastpath_bytes += switch.fastpath_bytes
-            combined.normal_flows |= switch.normal_flows
-            combined.fastpath_flows |= switch.fastpath_flows
-            combined.producer_cycles = max(
-                combined.producer_cycles, switch.producer_cycles
-            )
-            combined.consumer_cycles = max(
-                combined.consumer_cycles, switch.consumer_cycles
-            )
-        # Cores run concurrently: the epoch finishes when the slowest
-        # core does, so aggregate throughput is total bytes over the
-        # longest makespan.
-        combined.makespan_cycles = max(
-            r.switch.makespan_cycles for r in reports
-        )
-        cost_model = self.cores[0].switch.cost_model
-        combined.throughput_gbps = cost_model.gbps(
-            combined.total_bytes, combined.makespan_cycles
-        )
-        return LocalReport(
-            host_id=self.host_id,
-            sketch=merged_sketch,
-            fastpath=merged_snapshot,
-            switch=combined,
-        )
-
-    def reset(self) -> None:
-        for core in self.cores:
-            core.reset()

@@ -16,6 +16,10 @@ from repro.cluster import ClusterCollector, ClusterConfig
 from repro.common.errors import ConfigError
 from repro.controlplane.controller import Controller, NetworkResult
 from repro.controlplane.lens import LensConfig
+from repro.controlplane.merge import (
+    merge_fastpath_snapshots,
+    merge_sketches,
+)
 from repro.controlplane.recovery import RecoveryMode
 from repro.controlplane.transport import (
     CollectionResult,
@@ -23,6 +27,7 @@ from repro.controlplane.transport import (
     encode_report,
 )
 from repro.dataplane.cost_model import CostModel
+from repro.dataplane.engine import SwitchReport
 from repro.dataplane.host import Host, LocalReport
 from repro.durability import (
     DEFAULT_CHECKPOINT_EVERY,
@@ -55,6 +60,10 @@ class PipelineConfig:
     """Deployment parameters for one pipeline run."""
 
     num_hosts: int = 1
+    #: Worker cores per host (§7.2): each core runs its own switch over
+    #: a flow-consistent share of the host's traffic, and the host
+    #: folds its cores' results into its one report.
+    cores: int = 1
     fastpath_bytes: int = 8192  # paper default (§7.1)
     buffer_packets: int = 1024
     offered_gbps: float | None = None  # None = send as fast as possible
@@ -107,6 +116,8 @@ class PipelineConfig:
     cluster: "ClusterConfig | None" = None
 
     def __post_init__(self) -> None:
+        if self.cores < 1:
+            raise ConfigError(f"cores must be >= 1, got {self.cores}")
         _apply_env_switches(self)
 
 
@@ -191,12 +202,15 @@ class EpochResult:
         host sketches (or frames) and the merged state go, and so does
         the collection's report list — decoded copies of
         :attr:`reports`, or the aggregators' partials, both merged
-        already.  Durability outcomes hold the same report objects as
-        :attr:`reports`.
+        already.  Durability outcomes hold their cores' reports: at one
+        core per host, the same objects as :attr:`reports`.
         """
         self.network.retire()
         for report in self.reports:
             report.retire()
+        for outcome in self.durability or ():
+            if outcome.report is not None:
+                outcome.report.retire()
         collection = self.collection
         if collection is not None:
             collection.aggregated_from = collection.hosts_reported
@@ -219,6 +233,28 @@ class EpochResult:
         return (
             sum(r.switch.fastpath_bytes for r in self.reports) / total
         )
+
+
+def _fold_cores(
+    host_id: int, reports: list[LocalReport], cost_model: CostModel
+) -> LocalReport:
+    """A host's one report from its cores' (§7.2), by the controller's
+    own linear merge; a single core's report is the host's."""
+    if len(reports) == 1:
+        return reports[0]
+    snapshots = [report.fastpath for report in reports]
+    return LocalReport(
+        host_id=host_id,
+        sketch=merge_sketches([report.sketch for report in reports]),
+        fastpath=(
+            merge_fastpath_snapshots(snapshots)
+            if any(snapshot is not None for snapshot in snapshots)
+            else None
+        ),
+        switch=SwitchReport.combine(
+            [report.switch for report in reports], cost_model
+        ),
+    )
 
 
 class SketchVisorPipeline:
@@ -332,18 +368,25 @@ class SketchVisorPipeline:
 
     # ------------------------------------------------------------------
     def _build_hosts(self) -> list[Host]:
-        """One host per shard, each with a fresh sketch — except that
-        unsupervised hosts whose reports leave as frames take turns on
-        one warm sketch: a host is done with it once its report is
-        encoded, and the next resets it before running."""
+        """One :class:`Host` per core cell — cell ``h + hosts * c`` is
+        core ``c`` of host ``h`` — each with a fresh sketch.  At one
+        core per host, unsupervised hosts whose reports leave as frames
+        take turns on one warm sketch instead: a host is done with it
+        once its report is encoded, and the next resets it before
+        running.  (A host's cores fold their sketches only after they
+        have all run, so they cannot take turns.)"""
         cfg = self.config
         shared = None
-        if self._supervisor is None and self._streams_frames():
+        if (
+            cfg.cores == 1
+            and self._supervisor is None
+            and self._streams_frames()
+        ):
             if self._warm_sketch is None:
                 self._warm_sketch = self.task.create_sketch(seed=cfg.seed)
             shared = self._warm_sketch
         hosts = []
-        for host_id in range(cfg.num_hosts):
+        for cell in range(cfg.num_hosts * cfg.cores):
             sketch = (
                 shared
                 if shared is not None
@@ -351,7 +394,7 @@ class SketchVisorPipeline:
             )
             hosts.append(
                 Host(
-                    host_id=host_id,
+                    host_id=cell,
                     sketch=sketch,
                     fastpath_bytes=(
                         None
@@ -373,10 +416,11 @@ class SketchVisorPipeline:
         return hosts
 
     def _doomed_hosts(self, hosts, shards, epoch: int) -> set[int]:
-        """Hosts whose shard has a mid-epoch fault scheduled while no
-        supervisor can recover them: the crash/hang loses the epoch
-        (their report goes missing → degraded merge), exactly the
-        pre-durability behavior the checkpoint layer exists to fix."""
+        """Core cells whose shard has a mid-epoch fault scheduled while
+        no supervisor can recover them: the crash/hang loses the epoch
+        (their host's report goes missing → degraded merge), exactly
+        the pre-durability behavior the checkpoint layer exists to
+        fix."""
         cfg = self.config
         if cfg.faults is None:
             return set()
@@ -406,22 +450,26 @@ class SketchVisorPipeline:
     def _run_dataplane(
         self, trace: Trace
     ) -> tuple[list[LocalReport], list[int], list[HostOutcome] | None]:
-        """Run one epoch's data plane, one host at a time.
+        """Run one epoch's data plane, one host (and core) at a time.
 
-        Returns ``(reports, missing_hosts, outcomes)``: reports that
-        survived, hosts whose epoch was lost to an unrecovered
-        data-plane fault, and the supervisor's per-host outcome records
-        (``None`` when checkpointing is disabled).
+        Returns ``(reports, missing_hosts, outcomes)``: one report per
+        host that survived, hosts that lost a core's epoch to an
+        unrecovered data-plane fault, and the supervisor's per-cell
+        outcome records (``None`` when checkpointing is disabled).
         """
         cfg = self.config
         with trace_span(
             cfg.telemetry, "trace.partition", hosts=cfg.num_hosts
         ):
-            shards = trace.partition(cfg.num_hosts)
+            # Cell h + hosts * c runs shard h + hosts * c.  A flow's
+            # shard index modulo ``hosts`` is its shard index among
+            # ``hosts`` shards, so a host's cores split exactly its own
+            # flows, and at one core the shards are the hosts'.
+            shards = trace.partition(cfg.num_hosts * cfg.cores)
         # Hosts are built *without* telemetry: per-host metrics are
         # published centrally from the returned reports.
-        hosts = self._build_hosts()
-        sketch_name = hosts[0].sketch.name if hosts else ""
+        cells = self._build_hosts()
+        sketch_name = cells[0].sketch.name if cells else ""
         # The epoch the *next* _aggregate call will stamp on these
         # reports — fault schedules must be keyed by the same number.
         epoch = self._epoch_counter
@@ -429,39 +477,50 @@ class SketchVisorPipeline:
         # Without a supervisor a scheduled mid-epoch fault is
         # unrecoverable: the host's epoch is simply lost.
         doomed = (
-            self._doomed_hosts(hosts, shards, epoch)
+            self._doomed_hosts(cells, shards, epoch)
             if supervisor is None
             else set()
         )
         profiler = (
             cfg.telemetry.profiler if cfg.telemetry is not None else None
         )
+        # A core sees its share of the host's traffic over the same
+        # span of time: its share of the offered rate.
+        rate = (
+            None if cfg.offered_gbps is None else cfg.offered_gbps / cfg.cores
+        )
         outcomes = None if supervisor is None else []
         reports: list[LocalReport] = []
         missing: list[int] = []
-        for host, shard in zip(hosts, shards):
-            if host.host_id in doomed:
-                missing.append(host.host_id)
+        for host_id in range(cfg.num_hosts):
+            cores = cells[host_id::cfg.num_hosts]
+            if any(core.host_id in doomed for core in cores):
+                missing.append(host_id)
                 continue
-            # Stage timers run where the cycles are spent; metrics
-            # still publish centrally from the reports.
-            host.switch.profiler = profiler
-            if host.sketch is self._warm_sketch:
-                host.sketch.reset()
-            with trace_span(
-                cfg.telemetry, "dataplane.host", host=host.host_id
-            ):
-                if supervisor is None:
-                    report = host.run_epoch(shard, cfg.offered_gbps)
-                else:
-                    outcome = supervisor.run_host(
-                        host, shard, cfg.offered_gbps, epoch
-                    )
-                    outcomes.append(outcome)
-                    report = outcome.report
-            if report is None:
-                missing.append(host.host_id)
+            core_reports = []
+            with trace_span(cfg.telemetry, "dataplane.host", host=host_id):
+                for core in cores:
+                    # Stage timers run where the cycles are spent;
+                    # metrics still publish centrally from the reports.
+                    core.switch.profiler = profiler
+                    if core.sketch is self._warm_sketch:
+                        core.sketch.reset()
+                    shard = shards[core.host_id]
+                    if supervisor is None:
+                        report = core.run_epoch(shard, rate)
+                    else:
+                        outcome = supervisor.run_host(
+                            core, shard, rate, epoch
+                        )
+                        outcomes.append(outcome)
+                        report = outcome.report
+                    core_reports.append(report)
+            if any(report is None for report in core_reports):
+                missing.append(host_id)
             else:
+                report = _fold_cores(
+                    host_id, core_reports, cells[0].switch.cost_model
+                )
                 reports.append(self._hand_off(report, epoch))
         if cfg.telemetry is not None:
             if outcomes is not None:

@@ -263,33 +263,6 @@ class TestAccuracyCLI:
         assert loaded["reason"] == "slo_breach"
         assert loaded["events"][-1]["kind"] == "slo_breach"
 
-    @pytest.mark.parametrize(
-        "flag,value",
-        [
-            ("--slo", None),
-            ("--shadow-samples", "64"),
-            ("--hosts", "2"),
-            ("--soak", "2"),
-        ],
-        ids=["slo", "shadow-samples", "hosts", "soak"],
-    )
-    def test_cores_rejects_flags_it_cannot_honour(
-        self, tmp_path, capsys, flag, value
-    ):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "run",
-                    "--flows", "600",
-                    "--cores", "2",
-                    flag, value or str(self._slo_file(tmp_path)),
-                ]
-            )
-        assert exc.value.code != 0
-        assert f"{flag} cannot be combined with --cores" in (
-            capsys.readouterr().err
-        )
-
     def test_run_with_satisfied_slo(self, tmp_path, capsys):
         code = main(
             [
@@ -374,6 +347,102 @@ class TestAccuracyCLI:
             document.split('id="dash-data">')[1].split("</script>")[0]
         )
         assert len(payload["rows"]) == 2
+
+
+class TestCoresCompose:
+    """``run --cores`` goes through the one epoch driver, so it
+    composes with every other pipeline flag."""
+
+    LINES = ("recall", "precision", "relative error", "throughput",
+             "fast-path bytes")
+
+    def _run(self, capsys, *flags) -> tuple[int, dict[str, str]]:
+        code = main(["run", "--flows", "600", "--cores", "2", *flags])
+        lines = {}
+        for line in capsys.readouterr().out.splitlines():
+            name, colon, value = line.partition(":")
+            if colon:
+                lines.setdefault(name.strip(), value.strip())
+        return code, lines
+
+    def _crash_plan(self, tmp_path, cell: int):
+        from repro.faults import FaultKind, FaultPlan, FaultSpec
+
+        path = tmp_path / f"crash_cell_{cell}.json"
+        FaultPlan(
+            seed=0,
+            specs=[
+                FaultSpec(
+                    FaultKind.DATAPLANE_CRASH,
+                    epoch=0,
+                    host=cell,
+                    packet_offset=500,
+                )
+            ],
+        ).save(path)
+        return str(path)
+
+    def test_cores_with_hosts(self, capsys):
+        code, lines = self._run(capsys, "--hosts", "2")
+        assert code == 0
+        assert lines["hosts"] == "2"
+        assert lines["cores"] == "2"
+        assert "recall" in lines
+
+    def test_cores_with_cluster_sends_one_frame_per_host(
+        self, capsys, monkeypatch
+    ):
+        import repro.cluster.transport as transport
+
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        accepted = []
+        accept_frame = transport.accept_frame
+
+        def counting(frame, *args):
+            verdict, report = accept_frame(frame, *args)
+            accepted.append(None if report is None else report.host_id)
+            return verdict, report
+
+        monkeypatch.setattr(transport, "accept_frame", counting)
+        code, lines = self._run(capsys, "--cluster", "4")
+        assert code == 0
+        assert lines["cluster"].startswith("4 host(s) -> ")
+        assert sorted(accepted) == [0, 1, 2, 3]
+
+    def test_cores_with_chaos_loses_the_host_of_a_crashed_core(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Without a checkpoint directory a crashed core is lost, and
+        so is its host: cell 3 is core 1 of host 1."""
+        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
+        code, lines = self._run(
+            capsys,
+            "--hosts", "2",
+            "--chaos", self._crash_plan(tmp_path, cell=3),
+        )
+        assert code == 0
+        assert lines["chaos"].endswith("1 host(s) missing")
+        assert lines["degraded epoch"].startswith("hosts (1,) missing")
+
+    def test_cores_with_checkpoint_dir_recovers_a_crashed_core(
+        self, tmp_path, capsys
+    ):
+        """A dp_crash on core 1 restores from that core's checkpoints
+        and replays: the same answer as the uncrashed run."""
+        clean_code, clean = self._run(
+            capsys, "--checkpoint-dir", str(tmp_path / "clean")
+        )
+        code, crashed = self._run(
+            capsys,
+            "--checkpoint-dir", str(tmp_path / "crashed"),
+            "--checkpoint-every", "256",
+            "--chaos", self._crash_plan(tmp_path, cell=1),
+        )
+        assert clean_code == code == 0
+        assert "1 host(s) recovered" in crashed["durability"]
+        assert (tmp_path / "crashed" / "host_0001").is_dir()
+        for name in self.LINES:
+            assert crashed[name] == clean[name], name
 
 
 class TestClusterCli:

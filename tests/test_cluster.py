@@ -458,9 +458,9 @@ class TestAggregatorTier:
         assert Aggregator(0).finish() is None
 
     def test_partial_is_handed_over_not_shared(self, reports):
-        """The aggregator sits in a cycle with its listener; a partial
-        it kept would wait for a generation-2 collection.  Dropping
-        the collection must free the merged sketches by refcount."""
+        """A partial the aggregator kept would live as long as the
+        aggregator.  Dropping the collection must free the merged
+        sketches by refcount."""
         collector = ClusterCollector(
             ClusterConfig(hierarchical=True, **FAST)
         )
@@ -477,6 +477,39 @@ class TestAggregatorTier:
             assert [ref() for ref in sketches] == [None] * len(sketches)
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_closed_listeners_leave_no_cycle(self, reports, hierarchical):
+        """A closed listener lets go of its asyncio server (whose
+        handler is the listener's bound method) and of its sink, so
+        an epoch's listeners, aggregators and flat-mode buckets are
+        freed by refcount, not left to the cycle collector."""
+        import asyncio
+
+        from repro.cluster.transport import AggregatorListener
+
+        collector = ClusterCollector(
+            ClusterConfig(hierarchical=hierarchical, aggregators=3, **FAST)
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            collector.collect(reports, 0)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = {
+                type(item).__name__
+                for item in gc.garbage
+                if isinstance(
+                    item,
+                    (AggregatorListener, Aggregator, asyncio.Server),
+                )
+            }
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == set()
 
     def test_assignment_is_total_and_stable(self):
         for num_aggregators in (1, 3, 8):
@@ -765,6 +798,19 @@ class TestAggregatorFailover:
             network.sketch.to_matrix(),
             self._clean_matrix(reports, 0),
         )
+
+    def test_hang_sends_each_stranded_report_once(self, reports):
+        """Hosts hung on the struck aggregator re-route onto a survivor
+        by themselves: the verdict follows their first delivery instead
+        of sending a second copy beside it."""
+        collection = self._strike_collect(
+            reports, FaultKind.AGG_HANG, offset=1, aggregators=3
+        )
+        assert collection.missing_hosts == []
+        [record] = collection.failovers
+        assert set(record.redelivered_hosts) == set(record.shard_hosts)
+        assert collection.stats.redelivery_dups == 0
+        assert collection.stats.duplicates == 0
 
     def test_strike_without_survivor_loses_no_host_silently(
         self, reports

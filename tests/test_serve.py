@@ -446,6 +446,67 @@ class TestBoundedState:
         assert grown / 20 < 4 * 1024, grown
 
 
+class TestWindowSeries:
+    """The serve window series, each by its full name."""
+
+    def test_window_series_census(self, trace, monkeypatch):
+        """Four windows over four hosts: window 1 loses one host to a
+        data-plane crash (degraded merge), the last window loses three
+        (below the 50% quorum), windows 0 and 2 are clean."""
+        from repro.faults import FaultKind, FaultPlan, FaultSpec
+
+        # Unsupervised, so a crashed host loses its window.
+        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
+        crashes = [(1, 0), (3, 0), (3, 1), (3, 2)]
+        plan = FaultPlan(
+            seed=0,
+            specs=[
+                FaultSpec(
+                    FaultKind.DATAPLANE_CRASH,
+                    epoch=epoch,
+                    host=host,
+                    packet_offset=1,
+                )
+                for epoch, host in crashes
+            ],
+        )
+        window_packets = len(trace) // 4
+        service = MeasurementService(
+            _light_tasks(trace),
+            ReplaySource(trace, chunk_packets=173, loop=False),
+            ServeConfig(window_packets=window_packets, max_windows=4),
+            pipeline_config=PipelineConfig(num_hosts=4, faults=plan),
+        )
+        service.start()
+        assert service.wait(120)
+        service.stop()
+        assert service.windows_processed == 4
+        recovered = [0, 1, 2]
+        windows = [
+            trace[index * window_packets:(index + 1) * window_packets]
+            for index in recovered
+        ]
+        registry = service.telemetry.registry
+        assert registry.value("sketchvisor_serve_packets_total") == sum(
+            len(window) for window in windows
+        )
+        assert registry.value("sketchvisor_serve_bytes_total") == sum(
+            window.total_bytes for window in windows
+        )
+        assert registry.value("sketchvisor_serve_window_id") == 2
+        assert registry.value(
+            "sketchvisor_serve_last_window_unix_seconds"
+        ) > 0
+        text = service.metrics_text()
+        assert "sketchvisor_serve_window_seconds_count 3" in text
+        assert registry.value(
+            "sketchvisor_serve_degraded_windows_total"
+        ) == 1
+        assert registry.value(
+            "sketchvisor_serve_quorum_failures_total"
+        ) == 1
+
+
 class TestBatchEquivalence:
     def test_serve_windows_match_batch_epochs(self, trace):
         """`repro serve --windows 3` over a replayed trace recovers
