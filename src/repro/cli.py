@@ -31,7 +31,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.common.errors import QuorumError
+from repro.common.errors import ConfigError, QuorumError
 from repro.controlplane.recovery import RecoveryMode
 from repro.faults import FaultPlan
 from repro.framework.modes import DataPlaneMode
@@ -1112,7 +1112,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as error:
+        parser.error(str(error))
 
 
 if __name__ == "__main__":  # pragma: no cover

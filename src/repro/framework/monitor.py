@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, QuorumError
 from repro.controlplane.recovery import RecoveryMode
 from repro.framework.modes import DataPlaneMode
 from repro.framework.pipeline import (
@@ -128,50 +128,66 @@ class ContinuousMonitor:
         telemetry = self.config.telemetry
         summary = EpochSummary(epoch=self._epoch_index)
         start = time.perf_counter()
-        with trace_span(
-            telemetry, "monitor.epoch", epoch=self._epoch_index
-        ):
-            # What depends only on the window is computed once and
-            # shared by every task's pipeline: the exact ground truth
-            # here, the host shards on the trace (Trace.partition).
-            with trace_span(telemetry, "groundtruth"):
-                truth = GroundTruth.from_trace(trace)
-            for task in self.tasks:
-                result = self._pipelines[task.name].run_epoch(trace, truth)
-                if result is None:
-                    continue
-                summary.results[task.name] = result
-                summary.alerts.extend(
-                    self._alerts_from(task, result)
-                )
-                degraded = result.network.degraded
-                if degraded is not None:
-                    summary.alerts.append(
-                        Alert(
-                            epoch=self._epoch_index,
-                            kind=AlertKind.DEGRADED_EPOCH,
-                            subject=degraded.missing_hosts,
-                            magnitude=degraded.error_inflation,
-                        )
-                    )
-                summary.alerts.extend(
-                    Alert(
-                        epoch=self._epoch_index,
-                        kind=AlertKind.ACCURACY_SLO_BREACH,
-                        subject=breach.rule,
-                        magnitude=breach.value,
-                    )
-                    for breach in result.slo_breaches
-                )
+        try:
+            with trace_span(
+                telemetry, "monitor.epoch", epoch=self._epoch_index
+            ):
+                self._run_tasks(trace, summary, telemetry)
+        finally:
+            # Every task's pipeline ran the window, so the index moves
+            # on with their epoch counters, failed quorum or not.
+            self._epoch_index += 1
         if telemetry is not None:
             publish_monitor_epoch(
                 telemetry.registry,
                 summary,
                 time.perf_counter() - start,
             )
-        self._epoch_index += 1
         self.history.append(summary)
         return summary
+
+    def _run_tasks(self, trace, summary, telemetry) -> None:
+        """Run the window through every task's pipeline into
+        ``summary``.  A task that fails quorum does not stop the tasks
+        after it; the first :class:`QuorumError` is raised once all of
+        them have run."""
+        # What depends only on the window is computed once and shared
+        # by every task's pipeline: the exact ground truth here, the
+        # host shards on the trace (Trace.partition).
+        with trace_span(telemetry, "groundtruth"):
+            truth = GroundTruth.from_trace(trace)
+        failed = None
+        for task in self.tasks:
+            try:
+                result = self._pipelines[task.name].run_epoch(trace, truth)
+            except QuorumError as error:
+                failed = failed or error
+                continue
+            if result is None:
+                continue
+            summary.results[task.name] = result
+            summary.alerts.extend(self._alerts_from(task, result))
+            degraded = result.network.degraded
+            if degraded is not None:
+                summary.alerts.append(
+                    Alert(
+                        epoch=self._epoch_index,
+                        kind=AlertKind.DEGRADED_EPOCH,
+                        subject=degraded.missing_hosts,
+                        magnitude=degraded.error_inflation,
+                    )
+                )
+            summary.alerts.extend(
+                Alert(
+                    epoch=self._epoch_index,
+                    kind=AlertKind.ACCURACY_SLO_BREACH,
+                    subject=breach.rule,
+                    magnitude=breach.value,
+                )
+                for breach in result.slo_breaches
+            )
+        if failed is not None:
+            raise failed
 
     def _alerts_from(
         self, task: MeasurementTask, result: EpochResult

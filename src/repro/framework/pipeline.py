@@ -116,6 +116,10 @@ class PipelineConfig:
     cluster: "ClusterConfig | None" = None
 
     def __post_init__(self) -> None:
+        if self.num_hosts < 1:
+            raise ConfigError(
+                f"num_hosts must be >= 1, got {self.num_hosts}"
+            )
         if self.cores < 1:
             raise ConfigError(f"cores must be >= 1, got {self.cores}")
         _apply_env_switches(self)

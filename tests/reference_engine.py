@@ -28,11 +28,15 @@ def reference_run(
     buffer_packets: int = 1024,
     ideal: bool = False,
     offered_gbps: float | None = None,
+    end_state: dict | None = None,
 ) -> SwitchReport:
     """Run ``trace`` through ``sketch``/``fastpath`` packet by packet.
 
     Mutates ``sketch`` and ``fastpath`` exactly as one epoch of the
     switch must, and returns the finalized :class:`SwitchReport`.
+    ``end_state``, if given, receives the ``producer`` and ``consumer``
+    clocks, the FIFO's enqueue cycles (``queue``) and its
+    ``high_water`` as the last packet leaves them, before the drain.
     """
     cost_model = cost_model or CostModel.in_memory()
     sketch_cycles = cost_model.sketch_cycles(sketch)
@@ -89,6 +93,13 @@ def reference_run(
             report.fastpath_bytes += packet.size
             report.fastpath_flows.add(packet.flow)
 
+    if end_state is not None:
+        end_state.update(
+            producer=producer,
+            consumer=consumer,
+            queue=list(fifo.queue),
+            high_water=fifo.high_water,
+        )
     while not fifo.empty:
         consumer = max(consumer, fifo.pop()) + sketch_cycles
 

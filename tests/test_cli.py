@@ -100,6 +100,23 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "--task", "bogus"])
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--hosts", "num_hosts must be >= 1, got 0"),
+            ("--cores", "cores must be >= 1, got 0"),
+        ],
+    )
+    def test_zero_hosts_or_cores_is_a_usage_error(
+        self, capsys, flag, message
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "--flows", "200", flag, "0"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"error: {message}")
+        assert "Traceback" not in err
+
     def test_multicore_run(self, capsys):
         code = main(
             [

@@ -7,8 +7,8 @@ import weakref
 
 import pytest
 
-from repro.common.errors import ConfigError
-from repro.faults import FaultPlan
+from repro.common.errors import ConfigError, QuorumError
+from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.framework.monitor import (
     Alert,
     AlertKind,
@@ -106,6 +106,44 @@ class TestContinuousMonitor:
         assert monitor.alerts() == monitor.alerts(
             AlertKind.HEAVY_HITTER
         )
+
+    def test_quorum_failure_keeps_every_task_in_step(
+        self, epoch_stream, monkeypatch
+    ):
+        """Three of four hosts crash in the middle window, so it fails
+        quorum for both tasks.  Both pipelines still run it: the next
+        window meets quorum, and their epoch counters agree."""
+        # Unsupervised, so a crashed host loses its window.
+        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
+        plan = FaultPlan(
+            seed=0,
+            specs=[
+                FaultSpec(
+                    FaultKind.DATAPLANE_CRASH,
+                    epoch=1,
+                    host=host,
+                    packet_offset=1,
+                )
+                for host in range(3)
+            ],
+        )
+        monitor = ContinuousMonitor(
+            [
+                CardinalityTask("lc"),
+                HeavyHitterTask("flowradar", threshold=100_000),
+            ],
+            config=PipelineConfig(num_hosts=4, faults=plan),
+        )
+        monitor.process_epoch(epoch_stream[0])
+        with pytest.raises(QuorumError):
+            monitor.process_epoch(epoch_stream[1])
+        summary = monitor.process_epoch(epoch_stream[2])
+        assert summary.epoch == 2
+        assert sorted(summary.results) == ["cardinality", "heavy_hitter"]
+        assert [
+            pipeline._epoch_counter
+            for pipeline in monitor._pipelines.values()
+        ] == [3, 3]
 
 
 # ----------------------------------------------------------------------
