@@ -282,13 +282,17 @@ def _publish_solve(telemetry, result) -> None:
         publish_recovery_residual(
             telemetry.registry, float(result.residuals[-1])
         )
-    if result.gesvd_retries or result.svd_failed:
+    if result.gesvd_retries or result.full_svd or result.svd_failed:
         publish_lens_svd_fallbacks(
-            telemetry.registry, result.gesvd_retries, result.svd_failed
+            telemetry.registry,
+            result.gesvd_retries,
+            result.full_svd,
+            result.svd_failed,
         )
         telemetry.recorder.record(
             "lens_svd_fallback",
             gesvd_retries=result.gesvd_retries,
+            full=result.full_svd,
             midpoint=result.svd_failed,
         )
 

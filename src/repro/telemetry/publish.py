@@ -359,16 +359,20 @@ def publish_recovery_residual(
 
 
 def publish_lens_svd_fallbacks(
-    registry: MetricsRegistry, gesvd_retries: int, midpoint: bool
+    registry: MetricsRegistry, gesvd_retries: int, full: bool, midpoint: bool
 ) -> None:
-    """Count the rungs one LENS solve took below the first SVD driver:
-    ``gesvd`` per factorization the retry driver answered, ``midpoint``
-    when neither driver did and the box midpoint stood in."""
+    """Count the fall-backs one LENS solve took: ``gesvd`` per
+    factorization the retry driver answered, ``full`` when the range
+    finder reached its cap and the exact SVD of the whole matrix
+    answered, ``midpoint`` when neither driver converged and the box
+    midpoint stood in."""
     fallbacks = registry.counter(
         "sketchvisor_lens_svd_fallbacks_total",
-        "LENS SVDs answered below the first LAPACK driver, by rung",
+        "LENS SVD fall-backs (retry driver, exact SVD, box midpoint), "
+        "by rung",
     )
     fallbacks.inc(gesvd_retries, rung="gesvd")
+    fallbacks.inc(1 if full else 0, rung="full")
     fallbacks.inc(1 if midpoint else 0, rung="midpoint")
 
 

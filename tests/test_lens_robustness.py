@@ -1,4 +1,6 @@
-"""LENS cannot kill an epoch: the SVD ladder gesdd -> gesvd -> midpoint."""
+"""LENS cannot kill an epoch: the SVD ladder gesdd -> gesvd -> midpoint,
+on the exact SVD of a small matrix and on the range finder's projection
+of a large one."""
 
 from __future__ import annotations
 
@@ -49,8 +51,11 @@ def _lens_seeds(*args: str) -> list[dict]:
 
 
 class TestKnownSeeds:
-    """Inputs on which ``np.linalg.svd`` raised ``SVD did not converge``
-    and took the epoch — and under ``repro serve`` the process — down."""
+    """Inputs on which ``np.linalg.svd`` of the whole LENS matrix raised
+    ``SVD did not converge`` and took the epoch — and under ``repro
+    serve`` the process — down.  The range finder now factors a small
+    projection of them, which gesdd converges on, so they stay as
+    regressions: the epoch completes without the midpoint."""
 
     def test_fanin_epoch_at_trace_seed_321_completes(self):
         (run,) = _lens_seeds("--fanin", "321")
@@ -67,9 +72,9 @@ def _no_convergence(*_args, **_kwargs):
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
-def _deltoid_and_snapshot():
-    normal = Deltoid(width=64, depth=2, seed=5)
-    for index in range(30, 120):
+def _deltoid_and_snapshot(width=64, flows=90):
+    normal = Deltoid(width=width, depth=2, seed=5)
+    for index in range(30, 30 + flows):
         normal.update(make_flow(index), 300 + index)
     entries = {
         make_flow(index): FlowEntry(
@@ -94,17 +99,26 @@ def _fallbacks(telemetry, rung):
 
 
 class TestSvdLadder:
+    """A 210 x 64 Deltoid matrix: short enough that ``_shrink`` factors
+    it whole."""
+
+    shape = dict(width=64, flows=90)
+
+    def _inputs(self):
+        return _deltoid_and_snapshot(**self.shape)
+
     def test_first_driver_converging_touches_nothing(self):
-        normal, snapshot = _deltoid_and_snapshot()
+        normal, snapshot = self._inputs()
         telemetry = Telemetry()
         state = recover(normal, snapshot, telemetry=telemetry)
         assert state.lens_iterations > 0 and state.lens_converged
         assert not _fallbacks(telemetry, "gesvd")
+        assert not _fallbacks(telemetry, "full")
         assert not _fallbacks(telemetry, "midpoint")
         assert telemetry.recorder.events("lens_svd_fallback") == []
 
     def test_gesvd_answers_when_gesdd_gives_up(self, monkeypatch):
-        normal, snapshot = _deltoid_and_snapshot()
+        normal, snapshot = self._inputs()
         expected = recover(normal, snapshot)
         monkeypatch.setattr(np.linalg, "svd", _no_convergence)
         telemetry = Telemetry()
@@ -123,11 +137,12 @@ class TestSvdLadder:
         (event,) = telemetry.recorder.events("lens_svd_fallback")
         assert event.fields == {
             "gesvd_retries": state.lens_iterations,
+            "full": False,
             "midpoint": False,
         }
 
     def test_midpoint_stands_in_when_no_driver_converges(self, monkeypatch):
-        normal, snapshot = _deltoid_and_snapshot()
+        normal, snapshot = self._inputs()
         monkeypatch.setattr(np.linalg, "svd", _no_convergence)
         monkeypatch.setattr(scipy.linalg, "svd", _no_convergence)
         telemetry = Telemetry()
@@ -159,12 +174,16 @@ class TestSvdLadder:
         assert _fallbacks(telemetry, "midpoint") == 1
         assert not _fallbacks(telemetry, "gesvd")
         (event,) = telemetry.recorder.events("lens_svd_fallback")
-        assert event.fields == {"gesvd_retries": 0, "midpoint": True}
+        assert event.fields == {
+            "gesvd_retries": 0,
+            "full": False,
+            "midpoint": True,
+        }
 
     def test_solver_reports_the_failure_with_a_usable_result(
         self, monkeypatch
     ):
-        normal, snapshot = _deltoid_and_snapshot()
+        normal, snapshot = self._inputs()
         flows = list(snapshot.entries)
         arguments = dict(
             n_matrix=normal.to_matrix(),
@@ -195,6 +214,29 @@ class TestSvdLadder:
         ).tobytes()
         assert result.matrix.shape == arguments["n_matrix"].shape
         assert np.isfinite(result.matrix).all()
+
+
+class TestSvdLadderOnRangeFinder(TestSvdLadder):
+    """The same ladder on a 210 x 300 Deltoid matrix, which the range
+    finder projects onto ``RANGE_RANK`` directions first (5-12 values
+    survive per sweep): gesdd, gesvd and the midpoint see the
+    ``RANGE_RANK x 300`` projection, one factorization per sweep."""
+
+    shape = dict(width=300, flows=370)
+
+    def test_the_projection_answers(self, monkeypatch):
+        normal, snapshot = self._inputs()
+        assert min(normal.to_matrix().shape) > 2 * lens.RANGE_RANK
+        shapes = []
+        real_svd = np.linalg.svd
+
+        def recording(matrix, **kwargs):
+            shapes.append(matrix.shape)
+            return real_svd(matrix, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        state = recover(normal, snapshot)
+        assert shapes == [(lens.RANGE_RANK, 300)] * state.lens_iterations
 
 
 @pytest.mark.parametrize("threshold", [0.0, 0.5])

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError, MergeError
+from repro.controlplane import lens
 from repro.controlplane.lens import (
     LensConfig,
     lens_interpolate,
     singular_value_threshold,
 )
+from repro.controlplane.recovery import _publish_solve
 from repro.controlplane.merge import (
     merge_fastpath_snapshots,
     merge_sketches,
@@ -18,7 +24,9 @@ from repro.controlplane.merge import (
 from repro.fastpath.topk import FastPath
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.deltoid import Deltoid
+from repro.telemetry import Telemetry
 from tests.conftest import make_flow
+from tests.reference_lens import exact_shrink
 
 
 class TestMergeSketches:
@@ -91,6 +99,111 @@ class TestSVT:
     def test_all_shrunk_to_zero(self):
         matrix = np.ones((3, 3))
         assert singular_value_threshold(matrix, 100.0).sum() == 0.0
+
+
+#: The range finder's largest entry error on the shrunk matrix, as a
+#: fraction of the top singular value, when the signal's values stand
+#: about three times or more above the noise's (the worst of 1000
+#: inputs drawn by ``low_rank_plus_noise`` was 1.2e-6).
+RANGE_TOLERANCE = 1e-5
+
+
+@st.composite
+def low_rank_plus_noise(draw):
+    """A rank-``r`` matrix with spaced singular values in [1, 21]
+    plus Gaussian noise whose top value stays below ~0.3, tall or
+    wide, some sides under ``2 * RANGE_RANK`` (factored whole), and a
+    threshold of 0, between two signal values, or above the top one."""
+    rows = draw(st.integers(16, 200))
+    cols = draw(st.integers(16, 200))
+    rank = draw(st.integers(1, min(12, rows, cols) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = draw(
+        st.lists(
+            st.floats(0.1, 2.0), min_size=rank - 1, max_size=rank - 1
+        )
+    )
+    values = 1.0 + np.cumsum([0.0, *gaps])[::-1]
+    left = np.linalg.qr(rng.standard_normal((rows, rank)))[0]
+    right = np.linalg.qr(rng.standard_normal((cols, rank)))[0]
+    noise = draw(st.floats(1e-4, 1e-2)) * rng.standard_normal((rows, cols))
+    matrix = (left * values) @ right.T + noise
+    top = np.linalg.svd(matrix, compute_uv=False)
+    kind = draw(st.sampled_from(["zero", "mid", "above"]))
+    if kind == "zero":
+        threshold = 0.0
+    elif kind == "mid":
+        cut = draw(st.integers(0, rank - 1))
+        threshold = float(top[cut] + top[cut + 1]) / 2.0
+    else:
+        threshold = float(top[0]) * 1.5
+    return matrix, threshold, float(top[0])
+
+
+class TestRangeFinder:
+    """``_shrink`` factors a seeded randomized range finder's
+    projection; ``tests/reference_lens.py`` factors the whole matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(low_rank_plus_noise())
+    def test_agrees_with_the_exact_svd(self, case):
+        matrix, threshold, top = case
+        expected, expected_kept = exact_shrink(matrix, threshold)
+        kept = []
+        rebuild = lens._rebuild
+
+        def counting(u, s, vt, threshold):
+            kept.append(int((s > threshold).sum()))
+            return rebuild(u, s, vt, threshold)
+
+        with mock.patch.object(lens, "_rebuild", counting):
+            shrunk = singular_value_threshold(matrix, threshold)
+        assert kept == [expected_kept]
+        assert np.abs(shrunk - expected).max() <= RANGE_TOLERANCE * top
+        if min(matrix.shape) <= 2 * lens.RANGE_RANK:
+            # Factored whole: the oracle's own arithmetic.
+            assert shrunk.tobytes() == expected.tobytes()
+
+    def test_same_input_same_bits(self):
+        rng = np.random.default_rng(4)
+        matrix = rng.random((200, 8)) @ rng.random((8, 300))
+        matrix += 1e-3 * rng.random((200, 300))
+        first = singular_value_threshold(matrix, 0.5)
+        assert singular_value_threshold(matrix, 0.5).tobytes() == (
+            first.tobytes()
+        )
+
+    def test_full_rank_doubles_up_to_the_exact_svd(self):
+        matrix = np.random.default_rng(1).random((100, 150))
+        shrunk, retries, full = lens._shrink(matrix, 0.0)
+        assert full and retries == 0
+        assert shrunk.tobytes() == exact_shrink(matrix, 0.0)[0].tobytes()
+        # Counted once per solve, however many sweeps fell back.
+        result = lens_interpolate(
+            matrix,
+            (np.array([0]), np.array([0]), np.array([0]), np.ones(1)),
+            np.array([1.0]),
+            np.array([2.0]),
+            10.0,
+            config=LensConfig(
+                alpha=1e-9,
+                max_iterations=3,
+                tolerance=0.0,
+                x_stability_tolerance=None,
+            ),
+        )
+        assert result.iterations == 3 and result.full_svd
+        telemetry = Telemetry()
+        _publish_solve(telemetry, result)
+        assert telemetry.registry.value(
+            "sketchvisor_lens_svd_fallbacks_total", rung="full"
+        ) == 1
+        (event,) = telemetry.recorder.events("lens_svd_fallback")
+        assert event.fields == {
+            "gesvd_retries": 0,
+            "full": True,
+            "midpoint": False,
+        }
 
 
 class TestLensInterpolate:
