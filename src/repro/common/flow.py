@@ -156,6 +156,94 @@ def key64_column(flows) -> np.ndarray:
     )
 
 
+def pack_headers(src, dst, sport, dport, proto):
+    """Header columns packed as ``(hi, lo)`` uint64 word columns:
+    bits 64-103 and bits 0-63 of :attr:`FlowKey.key104`.  The fields
+    must already fit their widths; ``mix64_array(hi ^ lo)`` is the
+    ``key64`` column."""
+    src, dst, sport, dport, proto = (
+        np.asarray(column).astype(np.uint64)
+        for column in (src, dst, sport, dport, proto)
+    )
+    hi = src << np.uint64(8) | dst >> np.uint64(24)
+    lo = (
+        (dst & np.uint64(0xFFFFFF)) << np.uint64(40)
+        | sport << np.uint64(24)
+        | dport << np.uint64(8)
+        | proto
+    )
+    return hi, lo
+
+
+def header_words(flows) -> tuple[np.ndarray, np.ndarray]:
+    """The 104-bit headers of ``flows`` (a sequence) as ``(hi, lo)``
+    uint64 columns (see :func:`pack_headers`)."""
+    return pack_headers(
+        *(
+            np.fromiter(map(attrgetter(name), flows), np.uint64, len(flows))
+            for name in _HEADER_FIELDS
+        )
+    )
+
+
+def header_flows(hi, lo) -> list[FlowKey]:
+    """Inverse of :func:`header_words`: one :class:`FlowKey` per row of
+    the word columns, reading the low 104 bits as
+    :meth:`FlowKey.from_key104` does."""
+    hi = np.asarray(hi, dtype=np.uint64)
+    lo = np.asarray(lo, dtype=np.uint64)
+    fields = (
+        (hi >> np.uint64(8)) & np.uint64(0xFFFFFFFF),
+        (hi & np.uint64(0xFF)) << np.uint64(24) | lo >> np.uint64(40),
+        (lo >> np.uint64(24)) & np.uint64(0xFFFF),
+        (lo >> np.uint64(8)) & np.uint64(0xFFFF),
+        lo & np.uint64(0xFF),
+    )
+    return list(map(FlowKey, *(column.tolist() for column in fields)))
+
+
+#: Odd multiplier of :func:`header_groups`' one-word fold of ``(hi, lo)``.
+HEADER_FOLD = np.uint64(0x9E3779B97F4A7C15)
+
+
+def header_groups(hi: np.ndarray, lo: np.ndarray):
+    """Group rows by distinct header ``(hi, lo)``.
+
+    Returns ``(first, group)``: the row of each distinct header's first
+    occurrence, ascending, and every row's index into ``first``.
+
+    Rows are sorted once on a one-word fold of the header.  Should two
+    different headers share a fold, the rows are sorted on both words
+    instead, so a fold collision never merges two headers.
+    """
+    if hi.size == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    fold = lo ^ (hi * HEADER_FOLD)
+    order = np.argsort(fold)
+    lead = _run_leads(fold[order])
+    same_header = ~(_run_leads(hi[order]) | _run_leads(lo[order]))
+    if not (lead | same_header).all():
+        order = np.lexsort((lo, hi))
+        lead = _run_leads(hi[order]) | _run_leads(lo[order])
+    # The earliest row of each run stands for it; runs are renumbered
+    # in the order of those rows.
+    first = np.minimum.reduceat(order, np.flatnonzero(lead))
+    by_row = np.argsort(first)
+    rank = np.empty_like(by_row)
+    rank[by_row] = np.arange(by_row.size)
+    group = np.empty_like(order)
+    group[order] = rank[np.cumsum(lead) - 1]
+    return first[by_row], group
+
+
+def _run_leads(column: np.ndarray) -> np.ndarray:
+    """Marks each element of a sorted column that differs from the one
+    before it (the first element always)."""
+    lead = np.ones(column.size, dtype=bool)
+    lead[1:] = column[1:] != column[:-1]
+    return lead
+
+
 def source_key(flow: FlowKey) -> int:
     """Host key for superspreader detection: the source IP."""
     return flow.src_ip

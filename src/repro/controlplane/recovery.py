@@ -13,10 +13,11 @@ Five recovery modes reproduce the paper's accuracy arms (§7.3):
 * ``IDEAL`` is not a recovery mode — it is produced by running the data
   plane with no capacity limit (see :mod:`repro.dataplane.switch`).
 
-Re-injection uses the sketch's own ``update``/``inject`` path so that
-non-linear structures (FlowRadar's XOR fields, UnivMon's trackers,
-TwoLevel's candidate sketch) are restored exactly for tracked flows —
-their headers are known from the merged hash table ``H``.
+Re-injection uses the sketch's own ``inject`` semantics, through its
+column entry point :meth:`~repro.sketches.base.Sketch.inject_columns`,
+so that non-linear structures (FlowRadar's XOR fields, UnivMon's
+trackers, TwoLevel's candidate sketch) are restored exactly for tracked
+flows — their headers are known from the merged hash table ``H``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,14 @@ from enum import Enum
 
 import numpy as np
 
-from repro.common.flow import FlowKey
+from repro.common.flow import (
+    PROTO_TCP,
+    FlowKey,
+    header_words,
+    key64_column,
+    pack_headers,
+)
+from repro.common.hashing import mix64_array
 from repro.controlplane.lens import (
     LensConfig,
     box_midpoint,
@@ -136,11 +144,18 @@ def _copy_sketch(sketch: Sketch) -> Sketch:
 
 def _inject_tracked(sketch: Sketch, flows, values) -> None:
     """Re-inject the tracked flows at their recovered byte counts, as
-    one batch; flows whose count rounds to zero are left out."""
-    amounts = [int(round(value)) for value in values]
-    sketch.inject_batch(
-        [flow for flow, amount in zip(flows, amounts) if amount > 0],
-        [amount for amount in amounts if amount > 0],
+    header-word columns; flows whose count rounds to zero (half to
+    even, as ``round`` does) are left out."""
+    amounts = np.rint(np.fromiter(values, np.float64, len(flows)))
+    if not np.isfinite(amounts).all():
+        raise ValueError("recovered byte counts must be finite")
+    keep = amounts > 0
+    hi, lo = header_words(flows)
+    sketch.inject_columns(
+        hi[keep],
+        lo[keep],
+        key64_column(flows)[keep],
+        amounts[keep].astype(np.int64),
     )
 
 
@@ -366,11 +381,15 @@ def _inject_synthetic_small_flows(
     # One broadcast draw, flow-major: NumPy's per-element bounded path
     # reads the stream exactly as four scalar calls per flow did, so
     # every synthetic 5-tuple stays what it always was (pinned by
-    # tests/test_recovery_internals.py::TestBroadcastDraw).
+    # tests/test_recovery_internals.py::TestBroadcastDraw).  The rows
+    # go to the sketch as header words and their key64 folds.
     fields = rng.integers(
         np.tile(_FIELD_LOW, count), np.tile(_FIELD_HIGH, count)
     ).reshape(count, 4)
-    flows = [FlowKey(*row) for row in fields.tolist()]
-    sketch.inject_batch(
-        flows, [max(1, int(round(size))) for size in draws.tolist()]
+    hi, lo = pack_headers(*fields.T, PROTO_TCP)
+    sketch.inject_columns(
+        hi,
+        lo,
+        mix64_array(hi ^ lo),
+        np.maximum(1.0, np.rint(draws)).astype(np.int64),
     )

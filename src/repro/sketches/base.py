@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import MergeError
-from repro.common.flow import FlowKey
+from repro.common.flow import FlowKey, header_flows
 from repro.common.flow import key64_column  # noqa: F401  (re-exported)
 from repro.traffic.trace import Trace, first_seen, number_flows
 
@@ -239,21 +239,26 @@ class Sketch(ABC):
         """
         self.update(flow, value)
 
-    def inject_batch(self, flows, values) -> None:
-        """Re-inject many recovered flows: :meth:`inject` per
-        ``(flow, value)`` pair, in order, with bit-identical state.
+    def inject_columns(self, hi, lo, keys64, values) -> None:
+        """Re-inject many recovered flows given as columns: the 104-bit
+        headers as ``(hi, lo)`` word columns (see
+        :func:`~repro.common.flow.pack_headers`), their ``key64`` folds
+        and positive integer byte counts.
 
-        Where :meth:`inject` is plain :meth:`update`, the pairs go
-        through :meth:`update_trace` as a synthetic trace, so every
-        sketch with a batch kernel recovers with it.  A sketch that
-        overrides :meth:`inject` (a byte→packet conversion) keeps the
-        loop unless it overrides this method too.
+        The state is bit-identical to :meth:`inject` per row, in order.
+        Where :meth:`inject` is plain :meth:`update`, a key64-pure
+        sketch takes :meth:`update_batch`; FlowRadar, Deltoid and MRAC
+        override this method with their kernels.  Every other sketch
+        rebuilds a :class:`FlowKey` per row and loops.
         """
-        if type(self).inject is Sketch.inject:
-            self.update_trace(flow_updates(flows, values))
+        if self.key64_updates and type(self).inject is Sketch.inject:
+            self.update_batch(keys64, values)
             return
-        for flow, value in zip(flows, values):
-            self.inject(flow, value)
+        inject = self.inject
+        for flow, value in zip(
+            header_flows(hi, lo), np.asarray(values).tolist()
+        ):
+            inject(flow, value)
 
     # ------------------------------------------------------------------
     # Aggregation / recovery interface

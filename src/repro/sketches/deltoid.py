@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import ConfigError, MergeError
-from repro.common.flow import FlowKey
+from repro.common.flow import FlowKey, header_words
 from repro.common.hashing import HashFamily
 from repro.sketches.base import (
     CostProfile,
@@ -71,23 +71,40 @@ class Deltoid(Sketch):
     def update_trace(self, trace, indices=None) -> None:
         """Batch kernel: the selected packets in one pass per flow.
 
-        Bit-identical to the per-packet loop: every counter receives a
-        sum of integer byte counts, exact in float64 whatever the
-        order, so bytes are summed per distinct flow and each flow's
-        total is added once per row to its bucket's total counter and
-        to the bit counters its header sets.  The ``flows x 104`` bit
-        matrix is built from the flow table.
-
-        Flows are grouped by their entry in the trace's flow table, so
-        two headers that share a ``key64`` fold keep their own bit
-        counters while adding to the same buckets.
+        Bit-identical to the per-packet loop: see :meth:`_add`.  Flows
+        are grouped by their entry in the trace's flow table, so two
+        headers that share a ``key64`` fold keep their own bit counters
+        while adding to the same buckets.
         """
         flows, keys, group, sizes = flow_groups(trace, indices)
-        if keys.size == 0:
+        hi, lo = header_words(
+            list(map(trace.table.__getitem__, flows.tolist()))
+        )
+        self._add(
+            keys,
+            hi,
+            lo,
+            np.bincount(group, weights=sizes, minlength=keys.size),
+        )
+
+    def inject_columns(self, hi, lo, keys64, values) -> None:
+        """:meth:`update` per row, through :meth:`_add` row by row: a
+        repeated header adds its rows to the same counters, and integer
+        sums do not depend on how they are grouped."""
+        self._add(keys64, hi, lo, np.asarray(values, dtype=np.float64))
+
+    def _add(self, keys64, hi, lo, volumes) -> None:
+        """Add ``volumes[i]`` for the header ``(hi[i], lo[i])`` with fold
+        ``keys64[i]``, to its bucket's total and to the bit counters its
+        header sets, in every row.
+
+        Every counter receives a sum of integer byte counts, exact in
+        float64 whatever the order, so the result is that of
+        :meth:`update` per unit of volume.
+        """
+        if keys64.size == 0:
             return
-        heads = list(map(trace.table.__getitem__, flows.tolist()))
-        volumes = np.bincount(group, weights=sizes, minlength=keys.size)
-        cols, header_bits = self._flow_cells(keys, heads)
+        cols, header_bits = self._flow_cells(keys64, hi, lo)
         flow_index, bit_index = np.nonzero(header_bits)
         bit_volumes = volumes[flow_index]
         bit_offsets = bit_index * self.width
@@ -101,8 +118,8 @@ class Deltoid(Sketch):
                 bit_volumes,
             )
 
-    def _flow_cells(self, keys64, flows) -> tuple[np.ndarray, np.ndarray]:
-        """The cells a unit of each of ``flows`` adds to.
+    def _flow_cells(self, keys64, hi, lo) -> tuple[np.ndarray, np.ndarray]:
+        """The cells a unit of each header ``(hi[i], lo[i])`` adds to.
 
         Returns the ``(depth, n)`` bucket columns of their ``key64``
         folds ``keys64`` and their ``(n, 104)`` header bit matrix: in
@@ -111,13 +128,10 @@ class Deltoid(Sketch):
         ``header_bits[i, b]`` set.
         """
         cols = self._hashes.buckets_array(keys64, self.width)
-        header_bytes = np.frombuffer(
-            b"".join(
-                flow.key104.to_bytes(_HEADER_BYTES, "little")
-                for flow in flows
-            ),
-            dtype=np.uint8,
-        ).reshape(-1, _HEADER_BYTES)
+        # Each header's 13 little-endian bytes: lo's eight, then the
+        # low five of hi.
+        words = np.stack([lo, hi], axis=1).astype("<u8")
+        header_bytes = words.view(np.uint8)[:, :_HEADER_BYTES]
         return cols, np.unpackbits(header_bytes, axis=1, bitorder="little")
 
     def estimate(self, flow: FlowKey) -> float:
@@ -199,7 +213,9 @@ class Deltoid(Sketch):
         its header sets: slot ``row * 105 + j`` is matrix row
         ``row * 105 + j`` (the total for ``j = 0``, header bit ``j - 1``
         otherwise) at the flow's bucket."""
-        cols, header_bits = self._flow_cells(key64_column(flows), flows)
+        cols, header_bits = self._flow_cells(
+            key64_column(flows), *header_words(flows)
+        )
         stride = 1 + HEADER_BITS
         touched = np.ones((len(flows), stride), dtype=bool)
         touched[:, 1:] = header_bits

@@ -22,7 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import ConfigError, MergeError
-from repro.common.flow import FlowKey
+from repro.common.flow import (
+    FlowKey,
+    header_flows,
+    header_groups,
+    header_words,
+)
 from repro.common.hashing import HashFamily, mix64_array
 from repro.sketches.base import (
     CostProfile,
@@ -30,7 +35,6 @@ from repro.sketches.base import (
     Sketch,
     flow_groups,
     flow_major,
-    flow_updates,
     key64_column,
 )
 from repro.sketches.bloom import BloomFilter
@@ -40,40 +44,10 @@ _MASK64 = (1 << 64) - 1
 _HI_BITS = np.uint64((1 << 40) - 1)
 
 
-def _header_words(headers) -> tuple[np.ndarray, np.ndarray]:
-    """Split 104-bit headers into ``(hi, lo)`` uint64 columns."""
-    return (
-        np.array([header >> 64 for header in headers], dtype=np.uint64),
-        np.array([header & _MASK64 for header in headers], dtype=np.uint64),
-    )
-
-
 def _run_starts(lead: np.ndarray) -> np.ndarray:
     """Per element, the index where its run began (``lead`` marks the
     first element of each run)."""
     return np.maximum.accumulate(np.where(lead, np.arange(lead.size), 0))
-
-
-def _header_groups(hi: np.ndarray, lo: np.ndarray):
-    """Group rows by distinct header ``(hi, lo)``.
-
-    Returns ``(first, group)``: the row of each distinct header's first
-    occurrence, ascending, and every row's index into ``first``.
-    """
-    order = np.lexsort((lo, hi))
-    sorted_hi, sorted_lo = hi[order], lo[order]
-    lead = np.ones(order.size, dtype=bool)
-    lead[1:] = (sorted_hi[1:] != sorted_hi[:-1]) | (
-        sorted_lo[1:] != sorted_lo[:-1]
-    )
-    # The sort is stable, so each run is led by its earliest row.
-    first = order[lead]
-    by_row = np.argsort(first)
-    rank = np.empty_like(by_row)
-    rank[by_row] = np.arange(by_row.size)
-    group = np.empty_like(order)
-    group[order] = rank[np.cumsum(lead) - 1]
-    return first[by_row], group
 
 
 class FlowRadar(Sketch):
@@ -159,37 +133,51 @@ class FlowRadar(Sketch):
     def update_trace(self, trace, indices=None) -> None:
         """Batch kernel: the selected packets in one pass per flow.
 
-        Bit-identical to the per-packet loop on every field.  Byte (or
-        packet) counters are sums of integers, exact in float64, so
-        they are accumulated per distinct flow and added per hash row.
-        The XOR/count fields change only when the Bloom filter reports
-        a new flow, and only a flow's *first* packet can do that (its
-        own insert covers every later one), so new-flow detection runs
-        over the distinct flows' keys in first-occurrence order — the
-        order matters because a Bloom false positive depends on what
-        was inserted before (:meth:`BloomFilter.add_ordered`), and a
-        second header with an earlier flow's ``key64`` is "present".
-        Headers are read from the flow table for new flows only.
+        Bit-identical to the per-packet loop on every field: see
+        :meth:`_record`.  Flows are told apart by flow-table entry, and
+        headers are read from the table for new flows only.
         """
         flows, keys, group, sizes = flow_groups(trace, indices)
+        table = trace.table
+        self._record(
+            keys,
+            group,
+            None if self.count_packets else sizes,
+            lambda new: header_words(
+                list(map(table.__getitem__, flows[new].tolist()))
+            ),
+        )
+
+    def _record(self, keys, group, weights, words) -> None:
+        """Record rows grouped by flow: ``keys`` are the distinct flows'
+        ``key64`` folds in order of first occurrence, ``group`` every
+        row's index into them, ``weights`` every row's counter
+        increment (None: 1 per row) and ``words(new)`` the ``(hi, lo)``
+        header words of the distinct flows at positions ``new``.
+
+        Counter increments are sums of integers, exact in float64, so
+        they are accumulated per distinct flow and added per hash row.
+        The XOR/count fields change only when the Bloom filter reports
+        a new flow, and only a flow's *first* row can do that (its own
+        insert covers every later one), so new-flow detection runs over
+        the distinct flows' keys in first-occurrence order — the order
+        matters because a Bloom false positive depends on what was
+        inserted before (:meth:`BloomFilter.add_ordered`), and a second
+        header with an earlier flow's ``key64`` is "present".
+        """
         if keys.size == 0:
             return
         cells = self._hashes.buckets_array(keys, self.num_cells)
         new = np.flatnonzero(~self.bloom.add_ordered(keys))
         if new.size:
-            table = trace.table
-            hi, lo = _header_words(
-                [table[at].key104 for at in flows[new].tolist()]
-            )
+            hi, lo = words(new)
             new_cells = cells[:, new]
             for row_cells in new_cells:
                 np.bitwise_xor.at(self.xor_hi, row_cells, hi)
                 np.bitwise_xor.at(self.xor_lo, row_cells, lo)
             np.add.at(self.flow_count, new_cells.reshape(-1), 1)
         increments = np.bincount(
-            group,
-            weights=None if self.count_packets else sizes,
-            minlength=keys.size,
+            group, weights=weights, minlength=keys.size
         )
         for row_cells in cells:
             np.add.at(self.byte_count, row_cells, increments)
@@ -207,13 +195,22 @@ class FlowRadar(Sketch):
         for cell in cells:
             self.byte_count[cell] += packets
 
-    def inject_batch(self, flows, values) -> None:
-        """Bytes mode injects plain updates, so the kernel takes them;
-        packet mode converts per flow and keeps the loop."""
+    def inject_columns(self, hi, lo, keys64, values) -> None:
+        """:meth:`inject` per row through :meth:`_record`: rows are
+        grouped by their full header, so two headers that share a
+        ``key64`` stay two flows; packet mode converts each row's bytes
+        to packets (``np.rint`` rounds half to even, as ``round``
+        does)."""
+        first, group = header_groups(hi, lo)
+        weights = np.asarray(values, dtype=np.float64)
         if self.count_packets:
-            super().inject_batch(flows, values)
-        else:
-            self.update_trace(flow_updates(flows, values))
+            weights = np.maximum(1.0, np.rint(weights / 769.0))
+        self._record(
+            keys64[first],
+            group,
+            weights,
+            lambda new: (hi[first[new]], lo[first[new]]),
+        )
 
     # ------------------------------------------------------------------
     def decode(
@@ -262,7 +259,7 @@ class FlowRadar(Sketch):
             candidates = np.flatnonzero(own)
             # Peeling a flow spends every pure cell it has, so only the
             # first queued cell of each distinct header peels.
-            first, _group = _header_groups(
+            first, _group = header_groups(
                 flow_hi[candidates], head_lo[candidates]
             )
             peel = candidates[first]
@@ -312,16 +309,13 @@ class FlowRadar(Sketch):
             return {}, complete
         hi, lo, sizes = (np.concatenate(column) for column in zip(*peeled))
         # A header decoded twice sums in decode order, from 0.0.
-        first, group = _header_groups(hi, lo)
+        first, group = header_groups(hi, lo)
         totals = np.zeros(first.size, dtype=np.float64)
         np.add.at(totals, group, sizes)
         if threshold is not None:
             keep = totals > threshold
             first, totals = first[keep], totals[keep]
-        flows = [
-            FlowKey.from_key104((high << 64) | low)
-            for high, low in zip(hi[first].tolist(), lo[first].tolist())
-        ]
+        flows = header_flows(hi[first], lo[first])
         return dict(zip(flows, totals.tolist())), complete
 
     def estimate(self, flow: FlowKey) -> float:

@@ -136,15 +136,13 @@ class MRAC(Sketch):
             self._hashes.bucket(0, flow.key64, self.width)
         ] += packets
 
-    def inject_batch(self, flows, values) -> None:
-        """:meth:`inject` over many flows: integer packet counts summed
-        per bucket (``np.rint`` rounds half to even, as ``round`` does)."""
+    def inject_columns(self, hi, lo, keys64, values) -> None:
+        """:meth:`inject` per row: integer packet counts summed per
+        bucket (``np.rint`` rounds half to even, as ``round`` does)."""
         packets = np.maximum(
             1.0, np.rint(np.asarray(values, dtype=np.float64) / 769.0)
         )
-        cols = self._hashes.buckets_array(
-            key64_column(flows), self.width
-        )[0]
+        cols = self._hashes.buckets_array(keys64, self.width)[0]
         self.counters += np.bincount(
             cols, weights=packets, minlength=self.width
         )

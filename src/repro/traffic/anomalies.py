@@ -5,24 +5,86 @@ above the crowd, so the DDoS and superspreader tasks would have nothing
 to detect.  These helpers splice anomalous flows into an existing trace
 while keeping timestamps ordered, and return both the new trace and the
 injected entities so tests can assert detection against a known answer.
+
+Attack traffic is built as columns (:func:`number_headers`) and merged
+with the base trace's columns by one stable timestamp sort; no packet
+object is built on either side.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.common.flow import PROTO_UDP, FlowKey, Packet
-from repro.traffic.trace import Trace
+from repro.common.flow import PROTO_TCP, PROTO_UDP, FlowKey
+from repro.traffic.trace import Trace, first_seen, number_headers
 
 _ATTACK_PACKET_SIZE = 120  # small packets, typical of floods
 
 
-def _splice(trace: Trace, extra: list[Packet]) -> Trace:
-    """Merge extra packets into a trace preserving timestamp order."""
-    merged = sorted(
-        list(trace.packets) + extra, key=lambda packet: packet.timestamp
+def _splice(trace: Trace, timestamps, sizes, flow, table) -> Trace:
+    """Merge extra packets, given as columns over their own flow
+    ``table``, into ``trace`` preserving timestamp order.
+
+    Packets with equal timestamps keep the trace's first, then the
+    extra ones in their order.  An extra flow equal to one of the
+    trace's is that flow, and the result's table lists the flows in
+    order of first appearance in the merged stream.
+    """
+    known = {entry: index for index, entry in enumerate(trace.table)}
+    offset = len(trace.table)
+    remap = np.array(
+        [known.get(entry, offset + i) for i, entry in enumerate(table)],
+        dtype=np.intp,
     )
-    return Trace(merged)
+    candidates = trace.table + tuple(table)
+    merged = np.concatenate([trace.timestamps, timestamps])
+    order = np.argsort(merged, kind="stable")
+    merged_flow = np.concatenate([trace.flow, remap[flow]])[order]
+    distinct, _first, renumbered = first_seen(merged_flow, len(candidates))
+    return Trace.from_columns(
+        merged[order],
+        np.concatenate([trace.sizes, sizes])[order],
+        renumbered,
+        map(candidates.__getitem__, distinct.tolist()),
+    )
+
+
+def _span(trace: Trace) -> tuple[float, float]:
+    """Where injected packets go: the trace's first timestamp and its
+    duration (0.0 and 1.0 for a trace with nothing to span)."""
+    start = float(trace.timestamps[0]) if len(trace) else 0.0
+    return start, trace.duration or 1.0
+
+
+def _flood(trace, rng, src, dst, dst_port, packets_per_flow) -> Trace:
+    """UDP flows ``src[i] -> dst[i]:dst_port``, each from a drawn source
+    port and of ``packets_per_flow`` small packets at uniform times over
+    the trace, spliced into it.
+
+    Per flow, the port and then its packets' times are drawn, in flow
+    order: the order the generator stream has always been read in.
+    """
+    start, duration = _span(trace)
+    flows = len(src)
+    ports = np.empty(flows, dtype=np.int64)
+    offsets = np.empty((flows, packets_per_flow))
+    for index in range(flows):
+        ports[index] = rng.integers(1024, 65536)
+        offsets[index] = rng.uniform(0.0, duration, packets_per_flow)
+    flow, table = number_headers(
+        src,
+        dst,
+        ports,
+        np.full(flows, dst_port),
+        np.full(flows, PROTO_UDP),
+    )
+    return _splice(
+        trace,
+        (start + offsets).reshape(-1),
+        np.full(offsets.size, _ATTACK_PACKET_SIZE),
+        np.repeat(flow, packets_per_flow),
+        table,
+    )
 
 
 def inject_ddos_victims(
@@ -47,26 +109,19 @@ def inject_ddos_victims(
         raise ValueError("num_victims and sources_per_victim must be >= 1")
     if packets_per_source < 1:
         raise ValueError("packets_per_source must be >= 1")
-    rng = np.random.default_rng(seed)
-    start = trace.packets[0].timestamp if len(trace) else 0.0
-    duration = trace.duration or 1.0
     victims = [2**24 + 1000 + i for i in range(num_victims)]
-    extra: list[Packet] = []
-    for victim_index, victim in enumerate(victims):
-        for source_index in range(sources_per_victim):
-            flow = FlowKey(
-                src_ip=2**25 + victim_index * 1_000_000 + source_index,
-                dst_ip=victim,
-                src_port=int(rng.integers(1024, 65536)),
-                dst_port=80,
-                proto=PROTO_UDP,
-            )
-            for _ in range(packets_per_source):
-                timestamp = start + float(rng.uniform(0.0, duration))
-                extra.append(
-                    Packet(flow, _ATTACK_PACKET_SIZE, timestamp)
-                )
-    return _splice(trace, extra), victims
+    victim_index, source_index = np.divmod(
+        np.arange(num_victims * sources_per_victim), sources_per_victim
+    )
+    spliced = _flood(
+        trace,
+        np.random.default_rng(seed),
+        2**25 + victim_index * 1_000_000 + source_index,
+        2**24 + 1000 + victim_index,
+        80,
+        packets_per_source,
+    )
+    return spliced, victims
 
 
 def inject_superspreaders(
@@ -87,26 +142,20 @@ def inject_superspreaders(
         )
     if packets_per_destination < 1:
         raise ValueError("packets_per_destination must be >= 1")
-    rng = np.random.default_rng(seed)
-    start = trace.packets[0].timestamp if len(trace) else 0.0
-    duration = trace.duration or 1.0
     spreaders = [2**24 + 2000 + i for i in range(num_spreaders)]
-    extra: list[Packet] = []
-    for spreader_index, spreader in enumerate(spreaders):
-        for dest_index in range(destinations_per_spreader):
-            flow = FlowKey(
-                src_ip=spreader,
-                dst_ip=2**26 + spreader_index * 1_000_000 + dest_index,
-                src_port=int(rng.integers(1024, 65536)),
-                dst_port=443,
-                proto=PROTO_UDP,
-            )
-            for _ in range(packets_per_destination):
-                timestamp = start + float(rng.uniform(0.0, duration))
-                extra.append(
-                    Packet(flow, _ATTACK_PACKET_SIZE, timestamp)
-                )
-    return _splice(trace, extra), spreaders
+    spreader_index, dest_index = np.divmod(
+        np.arange(num_spreaders * destinations_per_spreader),
+        destinations_per_spreader,
+    )
+    spliced = _flood(
+        trace,
+        np.random.default_rng(seed),
+        2**24 + 2000 + spreader_index,
+        2**26 + spreader_index * 1_000_000 + dest_index,
+        443,
+        packets_per_destination,
+    )
+    return spliced, spreaders
 
 
 def inject_heavy_changes(
@@ -127,23 +176,27 @@ def inject_heavy_changes(
     if num_changers < 1 or change_bytes < 1:
         raise ValueError("num_changers and change_bytes must be >= 1")
     rng = np.random.default_rng(seed)
-    start = epoch_b.packets[0].timestamp if len(epoch_b) else 0.0
-    duration = epoch_b.duration or 1.0
-    changers: list[FlowKey] = []
-    extra: list[Packet] = []
+    start, duration = _span(epoch_b)
     packet_size = 1500
     packets_needed = max(1, change_bytes // packet_size)
     remainder = change_bytes - (packets_needed - 1) * packet_size
-    for changer_index in range(num_changers):
-        flow = FlowKey(
-            src_ip=2**24 + 3000 + changer_index,
-            dst_ip=2**24 + 900_000 + changer_index,
-            src_port=40_000 + changer_index % 20_000,
-            dst_port=8080,
-        )
-        changers.append(flow)
-        for packet_index in range(packets_needed):
-            size = packet_size if packet_index else remainder
-            timestamp = start + float(rng.uniform(0.0, duration))
-            extra.append(Packet(flow, max(64, size), timestamp))
-    return epoch_a, _splice(epoch_b, extra), changers
+    changer_index = np.arange(num_changers)
+    flow, table = number_headers(
+        2**24 + 3000 + changer_index,
+        2**24 + 900_000 + changer_index,
+        40_000 + changer_index % 20_000,
+        np.full(num_changers, 8080),
+        np.full(num_changers, PROTO_TCP),
+    )
+    # Each changer's first packet carries the remainder.
+    sizes = np.full((num_changers, packets_needed), packet_size)
+    sizes[:, 0] = max(64, remainder)
+    offsets = rng.uniform(0.0, duration, (num_changers, packets_needed))
+    spliced = _splice(
+        epoch_b,
+        (start + offsets).reshape(-1),
+        sizes.reshape(-1),
+        np.repeat(flow, packets_needed),
+        table,
+    )
+    return epoch_a, spliced, list(map(table.__getitem__, flow.tolist()))

@@ -30,7 +30,14 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.common.flow import FlowKey, Packet, key64_column
+from repro.common.flow import (
+    FlowKey,
+    Packet,
+    header_flows,
+    header_groups,
+    key64_column,
+    pack_headers,
+)
 from repro.common.hashing import mix64_array
 
 _PARTITION_SEED = 0x5EED_0F_CAFE
@@ -69,18 +76,10 @@ def number_headers(src, dst, sport, dport, proto) -> tuple[np.ndarray, tuple]:
         column = np.asarray(column, dtype=np.int64)
         if column.size and (column.min() < 0 or column.max() >> bits):
             raise ValueError(message)
-        columns.append(column.astype(np.uint64))
-    src, dst, sport, dport, proto = columns
-    keys = np.stack(
-        [src << 32 | dst, sport << 24 | dport << 8 | proto], axis=1
-    )
-    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
-    _order, first, flow = first_seen(inverse.reshape(-1), len(distinct))
-    table = tuple(
-        FlowKey(*header)
-        for header in zip(*(column[first].tolist() for column in columns))
-    )
-    return flow, table
+        columns.append(column)
+    hi, lo = pack_headers(*columns)
+    first, flow = header_groups(hi, lo)
+    return flow, tuple(header_flows(hi[first], lo[first]))
 
 
 def used_flows(flow: np.ndarray, table_size: int) -> np.ndarray:

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+import tests.reference_anomalies as reference
+from repro.common.flow import Packet
+from repro.traffic import anomalies
 from repro.traffic.anomalies import (
     inject_ddos_victims,
     inject_heavy_changes,
     inject_superspreaders,
 )
 from repro.traffic.groundtruth import GroundTruth
+from repro.traffic.trace import Trace, number_flows
 
 
 class TestDDoSInjection:
@@ -82,3 +87,92 @@ class TestHeavyChangeInjection:
         truth_a = GroundTruth.from_trace(epoch_a)
         for changer in changers:
             assert changer not in truth_a.flow_bytes
+
+
+def _columns(trace):
+    return (
+        trace.timestamps.dtype,
+        trace.timestamps.tobytes(),
+        trace.sizes.dtype,
+        trace.sizes.tobytes(),
+        trace.flow.dtype,
+        trace.flow.tobytes(),
+        trace.table,
+    )
+
+
+def _bases(trace):
+    """A generated trace, a shard of it (a table with flows it does not
+    use), one packet, and nothing."""
+    return [trace, trace.partition(2)[1], trace[:1], Trace()]
+
+
+class TestColumnsEqualPacketOracle:
+    """Each injector returns, column for column and in table order, the
+    trace the packet-object version (tests/reference_anomalies.py)
+    built."""
+
+    def test_ddos_victims(self, small_trace):
+        for base in _bases(small_trace):
+            trace, victims = inject_ddos_victims(base, 3, 40, 5, seed=3)
+            expected, expected_victims = reference.inject_ddos_victims(
+                base, 3, 40, 5, seed=3
+            )
+            assert _columns(trace) == _columns(expected)
+            assert victims == expected_victims
+
+    def test_superspreaders(self, small_trace):
+        for base in _bases(small_trace):
+            trace, spreaders = inject_superspreaders(base, 2, 30, 4)
+            expected, expected_spreaders = reference.inject_superspreaders(
+                base, 2, 30, 4
+            )
+            assert _columns(trace) == _columns(expected)
+            assert spreaders == expected_spreaders
+
+    @pytest.mark.parametrize("change_bytes", [1000, 1500, 3001, 100_000])
+    def test_heavy_changes(self, small_trace, change_bytes):
+        for base in _bases(small_trace):
+            epoch_a, epoch_b, changers = inject_heavy_changes(
+                small_trace, base, 4, change_bytes
+            )
+            _a, expected_b, expected = reference.inject_heavy_changes(
+                small_trace, base, 4, change_bytes
+            )
+            assert epoch_a is small_trace
+            assert _columns(epoch_b) == _columns(expected_b)
+            assert changers == expected
+
+    def test_injecting_twice_reuses_the_flows(self, small_trace):
+        once, _ = inject_ddos_victims(small_trace, 2, 10)
+        twice, _ = inject_ddos_victims(once, 2, 10)
+        expected, _ = reference.inject_ddos_victims(
+            reference.inject_ddos_victims(small_trace, 2, 10)[0], 2, 10
+        )
+        assert _columns(twice) == _columns(expected)
+        assert len(twice.table) == len(once.table)
+
+    def test_splice_ties_keep_the_base_first(self, small_trace):
+        """Extra packets at a base packet's exact timestamp, some of a
+        base flow, land after it — as a stable sort of the packet list
+        put them."""
+        base = small_trace[:200]
+        rows = np.arange(0, 200, 7)
+        flows = [base.table[base.flow[row]] for row in rows[::2]] + [
+            base.table[base.flow[0]].reversed()
+        ]
+        extra = [
+            Packet(flows[index % len(flows)], 64 + index, float(stamp))
+            for index, stamp in enumerate(base.timestamps[rows])
+        ]
+        flow, table = number_flows([packet.flow for packet in extra])
+        spliced = anomalies._splice(
+            base,
+            np.array([packet.timestamp for packet in extra]),
+            np.array([packet.size for packet in extra]),
+            flow,
+            table,
+        )
+        assert _columns(spliced) == _columns(
+            reference._splice(base, extra)
+        )

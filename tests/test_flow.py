@@ -7,17 +7,24 @@ import io
 import pickle
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.flow import (
+    HEADER_FOLD,
     FlowKey,
     Packet,
     destination_key,
     flow_pair_key,
+    header_flows,
+    header_groups,
+    header_words,
+    key64_column,
     source_key,
 )
+from repro.common.hashing import mix64_array
 from repro.common.errors import CorruptFrameError
 from repro.controlplane.transport import decode_payload
 from repro.durability.codec import StateCodec
@@ -29,6 +36,25 @@ flow_keys = st.builds(
     src_port=st.integers(0, 2**16 - 1),
     dst_port=st.integers(0, 2**16 - 1),
     proto=st.integers(0, 255),
+)
+
+
+def _field(bits: int):
+    """A header field: anything in range, weighted to both ends."""
+    top = 2**bits - 1
+    return st.one_of(
+        st.sampled_from([0, 1, top - 1, top]), st.integers(0, top)
+    )
+
+
+#: 5-tuples with every field often at 0 or at its maximum.
+boundary_flow_keys = st.builds(
+    FlowKey,
+    src_ip=_field(32),
+    dst_ip=_field(32),
+    src_port=_field(16),
+    dst_port=_field(16),
+    proto=st.sampled_from([0, 6, 17, 255]) | st.integers(0, 255),
 )
 
 
@@ -224,3 +250,94 @@ class TestPacket:
     def test_defaults(self):
         packet = Packet(FlowKey(1, 2, 3, 4), 100)
         assert packet.timestamp == 0.0
+
+
+class TestHeaderWords:
+    """The word columns the injection kernels read are the headers
+    ``FlowKey`` packs, and they fold to its ``key64``."""
+
+    @given(st.lists(boundary_flow_keys | flow_keys, max_size=30))
+    def test_words_reassemble_key104_and_fold_to_key64(self, flows):
+        hi, lo = header_words(flows)
+        assert hi.dtype == lo.dtype == np.uint64
+        assert [
+            (high << 64) | low for high, low in zip(hi.tolist(), lo.tolist())
+        ] == [flow.key104 for flow in flows]
+        assert np.array_equal(mix64_array(hi ^ lo), key64_column(flows))
+        assert header_flows(hi, lo) == flows
+
+    def test_extremes(self):
+        flows = [
+            FlowKey(0, 0, 0, 0, 0),
+            FlowKey(2**32 - 1, 2**32 - 1, 2**16 - 1, 2**16 - 1, 255),
+        ]
+        hi, lo = header_words(flows)
+        assert hi.tolist() == [0, 2**40 - 1]
+        assert lo.tolist() == [0, 2**64 - 1]
+        assert np.array_equal(mix64_array(hi ^ lo), key64_column(flows))
+
+
+def _lexsort_groups(hi, lo):
+    """Grouping by both words with one two-key ``lexsort``: how
+    ``header_groups`` grouped before the one-word fold."""
+    order = np.lexsort((lo, hi))
+    sorted_hi, sorted_lo = hi[order], lo[order]
+    lead = np.ones(order.size, dtype=bool)
+    lead[1:] = (sorted_hi[1:] != sorted_hi[:-1]) | (
+        sorted_lo[1:] != sorted_lo[:-1]
+    )
+    first = order[lead]
+    by_row = np.argsort(first)
+    rank = np.empty_like(by_row)
+    rank[by_row] = np.arange(by_row.size)
+    group = np.empty_like(order)
+    group[order] = rank[np.cumsum(lead) - 1]
+    return first[by_row], group
+
+
+def _colliding(hi, lo, other_hi):
+    """The low word that gives ``other_hi`` the fold of ``(hi, lo)``."""
+    return lo ^ (hi * HEADER_FOLD) ^ (other_hi * HEADER_FOLD)
+
+
+class TestHeaderGroups:
+    @staticmethod
+    def _check(hi, lo):
+        first, group = header_groups(hi, lo)
+        ref_first, ref_group = _lexsort_groups(hi, lo)
+        assert np.array_equal(first, ref_first)
+        assert np.array_equal(group, ref_group)
+        # Every row is grouped with exactly the rows of its header.
+        assert np.array_equal(hi[first][group], hi)
+        assert np.array_equal(lo[first][group], lo)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_lexsort_with_repeats(self, seed):
+        rng = np.random.default_rng(seed)
+        distinct = rng.integers(0, 2**40, size=(300, 2), dtype=np.uint64)
+        rows = distinct[rng.integers(0, 300, size=2000)]
+        self._check(rows[:, 0].copy(), rows[:, 1].copy())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fold_collisions_never_merge_headers(self, seed):
+        rng = np.random.default_rng(seed)
+        hi = rng.integers(0, 2**40, size=200, dtype=np.uint64)
+        lo = rng.integers(0, 2**63, size=200, dtype=np.uint64)
+        # Twins: another header with the same fold, for half the rows,
+        # mixed in among repeats of the originals.
+        twin_hi = hi[:100] ^ np.uint64(1)
+        twin_lo = _colliding(hi[:100], lo[:100], twin_hi)
+        all_hi = np.concatenate([hi, twin_hi, hi[::-1]])
+        all_lo = np.concatenate([lo, twin_lo, lo[::-1]])
+        order = rng.permutation(all_hi.size)
+        fold = all_lo ^ (all_hi * HEADER_FOLD)
+        assert np.unique(fold).size == 200
+        self._check(all_hi[order], all_lo[order])
+
+    def test_empty_and_single(self):
+        empty = np.zeros(0, dtype=np.uint64)
+        first, group = header_groups(empty, empty)
+        assert first.size == group.size == 0
+        one = np.array([7], dtype=np.uint64)
+        first, group = header_groups(one, one)
+        assert first.tolist() == [0] and group.tolist() == [0]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import MergeError
-from repro.common.flow import FlowKey
+from repro.common.flow import FlowKey, header_words, key64_column
 from repro.controlplane.merge import rescale_sketch
 from repro.sketches.base import flow_updates
 from repro.sketches.flowradar import FlowRadar
@@ -327,7 +327,9 @@ class TestWordColumns:
             scalar.update(flow, value)
             reinjected.inject(flow, value)
         batch.update_trace(flow_updates(flows, values))
-        injected.inject_batch(flows, values)
+        injected.inject_columns(
+            *header_words(flows), key64_column(flows), np.array(values)
+        )
         assert _fields(batch) == _fields(scalar)
         assert _fields(injected) == _fields(reinjected)
         assert scalar.flow_xor == [

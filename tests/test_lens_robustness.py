@@ -162,7 +162,8 @@ class TestSvdLadder:
         # The recovered sketch is N plus the midpoints plus the small
         # flows, as for a sketch that never runs the solver.
         expected = _copy_sketch(normal)
-        expected.inject_batch(flows, [int(round(v)) for v in midpoint])
+        for flow, value in zip(flows, midpoint.tolist()):
+            expected.inject(flow, int(round(value)))
         _inject_synthetic_small_flows(
             expected,
             state.small_flow_bytes,

@@ -18,7 +18,12 @@ from repro.controlplane.recovery import (
     _tracking_boundary,
     recover,
 )
-from repro.common.flow import FlowKey
+from repro.common.flow import (
+    FlowKey,
+    header_flows,
+    header_words,
+    key64_column,
+)
 from repro.durability.codec import StateCodec
 from repro.fastpath.topk import FastPath, FastPathSnapshot, FlowEntry
 from repro.sketches.cardinality import LinearCounting
@@ -242,6 +247,15 @@ INJECT_FACTORIES = {
 }
 
 
+def _inject_columns(sketch, flows, values):
+    """``flows`` through the column entry point."""
+    sketch.inject_columns(
+        *header_words(flows),
+        key64_column(flows),
+        np.asarray(values, dtype=np.int64),
+    )
+
+
 def _live_pair(name):
     """Two equal sketches with pre-existing state, so injection lands
     on live counters."""
@@ -272,8 +286,98 @@ class TestBatchInjection:
         values = [1 + 389 * i for i in range(50)]  # spans the 769 B mean
         for flow, value in zip(flows, values):
             scalar.inject(flow, value)
-        batch.inject_batch(flows, values)
-        batch.inject_batch([], [])
+        _inject_columns(batch, flows, values)
+        _inject_columns(batch, [], [])
+        assert codec.encode(batch) == codec.encode(scalar)
+
+
+class _FewTuples:
+    """A generator whose ``integers`` squashes every draw to one of
+    three values above its low end, after reading the stream as the
+    real call does: scalar and broadcast draws still agree (see
+    :class:`TestBroadcastDraw`), and 600 synthetic flows share 81
+    5-tuples."""
+
+    _real = staticmethod(np.random.default_rng)
+
+    def __init__(self, seed):
+        self._rng = self._real(seed)
+
+    def random(self, *args):
+        return self._rng.random(*args)
+
+    def integers(self, low, high):
+        return np.asarray(low) + self._rng.integers(low, high) % 3
+
+
+class TestColumnInjectionEdges:
+    """The column path where grouping and order matter most, against
+    the per-``FlowKey`` oracle."""
+
+    @pytest.mark.parametrize("name", sorted(INJECT_FACTORIES))
+    def test_repeated_tuples_byte_equal_to_scalar_inject(
+        self, monkeypatch, name
+    ):
+        monkeypatch.setattr(recovery.np.random, "default_rng", _FewTuples)
+        scalar, batch = _live_pair(name)
+        _inject_one_by_one(scalar, 250_000.0, 1800.0, 600)
+        _inject_synthetic_small_flows(batch, 250_000.0, 1800.0, 600)
+        codec = StateCodec()
+        assert codec.encode(batch) == codec.encode(scalar)
+
+    @pytest.mark.parametrize("name", sorted(INJECT_FACTORIES))
+    def test_headers_sharing_a_key64_stay_two_flows(self, name):
+        """``key64`` folds ``hi ^ lo``: flipping the same low bits of
+        both words gives another header with the same fold."""
+        base = make_flow(3)
+        hi, lo = header_words([base])
+        (twin,) = header_flows(hi ^ np.uint64(0x5A), lo ^ np.uint64(0x5A))
+        assert twin != base and twin.key64 == base.key64
+        flows = [base, twin, make_flow(4), base, twin, twin]
+        values = [700, 1600, 900, 50, 2, 384]
+        scalar, batch = _live_pair(name)
+        for flow, value in zip(flows, values):
+            scalar.inject(flow, value)
+        _inject_columns(batch, flows, values)
+        codec = StateCodec()
+        assert codec.encode(batch) == codec.encode(scalar)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_tracked_counts_raise(self, bad):
+        """As ``int(round(value))`` per flow did: a count that names no
+        byte volume stops the injection instead of landing as garbage."""
+        sketch = CountMinSketch(width=64, depth=1)
+        with pytest.raises(ValueError, match="finite"):
+            recovery._inject_tracked(
+                sketch, [make_flow(1), make_flow(2)], [300.0, bad]
+            )
+        assert sketch.counters.sum() == 0
+
+    @pytest.mark.parametrize("count_packets", [False, True])
+    @pytest.mark.parametrize("few_tuples", [False, True])
+    def test_tiny_bloom_filter_byte_equal_to_scalar_inject(
+        self, monkeypatch, count_packets, few_tuples
+    ):
+        """64 Bloom bits under 600 flows: nearly every new-flow decision
+        is a false positive that depends on what came before."""
+        if few_tuples:
+            monkeypatch.setattr(
+                recovery.np.random, "default_rng", _FewTuples
+            )
+        pair = [
+            FlowRadar(
+                bloom_bits=64,
+                num_cells=256,
+                seed=11,
+                count_packets=count_packets,
+            )
+            for _ in range(2)
+        ]
+        scalar, batch = pair
+        _inject_one_by_one(scalar, 250_000.0, 1800.0, 600)
+        _inject_synthetic_small_flows(batch, 250_000.0, 1800.0, 600)
+        assert batch.flow_count.sum() < 600 * batch.num_hashes
+        codec = StateCodec()
         assert codec.encode(batch) == codec.encode(scalar)
 
 
