@@ -219,7 +219,6 @@ def _pipeline_config(
         listen_host, _, listen_port = args.listen.partition(":")
         kwargs["cluster"] = ClusterConfig(
             aggregators=args.aggregators,
-            hierarchical=not args.flat_cluster,
             listen_host=listen_host or "127.0.0.1",
             listen_port=int(listen_port or 0),
         )
@@ -301,8 +300,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         stats = result.collection.stats
         print(
             f"cluster         : {num_hosts} host(s) -> "
-            f"{collector.last_aggregators} aggregator(s) "
-            f"({'flat' if args.flat_cluster else 'hierarchical'}), "
+            f"{collector.last_aggregators} aggregator(s), "
             f"{stats.connection_faults} connection fault(s), "
             f"{stats.backpressure_waits} backpressure wait(s), "
             f"{stats.quarantined_hosts} quarantined, "
@@ -854,13 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A",
         help="aggregator-tier size for --cluster (default 0 = "
         "ceil(sqrt(N)))",
-    )
-    run.add_argument(
-        "--flat-cluster",
-        action="store_true",
-        help="with --cluster, keep every host report resident until "
-        "the root merge instead of hierarchical pairwise merging "
-        "(the O(N)-memory baseline the bench compares against)",
     )
     run.add_argument(
         "--listen",

@@ -18,11 +18,6 @@ class ClusterConfig:
         Size of the aggregator tier.  ``0`` (default) auto-sizes to
         ``ceil(sqrt(num_hosts))`` — the fan-in that balances per-
         aggregator connection load against root merge width.
-    hierarchical:
-        ``True`` (default): each aggregator folds its group's reports
-        into one partial as they arrive (bounded memory); ``False``:
-        the flat baseline — every decoded report stays resident until
-        the root merge, the in-process controller's exact shape.
     listen_host, listen_port:
         Bind address for the aggregator listeners.  Port ``0`` (the
         default) lets the OS pick an ephemeral port per aggregator;
@@ -58,7 +53,6 @@ class ClusterConfig:
     """
 
     aggregators: int = 0
-    hierarchical: bool = True
     listen_host: str = "127.0.0.1"
     listen_port: int = 0
     max_retries: int = 3

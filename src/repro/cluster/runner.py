@@ -18,13 +18,13 @@ Per epoch it:
 3. runs every live host's :class:`HostChannel` delivery loop
    concurrently — bounded by :data:`MAX_INFLIGHT`, retried on the
    seeded jittered backoff schedule, cut off by ``epoch_deadline``;
-4. drains and closes the listeners, folds each aggregator's partial
-   (hierarchical mode) or collects the decoded reports (flat mode),
-   and books every host that did not get acked as missing.
+4. drains and closes the listeners, hands over each live
+   aggregator's partial, and books every host that did not get acked
+   as missing.
 
 Everything downstream — quorum, degraded-merge rescale, recorder —
-is reused, not reimplemented: the result's ``hosts_reported`` lets
-:meth:`Controller.aggregate` key its quorum math on hosts even when
+is reused, not reimplemented: each partial carries its hosts' ids, so
+:meth:`Controller.aggregate` keys its quorum math on hosts even though
 ``reports`` holds A partial aggregates instead of N raw reports.
 
 Aggregator fail-over
@@ -53,8 +53,8 @@ fail-over:
   sent once more at most.  A re-home can strike a survivor's own
   scheduled fault, whose verdict re-homes *that* shard in turn.
 
-Hosts outside a dead shard are never sent again.  Because partials
-are canonicalized and sketches are linear, an epoch where a crashed
+Hosts outside a dead shard are never sent again.  Because every tier
+runs the one order-free merge fold, an epoch where a crashed
 aggregator's hosts all re-homed merges bit-identically to the
 no-crash epoch.  Hosts that stay unrecovered (no survivors, epoch
 deadline) flow into the existing quorum-gated degraded merge — a lost
@@ -166,7 +166,7 @@ class ClusterCollector:
         self.injector = injector
         self._breakers: dict[int, CircuitBreaker] = {}
         #: Shape of the most recent epoch, for telemetry: aggregator
-        #: count, peak dense sketches resident per aggregator, mode.
+        #: count and peak dense sketches resident per aggregator.
         self.last_aggregators = 0
         self.last_peak_resident = 0
 
@@ -199,23 +199,9 @@ class ClusterCollector:
         num_aggregators = cfg.resolve_aggregators(len(by_host))
         self.last_aggregators = num_aggregators
 
-        aggregators: list[Aggregator] = []
-        buckets: list[list] = []
-        sinks: list = []
-        if cfg.hierarchical:
-            for agg_id in range(num_aggregators):
-                aggregator = Aggregator(agg_id)
-                aggregators.append(aggregator)
-                sinks.append(aggregator.add)
-        else:
-            # Flat baseline: every decoded report stays resident until
-            # the root merge — but bucketed per listener, so a dead
-            # aggregator's resident reports can be discarded exactly
-            # like a dead partial.
-            for agg_id in range(num_aggregators):
-                bucket: list = []
-                buckets.append(bucket)
-                sinks.append(bucket.append)
+        aggregators = [
+            Aggregator(agg_id) for agg_id in range(num_aggregators)
+        ]
 
         injector = self.injector
         # Seeded aggregator strikes for this epoch.  Group size (how
@@ -251,7 +237,7 @@ class ClusterCollector:
             AggregatorListener(
                 agg_id,
                 epoch,
-                sinks[agg_id],
+                aggregators[agg_id].add,
                 stats,
                 seen,
                 delivered,
@@ -333,8 +319,6 @@ class ClusterCollector:
             for host_id in lost:
                 seen.discard((host_id, epoch))
                 delivered.discard(host_id)
-            if not cfg.hierarchical:
-                buckets[agg_id].clear()
             stats.failovers += 1
             record = FailoverRecord(
                 aggregator_id=agg_id,
@@ -412,27 +396,16 @@ class ClusterCollector:
             else:
                 breaker.record_failure(epoch)
 
-        if cfg.hierarchical:
-            partials = [
-                partial
-                for agg_id, aggregator in enumerate(aggregators)
-                if agg_id in router.live
-                for partial in (aggregator.finish(),)
-                if partial is not None
-            ]
-            result.reports = partials
-            result.aggregated_from = len(delivered)
-            self.last_peak_resident = max(
-                (agg.peak_resident for agg in aggregators), default=0
-            )
-        else:
-            collected = [
-                report for bucket in buckets for report in bucket
-            ]
-            result.reports = sorted(
-                collected, key=lambda report: report.host_id
-            )
-            self.last_peak_resident = len(collected)
+        # A dead aggregator's partial died with it.
+        result.reports = [
+            partial
+            for agg_id in sorted(router.live)
+            if (partial := aggregators[agg_id].finish()) is not None
+        ]
+        result.hosts_reported = len(delivered)
+        self.last_peak_resident = max(
+            (agg.peak_resident for agg in aggregators), default=0
+        )
         return result
 
 

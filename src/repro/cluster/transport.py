@@ -52,10 +52,10 @@ class AggregatorListener:
     """One aggregator's listening socket.
 
     Frames that decode cleanly are handed to ``sink`` (an
-    :class:`~repro.cluster.aggregator.Aggregator` or a plain report
-    list's ``append``-style callable); every defensive outcome is
-    counted into the shared :class:`CollectionStats`.  All handler
-    state runs on one event loop, so no locking is needed.
+    :class:`~repro.cluster.aggregator.Aggregator`'s ``add``); every
+    defensive outcome is counted into the shared
+    :class:`CollectionStats`.  All handler state runs on one event
+    loop, so no locking is needed.
 
     An optional scheduled :class:`~repro.faults.AggregatorFault` makes
     the listener *itself* the failure: once it has accepted
@@ -124,7 +124,7 @@ class AggregatorListener:
         # A closed listener strikes no more and sinks nothing.  The
         # server keeps the bound ``_handle`` it was started with, so
         # dropping it breaks the listener's cycle with its server, and
-        # the epoch's aggregators, buckets and the state the callback
+        # the epoch's aggregators and the state the callback
         # reaches go when the epoch does, not at the next collection.
         self.server = self.sink = self.on_strike = None
 

@@ -24,8 +24,8 @@ from repro.common.errors import MergeError, QuorumError
 from repro.common.flow import FlowKey
 from repro.controlplane.lens import LensConfig
 from repro.controlplane.merge import (
-    merge_fastpath_snapshots,
-    merge_sketches,
+    MergeFold,
+    PartialAggregate,
     rescale_sketch,
     rescale_snapshot,
 )
@@ -112,19 +112,21 @@ class Controller:
 
     def aggregate(
         self,
-        reports: Sequence[LocalReport],
+        reports: Sequence[LocalReport | PartialAggregate],
         *,
         expected_hosts: int | None = None,
         missing_hosts: Sequence[int] = (),
         epoch: int | None = None,
-        reported_hosts: int | None = None,
     ) -> NetworkResult:
         """Merge per-host reports and run network-wide recovery.
 
         Parameters
         ----------
         reports:
-            The reports that actually arrived.
+            What arrived: host reports, or the partial aggregates of a
+            cluster aggregator tier (each already folded from a group
+            of hosts).  Quorum and the degraded rescale count the
+            *hosts* these carry.
         expected_hosts:
             How many hosts *should* have reported.  Omitted (the
             default) the merge behaves exactly as before — whatever
@@ -135,17 +137,8 @@ class Controller:
             collector); recorded in the :class:`DegradedEpoch`.
         epoch:
             Epoch number, recorded in the :class:`DegradedEpoch`.
-        reported_hosts:
-            How many *hosts* the ``reports`` sequence represents.
-            Defaults to ``len(reports)``; the hierarchical cluster
-            controller passes the underlying host count when each
-            entry is a partial aggregate already merged from a whole
-            aggregator group, so quorum and degraded rescale stay
-            keyed to hosts rather than aggregators.
         """
-        reported = (
-            len(reports) if reported_hosts is None else reported_hosts
-        )
+        reported = sum(len(report.host_ids) for report in reports)
         expected = (
             reported if expected_hosts is None else expected_hosts
         )
@@ -166,8 +159,8 @@ class Controller:
         if reported < expected:
             scale = expected / reported
             degraded = DegradedEpoch(
-                expected_hosts=expected,
-                reported_hosts=reported,
+                expected,
+                reported,
                 missing_hosts=tuple(sorted(missing_hosts)),
                 scale=scale,
                 epoch=epoch,
@@ -179,10 +172,12 @@ class Controller:
             reports=len(reports),
             expected=expected,
         ):
-            merged_sketch = merge_sketches([r.sketch for r in reports])
-            merged_snapshot = merge_fastpath_snapshots(
-                [r.fastpath for r in reports]
-            )
+            fold = MergeFold()
+            for report in reports:
+                fold.add(report)
+            merged = fold.finish()
+            merged_sketch = merged.sketch
+            merged_snapshot = merged.fastpath or FastPathSnapshot()
             if scale != 1.0:
                 merged_sketch = rescale_sketch(merged_sketch, scale)
                 merged_snapshot = rescale_snapshot(

@@ -4,16 +4,115 @@ Sketches merge by counter-wise (matrix) addition; fast-path hash tables
 merge by union.  Hosts monitor disjoint flow sets (§3.1), so a flow
 normally appears in at most one table; if partitioning ever double-sees
 a flow, its counters add (``e`` bounds add conservatively).
+
+That merge is written once, as :class:`MergeFold`, and every tier runs
+it: a multi-core host over its cores, each cluster aggregator over its
+group's reports, and the controller over host reports or aggregator
+partials.  Sketch cells, ``V`` and the operation counters are integer
+sums, exact in any grouping; the merged fast-path entries leave the
+fold ordered by the full 104-bit flow key.  So recovery sees the same
+inputs in the same order whichever tiers folded them and in whatever
+order reports arrived.  (``E`` sums fractional kick-out thresholds: a
+different grouping of hosts that kicked out can move its last bit.)
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 
 from repro.common.errors import MergeError
 from repro.fastpath.topk import FastPathSnapshot, FlowEntry
 from repro.sketches.base import Sketch
+
+#: The snapshot's scalars (``V``, ``E`` and the operation counters);
+#: each merges by addition.
+_SNAPSHOT_SUMS = tuple(
+    f.name for f in fields(FastPathSnapshot) if f.name != "entries"
+)
+
+
+@dataclass
+class PartialAggregate:
+    """What a :class:`MergeFold` folded: the merged sketch, the merged
+    fast-path snapshot (``None`` when no input carried one) and the
+    sorted ids of the hosts behind them.  It folds again like a report
+    (``sketch`` / ``fastpath`` / ``host_ids``)."""
+
+    sketch: Sketch | None
+    fastpath: FastPathSnapshot | None
+    host_ids: tuple[int, ...]
+
+
+class MergeFold:
+    """The one merge: fold reports in, one at a time, then
+    :meth:`finish`.
+
+    An input is a host report or a :class:`PartialAggregate` — anything
+    with ``sketch``, ``fastpath`` and ``host_ids``.  Inputs are not
+    modified: the first sketch is cloned empty and every input is added
+    into that clone, and fast-path entries are copied before their
+    counters add.  At most the running merge and the input being
+    folded are resident.
+    """
+
+    def __init__(self) -> None:
+        self.sketch: Sketch | None = None
+        self.fastpath: FastPathSnapshot | None = None
+        self.host_ids: list[int] = []
+
+    def add(self, report) -> None:
+        """Fold one report (or partial) in."""
+        self.add_sketch(report.sketch)
+        self.add_snapshot(report.fastpath)
+        self.host_ids.extend(report.host_ids)
+
+    def add_sketch(self, sketch: Sketch) -> None:
+        """Matrix-add ``sketch`` (same type, shape and seed as the
+        others — enforced by the sketch's ``merge``)."""
+        if self.sketch is None:
+            self.sketch = sketch.clone_empty()
+        self.sketch.merge(sketch)
+
+    def add_snapshot(self, snapshot: FastPathSnapshot | None) -> None:
+        """Union ``snapshot``'s table in; ``V``, ``E`` and the counters
+        add.  ``None`` (a host without a fast path) adds nothing."""
+        if snapshot is None:
+            return
+        merged = self.fastpath
+        if merged is None:
+            merged = self.fastpath = FastPathSnapshot()
+        for name in _SNAPSHOT_SUMS:
+            setattr(
+                merged, name, getattr(merged, name) + getattr(snapshot, name)
+            )
+        entries = merged.entries
+        for flow, entry in snapshot.entries.items():
+            existing = entries.get(flow)
+            if existing is None:
+                entries[flow] = FlowEntry(entry.e, entry.r, entry.d)
+            else:
+                existing.e += entry.e
+                existing.r += entry.r
+                existing.d += entry.d
+
+    def finish(self) -> PartialAggregate:
+        """Hand over what was folded, fast-path entries in flow-key
+        order, and start empty again: the fold keeps nothing of it."""
+        fastpath = self.fastpath
+        if fastpath is not None:
+            fastpath.entries = dict(
+                sorted(
+                    fastpath.entries.items(),
+                    key=lambda item: item[0].key104,
+                )
+            )
+        partial = PartialAggregate(
+            self.sketch, fastpath, tuple(sorted(self.host_ids))
+        )
+        self.sketch = self.fastpath = None
+        self.host_ids = []
+        return partial
 
 
 def merge_sketches(sketches: Sequence[Sketch]) -> Sketch:
@@ -24,10 +123,26 @@ def merge_sketches(sketches: Sequence[Sketch]) -> Sketch:
     """
     if not sketches:
         raise MergeError("no sketches to merge")
-    merged = sketches[0].clone_empty()
+    fold = MergeFold()
     for sketch in sketches:
-        merged.merge(sketch)
-    return merged
+        fold.add_sketch(sketch)
+    return fold.finish().sketch
+
+
+def merge_fastpath_snapshots(
+    snapshots: Sequence[FastPathSnapshot | None],
+) -> FastPathSnapshot:
+    """Union per-host fast-path tables into the global table ``H``,
+    entries in flow-key order.
+
+    ``V`` and ``E`` add across hosts.  Missing snapshots (hosts that ran
+    without a fast path) contribute nothing; with none at all the table
+    is empty.
+    """
+    fold = MergeFold()
+    for snapshot in snapshots:
+        fold.add_snapshot(snapshot)
+    return fold.finish().fastpath or FastPathSnapshot()
 
 
 def rescale_sketch(sketch: Sketch, factor: float) -> Sketch:
@@ -77,50 +192,3 @@ def rescale_snapshot(
     )
 
 
-def merge_fastpath_snapshots(
-    snapshots: Sequence[FastPathSnapshot | None],
-) -> FastPathSnapshot:
-    """Union per-host fast-path tables into the global table ``H``.
-
-    ``V`` and ``E`` add across hosts.  Missing snapshots (hosts that ran
-    without a fast path) contribute nothing.
-    """
-    entries: dict = {}
-    total_bytes = 0.0
-    total_decremented = 0.0
-    insert_count = 0
-    evict_count = 0
-    update_count = 0
-    hit_count = 0
-    kickout_count = 0
-    reject_count = 0
-    for snapshot in snapshots:
-        if snapshot is None:
-            continue
-        total_bytes += snapshot.total_bytes
-        total_decremented += snapshot.total_decremented
-        insert_count += snapshot.insert_count
-        evict_count += snapshot.evict_count
-        update_count += snapshot.update_count
-        hit_count += snapshot.hit_count
-        kickout_count += snapshot.kickout_count
-        reject_count += snapshot.reject_count
-        for flow, entry in snapshot.entries.items():
-            existing = entries.get(flow)
-            if existing is None:
-                entries[flow] = FlowEntry(entry.e, entry.r, entry.d)
-            else:
-                existing.e += entry.e
-                existing.r += entry.r
-                existing.d += entry.d
-    return FastPathSnapshot(
-        entries=entries,
-        total_bytes=total_bytes,
-        total_decremented=total_decremented,
-        insert_count=insert_count,
-        evict_count=evict_count,
-        update_count=update_count,
-        hit_count=hit_count,
-        kickout_count=kickout_count,
-        reject_count=reject_count,
-    )

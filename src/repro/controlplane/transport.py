@@ -548,24 +548,15 @@ class CollectionResult:
     reports: list[LocalReport] = field(default_factory=list)
     missing_hosts: list[int] = field(default_factory=list)
     stats: CollectionStats = field(default_factory=CollectionStats)
-    #: When a hierarchical aggregator tier folded host reports into
-    #: partial aggregates, how many *hosts* the ``reports`` list
-    #: actually represents (``None`` on the flat path where one entry
-    #: is one host).
-    aggregated_from: int | None = None
+    #: How many hosts' reports were collected.  Unlike
+    #: ``len(reports)`` it survives the list being dropped, and it
+    #: counts hosts where an aggregator tier folded ``reports`` into
+    #: partial aggregates.
+    hosts_reported: int = 0
     #: One record per aggregator a watchdog verdict declared dead
     #: this epoch (:class:`~repro.cluster.runner.FailoverRecord`);
     #: empty everywhere but the cluster runner.
     failovers: list = field(default_factory=list)
-
-    @property
-    def hosts_reported(self) -> int:
-        """How many hosts' reports this collection represents."""
-        return (
-            len(self.reports)
-            if self.aggregated_from is None
-            else self.aggregated_from
-        )
 
     @property
     def complete(self) -> bool:
@@ -829,4 +820,5 @@ class ReportCollector:
                     delivery.acked(frame)
             if delivery.delivered is None:
                 result.missing_hosts.append(host)
+        result.hosts_reported = len(result.reports)
         return result

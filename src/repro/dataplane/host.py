@@ -86,6 +86,12 @@ class LocalReport:
         self.switch = state["switch"]
         self.frame = None
 
+    @property
+    def host_ids(self) -> tuple[int, ...]:
+        """The one host behind this report, as a merge records it
+        (:class:`~repro.controlplane.merge.MergeFold`)."""
+        return (self.host_id,)
+
     def hand_off(self, frame: bytes) -> None:
         """Keep ``frame`` (this report, encoded) and let go of the
         sketch, which the host may now reset and reuse."""

@@ -39,7 +39,7 @@ lay the same logical table out in different slots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -356,9 +356,9 @@ class FastPathSnapshot:
     DESIGN.md ("small-flow component y").
     """
 
-    entries: dict[FlowKey, FlowEntry]
-    total_bytes: float
-    total_decremented: float
+    entries: dict[FlowKey, FlowEntry] = field(default_factory=dict)
+    total_bytes: float = 0.0
+    total_decremented: float = 0.0
     insert_count: int = 0
     evict_count: int = 0
     # Remaining O(1) operation counters (Figures 15/16a): per-host

@@ -16,10 +16,7 @@ from repro.cluster import ClusterCollector, ClusterConfig
 from repro.common.errors import ConfigError
 from repro.controlplane.controller import Controller, NetworkResult
 from repro.controlplane.lens import LensConfig
-from repro.controlplane.merge import (
-    merge_fastpath_snapshots,
-    merge_sketches,
-)
+from repro.controlplane.merge import MergeFold
 from repro.controlplane.recovery import RecoveryMode
 from repro.controlplane.transport import (
     CollectionResult,
@@ -203,11 +200,10 @@ class EpochResult:
         The answer, score, SLO breaches, durability counters, the
         network result's scalars, the collection's counts, and each
         report's switch statistics and fast-path snapshot stay; the
-        host sketches (or frames) and the merged state go, and so does
-        the collection's report list — decoded copies of
-        :attr:`reports`, or the aggregators' partials, both merged
-        already.  Durability outcomes hold their cores' reports: at one
-        core per host, the same objects as :attr:`reports`.
+        host sketches (or frames) and the merged state go.  (The
+        collection's report list went once the controller folded it.)
+        Durability outcomes hold their cores' reports: at one core per
+        host, the same objects as :attr:`reports`.
         """
         self.network.retire()
         for report in self.reports:
@@ -215,10 +211,6 @@ class EpochResult:
         for outcome in self.durability or ():
             if outcome.report is not None:
                 outcome.report.retire()
-        collection = self.collection
-        if collection is not None:
-            collection.aggregated_from = collection.hosts_reported
-            collection.reports = []
 
     @property
     def throughput_gbps(self) -> float:
@@ -246,15 +238,14 @@ def _fold_cores(
     own linear merge; a single core's report is the host's."""
     if len(reports) == 1:
         return reports[0]
-    snapshots = [report.fastpath for report in reports]
+    fold = MergeFold()
+    for report in reports:
+        fold.add(report)
+    merged = fold.finish()
     return LocalReport(
         host_id=host_id,
-        sketch=merge_sketches([report.sketch for report in reports]),
-        fastpath=(
-            merge_fastpath_snapshots(snapshots)
-            if any(snapshot is not None for snapshot in snapshots)
-            else None
-        ),
+        sketch=merged.sketch,
+        fastpath=merged.fastpath,
         switch=SwitchReport.combine(
             [report.switch for report in reports], cost_model
         ),
@@ -361,8 +352,7 @@ class SketchVisorPipeline:
             f"fastpath={cfg.fastpath_bytes}B, "
             f"telemetry={'on' if cfg.telemetry is not None else 'off'}, "
             f"chaos={'on' if cfg.faults is not None else 'off'}, "
-            f"cluster="
-            f"{('hier' if cfg.cluster.hierarchical else 'flat') if cfg.cluster is not None else 'off'}, "
+            f"cluster={'on' if cfg.cluster is not None else 'off'}, "
             f"durability="
             f"{'on' if cfg.checkpoint_dir is not None else 'off'})"
         )
@@ -554,11 +544,11 @@ class SketchVisorPipeline:
         wire format through the :class:`ReportCollector` (faults
         injected, retries, dedup); with a cluster they cross TCP
         connections to the aggregator tier, and the controller merges
-        whatever arrived — partial aggregates in hierarchical mode —
-        with quorum still keyed on *hosts*.  ``extra_missing`` names
-        hosts whose report never reached a collector at all
-        (unrecovered data-plane faults); they join the missing set the
-        degraded merge compensates for.
+        the partial aggregates that arrived, with quorum still keyed on
+        *hosts*.  Either collection's report list is dropped once
+        merged.  ``extra_missing`` names hosts whose report never
+        reached a collector at all (unrecovered data-plane faults);
+        they join the missing set the degraded merge compensates for.
         """
         cfg = self.config
         telemetry = cfg.telemetry
@@ -597,10 +587,11 @@ class SketchVisorPipeline:
             expected_hosts=cfg.num_hosts,
             missing_hosts=missing,
             epoch=epoch,
-            reported_hosts=(
-                None if collection is None else collection.hosts_reported
-            ),
         )
+        if collection is not None:
+            # Folded: the decoded reports or aggregator partials are
+            # garbage from here on, not state the epoch holds.
+            collection.reports = []
         return network, collection
 
     def _finish_epoch(

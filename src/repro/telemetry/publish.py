@@ -210,8 +210,8 @@ def publish_cluster_epoch(
     ).set(collector.last_aggregators)
     registry.gauge(
         "sketchvisor_cluster_peak_resident_reports",
-        "Peak dense sketches resident in one aggregator "
-        "(hierarchical) or the controller (flat) in the latest epoch",
+        "Peak dense sketches resident in one aggregator (its running "
+        "merge and the report being folded) in the latest epoch",
     ).set(collector.last_peak_resident)
     failovers = registry.counter(
         "sketchvisor_aggregator_failovers_total",

@@ -433,7 +433,7 @@ PINNED_IN_PROCESS = {
     ],
 }
 
-#: Flat and hierarchical runs pinned the same values.
+#: A one-aggregator tier and the auto-sized tier pinned the same values.
 PINNED_SOCKET = {
     1: [
         (
@@ -516,7 +516,7 @@ def outcome(result):
     reported = sorted(
         host
         for report in result.reports
-        for host in getattr(report, "host_ids", (report.host_id,))
+        for host in report.host_ids
     )
     return stats, result.missing_hosts, reported
 
@@ -541,12 +541,12 @@ class TestPinnedOutcomes:
         ]
         assert outcomes == PINNED_IN_PROCESS[plan]
 
-    @pytest.mark.parametrize("hierarchical", [False, True])
+    @pytest.mark.parametrize("one_aggregator", [False, True])
     @pytest.mark.parametrize("seed", sorted(PINNED_SOCKET))
-    def test_socket_collector(self, reports, hierarchical, seed):
+    def test_socket_collector(self, reports, one_aggregator, seed):
         collector = ClusterCollector(
             ClusterConfig(
-                hierarchical=hierarchical,
+                aggregators=1 if one_aggregator else 0,
                 connect_timeout=1.0,
                 ack_timeout=1.0,
                 idle_timeout=0.15,

@@ -17,12 +17,12 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig
+from repro.cluster import Aggregator, ClusterCollector, ClusterConfig
 from repro.controlplane.merge import merge_sketches
 from repro.controlplane.recovery import RecoveryMode
 from repro.controlplane.transport import decode_report, encode_report
 from repro.dataplane.host import Host, LocalReport
-from repro.faults import failover_plan, socket_plan
+from repro.faults import FaultInjector, failover_plan, socket_plan
 from repro.framework.modes import DataPlaneMode
 from repro.framework.pipeline import PipelineConfig, SketchVisorPipeline
 from repro.tasks.heavy_hitter import HeavyHitterTask
@@ -141,6 +141,33 @@ def test_cluster_epoch_peak_is_the_aggregator_tier(epoch_input, monkeypatch):
     assert peak <= bound, (peak, bound)
 
 
+def test_finished_epoch_holds_no_partial(epoch_input, monkeypatch):
+    """Once the controller has folded the aggregators' partials the
+    epoch lets them go: a finished epoch, not yet retired, reaches no
+    partial sketch."""
+    trace, truth = epoch_input
+    handed = []
+    finish = Aggregator.finish
+
+    def recording(self):
+        partial = finish(self)
+        if partial is not None:
+            handed.append(weakref.ref(partial.sketch))
+        return partial
+
+    monkeypatch.setattr(Aggregator, "finish", recording)
+    pipeline = _pipeline(truth, cluster=ClusterConfig(**FAST))
+    gc.collect()
+    gc.disable()
+    try:
+        result = pipeline.run_epoch(trace, truth)
+        assert len(handed) > 1
+        assert result.collection.reports == []
+        assert [ref() for ref in handed] == [None] * len(handed)
+    finally:
+        gc.enable()
+
+
 def _reports_the_old_way(pipeline, trace, epoch):
     """Each host on a fresh sketch of its own, its report encoded after
     the fact: frames as they were before hosts handed off."""
@@ -177,9 +204,14 @@ def test_streamed_frames_and_merges_match_per_host_sketches(
     assert result.reports
     for report in result.reports:
         assert report.frame == expected[report.host_id]
+    assert result.collection.stats.faults_seen
     # The aggregators' partials merge to exactly what decoding the
-    # delivered hosts' frames and merging them gives.
-    collection = result.collection
+    # delivered hosts' frames and merging them gives.  The epoch lets
+    # its partials go once merged, so its handed-off reports cross the
+    # tier again, under the same plan.
+    collection = ClusterCollector(
+        ClusterConfig(**FAST), injector=FaultInjector(plan)
+    ).collect(result.reports, 0)
     assert collection.stats.faults_seen
     delivered = sorted(
         host for partial in collection.reports for host in partial.host_ids

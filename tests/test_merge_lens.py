@@ -21,7 +21,8 @@ from repro.controlplane.merge import (
     merge_fastpath_snapshots,
     merge_sketches,
 )
-from repro.fastpath.topk import FastPath
+from repro.common.flow import FlowKey
+from repro.fastpath.topk import FastPath, FastPathSnapshot, FlowEntry
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.deltoid import Deltoid
 from repro.telemetry import Telemetry
@@ -85,6 +86,35 @@ class TestMergeSnapshots:
     def test_all_none(self):
         merged = merge_fastpath_snapshots([None, None])
         assert merged.total_bytes == 0 and not merged.entries
+
+    def test_entry_order_is_independent_of_input_order(self):
+        """Merged entries come out in full-key order.  ``twin`` folds to
+        the same ``key64`` as ``flow`` (``key64`` mixes ``hi ^ lo`` of
+        the 104-bit header, so flipping one bit in each word keeps it):
+        an order keyed on ``key64`` would leave the pair in arrival
+        order."""
+        flow = make_flow(1)
+        twin = FlowKey.from_key104(flow.key104 ^ (1 << 64 | 1))
+        assert twin != flow and twin.key64 == flow.key64
+        a = FastPathSnapshot(
+            entries={
+                flow: FlowEntry(0.0, 10.0, 0.0),
+                make_flow(7): FlowEntry(0.0, 5.0, 0.0),
+            },
+            total_bytes=15.0,
+        )
+        b = FastPathSnapshot(
+            entries={
+                twin: FlowEntry(0.0, 20.0, 0.0),
+                make_flow(3): FlowEntry(0.0, 8.0, 0.0),
+            },
+            total_bytes=28.0,
+        )
+        forward = merge_fastpath_snapshots([a, b])
+        backward = merge_fastpath_snapshots([b, a])
+        assert list(forward.entries) == list(backward.entries)
+        keys = [key.key104 for key in forward.entries]
+        assert keys == sorted(keys)
 
 
 class TestSVT:
