@@ -9,15 +9,18 @@ That merge is written once, as :class:`MergeFold`, and every tier runs
 it: a multi-core host over its cores, each cluster aggregator over its
 group's reports, and the controller over host reports or aggregator
 partials.  Sketch cells, ``V`` and the operation counters are integer
-sums, exact in any grouping; the merged fast-path entries leave the
-fold ordered by the full 104-bit flow key.  So recovery sees the same
-inputs in the same order whichever tiers folded them and in whatever
-order reports arrived.  (``E`` sums fractional kick-out thresholds: a
-different grouping of hosts that kicked out can move its last bit.)
+sums, exact in any grouping.  ``E`` sums fractional kick-out
+thresholds, so a partial carries its inputs' ``E`` summands and the
+fold takes their correctly rounded sum (``math.fsum``), which no
+grouping moves.  The merged fast-path entries leave the fold ordered
+by the full 104-bit flow key.  So recovery sees the same inputs in the
+same order whichever tiers folded them and in whatever order reports
+arrived.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
@@ -25,23 +28,28 @@ from repro.common.errors import MergeError
 from repro.fastpath.topk import FastPathSnapshot, FlowEntry
 from repro.sketches.base import Sketch
 
-#: The snapshot's scalars (``V``, ``E`` and the operation counters);
-#: each merges by addition.
+#: The snapshot's integer scalars (``V`` and the operation counters);
+#: each merges by addition.  ``E`` merges by :func:`math.fsum`.
 _SNAPSHOT_SUMS = tuple(
-    f.name for f in fields(FastPathSnapshot) if f.name != "entries"
+    f.name
+    for f in fields(FastPathSnapshot)
+    if f.name not in ("entries", "total_decremented")
 )
 
 
 @dataclass
 class PartialAggregate:
     """What a :class:`MergeFold` folded: the merged sketch, the merged
-    fast-path snapshot (``None`` when no input carried one) and the
-    sorted ids of the hosts behind them.  It folds again like a report
-    (``sketch`` / ``fastpath`` / ``host_ids``)."""
+    fast-path snapshot (``None`` when no input carried one), the sorted
+    ids of the hosts behind them and the ``E`` of each snapshot folded
+    in (``decrements``), whose ``fsum`` is the snapshot's ``E``.  It
+    folds again like a report (``sketch`` / ``fastpath`` /
+    ``host_ids``)."""
 
     sketch: Sketch | None
     fastpath: FastPathSnapshot | None
     host_ids: tuple[int, ...]
+    decrements: tuple[float, ...]
 
 
 class MergeFold:
@@ -60,11 +68,17 @@ class MergeFold:
         self.sketch: Sketch | None = None
         self.fastpath: FastPathSnapshot | None = None
         self.host_ids: list[int] = []
+        self.decrements: list[float] = []
 
     def add(self, report) -> None:
         """Fold one report (or partial) in."""
         self.add_sketch(report.sketch)
-        self.add_snapshot(report.fastpath)
+        self.add_snapshot(
+            report.fastpath,
+            report.decrements
+            if isinstance(report, PartialAggregate)
+            else None,
+        )
         self.host_ids.extend(report.host_ids)
 
     def add_sketch(self, sketch: Sketch) -> None:
@@ -74,14 +88,23 @@ class MergeFold:
             self.sketch = sketch.clone_empty()
         self.sketch.merge(sketch)
 
-    def add_snapshot(self, snapshot: FastPathSnapshot | None) -> None:
-        """Union ``snapshot``'s table in; ``V``, ``E`` and the counters
-        add.  ``None`` (a host without a fast path) adds nothing."""
+    def add_snapshot(
+        self,
+        snapshot: FastPathSnapshot | None,
+        decrements: tuple[float, ...] | None = None,
+    ) -> None:
+        """Union ``snapshot``'s table in; ``V`` and the counters add,
+        and ``E``'s summands — ``decrements`` for a partial's snapshot,
+        else its own ``E`` — join the fold's.  ``None`` (a host without
+        a fast path) adds nothing."""
         if snapshot is None:
             return
         merged = self.fastpath
         if merged is None:
             merged = self.fastpath = FastPathSnapshot()
+        if decrements is None:
+            decrements = (snapshot.total_decremented,)
+        self.decrements.extend(decrements)
         for name in _SNAPSHOT_SUMS:
             setattr(
                 merged, name, getattr(merged, name) + getattr(snapshot, name)
@@ -101,6 +124,7 @@ class MergeFold:
         order, and start empty again: the fold keeps nothing of it."""
         fastpath = self.fastpath
         if fastpath is not None:
+            fastpath.total_decremented = math.fsum(self.decrements)
             fastpath.entries = dict(
                 sorted(
                     fastpath.entries.items(),
@@ -108,10 +132,14 @@ class MergeFold:
                 )
             )
         partial = PartialAggregate(
-            self.sketch, fastpath, tuple(sorted(self.host_ids))
+            self.sketch,
+            fastpath,
+            tuple(sorted(self.host_ids)),
+            tuple(self.decrements),
         )
         self.sketch = self.fastpath = None
         self.host_ids = []
+        self.decrements = []
         return partial
 
 
@@ -135,7 +163,8 @@ def merge_fastpath_snapshots(
     """Union per-host fast-path tables into the global table ``H``,
     entries in flow-key order.
 
-    ``V`` and ``E`` add across hosts.  Missing snapshots (hosts that ran
+    ``V`` and ``E`` add across hosts (``E`` correctly rounded, by
+    ``math.fsum``).  Missing snapshots (hosts that ran
     without a fast path) contribute nothing; with none at all the table
     is empty.
     """

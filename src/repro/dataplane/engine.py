@@ -8,8 +8,9 @@ decides, per packet, normal path or fast path (or block), in two
 stretches: up to the first packet that finds the FIFO full every
 packet is enqueued, and exact array scans (:func:`max_plus_scan`)
 advance both clocks; from there a lean loop — plain lists and locals,
-the FIFO as a deque of enqueue cycles, no packet-object reads — takes
-each packet in turn.  Counter state never
+the FIFO as a deque of enqueue cycles and its head's completion cycle
+in a local, no packet-object reads — takes each packet in turn.
+Counter state never
 influences routing, so the chunk's normal-path packets go to the sketch
 afterwards in one :meth:`~repro.sketches.base.Sketch.update_trace`
 call, and the report's packet/byte counts and flow sets are derived
@@ -17,7 +18,12 @@ from the chunk's index arrays (integer sums: exact in any order; the
 flow sets from the distinct entries of the trace's flow column).  The
 fast path is order-dependent (kick-outs), so it stays inline: a hit is
 a dict probe and an add on :class:`FastPath`'s columns, a miss calls
-:meth:`FastPath.miss`.
+:meth:`FastPath.miss`.  For the length of :meth:`HostEngine.run` the
+fast path is keyed on the trace's flow ordinals
+(:meth:`FastPath.bind`), so the loop probes with the ``flow`` column's
+values and no :class:`FlowKey` is hashed per packet; the keys are
+translated through ``trace.table`` at the edges, once each way per
+``run``, and hooks and snapshots read flows through the bound table.
 
 The engine's *entire* execution state — sketch, fast path, FIFO
 backlog, producer/consumer clocks, partially filled report, and the
@@ -37,6 +43,7 @@ is what the per-packet oracle in ``tests/reference_engine.py`` pins.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -258,82 +265,88 @@ class HostEngine:
         sizes, flow, table = trace.sizes, trace.flow, trace.table
         report = self.report
 
-        # Fast-path protocol: FastPath's columns are probed inline and
-        # the hits credited per chunk; Misra-Gries — and any fast path
-        # under a profiler, which wants a clock around each update —
-        # takes every packet through ``update``.
+        # Fast-path protocol: FastPath's columns are probed inline by
+        # flow ordinal (the table is bound for this call) and the hits
+        # credited per chunk; Misra-Gries — and any fast path under a
+        # profiler, which wants a clock around each update — takes
+        # every packet through ``update`` with its FlowKey.
         fastpath = self.fastpath
         profiler = self.profiler
         clock = time.perf_counter_ns if profiler is not None else None
         inline = clock is None and isinstance(fastpath, FastPath)
         topk = [0, 0]  # profiled fast-path [ns, packets]
         probe = residuals = miss = None
+        # Only fast-path packets have their size and flow read inside
+        # the loop.
+        size_list = flow_list = None
+        if fastpath is not None:
+            size_list, flow_list = sizes.tolist(), flow.tolist()
         if inline:
-            probe, residuals = fastpath.slots.get, fastpath.r
+            probe, residuals = fastpath.bind(table), fastpath.r
             miss = fastpath.miss
         elif fastpath is not None:
             probe, miss = _NO_SLOTS, fastpath.update
+            flow_list = list(map(table.__getitem__, flow_list))
             if clock is not None:
                 miss = _clocked(miss, clock, topk)
-        # Only fast-path packets have their size and flow read inside
-        # the loop; the flow goes through the table for those alone.
-        size_list = flow_list = None
-        if probe is not None:
-            size_list, flow_list = sizes.tolist(), flow.tolist()
         began = clock() if clock is not None else 0
         first = self.offset
         sketch_ns = 0
 
-        while self.offset < end:
-            lo = self.offset
-            hi = end
-            if checkpoint_every:
-                hi = min(
-                    hi, (lo // checkpoint_every + 1) * checkpoint_every
-                )
-            if self.ideal:
-                self._pace(_due(arrivals, lo, hi))
-                normal = np.arange(lo, hi, dtype=np.intp)
-                fast = normal[:0]
-                misses = 0
-            else:
-                normal, fast, misses = self._route(
-                    lo, hi, arrivals, table, flow_list, size_list,
-                    probe, residuals, miss,
-                )
-
-            normal_bytes = fast_bytes = 0
-            if normal.size:
-                whole = normal.size == n
-                t0 = clock() if clock is not None else 0
-                self.sketch.update_trace(trace, None if whole else normal)
-                if clock is not None:
-                    sketch_ns += clock() - t0
-                normal_bytes = int(
-                    (sizes if whole else sizes[normal]).sum()
-                )
-                report.normal_packets += normal.size
-                report.normal_bytes += normal_bytes
-                report.normal_flows.update(
-                    _distinct(table, flow if whole else flow[normal])
-                )
-            if fast.size:
-                fast_bytes = int(sizes[fast].sum())
-                if inline:
-                    fastpath.account(
-                        fast.size, fast.size - misses, fast_bytes
+        try:
+            while self.offset < end:
+                lo = self.offset
+                hi = end
+                if checkpoint_every:
+                    hi = min(
+                        hi, (lo // checkpoint_every + 1) * checkpoint_every
                     )
-                report.fastpath_packets += fast.size
-                report.fastpath_bytes += fast_bytes
-                report.fastpath_flows.update(
-                    _distinct(table, flow[fast])
-                )
-            report.total_packets += hi - lo
-            report.total_bytes += normal_bytes + fast_bytes
+                if self.ideal:
+                    self._pace(_due(arrivals, lo, hi))
+                    normal = np.arange(lo, hi, dtype=np.intp)
+                    fast = normal[:0]
+                    misses = 0
+                else:
+                    normal, fast, misses = self._route(
+                        lo, hi, arrivals, flow_list, size_list,
+                        probe, residuals, miss,
+                    )
 
-            self.offset = hi
-            if checkpoint_every and hi % checkpoint_every == 0 and hi < n:
-                on_checkpoint(self)
+                normal_bytes = fast_bytes = 0
+                if normal.size:
+                    whole = normal.size == n
+                    t0 = clock() if clock is not None else 0
+                    self.sketch.update_trace(trace, None if whole else normal)
+                    if clock is not None:
+                        sketch_ns += clock() - t0
+                    normal_bytes = int(
+                        (sizes if whole else sizes[normal]).sum()
+                    )
+                    report.normal_packets += normal.size
+                    report.normal_bytes += normal_bytes
+                    report.normal_flows.update(
+                        _distinct(table, flow if whole else flow[normal])
+                    )
+                if fast.size:
+                    fast_bytes = int(sizes[fast].sum())
+                    if inline:
+                        fastpath.account(
+                            fast.size, fast.size - misses, fast_bytes
+                        )
+                    report.fastpath_packets += fast.size
+                    report.fastpath_bytes += fast_bytes
+                    report.fastpath_flows.update(
+                        _distinct(table, flow[fast])
+                    )
+                report.total_packets += hi - lo
+                report.total_bytes += normal_bytes + fast_bytes
+
+                self.offset = hi
+                if checkpoint_every and hi % checkpoint_every == 0 and hi < n:
+                    on_checkpoint(self)
+        finally:
+            if inline:
+                fastpath.unbind()
 
         if profiler is not None:
             total_ns = clock() - began
@@ -404,9 +417,7 @@ class HostEngine:
             )
         return lo + stop
 
-    def _route(
-        self, lo, hi, arrivals, table, flows, sizes, probe, residuals, miss
-    ):
+    def _route(self, lo, hi, arrivals, flows, sizes, probe, residuals, miss):
         """Cycle accounting for packets ``lo..hi``: who goes where.
 
         Returns ``(normal, fast, misses)`` — index arrays of the packets
@@ -416,7 +427,9 @@ class HostEngine:
         recurrences are the paper's dispatch rule (§3.1) in sequential
         floating point: :meth:`_scan` up to the first full backlog, then
         one packet at a time, where ``x if x > y else y`` is
-        ``max(x, y)`` without the call.
+        ``max(x, y)`` without the call.  The FIFO head's completion
+        cycle is kept in a local (infinite while the FIFO is empty), so
+        a packet that pops nothing costs one compare.
         """
         begin = lo
         lo = self._scan(lo, hi, arrivals)
@@ -438,61 +451,83 @@ class HostEngine:
         high_water = fifo.high_water
         push = queue.append
         pop = queue.popleft
+        head_done = math.inf
+        if queue:
+            head = queue[0]
+            head_done = (consumer if consumer > head else head) + sketch_cycles
         normal: list[int] = []
-        fast: list[int] = []
         to_normal = normal.append
-        to_fast = fast.append
         misses = 0
-        cycles = self._fastpath_cycles
-        hit_cycles = cycles[UpdateKind.HIT] if cycles else 0.0
+        cycles = self._fastpath_cycles or {}
+        hit_cycles = cycles.get(UpdateKind.HIT, 0.0)
+        insert_cycles = cycles.get(UpdateKind.INSERT, 0.0)
+        kickout_cycles = cycles.get(UpdateKind.KICKOUT, 0.0)
+        hit, kickout = UpdateKind.HIT, UpdateKind.KICKOUT
 
         for index, arrival in zip(range(lo, hi), due):
             now = producer if producer > arrival else arrival
             # Let the consumer catch up to `now` in parallel.
-            while queue:
-                head = queue[0]
-                done = (
-                    consumer if consumer > head else head
-                ) + sketch_cycles
-                if done > now:
-                    break
+            while head_done <= now:
                 pop()
-                consumer = done
+                consumer = head_done
+                if queue:
+                    head = queue[0]
+                    head_done = (
+                        consumer if consumer > head else head
+                    ) + sketch_cycles
+                else:
+                    head_done = math.inf
             producer = now + dispatch
 
             backlog = len(queue)
             if backlog < capacity:
                 push(producer)
                 to_normal(index)
+                if not backlog:
+                    head_done = (
+                        consumer if consumer > producer else producer
+                    ) + sketch_cycles
                 if backlog >= high_water:
                     high_water = backlog + 1
             elif probe is None:
                 # NoFastPath: block until the daemon frees a slot.
-                head = pop()
-                consumer = (
-                    consumer if consumer > head else head
-                ) + sketch_cycles
+                pop()
+                consumer = head_done
                 if consumer > producer:
                     producer = consumer
                 push(producer)
                 to_normal(index)
+                head = queue[0]
+                head_done = (
+                    consumer if consumer > head else head
+                ) + sketch_cycles
             else:
-                key = table[flows[index]]
-                slot = probe(key)
+                flow = flows[index]
+                slot = probe(flow)
                 if slot is not None:
                     residuals[slot] += sizes[index]
                     producer += hit_cycles
                 else:
                     misses += 1
-                    producer += cycles[miss(key, sizes[index])]
-                to_fast(index)
+                    # Kinds compare by identity: an Enum hashes in
+                    # Python code.
+                    kind = miss(flow, sizes[index])
+                    producer += (
+                        kickout_cycles
+                        if kind is kickout
+                        else hit_cycles if kind is hit else insert_cycles
+                    )
 
         self.producer = producer
         self.consumer = consumer
         fifo.high_water = high_water
+        routed = np.asarray(normal, dtype=np.intp)
+        # The rest of lo..hi went to the fast path.
+        fast = np.ones(hi - lo, dtype=bool)
+        fast[routed - lo] = False
         return (
-            np.concatenate((scanned, np.asarray(normal, dtype=np.intp))),
-            np.asarray(fast, dtype=np.intp),
+            np.concatenate((scanned, routed)),
+            np.flatnonzero(fast) + lo,
             misses,
         )
 

@@ -34,6 +34,14 @@ in insertion order and a re-admitted flow goes to its end), and
 that saw the same stream therefore agree on ``rows()``, ``V``, ``E``
 and the counters, while one restored by :meth:`FastPath.load_rows` may
 lay the same logical table out in different slots.
+
+A :class:`FlowKey` hashes in Python code, so the data plane does not
+probe with flows: for the length of one engine run, :meth:`FastPath.bind`
+keys the index on *ordinals* into the trace's flow table (the ``flow``
+column's values), and :meth:`FastPath.unbind` turns them back into
+flows.  Each translates once, and only a non-empty table; in between,
+``rows()``, :meth:`~FastPath.snapshot` and the ``slots`` / ``keys``
+views read flows through the bound table.
 """
 
 from __future__ import annotations
@@ -149,11 +157,13 @@ class FastPath:
         self.capacity = capacity
         self.memory_bytes = memory_bytes
         self.delta = delta
-        #: Slot ``i`` of the counter columns belongs to ``keys[i]``
-        #: (``None`` when free) and ``slots[keys[i]] == i``; ``slots``
-        #: iterates in insertion order.  ``free`` holds the rest.
-        self.keys: list[FlowKey | None] = [None] * capacity
-        self.slots: dict[FlowKey, int] = {}
+        #: Slot ``i`` of the counter columns belongs to ``_keys[i]``
+        #: (``None`` when free) and ``_slots[_keys[i]] == i``; ``_slots``
+        #: iterates in insertion order.  ``free`` holds the rest.  Both
+        #: hold flows, or ordinals into ``_table`` while it is bound.
+        self._keys: list = [None] * capacity
+        self._slots: dict = {}
+        self._table = None
         self.free: list[int] = list(range(capacity - 1, -1, -1))
         #: Counter columns, three separately owned arrays; a free
         #: slot's values are stale and never read.  They are only ever
@@ -172,12 +182,69 @@ class FastPath:
         self.num_evicted = 0
         self.num_rejected = 0  # kick-out passes that admitted nobody
 
+    @property
+    def slots(self) -> dict[FlowKey, int]:
+        """Flow -> slot, in insertion order: the live index, or a copy
+        read through the table while one is bound."""
+        table = self._table
+        if table is None:
+            return self._slots
+        return {table[key]: slot for key, slot in self._slots.items()}
+
+    @property
+    def keys(self) -> list[FlowKey | None]:
+        """Each slot's flow (``None`` when free): the live column, or a
+        copy read through the table while one is bound."""
+        table = self._table
+        if table is None:
+            return self._keys
+        return [None if key is None else table[key] for key in self._keys]
+
+    def bind(self, table):
+        """Key the index on ordinals into ``table`` (distinct flows)
+        until :meth:`unbind`; returns the ordinal probe (``dict.get``).
+
+        Meanwhile :meth:`miss` takes an ordinal where it took a flow.
+        A tracked flow ``table`` lacks is given an ordinal past its end.
+        """
+        if self._table is not None:
+            raise ConfigError("fast path is already bound to a table")
+        slots, keys = self._slots, self._keys
+        if slots:
+            ordinals = {}  # slot -> ordinal
+            for ordinal, flow in enumerate(table):
+                slot = slots.get(flow)
+                if slot is not None:
+                    ordinals[slot] = ordinal
+            extra = []
+            for slot in slots.values():
+                if slot not in ordinals:
+                    ordinals[slot] = len(table) + len(extra)
+                    extra.append(keys[slot])
+            if extra:
+                table = (*table, *extra)
+            for slot in slots.values():
+                keys[slot] = ordinals[slot]
+            self._slots = {keys[slot]: slot for slot in slots.values()}
+        self._table = table
+        return self._slots.get
+
+    def unbind(self) -> None:
+        """Key the index on flows again (see :meth:`bind`)."""
+        table, self._table = self._table, None
+        if table is None or not self._slots:
+            return
+        keys = self._keys
+        for slot in self._slots.values():
+            keys[slot] = table[keys[slot]]
+        self._slots = {keys[slot]: slot for slot in self._slots.values()}
+
     # ------------------------------------------------------------------
     def update(self, flow: FlowKey, value: int) -> UpdateKind:
         """Record one packet ``(flow, value)``; returns the work done."""
         self.num_updates += 1
         self.total_bytes += value
-        slot = self.slots.get(flow)
+        slot = self._slots.get(flow)
         if slot is not None:
             self.r[slot] += value
             self.num_hits += 1
@@ -189,8 +256,9 @@ class FastPath:
         run the amortized kick-out pass when the table is full.
 
         The half of :meth:`update` a caller that probes ``slots``
-        itself still needs; such a caller owes :meth:`account` for the
-        packets it did not send through :meth:`update`.
+        itself still needs (with an ordinal while :meth:`bind` holds);
+        such a caller owes :meth:`account` for the packets it did not
+        send through :meth:`update`.
         """
         if self.free:
             self._append(flow, self.total_decremented, float(value), 0.0)
@@ -204,7 +272,7 @@ class FastPath:
         self.d += threshold
         dead = (r <= 0.0).nonzero()[0].tolist()
         if dead:
-            keys, slots = self.keys, self.slots
+            keys, slots = self._keys, self._slots
             for slot in dead:
                 del slots[keys[slot]]
                 keys[slot] = None
@@ -236,8 +304,8 @@ class FastPath:
     # ------------------------------------------------------------------
     def _append(self, flow: FlowKey, e: float, r: float, d: float) -> None:
         slot = self.free.pop()
-        self.keys[slot] = flow
-        self.slots[flow] = slot
+        self._keys[slot] = flow
+        self._slots[flow] = slot
         self.e[slot] = e
         self.r[slot] = r
         self.d[slot] = d
@@ -267,10 +335,11 @@ class FastPath:
     # ------------------------------------------------------------------
     def rows(self) -> list[tuple[FlowKey, float, float, float]]:
         """``(flow, e, r, d)`` per tracked flow, in insertion order."""
-        order = list(self.slots.values())
+        slots, table = self._slots, self._table
+        order = list(slots.values())
         return list(
             zip(
-                self.slots,
+                slots if table is None else map(table.__getitem__, slots),
                 self.e[order].tolist(),
                 self.r[order].tolist(),
                 self.d[order].tolist(),
@@ -329,8 +398,8 @@ class FastPath:
         )
 
     def _clear_table(self) -> None:
-        self.keys[:] = [None] * self.capacity
-        self.slots.clear()
+        self._keys[:] = [None] * self.capacity
+        self._slots.clear()
         self.free[:] = range(self.capacity - 1, -1, -1)
 
     def reset(self) -> None:

@@ -36,7 +36,9 @@ def reference_run(
     switch must, and returns the finalized :class:`SwitchReport`.
     ``end_state``, if given, receives the ``producer`` and ``consumer``
     clocks, the FIFO's enqueue cycles (``queue``) and its
-    ``high_water`` as the last packet leaves them, before the drain.
+    ``high_water`` as the last packet leaves them, before the drain,
+    and ``first_full``: the index of the first packet that found the
+    FIFO full (``None`` if none did).
     """
     cost_model = cost_model or CostModel.in_memory()
     sketch_cycles = cost_model.sketch_cycles(sketch)
@@ -46,6 +48,7 @@ def reference_run(
     report = SwitchReport()
     producer = 0.0  # next cycle the producer is free
     consumer = 0.0  # next cycle the consumer is free
+    first_full = None
 
     for index, packet in enumerate(trace.packets):
         arrival = 0.0 if arrivals is None else float(arrivals[index])
@@ -70,6 +73,8 @@ def reference_run(
             report.normal_flows.add(packet.flow)
             continue
 
+        if fifo.full and first_full is None:
+            first_full = index
         if fifo.full and fastpath is None:
             # NoFastPath: block until the daemon frees a slot.
             start = max(consumer, fifo.peek_enqueue_cycle())
@@ -99,6 +104,7 @@ def reference_run(
             consumer=consumer,
             queue=list(fifo.queue),
             high_water=fifo.high_water,
+            first_full=first_full,
         )
     while not fifo.empty:
         consumer = max(consumer, fifo.pop()) + sketch_cycles

@@ -170,6 +170,35 @@ class TestZeroFaultBitIdentity:
             hier_pipe
         )
 
+    @pytest.mark.parametrize(
+        "solution, flows, seed",
+        [("flowradar", 10_000, 7), ("deltoid", 20_000, 5)],
+    )
+    def test_decremented_total_is_the_in_process_one(
+        self, solution, flows, seed
+    ):
+        """``E`` sums fractional kick-out thresholds.  The socket tier
+        folds 16 hosts by aggregator first, and a sequential sum over
+        that grouping read one ulp off the in-process fold at both of
+        these shapes; the correctly rounded sum of the hosts' summands
+        reads the same."""
+        trace = generate_trace(TraceConfig(num_flows=flows, seed=seed))
+        truth = GroundTruth.from_trace(trace)
+
+        def decremented(cluster):
+            pipe = SketchVisorPipeline(
+                HeavyHitterTask(
+                    solution, threshold=0.005 * truth.total_bytes
+                ),
+                config=PipelineConfig(num_hosts=16, cluster=cluster),
+            )
+            result = pipe.run_epoch(trace, truth)
+            return result.network.snapshot.total_decremented
+
+        in_process = decremented(None)
+        assert in_process > 0 and not in_process.is_integer()
+        assert decremented(ClusterConfig()).hex() == in_process.hex()
+
     def test_clean_epoch_has_no_fault_stats(self, reports):
         collection = ClusterCollector(
             ClusterConfig(**FAST)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.flow import Packet
+from repro.common.flow import FlowKey, Packet
 from repro.dataplane.cost_model import CostModel
 from repro.dataplane.engine import SCAN_PASSES, HostEngine, max_plus_scan
 from repro.durability.codec import StateCodec
@@ -33,12 +33,15 @@ from tests.test_state_codec import state_equal
 #: busy run does.
 BUFFER_PACKETS = (6, 64)
 
-#: arm -> (fast path factory, ideal)
+#: arm -> (fast path factory, ideal, flow pool).  ``kickouts`` draws
+#: from 200 flows into 4 entries: nearly every fast-path packet misses,
+#: and most misses are kick-out passes.
 ARMS = {
-    "fastpath": (lambda: FastPath(4 * ENTRY_BYTES), False),
-    "misra_gries": (lambda: MisraGriesTopK(4 * ENTRY_BYTES), False),
-    "no_fastpath": (lambda: None, False),
-    "ideal": (lambda: None, True),
+    "fastpath": (lambda: FastPath(4 * ENTRY_BYTES), False, 31),
+    "kickouts": (lambda: FastPath(4 * ENTRY_BYTES), False, 200),
+    "misra_gries": (lambda: MisraGriesTopK(4 * ENTRY_BYTES), False, 31),
+    "no_fastpath": (lambda: None, False, 31),
+    "ideal": (lambda: None, True, 31),
 }
 
 
@@ -57,40 +60,40 @@ COST_MODELS = (CostModel.in_memory(), CostModel(dispatch_cycles=155.0))
 GAPS = [0.0, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
 
 
-def _packets(length):
-    """``(flow index, size)`` rows over a small flow pool: hits, inserts
-    and kick-outs all happen."""
+def _packets(length, pool):
+    """``(flow index, size)`` rows over a pool of ``pool`` flows: with a
+    small pool hits, inserts and kick-outs all happen."""
     return st.lists(
-        st.tuples(st.integers(0, 30), st.integers(40, 1500)),
+        st.tuples(st.integers(0, pool - 1), st.integers(40, 1500)),
         min_size=1,
         max_size=length,
     )
 
 
-def _per_packet():
+def _per_packet(pool):
     """Up to 300 packets, each with its own gap: arrivals mixed packet
     by packet (many short busy runs and partial drains)."""
     return st.lists(
-        st.tuples(_packets(1), st.sampled_from(GAPS)), max_size=300
+        st.tuples(_packets(1, pool), st.sampled_from(GAPS)), max_size=300
     )
 
 
-def _stretches():
+def _stretches(pool):
     """A few stretches of one gap each: bursts longer than the routing
     scan's pass cap, long paced stretches that fill the FIFO mid-chunk,
     and idle gaps after which the queue has drained."""
     return st.lists(
-        st.tuples(_packets(120), st.sampled_from(GAPS)), max_size=6
+        st.tuples(_packets(120, pool), st.sampled_from(GAPS)), max_size=6
     )
 
 
 @st.composite
-def traces(draw):
+def traces(draw, pool):
     """Timestamps non-decreasing with ties, gaps drawn per packet or
     per stretch."""
     clock = 0.0
     packets = []
-    for rows, gap in draw(st.one_of(_per_packet(), _stretches())):
+    for rows, gap in draw(st.one_of(_per_packet(pool), _stretches(pool))):
         for index, size in rows:
             clock += gap
             packets.append(Packet(make_flow(index), size, clock))
@@ -101,21 +104,31 @@ def _interval(n):
     return st.sampled_from([1, 7, 2048, n + 1])
 
 
+def _assert_flow_keyed(fastpath, running=False):
+    """No flow ordinal leaks out of a run: the fast path's index, its
+    key column and its rows name flows.  Between runs (not
+    ``running``) the index is the live one, not a copy."""
+    if not isinstance(fastpath, FastPath):
+        return
+    if not running:
+        assert fastpath.slots is fastpath.slots
+    assert all(type(flow) is FlowKey for flow in fastpath.slots)
+    assert all(
+        key is None or type(key) is FlowKey for key in fastpath.keys
+    )
+    assert [flow for flow, *_ in fastpath.rows()] == list(fastpath.slots)
+
+
 @pytest.mark.parametrize("offered", [None, 1.0])
 @pytest.mark.parametrize("arm", sorted(ARMS))
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), trace=traces())
-def test_any_chunking_equals_the_oracle(arm, offered, trace, data):
+@given(data=st.data())
+def test_any_chunking_equals_the_oracle(arm, offered, data):
+    make_fastpath, ideal, pool = ARMS[arm]
+    trace = data.draw(traces(pool), "trace")
     n = len(trace)
-    make_fastpath, ideal = ARMS[arm]
-    cuts = sorted(
-        data.draw(st.lists(st.integers(0, n + 3), max_size=6), "cuts")
-    )
-    checkpoint_every = data.draw(_interval(n), "checkpoint_every")
-    restore_at = data.draw(st.integers(0, len(cuts)), "restore_at")
     buffer_packets = data.draw(st.sampled_from(BUFFER_PACKETS), "buffer")
     cost_model = data.draw(st.sampled_from(COST_MODELS), "cost_model")
-    codec = StateCodec()
 
     oracle_sketch, oracle_fastpath = _sketch(), make_fastpath()
     end_state = {}
@@ -130,6 +143,30 @@ def test_any_chunking_equals_the_oracle(arm, offered, trace, data):
         end_state=end_state,
     )
 
+    # Some cuts, and the snapshot→restore, land after the FIFO first
+    # fills: the saturated loop then stops and resumes mid-stretch.
+    cuts = data.draw(st.lists(st.integers(0, n + 3), max_size=6), "cuts")
+    first_full = end_state.pop("first_full")
+    if first_full is not None:
+        cuts += data.draw(
+            st.lists(st.integers(first_full + 1, n), min_size=1, max_size=3),
+            "saturated_cuts",
+        )
+    cuts.sort()
+    saturated = [
+        step
+        for step in range(1, len(cuts) + 1)
+        if first_full is not None and min(cuts[step - 1], n) > first_full
+    ]
+    restore_at = data.draw(
+        st.sampled_from(saturated)
+        if saturated
+        else st.integers(0, len(cuts)),
+        "restore_at",
+    )
+    checkpoint_every = data.draw(_interval(n), "checkpoint_every")
+    codec = StateCodec()
+
     def engine():
         return HostEngine(
             _sketch(),
@@ -140,11 +177,16 @@ def test_any_chunking_equals_the_oracle(arm, offered, trace, data):
         )
 
     straight = engine().run(trace, offered)
+    _assert_flow_keyed(straight.fastpath)
 
     checkpoints = []
+
+    def on_checkpoint(engine):
+        _assert_flow_keyed(engine.fastpath, running=True)
+        checkpoints.append(engine.offset)
+
     hooks = dict(
-        checkpoint_every=checkpoint_every,
-        on_checkpoint=lambda e: checkpoints.append(e.offset),
+        checkpoint_every=checkpoint_every, on_checkpoint=on_checkpoint
     )
     chunked = engine()
     for step, cut in enumerate([*cuts, None]):
@@ -154,6 +196,7 @@ def test_any_chunking_equals_the_oracle(arm, offered, trace, data):
             )
         chunked.run(trace, offered, stop_at=cut, **hooks)
         assert chunked.offset == (n if cut is None else min(cut, n))
+        _assert_flow_keyed(chunked.fastpath)
 
     for candidate in (straight, chunked):
         assert state_equal(
@@ -207,6 +250,47 @@ def test_hooks_see_the_chunk_applied(small_trace):
     )
     assert seen == list(range(500, len(small_trace), 500))
     assert engine.report.fastpath_packets > 0
+
+
+def test_saturated_run_hashes_no_flow_per_packet(monkeypatch):
+    """The routing loop probes the fast path by flow ordinal.  Over one
+    run, flows are hashed where the run translates them — the bind's
+    pass over the table, the unbind's over the fast path's entries —
+    and where the report collects its two flow sets, each at most once
+    per table entry: ``3 * len(table) + capacity`` however many
+    packets go down the fast path."""
+    flows, capacity = 40, 16
+    rng = np.random.default_rng(3)
+    trace = Trace(
+        [
+            Packet(make_flow(int(index)), int(size), 0.0)
+            for index, size in zip(
+                rng.zipf(1.3, 20_000) % flows,
+                rng.integers(40, 1500, 20_000),
+            )
+        ]
+    )
+    engine = HostEngine(
+        _sketch(), FastPath(capacity * ENTRY_BYTES), buffer_packets=8
+    )
+    # A first run leaves the table full, so the measured one binds a
+    # non-empty table.
+    engine.run(trace, stop_at=2_000)
+    assert len(engine.fastpath.slots) == capacity
+    hashed = []
+    monkeypatch.setattr(
+        FlowKey,
+        "__hash__",
+        lambda flow: hashed.append(flow) or flow._hash,
+    )
+    fast_before = engine.report.fastpath_packets
+    engine.run(trace)
+    monkeypatch.undo()
+    fastpath = engine.fastpath
+    assert engine.report.fastpath_packets - fast_before > 5_000
+    assert fastpath.num_hits > 4_000 and fastpath.num_kickouts > 100
+    assert len(hashed) <= 3 * len(trace.table) + capacity
+    _assert_flow_keyed(fastpath)
 
 
 def _recurrence(x, step, start):

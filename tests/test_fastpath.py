@@ -401,10 +401,65 @@ class TestColumns:
         assert used.total_decremented == fresh.total_decremented
         _assert_index_consistent(used)
 
+    @given(churn, st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_bound_table_probes_by_ordinal(self, case, rng):
+        """Between ``bind`` and ``unbind`` the engine probes and misses
+        with ordinals into a trace's table.  Half the stream goes
+        through ``update`` with flows, then the table is bound to a
+        shuffled pool that lacks some tracked flows (they get ordinals
+        past its end), and the rest goes in by ordinal: rows, ``V``,
+        ``E``, the counters and the kinds stay the flow-fed oracle's,
+        every read while bound names flows, and ``unbind`` leaves the
+        index on flows again."""
+        seed, capacity = case
+        stream = _churn(seed, capacity, 2000)
+        fastpath = FastPath(memory_bytes=capacity * ENTRY_BYTES)
+        oracle = _DictTopK(capacity)
+        kinds = []
+        for index, size in stream[:1000]:
+            kinds.append(fastpath.update(make_flow(index), size))
+            oracle.update(make_flow(index), size)
+        tracked = list(fastpath.slots)
+        absent = set(rng.sample(tracked, len(tracked) // 2))
+        table = [
+            make_flow(index)
+            for index in range(4 * capacity + 8)
+            if make_flow(index) not in absent
+        ]
+        rng.shuffle(table)
+        ordinal = {flow: at for at, flow in enumerate(table)}
+
+        probe, residuals = fastpath.bind(tuple(table)), fastpath.r
+        rest = [
+            (make_flow(index), size)
+            for index, size in stream[1000:]
+            if make_flow(index) not in absent
+        ]
+        hits = 0
+        for flow, size in rest:
+            slot = probe(ordinal[flow])
+            if slot is not None:
+                residuals[slot] += size
+                hits += 1
+                kinds.append(UpdateKind.HIT)
+            else:
+                kinds.append(fastpath.miss(ordinal[flow], size))
+            oracle.update(flow, size)
+        fastpath.account(len(rest), hits, sum(size for _f, size in rest))
+        assert _hex_rows(fastpath.rows()) == _hex_rows(oracle.rows())
+        assert list(fastpath.slots) == [flow for flow, *_ in oracle.rows()]
+        assert all(
+            key is None or type(key) is FlowKey for key in fastpath.keys
+        )
+        fastpath.unbind()
+        assert fastpath.slots is fastpath.slots  # the live index again
+        _assert_equals_oracle(fastpath, oracle, kinds)
+
     def test_held_probe_and_residuals_see_every_hit(self):
-        """``HostEngine._route`` binds ``slots.get`` and ``r`` once per
-        run and calls ``miss`` thousands of times in between: neither
-        object may ever be rebound."""
+        """``HostEngine.run`` holds the probe ``FastPath.bind`` returns
+        and ``r`` for a whole run and calls ``miss`` thousands of times
+        in between: neither object may ever be rebound."""
         capacity = 16
         fastpath = FastPath(memory_bytes=capacity * ENTRY_BYTES)
         oracle = _DictTopK(capacity)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.controlplane.lens import (
 )
 from repro.controlplane.recovery import _publish_solve
 from repro.controlplane.merge import (
+    MergeFold,
     merge_fastpath_snapshots,
     merge_sketches,
 )
@@ -115,6 +117,34 @@ class TestMergeSnapshots:
         assert list(forward.entries) == list(backward.entries)
         keys = [key.key104 for key in forward.entries]
         assert keys == sorted(keys)
+
+    def test_decremented_total_is_independent_of_grouping(self):
+        """``E`` sums fractional thresholds: folded flat, ``0.1 + 0.2 +
+        0.3`` reads ``0.6000000000000001`` in sequence, but ``0.6`` with
+        the last two grouped first.  A partial hands its summands on,
+        so every grouping reads their correctly rounded sum."""
+        reports = [
+            SimpleNamespace(
+                sketch=CountMinSketch(width=8, depth=1, seed=1),
+                fastpath=FastPathSnapshot(total_decremented=value),
+                host_ids=(host,),
+            )
+            for host, value in enumerate((0.1, 0.2, 0.3))
+        ]
+        flat = MergeFold()
+        for report in reports:
+            flat.add(report)
+        flat = flat.finish()
+
+        grouped, tail = MergeFold(), MergeFold()
+        grouped.add(reports[0])
+        for report in reports[1:]:
+            tail.add(report)
+        grouped.add(tail.finish())
+        grouped = grouped.finish()
+        for merged in (flat, grouped):
+            assert merged.fastpath.total_decremented == 0.6
+            assert merged.decrements == (0.1, 0.2, 0.3)
 
 
 class TestSVT:

@@ -436,6 +436,48 @@ class TestPipelineIntegration:
             "sketchvisor_lens_solves_total", converged="true"
         ) == 1
 
+    def test_loop_fed_counters_match_reports(self, trace, truth):
+        """The routing loop's outputs — both clocks, every kick-out
+        threshold and every rejected pass — reach telemetry as the
+        host's own report and snapshot hold them."""
+        telemetry = Telemetry()
+        # A 16-entry fast path: the hosts' ~150 flows each kick out.
+        pipeline = _pipeline(
+            trace, truth, telemetry, hosts=4, fastpath_bytes=16 * 40
+        )
+        result = pipeline.run_epoch(trace, truth)
+        registry = telemetry.registry
+        sketch = pipeline.task.create_sketch(seed=0).name
+        assert len(result.reports) == 4
+        for report in result.reports:
+            host = str(report.host_id)
+            switch, fastpath = report.switch, report.fastpath
+            assert registry.value(
+                "sketchvisor_fastpath_decremented_bytes_total", host=host
+            ) == fastpath.total_decremented
+            assert registry.value(
+                "sketchvisor_fastpath_rejected_total", host=host
+            ) == fastpath.reject_count
+            for actor, cycles in (
+                ("producer", switch.producer_cycles),
+                ("consumer", switch.consumer_cycles),
+            ):
+                assert registry.value(
+                    "sketchvisor_switch_cycles_total",
+                    host=host,
+                    sketch=sketch,
+                    actor=actor,
+                ) == cycles
+        # Every counter above is live: the hosts kicked out, some pass
+        # admitted nobody, and both actors ran.
+        assert registry.total(
+            "sketchvisor_fastpath_decremented_bytes_total"
+        ) > 0
+        assert registry.total("sketchvisor_fastpath_rejected_total") > 0
+        assert all(
+            report.switch.consumer_cycles > 0 for report in result.reports
+        )
+
     def test_span_tree_covers_epoch_walltime(self, trace, truth):
         telemetry = Telemetry()
         pipeline = _pipeline(trace, truth, telemetry, hosts=2)
