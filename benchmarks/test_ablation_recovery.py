@@ -47,14 +47,10 @@ def test_ablation_box_constraints(result_table, deltoid_report):
     report, trace = deltoid_report
     truth = trace.flow_sizes()
     snapshot = report.fastpath
-    flows = list(snapshot.entries)
+    flows = [flow for flow, *_ in snapshot.rows()]
     positions = report.sketch.matrix_positions(flows)
-    tight_lower = np.array(
-        [snapshot.entries[f].lower_bound for f in flows]
-    )
-    tight_upper = np.array(
-        [snapshot.entries[f].upper_bound for f in flows]
-    )
+    tight_lower = snapshot.r + snapshot.d
+    tight_upper = tight_lower + snapshot.e
     loose_lower = np.zeros(len(flows))
     loose_upper = np.full(len(flows), snapshot.total_bytes)
 
@@ -135,14 +131,14 @@ def test_ablation_count_anchor(result_table, lc_report):
     remaining = max(
         0.0,
         snapshot.total_bytes
-        - sum(e.estimate for e in snapshot.entries.values()),
+        - sum(r + d + e / 2.0 for _flow, e, r, d in snapshot.rows()),
     )
 
     def rebuild(count):
         sketch = report.sketch.clone_empty()
         sketch.merge(report.sketch)
-        for flow, entry in snapshot.entries.items():
-            sketch.inject(flow, int(round(entry.estimate)))
+        for flow, e, r, d in snapshot.rows():
+            sketch.inject(flow, int(round(r + d + e / 2.0)))
         _inject_synthetic_small_flows(
             sketch, remaining, boundary, count=count
         )

@@ -47,14 +47,12 @@ def share_matrix(bench_trace):
             build(), fastpath=fastpath, cost_model=model
         )
         report = switch.process(bench_trace)
-        tracked_bytes = sum(
-            entry.lower_bound for entry in fastpath.table.values()
-        )
+        rows = fastpath.rows()
+        tracked_bytes = sum(r + d for _flow, _e, r, d in rows)
         shares[name] = (
             report.fastpath_flow_fraction,
             report.fastpath_byte_fraction,
-            len(fastpath.table) / max(len(report.normal_flows
-                                          | report.fastpath_flows), 1),
+            len(rows) / max(report.flow_count, 1),
             tracked_bytes / max(report.total_bytes, 1),
         )
     return shares
@@ -108,7 +106,7 @@ def test_fig13_top_tracked_flows_dominate(bench_trace):
     )
     switch.process(bench_trace)
     tracked = sorted(
-        (entry.lower_bound for entry in fastpath.table.values()),
+        (r + d for _flow, _e, r, d in fastpath.rows()),
         reverse=True,
     )
     assert tracked, "fast path tracked nothing"

@@ -177,7 +177,9 @@ class Controller:
                 fold.add(report)
             merged = fold.finish()
             merged_sketch = merged.sketch
-            merged_snapshot = merged.fastpath or FastPathSnapshot()
+            merged_snapshot = merged.fastpath
+            if merged_snapshot is None:
+                merged_snapshot = FastPathSnapshot()
             if scale != 1.0:
                 merged_sketch = rescale_sketch(merged_sketch, scale)
                 merged_snapshot = rescale_snapshot(

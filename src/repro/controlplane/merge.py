@@ -12,9 +12,10 @@ partials.  Sketch cells, ``V`` and the operation counters are integer
 sums, exact in any grouping.  ``E`` sums fractional kick-out
 thresholds, so a partial carries its inputs' ``E`` summands and the
 fold takes their correctly rounded sum (``math.fsum``), which no
-grouping moves.  The merged fast-path entries leave the fold ordered
-by the full 104-bit flow key.  So recovery sees the same inputs in the
-same order whichever tiers folded them and in whatever order reports
+grouping moves.  Fast-path tables are columns in 104-bit key order,
+and the fold unions two by :meth:`FastPathSnapshot.from_columns` over
+their concatenation.  So recovery sees the same inputs in the same
+order whichever tiers folded them and in whatever order reports
 arrived.
 """
 
@@ -24,8 +25,10 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from repro.common.errors import MergeError
-from repro.fastpath.topk import FastPathSnapshot, FlowEntry
+from repro.fastpath.topk import FastPathSnapshot
 from repro.sketches.base import Sketch
 
 #: The snapshot's integer scalars (``V`` and the operation counters);
@@ -33,7 +36,7 @@ from repro.sketches.base import Sketch
 _SNAPSHOT_SUMS = tuple(
     f.name
     for f in fields(FastPathSnapshot)
-    if f.name not in ("entries", "total_decremented")
+    if f.name not in (*FastPathSnapshot.COLUMNS, "total_decremented")
 )
 
 
@@ -59,8 +62,8 @@ class MergeFold:
     An input is a host report or a :class:`PartialAggregate` — anything
     with ``sketch``, ``fastpath`` and ``host_ids``.  Inputs are not
     modified: the first sketch is cloned empty and every input is added
-    into that clone, and fast-path entries are copied before their
-    counters add.  At most the running merge and the input being
+    into that clone, and each fast-path table folded in makes a new
+    running one.  At most the running merge and the input being
     folded are resident.
     """
 
@@ -101,36 +104,29 @@ class MergeFold:
             return
         merged = self.fastpath
         if merged is None:
-            merged = self.fastpath = FastPathSnapshot()
+            merged = FastPathSnapshot()
         if decrements is None:
             decrements = (snapshot.total_decremented,)
         self.decrements.extend(decrements)
-        for name in _SNAPSHOT_SUMS:
-            setattr(
-                merged, name, getattr(merged, name) + getattr(snapshot, name)
-            )
-        entries = merged.entries
-        for flow, entry in snapshot.entries.items():
-            existing = entries.get(flow)
-            if existing is None:
-                entries[flow] = FlowEntry(entry.e, entry.r, entry.d)
-            else:
-                existing.e += entry.e
-                existing.r += entry.r
-                existing.d += entry.d
+        # Both tables are key-ordered with distinct headers, so a flow
+        # has at most two rows here, the running one first.
+        self.fastpath = FastPathSnapshot.from_columns(
+            *(
+                np.append(getattr(merged, name), getattr(snapshot, name))
+                for name in FastPathSnapshot.COLUMNS
+            ),
+            **{
+                name: getattr(merged, name) + getattr(snapshot, name)
+                for name in _SNAPSHOT_SUMS
+            },
+        )
 
     def finish(self) -> PartialAggregate:
-        """Hand over what was folded, fast-path entries in flow-key
-        order, and start empty again: the fold keeps nothing of it."""
+        """Hand over what was folded and start empty again: the fold
+        keeps nothing of it."""
         fastpath = self.fastpath
         if fastpath is not None:
             fastpath.total_decremented = math.fsum(self.decrements)
-            fastpath.entries = dict(
-                sorted(
-                    fastpath.entries.items(),
-                    key=lambda item: item[0].key104,
-                )
-            )
         partial = PartialAggregate(
             self.sketch,
             fastpath,
@@ -161,7 +157,7 @@ def merge_fastpath_snapshots(
     snapshots: Sequence[FastPathSnapshot | None],
 ) -> FastPathSnapshot:
     """Union per-host fast-path tables into the global table ``H``,
-    entries in flow-key order.
+    rows in flow-key order.
 
     ``V`` and ``E`` add across hosts (``E`` correctly rounded, by
     ``math.fsum``).  Missing snapshots (hosts that ran
@@ -171,7 +167,8 @@ def merge_fastpath_snapshots(
     fold = MergeFold()
     for snapshot in snapshots:
         fold.add_snapshot(snapshot)
-    return fold.finish().fastpath or FastPathSnapshot()
+    merged = fold.finish().fastpath
+    return FastPathSnapshot() if merged is None else merged
 
 
 def rescale_sketch(sketch: Sketch, factor: float) -> Sketch:
@@ -198,7 +195,8 @@ def rescale_sketch(sketch: Sketch, factor: float) -> Sketch:
 def rescale_snapshot(
     snapshot: FastPathSnapshot, factor: float
 ) -> FastPathSnapshot:
-    """A copy of ``snapshot`` with its *volume-level* fields scaled.
+    """``snapshot`` with its *volume-level* fields scaled (the table's
+    columns are shared, not copied).
 
     ``V`` (total_bytes) and ``E`` (total_decremented) scale by
     ``factor`` so the recovery's volume constraint (Eq. 2) covers the
@@ -209,13 +207,8 @@ def rescale_snapshot(
     """
     if factor < 0:
         raise MergeError(f"rescale factor must be >= 0, got {factor}")
-    entries = {
-        flow: FlowEntry(entry.e, entry.r, entry.d)
-        for flow, entry in snapshot.entries.items()
-    }
     return replace(
         snapshot,
-        entries=entries,
         total_bytes=snapshot.total_bytes * factor,
         total_decremented=snapshot.total_decremented * factor,
     )

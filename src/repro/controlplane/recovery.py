@@ -28,13 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from repro.common.flow import (
-    PROTO_TCP,
-    FlowKey,
-    header_words,
-    key64_column,
-    pack_headers,
-)
+from repro.common.flow import PROTO_TCP, FlowKey, header_flows, pack_headers
 from repro.common.hashing import mix64_array
 from repro.controlplane.lens import (
     LensConfig,
@@ -142,20 +136,17 @@ def _copy_sketch(sketch: Sketch) -> Sketch:
     return clone
 
 
-def _inject_tracked(sketch: Sketch, flows, values) -> None:
-    """Re-inject the tracked flows at their recovered byte counts, as
-    header-word columns; flows whose count rounds to zero (half to
-    even, as ``round`` does) are left out."""
-    amounts = np.rint(np.fromiter(values, np.float64, len(flows)))
+def _inject_tracked(sketch: Sketch, snapshot, values) -> None:
+    """Re-inject the snapshot's rows from its header words at their
+    recovered byte counts ``values``; flows whose count rounds to zero
+    (half to even, as ``round`` does) are left out."""
+    amounts = np.rint(np.asarray(values, dtype=np.float64))
     if not np.isfinite(amounts).all():
         raise ValueError("recovered byte counts must be finite")
     keep = amounts > 0
-    hi, lo = header_words(flows)
+    hi, lo = snapshot.hi[keep], snapshot.lo[keep]
     sketch.inject_columns(
-        hi[keep],
-        lo[keep],
-        key64_column(flows)[keep],
-        amounts[keep].astype(np.int64),
+        hi, lo, mix64_array(hi ^ lo), amounts[keep].astype(np.int64)
     )
 
 
@@ -183,7 +174,7 @@ def recover(
         solver residual.
     """
     if snapshot is None or (
-        not snapshot.entries and snapshot.total_bytes == 0
+        not snapshot.tracked and snapshot.total_bytes == 0
     ):
         return RecoveredState(
             sketch=_copy_sketch(normal), flow_estimates={}
@@ -194,17 +185,15 @@ def recover(
             sketch=_copy_sketch(normal), flow_estimates={}
         )
 
-    flows = list(snapshot.entries)
-    lower = [snapshot.entries[f].lower_bound for f in flows]
-    upper = [snapshot.entries[f].upper_bound for f in flows]
+    lower = snapshot.r + snapshot.d  # Lemma 4.1's box
+    upper = lower + snapshot.e
+    flows = header_flows(snapshot.hi, snapshot.lo)
 
     if mode is RecoveryMode.LOWER or mode is RecoveryMode.UPPER:
         bounds = lower if mode is RecoveryMode.LOWER else upper
         recovered = _copy_sketch(normal)
-        _inject_tracked(recovered, flows, bounds)
-        estimates: dict[FlowKey, float] = {
-            flow: float(value) for flow, value in zip(flows, bounds)
-        }
+        _inject_tracked(recovered, snapshot, bounds)
+        estimates: dict[FlowKey, float] = dict(zip(flows, bounds.tolist()))
         return RecoveredState(
             sketch=recovered,
             flow_estimates=estimates,
@@ -217,11 +206,9 @@ def recover(
         # midpoint injection, which still honours the Eq. 3 box, and
         # realize the small-flow mass the same way as the solver path.
         recovered = _copy_sketch(normal)
-        estimates = {
-            flow: (lo + hi) / 2.0
-            for flow, lo, hi in zip(flows, lower, upper)
-        }
-        _inject_tracked(recovered, flows, estimates.values())
+        midpoints = (lower + upper) / 2.0
+        estimates = dict(zip(flows, midpoints.tolist()))
+        _inject_tracked(recovered, snapshot, midpoints)
         remaining = max(
             0.0, snapshot.total_bytes - sum(estimates.values())
         )
@@ -265,9 +252,9 @@ def recover(
             iterations, converged = 0, True
 
     recovered = _copy_sketch(normal)
-    estimates = {flow: float(value) for flow, value in zip(flows, x)}
+    estimates = dict(zip(flows, x.tolist()))
     with trace_span(telemetry, "recovery.inject", flows=len(flows)):
-        _inject_tracked(recovered, flows, estimates.values())
+        _inject_tracked(recovered, snapshot, x)
         # Realize the small-flow component y as synthetic flows rather
         # than the solver's dense noise matrix: sk(y) is *sparse* (each
         # missed small flow touches a handful of counters), and
@@ -322,7 +309,7 @@ def _missing_flow_count(snapshot: FastPathSnapshot) -> int | None:
         return None
     return max(
         0,
-        int(round(snapshot.distinct_flow_hint)) - len(snapshot.entries),
+        int(round(snapshot.distinct_flow_hint)) - snapshot.tracked,
     )
 
 
@@ -332,12 +319,10 @@ def _tracking_boundary(snapshot: FastPathSnapshot) -> float:
     Untracked flows must sit below it (a larger flow would have been
     kept, Lemma 4.1), so it truncates the synthetic small-flow prior.
     """
-    if not snapshot.entries:
+    if not snapshot.tracked:
         return 1500.0
-    return max(
-        min(entry.estimate for entry in snapshot.entries.values()),
-        _MIN_FLOW_BYTES * 1.01,
-    )
+    midpoints = snapshot.r + snapshot.d + snapshot.e / 2.0
+    return max(float(midpoints.min()), _MIN_FLOW_BYTES * 1.01)
 
 
 def _inject_synthetic_small_flows(

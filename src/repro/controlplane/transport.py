@@ -20,7 +20,12 @@ throughout, like the array memory it carries.  A sketch is sized for
 the network and one host fills a sliver of it, so a frame carries the
 non-zero counters only; viewing a buffer as 8-byte words makes the
 encoding dtype-agnostic and bit-exact (``-0.0``, NaN payloads, int64
-and float64 alike) with no per-sketch schema.
+and float64 alike) with no per-sketch schema.  A report is arrays and
+scalars — the sketch's counters, the fast-path snapshot's header-word
+and counter columns, the switch report's counts — so the envelope
+holds no per-flow object; what a snapshot's columns may hold is
+checked as it is unpickled
+(:class:`~repro.fastpath.topk.FastPathSnapshot`).
 
 One frame layout (version 3) is written and understood: ``MAGIC (4B) |
 version (1B) | host_id (4B, BE) | epoch (4B, BE) | length (4B, BE) |

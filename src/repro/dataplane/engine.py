@@ -10,25 +10,26 @@ packet is enqueued, and exact array scans (:func:`max_plus_scan`)
 advance both clocks; from there a lean loop — plain lists and locals,
 the FIFO as a deque of enqueue cycles and its head's completion cycle
 in a local, no packet-object reads — takes each packet in turn.
-Counter state never
-influences routing, so the chunk's normal-path packets go to the sketch
-afterwards in one :meth:`~repro.sketches.base.Sketch.update_trace`
-call, and the report's packet/byte counts and flow sets are derived
-from the chunk's index arrays (integer sums: exact in any order; the
-flow sets from the distinct entries of the trace's flow column).  The
-fast path is order-dependent (kick-outs), so it stays inline: a hit is
-a dict probe and an add on :class:`FastPath`'s columns, a miss calls
-:meth:`FastPath.miss`.  For the length of :meth:`HostEngine.run` the
-fast path is keyed on the trace's flow ordinals
-(:meth:`FastPath.bind`), so the loop probes with the ``flow`` column's
-values and no :class:`FlowKey` is hashed per packet; the keys are
-translated through ``trace.table`` at the edges, once each way per
+Counter state never influences routing, so the chunk's normal-path
+packets go to the sketch afterwards in one
+:meth:`~repro.sketches.base.Sketch.update_trace` call, and the
+report's packet/byte counts are derived from the chunk's index arrays
+(integer sums: exact in any order).  The flows diverted to the fast
+path are marked in a mask over the trace's flow ordinals;
+:meth:`HostEngine.finish` counts the report's flows from it and the
+flow column.  The fast path is order-dependent (kick-outs), so it
+stays inline: a hit is a dict probe and an add on :class:`FastPath`'s
+columns, a miss calls :meth:`FastPath.miss`.  For the length of
+:meth:`HostEngine.run` the fast path is keyed on the trace's flow
+ordinals (:meth:`FastPath.bind`), so the loop probes with the ``flow``
+column's values and no :class:`FlowKey` is hashed per packet; the keys
+are translated through ``trace.table`` at the edges, once each way per
 ``run``, and hooks and snapshots read flows through the bound table.
 
 The engine's *entire* execution state — sketch, fast path, FIFO
-backlog, producer/consumer clocks, partially filled report, and the
-trace offset — lives on the instance between chunks, and the
-``on_checkpoint`` hook fires only after it has been written back.
+backlog, producer/consumer clocks, partially filled report, fast-flow
+mask and the trace offset — lives on the instance between chunks, and
+the ``on_checkpoint`` hook fires only after it has been written back.
 That makes an epoch **interruptible and resumable**:
 ``run(trace, stop_at=k)`` stops at offset ``k``; calling ``run`` again
 (on this engine, or on one rebuilt from a
@@ -45,13 +46,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.common.flow import FlowKey
 from repro.dataplane.buffer import BoundedFIFO
 from repro.dataplane.cost_model import CostModel
 from repro.fastpath.misra_gries import MisraGriesTopK
@@ -85,18 +85,19 @@ class SwitchReport:
     makespan_cycles: float = 0.0
     throughput_gbps: float = 0.0
     buffer_high_water: int = 0
-    normal_flows: set[FlowKey] = field(default_factory=set)
-    fastpath_flows: set[FlowKey] = field(default_factory=set)
+    #: Distinct flows seen; those sent down the fast path at least once.
+    flow_count: int = 0
+    fastpath_flow_count: int = 0
 
     @classmethod
     def combine(
         cls, reports: list["SwitchReport"], cost_model: CostModel
     ) -> "SwitchReport":
-        """One host's report from its cores' (§7.2).  Counts add and
-        flow sets unite; cores run concurrently, so the cycle counts
-        and the buffer high-water mark are the slowest (fullest)
-        core's, and throughput is total bytes over the longest
-        makespan."""
+        """One host's report from its cores' (§7.2).  Counts add (flow
+        counts too: the cores split the host's flows); cores run
+        concurrently, so the cycle counts and the buffer high-water
+        mark are the slowest (fullest) core's, and throughput is total
+        bytes over the longest makespan."""
         total_bytes = sum(r.total_bytes for r in reports)
         makespan = max(r.makespan_cycles for r in reports)
         return cls(
@@ -111,9 +112,9 @@ class SwitchReport:
             makespan_cycles=makespan,
             throughput_gbps=cost_model.gbps(total_bytes, makespan),
             buffer_high_water=max(r.buffer_high_water for r in reports),
-            normal_flows=set().union(*(r.normal_flows for r in reports)),
-            fastpath_flows=set().union(
-                *(r.fastpath_flows for r in reports)
+            flow_count=sum(r.flow_count for r in reports),
+            fastpath_flow_count=sum(
+                r.fastpath_flow_count for r in reports
             ),
         )
 
@@ -131,10 +132,9 @@ class SwitchReport:
 
     @property
     def fastpath_flow_fraction(self) -> float:
-        total = len(self.normal_flows | self.fastpath_flows)
-        if total == 0:
+        if self.flow_count == 0:
             return 0.0
-        return len(self.fastpath_flows) / total
+        return self.fastpath_flow_count / self.flow_count
 
 
 def arrival_cycles_array(trace, offered_gbps, cost_model: CostModel):
@@ -216,6 +216,10 @@ class HostEngine:
         self.producer = 0.0  # next cycle the producer is free
         self.consumer = 0.0  # next cycle the consumer is free
         self.report = SwitchReport()
+        #: Per flow ordinal, whether the fast path saw it: relative to
+        #: the epoch's trace, like ``offset``; sized by the first run.
+        self.fast_flows: np.ndarray | None = None
+        self._flow = None  # the flow column ``run`` last saw
         self.profiler = profiler
         self._sketch_cycles = self.cost_model.sketch_cycles(sketch)
         self._fastpath_cycles = (
@@ -254,6 +258,9 @@ class HostEngine:
         """
         n = len(trace)
         end = n if stop_at is None else min(stop_at, n)
+        self._flow = trace.flow
+        if self.fast_flows is None:
+            self.fast_flows = np.zeros(len(trace.table), dtype=bool)
         if end <= self.offset:
             return self
         if on_checkpoint is None:
@@ -264,6 +271,7 @@ class HostEngine:
         )
         sizes, flow, table = trace.sizes, trace.flow, trace.table
         report = self.report
+        fast_flows = self.fast_flows
 
         # Fast-path protocol: FastPath's columns are probed inline by
         # flow ordinal (the table is bound for this call) and the hits
@@ -324,9 +332,6 @@ class HostEngine:
                     )
                     report.normal_packets += normal.size
                     report.normal_bytes += normal_bytes
-                    report.normal_flows.update(
-                        _distinct(table, flow if whole else flow[normal])
-                    )
                 if fast.size:
                     fast_bytes = int(sizes[fast].sum())
                     if inline:
@@ -335,9 +340,7 @@ class HostEngine:
                         )
                     report.fastpath_packets += fast.size
                     report.fastpath_bytes += fast_bytes
-                    report.fastpath_flows.update(
-                        _distinct(table, flow[fast])
-                    )
+                    fast_flows[flow[fast]] = True
                 report.total_packets += hi - lo
                 report.total_bytes += normal_bytes + fast_bytes
 
@@ -551,6 +554,10 @@ class HostEngine:
         report.throughput_gbps = self.cost_model.gbps(
             report.total_bytes, report.makespan_cycles
         )
+        # Every packet up to the offset was routed one way or other.
+        seen = used_flows(self._flow[: self.offset], self.fast_flows.size)
+        report.flow_count = seen.size
+        report.fastpath_flow_count = int(self.fast_flows.sum())
         return report
 
 
@@ -654,11 +661,6 @@ def _chain(y, x, step, j, span):
 def _due(arrivals, lo, hi):
     """Arrival cycles of packets ``lo..hi`` (zeros for back-to-back)."""
     return np.zeros(hi - lo) if arrivals is None else arrivals[lo:hi]
-
-
-def _distinct(table, flow):
-    """The distinct flows of a flow-index column, from the table."""
-    return map(table.__getitem__, used_flows(flow, len(table)).tolist())
 
 
 def _clocked(update, clock, spent):

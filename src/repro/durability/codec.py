@@ -13,8 +13,8 @@ crashed (the bit-identity contract of ``tests/test_durability.py``):
 * the **FIFO backlog** — the enqueue cycles of the packets the
   consumer has not drained yet (the packets themselves are already in
   the sketch: a chunk is applied before its checkpoint fires);
-* the **cursor**: trace offset, producer/consumer clocks, and the
-  partially filled :class:`SwitchReport`.
+* the **cursor**: trace offset, producer/consumer clocks, the
+  partially filled :class:`SwitchReport` and the fast-flow mask.
 
 The frame mirrors the report transport's defensive shape::
 
@@ -33,6 +33,8 @@ from __future__ import annotations
 import struct
 import zlib
 
+import numpy as np
+
 from repro.common.errors import CorruptSnapshotError, ReproError
 from repro.common.flow import FlowKey
 from repro.controlplane.transport import decode_payload, encode_frame
@@ -45,7 +47,7 @@ _VERSION = 2
 _HEADER = struct.Struct(">4sBII")
 
 #: ``state["format"]`` tag of an engine snapshot payload.
-_ENGINE_FORMAT = "host-engine/v2"
+_ENGINE_FORMAT = "host-engine/v3"
 
 
 class StateCodec:
@@ -105,12 +107,10 @@ class StateCodec:
     def snapshot_engine(self, engine: HostEngine) -> bytes:
         """Serialize a :class:`HostEngine` mid-epoch.
 
-        Snapshots sit on the epoch's hot path (every K packets), so the
-        expensive piece — the report's flow sets — is packed
-        structurally (104-bit flow headers) instead of pickling tens of
-        thousands of :class:`FlowKey` objects; packing is ~6x cheaper
-        and :meth:`restore_engine` rebuilds the exact same objects on
-        the (rare) recovery path.
+        Snapshots sit on the epoch's hot path (every K packets), so
+        what grows with the traffic — the sketch's counters and the
+        fast-flow mask, a byte per flow of the trace's table — goes in
+        the payload's array section; the report is scalars.
         """
         fifo = engine.fifo
         state = {
@@ -126,7 +126,8 @@ class StateCodec:
                 "high_water": fifo.high_water,
                 "queue": list(fifo.queue),
             },
-            "report": _pack_report(engine.report),
+            "report": dict(vars(engine.report)),
+            "fast_flows": engine.fast_flows,
         }
         return self.encode(state)
 
@@ -156,7 +157,13 @@ class StateCodec:
             engine.offset = state["offset"]
             engine.producer = state["producer"]
             engine.consumer = state["consumer"]
-            engine.report = _unpack_report(state["report"])
+            engine.report = SwitchReport(**state["report"])
+            mask = engine.fast_flows = state["fast_flows"]
+            if mask is not None and not (
+                isinstance(mask, np.ndarray) and mask.dtype == bool
+                and mask.ndim == 1
+            ):
+                raise CorruptSnapshotError("fast-flow mask is malformed")
             engine.fifo.restore(
                 [float(cycle) for cycle in fifo_state["queue"]],
                 fifo_state["high_water"],
@@ -171,91 +178,53 @@ class StateCodec:
 
 
 # ----------------------------------------------------------------------
-# Report flattening
-# ----------------------------------------------------------------------
-
-
-def _pack_report(report: SwitchReport) -> dict:
-    """Flatten a :class:`SwitchReport`, flow sets as 104-bit headers."""
-    state = dict(vars(report))
-    state["normal_flows"] = [
-        flow.key104 for flow in report.normal_flows
-    ]
-    state["fastpath_flows"] = [
-        flow.key104 for flow in report.fastpath_flows
-    ]
-    return state
-
-
-def _unpack_report(state) -> SwitchReport:
-    """Inverse of :func:`_pack_report` (exact: key104 is bijective)."""
-    if not isinstance(state, dict):
-        raise CorruptSnapshotError(
-            "snapshot report is not a packed SwitchReport"
-        )
-    return SwitchReport(
-        **{
-            **state,
-            "normal_flows": {
-                FlowKey.from_key104(key)
-                for key in state["normal_flows"]
-            },
-            "fastpath_flows": {
-                FlowKey.from_key104(key)
-                for key in state["fastpath_flows"]
-            },
-        }
-    )
-
-
-# ----------------------------------------------------------------------
 # Fast-path flattening
 # ----------------------------------------------------------------------
+
+
+#: The scalar state of each fast-path kind, beside its table.
+_SCALARS = (
+    "total_bytes",
+    "total_decremented",
+    "num_updates",
+    "num_hits",
+    "num_inserts",
+    "num_kickouts",
+    "num_evicted",
+)
 
 
 def _freeze_fastpath(fastpath):
     """Flatten a live fast path into a structural dict (or ``None``).
 
     Entries are emitted in table-insertion order: Misra-Gries evicts
-    the *first* entry at the minimum and recovery sums over the
-    snapshot in order, so order must survive the round-trip for the
+    the *first* entry at the minimum and a fast path's rows read in
+    insertion order, so order must survive the round-trip for the
     resumed run to stay bit-identical.
     """
     if fastpath is None:
         return None
+    state = {name: getattr(fastpath, name) for name in _SCALARS}
+    state["memory_bytes"] = fastpath.memory_bytes
     if isinstance(fastpath, FastPath):
         return {
+            **state,
             "kind": "sketchvisor",
-            "memory_bytes": fastpath.memory_bytes,
             "delta": fastpath.delta,
+            "num_rejected": fastpath.num_rejected,
             "entries": [
                 (flow.key104, e, r, d)
                 for flow, e, r, d in fastpath.rows()
             ],
-            "total_bytes": fastpath.total_bytes,
-            "total_decremented": fastpath.total_decremented,
-            "num_updates": fastpath.num_updates,
-            "num_hits": fastpath.num_hits,
-            "num_inserts": fastpath.num_inserts,
-            "num_kickouts": fastpath.num_kickouts,
-            "num_evicted": fastpath.num_evicted,
-            "num_rejected": fastpath.num_rejected,
         }
     if isinstance(fastpath, MisraGriesTopK):
         return {
+            **state,
             "kind": "misra_gries",
-            "memory_bytes": fastpath.memory_bytes,
             "entries": [
                 (flow.key104, entry.r)
                 for flow, entry in fastpath.table.items()
             ],
-            "total_bytes": fastpath.total_bytes,
-            "total_decremented": fastpath.total_decremented,
-            "num_updates": fastpath.num_updates,
-            "num_hits": fastpath.num_hits,
-            "num_inserts": fastpath.num_inserts,
-            "num_kickouts": fastpath.num_kickouts,
-            "num_evicted": fastpath.num_evicted,
         }
     raise CorruptSnapshotError(
         f"cannot snapshot fast path of type {type(fastpath).__name__}"
@@ -275,27 +244,15 @@ def _thaw_fastpath(state):
             (FlowKey.from_key104(key), e, r, d)
             for key, e, r, d in state["entries"]
         )
-        fastpath.total_bytes = state["total_bytes"]
-        fastpath.total_decremented = state["total_decremented"]
-        fastpath.num_updates = state["num_updates"]
-        fastpath.num_hits = state["num_hits"]
-        fastpath.num_inserts = state["num_inserts"]
-        fastpath.num_kickouts = state["num_kickouts"]
-        fastpath.num_evicted = state["num_evicted"]
         fastpath.num_rejected = state["num_rejected"]
-        return fastpath
-    if kind == "misra_gries":
+    elif kind == "misra_gries":
         fastpath = MisraGriesTopK(memory_bytes=state["memory_bytes"])
         for key, r in state["entries"]:
             fastpath.table[FlowKey.from_key104(key)] = MGEntry(r=r)
-        fastpath.total_bytes = state["total_bytes"]
-        fastpath.total_decremented = state["total_decremented"]
-        fastpath.num_updates = state["num_updates"]
-        fastpath.num_hits = state["num_hits"]
-        fastpath.num_inserts = state["num_inserts"]
-        fastpath.num_kickouts = state["num_kickouts"]
-        fastpath.num_evicted = state["num_evicted"]
-        return fastpath
-    raise CorruptSnapshotError(
-        f"unknown fast-path kind {kind!r} in snapshot"
-    )
+    else:
+        raise CorruptSnapshotError(
+            f"unknown fast-path kind {kind!r} in snapshot"
+        )
+    for name in _SCALARS:
+        setattr(fastpath, name, state[name])
+    return fastpath

@@ -11,11 +11,10 @@ unmodified Misra-Gries algorithm [33] the paper compares against
 
 from repro.fastpath.misra_gries import MisraGriesTopK
 from repro.fastpath.space_saving import SpaceSavingTopK
-from repro.fastpath.topk import FastPath, FlowEntry, UpdateKind
+from repro.fastpath.topk import FastPath, UpdateKind
 
 __all__ = [
     "FastPath",
-    "FlowEntry",
     "MisraGriesTopK",
     "SpaceSavingTopK",
     "UpdateKind",

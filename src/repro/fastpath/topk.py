@@ -42,6 +42,9 @@ column's values), and :meth:`FastPath.unbind` turns them back into
 flows.  Each translates once, and only a non-empty table; in between,
 ``rows()``, :meth:`~FastPath.snapshot` and the ``slots`` / ``keys``
 views read flows through the bound table.
+
+The epoch's report, :class:`FastPathSnapshot`, holds no flow objects:
+its rows are header-word and counter columns in header order.
 """
 
 from __future__ import annotations
@@ -49,11 +52,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.common.flow import FlowKey
+from repro.common.flow import FlowKey, header_flows, header_words
 
 #: Bytes per hash-table entry: 13-byte 5-tuple key + three 8-byte
 #: counters + pointer/bookkeeping overhead.  8 KB of fast-path memory
@@ -70,30 +75,6 @@ class UpdateKind(Enum):
     HIT = "hit"  # existing flow: one counter update
     INSERT = "insert"  # new flow into a non-full table
     KICKOUT = "kickout"  # full table: threshold pass over all k entries
-
-
-@dataclass
-class FlowEntry:
-    """Per-flow counters ``(e, r, d)`` of Algorithm 1."""
-
-    e: float
-    r: float
-    d: float
-
-    @property
-    def lower_bound(self) -> float:
-        """Guaranteed minimum of the flow's true byte count (Lemma 4.1)."""
-        return self.r + self.d
-
-    @property
-    def upper_bound(self) -> float:
-        """Guaranteed maximum of the flow's true byte count (Lemma 4.1)."""
-        return self.r + self.d + self.e
-
-    @property
-    def estimate(self) -> float:
-        """Midpoint estimate used when a single value is required."""
-        return self.r + self.d + self.e / 2.0
 
 
 def compute_thresh(values: list[float], delta: float = _DEFAULT_DELTA) -> float:
@@ -335,16 +316,15 @@ class FastPath:
     # ------------------------------------------------------------------
     def rows(self) -> list[tuple[FlowKey, float, float, float]]:
         """``(flow, e, r, d)`` per tracked flow, in insertion order."""
+        flows, order = self._tracked()
+        counters = (self.e[order], self.r[order], self.d[order])
+        return list(zip(flows, *(column.tolist() for column in counters)))
+
+    def _tracked(self) -> tuple[list[FlowKey], list[int]]:
+        """The tracked flows and their slots, in insertion order."""
         slots, table = self._slots, self._table
-        order = list(slots.values())
-        return list(
-            zip(
-                slots if table is None else map(table.__getitem__, slots),
-                self.e[order].tolist(),
-                self.r[order].tolist(),
-                self.d[order].tolist(),
-            )
-        )
+        flows = list(slots if table is None else map(table.__getitem__, slots))
+        return flows, list(slots.values())
 
     def load_rows(self, rows) -> None:
         """Replace the table with ``rows`` (as :meth:`rows` emits them)."""
@@ -357,26 +337,16 @@ class FastPath:
         for flow, e, r, d in rows:
             self._append(flow, e, r, d)
 
-    @property
-    def table(self) -> dict[FlowKey, FlowEntry]:
-        """The table as ``{flow: FlowEntry}`` in insertion order — a
-        copy built from the columns; writes to it do not reach ``H``."""
-        return {
-            flow: FlowEntry(e, r, d) for flow, e, r, d in self.rows()
-        }
-
     def bounds(self) -> dict[FlowKey, tuple[float, float]]:
-        """Per-flow (lower, upper) byte-count bounds (Lemma 4.1)."""
+        """Per-flow (lower, upper) byte-count bounds (Lemma 4.1):
+        ``r + d <= v_true <= r + d + e``."""
         return {
-            flow: (entry.lower_bound, entry.upper_bound)
-            for flow, entry in self.table.items()
+            flow: (r + d, r + d + e) for flow, e, r, d in self.rows()
         }
 
     def estimates(self) -> dict[FlowKey, float]:
         """Midpoint per-flow estimates."""
-        return {
-            flow: entry.estimate for flow, entry in self.table.items()
-        }
+        return {flow: r + d + e / 2.0 for flow, e, r, d in self.rows()}
 
     def snapshot(self) -> "FastPathSnapshot":
         """Freeze the current state for the control-plane report.
@@ -385,8 +355,10 @@ class FastPath:
         shared-memory fast path each epoch while the kernel module keeps
         updating it (§6).
         """
-        return FastPathSnapshot(
-            entries=self.table,
+        flows, order = self._tracked()
+        return FastPathSnapshot.from_columns(
+            *header_words(flows),
+            *(column[order] for column in (self.e, self.r, self.d)),
             total_bytes=self.total_bytes,
             total_decremented=self.total_decremented,
             insert_count=self.num_inserts,
@@ -413,9 +385,20 @@ class FastPath:
         return self.total_bytes / (self.capacity + 1)
 
 
+_WORDS = partial(np.zeros, 0, dtype=np.uint64)
+_COUNTERS = partial(np.zeros, 0, dtype=np.float64)
+
+
 @dataclass
 class FastPathSnapshot:
     """Immutable epoch report of one host's fast path.
+
+    ``H`` is five columns, a row per tracked flow: its header as
+    ``hi``/``lo`` words (:func:`~repro.common.flow.pack_headers`;
+    ``key64`` is ``mix64_array(hi ^ lo)``) and float64 ``e``/``r``/
+    ``d``, rows in strict ``(hi, lo)`` (key104) order.  Only
+    :meth:`from_columns` orders and sums rows, and nothing writes a
+    column in place, so snapshots may share them.
 
     Beyond the paper's ``V`` and ``E`` globals this carries two more
     O(1) counters, insertions and evictions.  Without them the number
@@ -425,7 +408,14 @@ class FastPathSnapshot:
     DESIGN.md ("small-flow component y").
     """
 
-    entries: dict[FlowKey, FlowEntry] = field(default_factory=dict)
+    #: The column fields, in constructor order.
+    COLUMNS: ClassVar[tuple[str, ...]] = ("hi", "lo", "e", "r", "d")
+
+    hi: np.ndarray = field(default_factory=_WORDS)
+    lo: np.ndarray = field(default_factory=_WORDS)
+    e: np.ndarray = field(default_factory=_COUNTERS)
+    r: np.ndarray = field(default_factory=_COUNTERS)
+    d: np.ndarray = field(default_factory=_COUNTERS)
     total_bytes: float = 0.0
     total_decremented: float = 0.0
     insert_count: int = 0
@@ -437,6 +427,51 @@ class FastPathSnapshot:
     kickout_count: int = 0
     reject_count: int = 0
 
+    @classmethod
+    def from_columns(cls, hi, lo, e, r, d, **scalars) -> "FastPathSnapshot":
+        """A snapshot of the rows ``(hi, lo, e, r, d)``, in key order.
+
+        Rows are stable-sorted on ``(hi, lo)``; the rows of one header
+        become one, their counters added in input order (the first
+        row's value, plus the second's, and so on).  The inputs are
+        not modified.
+        """
+        hi = np.asarray(hi, dtype=np.uint64)
+        lo = np.asarray(lo, dtype=np.uint64)
+        order = np.lexsort((lo, hi))
+        hi, lo = hi[order], lo[order]
+        counters = [
+            np.asarray(column, dtype=np.float64)[order]
+            for column in (e, r, d)
+        ]
+        lead = np.ones(hi.size, dtype=bool)
+        lead[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+        if not lead.all():
+            run = np.cumsum(lead) - 1
+            rank = np.arange(hi.size) - np.flatnonzero(lead)[run]
+            summed = [column[lead] for column in counters]
+            for k in range(1, int(rank.max()) + 1):
+                at = rank == k
+                for total, column in zip(summed, counters):
+                    total[run[at]] += column[at]
+            hi, lo, counters = hi[lead], lo[lead], summed
+        return cls(hi, lo, *counters, **scalars)
+
+    @property
+    def tracked(self) -> int:
+        """Rows (tracked flows) in the table."""
+        return self.hi.size
+
+    def rows(self) -> list[tuple[FlowKey, float, float, float]]:
+        """``(flow, e, r, d)`` per row, in key order."""
+        counters = (self.e, self.r, self.d)
+        return list(
+            zip(
+                header_flows(self.hi, self.lo),
+                *(column.tolist() for column in counters),
+            )
+        )
+
     @property
     def distinct_flow_hint(self) -> float:
         """Estimated distinct flows the fast path ever inserted.
@@ -446,6 +481,27 @@ class FastPathSnapshot:
         keeps the hint between the two extremes.
         """
         return max(
-            len(self.entries),
+            self.tracked,
             self.insert_count - 0.5 * self.evict_count,
         )
+
+    def __setstate__(self, state) -> None:
+        """Unpickle, refusing what no fast path or fold builds: columns
+        not 1-D of one length and their dtypes, a header past 104 bits
+        (it would alias another), rows not in strict key order (they
+        would split a flow), or a negative or non-finite counter."""
+        self.__dict__.update(state)
+        columns = [getattr(self, name) for name in self.COLUMNS]
+        dtypes = (np.uint64, np.uint64, np.float64, np.float64, np.float64)
+        if not all(
+            isinstance(column, np.ndarray) and column.dtype == dtype
+            for column, dtype in zip(columns, dtypes)
+        ) or {column.shape for column in columns} != {(columns[0].size,)}:
+            raise ValueError("snapshot columns are malformed")
+        hi, lo, *counters = columns
+        if (hi >> np.uint64(40)).any() or not (
+            (hi[1:] > hi[:-1]) | ((hi[1:] == hi[:-1]) & (lo[1:] > lo[:-1]))
+        ).all():
+            raise ValueError("snapshot rows are not 104-bit, in key order")
+        if not all((np.isfinite(c) & (c >= 0.0)).all() for c in counters):
+            raise ValueError("snapshot counters must be finite, >= 0")

@@ -108,13 +108,12 @@ def publish_error_bounds(
         ).set(confidence, sketch=sketch.name)
 
     snapshot = network.snapshot
-    if snapshot is not None and snapshot.entries:
-        entries = snapshot.entries.values()
+    if snapshot is not None and snapshot.tracked:
         registry.gauge(
             "sketchvisor_accuracy_fastpath_entry_uncertainty_bytes",
             "Largest per-entry uncertainty e in the merged fast-path "
             "table (Lemma 4.1: true size lies within [r+d, r+d+e])",
-        ).set(max(entry.e for entry in entries))
+        ).set(float(snapshot.e.max()))
         registry.gauge(
             "sketchvisor_accuracy_fastpath_untracked_bound_bytes",
             "Upper bound on any untracked flow's fast-path bytes "
@@ -124,7 +123,7 @@ def publish_error_bounds(
             "sketchvisor_accuracy_fastpath_envelope_bytes",
             "Theorem 2 leading error term V / (k + 1) of the merged "
             "fast path",
-        ).set(snapshot.total_bytes / (len(snapshot.entries) + 1))
+        ).set(snapshot.total_bytes / (snapshot.tracked + 1))
 
     # Volume decomposition of the recovered answer: where did each
     # byte the controller believes in come from?

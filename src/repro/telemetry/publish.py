@@ -85,7 +85,7 @@ def fastpath_stats(fastpath) -> dict[str, float]:
         "rejected": fastpath.reject_count,
         "bytes": fastpath.total_bytes,
         "decremented": fastpath.total_decremented,
-        "tracked": len(fastpath.entries),
+        "tracked": fastpath.tracked,
     }
 
 
@@ -337,7 +337,7 @@ def publish_controller_epoch(registry: MetricsRegistry, network) -> None:
         registry.gauge(
             "sketchvisor_controller_merged_table_flows",
             "Flows in the merged fast-path table H",
-        ).set(len(network.snapshot.entries))
+        ).set(network.snapshot.tracked)
     registry.histogram(
         "sketchvisor_lens_iterations",
         "LENS solver iterations to convergence",

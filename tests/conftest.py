@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.common.flow import FlowKey, Packet
+from repro.common.flow import FlowKey, Packet, header_words
+from repro.fastpath.topk import FastPathSnapshot
 from repro.traffic.generator import TraceConfig, generate_trace
 from repro.traffic.groundtruth import GroundTruth
 from repro.traffic.trace import Trace
@@ -41,6 +42,18 @@ def make_flow(index: int, dst: int = 9999) -> FlowKey:
         src_port=1024 + (index % 60000),
         dst_port=80,
     )
+
+
+def snapshot_of(rows, **scalars) -> FastPathSnapshot:
+    """A fast-path snapshot of ``(flow, e, r, d)`` rows (any order;
+    rows of one flow add) and the given scalar fields."""
+    rows = list(rows)
+    hi, lo = header_words([row[0] for row in rows])
+    e, r, d = (
+        np.array([row[k] for row in rows], dtype=np.float64)
+        for k in (1, 2, 3)
+    )
+    return FastPathSnapshot.from_columns(hi, lo, e, r, d, **scalars)
 
 
 def make_trace(sized_flows: list[tuple[FlowKey, list[int]]]) -> Trace:

@@ -37,8 +37,10 @@ def reference_run(
     ``end_state``, if given, receives the ``producer`` and ``consumer``
     clocks, the FIFO's enqueue cycles (``queue``) and its
     ``high_water`` as the last packet leaves them, before the drain,
-    and ``first_full``: the index of the first packet that found the
-    FIFO full (``None`` if none did).
+    ``first_full``: the index of the first packet that found the
+    FIFO full (``None`` if none did), and the sets of flows sent to
+    each path (``normal_flows``, ``fastpath_flows``), which the
+    report's two flow counts count.
     """
     cost_model = cost_model or CostModel.in_memory()
     sketch_cycles = cost_model.sketch_cycles(sketch)
@@ -46,6 +48,7 @@ def reference_run(
     arrivals = arrival_cycles_array(trace, offered_gbps, cost_model)
     fifo = BoundedFIFO(buffer_packets)
     report = SwitchReport()
+    normal_flows, fastpath_flows = set(), set()
     producer = 0.0  # next cycle the producer is free
     consumer = 0.0  # next cycle the consumer is free
     first_full = None
@@ -70,7 +73,7 @@ def reference_run(
             consumer = max(consumer, producer) + sketch_cycles
             report.normal_packets += 1
             report.normal_bytes += packet.size
-            report.normal_flows.add(packet.flow)
+            normal_flows.add(packet.flow)
             continue
 
         if fifo.full and first_full is None:
@@ -90,13 +93,13 @@ def reference_run(
             sketch.update(packet.flow, packet.size)
             report.normal_packets += 1
             report.normal_bytes += packet.size
-            report.normal_flows.add(packet.flow)
+            normal_flows.add(packet.flow)
         else:
             kind = fastpath.update(packet.flow, packet.size)
             producer += cost_model.fastpath_cycles(kind, fastpath.capacity)
             report.fastpath_packets += 1
             report.fastpath_bytes += packet.size
-            report.fastpath_flows.add(packet.flow)
+            fastpath_flows.add(packet.flow)
 
     if end_state is not None:
         end_state.update(
@@ -105,10 +108,14 @@ def reference_run(
             queue=list(fifo.queue),
             high_water=fifo.high_water,
             first_full=first_full,
+            normal_flows=normal_flows,
+            fastpath_flows=fastpath_flows,
         )
     while not fifo.empty:
         consumer = max(consumer, fifo.pop()) + sketch_cycles
 
+    report.flow_count = len(normal_flows | fastpath_flows)
+    report.fastpath_flow_count = len(fastpath_flows)
     report.buffer_high_water = fifo.high_water
     report.producer_cycles = producer
     report.consumer_cycles = consumer

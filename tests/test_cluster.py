@@ -466,9 +466,11 @@ class TestAggregatorTier:
             backward.add(report)
         fwd = forward.finish().fastpath
         bwd = backward.finish().fastpath
-        assert list(fwd.entries) == list(bwd.entries)
-        assert fwd.entries == bwd.entries
-        keys = [flow.key104 for flow in fwd.entries]
+        assert [flow for flow, *_ in fwd.rows()] == [
+            flow for flow, *_ in bwd.rows()
+        ]
+        assert fwd.rows() == bwd.rows()
+        keys = [flow.key104 for flow, *_ in fwd.rows()]
         assert keys == sorted(keys)
 
     def test_empty_aggregator_finishes_none(self):

@@ -115,9 +115,7 @@ class TestRescaleHelpers:
         assert scaled.total_decremented == pytest.approx(
             snapshot.total_decremented * 2.0
         )
-        for flow, entry in snapshot.entries.items():
-            assert scaled.entries[flow].e == entry.e
-            assert scaled.entries[flow].r == entry.r
+        assert scaled.rows() == snapshot.rows()
 
     def test_negative_factor_rejected(self, reports):
         with pytest.raises(MergeError):

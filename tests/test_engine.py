@@ -60,12 +60,12 @@ COST_MODELS = (CostModel.in_memory(), CostModel(dispatch_cycles=155.0))
 GAPS = [0.0, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
 
 
-def _packets(length, pool):
+def _packets(length, pool, min_size=1):
     """``(flow index, size)`` rows over a pool of ``pool`` flows: with a
     small pool hits, inserts and kick-outs all happen."""
     return st.lists(
         st.tuples(st.integers(0, pool - 1), st.integers(40, 1500)),
-        min_size=1,
+        min_size=min_size,
         max_size=length,
     )
 
@@ -87,12 +87,22 @@ def _stretches(pool):
     )
 
 
+#: Packets of a trace's leading back-to-back burst, at most: enough to
+#: fill either FIFO.
+LEAD_BURST = 150
+
+
 @st.composite
 def traces(draw, pool):
-    """Timestamps non-decreasing with ties, gaps drawn per packet or
-    per stretch."""
+    """Timestamps non-decreasing with ties: a leading back-to-back
+    burst of a uniformly drawn length, so most traces fill the FIFO,
+    then gaps drawn per packet or per stretch."""
+    length = draw(st.integers(0, LEAD_BURST))
+    packets = [
+        Packet(make_flow(index), size, 0.0)
+        for index, size in draw(_packets(length, pool, min_size=length))
+    ]
     clock = 0.0
-    packets = []
     for rows, gap in draw(st.one_of(_per_packet(pool), _stretches(pool))):
         for index, size in rows:
             clock += gap
@@ -147,6 +157,8 @@ def test_any_chunking_equals_the_oracle(arm, offered, data):
     # fills: the saturated loop then stops and resumes mid-stretch.
     cuts = data.draw(st.lists(st.integers(0, n + 3), max_size=6), "cuts")
     first_full = end_state.pop("first_full")
+    normal_flows = end_state.pop("normal_flows")
+    fastpath_flows = end_state.pop("fastpath_flows")
     if first_full is not None:
         cuts += data.draw(
             st.lists(st.integers(first_full + 1, n), min_size=1, max_size=3),
@@ -208,15 +220,19 @@ def test_any_chunking_equals_the_oracle(arm, offered, data):
                 high_water=candidate.fifo.high_water,
             ),
         )
-        assert state_equal(expected, candidate.finish())
+        report = candidate.finish()
+        assert state_equal(expected, report)
+        assert report.flow_count == len(normal_flows | fastpath_flows)
+        assert report.fastpath_flow_count == len(fastpath_flows)
         assert codec.encode(candidate.sketch) == codec.encode(
             oracle_sketch
         )
         # vars(): rows in order, V/E and every operation counter.
         assert state_equal(oracle_fastpath, candidate.fastpath)
     if isinstance(oracle_fastpath, FastPath):
-        assert list(chunked.fastpath.snapshot().entries) == list(
-            oracle_fastpath.snapshot().entries
+        assert (
+            chunked.fastpath.snapshot().rows()
+            == oracle_fastpath.snapshot().rows()
         )
     # The hook fires once per absolute boundary, resumed or not.
     assert checkpoints == list(
@@ -254,11 +270,10 @@ def test_hooks_see_the_chunk_applied(small_trace):
 
 def test_saturated_run_hashes_no_flow_per_packet(monkeypatch):
     """The routing loop probes the fast path by flow ordinal.  Over one
-    run, flows are hashed where the run translates them — the bind's
-    pass over the table, the unbind's over the fast path's entries —
-    and where the report collects its two flow sets, each at most once
-    per table entry: ``3 * len(table) + capacity`` however many
-    packets go down the fast path."""
+    run, flows are hashed only where the run translates them — the
+    bind's pass over the table and the unbind's over the fast path's
+    entries: ``len(table) + capacity`` however many packets go down
+    the fast path.  The report counts its flows from ordinals."""
     flows, capacity = 40, 16
     rng = np.random.default_rng(3)
     trace = Trace(
@@ -289,7 +304,7 @@ def test_saturated_run_hashes_no_flow_per_packet(monkeypatch):
     fastpath = engine.fastpath
     assert engine.report.fastpath_packets - fast_before > 5_000
     assert fastpath.num_hits > 4_000 and fastpath.num_kickouts > 100
-    assert len(hashed) <= 3 * len(trace.table) + capacity
+    assert len(hashed) <= len(trace.table) + capacity
     _assert_flow_keyed(fastpath)
 
 

@@ -63,8 +63,8 @@ class TestEmptyAndDegenerate:
         fastpath = FastPath(8192)
         for packet in trace:
             fastpath.update(packet.flow, packet.size)
-        for flow, entry in fastpath.table.items():
-            assert entry.lower_bound <= 100 <= entry.upper_bound
+        for flow, (lower, upper) in fastpath.bounds().items():
+            assert lower <= 100 <= upper
 
 
 class TestOverloadRegimes:
@@ -74,7 +74,7 @@ class TestOverloadRegimes:
         for packet in small_trace:
             fastpath.update(packet.flow, packet.size)
         assert fastpath.total_bytes == small_trace.total_bytes
-        assert len(fastpath.table) <= 1
+        assert len(fastpath.rows()) <= 1
 
     def test_flowradar_over_capacity_recovery_does_not_crash(self):
         """Sketch past design capacity: partial decode, no exception."""

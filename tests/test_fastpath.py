@@ -92,16 +92,16 @@ class TestLemma41:
         fastpath, truth = _run(stream)
         for index, size in truth.items():
             if size > fastpath.total_decremented:
-                assert make_flow(index) in fastpath.table
+                assert make_flow(index) in fastpath.slots
 
     @given(streams)
     @settings(max_examples=60, deadline=None)
     def test_bounds_contain_truth(self, stream):
         fastpath, truth = _run(stream)
-        for flow, entry in fastpath.table.items():
+        for flow, (lower, upper) in fastpath.bounds().items():
             true_size = truth[flow.src_ip - 1000]
-            assert entry.lower_bound <= true_size + 1e-6
-            assert true_size <= entry.upper_bound + 1e-6
+            assert lower <= true_size + 1e-6
+            assert true_size <= upper + 1e-6
 
     @given(streams)
     @settings(max_examples=60, deadline=None)
@@ -110,10 +110,11 @@ class TestLemma41:
         # Appendix B: error <= theta-root(1-delta) * V/(k+1); use a
         # small slack factor over V/(k+1) for the root term.
         bound = 1.5 * fastpath.total_bytes / (fastpath.capacity + 1)
-        for flow, entry in fastpath.table.items():
+        estimates = fastpath.estimates()
+        for flow, e, _r, _d in fastpath.rows():
             true_size = truth[flow.src_ip - 1000]
-            assert abs(entry.estimate - true_size) <= entry.e / 2 + 1e-6
-            assert entry.e <= fastpath.total_decremented + 1e-6
+            assert abs(estimates[flow] - true_size) <= e / 2 + 1e-6
+            assert e <= fastpath.total_decremented + 1e-6
         assert fastpath.total_decremented <= bound * (
             1 + len(stream) * 0  # documentation: E itself obeys the bound
         ) or fastpath.total_decremented <= bound
@@ -130,7 +131,7 @@ class TestLemma41:
         fastpath = FastPath(memory_bytes=5 * ENTRY_BYTES)
         for i in range(500):
             fastpath.update(make_flow(i % 50), 100 + i)
-            assert len(fastpath.table) <= fastpath.capacity
+            assert len(fastpath.rows()) <= fastpath.capacity
 
 
 class TestMechanics:
@@ -147,7 +148,7 @@ class TestMechanics:
         fastpath.update(make_flow(2), 10)
         fastpath.update(make_flow(3), 10)
         fastpath.update(make_flow(4), 5_000)  # triggers kick-out
-        assert make_flow(1) in fastpath.table
+        assert make_flow(1) in fastpath.slots
         assert fastpath.num_kickouts == 1
         assert fastpath.num_evicted >= 1
 
@@ -157,23 +158,23 @@ class TestMechanics:
         fastpath.update(heavy, 1_000_000)
         for i in range(1, 2000):
             fastpath.update(make_flow(i), 64)
-        assert heavy in fastpath.table
-        entry = fastpath.table[heavy]
-        assert entry.lower_bound <= 1_000_000 <= entry.upper_bound
+        assert heavy in fastpath.slots
+        lower, upper = fastpath.bounds()[heavy]
+        assert lower <= 1_000_000 <= upper
 
     def test_snapshot_is_isolated(self):
         fastpath = FastPath(memory_bytes=4 * ENTRY_BYTES)
         fastpath.update(make_flow(1), 100)
         snapshot = fastpath.snapshot()
         fastpath.update(make_flow(1), 900)
-        assert snapshot.entries[make_flow(1)].r == 100
+        assert snapshot.rows() == [(make_flow(1), 0.0, 100.0, 0.0)]
         assert snapshot.total_bytes == 100
 
     def test_reset(self):
         fastpath = FastPath()
         fastpath.update(make_flow(1), 100)
         fastpath.reset()
-        assert not fastpath.table
+        assert not fastpath.rows()
         assert fastpath.total_bytes == 0
         assert fastpath.total_decremented == 0
 
@@ -305,7 +306,7 @@ def _assert_index_consistent(fastpath):
         assert column.base is None  # separately owned, never views
     assert all(fastpath.r[slot] > 0 for slot in fastpath.slots.values())
     order = [flow for flow, _e, _r, _d in fastpath.rows()]
-    assert order == list(fastpath.slots) == list(fastpath.table)
+    assert order == list(fastpath.slots)
 
 
 def _churn(seed, capacity, length):
@@ -547,8 +548,9 @@ class TestColumns:
         _assert_index_consistent(fastpath)
         # Hits after the pass land on the rows that never moved.
         fastpath.update(make_flow(3), 7)
-        assert fastpath.table[make_flow(3)].r == 9_000 - threshold + 7
-        assert fastpath.table[make_flow(1)].r == 10_000 - threshold
+        residuals = {flow: r for flow, _e, r, _d in fastpath.rows()}
+        assert residuals[make_flow(3)] == 9_000 - threshold + 7
+        assert residuals[make_flow(1)] == 10_000 - threshold
         for flow in (make_flow(0), make_flow(2), make_flow(4)):
             assert flow not in fastpath.slots
         # The next two misses are plain inserts into the freed slots,
@@ -580,7 +582,8 @@ class TestColumns:
         )
         report = switch.process(trace)
         assert report.fastpath_packets == len(trace) - 1
-        assert report.fastpath_flows == {first, second}
+        assert report.fastpath_flow_count == 2
+        assert report.flow_count == 2
         assert fastpath.slots == {second: 0, first: 1}
         assert fastpath.keys[:2] == [second, first]
         assert len(fastpath.free) == fastpath.capacity - 2
@@ -591,12 +594,12 @@ class TestColumns:
         assert fastpath.num_hits == len(trace) - 3
         _assert_index_consistent(fastpath)
 
-    def test_table_is_a_copy(self):
+    def test_snapshot_columns_are_copies(self):
         fastpath = FastPath()
         fastpath.update(make_flow(1), 100)
-        fastpath.table[make_flow(1)].r = 0.0
-        fastpath.table.clear()
-        assert fastpath.table[make_flow(1)].r == 100.0
+        snapshot = fastpath.snapshot()
+        snapshot.r[:] = 0.0
+        assert fastpath.rows() == [(make_flow(1), 0.0, 100.0, 0.0)]
 
     def test_load_rows_round_trips_and_checks_capacity(self):
         fastpath, _ = _run([(i % 30, 50 + 13 * i) for i in range(300)])

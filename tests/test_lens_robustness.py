@@ -24,10 +24,9 @@ from repro.controlplane.recovery import (
     recover,
 )
 from repro.durability.codec import StateCodec
-from repro.fastpath.topk import FastPathSnapshot, FlowEntry
 from repro.sketches.deltoid import Deltoid
 from repro.telemetry import Telemetry
-from tests.conftest import make_flow
+from tests.conftest import make_flow, snapshot_of
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,15 +75,13 @@ def _deltoid_and_snapshot(width=64, flows=90):
     normal = Deltoid(width=width, depth=2, seed=5)
     for index in range(30, 30 + flows):
         normal.update(make_flow(index), 300 + index)
-    entries = {
-        make_flow(index): FlowEntry(
-            e=400.0 + index, r=900.0 * (index + 1), d=250.0
-        )
+    rows = [
+        (make_flow(index), 400.0 + index, 900.0 * (index + 1), 250.0)
         for index in range(40)
-    }
-    volume = sum(entry.upper_bound for entry in entries.values())
-    return normal, FastPathSnapshot(
-        entries=entries,
+    ]
+    volume = sum(r + d + e for _, e, r, d in rows)
+    return normal, snapshot_of(
+        rows,
         total_bytes=volume + 80_000.0,
         total_decremented=5_000.0,
         insert_count=260,
@@ -148,11 +145,11 @@ class TestSvdLadder:
         telemetry = Telemetry()
         state = recover(normal, snapshot, telemetry=telemetry)
 
-        flows = list(snapshot.entries)
+        flows = [flow for flow, *_ in snapshot.rows()]
         midpoint = box_midpoint(
             normal.to_matrix(),
-            [snapshot.entries[f].lower_bound for f in flows],
-            [snapshot.entries[f].upper_bound for f in flows],
+            [r + d for _, e, r, d in snapshot.rows()],
+            [r + d + e for _, e, r, d in snapshot.rows()],
             snapshot.total_bytes,
         )
         assert state.lens_converged is False
@@ -185,12 +182,12 @@ class TestSvdLadder:
         self, monkeypatch
     ):
         normal, snapshot = self._inputs()
-        flows = list(snapshot.entries)
+        flows = [flow for flow, *_ in snapshot.rows()]
         arguments = dict(
             n_matrix=normal.to_matrix(),
             positions=normal.matrix_positions(flows),
-            lower=[snapshot.entries[f].lower_bound for f in flows],
-            upper=[snapshot.entries[f].upper_bound for f in flows],
+            lower=[r + d for _, e, r, d in snapshot.rows()],
+            upper=[r + d + e for _, e, r, d in snapshot.rows()],
             volume=snapshot.total_bytes,
         )
         calls = []

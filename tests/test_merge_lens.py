@@ -22,13 +22,15 @@ from repro.controlplane.merge import (
     MergeFold,
     merge_fastpath_snapshots,
     merge_sketches,
+    rescale_snapshot,
 )
 from repro.common.flow import FlowKey
-from repro.fastpath.topk import FastPath, FastPathSnapshot, FlowEntry
+from repro.fastpath.topk import FastPath, FastPathSnapshot
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.deltoid import Deltoid
 from repro.telemetry import Telemetry
-from tests.conftest import make_flow
+from tests import reference_merge
+from tests.conftest import make_flow, snapshot_of
 from tests.reference_lens import exact_shrink
 
 
@@ -68,7 +70,10 @@ class TestMergeSnapshots:
             [fp_a.snapshot(), fp_b.snapshot()]
         )
         assert merged.total_bytes == 350
-        assert set(merged.entries) == {make_flow(1), make_flow(2)}
+        assert {flow for flow, *_ in merged.rows()} == {
+            make_flow(1),
+            make_flow(2),
+        }
 
     def test_none_snapshots_ignored(self):
         fp = FastPath(4096)
@@ -83,11 +88,11 @@ class TestMergeSnapshots:
         merged = merge_fastpath_snapshots(
             [fp_a.snapshot(), fp_b.snapshot()]
         )
-        assert merged.entries[make_flow(1)].r == 150
+        assert merged.rows() == [(make_flow(1), 0.0, 150.0, 0.0)]
 
     def test_all_none(self):
         merged = merge_fastpath_snapshots([None, None])
-        assert merged.total_bytes == 0 and not merged.entries
+        assert merged.total_bytes == 0 and not merged.tracked
 
     def test_entry_order_is_independent_of_input_order(self):
         """Merged entries come out in full-key order.  ``twin`` folds to
@@ -98,24 +103,18 @@ class TestMergeSnapshots:
         flow = make_flow(1)
         twin = FlowKey.from_key104(flow.key104 ^ (1 << 64 | 1))
         assert twin != flow and twin.key64 == flow.key64
-        a = FastPathSnapshot(
-            entries={
-                flow: FlowEntry(0.0, 10.0, 0.0),
-                make_flow(7): FlowEntry(0.0, 5.0, 0.0),
-            },
+        a = snapshot_of(
+            [(flow, 0.0, 10.0, 0.0), (make_flow(7), 0.0, 5.0, 0.0)],
             total_bytes=15.0,
         )
-        b = FastPathSnapshot(
-            entries={
-                twin: FlowEntry(0.0, 20.0, 0.0),
-                make_flow(3): FlowEntry(0.0, 8.0, 0.0),
-            },
+        b = snapshot_of(
+            [(twin, 0.0, 20.0, 0.0), (make_flow(3), 0.0, 8.0, 0.0)],
             total_bytes=28.0,
         )
         forward = merge_fastpath_snapshots([a, b])
         backward = merge_fastpath_snapshots([b, a])
-        assert list(forward.entries) == list(backward.entries)
-        keys = [key.key104 for key in forward.entries]
+        assert forward.rows() == backward.rows()
+        keys = [key.key104 for key, *_ in forward.rows()]
         assert keys == sorted(keys)
 
     def test_decremented_total_is_independent_of_grouping(self):
@@ -145,6 +144,115 @@ class TestMergeSnapshots:
         for merged in (flat, grouped):
             assert merged.fastpath.total_decremented == 0.6
             assert merged.decrements == (0.1, 0.2, 0.3)
+
+
+#: Flows the property's tables draw from: ``make_flow(1)``'s key64
+#: twin (see above), so a fold keyed on ``key64`` would merge two
+#: flows; one header word apart from ``make_flow(1)`` in each word;
+#: and a flow whose ``hi`` is the largest and ``lo`` the smallest, so
+#: an order on either word alone is wrong.
+_POOL = [make_flow(index) for index in range(6)] + [
+    FlowKey.from_key104(make_flow(1).key104 ^ (1 << 64 | 1)),
+    FlowKey.from_key104(make_flow(1).key104 ^ (1 << 64)),
+    FlowKey.from_key104(make_flow(1).key104 ^ (1 << 8)),
+    FlowKey(2000, 1, 9, 80),
+]
+_COUNTER = st.one_of(
+    st.integers(0, 10_000).map(float),
+    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _table(draw):
+    """One host's snapshot: distinct flows from the pool in any order,
+    fractional counters, and scalars; or ``None`` (no fast path)."""
+    if draw(st.integers(0, 7)) == 0:
+        return None
+    flows = draw(st.permutations(_POOL))[: draw(st.integers(0, len(_POOL)))]
+    rows = [
+        (flow, draw(_COUNTER), draw(_COUNTER), draw(_COUNTER))
+        for flow in flows
+    ]
+    return snapshot_of(
+        rows,
+        total_bytes=draw(st.integers(0, 10**6)),
+        total_decremented=draw(_COUNTER),
+        insert_count=draw(st.integers(0, 500)),
+        evict_count=draw(st.integers(0, 500)),
+        update_count=draw(st.integers(0, 5000)),
+        hit_count=draw(st.integers(0, 5000)),
+        kickout_count=draw(st.integers(0, 50)),
+        reject_count=draw(st.integers(0, 50)),
+    )
+
+
+def _assert_same(snapshot, folded):
+    """``snapshot`` is the oracle's ``folded`` table: rows, order,
+    counter bits and scalars."""
+    assert reference_merge.bits(snapshot.rows()) == reference_merge.bits(
+        folded.rows()
+    )
+    for name, value in folded.scalars().items():
+        assert getattr(snapshot, name) == value, name
+
+
+class TestColumnFoldEqualsTheDictFold:
+    """The column fold against ``tests/reference_merge.py``: the same
+    rows in the same order, every counter to the bit, the same
+    scalars, flat and through partials."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tables=st.lists(_table(), max_size=6),
+        cuts=st.lists(st.integers(1, 5), max_size=3),
+    )
+    def test_any_grouping(self, tables, cuts):
+        flat = merge_fastpath_snapshots(tables)
+        expected = reference_merge.fold(tables)
+        if expected is None:
+            assert not flat.tracked and flat.total_bytes == 0
+        else:
+            _assert_same(flat, expected)
+
+        # Regrouped: consecutive groups folded into partials, then the
+        # partials folded; the oracle folds the same tree.
+        inner = (cut for cut in cuts if cut < len(tables))
+        bounds = sorted({0, len(tables), *inner})
+        groups = [tables[a:b] for a, b in zip(bounds, bounds[1:])]
+        top, oracle_partials = MergeFold(), []
+        for group in groups:
+            fold = MergeFold()
+            for table in group:
+                fold.add_snapshot(table)
+            partial = fold.finish()
+            top.add_snapshot(partial.fastpath, partial.decrements)
+            oracle_partials.append(reference_merge.fold(group))
+        merged = top.finish().fastpath
+        oracle = reference_merge.fold(
+            oracle_partials,
+            decrements=[t.total_decremented for t in tables if t is not None],
+        )
+        assert (merged is None) is (oracle is None)
+        if oracle is not None:
+            _assert_same(merged, oracle)
+            assert merged.total_decremented == flat.total_decremented
+
+    @settings(max_examples=50, deadline=None)
+    @given(table=_table(), factor=st.floats(0.0, 8.0))
+    def test_rescale(self, table, factor):
+        if table is None:
+            return
+        scaled = rescale_snapshot(table, factor)
+        expected = reference_merge.rescale(table, factor)
+        assert reference_merge.bits(scaled.rows()) == reference_merge.bits(
+            expected["rows"]
+        )
+        assert scaled.total_bytes == expected["total_bytes"]
+        assert scaled.total_decremented == expected["total_decremented"]
+        # The columns are shared, not copied.
+        for name in FastPathSnapshot.COLUMNS:
+            assert getattr(scaled, name) is getattr(table, name)
 
 
 class TestSVT:

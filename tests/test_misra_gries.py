@@ -78,25 +78,19 @@ class TestMisraGries:
         mg_widths = [
             high - low for low, high in mg.bounds().values()
         ]
+        estimates, bounds = sv.estimates(), sv.bounds()
         sv_top = sorted(
-            sv.table.items(),
-            key=lambda item: item[1].estimate,
+            bounds.items(),
+            key=lambda item: estimates[item[0]],
             reverse=True,
         )[:50]
-        sv_widths = [
-            entry.upper_bound - entry.lower_bound
-            for _flow, entry in sv_top
-        ]
+        sv_widths = [high - low for _flow, (low, high) in sv_top]
         assert (sum(mg_widths) / len(mg_widths)) > 5 * (
             sum(sv_widths) / len(sv_widths)
         )
         # And the SV bounds actually contain the truth for top flows.
-        for flow, entry in sv_top:
-            assert (
-                entry.lower_bound - 1e-6
-                <= truth[flow]
-                <= entry.upper_bound + 1e-6
-            )
+        for flow, (low, high) in sv_top:
+            assert low - 1e-6 <= truth[flow] <= high + 1e-6
 
     def test_update_kinds(self):
         tracker = MisraGriesTopK(memory_bytes=2 * ENTRY_BYTES)

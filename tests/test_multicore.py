@@ -12,7 +12,6 @@ import dataclasses
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.common.flow import FlowKey
 from repro.controlplane.recovery import RecoveryMode, recover
 from repro.dataplane.cost_model import CostModel
 from repro.dataplane.engine import SwitchReport
@@ -158,17 +157,7 @@ def _distinct_report(index: int) -> SwitchReport:
     """A report with every field set to a value of its own."""
     values = {}
     for number, spec in enumerate(dataclasses.fields(SwitchReport), 1):
-        default = (
-            spec.default_factory()
-            if spec.default_factory is not dataclasses.MISSING
-            else spec.default
-        )
-        if isinstance(default, set):
-            values[spec.name] = {
-                FlowKey(index, number, 1000 + index, 80, 6)
-            }
-        else:
-            values[spec.name] = type(default)(number * 10 + index)
+        values[spec.name] = type(spec.default)(number * 10 + index)
     return SwitchReport(**values)
 
 
@@ -187,8 +176,8 @@ class TestSwitchReportCombine:
         "makespan_cycles": max,
         "throughput_gbps": None,  # recomputed
         "buffer_high_water": max,
-        "normal_flows": lambda sets: set().union(*sets),
-        "fastpath_flows": lambda sets: set().union(*sets),
+        "flow_count": sum,
+        "fastpath_flow_count": sum,
     }
 
     def test_every_field_is_combined(self):

@@ -25,7 +25,7 @@ from repro.common.flow import (
     key64_column,
 )
 from repro.durability.codec import StateCodec
-from repro.fastpath.topk import FastPath, FastPathSnapshot, FlowEntry
+from repro.fastpath.topk import FastPath
 from repro.sketches.cardinality import LinearCounting
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.deltoid import Deltoid
@@ -33,12 +33,13 @@ from repro.sketches.flowradar import FlowRadar
 from repro.sketches.mrac import MRAC
 from repro.sketches.revsketch import ReversibleSketch
 from repro.sketches.univmon import UnivMon
-from tests.conftest import make_flow, registry_solutions
+from tests.conftest import make_flow, registry_solutions, snapshot_of
 
 
-def _snapshot(entries=None, V=0.0, E=0.0, inserts=0, evicted=0):
-    return FastPathSnapshot(
-        entries=entries or {},
+def _snapshot(rows=(), V=0.0, E=0.0, inserts=0, evicted=0):
+    """A snapshot of ``(flow, e, r, d)`` rows."""
+    return snapshot_of(
+        rows,
         total_bytes=V,
         total_decremented=E,
         insert_count=inserts,
@@ -51,15 +52,12 @@ class TestTrackingBoundary:
         assert _tracking_boundary(_snapshot()) == 1500.0
 
     def test_minimum_estimate(self):
-        entries = {
-            make_flow(1): FlowEntry(e=0, r=5000, d=0),
-            make_flow(2): FlowEntry(e=0, r=700, d=100),
-        }
-        assert _tracking_boundary(_snapshot(entries)) == 800.0
+        rows = [(make_flow(1), 0, 5000, 0), (make_flow(2), 0, 700, 100)]
+        assert _tracking_boundary(_snapshot(rows)) == 800.0
 
     def test_floor_at_min_packet(self):
-        entries = {make_flow(1): FlowEntry(e=0, r=10, d=0)}
-        assert _tracking_boundary(_snapshot(entries)) > 64.0
+        rows = [(make_flow(1), 0, 10, 0)]
+        assert _tracking_boundary(_snapshot(rows)) > 64.0
 
 
 class TestMissingFlowCount:
@@ -67,14 +65,14 @@ class TestMissingFlowCount:
         assert _missing_flow_count(_snapshot()) is None
 
     def test_inserts_minus_half_evictions_minus_tracked(self):
-        entries = {make_flow(i): FlowEntry(0, 100, 0) for i in range(10)}
-        snapshot = _snapshot(entries, inserts=100, evicted=60)
+        rows = [(make_flow(i), 0, 100, 0) for i in range(10)]
+        snapshot = _snapshot(rows, inserts=100, evicted=60)
         # hint = max(10, 100 - 30) = 70; missing = 70 - 10 = 60.
         assert _missing_flow_count(snapshot) == 60
 
     def test_never_negative(self):
-        entries = {make_flow(i): FlowEntry(0, 100, 0) for i in range(10)}
-        snapshot = _snapshot(entries, inserts=5, evicted=0)
+        rows = [(make_flow(i), 0, 100, 0) for i in range(10)]
+        snapshot = _snapshot(rows, inserts=5, evicted=0)
         assert _missing_flow_count(snapshot) == 0
 
 
@@ -383,17 +381,15 @@ class TestColumnInjectionEdges:
 
 def _tracked_snapshot():
     """60 tracked flows; every fifth has bounds that round to zero."""
-    entries = {
-        make_flow(index): (
-            FlowEntry(e=0.3, r=0.1, d=0.0)
-            if index % 5 == 0
-            else FlowEntry(e=400.0 + index, r=900.0 * index, d=250.0)
-        )
+    rows = [
+        (make_flow(index), 0.3, 0.1, 0.0)
+        if index % 5 == 0
+        else (make_flow(index), 400.0 + index, 900.0 * index, 250.0)
         for index in range(60)
-    }
-    volume = sum(entry.upper_bound for entry in entries.values())
+    ]
+    volume = sum(r + d + e for _, e, r, d in rows)
     return _snapshot(
-        entries, V=volume + 80_000.0, E=5_000.0, inserts=260, evicted=120
+        rows, V=volume + 80_000.0, E=5_000.0, inserts=260, evicted=120
     )
 
 
@@ -421,7 +417,7 @@ class TestTrackedFlowReinjection:
             if amount > 0:
                 expected.inject(flow, amount)
                 injected += 1
-        assert list(state.flow_estimates) == list(snapshot.entries)
+        assert list(state.flow_estimates) == _flows(snapshot)
         assert injected == 48  # the twelve near-zero flows are left out
         if mode is RecoveryMode.SKETCHVISOR:
             assert state.small_flow_bytes > 0
@@ -435,16 +431,20 @@ class TestTrackedFlowReinjection:
         assert codec.encode(state.sketch) == codec.encode(expected)
 
 
+def _flows(snapshot):
+    return [flow for flow, *_ in snapshot.rows()]
+
+
 def _recover_through_the_solver(normal, snapshot):
     """``recover(..., SKETCHVISOR)`` with nothing skipped: every
     tracked flow's positions hashed, the operator built and
     ``lens_interpolate`` run, whatever ``low_rank`` says."""
-    flows = list(snapshot.entries)
+    flows = _flows(snapshot)
     result = lens_interpolate(
         normal.to_matrix(),
         positions=normal.matrix_positions(flows),
-        lower=[snapshot.entries[f].lower_bound for f in flows],
-        upper=[snapshot.entries[f].upper_bound for f in flows],
+        lower=[r + d for _, e, r, d in snapshot.rows()],
+        upper=[r + d + e for _, e, r, d in snapshot.rows()],
         volume=snapshot.total_bytes,
         low_rank=normal.low_rank,
     )
@@ -494,7 +494,7 @@ class TestRecoverySkipsWhatItNeverReads:
             for flow, value in state.flow_estimates.items()
         ] == [
             (flow, float(value).hex())
-            for flow, value in zip(snapshot.entries, result.x)
+            for flow, value in zip(_flows(snapshot), result.x)
         ]
         assert state.tracked_bytes == float(result.x.sum())
         assert state.small_flow_bytes == small
@@ -537,14 +537,14 @@ class TestRecoverySkipsWhatItNeverReads:
 
         monkeypatch.setattr(type(normal), "matrix_positions", positions)
         recover(normal, snapshot, RecoveryMode.SKETCHVISOR)
-        assert calls == [list(snapshot.entries)]
+        assert calls == [_flows(snapshot)]
 
     def test_kmin_keeps_its_unscaled_midpoint(self):
         normal, snapshot = _loaded("kmin"), _tracked_snapshot()
         state = recover(normal, snapshot, RecoveryMode.SKETCHVISOR)
         assert state.flow_estimates == {
-            flow: (entry.lower_bound + entry.upper_bound) / 2.0
-            for flow, entry in snapshot.entries.items()
+            flow: ((r + d) + (r + d + e)) / 2.0
+            for flow, e, r, d in snapshot.rows()
         }
         assert state.lens_iterations == 0 and state.lens_converged
         assert state.small_flow_bytes == max(
@@ -555,10 +555,10 @@ class TestRecoverySkipsWhatItNeverReads:
     @pytest.mark.parametrize("solution", ["flowradar", "deltoid"])
     def test_invalid_bounds_still_raise(self, solution):
         normal = _loaded(solution)
-        inverted = {make_flow(1): FlowEntry(e=-50.0, r=900.0, d=0.0)}
+        inverted = [(make_flow(1), -50.0, 900.0, 0.0)]
         with pytest.raises(ConfigError, match="lower bounds"):
             recover(normal, _snapshot(inverted, V=5000.0))
-        tracked = {make_flow(1): FlowEntry(e=50.0, r=900.0, d=0.0)}
+        tracked = [(make_flow(1), 50.0, 900.0, 0.0)]
         with pytest.raises(ConfigError, match="volume"):
             recover(normal, _snapshot(tracked, V=-1.0))
 
@@ -583,7 +583,7 @@ class TestFastPathCounters:
         snapshot = fastpath.snapshot()
         assert snapshot.insert_count == fastpath.num_inserts
         assert snapshot.evict_count == fastpath.num_evicted
-        assert snapshot.distinct_flow_hint >= len(snapshot.entries)
+        assert snapshot.distinct_flow_hint >= snapshot.tracked
 
 
 class TestLensShortcutAndEarlyStop:

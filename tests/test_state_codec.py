@@ -216,7 +216,7 @@ class TestFastPathRoundTrip:
             fastpath.update(make_flow(index), size)
         restored = _thaw_fastpath(_freeze_fastpath(fastpath))
         assert state_equal(fastpath, restored)
-        assert list(restored.table) == list(fastpath.table)
+        assert restored.rows() == fastpath.rows()
 
     @settings(max_examples=25, deadline=None)
     @given(updates=updates_strategy())
@@ -257,6 +257,9 @@ class TestEngineSnapshot:
         assert state_equal(engine.report, restored.report)
         assert state_equal(engine.sketch, restored.sketch)
         assert state_equal(engine.fastpath, restored.fastpath)
+        assert engine.fast_flows.any()
+        assert np.array_equal(restored.fast_flows, engine.fast_flows)
+        assert restored.fast_flows is not engine.fast_flows
         assert engine.fifo.queue  # a backlog is in flight
         assert list(restored.fifo.queue) == list(engine.fifo.queue)
         assert restored.fifo.high_water == engine.fifo.high_water
@@ -365,6 +368,43 @@ class TestFrameCorruption:
         blob = codec.encode({"sketch": pre_column_flowradar()})
         with pytest.raises(CorruptSnapshotError, match="word columns"):
             codec.decode(blob)
+
+    def test_engine_state_of_the_flow_set_format_is_refused(
+        self, codec, small_trace
+    ):
+        """``host-engine/v2`` carried the report's flow sets as header
+        lists and no fast-flow mask; such a checkpoint is corrupt, so
+        restore walks back past it."""
+        engine = HostEngine(
+            sketch=CountMinSketch(width=64, depth=3, seed=3),
+            fastpath=FastPath(memory_bytes=1024),
+            buffer_packets=32,
+        )
+        engine.run(small_trace, stop_at=len(small_trace) // 2)
+        state = codec.decode(codec.snapshot_engine(engine))
+        state["format"] = "host-engine/v2"
+        del state["fast_flows"]
+        state["report"].update(normal_flows=[1 << 80], fastpath_flows=[])
+        with pytest.raises(CorruptSnapshotError):
+            codec.restore_engine(codec.encode(state), engine.cost_model)
+
+    @pytest.mark.parametrize(
+        "mask",
+        [np.zeros(8, dtype=np.uint8), np.zeros((2, 4), dtype=bool), [True]],
+        ids=["uint8", "two_dimensional", "list"],
+    )
+    def test_malformed_fast_flow_mask_is_refused(
+        self, codec, small_trace, mask
+    ):
+        engine = HostEngine(
+            sketch=CountMinSketch(width=64, depth=3, seed=3),
+            fastpath=FastPath(memory_bytes=1024),
+        )
+        engine.run(small_trace, stop_at=100)
+        state = codec.decode(codec.snapshot_engine(engine))
+        state["fast_flows"] = mask
+        with pytest.raises(CorruptSnapshotError, match="mask"):
+            codec.restore_engine(codec.encode(state), engine.cost_model)
 
     def test_not_an_engine_snapshot(self, codec):
         blob = codec.encode({"format": "something-else"})

@@ -551,7 +551,7 @@ class TestPipelineIntegration:
                 ) == fastpath.total_bytes
                 assert value(
                     "sketchvisor_fastpath_tracked_flows"
-                ) == len(fastpath.entries)
+                ) == fastpath.tracked
 
     def test_pipeline_describe(self, trace, truth):
         # ``batch=`` is still accepted (and selects nothing).

@@ -21,16 +21,20 @@ from repro.controlplane.transport import (
     ReportCollector,
     decode_report,
     decode_stream,
+    encode_frame,
     encode_report,
     encode_stream,
     peek_header,
 )
 from repro.dataplane.host import Host, LocalReport
+from repro.framework.modes import DataPlaneMode
+from repro.framework.pipeline import PipelineConfig, SketchVisorPipeline
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.deltoid import Deltoid
 from repro.sketches.flowradar import FlowRadar
 from repro.tasks.heavy_hitter import HeavyHitterTask
 from repro.traffic.generator import TraceConfig, generate_trace
+from repro.traffic.groundtruth import GroundTruth
 from repro.traffic.trace import Trace
 from tests.conftest import (
     FILLS,
@@ -38,9 +42,11 @@ from tests.conftest import (
     arrays_in,
     assert_exact_unaliased_round_trip,
     fill_sketch,
+    make_flow,
     pre_column_flowradar,
     registry_solutions,
     saturate,
+    snapshot_of,
 )
 
 DENSE, SPARSE = 0, 1
@@ -90,9 +96,7 @@ class TestRoundTrip:
         assert restored.fastpath.total_bytes == (
             report.fastpath.total_bytes
         )
-        assert restored.fastpath.entries.keys() == (
-            report.fastpath.entries.keys()
-        )
+        assert restored.fastpath.rows() == report.fastpath.rows()
 
     def test_restored_report_aggregates_identically(
         self, report, small_trace
@@ -242,6 +246,104 @@ class TestFrameValidation:
             decode_stream(encode_report(report) + b"\x01\x02")
 
 
+def _three_rows():
+    return snapshot_of(
+        [(make_flow(index), 1.5, 100.0 * index, 0.25) for index in (1, 2, 3)],
+        total_bytes=600,
+    )
+
+
+def _reordered(snapshot):
+    return dataclasses.replace(
+        snapshot, hi=snapshot.hi[::-1].copy(), lo=snapshot.lo[::-1].copy()
+    )
+
+
+def _duplicated(snapshot):
+    """The first row twice."""
+    columns = {name: getattr(snapshot, name) for name in snapshot.COLUMNS}
+    return dataclasses.replace(
+        snapshot,
+        **{name: np.append(c[:1], c) for name, c in columns.items()},
+    )
+
+
+def _with(name, index, value):
+    def bad(snapshot):
+        column = getattr(snapshot, name).copy()
+        column[index] = value
+        return dataclasses.replace(snapshot, **{name: column})
+
+    return bad
+
+
+#: Snapshots no fast path or fold builds, each refused at decode.
+MALFORMED = {
+    "unequal_lengths": lambda s: dataclasses.replace(s, e=s.e[:-1].copy()),
+    "hi_not_uint64": lambda s: dataclasses.replace(s, hi=s.hi.view(np.int64)),
+    "r_not_float64": lambda s: dataclasses.replace(s, r=s.r.astype("f4")),
+    "lo_big_endian": lambda s: dataclasses.replace(s, lo=s.lo.astype(">u8")),
+    "two_dimensional": lambda s: dataclasses.replace(s, d=s.d.reshape(1, -1)),
+    "hi_above_40_bits": _with("hi", -1, 1 << 40),
+    "rows_out_of_order": _reordered,
+    "rows_repeated": _duplicated,
+    "e_infinite": _with("e", 0, np.inf),
+    "r_nan": _with("r", 1, np.nan),
+    "d_negative": _with("d", 2, -0.5),
+}
+
+
+class TestMalformedSnapshot:
+    """A snapshot's columns are checked where a frame is decoded: two
+    rows of one header, or a ``hi`` word past 40 bits (read back as
+    another header), would otherwise split or alias a flow."""
+
+    def _frame(self, report, snapshot):
+        bad = LocalReport(
+            report.host_id, report.sketch, snapshot, report.switch
+        )
+        return encode_frame(
+            struct.Struct(">4sBIIII"),
+            b"SKVR",
+            3,
+            report.host_id,
+            0,
+            obj=bad,
+        )
+
+    def test_well_formed_snapshot_decodes(self, report):
+        snapshot = _three_rows()
+        restored = decode_report(self._frame(report, snapshot))
+        assert restored.fastpath.rows() == snapshot.rows()
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_refused(self, report, kind):
+        snapshot = MALFORMED[kind](_three_rows())
+        with pytest.raises(CorruptFrameError):
+            decode_report(self._frame(report, snapshot))
+
+
+class TestNoFlowKeyOnTheWire:
+    def test_overloaded_epoch_frames_name_no_flow_key(self):
+        """A report is arrays and scalars: over a 4-host FlowRadar
+        epoch sent as fast as possible, where every host diverts
+        flows to its fast path, no frame pickles a ``FlowKey``."""
+        trace = generate_trace(TraceConfig(num_flows=10_000, seed=7))
+        truth = GroundTruth.from_trace(trace)
+        pipeline = SketchVisorPipeline(
+            HeavyHitterTask("flowradar", threshold=0.005 * truth.total_bytes),
+            DataPlaneMode.SKETCHVISOR,
+            config=PipelineConfig(num_hosts=4),
+        )
+        result = pipeline.run_epoch(trace, truth)
+        assert len(result.reports) == 4
+        for report in result.reports:
+            assert report.sketch is not None
+            assert report.fastpath.tracked
+            assert report.switch.fastpath_flow_count
+            assert b"FlowKey" not in encode_report(report, epoch=1)
+
+
 class TestFrameV2:
     """What the CRC-checked header has promised since v2 (the class
     keeps that name); v1 and v2 themselves are unsupported versions."""
@@ -318,10 +420,7 @@ class TestCorruptionProperty:
             assert np.array_equal(
                 restored.sketch.to_matrix(), report.sketch.to_matrix()
             )
-            assert (
-                restored.fastpath.entries.keys()
-                == report.fastpath.entries.keys()
-            )
+            assert restored.fastpath.rows() == report.fastpath.rows()
 
     def test_random_truncations_rejected(self, report):
         frame = encode_report(report, epoch=1)
