@@ -18,13 +18,17 @@ report's packet/byte counts are derived from the chunk's index arrays
 path are marked in a mask over the trace's flow ordinals;
 :meth:`HostEngine.finish` counts the report's flows from it and the
 flow column.  The fast path is order-dependent (kick-outs), so it
-stays inline: a hit is a dict probe and an add on :class:`FastPath`'s
-columns, a miss calls :meth:`FastPath.miss`.  For the length of
-:meth:`HostEngine.run` the fast path is keyed on the trace's flow
-ordinals (:meth:`FastPath.bind`), so the loop probes with the ``flow``
-column's values and no :class:`FlowKey` is hashed per packet; the keys
-are translated through ``trace.table`` at the edges, once each way per
-``run``, and hooks and snapshots read flows through the bound table.
+stays inline, one protocol for every kind of top-k table (Algorithm 1,
+Misra-Gries, Space-Saving), profiled or not: a hit is a dict probe and
+an add on the :class:`~repro.fastpath.topk.TopKTable`'s columns, a miss
+calls the table's ``miss`` rule, and the hits are credited once per
+chunk.  For the length of :meth:`HostEngine.run` the table is keyed on
+the trace's flow ordinals (:meth:`~repro.fastpath.topk.TopKTable.bind`),
+so the loop probes with the ``flow`` column's values and no
+:class:`FlowKey` is hashed per packet; the keys are translated through
+``trace.table`` at the edges, once each way per ``run``, and hooks and
+snapshots read flows through the bound table.  A profiler adds two
+clock reads around the per-packet stretch and nothing inside it.
 
 The engine's *entire* execution state — sketch, fast path, FIFO
 backlog, producer/consumer clocks, partially filled report, fast-flow
@@ -54,8 +58,7 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.dataplane.buffer import BoundedFIFO
 from repro.dataplane.cost_model import CostModel
-from repro.fastpath.misra_gries import MisraGriesTopK
-from repro.fastpath.topk import FastPath, UpdateKind
+from repro.fastpath.topk import TopKTable, UpdateKind
 from repro.traffic.trace import used_flows
 
 #: Whole-array passes :func:`max_plus_scan` makes before it chains
@@ -64,10 +67,6 @@ SCAN_PASSES = 16
 #: Elements a run's first accumulate span reaches past its open block;
 #: each further span doubles.
 _CHAIN_SPAN = 64
-
-#: ``probe`` for fast paths driven through ``update(flow, size)``: an
-#: empty index, so every packet is a "miss" handed to ``update``.
-_NO_SLOTS = {}.get
 
 
 @dataclass
@@ -168,8 +167,9 @@ class HostEngine:
     sketch:
         The normal-path sketch (mutated in place, chunk by chunk).
     fastpath:
-        :class:`FastPath` / :class:`MisraGriesTopK`, or ``None`` for the
-        NoFastPath (blocking) arm.
+        A :class:`~repro.fastpath.topk.TopKTable` (:class:`FastPath`,
+        Misra-Gries or Space-Saving), or ``None`` for the NoFastPath
+        (blocking) arm.
     cost_model:
         Cycle accounting; also needed to finalize throughput.
     buffer_packets:
@@ -183,19 +183,20 @@ class HostEngine:
         engines refill it through :meth:`BoundedFIFO.restore`.
     profiler:
         Optional :class:`~repro.telemetry.profiling.Profiler`.  When
-        set, each ``run`` call attributes its wall time to the
-        ``switch.sketch_update`` / ``fastpath.topk`` /
-        ``switch.dispatch`` stages (credited once per call — never a
-        span per packet), and fast-path packets go through
-        ``fastpath.update`` under a per-packet clock instead of the
-        inlined probe.  Profiling only observes; results are
-        bit-identical either way.
+        set, each ``run`` call attributes its wall time to stages,
+        never a span per packet: ``switch.sketch_update`` (the
+        normal-path ``update_trace`` calls), ``fastpath.topk`` (the
+        routing loop's per-packet stretch, which handles every
+        fast-path packet; credited per chunk with the chunk's
+        fast-path packets) and ``switch.dispatch`` (the rest).  The
+        loop is the unprofiled one with two clock reads around it, so
+        results are bit-identical either way.
     """
 
     def __init__(
         self,
         sketch,
-        fastpath: FastPath | MisraGriesTopK | None = None,
+        fastpath: TopKTable | None = None,
         cost_model: CostModel | None = None,
         buffer_packets: int = 1024,
         ideal: bool = False,
@@ -273,33 +274,22 @@ class HostEngine:
         report = self.report
         fast_flows = self.fast_flows
 
-        # Fast-path protocol: FastPath's columns are probed inline by
-        # flow ordinal (the table is bound for this call) and the hits
-        # credited per chunk; Misra-Gries — and any fast path under a
-        # profiler, which wants a clock around each update — takes
-        # every packet through ``update`` with its FlowKey.
+        # Fast-path protocol: the table's columns are probed inline by
+        # flow ordinal (the table is bound for this call), a miss goes
+        # to its ``miss`` rule, and the hits are credited per chunk.
+        # Only fast-path packets have their size and flow read inside
+        # the loop.
         fastpath = self.fastpath
         profiler = self.profiler
         clock = time.perf_counter_ns if profiler is not None else None
-        inline = clock is None and isinstance(fastpath, FastPath)
-        topk = [0, 0]  # profiled fast-path [ns, packets]
-        probe = residuals = miss = None
-        # Only fast-path packets have their size and flow read inside
-        # the loop.
-        size_list = flow_list = None
+        probe = residuals = miss = size_list = flow_list = None
         if fastpath is not None:
             size_list, flow_list = sizes.tolist(), flow.tolist()
-        if inline:
             probe, residuals = fastpath.bind(table), fastpath.r
             miss = fastpath.miss
-        elif fastpath is not None:
-            probe, miss = _NO_SLOTS, fastpath.update
-            flow_list = list(map(table.__getitem__, flow_list))
-            if clock is not None:
-                miss = _clocked(miss, clock, topk)
         began = clock() if clock is not None else 0
         first = self.offset
-        sketch_ns = 0
+        staged_ns = 0  # profiled: credited to the two stages below
 
         try:
             while self.offset < end:
@@ -313,11 +303,11 @@ class HostEngine:
                     self._pace(_due(arrivals, lo, hi))
                     normal = np.arange(lo, hi, dtype=np.intp)
                     fast = normal[:0]
-                    misses = 0
+                    misses = loop_ns = 0
                 else:
-                    normal, fast, misses = self._route(
+                    normal, fast, misses, loop_ns = self._route(
                         lo, hi, arrivals, flow_list, size_list,
-                        probe, residuals, miss,
+                        probe, residuals, miss, clock,
                     )
 
                 normal_bytes = fast_bytes = 0
@@ -326,7 +316,11 @@ class HostEngine:
                     t0 = clock() if clock is not None else 0
                     self.sketch.update_trace(trace, None if whole else normal)
                     if clock is not None:
-                        sketch_ns += clock() - t0
+                        spent = clock() - t0
+                        profiler.add(
+                            "switch.sketch_update", spent, normal.size
+                        )
+                        staged_ns += spent
                     normal_bytes = int(
                         (sizes if whole else sizes[normal]).sum()
                     )
@@ -334,10 +328,12 @@ class HostEngine:
                     report.normal_bytes += normal_bytes
                 if fast.size:
                     fast_bytes = int(sizes[fast].sum())
-                    if inline:
-                        fastpath.account(
-                            fast.size, fast.size - misses, fast_bytes
-                        )
+                    fastpath.account(
+                        fast.size, fast.size - misses, fast_bytes
+                    )
+                    if clock is not None:
+                        profiler.add("fastpath.topk", loop_ns, fast.size)
+                        staged_ns += loop_ns
                     report.fastpath_packets += fast.size
                     report.fastpath_bytes += fast_bytes
                     fast_flows[flow[fast]] = True
@@ -348,23 +344,14 @@ class HostEngine:
                 if checkpoint_every and hi % checkpoint_every == 0 and hi < n:
                     on_checkpoint(self)
         finally:
-            if inline:
+            if fastpath is not None:
                 fastpath.unbind()
 
         if profiler is not None:
             total_ns = clock() - began
             packets = self.offset - first
-            normal_packets = packets - topk[1]
-            if normal_packets:
-                profiler.add(
-                    "switch.sketch_update", sketch_ns, normal_packets
-                )
-            if topk[1]:
-                profiler.add("fastpath.topk", topk[0], topk[1])
             profiler.add(
-                "switch.dispatch",
-                max(total_ns - sketch_ns - topk[0], 0),
-                packets,
+                "switch.dispatch", max(total_ns - staged_ns, 0), packets
             )
         return self
 
@@ -420,13 +407,18 @@ class HostEngine:
             )
         return lo + stop
 
-    def _route(self, lo, hi, arrivals, flows, sizes, probe, residuals, miss):
+    def _route(
+        self, lo, hi, arrivals, flows, sizes, probe, residuals, miss, clock
+    ):
         """Cycle accounting for packets ``lo..hi``: who goes where.
 
-        Returns ``(normal, fast, misses)`` — index arrays of the packets
-        enqueued for the normal path and of those diverted to the fast
-        path, and how many of the latter ``probe`` did not find (those
-        went to ``miss``; the rest were added to ``residuals``).  The
+        Returns ``(normal, fast, misses, loop_ns)`` — index arrays of
+        the packets enqueued for the normal path and of those diverted
+        to the fast path, how many of the latter ``probe`` did not find
+        (those went to ``miss``; the rest were added to ``residuals``),
+        and the nanoseconds ``clock`` (if not ``None``) read across the
+        per-packet stretch, which is where every fast-path packet is
+        handled.  The
         recurrences are the paper's dispatch rule (§3.1) in sequential
         floating point: :meth:`_scan` up to the first full backlog, then
         one packet at a time, where ``x if x > y else y`` is
@@ -438,7 +430,7 @@ class HostEngine:
         lo = self._scan(lo, hi, arrivals)
         scanned = np.arange(begin, lo, dtype=np.intp)
         if lo == hi:
-            return scanned, scanned[:0], 0
+            return scanned, scanned[:0], 0, 0
         due = (
             repeat(0.0, hi - lo)
             if arrivals is None
@@ -465,7 +457,8 @@ class HostEngine:
         hit_cycles = cycles.get(UpdateKind.HIT, 0.0)
         insert_cycles = cycles.get(UpdateKind.INSERT, 0.0)
         kickout_cycles = cycles.get(UpdateKind.KICKOUT, 0.0)
-        hit, kickout = UpdateKind.HIT, UpdateKind.KICKOUT
+        kickout = UpdateKind.KICKOUT
+        began = clock() if clock is not None else 0
 
         for index, arrival in zip(range(lo, hi), due):
             now = producer if producer > arrival else arrival
@@ -516,11 +509,10 @@ class HostEngine:
                     # Python code.
                     kind = miss(flow, sizes[index])
                     producer += (
-                        kickout_cycles
-                        if kind is kickout
-                        else hit_cycles if kind is hit else insert_cycles
+                        kickout_cycles if kind is kickout else insert_cycles
                     )
 
+        loop_ns = clock() - began if clock is not None else 0
         self.producer = producer
         self.consumer = consumer
         fifo.high_water = high_water
@@ -532,6 +524,7 @@ class HostEngine:
             np.concatenate((scanned, routed)),
             np.flatnonzero(fast) + lo,
             misses,
+            loop_ns,
         )
 
     # ------------------------------------------------------------------
@@ -661,16 +654,3 @@ def _chain(y, x, step, j, span):
 def _due(arrivals, lo, hi):
     """Arrival cycles of packets ``lo..hi`` (zeros for back-to-back)."""
     return np.zeros(hi - lo) if arrivals is None else arrivals[lo:hi]
-
-
-def _clocked(update, clock, spent):
-    """``update`` under a per-packet clock; ``spent`` is ``[ns, calls]``."""
-
-    def clocked(flow, size):
-        start = clock()
-        kind = update(flow, size)
-        spent[0] += clock() - start
-        spent[1] += 1
-        return kind
-
-    return clocked

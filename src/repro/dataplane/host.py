@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.dataplane.cost_model import CostModel
 from repro.dataplane.switch import SoftwareSwitch, SwitchReport
 from repro.fastpath.misra_gries import MisraGriesTopK
-from repro.fastpath.topk import FastPath, FastPathSnapshot
+from repro.fastpath.topk import FastPath, FastPathSnapshot, TopKTable
 from repro.sketches.base import Sketch
 from repro.traffic.trace import Trace
 
@@ -45,11 +45,12 @@ class LocalReport:
         cls,
         host_id: int,
         sketch: Sketch,
-        fastpath: FastPath | MisraGriesTopK | None,
+        fastpath: TopKTable | None,
         switch: SwitchReport,
     ) -> "LocalReport":
         """The report of a finished epoch: only a :class:`FastPath`
-        reports a snapshot (Misra-Gries and no fast path send none)."""
+        reports a snapshot (Misra-Gries, Space-Saving and no fast path
+        send none)."""
         return cls(
             host_id=host_id,
             sketch=sketch,

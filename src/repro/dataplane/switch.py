@@ -30,7 +30,7 @@ from repro.dataplane.buffer import BoundedFIFO
 from repro.dataplane.cost_model import CostModel
 from repro.dataplane.engine import HostEngine, SwitchReport
 from repro.fastpath.misra_gries import MisraGriesTopK
-from repro.fastpath.topk import FastPath
+from repro.fastpath.topk import TopKTable
 from repro.sketches.base import Sketch
 
 __all__ = ["SoftwareSwitch", "SwitchReport"]
@@ -44,8 +44,9 @@ class SoftwareSwitch:
     sketch:
         The normal-path sketch-based solution (operator's choice, §3.1).
     fastpath:
-        A :class:`FastPath` / :class:`MisraGriesTopK`, or None for
-        NoFastPath (blocking) behaviour.
+        A :class:`~repro.fastpath.topk.TopKTable` (FastPath,
+        Misra-Gries or Space-Saving), or None for NoFastPath
+        (blocking) behaviour.
     cost_model:
         Cycle accounting (in-memory or testbed profile).
     buffer_packets:
@@ -57,7 +58,7 @@ class SoftwareSwitch:
     def __init__(
         self,
         sketch: Sketch,
-        fastpath: FastPath | MisraGriesTopK | None = None,
+        fastpath: TopKTable | None = None,
         cost_model: CostModel | None = None,
         buffer_packets: int = 1024,
         ideal: bool = False,

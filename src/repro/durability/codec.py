@@ -39,7 +39,8 @@ from repro.common.errors import CorruptSnapshotError, ReproError
 from repro.common.flow import FlowKey
 from repro.controlplane.transport import decode_payload, encode_frame
 from repro.dataplane.engine import HostEngine, SwitchReport
-from repro.fastpath.misra_gries import MGEntry, MisraGriesTopK
+from repro.fastpath.misra_gries import MisraGriesTopK
+from repro.fastpath.space_saving import SpaceSavingTopK
 from repro.fastpath.topk import FastPath
 
 _MAGIC = b"SKVS"
@@ -47,7 +48,7 @@ _VERSION = 2
 _HEADER = struct.Struct(">4sBII")
 
 #: ``state["format"]`` tag of an engine snapshot payload.
-_ENGINE_FORMAT = "host-engine/v3"
+_ENGINE_FORMAT = "host-engine/v4"
 
 
 class StateCodec:
@@ -168,9 +169,9 @@ class StateCodec:
                 [float(cycle) for cycle in fifo_state["queue"]],
                 fifo_state["high_water"],
             )
-        except ReproError:
+        except CorruptSnapshotError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (ReproError, KeyError, TypeError, ValueError) as exc:
             raise CorruptSnapshotError(
                 f"malformed host-engine state: {exc}"
             ) from exc
@@ -182,7 +183,7 @@ class StateCodec:
 # ----------------------------------------------------------------------
 
 
-#: The scalar state of each fast-path kind, beside its table.
+#: The scalar state every fast-path kind shares, beside its rows.
 _SCALARS = (
     "total_bytes",
     "total_decremented",
@@ -193,42 +194,44 @@ _SCALARS = (
     "num_evicted",
 )
 
+#: Each fast-path kind: its class, its constructor arguments after
+#: ``memory_bytes``, and the scalars only it keeps.
+_KINDS = {
+    "sketchvisor": (FastPath, ("delta",), ("num_rejected",)),
+    "misra_gries": (MisraGriesTopK, (), ()),
+    "space_saving": (SpaceSavingTopK, (), ()),
+}
+
 
 def _freeze_fastpath(fastpath):
-    """Flatten a live fast path into a structural dict (or ``None``).
+    """Flatten a live fast path into a structural dict (or ``None``):
+    its kind, its scalars, and its rows as ``(key104, e, r, d)``.
 
-    Entries are emitted in table-insertion order: Misra-Gries evicts
-    the *first* entry at the minimum and a fast path's rows read in
-    insertion order, so order must survive the round-trip for the
+    Rows are emitted in insertion order: Misra-Gries and Space-Saving
+    evict the *first* entry at the minimum and a fast path's rows read
+    in insertion order, so order must survive the round-trip for the
     resumed run to stay bit-identical.
     """
     if fastpath is None:
         return None
-    state = {name: getattr(fastpath, name) for name in _SCALARS}
-    state["memory_bytes"] = fastpath.memory_bytes
-    if isinstance(fastpath, FastPath):
-        return {
-            **state,
-            "kind": "sketchvisor",
-            "delta": fastpath.delta,
-            "num_rejected": fastpath.num_rejected,
-            "entries": [
-                (flow.key104, e, r, d)
-                for flow, e, r, d in fastpath.rows()
-            ],
-        }
-    if isinstance(fastpath, MisraGriesTopK):
-        return {
-            **state,
-            "kind": "misra_gries",
-            "entries": [
-                (flow.key104, entry.r)
-                for flow, entry in fastpath.table.items()
-            ],
-        }
-    raise CorruptSnapshotError(
-        f"cannot snapshot fast path of type {type(fastpath).__name__}"
-    )
+    for kind, (cls, params, extra) in _KINDS.items():
+        if isinstance(fastpath, cls):
+            break
+    else:
+        raise CorruptSnapshotError(
+            f"cannot snapshot fast path of type {type(fastpath).__name__}"
+        )
+    return {
+        "kind": kind,
+        "memory_bytes": fastpath.memory_bytes,
+        **{
+            name: getattr(fastpath, name)
+            for name in params + _SCALARS + extra
+        },
+        "entries": [
+            (flow.key104, e, r, d) for flow, e, r, d in fastpath.rows()
+        ],
+    }
 
 
 def _thaw_fastpath(state):
@@ -236,23 +239,18 @@ def _thaw_fastpath(state):
     if state is None:
         return None
     kind = state.get("kind")
-    if kind == "sketchvisor":
-        fastpath = FastPath(
-            memory_bytes=state["memory_bytes"], delta=state["delta"]
-        )
-        fastpath.load_rows(
-            (FlowKey.from_key104(key), e, r, d)
-            for key, e, r, d in state["entries"]
-        )
-        fastpath.num_rejected = state["num_rejected"]
-    elif kind == "misra_gries":
-        fastpath = MisraGriesTopK(memory_bytes=state["memory_bytes"])
-        for key, r in state["entries"]:
-            fastpath.table[FlowKey.from_key104(key)] = MGEntry(r=r)
-    else:
+    if kind not in _KINDS:
         raise CorruptSnapshotError(
             f"unknown fast-path kind {kind!r} in snapshot"
         )
-    for name in _SCALARS:
+    cls, params, extra = _KINDS[kind]
+    fastpath = cls(
+        state["memory_bytes"], *(state[name] for name in params)
+    )
+    fastpath.load_rows(
+        (FlowKey.from_key104(key), e, r, d)
+        for key, e, r, d in state["entries"]
+    )
+    for name in _SCALARS + extra:
         setattr(fastpath, name, state[name])
     return fastpath

@@ -10,26 +10,20 @@ Error characteristics: every flow shares the worst-case bound
 ``V / (k+1)``; per-flow bounds are ``r <= v <= r + D`` with ``D`` the
 global decrement sum, which is much looser than the three-counter
 per-flow bounds of Algorithm 1 (Figure 16b).
+
+The table is :class:`~repro.fastpath.topk.TopKTable`'s columns; only
+``r`` is used (``e`` and ``d`` stay 0), and ``D`` is the table's
+``total_decremented``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.common.errors import ConfigError
 from repro.common.flow import FlowKey
-from repro.fastpath.topk import ENTRY_BYTES, UpdateKind
+from repro.fastpath.topk import TopKTable, UpdateKind
 
 
-@dataclass
-class MGEntry:
-    """Misra-Gries keeps one counter per flow."""
-
-    r: float
-
-
-class MisraGriesTopK:
-    """Weighted Misra-Gries tracker with the FastPath interface.
+class MisraGriesTopK(TopKTable):
+    """Weighted Misra-Gries tracker over the shared top-k columns.
 
     Parameters
     ----------
@@ -39,33 +33,9 @@ class MisraGriesTopK:
         Algorithm 1 are charged to it, not to Misra-Gries).
     """
 
-    def __init__(self, memory_bytes: int = 8192):
-        capacity = memory_bytes // ENTRY_BYTES
-        if capacity < 1:
-            raise ConfigError("memory too small for a single entry")
-        self.capacity = capacity
-        self.memory_bytes = memory_bytes
-        self.table: dict[FlowKey, MGEntry] = {}
-        self.total_bytes = 0.0  # V
-        self.total_decremented = 0.0  # D: shared error bound
-        self.num_updates = 0
-        self.num_hits = 0
-        self.num_inserts = 0
-        self.num_kickouts = 0
-        self.num_evicted = 0
-
-    def update(self, flow: FlowKey, value: int) -> UpdateKind:
-        self.num_updates += 1
-        self.total_bytes += value
-
-        entry = self.table.get(flow)
-        if entry is not None:
-            entry.r += value
-            self.num_hits += 1
-            return UpdateKind.HIT
-
-        if len(self.table) < self.capacity:
-            self.table[flow] = MGEntry(r=float(value))
+    def miss(self, flow: FlowKey, value: int) -> UpdateKind:
+        if self.free:
+            self._append(flow, 0.0, float(value), 0.0)
             self.num_inserts += 1
             return UpdateKind.INSERT
 
@@ -73,22 +43,20 @@ class MisraGriesTopK:
         # exactly ONE flow — the textbook Misra-Gries step the paper
         # contrasts with: "it performs O(k) operations to update k
         # counters ... for kicking out each flow" (§4.1).  Flows tied at
-        # the minimum leave one at a time over subsequent passes, which
-        # is precisely the per-flow O(k) cost SketchVisor amortizes.
+        # the minimum leave one at a time over subsequent passes, in
+        # insertion order, which is precisely the per-flow O(k) cost
+        # SketchVisor amortizes.
         self.num_kickouts += 1
-        minimum = min(entry.r for entry in self.table.values())
-        decrement = min(minimum, float(value))
-        evicted_key: FlowKey | None = None
-        for key, entry in self.table.items():
-            entry.r -= decrement
-            if evicted_key is None and entry.r <= 0:
-                evicted_key = key
-        if evicted_key is not None:
-            del self.table[evicted_key]
-            self.num_evicted += 1
-        remaining = float(value) - decrement
-        if remaining > 0 and len(self.table) < self.capacity:
-            self.table[flow] = MGEntry(r=remaining)
+        r = self.r
+        decrement = min(float(r.min()), float(value))
+        r -= decrement
+        order = self._ordered()
+        dead = order[r[order] <= 0.0]
+        if dead.size:
+            self._release([int(dead[0])])
+            remaining = float(value) - decrement
+            if remaining > 0:
+                self._append(flow, 0.0, remaining, 0.0)
         self.total_decremented += decrement
         return UpdateKind.KICKOUT
 
@@ -96,18 +64,7 @@ class MisraGriesTopK:
     def bounds(self) -> dict[FlowKey, tuple[float, float]]:
         """Per-flow bounds: ``r <= v <= r + D`` (shared upper slack)."""
         slack = self.total_decremented
-        return {
-            flow: (entry.r, entry.r + slack)
-            for flow, entry in self.table.items()
-        }
+        return {flow: (r, r + slack) for flow, _e, r, _d in self.rows()}
 
     def estimates(self) -> dict[FlowKey, float]:
-        return {flow: entry.r for flow, entry in self.table.items()}
-
-    def reset(self) -> None:
-        self.table.clear()
-        self.total_bytes = 0.0
-        self.total_decremented = 0.0
-
-    def error_bound(self) -> float:
-        return self.total_bytes / (self.capacity + 1)
+        return {flow: r for flow, _e, r, _d in self.rows()}

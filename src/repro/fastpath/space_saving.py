@@ -4,31 +4,20 @@ Not part of the paper, but the third classic counter-based top-k next
 to Misra-Gries [33] and lossy counting [15]; implemented to ablate the
 paper's fast-path choice.  On a miss with a full table, Space-Saving
 *replaces* the minimum entry, crediting the newcomer with the evictee's
-counter — O(1) amortized with a min-heap (here: a lazy min index), but
-with a per-flow overestimation error equal to the inherited counter.
+counter — one O(k) scan for the minimum per takeover, and a per-flow
+overestimation error equal to the inherited counter.
 
-Interface-compatible with :class:`~repro.fastpath.topk.FastPath` so
-the switch and the ablation benchmarks can swap it in.
+The table is :class:`~repro.fastpath.topk.TopKTable`'s columns: ``r``
+is the estimated count and ``e`` the inherited error (``d`` stays 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.common.errors import ConfigError
 from repro.common.flow import FlowKey
-from repro.fastpath.topk import ENTRY_BYTES, UpdateKind
+from repro.fastpath.topk import TopKTable, UpdateKind
 
 
-@dataclass
-class SSEntry:
-    """Space-Saving counters: estimate and inherited error."""
-
-    count: float  # estimated byte count (overestimates)
-    error: float  # inherited counter at takeover (max overestimate)
-
-
-class SpaceSavingTopK:
+class SpaceSavingTopK(TopKTable):
     """Space-Saving tracker over flows, byte-weighted.
 
     Parameters
@@ -37,44 +26,20 @@ class SpaceSavingTopK:
         Budget; entries cost the same 40 bytes as the other trackers.
     """
 
-    def __init__(self, memory_bytes: int = 8192):
-        capacity = memory_bytes // ENTRY_BYTES
-        if capacity < 1:
-            raise ConfigError("memory too small for a single entry")
-        self.capacity = capacity
-        self.memory_bytes = memory_bytes
-        self.table: dict[FlowKey, SSEntry] = {}
-        self.total_bytes = 0.0
-        self.num_updates = 0
-        self.num_hits = 0
-        self.num_inserts = 0
-        self.num_kickouts = 0  # takeovers: each scans for the minimum
-        self.num_evicted = 0
-
-    def update(self, flow: FlowKey, value: int) -> UpdateKind:
-        self.num_updates += 1
-        self.total_bytes += value
-
-        entry = self.table.get(flow)
-        if entry is not None:
-            entry.count += value
-            self.num_hits += 1
-            return UpdateKind.HIT
-
-        if len(self.table) < self.capacity:
-            self.table[flow] = SSEntry(count=float(value), error=0.0)
+    def miss(self, flow: FlowKey, value: int) -> UpdateKind:
+        if self.free:
+            self._append(flow, 0.0, float(value), 0.0)
             self.num_inserts += 1
             return UpdateKind.INSERT
 
-        # Replace the minimum entry (the Space-Saving step).
+        # Take over the first minimum entry in insertion order (the
+        # Space-Saving step); the newcomer goes to the end of the order.
         self.num_kickouts += 1
-        victim = min(self.table, key=lambda key: self.table[key].count)
-        inherited = self.table[victim].count
-        del self.table[victim]
-        self.num_evicted += 1
-        self.table[flow] = SSEntry(
-            count=inherited + value, error=inherited
-        )
+        order = self._ordered()
+        victim = int(order[self.r[order].argmin()])
+        inherited = float(self.r[victim])
+        self._release([victim])
+        self._append(flow, inherited, inherited + value, 0.0)
         return UpdateKind.KICKOUT
 
     # ------------------------------------------------------------------
@@ -84,19 +49,10 @@ class SpaceSavingTopK:
         Space-Saving overestimates: the inherited counter may contain
         other flows' bytes.
         """
-        return {
-            flow: (entry.count - entry.error, entry.count)
-            for flow, entry in self.table.items()
-        }
+        return {flow: (r - e, r) for flow, e, r, _d in self.rows()}
 
     def estimates(self) -> dict[FlowKey, float]:
-        return {
-            flow: entry.count for flow, entry in self.table.items()
-        }
-
-    def reset(self) -> None:
-        self.table.clear()
-        self.total_bytes = 0.0
+        return {flow: r for flow, _e, r, _d in self.rows()}
 
     def error_bound(self) -> float:
         """Classic Space-Saving guarantee: error <= V / k."""

@@ -20,28 +20,31 @@ Lemma 4.1 invariants (property-tested in ``tests/test_fastpath.py``):
 2. for tracked flows, ``r + d <= v_true <= r + d + e``;
 3. every flow's error is at most ``(1 - delta)^(1/theta) * V / (k+1)``.
 
-``H`` is stored as flat columns — ``keys`` plus float64 ``e``/``r``/``d``
-arrays of ``k`` slots — with a ``slots`` dict from flow to slot.  A flow
-keeps the slot it was inserted into until it is evicted; an evicted
-slot goes on the ``free`` list the next insertion pops from.  A hit is
+``H`` is a :class:`TopKTable`: flat columns — ``keys`` plus float64
+``e``/``r``/``d`` arrays of ``k`` slots — with a ``slots`` dict from
+flow to slot.  The Misra-Gries and Space-Saving baselines are the same
+table with another :meth:`~TopKTable.miss` rule, so everything below
+but the kick-out pass holds for them too.  A flow keeps the slot it
+was inserted into until it is evicted; an evicted slot goes on the
+``free`` list the next insertion pops from.  A hit is
 one dict probe and one add; a kick-out pass is one partition and two
 vector updates over ``k`` doubles plus one ``del`` per evicted flow —
 it costs what it evicts, which is the paper's amortization argument.
 Slot position is an input to none of the arithmetic, so nothing keeps
 the columns in order: ``slots`` is the insertion stamp (a dict iterates
 in insertion order and a re-admitted flow goes to its end), and
-:meth:`FastPath.rows` reads the columns through it.  Two fast paths
+:meth:`TopKTable.rows` reads the columns through it.  Two fast paths
 that saw the same stream therefore agree on ``rows()``, ``V``, ``E``
-and the counters, while one restored by :meth:`FastPath.load_rows` may
-lay the same logical table out in different slots.
+and the counters, while one restored by :meth:`TopKTable.load_rows`
+may lay the same logical table out in different slots.
 
 A :class:`FlowKey` hashes in Python code, so the data plane does not
-probe with flows: for the length of one engine run, :meth:`FastPath.bind`
-keys the index on *ordinals* into the trace's flow table (the ``flow``
-column's values), and :meth:`FastPath.unbind` turns them back into
-flows.  Each translates once, and only a non-empty table; in between,
-``rows()``, :meth:`~FastPath.snapshot` and the ``slots`` / ``keys``
-views read flows through the bound table.
+probe with flows: for the length of one engine run,
+:meth:`TopKTable.bind` keys the index on *ordinals* into the trace's
+flow table (the ``flow`` column's values), and :meth:`TopKTable.unbind`
+turns them back into flows.  Each translates once, and only a non-empty
+table; in between, ``rows()``, :meth:`~FastPath.snapshot` and the
+``slots`` / ``keys`` views read flows through the bound table.
 
 The epoch's report, :class:`FastPathSnapshot`, holds no flow objects:
 its rows are header-word and counter columns in header order.
@@ -112,32 +115,32 @@ def _power_law_thresh(
     return max(scale * a_min, a_min, 1.0)
 
 
-class FastPath:
-    """The fast path of one SketchVisor data plane (Algorithm 1).
+class TopKTable:
+    """A counter-based top-k table: the machinery every tracker shares.
+
+    Holds at most ``capacity = memory_bytes // 40`` flows as flat
+    columns: ``keys`` plus float64 ``e``/``r``/``d`` arrays, indexed by
+    ``slots``.  A hit adds the packet's bytes to ``r``; what a *miss*
+    does — insert, or make room when the table is full — is the one
+    thing the trackers differ in (§4.1), so each subclass defines
+    :meth:`miss` and reads its own bounds off the columns.
 
     Parameters
     ----------
     memory_bytes:
-        Fast-path memory budget; capacity is ``memory_bytes // 40``
-        flows (paper default: 8 KB ≈ 204 flows).
-    delta:
-        Eviction-probability parameter of ``ComputeThresh``.
+        Memory budget; every tracker is charged the same 40-byte
+        entries, so equal budgets give equal capacities.
     """
 
-    def __init__(
-        self, memory_bytes: int = 8192, delta: float = _DEFAULT_DELTA
-    ):
+    def __init__(self, memory_bytes: int = 8192):
         capacity = memory_bytes // ENTRY_BYTES
         if capacity < 1:
             raise ConfigError(
                 f"memory_bytes={memory_bytes} holds no entries "
                 f"(need >= {ENTRY_BYTES})"
             )
-        if not 0.0 < delta < 1.0:
-            raise ConfigError("delta must be in (0, 1)")
         self.capacity = capacity
         self.memory_bytes = memory_bytes
-        self.delta = delta
         #: Slot ``i`` of the counter columns belongs to ``_keys[i]``
         #: (``None`` when free) and ``_slots[_keys[i]] == i``; ``_slots``
         #: iterates in insertion order.  ``free`` holds the rest.  Both
@@ -154,14 +157,13 @@ class FastPath:
         self.r = np.zeros(capacity)
         self.d = np.zeros(capacity)
         self.total_bytes = 0.0  # V
-        self.total_decremented = 0.0  # E
+        self.total_decremented = 0.0  # E (Misra-Gries: D)
         # Operation statistics (Figures 15 and 16a).
         self.num_updates = 0
         self.num_hits = 0
         self.num_inserts = 0
         self.num_kickouts = 0
         self.num_evicted = 0
-        self.num_rejected = 0  # kick-out passes that admitted nobody
 
     @property
     def slots(self) -> dict[FlowKey, int]:
@@ -233,44 +235,15 @@ class FastPath:
         return self.miss(flow, value)
 
     def miss(self, flow: FlowKey, value: int) -> UpdateKind:
-        """Lines 7-19 for a flow that is *not* tracked: insert it, or
-        run the amortized kick-out pass when the table is full.
+        """Record a packet of a flow that is *not* tracked: insert it,
+        or apply the tracker's kick-out rule when the table is full.
 
         The half of :meth:`update` a caller that probes ``slots``
         itself still needs (with an ordinal while :meth:`bind` holds);
         such a caller owes :meth:`account` for the packets it did not
         send through :meth:`update`.
         """
-        if self.free:
-            self._append(flow, self.total_decremented, float(value), 0.0)
-            self.num_inserts += 1
-            return UpdateKind.INSERT
-
-        self.num_kickouts += 1
-        r = self.r
-        threshold = self._threshold(float(value))
-        r -= threshold
-        self.d += threshold
-        dead = (r <= 0.0).nonzero()[0].tolist()
-        if dead:
-            keys, slots = self._keys, self._slots
-            for slot in dead:
-                del slots[keys[slot]]
-                keys[slot] = None
-            self.free.extend(dead)
-            self.num_evicted += len(dead)
-        if value > threshold and dead:
-            self._append(
-                flow,
-                self.total_decremented,
-                float(value) - threshold,
-                threshold,
-            )
-            self.num_inserts += 1
-        else:
-            self.num_rejected += 1
-        self.total_decremented += threshold
-        return UpdateKind.KICKOUT
+        raise NotImplementedError
 
     def account(self, updates: int, hits: int, nbytes: int) -> None:
         """Credit ``updates`` packets (``hits`` of them applied straight
@@ -290,6 +263,116 @@ class FastPath:
         self.e[slot] = e
         self.r[slot] = r
         self.d[slot] = d
+
+    def _release(self, dead: list[int]) -> None:
+        """Let go of the flows in slots ``dead``: one ``del`` each, and
+        the slots go on ``free``."""
+        keys, slots = self._keys, self._slots
+        for slot in dead:
+            del slots[keys[slot]]
+            keys[slot] = None
+        self.free.extend(dead)
+        self.num_evicted += len(dead)
+
+    def _ordered(self) -> np.ndarray:
+        """The tracked slots, in insertion order."""
+        slots = self._slots
+        return np.fromiter(slots.values(), np.intp, len(slots))
+
+    # ------------------------------------------------------------------
+    # Reporting
+    # ------------------------------------------------------------------
+    def rows(self) -> list[tuple[FlowKey, float, float, float]]:
+        """``(flow, e, r, d)`` per tracked flow, in insertion order."""
+        flows, order = self._tracked()
+        counters = (self.e[order], self.r[order], self.d[order])
+        return list(zip(flows, *(column.tolist() for column in counters)))
+
+    def _tracked(self) -> tuple[list[FlowKey], np.ndarray]:
+        """The tracked flows and their slots, in insertion order."""
+        slots, table = self._slots, self._table
+        flows = list(slots if table is None else map(table.__getitem__, slots))
+        return flows, self._ordered()
+
+    def load_rows(self, rows) -> None:
+        """Replace the table with ``rows`` (as :meth:`rows` emits them);
+        rows that do not fit, or that repeat a flow, are refused before
+        anything is replaced."""
+        rows = list(rows)
+        if len(rows) > self.capacity:
+            raise ConfigError(
+                f"{len(rows)} rows do not fit a {self.capacity}-entry table"
+            )
+        if len({flow for flow, *_ in rows}) < len(rows):
+            raise ConfigError("rows repeat a flow")
+        self._clear_table()
+        for flow, e, r, d in rows:
+            self._append(flow, e, r, d)
+
+    def _clear_table(self) -> None:
+        self._keys[:] = [None] * self.capacity
+        self._slots.clear()
+        self.free[:] = range(self.capacity - 1, -1, -1)
+
+    def reset(self) -> None:
+        """Clear all state for the next epoch."""
+        self._clear_table()
+        self.total_bytes = 0.0
+        self.total_decremented = 0.0
+
+    def error_bound(self) -> float:
+        """The worst-case error of any flow: ``~ V / (k+1)``."""
+        return self.total_bytes / (self.capacity + 1)
+
+
+class FastPath(TopKTable):
+    """The fast path of one SketchVisor data plane (Algorithm 1).
+
+    Parameters
+    ----------
+    memory_bytes:
+        Fast-path memory budget; capacity is ``memory_bytes // 40``
+        flows (paper default: 8 KB ≈ 204 flows).
+    delta:
+        Eviction-probability parameter of ``ComputeThresh``.
+    """
+
+    def __init__(
+        self, memory_bytes: int = 8192, delta: float = _DEFAULT_DELTA
+    ):
+        super().__init__(memory_bytes)
+        if not 0.0 < delta < 1.0:
+            raise ConfigError("delta must be in (0, 1)")
+        self.delta = delta
+        self.num_rejected = 0  # kick-out passes that admitted nobody
+
+    def miss(self, flow: FlowKey, value: int) -> UpdateKind:
+        """Lines 7-19 for a flow that is *not* tracked: insert it, or
+        run the amortized kick-out pass when the table is full."""
+        if self.free:
+            self._append(flow, self.total_decremented, float(value), 0.0)
+            self.num_inserts += 1
+            return UpdateKind.INSERT
+
+        self.num_kickouts += 1
+        r = self.r
+        threshold = self._threshold(float(value))
+        r -= threshold
+        self.d += threshold
+        dead = (r <= 0.0).nonzero()[0].tolist()
+        self._release(dead)
+        if value > threshold and dead:
+            self._append(
+                flow,
+                self.total_decremented,
+                float(value) - threshold,
+                threshold,
+            )
+            self.num_inserts += 1
+        else:
+            self.num_rejected += 1
+        self.total_decremented += threshold
+        return UpdateKind.KICKOUT
 
     def _threshold(self, value: float) -> float:
         """``compute_thresh`` over the (full) table's residuals plus
@@ -314,29 +397,6 @@ class FastPath:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def rows(self) -> list[tuple[FlowKey, float, float, float]]:
-        """``(flow, e, r, d)`` per tracked flow, in insertion order."""
-        flows, order = self._tracked()
-        counters = (self.e[order], self.r[order], self.d[order])
-        return list(zip(flows, *(column.tolist() for column in counters)))
-
-    def _tracked(self) -> tuple[list[FlowKey], list[int]]:
-        """The tracked flows and their slots, in insertion order."""
-        slots, table = self._slots, self._table
-        flows = list(slots if table is None else map(table.__getitem__, slots))
-        return flows, list(slots.values())
-
-    def load_rows(self, rows) -> None:
-        """Replace the table with ``rows`` (as :meth:`rows` emits them)."""
-        rows = list(rows)
-        if len(rows) > self.capacity:
-            raise ConfigError(
-                f"{len(rows)} rows do not fit a {self.capacity}-entry table"
-            )
-        self._clear_table()
-        for flow, e, r, d in rows:
-            self._append(flow, e, r, d)
-
     def bounds(self) -> dict[FlowKey, tuple[float, float]]:
         """Per-flow (lower, upper) byte-count bounds (Lemma 4.1):
         ``r + d <= v_true <= r + d + e``."""
@@ -368,21 +428,6 @@ class FastPath:
             kickout_count=self.num_kickouts,
             reject_count=self.num_rejected,
         )
-
-    def _clear_table(self) -> None:
-        self._keys[:] = [None] * self.capacity
-        self._slots.clear()
-        self.free[:] = range(self.capacity - 1, -1, -1)
-
-    def reset(self) -> None:
-        """Clear all state for the next epoch."""
-        self._clear_table()
-        self.total_bytes = 0.0
-        self.total_decremented = 0.0
-
-    def error_bound(self) -> float:
-        """Appendix B bound on any flow's error: ``~ V / (k+1)``."""
-        return self.total_bytes / (self.capacity + 1)
 
 
 _WORDS = partial(np.zeros, 0, dtype=np.uint64)

@@ -12,6 +12,8 @@ max-plus helper is checked against the scalar recurrence on its own.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,9 @@ from repro.common.flow import FlowKey, Packet
 from repro.dataplane.cost_model import CostModel
 from repro.dataplane.engine import SCAN_PASSES, HostEngine, max_plus_scan
 from repro.durability.codec import StateCodec
+from repro.telemetry import ProfileConfig, Telemetry
 from repro.fastpath.misra_gries import MisraGriesTopK
-from repro.fastpath.topk import ENTRY_BYTES, FastPath
+from repro.fastpath.topk import ENTRY_BYTES, FastPath, TopKTable
 from repro.sketches.countmin import CountMinSketch
 from repro.traffic.trace import Trace
 from tests.conftest import make_flow
@@ -33,13 +36,18 @@ from tests.test_state_codec import state_equal
 #: busy run does.
 BUFFER_PACKETS = (6, 64)
 
-#: arm -> (fast path factory, ideal, flow pool).  ``kickouts`` draws
-#: from 200 flows into 4 entries: nearly every fast-path packet misses,
-#: and most misses are kick-out passes.
+#: arm -> (fast path factory, ideal, flow pool).  The ``kickouts``
+#: arms draw from 200 flows into 4 entries: nearly every fast-path
+#: packet misses, and most misses are kick-out passes.
 ARMS = {
     "fastpath": (lambda: FastPath(4 * ENTRY_BYTES), False, 31),
     "kickouts": (lambda: FastPath(4 * ENTRY_BYTES), False, 200),
     "misra_gries": (lambda: MisraGriesTopK(4 * ENTRY_BYTES), False, 31),
+    "misra_gries_kickouts": (
+        lambda: MisraGriesTopK(4 * ENTRY_BYTES),
+        False,
+        200,
+    ),
     "no_fastpath": (lambda: None, False, 31),
     "ideal": (lambda: None, True, 31),
 }
@@ -118,7 +126,7 @@ def _assert_flow_keyed(fastpath, running=False):
     """No flow ordinal leaks out of a run: the fast path's index, its
     key column and its rows name flows.  Between runs (not
     ``running``) the index is the live one, not a copy."""
-    if not isinstance(fastpath, FastPath):
+    if not isinstance(fastpath, TopKTable):
         return
     if not running:
         assert fastpath.slots is fastpath.slots
@@ -268,12 +276,21 @@ def test_hooks_see_the_chunk_applied(small_trace):
     assert engine.report.fastpath_packets > 0
 
 
-def test_saturated_run_hashes_no_flow_per_packet(monkeypatch):
-    """The routing loop probes the fast path by flow ordinal.  Over one
-    run, flows are hashed only where the run translates them — the
-    bind's pass over the table and the unbind's over the fast path's
-    entries: ``len(table) + capacity`` however many packets go down
-    the fast path.  The report counts its flows from ordinals."""
+@pytest.mark.parametrize("profiled", [False, True], ids=["bare", "profiled"])
+@pytest.mark.parametrize(
+    "make_fastpath", [FastPath, MisraGriesTopK], ids=["sketchvisor", "mg"]
+)
+def test_saturated_run_hashes_no_flow_per_packet(
+    monkeypatch, make_fastpath, profiled
+):
+    """The routing loop probes the fast path by flow ordinal, whatever
+    its kick-out rule and whether a profiler watches.  Over one run,
+    flows are hashed only where the run translates them — the bind's
+    pass over the table and the unbind's over the fast path's entries:
+    ``len(table) + capacity`` however many packets go down the fast
+    path.  The report counts its flows from ordinals.  A profiler
+    credits ``fastpath.topk`` with exactly the run's fast-path
+    packets."""
     flows, capacity = 40, 16
     rng = np.random.default_rng(3)
     trace = Trace(
@@ -285,13 +302,21 @@ def test_saturated_run_hashes_no_flow_per_packet(monkeypatch):
             )
         ]
     )
+    profiler = (
+        Telemetry(profile=ProfileConfig(sample_hz=0.0)).profiler
+        if profiled
+        else None
+    )
     engine = HostEngine(
-        _sketch(), FastPath(capacity * ENTRY_BYTES), buffer_packets=8
+        _sketch(),
+        make_fastpath(capacity * ENTRY_BYTES),
+        buffer_packets=8,
+        profiler=profiler,
     )
     # A first run leaves the table full, so the measured one binds a
     # non-empty table.
     engine.run(trace, stop_at=2_000)
-    assert len(engine.fastpath.slots) == capacity
+    assert len(engine.fastpath.bounds()) == capacity
     hashed = []
     monkeypatch.setattr(
         FlowKey,
@@ -299,10 +324,14 @@ def test_saturated_run_hashes_no_flow_per_packet(monkeypatch):
         lambda flow: hashed.append(flow) or flow._hash,
     )
     fast_before = engine.report.fastpath_packets
-    engine.run(trace)
+    with profiler.stage("dataplane.host") if profiled else nullcontext():
+        engine.run(trace)
     monkeypatch.undo()
     fastpath = engine.fastpath
-    assert engine.report.fastpath_packets - fast_before > 5_000
+    fast_packets = engine.report.fastpath_packets - fast_before
+    assert fast_packets > 5_000
+    if profiler is not None:
+        assert profiler.stages["fastpath.topk"][2] == fast_packets
     assert fastpath.num_hits > 4_000 and fastpath.num_kickouts > 100
     assert len(hashed) <= len(trace.table) + capacity
     _assert_flow_keyed(fastpath)

@@ -10,11 +10,22 @@ from repro.common.errors import ConfigError
 from repro.fastpath.misra_gries import MisraGriesTopK
 from repro.fastpath.topk import ENTRY_BYTES, FastPath, UpdateKind
 from tests.conftest import make_flow
+from tests.reference_topk import MisraGriesTopK as DictMisraGries
 
 streams = st.lists(
     st.tuples(st.integers(0, 40), st.integers(1, 5000)),
     min_size=1,
     max_size=300,
+)
+
+#: Many flows into a tiny table, sizes that often tie: nearly every
+#: miss is a kick-out, and ties at the minimum leave in insertion order.
+kickout_streams = st.lists(
+    st.tuples(
+        st.integers(0, 24),
+        st.one_of(st.sampled_from([1, 40, 64, 1500]), st.integers(1, 1500)),
+    ),
+    max_size=400,
 )
 
 
@@ -27,8 +38,8 @@ class TestMisraGries:
         for index, size in stream:
             tracker.update(make_flow(index), size)
             truth[index] = truth.get(index, 0) + size
-        for flow, entry in tracker.table.items():
-            assert entry.r <= truth[flow.src_ip - 1000] + 1e-6
+        for flow, r in tracker.estimates().items():
+            assert r <= truth[flow.src_ip - 1000] + 1e-6
 
     @given(streams)
     @settings(max_examples=60, deadline=None)
@@ -56,7 +67,7 @@ class TestMisraGries:
         tracker.update(heavy, 1_000_000)
         for i in range(1, 1000):
             tracker.update(make_flow(i), 64)
-        assert heavy in tracker.table
+        assert heavy in tracker.slots
 
     def test_more_kickouts_than_sketchvisor_fastpath(self, medium_trace):
         """Figure 16(a): MG performs more O(k) passes than Algorithm 1."""
@@ -107,4 +118,33 @@ class TestMisraGries:
         tracker = MisraGriesTopK()
         tracker.update(make_flow(1), 100)
         tracker.reset()
-        assert not tracker.table and tracker.total_bytes == 0
+        assert not tracker.slots and tracker.total_bytes == 0
+
+    @given(st.integers(1, 6), kickout_streams)
+    @settings(max_examples=150, deadline=None)
+    def test_columns_equal_the_dict_of_entries(self, capacity, stream):
+        """The column tracker is the dict-of-entries one
+        (``tests/reference_topk.py``) update by update: the same kind
+        per update, the same rows in the same order, the same bounds
+        and the same counters, bit for bit."""
+        tracker = MisraGriesTopK(memory_bytes=capacity * ENTRY_BYTES)
+        oracle = DictMisraGries(memory_bytes=capacity * ENTRY_BYTES)
+        for index, size in stream:
+            flow = make_flow(index)
+            assert tracker.update(flow, size) is oracle.update(flow, size)
+        assert tracker.rows() == [
+            (flow, 0.0, entry.r, 0.0) for flow, entry in oracle.table.items()
+        ]
+        assert list(tracker.bounds().items()) == list(
+            oracle.bounds().items()
+        )
+        for name in (
+            "total_bytes",
+            "total_decremented",
+            "num_updates",
+            "num_hits",
+            "num_inserts",
+            "num_kickouts",
+            "num_evicted",
+        ):
+            assert getattr(tracker, name) == getattr(oracle, name), name

@@ -34,10 +34,16 @@ def _profiled_telemetry(sample_hz: float = 0.0) -> Telemetry:
     return Telemetry(profile=ProfileConfig(sample_hz=sample_hz))
 
 
-def _run_pipeline(trace, truth, telemetry=None, **config_kwargs):
+def _run_pipeline(
+    trace,
+    truth,
+    telemetry=None,
+    dataplane=DataPlaneMode.SKETCHVISOR,
+    **config_kwargs,
+):
     pipeline = SketchVisorPipeline(
         HeavyHitterTask("univmon", threshold=0.001),
-        dataplane=DataPlaneMode.SKETCHVISOR,
+        dataplane=dataplane,
         config=PipelineConfig(
             num_hosts=2,
             seed=3,
@@ -187,11 +193,20 @@ class TestAcceptance:
         _run_pipeline(trace, truth, telemetry=telemetry)
         assert epoch_attribution(telemetry.tracer) >= 0.90
 
-    def test_profiled_run_bit_identical(self, trace, truth):
-        bare = _run_pipeline(trace, truth, telemetry=None)
+    @pytest.mark.parametrize(
+        "dataplane",
+        [DataPlaneMode.SKETCHVISOR, DataPlaneMode.MG_FASTPATH],
+        ids=["sketchvisor", "mg_fastpath"],
+    )
+    def test_profiled_run_bit_identical(self, trace, truth, dataplane):
+        bare = _run_pipeline(trace, truth, dataplane=dataplane)
         profiled = _run_pipeline(
-            trace, truth, telemetry=_profiled_telemetry(sample_hz=97.0)
+            trace,
+            truth,
+            telemetry=_profiled_telemetry(sample_hz=97.0),
+            dataplane=dataplane,
         )
+        assert bare.fastpath_byte_fraction > 0
         assert profiled.score.recall == bare.score.recall
         assert profiled.score.precision == bare.score.precision
         assert (

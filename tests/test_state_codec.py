@@ -27,7 +27,8 @@ from repro.durability.codec import (
     _thaw_fastpath,
 )
 from repro.fastpath.misra_gries import MisraGriesTopK
-from repro.fastpath.topk import FastPath
+from repro.fastpath.space_saving import SpaceSavingTopK
+from repro.fastpath.topk import FastPath, TopKTable
 from repro.sketches import (
     MRAC,
     CountMinSketch,
@@ -80,7 +81,7 @@ def state_equal(a, b, path="") -> bool:
     """Recursive exact equality over arbitrary repro state objects."""
     if type(a) is not type(b):
         return False
-    if isinstance(a, FastPath):
+    if isinstance(a, TopKTable):
         # The logical table (rows with order as exact floats, ``V``,
         # ``E``, the counters): a restored table may sit in other slots.
         return _freeze_fastpath(a) == _freeze_fastpath(b)
@@ -226,6 +227,16 @@ class TestFastPathRoundTrip:
             fastpath.update(make_flow(index), size)
         restored = _thaw_fastpath(_freeze_fastpath(fastpath))
         assert state_equal(fastpath, restored)
+
+    @settings(max_examples=25, deadline=None)
+    @given(updates=updates_strategy())
+    def test_space_saving_fastpath(self, updates):
+        fastpath = SpaceSavingTopK(memory_bytes=256)
+        for index, size in updates:
+            fastpath.update(make_flow(index), size)
+        restored = _thaw_fastpath(_freeze_fastpath(fastpath))
+        assert state_equal(fastpath, restored)
+        assert restored.rows() == fastpath.rows()
 
     def test_none_fastpath(self):
         assert _thaw_fastpath(_freeze_fastpath(None)) is None
@@ -405,6 +416,48 @@ class TestFrameCorruption:
         state["fast_flows"] = mask
         with pytest.raises(CorruptSnapshotError, match="mask"):
             codec.restore_engine(codec.encode(state), engine.cost_model)
+
+    @pytest.mark.parametrize("kind", ["sketchvisor", "misra_gries"])
+    def test_fast_path_rows_repeating_a_flow_are_refused(
+        self, codec, small_trace, kind
+    ):
+        """A checkpoint whose fast-path rows name one flow twice would
+        restore a smaller table than it claims: restore walks back."""
+        engine = self._fast_engine(small_trace, kind)
+        state = codec.decode(codec.snapshot_engine(engine))
+        entries = state["fastpath"]["entries"]
+        assert entries
+        state["fastpath"]["entries"] = [entries[0], *entries]
+        with pytest.raises(CorruptSnapshotError):
+            codec.restore_engine(codec.encode(state), engine.cost_model)
+
+    @pytest.mark.parametrize("kind", ["sketchvisor", "misra_gries"])
+    def test_fast_path_rows_over_capacity_are_refused(
+        self, codec, small_trace, kind
+    ):
+        engine = self._fast_engine(small_trace, kind)
+        state = codec.decode(codec.snapshot_engine(engine))
+        entries = state["fastpath"]["entries"]
+        _key, *counters = entries[0]
+        state["fastpath"]["entries"] = entries + [
+            (make_flow(1000 + index).key104, *counters)
+            for index in range(engine.fastpath.capacity + 1)
+        ]
+        with pytest.raises(CorruptSnapshotError):
+            codec.restore_engine(codec.encode(state), engine.cost_model)
+
+    @staticmethod
+    def _fast_engine(trace, kind):
+        """An engine halfway through ``trace`` with a non-empty fast
+        path of ``kind``."""
+        make = {"sketchvisor": FastPath, "misra_gries": MisraGriesTopK}
+        engine = HostEngine(
+            sketch=CountMinSketch(width=64, depth=3, seed=3),
+            fastpath=make[kind](memory_bytes=1024),
+            buffer_packets=32,
+        )
+        engine.run(trace, stop_at=len(trace) // 2)
+        return engine
 
     def test_not_an_engine_snapshot(self, codec):
         blob = codec.encode({"format": "something-else"})
