@@ -8,10 +8,8 @@ run
     Run one measurement task over a trace (generated or loaded) through
     the full SketchVisor pipeline and print the score.  ``--trace``
     additionally prints the per-epoch stage-timing tree and dumps a
-    ``chrome://tracing``-loadable JSON profile.
-telemetry
-    Run one fully instrumented epoch and export its metrics (Prometheus
-    text / JSON snapshot) and trace (span tree / Chrome trace JSON).
+    ``chrome://tracing``-loadable JSON profile; ``--prom`` / ``--json``
+    export the run's metrics (Prometheus text / JSON snapshot).
 dash
     Stream a multi-epoch run as a live terminal dashboard (sparkline
     trends, accuracy gauges, SLO breaches) and optionally write a
@@ -31,8 +29,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.cluster import ClusterConfig
 from repro.common.errors import ConfigError, QuorumError
 from repro.controlplane.recovery import RecoveryMode
+from repro.durability import DEFAULT_CHECKPOINT_EVERY
 from repro.faults import FaultPlan
 from repro.framework.modes import DataPlaneMode
 from repro.framework.pipeline import (
@@ -114,17 +114,28 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _dump_telemetry(args: argparse.Namespace, telemetry: Telemetry) -> None:
-    """Telemetry tail of ``run --trace``: print + dump."""
-    print()
-    print(span_tree(telemetry.tracer.tree_rows()))
-    if getattr(args, "trace_out", None):
-        write_chrome_trace(telemetry.tracer, args.trace_out)
-        print(f"\nwrote Chrome trace to {args.trace_out} "
-              "(load in chrome://tracing or ui.perfetto.dev)")
-    if getattr(args, "prom", None):
+    """Telemetry tail of ``run``: the span tree and Chrome trace
+    (``--trace``), then the metric exports (``--prom``, ``--json``).
+
+    It runs after the last epoch, so every family the run registered
+    along the way (durability counters included: they only exist once
+    the supervisor has run) is in the registry when it is rendered.
+    """
+    if args.trace:
+        print()
+        print(span_tree(telemetry.tracer.tree_rows()))
+        if args.trace_out:
+            write_chrome_trace(telemetry.tracer, args.trace_out)
+            print(f"\nwrote Chrome trace to {args.trace_out} "
+                  "(load in chrome://tracing or ui.perfetto.dev)")
+    if args.prom:
         write_prometheus(telemetry.registry, args.prom)
         if args.prom != "-":
             print(f"wrote Prometheus metrics to {args.prom}")
+    if args.json:
+        write_json_snapshot(telemetry.registry, args.json, telemetry.tracer)
+        if args.json != "-":
+            print(f"wrote JSON snapshot to {args.json}")
 
 
 def _dump_profile(args: argparse.Namespace, telemetry: Telemetry) -> None:
@@ -148,10 +159,10 @@ def _dump_profile(args: argparse.Namespace, telemetry: Telemetry) -> None:
             f"epoch attribution : {attribution:.1%} of epoch wall "
             "time attributed to child stages"
         )
-    if getattr(args, "folded_out", None):
+    if args.folded_out:
         write_folded(profiler.folded, args.folded_out)
         print(f"wrote folded stacks to {args.folded_out}")
-    if getattr(args, "flame_out", None):
+    if args.flame_out:
         from repro.dash import write_flamegraph
 
         write_flamegraph(
@@ -189,44 +200,34 @@ def _task(args: argparse.Namespace, total_bytes: float):
     return create_task(args.task, args.solution, **kwargs)
 
 
-#: ``PipelineConfig`` fields set from flags, by flag dest.  A flag the
-#: command does not have, or leaves unset, keeps the field's default.
-_CONFIG_FLAGS = {
-    "cores": "cores",
-    "fastpath_bytes": "fastpath_bytes",
-    "checkpoint_dir": "checkpoint_dir",
-    "checkpoint_every": "checkpoint_every",
-    "slo": "slo",
-    "shadow_samples": "shadow_samples",
-    "recorder_out": "recorder_path",
-}
-
-
 def _pipeline_config(
     args: argparse.Namespace, telemetry: Telemetry | None
 ) -> PipelineConfig:
-    """The :class:`PipelineConfig` the flags describe."""
-    kwargs = {
-        field: getattr(args, dest)
-        for dest, field in _CONFIG_FLAGS.items()
-        if getattr(args, dest, None) is not None
-    }
-    num_hosts = args.hosts
-    if getattr(args, "cluster", 0):
-        from repro.cluster import ClusterConfig
-
-        num_hosts = args.cluster
-        listen_host, _, listen_port = args.listen.partition(":")
-        kwargs["cluster"] = ClusterConfig(
-            aggregators=args.aggregators,
-            listen_host=listen_host or "127.0.0.1",
-            listen_port=int(listen_port or 0),
-        )
+    """The :class:`PipelineConfig` the :func:`_pipeline_flags` describe."""
+    listen_host, _, listen_port = args.listen.partition(":")
+    cluster = ClusterConfig(
+        aggregators=args.aggregators,
+        listen_host=listen_host or "127.0.0.1",
+        listen_port=int(listen_port or 0),
+    )
+    if not args.cluster and cluster != ClusterConfig():
+        raise ConfigError("--aggregators and --listen need --cluster N")
     return PipelineConfig(
-        num_hosts=num_hosts,
+        num_hosts=args.cluster or args.hosts,
+        cores=args.cores,
+        fastpath_bytes=args.fastpath_bytes,
         telemetry=telemetry,
         faults=FaultPlan.load(args.chaos) if args.chaos else None,
-        **kwargs,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=(
+            DEFAULT_CHECKPOINT_EVERY
+            if args.checkpoint_every is None
+            else args.checkpoint_every
+        ),
+        slo=args.slo,
+        shadow_samples=args.shadow_samples,
+        recorder_path=args.recorder_out,
+        cluster=cluster if args.cluster else None,
     )
 
 
@@ -260,7 +261,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     truth = GroundTruth.from_trace(trace)
     # Accuracy observability (SLOs, shadow sampling, flight-recorder
     # dumps) rides on telemetry, so any of those flags turns it on —
-    # as does profiling (stage timers publish through the registry).
+    # as do the exports and profiling (stage timers publish through
+    # the registry).
+    wants_export = bool(args.trace or args.prom or args.json)
     wants_accuracy = bool(
         args.slo or args.shadow_samples or args.recorder_out
     )
@@ -269,7 +272,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     telemetry = (
         Telemetry()
-        if (args.trace or wants_accuracy or wants_profile)
+        if (wants_export or wants_accuracy or wants_profile)
         else None
     )
     if wants_profile:
@@ -279,7 +282,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             ProfileConfig(sample_hz=args.profile_hz)
         )
     task = _task(args, truth.total_bytes)
-    num_hosts = args.cluster or args.hosts
     pipeline = _pipeline(args, task, telemetry)
     if args.soak:
         return _run_soak(args, pipeline, trace, truth)
@@ -292,14 +294,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     score = result.score
     print(f"task            : {args.task} / {args.solution}")
     print(f"dataplane       : {args.dataplane}   recovery: {args.recovery}")
-    print(f"hosts           : {num_hosts}")
+    print(f"hosts           : {pipeline.config.num_hosts}")
     if args.cores > 1:
         print(f"cores           : {args.cores}")
     if args.cluster:
         collector = pipeline._cluster
         stats = result.collection.stats
         print(
-            f"cluster         : {num_hosts} host(s) -> "
+            f"cluster         : {pipeline.config.num_hosts} host(s) -> "
             f"{collector.last_aggregators} aggregator(s), "
             f"{stats.connection_faults} connection fault(s), "
             f"{stats.backpressure_waits} backpressure wait(s), "
@@ -369,9 +371,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{len(telemetry.recorder.events())} event(s) to "
             f"{telemetry.recorder.dumps[-1]}"
         )
-    if telemetry is not None and args.trace:
-        _dump_telemetry(args, telemetry)
     if telemetry is not None:
+        _dump_telemetry(args, telemetry)
         _dump_profile(args, telemetry)
     return 0
 
@@ -446,61 +447,18 @@ def _run_soak(
         f"{totals['unrecovered']} unrecovered, "
         f"{quorum_failures} quorum failure(s)"
     )
+    telemetry = pipeline.config.telemetry
     if args.recorder_out:
         # A clean soak trips no dump trigger; leave the fail-over
         # timeline behind anyway.
-        recorder = pipeline.config.telemetry.recorder
-        recorder.dump(args.recorder_out, reason="soak")
+        telemetry.recorder.dump(args.recorder_out, reason="soak")
         print(
-            f"flight recorder : dumped {len(recorder.events())} "
+            f"flight recorder : dumped {len(telemetry.recorder.events())} "
             f"event(s) to {args.recorder_out}"
         )
+    if telemetry is not None:
+        _dump_telemetry(args, telemetry)
     return 1 if quorum_failures else 0
-
-
-def _cmd_telemetry(args: argparse.Namespace) -> int:
-    """Run one fully instrumented epoch and export the telemetry."""
-    trace = _trace(args)
-    truth = GroundTruth.from_trace(trace)
-    telemetry = Telemetry()
-    pipeline = _pipeline(args, _task(args, truth.total_bytes), telemetry)
-    print(pipeline.describe(), file=sys.stderr)
-    _run_epoch(pipeline, trace, truth)
-
-    if args.tree:
-        print(span_tree(telemetry.tracer.tree_rows()))
-        print()
-    # Exports run only now, after the epoch: every family the run
-    # registered along the way (durability counters included — they
-    # only exist once the supervisor has run) is in the registry by
-    # the time any snapshot is rendered.
-    if args.format is not None:
-        # --format/--output mode: one export, one destination.
-        destination = args.output or "-"
-        if args.format == "prom":
-            write_prometheus(telemetry.registry, destination)
-        else:
-            write_json_snapshot(
-                telemetry.registry, destination, telemetry.tracer
-            )
-        if destination != "-":
-            print(f"wrote {args.format} metrics to {destination}")
-    else:
-        if args.prom is not None:
-            write_prometheus(telemetry.registry, args.prom)
-            if args.prom != "-":
-                print(f"wrote Prometheus metrics to {args.prom}")
-        if args.json is not None:
-            write_json_snapshot(
-                telemetry.registry, args.json, telemetry.tracer
-            )
-            if args.json != "-":
-                print(f"wrote JSON snapshot to {args.json}")
-    if args.chrome_trace is not None:
-        write_chrome_trace(telemetry.tracer, args.chrome_trace)
-        print(f"wrote Chrome trace to {args.chrome_trace} "
-              "(load in chrome://tracing or ui.perfetto.dev)")
-    return 0
 
 
 def _cmd_dash(args: argparse.Namespace) -> int:
@@ -543,7 +501,8 @@ def _cmd_dash(args: argparse.Namespace) -> int:
             telemetry.registry,
             title=f"SketchVisor dash — {args.task}/{args.solution}",
             subtitle=(
-                f"{len(rows)} epoch(s), {args.hosts} host(s), "
+                f"{len(rows)} epoch(s), "
+                f"{monitor.config.num_hosts} host(s), "
                 f"{len(breaches)} SLO breach(es)"
             ),
         )
@@ -688,7 +647,9 @@ def _cmd_bench_summary(args: argparse.Namespace) -> int:
 
 
 def _pipeline_flags() -> argparse.ArgumentParser:
-    """Parent parser: the flags every pipeline command shares.
+    """Parent parser of ``run``, ``dash`` and ``serve``: the task, the
+    traffic, and every flag that sets a :class:`PipelineConfig` field
+    (read by :func:`_pipeline_config`).
 
     Built fresh for each command: argparse shares a parent's actions
     with its children, so a command's ``set_defaults`` would otherwise
@@ -715,6 +676,7 @@ def _pipeline_flags() -> argparse.ArgumentParser:
         default=RecoveryMode.SKETCHVISOR.value,
     )
     flags.add_argument("--threshold-fraction", type=float, default=0.005)
+    flags.add_argument("--spread-threshold", type=int, default=100)
     flags.add_argument(
         "--chaos",
         metavar="PLAN.json",
@@ -722,14 +684,6 @@ def _pipeline_flags() -> argparse.ArgumentParser:
         "host->controller report path of every epoch (see "
         "docs/robustness.md)",
     )
-    return flags
-
-
-def _accuracy_flags() -> argparse.ArgumentParser:
-    """Parent parser: the flags ``run``, ``dash`` and ``serve`` share
-    (built fresh per command, like :func:`_pipeline_flags`)."""
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--spread-threshold", type=int, default=100)
     flags.add_argument(
         "--slo",
         metavar="POLICY.json",
@@ -752,6 +706,56 @@ def _accuracy_flags() -> argparse.ArgumentParser:
         "or SLO breach (serve rotates the dumps, see "
         "--recorder-max-dumps, and flushes on shutdown); implies "
         "telemetry",
+    )
+    flags.add_argument(
+        "--cores",
+        type=int,
+        default=1,
+        help="worker cores per host (§7.2 parallel mode): each core "
+        "runs its own switch over a flow-consistent share of the "
+        "host's traffic, and the host folds its cores' results into "
+        "its one report",
+    )
+    flags.add_argument("--fastpath-bytes", type=int, default=8192)
+    flags.add_argument(
+        "--checkpoint-dir",
+        metavar="DIR",
+        help="enable durable host state: snapshot every host engine "
+        "into DIR and recover crashed/hung hosts by restore + WAL "
+        "replay (see docs/robustness.md)",
+    )
+    flags.add_argument(
+        "--checkpoint-every",
+        type=int,
+        metavar="K",
+        help="snapshot interval in packets (default 16384); only "
+        "meaningful with --checkpoint-dir",
+    )
+    flags.add_argument(
+        "--cluster",
+        type=int,
+        default=0,
+        metavar="N",
+        help="simulate N hosts and ship their epoch reports over real "
+        "TCP sockets through the hierarchical aggregator tier "
+        "(overrides --hosts; composes with --chaos, whose plan then "
+        "also drives connection-level faults at the socket layer; "
+        "see docs/robustness.md)",
+    )
+    flags.add_argument(
+        "--aggregators",
+        type=int,
+        default=0,
+        metavar="A",
+        help="aggregator-tier size for --cluster (default 0 = "
+        "ceil(sqrt(N)))",
+    )
+    flags.add_argument(
+        "--listen",
+        default="127.0.0.1:0",
+        metavar="HOST[:PORT]",
+        help="bind address for the aggregator listeners of --cluster "
+        "(default 127.0.0.1:0 = ephemeral ports)",
     )
     return flags
 
@@ -803,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser(
         "run",
         help="run a measurement task over a trace",
-        parents=[_pipeline_flags(), _accuracy_flags()],
+        parents=[_pipeline_flags()],
     )
     run.add_argument(
         "--trace-file", help="trace file; omit to generate"
@@ -821,44 +825,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--prom",
-        help="with --trace, also dump Prometheus metrics "
-        "to this path ('-' for stdout)",
+        metavar="PATH",
+        help="write the run's metrics as Prometheus text to PATH "
+        "('-' for stdout); implies telemetry",
     )
     run.add_argument(
-        "--cores",
-        type=int,
-        default=1,
-        help="worker cores per host (§7.2 parallel mode): each core "
-        "runs its own switch over a flow-consistent share of the "
-        "host's traffic, and the host folds its cores' results into "
-        "its one report",
-    )
-    run.add_argument("--fastpath-bytes", type=int, default=8192)
-    run.add_argument(
-        "--cluster",
-        type=int,
-        default=0,
-        metavar="N",
-        help="simulate N hosts and ship their epoch reports over real "
-        "TCP sockets through the hierarchical aggregator tier "
-        "(overrides --hosts; composes with --chaos, whose plan then "
-        "also drives connection-level faults at the socket layer; "
-        "see docs/robustness.md)",
-    )
-    run.add_argument(
-        "--aggregators",
-        type=int,
-        default=0,
-        metavar="A",
-        help="aggregator-tier size for --cluster (default 0 = "
-        "ceil(sqrt(N)))",
-    )
-    run.add_argument(
-        "--listen",
-        default="127.0.0.1:0",
-        metavar="HOST[:PORT]",
-        help="bind address for the aggregator listeners (default "
-        "127.0.0.1:0 = ephemeral ports)",
+        "--json",
+        metavar="PATH",
+        help="write the run's metrics and spans as a JSON snapshot to "
+        "PATH ('-' for stdout); implies telemetry",
     )
     run.add_argument(
         "--soak",
@@ -871,20 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
         "exits nonzero if any epoch fails quorum; designed for "
         "sustained-chaos runs with --cluster --chaos "
         "(see docs/robustness.md)",
-    )
-    run.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help="enable durable host state: snapshot every host engine "
-        "into DIR and recover crashed/hung hosts by restore + WAL "
-        "replay (see docs/robustness.md)",
-    )
-    run.add_argument(
-        "--checkpoint-every",
-        type=int,
-        metavar="K",
-        help="snapshot interval in packets (default 16384); only "
-        "meaningful with --checkpoint-dir",
     )
     run.add_argument(
         "--profile",
@@ -915,68 +876,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.set_defaults(func=_cmd_run)
 
-    telemetry = commands.add_parser(
-        "telemetry",
-        help="run one instrumented epoch and export metrics + traces",
-        parents=[_pipeline_flags()],
-    )
-    # No --spread-threshold flag here: DDoS / superspreader detection
-    # uses the others' default fan-out threshold.
-    telemetry.set_defaults(
-        func=_cmd_telemetry,
-        solution="univmon",
-        hosts=2,
-        spread_threshold=100,
-    )
-    telemetry.add_argument(
-        "--trace-file", help="trace file; omit to generate"
-    )
-    telemetry.add_argument(
-        "--prom",
-        nargs="?",
-        const="-",
-        default="-",
-        help="Prometheus text output path (default: stdout)",
-    )
-    telemetry.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        help="JSON snapshot output path ('-' for stdout)",
-    )
-    telemetry.add_argument(
-        "--chrome-trace",
-        help="Chrome-trace JSON output path (chrome://tracing)",
-    )
-    telemetry.add_argument(
-        "--no-tree",
-        dest="tree",
-        action="store_false",
-        help="skip printing the stage-timing tree",
-    )
-    telemetry.add_argument(
-        "--format",
-        choices=["prom", "json"],
-        help="export format; with --output this supersedes "
-        "--prom/--json",
-    )
-    telemetry.add_argument(
-        "--output",
-        metavar="FILE",
-        help="export destination for --format ('-' for stdout)",
-    )
-    telemetry.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help="run the epoch under the durability supervisor so "
-        "checkpoint/restore counters appear in the export",
-    )
-
     dash = commands.add_parser(
         "dash",
         help="stream a multi-epoch run as a live dashboard "
         "(+ optional HTML report)",
-        parents=[_pipeline_flags(), _accuracy_flags()],
+        parents=[_pipeline_flags()],
     )
     dash.set_defaults(
         func=_cmd_dash, flows=2000, hosts=2, shadow_samples=128
@@ -997,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the streaming measurement daemon with the live "
         "HTTP observability plane (see docs/observability.md)",
-        parents=[_pipeline_flags(), _accuracy_flags()],
+        parents=[_pipeline_flags()],
     )
     serve.set_defaults(func=_cmd_serve, flows=2000, hosts=2)
     serve.add_argument(
@@ -1020,7 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --trace-file, restart the trace when it ends "
         "(endless soak from one capture)",
     )
-    serve.add_argument("--fastpath-bytes", type=int, default=8192)
     serve.add_argument(
         "--window-packets",
         type=int,

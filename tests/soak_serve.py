@@ -1,26 +1,34 @@
 """Soak ``repro serve``: an endless daemon under chaos must hold flat.
 
 Starts ``python -m repro serve`` with no window limit and a moderate
-fault plan (``--chaos``, :func:`repro.faults.moderate_plan`), and once
-per window — read as ``sketchvisor_serve_windows_total`` off
-``/metrics`` — samples the daemon's VmRSS, its open descriptors
-(``/proc/<pid>/fd``) and its threads (``/proc/<pid>/task``).  After
-``--seconds`` it sends SIGTERM and checks that
+fault plan (``--chaos``, :func:`repro.faults.moderate_plan`).  With
+``--cluster N`` the daemon ships its reports over an N-host socket
+tier under :func:`repro.faults.failover_plan` instead, so aggregators
+crash and hang while it runs.  Once per window (read as
+``sketchvisor_serve_windows_total`` off ``/metrics``) it samples the
+daemon's VmRSS, its open descriptors (``/proc/<pid>/fd``) and its
+threads (``/proc/<pid>/task``).  After ``--seconds`` it sends SIGTERM
+and checks that
 
 - RSS is flat after warm-up: the least-squares slope over the windows
   past the first third is at most ``MAX_KB_PER_WINDOW``;
 - descriptor and thread counts past warm-up stay within ``SLACK`` of
-  their warm-up median;
+  their warm-up median (of their warm-up peak under ``--cluster``: a
+  cluster window holds its tier's sockets and event-loop thread while
+  it runs, so a sample lands on either phase, and a socket leaked per
+  window still lifts the peak by one a window);
 - the daemon exits 0 and its last flight-recorder dump has reason
   ``shutdown``.
 
 It writes the series and the verdicts as JSON (``--out``) and exits 1
 if any check failed.  ``tests/test_serve.py`` runs a short leg, CI's
-``serve-smoke`` job a ~3-minute one, and ``docs/robustness.md`` gives
-the hour-long invocation::
+``serve-smoke`` job a ~3-minute one and a ~2-minute fail-over one
+(``--seconds 3600`` makes either an hour-long soak)::
 
     PYTHONPATH=src python tests/soak_serve.py --seconds 180 \\
         --out soak_serve.json
+    PYTHONPATH=src python tests/soak_serve.py --seconds 120 \\
+        --cluster 8 --out soak_serve_cluster.json
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from statistics import median
 
 import numpy as np
 
-from repro.faults import moderate_plan
+from repro.faults import failover_plan, moderate_plan
 
 ROOT = Path(__file__).resolve().parent.parent
 _WINDOWS = re.compile(
@@ -49,7 +57,7 @@ _WINDOWS = re.compile(
 _PORT = re.compile(r"serving on http://[^:]+:(\d+)")
 #: Flows in the daemon's synthetic trace.
 FLOWS = 2000
-#: Seed of the moderate fault plan the daemon runs under.
+#: Seed of the fault plan the daemon runs under.
 CHAOS_SEED = 7
 #: Largest settled RSS slope that still counts as flat.
 MAX_KB_PER_WINDOW = 64.0
@@ -94,11 +102,15 @@ def _wait_for_port(process, log: Path, deadline: float) -> int:
     raise RuntimeError(f"daemon never bound:\n{log.read_text()}")
 
 
-def soak(seconds: float, workdir: Path, window_packets: int) -> dict:
-    """Run the daemon for ``seconds``; the per-window series plus how
-    the daemon shut down."""
+def soak(
+    seconds: float, workdir: Path, window_packets: int, cluster: int = 0
+) -> dict:
+    """Run the daemon for ``seconds`` (over a ``cluster``-host socket
+    tier if nonzero); the per-window series plus how the daemon shut
+    down."""
     plan = workdir / "soak_plan.json"
-    moderate_plan(seed=CHAOS_SEED).save(str(plan))
+    make_plan = failover_plan if cluster else moderate_plan
+    make_plan(seed=CHAOS_SEED).save(str(plan))
     log = workdir / "soak_serve.log"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -113,6 +125,7 @@ def soak(seconds: float, workdir: Path, window_packets: int) -> dict:
                 "--port", "0",
                 "--chaos", str(plan),
                 "--recorder-out", "soak_recorder.json",
+                *(["--cluster", str(cluster)] if cluster else []),
             ],
             cwd=workdir,
             env=env,
@@ -149,6 +162,7 @@ def soak(seconds: float, workdir: Path, window_packets: int) -> dict:
     reason = json.loads(dumps[-1].read_text())["reason"] if dumps else None
     return {
         **series,
+        "cluster": cluster,
         "exit_code": exit_code,
         "recorder_reason": reason,
         "log_tail": log.read_text(errors="replace")[-2000:],
@@ -173,8 +187,9 @@ def verdicts(run: dict) -> dict[str, bool]:
     run["rss_kb_per_window"] = float(slope)
     checks["flat rss"] = bool(slope <= MAX_KB_PER_WINDOW)
     for key in ("fds", "threads"):
-        warm = median(run[key][: count // 3])
-        checks[f"stable {key}"] = max(run[key][settled]) <= warm + SLACK
+        warm = run[key][: count // 3]
+        bound = max(warm) if run["cluster"] else median(warm)
+        checks[f"stable {key}"] = max(run[key][settled]) <= bound + SLACK
     return checks
 
 
@@ -182,10 +197,20 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seconds", type=float, default=180.0)
     parser.add_argument("--window-packets", type=int, default=2000)
+    parser.add_argument(
+        "--cluster",
+        type=int,
+        default=0,
+        metavar="N",
+        help="serve an N-host socket cluster under failover_plan() "
+        "(default 0: in-process reports under moderate_plan())",
+    )
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="soak_serve_") as workdir:
-        run = soak(args.seconds, Path(workdir), args.window_packets)
+        run = soak(
+            args.seconds, Path(workdir), args.window_packets, args.cluster
+        )
     checks = verdicts(run)
     run["checks"] = checks
     if args.out is not None:

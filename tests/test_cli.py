@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _pipeline_config, build_parser, main
 
 
 class TestGenerateInspect:
@@ -65,17 +65,59 @@ class TestRun:
         parser = build_parser()
         args = {
             command: parser.parse_args([command])
-            for command in ("run", "telemetry", "dash", "serve")
+            for command in ("run", "dash", "serve")
         }
-        assert [a.flows for a in args.values()] == [5000, 5000, 2000, 2000]
-        assert [a.hosts for a in args.values()] == [1, 2, 2, 2]
+        assert [a.flows for a in args.values()] == [5000, 2000, 2000]
+        assert [a.hosts for a in args.values()] == [1, 2, 2]
         assert [a.solution for a in args.values()] == [
-            "deltoid", "univmon", "deltoid", "deltoid",
+            "deltoid", "deltoid", "deltoid",
         ]
-        assert [args[c].shadow_samples for c in ("run", "dash", "serve")] == [
-            0, 128, 0,
+        assert [a.shadow_samples for a in args.values()] == [0, 128, 0]
+
+    @pytest.mark.parametrize("command", ["run", "dash", "serve"])
+    def test_every_front_end_takes_every_pipeline_dimension(
+        self, tmp_path, monkeypatch, command
+    ):
+        """One argv sets every pipeline dimension on each front end,
+        and each reads it into the same :class:`PipelineConfig`."""
+        from repro.cluster import ClusterConfig
+        from repro.faults import FaultPlan, moderate_plan
+        from repro.framework.pipeline import PipelineConfig
+
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+        plan = tmp_path / "plan.json"
+        moderate_plan(seed=5).save(plan)
+        slo = tmp_path / "slo.json"
+        argv = [
+            "--hosts", "3",
+            "--cores", "2",
+            "--fastpath-bytes", "4096",
+            "--chaos", str(plan),
+            "--checkpoint-dir", str(tmp_path / "ckpt"),
+            "--checkpoint-every", "512",
+            "--cluster", "4",
+            "--aggregators", "2",
+            "--listen", "127.0.0.2:9000",
+            "--slo", str(slo),
+            "--shadow-samples", "16",
+            "--recorder-out", str(tmp_path / "dump.json"),
         ]
-        assert args["telemetry"].spread_threshold == 100
+        args = build_parser().parse_args([command, *argv])
+        assert _pipeline_config(args, None) == PipelineConfig(
+            num_hosts=4,
+            cores=2,
+            fastpath_bytes=4096,
+            faults=FaultPlan.load(plan),
+            checkpoint_dir=str(tmp_path / "ckpt"),
+            checkpoint_every=512,
+            cluster=ClusterConfig(
+                aggregators=2, listen_host="127.0.0.2", listen_port=9000
+            ),
+            slo=str(slo),
+            shadow_samples=16,
+            recorder_path=str(tmp_path / "dump.json"),
+        )
 
     def test_run_from_file(self, tmp_path, capsys):
         path = tmp_path / "trace.npz"
@@ -116,6 +158,37 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].endswith(f"error: {message}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--aggregators", "3"), ("--listen", ":9000")]
+    )
+    def test_cluster_flags_without_cluster_are_a_usage_error(
+        self, capsys, command, flag, value
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--flows", "200", flag, value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(
+            "error: --aggregators and --listen need --cluster N"
+        )
+        assert "Traceback" not in err
+
+    def test_prom_alone_writes_the_metrics(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``--prom`` turns telemetry on by itself; without ``--trace``
+        no span tree is printed and no Chrome trace is written."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--flows", "300", "--prom", "m.prom"]) == 0
+        assert "sketchvisor_switch_packets_total" in (
+            (tmp_path / "m.prom").read_text()
+        )
+        assert "wrote Prometheus metrics to m.prom" in (
+            capsys.readouterr().out
+        )
+        assert not (tmp_path / "epoch_trace.json").exists()
 
     def test_multicore_run(self, capsys):
         code = main(
@@ -300,29 +373,26 @@ class TestAccuracyCLI:
         prom = tmp_path / "metrics.prom"
         code = main(
             [
-                "telemetry",
+                "run",
                 "--task", task,
                 "--flows", "400",
-                "--no-tree",
-                "--format", "prom",
-                "--output", str(prom),
+                "--prom", str(prom),
             ]
         )
         assert code == 0
         text = prom.read_text()
         assert "# TYPE sketchvisor_switch_packets_total counter" in text
-        capsys.readouterr()
+        snapshot_path = tmp_path / "snapshot.json"
         code = main(
             [
-                "telemetry",
+                "run",
                 "--task", task,
                 "--flows", "400",
-                "--no-tree",
-                "--format", "json",
+                "--json", str(snapshot_path),
             ]
         )
         assert code == 0
-        snapshot = json.loads(capsys.readouterr().out)
+        snapshot = json.loads(snapshot_path.read_text())
         assert "sketchvisor_switch_packets_total" in snapshot["metrics"]
 
     def test_telemetry_includes_durability_counters(
@@ -330,11 +400,10 @@ class TestAccuracyCLI:
     ):
         code = main(
             [
-                "telemetry",
+                "run",
                 "--flows", "400",
-                "--no-tree",
                 "--checkpoint-dir", str(tmp_path / "ckpt"),
-                "--format", "prom",
+                "--prom", "-",
             ]
         )
         assert code == 0
@@ -507,6 +576,7 @@ class TestClusterCli:
                 "--flows", "300",
                 "--soak", "2",
                 "--recorder-out", str(dump),
+                "--prom", str(tmp_path / "soak.prom"),
             ]
         )
         assert code == 0
@@ -516,6 +586,10 @@ class TestClusterCli:
         assert "soak" in out
         assert "0 quorum failure(s)" in out
         assert json.loads(dump.read_text())["reason"] == "soak"
+        # The export is written after the loop and covers both epochs.
+        prom = (tmp_path / "soak.prom").read_text()
+        assert 'sketchvisor_controller_epochs_total{quality="full"} 2' in prom
+        assert "sketchvisor_cluster_aggregators 3" in prom
 
     def test_soak_quorum_failures_exit_nonzero(
         self, tmp_path, capsys

@@ -337,6 +337,18 @@ class TestMeasurementService:
             service.stop()
 
 
+def _agg_crash_plan():
+    """Aggregator 0 dies on the first frame of epoch (window) 1."""
+    from repro.faults import FaultKind, FaultPlan, FaultSpec
+
+    return FaultPlan(
+        seed=0,
+        specs=[
+            FaultSpec(FaultKind.AGG_CRASH, epoch=1, host=0, packet_offset=1)
+        ],
+    )
+
+
 def _light_tasks(trace):
     return [
         HeavyHitterTask(
@@ -507,6 +519,57 @@ class TestWindowSeries:
         ) == 1
 
 
+    def test_aggregator_failover_series(self, trace, tmp_path):
+        """Three windows through a four-host, two-core socket cluster
+        with durable host state: each task's pipeline loses aggregator
+        0 in window 1, and the four fail-over series equal the sums
+        over the windows' collections."""
+        from repro.cluster import ClusterConfig
+
+        service = MeasurementService(
+            _light_tasks(trace),
+            ReplaySource(trace, chunk_packets=173, loop=False),
+            ServeConfig(window_packets=len(trace) // 3, max_windows=3),
+            pipeline_config=PipelineConfig(
+                num_hosts=4,
+                cores=2,
+                checkpoint_dir=str(tmp_path),
+                faults=_agg_crash_plan(),
+                cluster=ClusterConfig(),
+            ),
+        )
+        service.start()
+        assert service.wait(120)
+        assert service.stop() == 0
+        assert service.windows_processed == 3
+        collections = [
+            result.collection
+            for summary in service.monitor.history
+            for result in summary.results.values()
+        ]
+        failovers = [
+            record for collection in collections
+            for record in collection.failovers
+        ]
+        assert [record.kind for record in failovers] == ["agg_crash"] * 2
+        registry = service.telemetry.registry
+        assert registry.value(
+            "sketchvisor_aggregator_failovers_total", kind="agg_crash"
+        ) == 2
+        redeliveries = sum(c.stats.redeliveries for c in collections)
+        assert redeliveries > 0
+        assert registry.value(
+            "sketchvisor_aggregator_redeliveries_total"
+        ) == redeliveries
+        assert registry.value(
+            "sketchvisor_aggregator_redelivery_dups_total"
+        ) == sum(c.stats.redelivery_dups for c in collections)
+        assert registry.value(
+            "sketchvisor_aggregator_unrecovered_host_epochs_total"
+        ) == sum(len(record.unrecovered_hosts) for record in failovers)
+        assert not any(record.unrecovered_hosts for record in failovers)
+
+
 class TestBatchEquivalence:
     def test_serve_windows_match_batch_epochs(self, trace):
         """`repro serve --windows 3` over a replayed trace recovers
@@ -620,6 +683,31 @@ class TestServeCLI:
         out, _ = process.communicate(timeout=120)
         assert process.returncode == 0, out
         assert "served 2 window(s)" in out
+
+    def test_cluster_composes_with_cores_chaos_and_checkpoints(
+        self, tmp_path
+    ):
+        """``serve --cluster`` takes the other pipeline flags: two
+        cores per host, durable host state and a plan that kills an
+        aggregator in window 1, and every window still makes quorum."""
+        plan = tmp_path / "plan.json"
+        _agg_crash_plan().save(plan)
+        checkpoints = tmp_path / "ckpt"
+        process = self._spawn(
+            tmp_path,
+            "--cluster", "4",
+            "--cores", "2",
+            "--checkpoint-dir", str(checkpoints),
+            "--chaos", str(plan),
+            "--windows", "3",
+        )
+        out, _ = process.communicate(timeout=180)
+        assert process.returncode == 0, out
+        assert "served 3 window(s), 0 quorum failure(s)" in out
+        # One checkpoint directory per cell: 4 hosts x 2 cores.
+        assert sorted(path.name for path in checkpoints.iterdir()) == [
+            f"host_{cell:04d}" for cell in range(8)
+        ]
 
     def test_soak_leg(self, tmp_path):
         """A short leg of the soak script CI runs for minutes: an
