@@ -212,7 +212,7 @@ def _pipeline_config(
     )
     if not args.cluster and cluster != ClusterConfig():
         raise ConfigError("--aggregators and --listen need --cluster N")
-    return PipelineConfig(
+    config = PipelineConfig(
         num_hosts=args.cluster or args.hosts,
         cores=args.cores,
         fastpath_bytes=args.fastpath_bytes,
@@ -229,6 +229,14 @@ def _pipeline_config(
         recorder_path=args.recorder_out,
         cluster=cluster if args.cluster else None,
     )
+    # The directory may also come from REPRO_CHECKPOINT_DIR, which the
+    # config has applied by now.
+    if args.checkpoint_every is not None and config.checkpoint_dir is None:
+        raise ConfigError(
+            "--checkpoint-every needs --checkpoint-dir DIR "
+            "(or REPRO_CHECKPOINT_DIR)"
+        )
+    return config
 
 
 def _pipeline(

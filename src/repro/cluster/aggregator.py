@@ -4,12 +4,14 @@ Sketches are *linear* — counter matrices that merge by addition — so
 per-host reports need not all reach the controller before merging can
 start.  Each :class:`Aggregator` runs the controller's own
 :class:`~repro.controlplane.merge.MergeFold` over its group's reports
-the moment they arrive, holding at most the running merge plus the
-report in flight.  The controller then folds the A partial aggregates
-and runs LENS recovery *once*, exactly as it would over raw reports.
+the moment they arrive.  A report arrives as its frame, and the fold
+lands the frame's sparse sections straight in the running merge, so
+the merge is the one dense sketch an aggregator holds.  The
+controller then folds the A partial aggregates and runs LENS recovery
+*once*, exactly as it would over raw reports.
 
 This is what makes a 500–1000-host epoch complete in bounded memory:
-the tier keeps O(A + 1) dense sketches where collecting every report
+the tier keeps O(A) dense sketches where collecting every report
 first would keep O(N) — the "recovery-aware hierarchical merging"
 shape of Distributed Recoverable Sketches (see PAPERS.md), with
 SketchVisor's single network-wide recovery at the root.  Because the
@@ -25,7 +27,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.controlplane.merge import MergeFold, PartialAggregate
+from repro.controlplane.transport import SparseSection
 from repro.dataplane.host import LocalReport
+from repro.sketches.base import Sketch
 
 
 class Aggregator(MergeFold):
@@ -34,17 +38,20 @@ class Aggregator(MergeFold):
     def __init__(self, aggregator_id: int):
         super().__init__()
         self.aggregator_id = aggregator_id
-        #: Most dense sketches resident at once (the running merge plus
-        #: the in-flight report's) — the bounded-memory invariant the
-        #: cluster tests gate on.
+        #: Most dense sketches this aggregator built and held at once:
+        #: the running merge, plus a report's own when its frame had to
+        #: be decoded whole — the bounded-memory invariant the cluster
+        #: tests gate on.
         self.peak_resident = 0
 
-    def add(self, report: LocalReport) -> None:
-        """Fold one host report into the running merge and drop it."""
-        self.peak_resident = max(
-            self.peak_resident, 1 if self.sketch is None else 2
+    def _sketch_of(self, report: LocalReport) -> Sketch:
+        sketch = super()._sketch_of(report)
+        decoded_whole = report.frame is not None and not any(
+            isinstance(source, SparseSection)
+            for source, _op in sketch.fold_buffers()
         )
-        super().add(report)
+        self.peak_resident = max(self.peak_resident, 1 + decoded_whole)
+        return sketch
 
     def finish(self) -> PartialAggregate | None:
         """Hand over the group's partial, or ``None`` when no report

@@ -166,14 +166,26 @@ class ClusterCollector:
         self.injector = injector
         self._breakers: dict[int, CircuitBreaker] = {}
         #: Shape of the most recent epoch, for telemetry: aggregator
-        #: count and peak dense sketches resident per aggregator.
+        #: count and peak dense sketches resident per aggregator (one,
+        #: its merge, when every frame folds from its sections).
         self.last_aggregators = 0
         self.last_peak_resident = 0
 
     # ------------------------------------------------------------------
     def collect(self, reports, epoch: int) -> CollectionResult:
-        """Deliver one epoch's reports over TCP; block until done."""
-        return asyncio.run(self.collect_async(reports, epoch))
+        """Deliver one epoch's reports over TCP; block until done.
+
+        ``Runner.run`` (like ``asyncio.run``) installs a SIGINT handler
+        on the main thread, and checking it back out makes Python 3.11
+        format the finished task — this whole result — into an error
+        message that is thrown away.  The loop runs the coroutine
+        directly instead; closing the runner still cancels whatever
+        task is left.
+        """
+        with asyncio.Runner() as runner:
+            return runner.get_loop().run_until_complete(
+                self.collect_async(reports, epoch)
+            )
 
     # ------------------------------------------------------------------
     async def collect_async(self, reports, epoch: int) -> CollectionResult:

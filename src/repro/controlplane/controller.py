@@ -17,7 +17,8 @@ anything defensible about the network.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Sequence
 
 from repro.common.errors import MergeError, QuorumError
@@ -32,6 +33,8 @@ from repro.controlplane.merge import (
 from repro.controlplane.recovery import (
     DegradedEpoch,
     RecoveryMode,
+    TrackedEstimates,
+    flow_estimates,
     recover,
 )
 from repro.dataplane.host import LocalReport
@@ -47,7 +50,9 @@ class NetworkResult:
 
     #: ``None`` once the epoch is retired (:meth:`retire`).
     sketch: Sketch | None
-    flow_estimates: dict[FlowKey, float] = field(default_factory=dict)
+    #: What :attr:`flow_estimates` is built from; ``None`` when
+    #: recovery estimated no tracked flow.
+    tracked: TrackedEstimates | None = None
     snapshot: FastPathSnapshot | None = None
     num_hosts: int = 0
     lens_iterations: int = 0
@@ -61,6 +66,12 @@ class NetworkResult:
     #: expected; ``None`` for clean full-quorum epochs.
     degraded: DegradedEpoch | None = None
 
+    @cached_property
+    def flow_estimates(self) -> dict[FlowKey, float]:
+        """Recovered bytes per tracked flow, keyed by flow in the
+        merged table's key order; built on first read."""
+        return flow_estimates(self.tracked)
+
     def retire(self) -> None:
         """Drop the merged state once the epoch has been answered: the
         merged sketch (``None`` afterwards), the recovered per-flow
@@ -68,6 +79,7 @@ class NetworkResult:
         outcome — host count, LENS iterations, the Eq. 2 volumes and
         the degraded record — stays."""
         self.sketch = None
+        self.tracked = None
         self.flow_estimates = {}
         self.snapshot = None
 
@@ -197,7 +209,7 @@ class Controller:
             )
         network = NetworkResult(
             sketch=state.sketch,
-            flow_estimates=state.flow_estimates,
+            tracked=state.tracked,
             snapshot=merged_snapshot,
             num_hosts=reported,
             lens_iterations=state.lens_iterations,

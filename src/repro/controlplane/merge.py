@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from repro.common.errors import MergeError
+from repro.controlplane.transport import decode_report
 from repro.fastpath.topk import FastPathSnapshot
 from repro.sketches.base import Sketch
 
@@ -63,8 +64,9 @@ class MergeFold:
     with ``sketch``, ``fastpath`` and ``host_ids``.  Inputs are not
     modified: the first sketch is cloned empty and every input is added
     into that clone, and each fast-path table folded in makes a new
-    running one.  At most the running merge and the input being
-    folded are resident.
+    running one.  A frame-backed report (``LocalReport.frame``) folds
+    from its frame's sparse sections, so its sketch is never built
+    dense: the running merge is then the one dense sketch resident.
     """
 
     def __init__(self) -> None:
@@ -75,7 +77,7 @@ class MergeFold:
 
     def add(self, report) -> None:
         """Fold one report (or partial) in."""
-        self.add_sketch(report.sketch)
+        self.add_sketch(self._sketch_of(report))
         self.add_snapshot(
             report.fastpath,
             report.decrements
@@ -84,9 +86,22 @@ class MergeFold:
         )
         self.host_ids.extend(report.host_ids)
 
+    @staticmethod
+    def _sketch_of(report) -> Sketch:
+        """What :meth:`add` folds: a frame-backed report's sketch with
+        its sparse fold buffers left in the frame, which the merge
+        lands at their indices (``decode_report(frame, fold=True)``);
+        any other input's sketch as it is."""
+        frame = getattr(report, "frame", None)
+        if frame is None:
+            return report.sketch
+        return decode_report(frame, fold=True).sketch
+
     def add_sketch(self, sketch: Sketch) -> None:
         """Matrix-add ``sketch`` (same type, shape and seed as the
-        others — enforced by the sketch's ``merge``)."""
+        others — enforced by the sketch's ``merge``).  The merge starts
+        from ``clone_empty()`` zeros, so it never holds ``-0.0``: what
+        landing a frame's sections relies on."""
         if self.sketch is None:
             self.sketch = sketch.clone_empty()
         self.sketch.merge(sketch)

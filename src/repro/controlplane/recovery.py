@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -67,12 +68,31 @@ class RecoveryMode(Enum):
     SKETCHVISOR = "sketchvisor"
 
 
+@dataclass(frozen=True, eq=False)
+class TrackedEstimates:
+    """The recovered bytes of each tracked flow, as the merged table's
+    header-word columns (in its key order) and one value per row."""
+
+    hi: np.ndarray
+    lo: np.ndarray
+    values: list[float]
+
+
+def flow_estimates(tracked: TrackedEstimates | None) -> dict[FlowKey, float]:
+    """``tracked``'s values keyed by flow, in row order; ``{}`` when
+    recovery estimated none."""
+    if tracked is None:
+        return {}
+    return dict(zip(header_flows(tracked.hi, tracked.lo), tracked.values))
+
+
 @dataclass
 class RecoveredState:
     """Output of network-wide recovery."""
 
     sketch: Sketch
-    flow_estimates: dict[FlowKey, float]
+    #: ``None`` when recovery re-injected no tracked flow.
+    tracked: TrackedEstimates | None = None
     lens_iterations: int = 0
     lens_converged: bool = True
     #: Fast-path volume re-injected for tracked flows (Σx).
@@ -80,6 +100,13 @@ class RecoveredState:
     #: Untracked small-flow mass realized synthetically (the Eq. 2
     #: remainder ``V - Σx``; zero when recovery skipped it).
     small_flow_bytes: float = 0.0
+
+    @cached_property
+    def flow_estimates(self) -> dict[FlowKey, float]:
+        """Recovered bytes per tracked flow, keyed by flow in the
+        merged table's key order.  Its keys are built on first read:
+        recovery itself needs them only for the low-rank solve."""
+        return flow_estimates(self.tracked)
 
 
 @dataclass(frozen=True)
@@ -176,28 +203,26 @@ def recover(
     if snapshot is None or (
         not snapshot.tracked and snapshot.total_bytes == 0
     ):
-        return RecoveredState(
-            sketch=_copy_sketch(normal), flow_estimates={}
-        )
+        return RecoveredState(sketch=_copy_sketch(normal))
 
     if mode is RecoveryMode.NO_RECOVERY:
-        return RecoveredState(
-            sketch=_copy_sketch(normal), flow_estimates={}
-        )
+        return RecoveredState(sketch=_copy_sketch(normal))
 
     lower = snapshot.r + snapshot.d  # Lemma 4.1's box
     upper = lower + snapshot.e
-    flows = header_flows(snapshot.hi, snapshot.lo)
+
+    def estimates_of(values: np.ndarray) -> TrackedEstimates:
+        return TrackedEstimates(snapshot.hi, snapshot.lo, values.tolist())
 
     if mode is RecoveryMode.LOWER or mode is RecoveryMode.UPPER:
         bounds = lower if mode is RecoveryMode.LOWER else upper
         recovered = _copy_sketch(normal)
         _inject_tracked(recovered, snapshot, bounds)
-        estimates: dict[FlowKey, float] = dict(zip(flows, bounds.tolist()))
+        estimates = estimates_of(bounds)
         return RecoveredState(
             sketch=recovered,
-            flow_estimates=estimates,
-            tracked_bytes=float(sum(estimates.values())),
+            tracked=estimates,
+            tracked_bytes=float(sum(estimates.values)),
         )
 
     # SketchVisor: full compressive-sensing interpolation.
@@ -207,11 +232,9 @@ def recover(
         # realize the small-flow mass the same way as the solver path.
         recovered = _copy_sketch(normal)
         midpoints = (lower + upper) / 2.0
-        estimates = dict(zip(flows, midpoints.tolist()))
+        estimates = estimates_of(midpoints)
         _inject_tracked(recovered, snapshot, midpoints)
-        remaining = max(
-            0.0, snapshot.total_bytes - sum(estimates.values())
-        )
+        remaining = max(0.0, snapshot.total_bytes - sum(estimates.values))
         _inject_synthetic_small_flows(
             recovered,
             remaining,
@@ -220,18 +243,20 @@ def recover(
         )
         return RecoveredState(
             sketch=recovered,
-            flow_estimates=estimates,
-            tracked_bytes=float(sum(estimates.values())),
+            tracked=estimates,
+            tracked_bytes=float(sum(estimates.values)),
             small_flow_bytes=remaining,
         )
 
     with trace_span(
-        telemetry, "recovery.lens", flows=len(flows), mode=mode.value
+        telemetry, "recovery.lens", flows=snapshot.tracked, mode=mode.value
     ):
         if normal.low_rank:
             result = lens_interpolate(
                 n_matrix=normal.to_matrix(),
-                positions=normal.matrix_positions(flows),
+                positions=normal.matrix_positions(
+                    header_flows(snapshot.hi, snapshot.lo)
+                ),
                 lower=lower,
                 upper=upper,
                 volume=snapshot.total_bytes,
@@ -252,8 +277,7 @@ def recover(
             iterations, converged = 0, True
 
     recovered = _copy_sketch(normal)
-    estimates = dict(zip(flows, x.tolist()))
-    with trace_span(telemetry, "recovery.inject", flows=len(flows)):
+    with trace_span(telemetry, "recovery.inject", flows=snapshot.tracked):
         _inject_tracked(recovered, snapshot, x)
         # Realize the small-flow component y as synthetic flows rather
         # than the solver's dense noise matrix: sk(y) is *sparse* (each
@@ -270,7 +294,7 @@ def recover(
         )
     return RecoveredState(
         sketch=recovered,
-        flow_estimates=estimates,
+        tracked=estimates_of(x),
         lens_iterations=iterations,
         lens_converged=converged,
         tracked_bytes=float(x.sum()),

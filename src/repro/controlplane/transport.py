@@ -20,7 +20,13 @@ throughout, like the array memory it carries.  A sketch is sized for
 the network and one host fills a sliver of it, so a frame carries the
 non-zero counters only; viewing a buffer as 8-byte words makes the
 encoding dtype-agnostic and bit-exact (``-0.0``, NaN payloads, int64
-and float64 alike) with no per-sketch schema.  A report is arrays and
+and float64 alike) with no per-sketch schema.  Where a sparse
+buffer's words land is the decoder's one seam: materialized into
+zeros of the buffer's own (every caller but a merge), or left in the
+payload as an unlanded :class:`SparseSection` that a merge lands in
+its running buffer at the section's indices — so an aggregator
+folding a frame builds no dense sketch for it and holds one dense
+sketch, its merge, whatever it folds.  A report is arrays and
 scalars — the sketch's counters, the fast-path snapshot's header-word
 and counter columns, the switch report's counts — so the envelope
 holds no per-flow object; what a snapshot's columns may hold is
@@ -51,11 +57,13 @@ in-process loopback with simulated time; the socket tier
 from __future__ import annotations
 
 import io
+import math
 import pickle
 import random
 import struct
 import zlib
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +75,7 @@ from repro.common.errors import (
 )
 from repro.dataplane.host import LocalReport
 from repro.faults.plan import FaultKind
+from repro.sketches.base import Sketch
 
 _MAGIC = b"SKVR"
 _VERSION = 3
@@ -90,6 +99,13 @@ _ENTRY_BYTES = _INDEX.itemsize + _WORD.itemsize
 #: Buffers below this many bytes are always written dense: the most a
 #: sparse form could save there is less than scanning for it is worth.
 _SPARSE_MIN_BYTES = 1024
+
+#: numpy's reconstructor for an array pickled with its buffer out of
+#: band: ``_frombuffer(buffer, dtype, shape, order[, axis_order])``.
+_FROMBUFFER = np.empty(0).__reduce_ex__(5)[0]
+#: The fold ops under which an all-zero element leaves its target as
+#: is (``x op 0 == x``), so a section may skip its zero words.
+_ZERO_IDENTITY_OPS = (np.add, np.bitwise_xor, np.bitwise_or)
 
 #: Module prefixes the unpickler will resolve classes from.
 _ALLOWED_PREFIXES = (
@@ -118,6 +134,100 @@ class _RestrictedUnpickler(pickle.Unpickler):
                 "(module not allowlisted)"
             )
         return super().find_class(module, name)
+
+
+class _UnlandedUnpickler(_RestrictedUnpickler):
+    """Builds an array whose buffer is a :class:`SparseSection` as the
+    section itself (:meth:`SparseSection.bind`), not as an array."""
+
+    def find_class(self, module: str, name: str):  # noqa: D102
+        found = super().find_class(module, name)
+        return _reconstruct if found is _FROMBUFFER else found
+
+
+def _reconstruct(buffer, *args):
+    if isinstance(buffer, SparseSection):
+        return buffer.bind(*args)
+    return _FROMBUFFER(buffer, *args)
+
+
+class SparseSection:
+    """One sparse buffer of a payload's array section, not landed: its
+    ``nnz`` word indices and words, read-only views into the payload.
+
+    Materialized, its words go into zeros of its own
+    (:meth:`materialize`).  Left unlanded, it stands in for the array
+    the envelope builds from it, typed by :meth:`bind`, and
+    ``Sketch.merge`` lands it in the running merge's matching buffer
+    (:meth:`land`): the dense array is never built.
+    """
+
+    __slots__ = ("nbytes", "index", "words", "dtype", "shape")
+
+    def __init__(self, nbytes: int, index: np.ndarray, words: np.ndarray):
+        self.nbytes = nbytes
+        self.index = index
+        self.words = words
+        self.dtype: np.dtype | None = None
+        self.shape: tuple[int, ...] | None = None
+
+    def materialize(self) -> np.ndarray:
+        """The buffer's words, written into zeros of its own."""
+        words = np.zeros(self.nbytes // _WORD.itemsize, dtype=_WORD)
+        words[self.index] = self.words
+        return words
+
+    def bind(self, dtype, shape, order, axis_order=None):
+        """numpy's reconstructor for the array behind this section.
+
+        A C-order array of bool, int, uint or float items that tile an
+        8-byte word stays unlanded: the section, now typed.  Any other
+        array, and a second one from the same buffer, is built from
+        the materialized words exactly as numpy builds it.
+        """
+        if (
+            self.dtype is None
+            and order == "C"
+            and axis_order is None
+            and isinstance(dtype, np.dtype)
+            and dtype.kind in "biuf"
+            and _WORD.itemsize % dtype.itemsize == 0
+            and type(shape) is tuple
+            and all(type(size) is int and size >= 0 for size in shape)
+            and math.prod(shape) * dtype.itemsize == self.nbytes
+        ):
+            self.dtype, self.shape = dtype, shape
+            return self
+        args = (order,) if axis_order is None else (order, axis_order)
+        return _FROMBUFFER(self.materialize(), dtype, shape, *args)
+
+    def land(self, target: np.ndarray, op: np.ufunc) -> None:
+        """``op(target, array, out=target)`` for the bound array, at
+        the section's elements only: ``flat[idx] = op(flat[idx],
+        words)``.
+
+        An element the section skips is zero, and ``x op 0`` is ``x``
+        under add, xor and or — for float add unless ``x`` is ``-0.0``,
+        which no merge holds: it starts from zeros, and a sum is
+        ``-0.0`` only when both terms are.  A target of another dtype,
+        shape or layout, or another op, takes the dense array.
+        """
+        if (
+            op not in _ZERO_IDENTITY_OPS
+            or target.dtype != self.dtype
+            or target.shape != self.shape
+            or not target.flags.c_contiguous
+            or not target.flags.writeable
+        ):
+            dense = _FROMBUFFER(self.materialize(), self.dtype, self.shape, "C")
+            op(target, dense, out=target)
+            return
+        index = self.index.astype(np.intp)
+        per_word = _WORD.itemsize // self.dtype.itemsize
+        if per_word > 1:
+            index = (index[:, None] * per_word + np.arange(per_word)).ravel()
+        flat = target.reshape(-1)
+        flat[index] = op(flat[index], self.words.view(self.dtype))
 
 
 def encode_frame(layout: struct.Struct, *fields, obj) -> bytes:
@@ -165,7 +275,11 @@ def encode_frame(layout: struct.Struct, *fields, obj) -> bytes:
     return b"".join([layout.pack(*fields, length, crc), *parts])
 
 
-def decode_payload(payload, corrupt: type[ReproError] = CorruptFrameError):
+def decode_payload(
+    payload,
+    corrupt: type[ReproError] = CorruptFrameError,
+    unlanded: list[SparseSection] | None = None,
+):
     """Rebuild the object behind one CRC-checked payload.
 
     The one decoder of the payload codec, and the single
@@ -174,6 +288,14 @@ def decode_payload(payload, corrupt: type[ReproError] = CorruptFrameError):
     governs everything that crosses a trust boundary (wire frames,
     snapshot files at rest).  Every array comes back writable and
     backed by memory of its own — nothing aliases ``payload``.
+
+    ``unlanded`` is the seam of where a sparse buffer's words land.
+    ``None`` materializes them.  A list leaves them in ``payload``:
+    each sparse buffer is handed to the envelope as a
+    :class:`SparseSection` (and appended to the list), so an array
+    built from it is that section instead (:meth:`SparseSection.bind`).
+    Everything below is checked either way, and nothing lands before
+    the whole payload has passed.
 
     Callers check the CRC first; what is refused here is therefore a
     payload somebody *built* wrong, raised as ``corrupt``: a section
@@ -235,16 +357,26 @@ def decode_payload(payload, corrupt: type[ReproError] = CorruptFrameError):
                     f"buffer {position}: sparse indices must be "
                     f"strictly increasing and below {num_words}"
                 )
-            words = np.zeros(num_words, dtype=_WORD)
-            words[index] = np.frombuffer(
-                payload, _WORD, nnz, offset + nnz * _INDEX.itemsize
+            section = SparseSection(
+                nbytes,
+                index,
+                np.frombuffer(
+                    payload, _WORD, nnz, offset + nnz * _INDEX.itemsize
+                ),
             )
-            buffers.append(words)
+            if unlanded is None:
+                buffers.append(section.materialize())
+            else:
+                unlanded.append(section)
+                buffers.append(section)
         offset += stored
     envelope = io.BytesIO(payload[offset:])
     unused = iter(buffers)
+    unpickler = (
+        _RestrictedUnpickler if unlanded is None else _UnlandedUnpickler
+    )
     try:
-        obj = _RestrictedUnpickler(envelope, buffers=unused).load()
+        obj = unpickler(envelope, buffers=unused).load()
     except ReproError:
         raise
     except Exception as exc:  # pickle raises a zoo of types on garbage
@@ -400,13 +532,20 @@ def peek_header(message: bytes) -> FrameHeader:
     return header
 
 
-def decode_report(message: bytes) -> LocalReport:
+def decode_report(message: bytes, fold: bool = False) -> LocalReport:
     """Parse a framed message back into a :class:`LocalReport`.
 
     Raises :class:`CorruptFrameError` (a :class:`ConfigError`) on bad
     magic, version, length mismatch, CRC mismatch, or anything
     :func:`decode_payload` refuses, and :class:`ConfigError` on any
     attempt to resolve a non-allowlisted class.
+
+    With ``fold`` the sketch's sparse fold buffers stay in the frame,
+    unlanded (:class:`SparseSection`): that sketch is fit only to be
+    merged into another, which lands them.  A frame whose unlanded
+    sections are not all fold buffers of its sketch (a long, mostly
+    zero snapshot column, say) is decoded whole instead, so ``fold``
+    refuses and accepts exactly what the plain decode does.
     """
     header = peek_header(message)
     payload = memoryview(message)[header.size :]
@@ -414,7 +553,29 @@ def decode_report(message: bytes) -> LocalReport:
         raise CorruptFrameError(
             "frame CRC32 mismatch (payload corrupted in flight)"
         )
-    report = decode_payload(payload)
+    if fold:
+        unlanded: list[SparseSection] = []
+        # Whatever fails here, refusals included, is decoded whole
+        # below: it then fails, or passes, as a plain decode does.
+        with suppress(Exception):
+            report = _checked_report(
+                header, decode_payload(payload, unlanded=unlanded)
+            )
+            sketch = report.sketch
+            sources = (
+                {id(source) for source, _op in sketch.fold_buffers()}
+                if isinstance(sketch, Sketch)
+                else set()
+            )
+            if all(
+                section.dtype is not None and id(section) in sources
+                for section in unlanded
+            ):
+                return report
+    return _checked_report(header, decode_payload(payload))
+
+
+def _checked_report(header: FrameHeader, report) -> LocalReport:
     if not isinstance(report, LocalReport):
         raise CorruptFrameError(
             f"frame did not contain a LocalReport "
@@ -594,14 +755,17 @@ def accept_frame(
     The in-the-clear epoch is checked first, so a stale replay is
     refused without being decoded; then CRC and decode; then dedup by
     ``(host_id, epoch)`` against ``seen``.  Every refusal is counted in
-    ``stats``.  ``report`` is the decoded report on ``ACK`` and
-    ``None`` on every other verdict.
+    ``stats``.  ``report`` is the checked report on ``ACK`` and
+    ``None`` on every other verdict.  It is frame-backed, like a
+    handed-off one (:meth:`LocalReport.hand_off`): the check leaves
+    the sketch's sections unlanded, and a merge folds them from the
+    frame.
     """
     try:
         if peek_header(frame).epoch != epoch & 0xFFFF_FFFF:
             stats.stale_frames += 1
             return NAK_STALE, None
-        report = decode_report(frame)
+        report = decode_report(frame, fold=True)
     except CorruptFrameError:
         stats.corrupt_frames += 1
         return NAK_CORRUPT, None
@@ -610,6 +774,7 @@ def accept_frame(
         stats.duplicates += 1
         return ACK_DUP, None
     seen.add(key)
+    report.hand_off(frame)
     return ACK, report
 
 

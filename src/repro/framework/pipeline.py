@@ -589,7 +589,7 @@ class SketchVisorPipeline:
             epoch=epoch,
         )
         if collection is not None:
-            # Folded: the decoded reports or aggregator partials are
+            # Folded: the received reports or aggregator partials are
             # garbage from here on, not state the epoch holds.
             collection.reports = []
         return network, collection

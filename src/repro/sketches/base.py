@@ -280,16 +280,30 @@ class Sketch(ABC):
 
     def _fold(self, other: "Sketch") -> None:
         """Combine ``other``'s :meth:`fold_buffers` into this sketch's,
-        each with its ufunc, in place."""
-        for (target, op), (source, _op) in zip(
-            self.fold_buffers(), other.fold_buffers()
-        ):
+        each with its ufunc, in place.
+
+        A source that is not an array is a frame's unlanded section
+        (:class:`~repro.controlplane.transport.SparseSection`): it
+        lands its words at its own indices.  Every shape is checked
+        before the first buffer changes.
+        """
+        pairs = [
+            (target, op, source)
+            for (target, op), (source, _op) in zip(
+                self.fold_buffers(), other.fold_buffers()
+            )
+        ]
+        for target, _op, source in pairs:
             if target.shape != source.shape:
                 raise MergeError(
                     f"{type(self).__name__} buffer shapes differ: "
                     f"{target.shape} != {source.shape}"
                 )
-            op(target, source, out=target)
+        for target, op, source in pairs:
+            if isinstance(source, np.ndarray):
+                op(target, source, out=target)
+            else:
+                source.land(target, op)
 
     @abstractmethod
     def to_matrix(self) -> np.ndarray:

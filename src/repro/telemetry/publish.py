@@ -211,7 +211,7 @@ def publish_cluster_epoch(
     registry.gauge(
         "sketchvisor_cluster_peak_resident_reports",
         "Peak dense sketches resident in one aggregator (its running "
-        "merge and the report being folded) in the latest epoch",
+        "merge; frames fold from their sections) in the latest epoch",
     ).set(collector.last_peak_resident)
     failovers = registry.counter(
         "sketchvisor_aggregator_failovers_total",

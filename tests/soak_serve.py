@@ -18,7 +18,16 @@ and checks that
   it runs, so a sample lands on either phase, and a socket leaked per
   window still lifts the peak by one a window);
 - the daemon exits 0 and its last flight-recorder dump has reason
-  ``shutdown``.
+  ``shutdown``;
+- it drops nothing it should have kept: a host-epoch is left
+  unrecovered (``sketchvisor_aggregator_unrecovered_host_epochs_total``)
+  only in a window that failed quorum
+  (``sketchvisor_serve_quorum_failures_total``), and under
+  ``--cluster`` a window fails quorum only when the
+  :func:`~repro.faults.failover_plan` schedule struck every aggregator
+  of its epoch.  Both counters are sampled with the series; a sample
+  covers the epochs since the one before it (windows recovered plus
+  windows that failed quorum).
 
 It writes the series and the verdicts as JSON (``--out``) and exits 1
 if any check failed.  ``tests/test_serve.py`` runs a short leg, CI's
@@ -48,12 +57,19 @@ from statistics import median
 
 import numpy as np
 
+from repro.cluster import ClusterConfig
+from repro.cluster.aggregator import assign_aggregator
 from repro.faults import failover_plan, moderate_plan
 
 ROOT = Path(__file__).resolve().parent.parent
-_WINDOWS = re.compile(
-    r"^sketchvisor_serve_windows_total (\S+)$", re.MULTILINE
-)
+#: Series key -> the /metrics counter it samples (0 until published).
+COUNTERS = {
+    "windows": "sketchvisor_serve_windows_total",
+    "quorum_failures": "sketchvisor_serve_quorum_failures_total",
+    "unrecovered_host_epochs": (
+        "sketchvisor_aggregator_unrecovered_host_epochs_total"
+    ),
+}
 _PORT = re.compile(r"serving on http://[^:]+:(\d+)")
 #: Flows in the daemon's synthetic trace.
 FLOWS = 2000
@@ -80,15 +96,19 @@ def _proc_sample(pid: int) -> tuple[int, int, int]:
     )
 
 
-def _windows(port: int) -> int | None:
+def _counters(port: int) -> dict[str, int] | None:
+    """The :data:`COUNTERS` off ``/metrics``, or ``None`` if unreadable."""
     url = f"http://127.0.0.1:{port}/metrics"
     try:
         with urllib.request.urlopen(url, timeout=10) as response:
             text = response.read().decode()
     except OSError:
         return None
-    match = _WINDOWS.search(text)
-    return int(float(match.group(1))) if match else 0
+    values = {}
+    for key, name in COUNTERS.items():
+        match = re.search(rf"^{name} (\S+)$", text, re.MULTILINE)
+        values[key] = int(float(match.group(1))) if match else 0
+    return values
 
 
 def _wait_for_port(process, log: Path, deadline: float) -> int:
@@ -133,7 +153,8 @@ def soak(
             stderr=subprocess.STDOUT,
         )  # fmt: skip
     series: dict[str, list] = {
-        key: [] for key in ("elapsed_s", "windows", "rss_kb", "fds", "threads")
+        key: []
+        for key in ("elapsed_s", *COUNTERS, "rss_kb", "fds", "threads")
     }
     try:
         started = time.monotonic()
@@ -142,14 +163,15 @@ def soak(
         while time.monotonic() - started < seconds:
             if process.poll() is not None:
                 raise RuntimeError(f"daemon died:\n{log.read_text()}")
-            windows = _windows(port)
-            if windows is not None and windows > last:
-                last = windows
+            counters = _counters(port)
+            if counters is not None and counters["windows"] > last:
+                last = counters["windows"]
                 for key, value in zip(
                     ("rss_kb", "fds", "threads"), _proc_sample(process.pid)
                 ):
                     series[key].append(value)
-                series["windows"].append(windows)
+                for key, value in counters.items():
+                    series[key].append(value)
                 series["elapsed_s"].append(time.monotonic() - started)
             time.sleep(0.05)
         process.send_signal(signal.SIGTERM)
@@ -169,15 +191,63 @@ def soak(
     }
 
 
+def _spares_an_aggregator(hosts: int):
+    """``epoch -> bool``: whether the daemon's ``failover_plan()``
+    leaves at least one aggregator of a ``hosts``-host tier unstruck."""
+    plan = failover_plan(seed=CHAOS_SEED)
+    aggregators = ClusterConfig().resolve_aggregators(hosts)
+    groups = [0] * aggregators
+    for host in range(hosts):
+        groups[assign_aggregator(host, aggregators)] += 1
+    return lambda epoch: any(
+        not plan.aggregator_schedule_for(epoch, aggregator, size)
+        for aggregator, size in enumerate(groups)
+    )
+
+
+def _losses(run: dict) -> tuple[int, int]:
+    """``(unrecovered host-epochs in samples without a quorum failure,
+    quorum failures in samples whose every epoch had an aggregator the
+    fail-over schedule spared)``; the second is 0 without a cluster."""
+    hosts = run["cluster"]
+    spared = _spares_an_aggregator(hosts) if hosts else None
+    stray_unrecovered = stray_failures = 0
+    epochs = failures = unrecovered = 0
+    for windows, failed, lost in zip(
+        run["windows"], run["quorum_failures"], run["unrecovered_host_epochs"]
+    ):
+        first, epochs = epochs, windows + failed
+        new_failures, failures = failed - failures, failed
+        new_lost, unrecovered = lost - unrecovered, lost
+        if new_lost and not new_failures:
+            stray_unrecovered += new_lost
+        if (
+            spared is not None
+            and new_failures
+            and all(spared(epoch) for epoch in range(first, epochs))
+        ):
+            stray_failures += new_failures
+    return stray_unrecovered, stray_failures
+
+
 def verdicts(run: dict) -> dict[str, bool]:
     """Each check by name -> passed; the fitted RSS slope is stored in
-    ``run["rss_kb_per_window"]``."""
+    ``run["rss_kb_per_window"]``, and what the loss checks counted in
+    ``run["unrecovered_outside_quorum_failures"]`` and
+    ``run["quorum_failures_with_a_spared_aggregator"]``."""
     count = len(run["windows"])
     settled = slice(count // 3, None)
+    stray_unrecovered, stray_failures = _losses(run)
+    run["unrecovered_outside_quorum_failures"] = stray_unrecovered
+    run["quorum_failures_with_a_spared_aggregator"] = stray_failures
     checks = {
         "enough windows": count >= 9,
         "exit 0": run["exit_code"] == 0,
         "shutdown flush": run["recorder_reason"] == "shutdown",
+        "unrecovered only in quorum failures": stray_unrecovered == 0,
+        "quorum failures only with every aggregator struck": (
+            stray_failures == 0
+        ),
     }
     if not checks["enough windows"]:
         return checks
@@ -221,6 +291,14 @@ def main() -> int:
                 "windows": run["windows"][-1] if run["windows"] else 0,
                 "rss_kb": run["rss_kb"][-1] if run["rss_kb"] else None,
                 "rss_kb_per_window": run.get("rss_kb_per_window"),
+                "quorum_failures": (
+                    run["quorum_failures"][-1] if run["quorum_failures"] else 0
+                ),
+                "unrecovered_host_epochs": (
+                    run["unrecovered_host_epochs"][-1]
+                    if run["unrecovered_host_epochs"]
+                    else 0
+                ),
                 "checks": checks,
             }
         )

@@ -175,6 +175,21 @@ class TestRun:
         )
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_checkpoint_every_without_a_directory_is_a_usage_error(
+        self, capsys, monkeypatch, command
+    ):
+        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--flows", "200", "--checkpoint-every", "64"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(
+            "error: --checkpoint-every needs --checkpoint-dir DIR "
+            "(or REPRO_CHECKPOINT_DIR)"
+        )
+        assert "Traceback" not in err
+
     def test_prom_alone_writes_the_metrics(
         self, tmp_path, capsys, monkeypatch
     ):

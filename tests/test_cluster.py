@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.common.errors import ConfigError, QuorumError
 from repro.controlplane.controller import Controller
 from repro.controlplane.recovery import RecoveryMode
 from repro.controlplane.transport import (
+    CollectionResult,
     ReportCollector,
     encode_report,
 )
@@ -414,22 +416,25 @@ class TestSocketChaos:
 # Aggregator tier mechanics.
 # ---------------------------------------------------------------------------
 class TestAggregatorTier:
-    def test_eager_merge_keeps_two_resident(self, reports):
+    def test_eager_merge_keeps_one_resident(self, reports):
+        """The running merge is the one dense sketch an aggregator
+        builds: in-memory reports bring their own, and frames fold
+        from their sections."""
         aggregator = Aggregator(0)
         for report in reports:
             aggregator.add(report)
-        assert aggregator.peak_resident == 2
+        assert aggregator.peak_resident == 1
         partial = aggregator.finish()
         assert partial.host_ids == tuple(range(NUM_HOSTS))
 
     @pytest.mark.parametrize("num_hosts", [16, 64])
-    def test_resident_reports_flat_n_hierarchical_two(
+    def test_resident_reports_flat_n_hierarchical_one(
         self, reports, num_hosts
     ):
         """Memory scaling, machine-independently: a flat collection
-        (the in-process collector) holds all N decoded reports at once,
-        the socket tier never more than two per aggregator, with
-        sqrt(N) aggregators."""
+        (the in-process collector) holds all N reports' frames at once,
+        the socket tier one dense sketch per aggregator, its merge,
+        with sqrt(N) aggregators."""
         fleet = [
             dataclasses.replace(
                 reports[host_id % NUM_HOSTS], host_id=host_id
@@ -442,8 +447,25 @@ class TestAggregatorTier:
         assert flat.hosts_reported == len(flat.reports) == num_hosts
         hier = ClusterCollector(ClusterConfig(**FAST))
         assert hier.collect(fleet, 0).hosts_reported == num_hosts
-        assert hier.last_peak_resident == 2
+        assert hier.last_peak_resident == 1
         assert hier.last_aggregators == math.ceil(math.sqrt(num_hosts))
+
+    def test_collect_never_reprs_its_result(self, reports, monkeypatch):
+        """``asyncio.run`` on the main thread installs a SIGINT handler
+        that holds the main task, and taking it back out formats that
+        finished task, whole result included, into a discarded error
+        message (Python 3.11).  ``collect`` installs none."""
+        assert threading.current_thread() is threading.main_thread()
+        calls = []
+
+        def counted(result):
+            calls.append(result.epoch)
+            return "CollectionResult(...)"
+
+        monkeypatch.setattr(CollectionResult, "__repr__", counted)
+        collector = ClusterCollector(ClusterConfig(**FAST))
+        assert collector.collect(reports, 0).hosts_reported == NUM_HOSTS
+        assert calls == []
 
     def test_pairwise_merge_equals_flat_merge(self, reports):
         aggregator = Aggregator(3)

@@ -34,6 +34,7 @@ from repro.traffic.generator import TraceConfig, generate_trace
 from repro.traffic.groundtruth import GroundTruth
 from repro.traffic.io import save_trace
 from repro.traffic.trace import Trace
+from tests.soak_serve import _spares_an_aggregator, verdicts
 
 
 @pytest.fixture(scope="module")
@@ -708,6 +709,44 @@ class TestServeCLI:
         assert sorted(path.name for path in checkpoints.iterdir()) == [
             f"host_{cell:04d}" for cell in range(8)
         ]
+
+    @staticmethod
+    def _soak_run(samples) -> dict:
+        """A calm cluster soak whose ``(windows, quorum failures,
+        unrecovered host-epochs)`` samples are ``samples``."""
+        windows, failures, lost = (list(column) for column in zip(*samples))
+        flat = [1] * len(samples)
+        return {
+            "cluster": 8,
+            "windows": windows,
+            "quorum_failures": failures,
+            "unrecovered_host_epochs": lost,
+            "rss_kb": flat,
+            "fds": flat,
+            "threads": flat,
+            "exit_code": 0,
+            "recorder_reason": "shutdown",
+        }
+
+    def test_soak_verdicts_count_what_is_dropped(self):
+        """A host-epoch left unrecovered outside a failed-quorum window,
+        or a window that failed quorum while the fail-over schedule
+        spared an aggregator, fails the soak."""
+        spared = _spares_an_aggregator(8)
+        calm = next(e for e in range(9, 10_000) if spared(e) and spared(e + 1))
+        doomed = next(e for e in range(9, 10_000) if not spared(e))
+        steady = [(w, 0, 0) for w in range(1, calm + 1)]
+        assert all(verdicts(self._soak_run(steady)).values())
+
+        lost = verdicts(self._soak_run(steady + [(calm + 1, 0, 2)]))
+        assert not lost["unrecovered only in quorum failures"]
+
+        failed = verdicts(self._soak_run(steady + [(calm + 1, 1, 0)]))
+        assert not failed["quorum failures only with every aggregator struck"]
+
+        quiet = [(w, 0, 0) for w in range(1, doomed + 1)]
+        both = verdicts(self._soak_run(quiet + [(doomed + 1, 1, 8)]))
+        assert all(both.values())
 
     def test_soak_leg(self, tmp_path):
         """A short leg of the soak script CI runs for minutes: an

@@ -6,6 +6,7 @@ import dataclasses
 import pickle
 import random
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -13,12 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.aggregator import Aggregator
 from repro.cluster.framing import FrameAssembler
 from repro.common.errors import ConfigError, CorruptFrameError
 from repro.controlplane.controller import Controller
 from repro.controlplane.recovery import RecoveryMode
 from repro.controlplane.transport import (
+    ACK,
+    NAK_CORRUPT,
+    CollectionStats,
     ReportCollector,
+    accept_frame,
     decode_report,
     decode_stream,
     encode_frame,
@@ -27,6 +33,7 @@ from repro.controlplane.transport import (
     peek_header,
 )
 from repro.dataplane.host import Host, LocalReport
+from repro.dataplane.switch import SwitchReport
 from repro.framework.modes import DataPlaneMode
 from repro.framework.pipeline import PipelineConfig, SketchVisorPipeline
 from repro.sketches.countmin import CountMinSketch
@@ -618,3 +625,117 @@ class TestRestrictedUnpickler:
         payload = pickle.dumps(Evil())
         with pytest.raises(ConfigError):
             decode_report(self._frame(payload))
+
+
+class _Foreign:
+    """A class from outside the unpickler's allowlist."""
+
+
+def _reframed(frame: bytes, payload: bytes) -> bytes:
+    """``frame``'s header around ``payload``, length and CRC right."""
+    header = peek_header(frame)
+    return frame_of(payload, host=header.host_id)
+
+
+def _bad_index(frame: bytes) -> bytes:
+    """The first sparse buffer's second index repeats its first."""
+    payload = bytearray(frame[peek_header(frame).size :])
+    kind, _nbytes, nnz = struct.unpack_from("<BQI", payload, 4)
+    assert kind == SPARSE and nnz >= 2
+    first = 4 + struct.calcsize("<BQI")
+    payload[first + 4 : first + 8] = payload[first : first + 4]
+    return _reframed(frame, bytes(payload))
+
+
+def _rebuilt(frame: bytes, **changes) -> bytes:
+    report = decode_report(frame)
+    fields = dict(
+        host_id=report.host_id,
+        sketch=report.sketch,
+        fastpath=report.fastpath,
+        switch=report.switch,
+    )
+    fields.update(changes)
+    return encode_frame(
+        struct.Struct(">4sBIIII"),
+        b"SKVR",
+        3,
+        report.host_id,
+        0,
+        obj=LocalReport(**fields),
+    )
+
+
+#: Frames refused where they are checked, each built from a good one.
+REFUSED = {
+    "bad_index": _bad_index,
+    "foreign_class": lambda frame: _rebuilt(frame, switch=_Foreign()),
+    "bad_snapshot": lambda frame: _rebuilt(
+        frame, fastpath=_reordered(_three_rows())
+    ),
+}
+
+
+class TestFoldFromSections:
+    """An aggregator folds each accepted frame's sparse sections into
+    its running merge, so one dense sketch — the merge — is all it
+    builds; a frame it refuses leaves that merge as it was."""
+
+    @pytest.fixture(scope="class")
+    def fanin_frames(self):
+        """One ``cp_fanin``-shaped epoch: 32 hosts' frames of the
+        deployed Deltoid (3.4 MB dense) over 3000 flows."""
+        trace = generate_trace(TraceConfig(num_flows=3000, seed=23))
+        build = registry_solutions()["deltoid"]
+        return [
+            encode_report(Host(host_id, build(seed=1)).run_epoch(shard), 0)
+            for host_id, shard in enumerate(trace.partition(32))
+        ]
+
+    def test_one_aggregator_builds_about_one_sketch(self, fanin_frames):
+        dense = sum(
+            array.nbytes
+            for array, _op in decode_report(fanin_frames[0]).sketch.fold_buffers()
+        )
+        aggregator = Aggregator(0)
+        seen: set = set()
+        stats = CollectionStats()
+        tracemalloc.start()
+        try:
+            for frame in fanin_frames:
+                verdict, report = accept_frame(frame, 0, seen, stats)
+                assert verdict == ACK
+                aggregator.add(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert aggregator.peak_resident == 1
+        assert dense <= peak < 1.25 * dense
+
+    @pytest.mark.parametrize("kind", sorted(REFUSED))
+    def test_a_refused_frame_leaves_the_merge_as_it_was(
+        self, fanin_frames, kind
+    ):
+        k = 3
+        aggregator = Aggregator(0)
+        seen: set = set()
+        stats = CollectionStats()
+        for frame in fanin_frames[:k]:
+            verdict, report = accept_frame(frame, 0, seen, stats)
+            aggregator.add(report)
+        before = [a.tobytes() for a, _op in aggregator.sketch.fold_buffers()]
+        bad = REFUSED[kind](fanin_frames[k])
+        if kind == "foreign_class":
+            with pytest.raises(ConfigError, match="not allowlisted"):
+                accept_frame(bad, 0, seen, stats)
+        else:
+            assert accept_frame(bad, 0, seen, stats) == (NAK_CORRUPT, None)
+            assert stats.corrupt_frames == 1
+        # Folding it anyway runs the same checks before anything lands.
+        handed = LocalReport(k, None, None, SwitchReport())
+        handed.hand_off(bad)
+        with pytest.raises(ConfigError):
+            aggregator.add(handed)
+        after = [a.tobytes() for a, _op in aggregator.sketch.fold_buffers()]
+        assert after == before
+        assert aggregator.host_ids == list(range(k))
