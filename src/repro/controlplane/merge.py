@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from repro.common.errors import MergeError
-from repro.controlplane.transport import decode_report
+from repro.dataplane.host import LocalReport
 from repro.fastpath.topk import FastPathSnapshot
 from repro.sketches.base import Sketch
 
@@ -88,14 +88,14 @@ class MergeFold:
 
     @staticmethod
     def _sketch_of(report) -> Sketch:
-        """What :meth:`add` folds: a frame-backed report's sketch with
-        its sparse fold buffers left in the frame, which the merge
-        lands at their indices (``decode_report(frame, fold=True)``);
-        any other input's sketch as it is."""
-        frame = getattr(report, "frame", None)
-        if frame is None:
-            return report.sketch
-        return decode_report(frame, fold=True).sketch
+        """What :meth:`add` folds: a host report's
+        :meth:`~repro.dataplane.host.LocalReport.fold_sketch` — for a
+        frame-backed one, its sketch with the sparse fold buffers left
+        in the frame, which the merge lands at their indices — and a
+        partial's sketch as it is."""
+        if isinstance(report, LocalReport):
+            return report.fold_sketch()
+        return report.sketch
 
     def add_sketch(self, sketch: Sketch) -> None:
         """Matrix-add ``sketch`` (same type, shape and seed as the

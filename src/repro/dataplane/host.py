@@ -39,6 +39,11 @@ class LocalReport:
     frame: bytes | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The frame's checked sketch, its sparse fold buffers still in
+    #: the frame, until a merge takes it (:meth:`fold_sketch`).
+    _unlanded: Sketch | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(
@@ -85,7 +90,7 @@ class LocalReport:
         self._sketch = state["sketch"]
         self.fastpath = state["fastpath"]
         self.switch = state["switch"]
-        self.frame = None
+        self.frame = self._unlanded = None
 
     @property
     def host_ids(self) -> tuple[int, ...]:
@@ -93,17 +98,39 @@ class LocalReport:
         (:class:`~repro.controlplane.merge.MergeFold`)."""
         return (self.host_id,)
 
-    def hand_off(self, frame: bytes) -> None:
+    def hand_off(
+        self, frame: bytes, unlanded: Sketch | None = None
+    ) -> None:
         """Keep ``frame`` (this report, encoded) and let go of the
-        sketch, which the host may now reset and reuse."""
+        sketch, which the host may now reset and reuse.  ``unlanded``
+        is the frame's sketch as a receiver's check decoded it for a
+        merge (``decode_report(frame, fold=True)``), kept so the merge
+        does not decode the frame again."""
         self.frame = frame
         self._sketch = None
+        self._unlanded = unlanded
+
+    def fold_sketch(self) -> Sketch | None:
+        """The sketch a merge folds.  A frame-backed report's has its
+        sparse fold buffers left in the frame, for the merge to land
+        at their indices: the one its receiver's check decoded, handed
+        over once, else the frame decoded for the fold.  :attr:`sketch`
+        always decodes whole, so no other reader sees an unlanded
+        buffer."""
+        if self.frame is None:
+            return self.sketch
+        sketch, self._unlanded = self._unlanded, None
+        if sketch is None:
+            from repro.controlplane.transport import decode_report
+
+            sketch = decode_report(self.frame, fold=True).sketch
+        return sketch
 
     def retire(self) -> None:
         """Drop the sketch (or its frame) once its epoch has been
         merged and answered; the switch statistics and fast-path
         snapshot stay."""
-        self._sketch = self.frame = None
+        self._sketch = self.frame = self._unlanded = None
 
 
 LocalReport.sketch = property(LocalReport._get_sketch, LocalReport._set_sketch)

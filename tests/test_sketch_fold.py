@@ -18,13 +18,17 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.flow import FlowKey, Packet
+from repro.controlplane import transport
 from repro.controlplane.merge import MergeFold, merge_sketches
 from repro.controlplane.transport import (
+    ACK,
+    CollectionStats,
     SparseSection,
+    accept_frame,
     decode_payload,
     decode_report,
     encode_frame,
@@ -64,7 +68,17 @@ def state(sketch) -> list:
             sketch.bloom.bits.tobytes(),
         ]
     if isinstance(sketch, UnivMon):
-        out.append([list(tracker.items()) for tracker in sketch.trackers])
+        # Estimates by their bits: a planted NaN word can make one NaN,
+        # and NaN == NaN is False however equal the bits.
+        out.append(
+            [
+                [
+                    (key, flow, struct.pack("<d", estimate))
+                    for key, (flow, estimate) in tracker.items()
+                ]
+                for tracker in sketch.trackers
+            ]
+        )
     return out
 
 
@@ -173,6 +187,8 @@ def test_fold_sink_equals_materialize_then_merge(name):
     @given(
         st.lists(st.tuples(packet_lists, planted_words), min_size=1, max_size=3)
     )
+    # A signalling NaN that reaches a UnivMon tracker's estimate.
+    @example(hosts=[([(31, 40)], [(151819360, 0x7FF0_0000_0000_0001)])])
     @settings(max_examples=8, deadline=None)
     def check(hosts):
         frames = []
@@ -201,6 +217,38 @@ def test_a_sparse_deltoid_frame_folds_unlanded():
     frame = encode_report(LocalReport(0, sketch, None, SwitchReport()), 0)
     sources = [s for s, _op in decode_report(frame, fold=True).sketch.fold_buffers()]
     assert all(isinstance(source, SparseSection) for source in sources)
+
+
+def test_an_accepted_report_hands_its_check_to_one_fold(monkeypatch):
+    """``accept_frame`` decodes a frame once and the report keeps that
+    decode for the fold: the first ``fold_sketch()`` costs no decode,
+    a second decodes the frame again, and ``sketch`` decodes it whole,
+    so only a fold ever sees a section."""
+    sketch = BUILDERS["deltoid"](seed=3)
+    sketch.update_trace(_trace([(1, 100), (2, 200)]))
+    frame = encode_report(LocalReport(0, sketch, None, SwitchReport()), 0)
+    decoded = []
+    decode = transport.decode_payload
+    monkeypatch.setattr(
+        transport,
+        "decode_payload",
+        lambda *args, **kwargs: decoded.append(1) or decode(*args, **kwargs),
+    )
+    verdict, report = accept_frame(frame, 0, set(), CollectionStats())
+    assert verdict == ACK and len(decoded) == 1
+
+    def sections(folded):
+        return [
+            isinstance(source, SparseSection)
+            for source, _op in folded.fold_buffers()
+        ]
+
+    first = report.fold_sketch()
+    assert len(decoded) == 1 and all(sections(first))
+    again = report.fold_sketch()
+    assert len(decoded) == 2 and again is not first and all(sections(again))
+    assert not any(sections(report.sketch))
+    assert len(decoded) == 3
 
 
 #: One item type per row: its fold ops, and how to read raw item bits.

@@ -725,12 +725,8 @@ class TestFoldFromSections:
             aggregator.add(report)
         before = [a.tobytes() for a, _op in aggregator.sketch.fold_buffers()]
         bad = REFUSED[kind](fanin_frames[k])
-        if kind == "foreign_class":
-            with pytest.raises(ConfigError, match="not allowlisted"):
-                accept_frame(bad, 0, seen, stats)
-        else:
-            assert accept_frame(bad, 0, seen, stats) == (NAK_CORRUPT, None)
-            assert stats.corrupt_frames == 1
+        assert accept_frame(bad, 0, seen, stats) == (NAK_CORRUPT, None)
+        assert stats.corrupt_frames == 1
         # Folding it anyway runs the same checks before anything lands.
         handed = LocalReport(k, None, None, SwitchReport())
         handed.hand_off(bad)
