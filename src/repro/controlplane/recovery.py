@@ -266,6 +266,9 @@ def recover(
             iterations, converged = result.iterations, result.converged
             if telemetry is not None:
                 _publish_solve(telemetry, result)
+            # What builds T on a read (the solve's buffers and
+            # operator) goes now, not after the injection.
+            del result
         else:
             # §5.3 drops the nuclear term for these sketches and the
             # solver answers the box midpoint at iteration 0; only x is
